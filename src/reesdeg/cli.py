@@ -385,7 +385,9 @@ def build_parser():
         p.add_argument(
             "--budget",
             type=int,
-            default=int(env_budget) if env_budget else None,
+            # argparse runs string defaults through `type`, so a malformed
+            # REESDEG_BUDGET is a usage error like a malformed --budget
+            default=env_budget or None,
             help="reduction step budget per basis computation",
         )
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -398,6 +400,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command in ("sweep", "gr-dim") and args.m is None:
         args.m = 2
+    if args.trials < 1 or (args.budget is not None and args.budget < 1):
+        sys.stderr.write("error: --trials and --budget must be at least 1\n")
+        return 2
     try:
         HANDLERS[args.command](args)
     except BudgetExceeded as exc:

@@ -24,7 +24,6 @@ from .ratmap import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     degree_report,
-    image_summary,
     rational_map,
 )
 from .ring import (
@@ -329,10 +328,9 @@ def j_multiplicity(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
     Defined this way only when the analytic spread is maximal; otherwise
     the marker is returned.
     """
-    summ = image_summary(spec, budget=budget)
-    if summ.dim != spec.r + 1:
-        return ELL_NOT_MAXIMAL
     rep = degree_report(spec, trials=trials, seed=seed, budget=budget)
+    if rep.analytic_spread != spec.r + 1:
+        return ELL_NOT_MAXIMAL
     if not isinstance(rep.deg_map, int):
         raise AssertionError("maximal spread but no finite map degree")
     return spec.degree * rep.deg_map * rep.deg_image

@@ -7,8 +7,10 @@ hanging.  All pair bookkeeping is list based with explicit sort keys, so
 identical inputs produce identical bases, reduction traces and budgets.
 
 Elimination always goes through a block order (grevlex inside each
-block); intersections use one auxiliary variable, colons divide out an
-intersection, and saturation iterates colons until the chain stabilizes.
+block).  Intersections and saturations adjoin one leading auxiliary
+variable and eliminate it: I cap J from t*I + (1-t)*J, and I : g^infinity
+from I + (1 - t*g) (Rabinowitsch).  Saturation by an ideal intersects the
+saturations by its generators.  Colons divide out an intersection.
 """
 
 from dataclasses import replace
@@ -440,6 +442,17 @@ def _with_aux_var(ctx):
     )
 
 
+def _drop_aux_var(gens, aux, ctx, budget):
+    """Eliminate the leading variable of `aux` from the ideal of `gens`
+    and return the result as an ideal of `ctx`."""
+    elim = eliminate(IdealHandle(aux, gens), 1, budget=budget)
+    back = [g.map_vars(ctx, list(range(ctx.nvars))) for g in elim.gens]
+    out = IdealHandle(ctx, back)
+    if ctx.order == elim.ctx.order:
+        seed_gb_cache(out, ctx.order, tuple(back))
+    return out
+
+
 def intersect(I, J, budget=None):
     """I cap J through the single-variable trick: eliminate t from
     t*I + (1-t)*J."""
@@ -454,12 +467,7 @@ def intersect(I, J, budget=None):
     one = Poly.constant(aux, 1)
     gens = [t * f.map_vars(aux, shift) for f in I.gens]
     gens += [(one - t) * g.map_vars(aux, shift) for g in J.gens]
-    elim = eliminate(IdealHandle(aux, gens), 1, budget=budget)
-    back = [g.map_vars(ctx, list(range(ctx.nvars))) for g in elim.gens]
-    out = IdealHandle(ctx, back)
-    if ctx.order == elim.ctx.order:
-        seed_gb_cache(out, ctx.order, tuple(back))
-    return out
+    return _drop_aux_var(gens, aux, ctx, budget)
 
 
 def colon(I, g, budget=None):
@@ -483,23 +491,83 @@ def colon_ideal(I, J, budget=None):
     return out
 
 
-def saturate(I, J, budget=None, max_rounds=64):
-    """(I : J^infinity) by iterated colon.
+def _saturate_by(I, g, budget):
+    """(I : g^infinity) by Rabinowitsch: eliminate t from I + (1 - t*g)."""
+    ctx = I.ctx
+    aux = _with_aux_var(ctx)
+    shift = [i + 1 for i in range(ctx.nvars)]
+    t = Poly.var(aux, 0)
+    gens = [f.map_vars(aux, shift) for f in I.gens]
+    gens.append(Poly.constant(aux, 1) - t * g.map_vars(aux, shift))
+    return _drop_aux_var(gens, aux, ctx, budget)
 
-    Stops when the chain I : J^k stabilizes; the number of strict steps
-    is recorded on the result as `sat_exponent`.  Homogeneous input stays
-    homogeneous, which the blowup and fiber routines rely on.
+
+def _independent_remainders(polys, rows, ctx, budget):
+    """Nonzero remainders of the term dicts `polys` modulo the basis
+    rows, cut down to a linearly independent set with distinct leads."""
+    p = ctx.field.characteristic
+    key = ctx.key
+    pivots = {}
+    for terms in polys:
+        rem, _ = _reduce_dict(dict(terms), rows, ctx, budget)
+        # a combination of remainders is again a remainder
+        while rem:
+            lead = max(rem, key=key)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = _monic_dict(rem, ctx)
+                break
+            c = rem[lead]
+            for m, v in piv.items():
+                val = rem.get(m, 0) - c * v
+                if p:
+                    val %= p
+                if val:
+                    rem[m] = val
+                else:
+                    rem.pop(m, None)
+    return list(pivots.values())
+
+
+def _sat_exponent(I, S, J_gens, budget):
+    """Least k with J^k * S inside I, where S = I : J^infinity.
+
+    I : J^k equals S exactly when J^k * S lies in I, so this is the
+    number of strict steps in the chain I, I : J, I : J^2, ...  Only the
+    remainders modulo I matter, and a spanning set of them is enough.
     """
-    cur = I
-    for k in range(max_rounds):
-        nxt = colon_ideal(cur, J, budget=budget)
-        if ideal_equal(nxt, cur, budget=budget):
-            out = IdealHandle(I.ctx, list(cur.gens))
-            out.gb_cache.update(cur.gb_cache)
-            out.sat_exponent = k
-            return out
-        cur = nxt
-    raise RingError("saturation did not stabilize within %d rounds" % max_rounds)
+    ctx = I.ctx
+    rows = [_row(g.terms, ctx, 0) for g in groebner_basis(I, budget=budget)]
+    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    cur = [g.terms for g in S.gens]
+    k = 0
+    while True:
+        cur = _independent_remainders(cur, rows, ctx, b)
+        if not cur:
+            return k
+        k += 1
+        cur = [(Poly(ctx, h, _clean=True) * g).terms for h in cur for g in J_gens]
+
+
+def saturate(I, J, budget=None):
+    """(I : J^infinity) as the intersection over the generators g of J
+    of (I : g^infinity), each computed by Rabinowitsch.
+
+    The least k with I : J^k = I : J^infinity is recorded on the result
+    as `sat_exponent`.  Homogeneous input stays homogeneous, which the
+    blowup and fiber routines rely on.
+    """
+    if I.ctx != J.ctx:
+        raise RingError("ideals live in different rings")
+    gens = list(J.gens)
+    if not gens:
+        out = IdealHandle(I.ctx, [Poly.constant(I.ctx, 1)])
+    else:
+        out = _saturate_by(I, gens[0], budget)
+        for g in gens[1:]:
+            out = intersect(out, _saturate_by(I, g, budget), budget=budget)
+    out.sat_exponent = _sat_exponent(I, out, gens, budget)
+    return out
 
 
 def interreduce(polys, budget=None):

@@ -5,10 +5,14 @@ ideal is the fiber cone ideal of the forms, so its Hilbert data give the
 dimension and degree of the image.  The degree of the map onto its image
 is measured geometrically: pick a random source point, cut out the fiber
 through its image value with the 2x2 minors of the evaluation matrix,
-remove the base locus and the irrelevant ideal by saturation, and read
-the fiber length off the Hilbert degree.  Random points can merge extra
-multiplicity into special fibers but never drop below the generic count,
-so the minimum over independent trials is reported.
+remove the base locus by saturating with one form that does not vanish
+at the point, and read the fiber length off the Hilbert degree.
+
+A special point can give a fiber of the wrong length either way: extra
+multiplicity can merge into it, and fiber points can escape into the
+base locus when the point lies on a curve through it.  The minimum over
+independent trials is reported, so the sampling box is kept wide (all
+of F_p, or [-2^16, 2^16] over Q) to make short special fibers unlikely.
 """
 
 import random
@@ -27,6 +31,8 @@ RERUN_TRIALS = 7
 DEFAULT_SEED = 17
 SMALL_PRIME_BOUND = 1000
 MAX_POINT_RESAMPLES = 50
+# over Q, sample point coordinates are drawn from [-bound, bound]
+Q_SAMPLE_BOUND = 2**16
 
 
 @dataclass(frozen=True)
@@ -107,31 +113,41 @@ def _sample_point(spec, rng):
         if p:
             pt = [rng.randrange(p) for _ in range(ctx.nvars)]
         else:
-            pt = [rng.randint(-30, 30) for _ in range(ctx.nvars)]
+            pt = [rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND) for _ in range(ctx.nvars)]
         values = [g.evaluate(pt) for g in spec.forms]
         if any(values):
             return pt, values
     raise RingError("could not sample a point off the base locus")
 
 
-def _fiber_length(spec, values, budget=None):
-    """Length of the saturated fiber through a point with image `values`;
-    None when that fiber is not zero-dimensional in P^r."""
-    ctx = spec.ctx
-    fld = ctx.field
-    gens = []
+def _fiber_ideal(spec, values):
+    """2x2 minors of the matrix with rows (forms) and (values): the fiber
+    through a point with image `values`, base locus included."""
     forms = spec.forms
+    gens = []
     for i in range(len(forms)):
         for j in range(i + 1, len(forms)):
             g = forms[i].scale(values[j]) - forms[j].scale(values[i])
             if g:
                 gens.append(g)
-    if not gens:
+    return IdealHandle(spec.ctx, gens)
+
+
+def _fiber_length(spec, values, budget=None):
+    """Length of the saturated fiber through a point with image `values`;
+    None when that fiber is not zero-dimensional in P^r.
+
+    Saturating by the single form g_j with values[j] != 0 removes the
+    whole base locus: on an associated prime P of the fiber ideal the
+    minors give g_i*values[j] = g_j*values[i], so g_j lies in P exactly
+    when every form does.  That saturation also leaves no component
+    primary to (x0, ..., xr), since every form lies in that ideal.
+    """
+    fiber = _fiber_ideal(spec, values)
+    if not fiber.gens:
         return None
-    fiber = IdealHandle(ctx, gens)
-    fiber = saturate(fiber, IdealHandle(ctx, list(forms)), budget=budget)
-    maxi = IdealHandle(ctx, [Poly.var(ctx, i) for i in range(ctx.nvars)])
-    fiber = saturate(fiber, maxi, budget=budget)
+    j = next(i for i, v in enumerate(values) if v)
+    fiber = saturate(fiber, IdealHandle(spec.ctx, [spec.forms[j]]), budget=budget)
     summ = dim_degree(fiber, budget=budget)
     if summ.dim != 1:
         return None
@@ -143,6 +159,10 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
     randomized trials.  Returns (value or marker, trial log), the log a
     list of (trial index, fiber length or marker).
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1, got %d" % trials)
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be at least 1, got %d" % budget)
     p = spec.ctx.field.characteristic
     if 0 < p < SMALL_PRIME_BOUND:
         warnings.warn(

@@ -144,6 +144,21 @@ class TestSweep:
         assert lines[1] == "0,1,1,4,False,ok"
         assert lines[2] == "1,2,1,3,True,ok"
 
+    def test_rational_sweep_keeps_degree_off_base_curves(self, capsys):
+        # with sample coordinates in [-30, 30], trial 1 at a=12 landed on
+        # (24, -24, -22), whose fiber loses a point to the base locus,
+        # and the sweep reported degree 1
+        code, out = run(
+            capsys,
+            [
+                "sweep", "--family", "dejonquieres", "--m", "2", "--prime", "0",
+                "--points", "0,50,12", "--seed", "41512",
+            ],
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["deg_map"] for r in rows] == [1, 2, 2]
+
     def test_gr_dim_rows(self, capsys):
         code, out = run(
             capsys,
@@ -194,6 +209,29 @@ class TestExitCodes:
         monkeypatch.setenv("REESDEG_BUDGET", "3")
         code, _ = run(capsys, ["rees", "--map", "x0^3, x0^2*x1, x0*x1^2, x1^3"])
         assert code == 3
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_is_two(self, capsys, trials):
+        code, out = run(capsys, ["degree", "--map", "x0^2, x1^2", "--trials", trials])
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_two(self, capsys, budget):
+        code, out = run(capsys, ["degree", "--map", "x0^2, x1^2", "--budget", budget])
+        assert code == 2
+        assert out == ""
+
+    def test_negative_budget_env_var_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("REESDEG_BUDGET", "-5")
+        code, _ = run(capsys, ["rees", "--map", "x0^2, x1^2"])
+        assert code == 2
+
+    def test_malformed_budget_env_var_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("REESDEG_BUDGET", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["rees", "--map", "x0^2, x1^2"])
+        assert exc.value.code == 2
 
 
 class TestOutput:

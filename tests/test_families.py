@@ -220,6 +220,26 @@ class TestJMultiplicity:
         spec = rational_map([parse_poly("x^2 + y^2", ctx)])
         assert j_multiplicity(spec) == ELL_NOT_MAXIMAL
 
+    def test_image_computed_once(self, monkeypatch):
+        import reesdeg.ratmap as ratmap_mod
+
+        calls = []
+        real = ratmap_mod.image_summary
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ratmap_mod, "image_summary", counting)
+        ctx = RingCtx(("x", "y"), FP)
+        spec = rational_map([parse_poly("x^2", ctx), parse_poly("y^2", ctx)])
+        assert j_multiplicity(spec) == 4
+        assert len(calls) == 1
+        calls.clear()
+        flat = rational_map([parse_poly("x^2 + y^2", ctx)])
+        assert j_multiplicity(flat) == ELL_NOT_MAXIMAL
+        assert len(calls) == 1
+
 
 class TestSubmaximalPfaffians:
     def test_handmade_four_by_four(self):

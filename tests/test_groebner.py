@@ -32,6 +32,45 @@ from reesdeg.ring import (
 )
 
 QQ = FieldSpec(0)
+FP = FieldSpec(32003)
+
+
+def colon_chain_saturate(I, J, max_rounds=64):
+    """Test oracle: I : J^infinity by iterating I : J, I : J^2, ... until
+    the chain stops growing.  Returns the saturation and the number of
+    strict steps."""
+    cur = I
+    for k in range(max_rounds):
+        nxt = colon_ideal(cur, J)
+        if ideal_equal(nxt, cur):
+            return cur, k
+        cur = nxt
+    raise AssertionError("colon chain did not stabilize")
+
+
+def random_saturation_case(rng, field):
+    """A homogeneous ideal I with components along V(J), and J.
+
+    J is principal, two forms, or the maximal ideal; I's generators are
+    random forms times random powers of J's generators, plus one plain
+    random form, so that I : J^infinity is usually bigger than I.
+    """
+    n = rng.randint(2, 3)
+    ctx = RingCtx(tuple("x%d" % i for i in range(n)), field)
+    kind = rng.choice(("principal", "pair", "maximal"))
+    if kind == "principal":
+        jgens = [nonzero_random_form(ctx, rng, rng.randint(1, 2))]
+    elif kind == "pair":
+        jgens = [nonzero_random_form(ctx, rng, 1) for _ in range(2)]
+    else:
+        jgens = [Poly.var(ctx, i) for i in range(n)]
+    gens = [nonzero_random_form(ctx, rng, rng.randint(1, 2))]
+    for _ in range(rng.randint(1, 2)):
+        f = nonzero_random_form(ctx, rng, 1)
+        for g in jgens:
+            f = f * g.pow(rng.randint(0, 2))
+        gens.append(f)
+    return ideal(ctx, gens), ideal(ctx, jgens)
 
 
 def mk(names, texts, field=QQ, order="grevlex"):
@@ -208,6 +247,35 @@ class TestIdealOperations:
             oracle = eliminate(J, 1)
             recast = ideal(ctx, [parse_poly(str(h), ctx) for h in oracle.gens])
             assert ideal_equal(direct, recast)
+
+    @pytest.mark.parametrize("field", [FP, QQ], ids=["F_32003", "QQ"])
+    def test_saturate_matches_colon_chain(self, field):
+        rng = random.Random(1901 + field.characteristic)
+        exponents = set()
+        for _ in range(25):
+            I, J = random_saturation_case(rng, field)
+            S = saturate(I, J)
+            oracle, k = colon_chain_saturate(I, J)
+            assert ideal_equal(S, oracle)
+            assert S.sat_exponent == k
+            exponents.add(k)
+        # the cases reach beyond already saturated ideals
+        assert len(exponents) >= 3
+
+    def test_saturate_edge_ideals(self):
+        ctx, I = mk(("x", "y"), ["x^2*y", "x*y^2"])
+        _, zero = mk(("x", "y"), [])
+        _, unit = mk(("x", "y"), ["1"])
+        _, m = mk(("x", "y"), ["x", "y"])
+        for J in (zero, unit, m):
+            S = saturate(I, J)
+            oracle, k = colon_chain_saturate(I, J)
+            assert ideal_equal(S, oracle)
+            assert S.sat_exponent == k
+        S = saturate(zero, m)
+        assert groebner_basis(S) == [] and S.sat_exponent == 0
+        S = saturate(unit, m)
+        assert groebner_basis(S) == [Poly.constant(ctx, 1)] and S.sat_exponent == 0
 
     def test_interreduce(self):
         ctx = RingCtx(("x", "y"), QQ)

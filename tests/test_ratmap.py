@@ -3,9 +3,14 @@ import random
 import pytest
 
 from conftest import nonzero_random_form
-from reesdeg.groebner import groebner_basis
+from reesdeg.families import FamilySpec, make_family
+from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
 from reesdeg.ratmap import (
     NOT_GENERICALLY_FINITE,
+    _fiber_ideal,
+    _fiber_length,
+    _sample_point,
+    _trial_rng,
     base_locus,
     degree_map,
     degree_report,
@@ -17,7 +22,7 @@ from reesdeg.ratmap import (
     rational_map,
     serialize_map,
 )
-from reesdeg.ring import FieldSpec, RingCtx, RingError, parse_poly
+from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, parse_poly
 
 QQ = FieldSpec(0)
 FP = FieldSpec(32003)
@@ -131,6 +136,12 @@ class TestDegreeMap:
             value, _ = degree_map(spec)
         assert value == 2
 
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1}, {"budget": -5}])
+    def test_bad_trials_and_budget_rejected(self, kwargs):
+        spec = mkmap(("x0", "x1"), ["x0^2", "x1^2"])
+        with pytest.raises(ValueError):
+            degree_map(spec, **kwargs)
+
     def test_seed_determinism(self):
         spec = mkmap(("x0", "x1"), ["x0^3", "x0*x1^2 + x1^3"])
         a = degree_map(spec, seed=5)
@@ -149,6 +160,59 @@ class TestDegreeMap:
                 continue
             scaled = rational_map([h * g for g in forms])
             assert degree_map(base)[0] == degree_map(scaled)[0]
+
+
+def _maps_with_base_points():
+    """Hilbert-Burch and de Jonquieres maps, plus random maps through a
+    common point or with a common factor."""
+    specs = []
+    for mu, seed in (((1, 1), 3), ((1, 2), 5), ((2, 2), 8)):
+        fam = make_family(FamilySpec("hilbert_burch", r=2, mu=mu, seed=seed))
+        specs.append(rational_map(fam.forms))
+    for seed in (2, 9):
+        specs.append(rational_map(make_family(FamilySpec("dejonquieres", m=2, seed=seed)).forms))
+    rng = random.Random(61)
+    for field in (FP, QQ):
+        ctx = RingCtx(("x0", "x1", "x2"), field)
+        x0, x1 = Poly.var(ctx, 0), Poly.var(ctx, 1)
+        for _ in range(3):
+            # every form vanishes at (0:0:1)
+            forms = [
+                x0 * nonzero_random_form(ctx, rng, 1) + x1 * nonzero_random_form(ctx, rng, 1)
+                for _ in range(3)
+            ]
+            specs.append(rational_map(forms))
+            # a common linear factor: a base curve
+            h = nonzero_random_form(ctx, rng, 1)
+            specs.append(rational_map([h * nonzero_random_form(ctx, rng, 2) for _ in range(3)]))
+    return specs
+
+
+class TestFiberSaturation:
+    def test_single_form_matches_two_step(self):
+        """Saturating the fiber by one nonvanishing form gives the ideal
+        that saturating by all forms and then by (x0..xr) gives."""
+        changed = 0
+        for n, spec in enumerate(_maps_with_base_points()):
+            ctx = spec.ctx
+            maxi = IdealHandle(ctx, [Poly.var(ctx, i) for i in range(ctx.nvars)])
+            for idx in range(2):
+                _, values = _sample_point(spec, _trial_rng(n, idx))
+                fiber = _fiber_ideal(spec, values)
+                j = next(i for i, v in enumerate(values) if v)
+                one = saturate(fiber, IdealHandle(ctx, [spec.forms[j]]))
+                two = saturate(saturate(fiber, IdealHandle(ctx, list(spec.forms))), maxi)
+                assert ideal_equal(one, two)
+                changed += not ideal_equal(one, fiber)
+        # the base locus really was there to remove
+        assert changed >= 10
+
+    def test_point_where_first_form_vanishes(self):
+        # the image point (0 : 1) has fiber x0^2 = 0: length 2, found only
+        # by saturating with the form that does not vanish there
+        spec = mkmap(("x0", "x1"), ["x0^2", "x1^2"])
+        assert _fiber_length(spec, [0, 1]) == 2
+        assert _fiber_length(spec, [1, 0]) == 2
 
 
 class TestDegreeReport:
