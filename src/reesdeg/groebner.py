@@ -3,8 +3,25 @@
 The basis computation uses the Gebauer-Moeller pair update together with
 sugar-order pair selection, and counts every single division step against
 a per-call budget so that runaway eliminations fail loudly instead of
-hanging.  All pair bookkeeping is list based with explicit sort keys, so
-identical inputs produce identical bases, reduction traces and budgets.
+hanging.  Pairs sit in a heap keyed by (sugar, lcm, i, j) and ties are
+impossible, so identical inputs produce identical bases, reduction traces
+and budgets.
+
+Inside the engine a monomial is one Python int (Singular-style packed
+exponent vectors).  Fields of `_WIDTH` bits, least significant first,
+hold the total degree, the exponents e_0..e_{n-1}, and on top the order
+key as n nonnegative linear forms: (deg, S_{n-2}, ..., S_0) with prefix
+sums S_k = e_0 + ... + e_k for grevlex, per block for block orders, the
+plain exponents for lex.  Integer comparison is then the monomial order,
+`+` multiplies, and `b` divides `a` exactly when `(a - b) & guard` is 0,
+in which case `a - b` is the quotient.  Every field stays below
+`EXP_BOUND` (2^23), which leaves the field's top bit, the guard bit,
+free: sums never spill into the next field, a failed subtraction always
+borrows into a guard bit, and a monomial whose degree reaches the bound
+raises `RingError` instead of wrapping.  Sugar reads the degree field.
+Polynomials are packed on entry to `groebner_basis`, `normal_form`,
+`interreduce`, the saturation exponent and the S-pair closure check, and
+unpacked on exit.
 
 Elimination always goes through a block order (grevlex inside each
 block).  Intersections and saturations adjoin one leading auxiliary
@@ -14,20 +31,25 @@ saturations by its generators.  Colons divide out an intersection.
 """
 
 from dataclasses import replace
-from heapq import heappush, heappop
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .ring import (
     Poly,
     RingCtx,
     RingError,
     fresh_names,
-    monomial_div,
     monomial_lcm,
-    monomial_mul,
     poly_exact_div,
 )
 
 DEFAULT_BUDGET = 1_000_000
+
+# exponents and total degrees of every monomial the engine builds stay
+# below this; a packed field is one bit wider, the guard bit
+EXP_BOUND = 1 << 23
+_WIDTH = 24
+_MASK = EXP_BOUND - 1
 
 # flipped on by the test suite: re-checks the Buchberger criterion on
 # every basis before it is cached
@@ -58,56 +80,115 @@ def _charge(budget, n=1):
         raise BudgetExceeded(budget.limit)
 
 
-def _reduce_dict(work, basis, ctx, budget, sugar=-1):
-    """Fully reduce a term dict against monic basis rows.
+def _overflow():
+    return RingError("monomial degree reaches the packed exponent bound %d" % EXP_BOUND)
 
-    `basis` rows are (lead monomial, tail terms, sugar).  Returns the
-    remainder dict and the propagated sugar degree.  Monomials are
-    processed strictly top down, so every monomial is visited once.
+
+def _order_fields(order, n):
+    """The order key as index ranges: each field sums e_i over a range,
+    most significant field first."""
+    if order == "lex":
+        return [range(i, i + 1) for i in range(n)]
+    sizes = (n,) if order == "grevlex" else order[1]
+    fields = []
+    lo = 0
+    for size in sizes:
+        hi = lo + size
+        fields.append(range(lo, hi))
+        fields.extend(range(lo, k + 1) for k in range(hi - 2, lo - 1, -1))
+        lo = hi
+    return fields
+
+
+class _Packing:
+    """Monomial encoding for one monomial order on n variables."""
+
+    __slots__ = ("units", "shifts", "guard")
+
+    def __init__(self, order, n):
+        # field 0 is the degree, field 1 + i the exponent e_i, and the
+        # order fields fill 2n down to n + 1
+        units = [1 + (1 << _WIDTH * (1 + i)) for i in range(n)]
+        for f, rng in enumerate(_order_fields(order, n)):
+            for i in rng:
+                units[i] += 1 << _WIDTH * (2 * n - f)
+        self.units = tuple(units)
+        self.shifts = tuple(_WIDTH * (1 + i) for i in range(n))
+        self.guard = sum(EXP_BOUND << _WIDTH * k for k in range(2 * n + 1))
+
+    def pack(self, mon):
+        if sum(mon) >= EXP_BOUND:
+            raise _overflow()
+        v = 0
+        for e, u in zip(mon, self.units):
+            if e:
+                v += e * u
+        return v
+
+    def unpack(self, m):
+        return tuple((m >> s) & _MASK for s in self.shifts)
+
+    def pack_terms(self, terms):
+        pack = self.pack
+        return {pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms):
+        unpack = self.unpack
+        return {unpack(m): c for m, c in terms.items()}
+
+    def lcm(self, a, b):
+        return self.pack(monomial_lcm(self.unpack(a), self.unpack(b)))
+
+    def divides(self, b, a):
+        # a - b borrows, and so sets a guard bit, exactly where b is larger
+        return not (a - b) & self.guard
+
+
+@lru_cache(maxsize=64)
+def _packing(order, n):
+    return _Packing(order, n)
+
+
+def _reduce(work, rows, guard, p, budget, sugar=-1):
+    """Fully reduce the packed term dict `work` against monic rows.
+
+    Rows are (lead, tail terms, sugar); the first row whose lead divides
+    a monomial reduces it.  Returns the remainder dict and the propagated
+    sugar degree.  Monomials come off a heap of negated packed ints
+    strictly top down, so every monomial is visited once.
     """
-    fld = ctx.field
-    p = fld.characteristic
-    negkey = ctx.negkey
     rem = {}
-    heap = []
-    for m in work:
-        heappush(heap, (negkey(m), m))
+    heap = [-m for m in work]
+    heapify(heap)
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m, None)
-        if c is None or not c:
+        if c is None:
             continue
-        hit = None
-        for row in basis:
-            ltm = row[0]
-            ok = True
-            for a, b in zip(ltm, m):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                hit = row
+        for row in rows:
+            shift = m - row[0]
+            if not shift & guard:
                 break
-        if hit is None:
+        else:
             rem[m] = c
             continue
-        _charge(budget)
-        ltm, tail, gsug = hit
-        shift = tuple(x - y for x, y in zip(m, ltm))
+        budget.left -= 1
+        if budget.left < 0:
+            raise BudgetExceeded(budget.limit)
+        _, tail, gsug = row
         if sugar >= 0:
-            s = gsug + sum(shift)
+            s = gsug + (shift & _MASK)
             if s > sugar:
                 sugar = s
         for m2, c2 in tail:
-            mm = tuple(x + y for x, y in zip(m2, shift))
+            mm = m2 + shift
             prev = work.get(mm)
             if prev is None:
+                if mm & EXP_BOUND:
+                    raise _overflow()
                 v = -c * c2
-                if p:
-                    v %= p
-                if v:
-                    work[mm] = v
-                    heappush(heap, (negkey(mm), mm))
+                work[mm] = v % p if p else v
+                heappush(heap, -mm)
             else:
                 v = prev - c * c2
                 if p:
@@ -119,58 +200,61 @@ def _reduce_dict(work, basis, ctx, budget, sugar=-1):
     return rem, sugar
 
 
-def _monic_dict(terms, ctx):
-    fld = ctx.field
-    lead = max(terms, key=ctx.key)
-    inv = fld.inv(terms[lead])
-    if inv == fld.one:
+def _monic(terms, fld):
+    c = terms[max(terms)]
+    if c == 1:
         return dict(terms)
+    inv = fld.inv(c)
     p = fld.characteristic
     if p:
-        return {m: (c * inv) % p for m, c in terms.items()}
-    return {m: c * inv for m, c in terms.items()}
+        return {m: (v * inv) % p for m, v in terms.items()}
+    return {m: v * inv for m, v in terms.items()}
 
 
-def _row(terms, ctx, sugar):
-    lead = max(terms, key=ctx.key)
-    key = ctx.key
-    tail = sorted(
-        ((m, c) for m, c in terms.items() if m != lead),
-        key=lambda t: key(t[0]),
-        reverse=True,
-    )
-    return (lead, tuple(tail), sugar)
+def _row(terms, sugar):
+    lead = max(terms)
+    return (lead, tuple((m, c) for m, c in terms.items() if m != lead), sugar)
 
 
-def _disjoint(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _spoly(ti, ui, tj, uj, p):
+    """ui*ti - uj*tj for monic packed term dicts and packed cofactors."""
+    s = {m + ui: c for m, c in ti.items()}
+    for m, c in tj.items():
+        mm = m + uj
+        val = s.get(mm, 0) - c
+        if p:
+            val %= p
+        if val:
+            s[mm] = val
+        else:
+            s.pop(mm, None)
+    for m in s:
+        if m & EXP_BOUND:
+            raise _overflow()
+    return s
 
 
-def _buchberger(seeds, ctx, budget):
-    """Reduced Groebner basis of the seed term dicts, as term dicts."""
-    fld = ctx.field
-    key = ctx.key
-    zero_mon = (0,) * len(ctx.var_names)
-
-    start = []
-    for t in seeds:
-        if t:
-            start.append(_monic_dict(t, ctx))
+def _buchberger(seeds, pk, fld, budget):
+    """Reduced Groebner basis of the packed seed term dicts, packed."""
+    p = fld.characteristic
+    guard = pk.guard
+    start = [_monic(t, fld) for t in seeds if t]
     if not start:
         return []
-    start.sort(key=lambda t: key(max(t, key=key)))
+    start.sort(key=max)
 
-    rows = []      # every basis row ever created
+    rows = []      # every basis row ever created: (lead, tail, sugar)
     terms_of = []  # parallel: full term dicts
     G = []         # active row indices
-    P = []         # pairs (sel_key, lcm, i, j)
+    P = []         # heap of pairs (sugar, lcm, i, j)
 
-    def pair_entry(i, j):
-        lcm = monomial_lcm(rows[i][0], rows[j][0])
-        si = rows[i][2] + sum(lcm) - sum(rows[i][0])
-        sj = rows[j][2] + sum(lcm) - sum(rows[j][0])
-        sug = si if si > sj else sj
-        return ((sug, key(lcm), i, j), lcm, i, j)
+    divides = pk.divides
+
+    def pair_entry(i, j, lcm):
+        d = lcm & _MASK
+        si = rows[i][2] + d - (rows[i][0] & _MASK)
+        sj = rows[j][2] + d - (rows[j][0] & _MASK)
+        return (si if si > sj else sj, lcm, i, j)
 
     def update(h):
         # Gebauer-Moeller: prune new pairs against each other, drop old
@@ -178,118 +262,86 @@ def _buchberger(seeds, ctx, budget):
         # basis rows whose lead became divisible.
         nonlocal P, G
         lth = rows[h][0]
-        C = []
-        for g in G:
-            lcm = monomial_lcm(rows[g][0], lth)
-            C.append((key(lcm), g, lcm))
-        C.sort()
+        C = sorted((pk.lcm(rows[g][0], lth), g) for g in G)
         D = []
-        while C:
-            klcm, g, lcm = C.pop(0)
-            useful = _disjoint(rows[g][0], lth) or not any(
-                monomial_div(lcm, other[2]) is not None for other in C + D
-            )
-            if useful:
-                D.append((klcm, g, lcm))
-        E = [(g, lcm) for _, g, lcm in D if not _disjoint(rows[g][0], lth)]
-
-        keepP = []
-        for entry in P:
-            _, lcm, i, j = entry
-            if (
-                monomial_div(lcm, lth) is not None
-                and monomial_lcm(rows[i][0], lth) != lcm
-                and monomial_lcm(rows[j][0], lth) != lcm
+        for idx, (lcm, g) in enumerate(C):
+            # coprime leads have lcm = product
+            if lcm == rows[g][0] + lth or not (
+                any(divides(o, lcm) for o, _ in C[idx + 1:])
+                or any(divides(o, lcm) for o, _ in D)
             ):
-                continue
-            keepP.append(entry)
-        for g, lcm in E:
-            keepP.append(pair_entry(g, h))
-        P = keepP
-        G = [g for g in G if monomial_div(rows[g][0], lth) is None] + [h]
+                D.append((lcm, g))
+        keep = [
+            e for e in P
+            if not (
+                divides(lth, e[1])
+                and pk.lcm(rows[e[2]][0], lth) != e[1]
+                and pk.lcm(rows[e[3]][0], lth) != e[1]
+            )
+        ]
+        keep.extend(pair_entry(g, h, lcm) for lcm, g in D if lcm != rows[g][0] + lth)
+        heapify(keep)
+        P = keep
+        G = [g for g in G if not divides(lth, rows[g][0])] + [h]
 
-    def add_row(terms, sugar):
-        rows.append(_row(terms, ctx, sugar))
-        terms_of.append(terms)
-        return len(rows) - 1
-
-    for t in start:
-        if max(t, key=key) == zero_mon:
-            return [{zero_mon: fld.one}]
-        work = dict(t)
-        basis_rows = [rows[g] for g in G]
-        rem, sug = _reduce_dict(work, basis_rows, ctx, budget, sugar=max(map(sum, t)))
+    def add(rem, sugar):
+        # returns False once the unit ideal is reached
         if not rem:
-            continue
-        if max(rem, key=key) == zero_mon:
-            return [{zero_mon: fld.one}]
-        update(add_row(_monic_dict(rem, ctx), sug))
+            return True
+        if max(rem) == 0:
+            return False
+        terms = _monic(rem, fld)
+        rows.append(_row(terms, sugar))
+        terms_of.append(terms)
+        update(len(rows) - 1)
+        return True
+
+    unit = [{0: fld.one}]
+    for t in start:
+        if max(t) == 0:
+            return unit
+        basis_rows = [rows[g] for g in G]
+        sug = max(m & _MASK for m in t)
+        if not add(*_reduce(dict(t), basis_rows, guard, p, budget, sugar=sug)):
+            return unit
 
     while P:
-        best = min(P)
-        P.remove(best)
-        _, lcm, i, j = best
+        _, lcm, i, j = heappop(P)
         _charge(budget)
-        u = tuple(x - y for x, y in zip(lcm, rows[i][0]))
-        v = tuple(x - y for x, y in zip(lcm, rows[j][0]))
-        p = fld.characteristic
-        s = {}
-        for m, c in terms_of[i].items():
-            s[monomial_mul(m, u)] = c
-        for m, c in terms_of[j].items():
-            mm = monomial_mul(m, v)
-            val = s.get(mm, 0) - c
-            if p:
-                val %= p
-            if val:
-                s[mm] = val
-            else:
-                s.pop(mm, None)
+        u = lcm - rows[i][0]
+        v = lcm - rows[j][0]
+        s = _spoly(terms_of[i], u, terms_of[j], v, p)
         if not s:
             continue
-        sug0 = max(rows[i][2] + sum(u), rows[j][2] + sum(v))
+        si = rows[i][2] + (u & _MASK)
+        sj = rows[j][2] + (v & _MASK)
         basis_rows = [rows[g] for g in G]
-        rem, sug = _reduce_dict(s, basis_rows, ctx, budget, sugar=sug0)
-        if not rem:
-            continue
-        if max(rem, key=key) == zero_mon:
-            return [{zero_mon: fld.one}]
-        update(add_row(_monic_dict(rem, ctx), sug))
+        if not add(*_reduce(s, basis_rows, guard, p, budget, sugar=max(si, sj))):
+            return unit
 
     # G is already minimal: new leads are never divisible by active ones
     # and update retires rows the other way around.  Tail reduction
     # against the final leads finishes the reduced basis in one pass.
     final = []
-    for g in sorted(G, key=lambda g: key(rows[g][0])):
+    for g in sorted(G, key=lambda g: rows[g][0]):
         others = [rows[h] for h in G if h != g]
-        rem, _ = _reduce_dict(dict(terms_of[g]), others, ctx, budget)
-        final.append(_monic_dict(rem, ctx))
+        rem, _ = _reduce(dict(terms_of[g]), others, guard, p, budget)
+        final.append(_monic(rem, fld))
     return final
 
 
 def _spair_closure_ok(basis_dicts, ctx):
     """Buchberger criterion: every S-polynomial reduces to zero."""
     check = _Budget(10 * DEFAULT_BUDGET)
-    rows = [_row(t, ctx, max(map(sum, t))) for t in basis_dicts]
+    pk = _packing(ctx.order, ctx.nvars)
+    p = ctx.field.characteristic
+    packed = [pk.pack_terms(t) for t in basis_dicts]
+    rows = [_row(t, 0) for t in packed]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            lcm = monomial_lcm(rows[i][0], rows[j][0])
-            u = tuple(x - y for x, y in zip(lcm, rows[i][0]))
-            v = tuple(x - y for x, y in zip(lcm, rows[j][0]))
-            s = {}
-            p = ctx.field.characteristic
-            for m, c in basis_dicts[i].items():
-                s[monomial_mul(m, u)] = c
-            for m, c in basis_dicts[j].items():
-                mm = monomial_mul(m, v)
-                val = s.get(mm, 0) - c
-                if p:
-                    val %= p
-                if val:
-                    s[mm] = val
-                else:
-                    s.pop(mm, None)
-            rem, _ = _reduce_dict(s, rows, ctx, check)
+            lcm = pk.lcm(rows[i][0], rows[j][0])
+            s = _spoly(packed[i], lcm - rows[i][0], packed[j], lcm - rows[j][0], p)
+            rem, _ = _reduce(s, rows, pk.guard, p, check)
             if rem:
                 return False
     return True
@@ -298,7 +350,7 @@ def _spair_closure_ok(basis_dicts, ctx):
 class IdealHandle:
     """An ideal in a fixed ring with a per-order cache of reduced bases."""
 
-    __slots__ = ("ctx", "gens", "gb_cache", "sat_exponent")
+    __slots__ = ("ctx", "gens", "gb_cache", "_sat")
 
     def __init__(self, ctx, gens):
         self.ctx = ctx
@@ -312,7 +364,18 @@ class IdealHandle:
                 cleaned.append(g)
         self.gens = tuple(cleaned)
         self.gb_cache = {}
-        self.sat_exponent = None
+        # on a result of `saturate`: (I, J generators, budget) until
+        # sat_exponent is first read, then the exponent
+        self._sat = None
+
+    @property
+    def sat_exponent(self):
+        """Least k with I : J^k = I : J^infinity when this ideal is the
+        result of saturate(I, J), else None.  Computed on first read."""
+        if isinstance(self._sat, tuple):
+            I, J_gens, budget = self._sat
+            self._sat = _sat_exponent(I, self, J_gens, budget)
+        return self._sat
 
     def __repr__(self):
         return "IdealHandle(%d gens in %s)" % (len(self.gens), ",".join(self.ctx.var_names))
@@ -339,7 +402,9 @@ def groebner_basis(I, order=None, budget=None):
         return list(cached)
     work_ctx = I.ctx if okey == I.ctx.order else replace(I.ctx, order=okey)
     b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    basis_dicts = _buchberger([g.terms for g in I.gens], work_ctx, b)
+    pk = _packing(okey, I.ctx.nvars)
+    basis = _buchberger([pk.pack_terms(g.terms) for g in I.gens], pk, I.ctx.field, b)
+    basis_dicts = [pk.unpack_terms(t) for t in basis]
     if VERIFY_BASES and not _spair_closure_ok(basis_dicts, work_ctx):
         raise AssertionError("computed basis fails the Buchberger criterion")
     out = tuple(Poly(I.ctx, t, _clean=True) for t in basis_dicts)
@@ -361,12 +426,11 @@ def normal_form(f, I, order=None, budget=None):
     gb = groebner_basis(I, order=order, budget=budget)
     if not gb:
         return f
-    okey = _order_key(I.ctx, order)
-    work_ctx = I.ctx if okey == I.ctx.order else replace(I.ctx, order=okey)
-    rows = [_row(g.terms, work_ctx, 0) for g in gb]
+    pk = _packing(_order_key(I.ctx, order), I.ctx.nvars)
+    rows = [_row(pk.pack_terms(g.terms), 0) for g in gb]
     b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    rem, _ = _reduce_dict(dict(f.terms), rows, work_ctx, b)
-    return Poly(I.ctx, rem, _clean=True)
+    rem, _ = _reduce(pk.pack_terms(f.terms), rows, pk.guard, I.ctx.field.characteristic, b)
+    return Poly(I.ctx, pk.unpack_terms(rem), _clean=True)
 
 
 def ideal_contains(I, f, budget=None):
@@ -502,20 +566,20 @@ def _saturate_by(I, g, budget):
     return _drop_aux_var(gens, aux, ctx, budget)
 
 
-def _independent_remainders(polys, rows, ctx, budget):
-    """Nonzero remainders of the term dicts `polys` modulo the basis
-    rows, cut down to a linearly independent set with distinct leads."""
-    p = ctx.field.characteristic
-    key = ctx.key
+def _independent_remainders(polys, rows, pk, fld, budget):
+    """Nonzero remainders of the term dicts `polys` modulo the packed
+    basis rows, cut down to a linearly independent set with distinct
+    leads."""
+    p = fld.characteristic
     pivots = {}
     for terms in polys:
-        rem, _ = _reduce_dict(dict(terms), rows, ctx, budget)
+        rem, _ = _reduce(pk.pack_terms(terms), rows, pk.guard, p, budget)
         # a combination of remainders is again a remainder
         while rem:
-            lead = max(rem, key=key)
+            lead = max(rem)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = _monic_dict(rem, ctx)
+                pivots[lead] = _monic(rem, fld)
                 break
             c = rem[lead]
             for m, v in piv.items():
@@ -526,7 +590,7 @@ def _independent_remainders(polys, rows, ctx, budget):
                     rem[m] = val
                 else:
                     rem.pop(m, None)
-    return list(pivots.values())
+    return [pk.unpack_terms(t) for t in pivots.values()]
 
 
 def _sat_exponent(I, S, J_gens, budget):
@@ -537,12 +601,13 @@ def _sat_exponent(I, S, J_gens, budget):
     remainders modulo I matter, and a spanning set of them is enough.
     """
     ctx = I.ctx
-    rows = [_row(g.terms, ctx, 0) for g in groebner_basis(I, budget=budget)]
+    pk = _packing(ctx.order, ctx.nvars)
+    rows = [_row(pk.pack_terms(g.terms), 0) for g in groebner_basis(I, budget=budget)]
     b = _Budget(DEFAULT_BUDGET if budget is None else budget)
     cur = [g.terms for g in S.gens]
     k = 0
     while True:
-        cur = _independent_remainders(cur, rows, ctx, b)
+        cur = _independent_remainders(cur, rows, pk, ctx.field, b)
         if not cur:
             return k
         k += 1
@@ -553,9 +618,9 @@ def saturate(I, J, budget=None):
     """(I : J^infinity) as the intersection over the generators g of J
     of (I : g^infinity), each computed by Rabinowitsch.
 
-    The least k with I : J^k = I : J^infinity is recorded on the result
-    as `sat_exponent`.  Homogeneous input stays homogeneous, which the
-    blowup and fiber routines rely on.
+    The least k with I : J^k = I : J^infinity is the result's
+    `sat_exponent`, computed when first read.  Homogeneous input stays
+    homogeneous, which the blowup and fiber routines rely on.
     """
     if I.ctx != J.ctx:
         raise RingError("ideals live in different rings")
@@ -566,38 +631,36 @@ def saturate(I, J, budget=None):
         out = _saturate_by(I, gens[0], budget)
         for g in gens[1:]:
             out = intersect(out, _saturate_by(I, g, budget), budget=budget)
-    out.sat_exponent = _sat_exponent(I, out, gens, budget)
+    out._sat = (I, gens, budget)
     return out
 
 
 def interreduce(polys, budget=None):
     """Autoreduce a list of polynomials: monic, no lead divisibility, each
     fully reduced against the others.  Not necessarily a Groebner basis."""
-    ctx = None
-    work = []
-    for pl in polys:
-        if pl:
-            ctx = pl.ctx
-            work.append(_monic_dict(pl.terms, pl.ctx))
-    if not work:
+    polys = [pl for pl in polys if pl]
+    if not polys:
         return []
+    ctx = polys[-1].ctx
+    fld = ctx.field
+    pk = _packing(ctx.order, ctx.nvars)
+    work = [_monic(pk.pack_terms(pl.terms), fld) for pl in polys]
     b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    key = ctx.key
     changed = True
     while changed:
         changed = False
-        work.sort(key=lambda t: key(max(t, key=key)))
+        work.sort(key=max)
         for idx in range(len(work)):
-            others = [_row(t, ctx, 0) for j, t in enumerate(work) if j != idx and t]
+            others = [_row(t, 0) for j, t in enumerate(work) if j != idx and t]
             if not others:
                 continue
-            rem, _ = _reduce_dict(dict(work[idx]), others, ctx, b)
+            rem, _ = _reduce(dict(work[idx]), others, pk.guard, fld.characteristic, b)
             if rem != work[idx]:
                 changed = True
-                work[idx] = _monic_dict(rem, ctx) if rem else {}
+                work[idx] = _monic(rem, fld) if rem else {}
         work = [t for t in work if t]
-    work.sort(key=lambda t: key(max(t, key=key)))
-    return [Poly(ctx, t, _clean=True) for t in work]
+    work.sort(key=max)
+    return [Poly(ctx, pk.unpack_terms(t), _clean=True) for t in work]
 
 
 def serialize_ideal(I):

@@ -161,7 +161,6 @@ class RingCtx:
                 raise RingError("weight count does not match variable count")
             object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_key_cache", {})
-        object.__setattr__(self, "_negkey_cache", {})
 
     @property
     def nvars(self):
@@ -193,14 +192,6 @@ class RingCtx:
                     k += _grevlex_key(mon[i : i + size])
                     i += size
             self._key_cache[mon] = k
-        return k
-
-    def negkey(self, mon):
-        """Componentwise negation of key(mon); min-heap becomes max-heap."""
-        k = self._negkey_cache.get(mon)
-        if k is None:
-            k = tuple(-v for v in self.key(mon))
-            self._negkey_cache[mon] = k
         return k
 
     def bidegree_of_mon(self, mon):

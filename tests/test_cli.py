@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from reesdeg.cli import main
+from reesdeg.groebner import EXP_BOUND
 
 MATRIX_A0 = """\
 ring x y z over 32003 order grevlex
@@ -232,6 +234,17 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["rees", "--map", "x0^2, x1^2"])
         assert exc.value.code == 2
+
+    def test_exponent_past_packed_bound_is_two(self, capsys):
+        # fails at the first basis computation instead of exhausting memory
+        e = EXP_BOUND + 1
+        start = time.perf_counter()
+        code = main(["degree", "--map", "x0^%d,x1^%d" % (e, e), "--budget", "10"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert elapsed < 1.0
+        assert str(EXP_BOUND) in err
 
 
 class TestOutput:

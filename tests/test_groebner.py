@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reesdeg.groebner as gb_mod
 from conftest import nonzero_random_form, random_poly, small_ctx
+from reesdeg.blowup import fiber_cone_ideal, rees_ideal
+from reesdeg.families import FamilySpec, make_family
 from reesdeg.groebner import (
+    EXP_BOUND,
     BudgetExceeded,
+    _packing,
     _spair_closure_ok,
+    _with_aux_var,
     colon,
     colon_ideal,
     eliminate,
@@ -28,6 +34,7 @@ from reesdeg.ring import (
     RingError,
     monomial_div,
     monomial_divides,
+    monomial_mul,
     parse_poly,
 )
 
@@ -215,9 +222,13 @@ class TestIdealOperations:
         ctx, I = mk(("x", "y"), ["x^2*y", "x*y^2"])
         _, m = mk(("x", "y"), ["x", "y"])
         S = saturate(I, m)
+        # the exponent costs a basis of I, made only when it is read
+        assert I.gb_cache == {}
         _, expect = mk(("x", "y"), ["x*y"])
         assert ideal_equal(S, expect)
         assert S.sat_exponent == 1
+        assert I.gb_cache
+        assert ideal(ctx, list(I.gens)).sat_exponent is None
 
     def test_saturate_already_saturated(self):
         ctx, I = mk(("x", "y"), ["x*y"])
@@ -348,3 +359,121 @@ class TestSerialization:
                 assert any(
                     monomial_div(g.lm(), h.lm()) is not None for h in basis
                 )
+
+
+@st.composite
+def packed_rings(draw):
+    """Rings under grevlex, lex, 2- and 3-block orders, and the weighted
+    rings with a leading auxiliary variable that intersections and
+    saturations run in."""
+    kind = draw(st.sampled_from(("grevlex", "lex", "blocks2", "blocks3", "aux")))
+    n = draw(st.integers(3 if kind == "blocks3" else 2 if kind == "blocks2" else 1, 6))
+    order = "lex" if kind == "lex" else "grevlex"
+    if kind == "blocks2" or (kind == "aux" and n >= 2 and draw(st.booleans())):
+        k = draw(st.integers(1, n - 1))
+        order = ("blocks", (k, n - k))
+    elif kind == "blocks3":
+        a = draw(st.integers(1, n - 2))
+        b = draw(st.integers(1, n - 1 - a))
+        order = ("blocks", (a, b, n - a - b))
+    n_params = draw(st.integers(0, 1)) if kind == "aux" else 0
+    ctx = RingCtx(tuple("x%d" % i for i in range(n)), FP, order, n_params=n_params)
+    return _with_aux_var(ctx) if kind == "aux" else ctx
+
+
+def exponents(ctx, hi=30):
+    return st.lists(st.integers(0, hi), min_size=ctx.nvars, max_size=ctx.nvars).map(tuple)
+
+
+class TestPackedEncoding:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_pack_matches_tuple_arithmetic(self, data):
+        ctx = data.draw(packed_rings())
+        pk = _packing(ctx.order, ctx.nvars)
+        a = data.draw(exponents(ctx))
+        b = data.draw(exponents(ctx))
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a
+        assert pa & (EXP_BOUND - 1) == sum(a)
+        assert (pa < pb) == (ctx.key(a) < ctx.key(b))
+        assert (pa == pb) == (a == b)
+        assert pa + pb == pk.pack(monomial_mul(a, b))
+        assert pk.divides(pb, pa) == monomial_divides(b, a)
+        assert pk.lcm(pa, pb) == pk.pack(tuple(map(max, a, b)))
+        if pk.divides(pb, pa):
+            assert pk.unpack(pa - pb) == monomial_div(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_divides_near_the_bound(self, data):
+        # large fields must not let a borrow escape the guard bits
+        ctx = data.draw(packed_rings())
+        pk = _packing(ctx.order, ctx.nvars)
+        cap = (EXP_BOUND - 1) // ctx.nvars
+        a = data.draw(exponents(ctx, cap))
+        b = data.draw(exponents(ctx, cap))
+        assert pk.divides(pk.pack(b), pk.pack(a)) == monomial_divides(b, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_overflow_raises(self, data):
+        ctx = data.draw(packed_rings())
+        pk = _packing(ctx.order, ctx.nvars)
+        a = list(data.draw(exponents(ctx)))
+        i = data.draw(st.integers(0, ctx.nvars - 1))
+        a[i] += EXP_BOUND - sum(a) + data.draw(st.integers(0, 3))
+        with pytest.raises(RingError, match=str(EXP_BOUND)):
+            pk.pack(a)
+        # a product that reaches the bound sets the degree field's guard
+        # bit, which is what the reducer and S-polynomials test
+        half = [0] * ctx.nvars
+        half[i] = EXP_BOUND // 2
+        ph = pk.pack(half)
+        assert (ph + ph) & EXP_BOUND
+        assert not (ph + ph - pk.pack([0] * i + [1] + [0] * (ctx.nvars - i - 1))) & EXP_BOUND
+
+    def test_reduction_past_the_bound_raises(self):
+        ctx, I = mk(("x", "y", "z"), ["x - y^2"], field=FP, order="lex")
+        f = parse_poly("x*z^%d" % (EXP_BOUND - 2), ctx)
+        with pytest.raises(RingError, match=str(EXP_BOUND)):
+            normal_form(f, I)
+
+    def test_lcm_past_the_bound_raises(self):
+        _, I = mk(("x", "y"), ["x^%d*y - 1" % (EXP_BOUND - 2), "x*y^2 - 1"], field=FP)
+        with pytest.raises(RingError, match=str(EXP_BOUND)):
+            groebner_basis(I)
+
+
+# (steps charged, basis size, total terms) of every Buchberger run made by
+# rees_ideal and then fiber_cone_ideal.  Recorded with the tuple-monomial
+# engine that the packed one replaced: the two run the same algorithm, so
+# a change here is a change of algorithm, not of speed.
+GOLDEN_STEPS = {
+    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(333, 13, 358), (151, 6, 250)]),
+    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(565, 16, 686), (390, 9, 710)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(3077, 22, 820), (3185, 19, 1114)]),
+    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(88, 10, 60), (2, 2, 7)]),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(184, 9, 144), (61, 4, 77)]),
+}
+
+
+class TestGoldenSteps:
+    @pytest.mark.parametrize("name", list(GOLDEN_STEPS))
+    def test_step_counts_pinned(self, name, monkeypatch):
+        spec, expected = GOLDEN_STEPS[name]
+        forms = list(make_family(spec).forms)
+        runs = []
+        inner = gb_mod._buchberger
+
+        def recording(*args):
+            budget = next(a for a in args if isinstance(a, gb_mod._Budget))
+            basis = inner(*args)
+            runs.append(
+                (budget.limit - budget.left, len(basis), sum(len(t) for t in basis))
+            )
+            return basis
+
+        monkeypatch.setattr(gb_mod, "_buchberger", recording)
+        fiber_cone_ideal(forms, rees=rees_ideal(forms))
+        assert runs == expected
