@@ -8,6 +8,15 @@ asks ht Fitt_i > i for every i < m (m may be infinity, meaning every
 i below the number of variables); F_m asks ht Fitt_i >= m + i for every
 i >= 1.  Certificates record one row per index so a failure names the
 offending minor size.
+
+Minors come from one Laplace chain (as Macaulay2's `minors(...,
+Strategy => Cofactor)`): the k-minor on rows R and columns C expands
+along R's first row into k products with (k-1)-minors on R[1:], read
+from a table keyed by (rows, cols).  A k-minor thus costs at most k
+products, not k!.  The table and the Fitting ideal handles live on the
+PresentationMatrix itself, outside its dataclass fields, so G_m and F_m
+on one matrix share every minor and every Groebner basis.  A
+determinant is the top minor of the same chain over a fresh table.
 """
 
 import math
@@ -16,9 +25,7 @@ from itertools import combinations
 
 from .groebner import IdealHandle
 from .hilbert import dim_degree
-from .ring import Poly, RingError, poly_exact_div
-
-BAREISS_THRESHOLD = 5
+from .ring import Poly, RingError
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,10 @@ class PresentationMatrix:
                 if not isinstance(e, Poly) or e.ctx != self.ctx:
                     raise RingError("matrix entry from a different ring")
         object.__setattr__(self, "entries", rows)
+        # memo tables outside the dataclass fields, so eq and hash ignore
+        # them: minors keyed by (rows, cols), Fitting ideals by minor size
+        object.__setattr__(self, "_minors", {})
+        object.__setattr__(self, "_fitting", {})
 
     @property
     def nrows(self):
@@ -53,73 +64,65 @@ class PresentationMatrix:
         return [[self.entries[i][j] for j in cols] for i in rows]
 
 
-def det_cofactor(rows):
-    """Cofactor expansion along the first column, for small matrices."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    ctx = rows[0][0].ctx
-    total = Poly.zero(ctx)
-    for i in range(n):
-        head = rows[i][0]
-        if not head:
-            continue
-        minor = [r[1:] for k, r in enumerate(rows) if k != i]
-        term = head * det_cofactor(minor)
-        total = total + term if i % 2 == 0 else total - term
-    return total
-
-
-def det_bareiss(rows):
-    """Fraction-free elimination; every division is exact."""
-    n = len(rows)
-    ctx = rows[0][0].ctx
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = Poly.constant(ctx, 1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot_row is None:
-                return Poly.zero(ctx)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = poly_exact_div(num, prev)
-            a[i][k] = Poly.zero(ctx)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d
+def _minor(entries, memo, rows, cols):
+    """Minor on row and column index tuples by Laplace expansion along
+    its first row: sum over j of (-1)^j M[rows[0]][cols[j]] times the
+    memoized minor on (rows[1:], cols without cols[j]).  Zero entries
+    and zero sub-minors cost no product."""
+    key = (rows, cols)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    head = entries[rows[0]]
+    if len(rows) == 1:
+        got = head[cols[0]]
+    else:
+        rest = rows[1:]
+        got = Poly.zero(head[0].ctx)
+        for j, c in enumerate(cols):
+            if not head[c]:
+                continue
+            sub = _minor(entries, memo, rest, cols[:j] + cols[j + 1 :])
+            if not sub:
+                continue
+            term = head[c] * sub
+            got = got + term if j % 2 == 0 else got - term
+    memo[key] = got
+    return got
 
 
 def determinant(rows):
+    """Top minor of the Laplace chain of a square matrix."""
     rows = [list(r) for r in rows]
     if not rows or len(rows) != len(rows[0]):
         raise RingError("determinant of a non-square matrix")
-    if len(rows) < BAREISS_THRESHOLD:
-        return det_cofactor(rows)
-    return det_bareiss(rows)
+    full = tuple(range(len(rows)))
+    return _minor(rows, {}, full, full)
 
 
 def minors(M, size):
-    """All size x size minors as polynomials (possibly with repeats)."""
-    out = []
-    for rows in combinations(range(M.nrows), size):
-        for cols in combinations(range(M.ncols), size):
-            out.append(determinant(M.submatrix(rows, cols)))
-    return out
+    """All size x size minors as polynomials (possibly with repeats), row
+    subsets then column subsets in lexicographic order.  They come from
+    the matrix's own table, so each minor of M is expanded once."""
+    if size < 1:
+        raise RingError("minor size must be positive")
+    return [
+        _minor(M.entries, M._minors, rows, cols)
+        for rows in combinations(range(M.nrows), size)
+        for cols in combinations(range(M.ncols), size)
+    ]
 
 
 def fitting_ideal(M, i):
-    """Fitt_i of the cokernel: ideal of minors of size (nrows - i)."""
-    size = M.nrows - i
-    if size <= 0:
-        return IdealHandle(M.ctx, [Poly.constant(M.ctx, 1)])
-    if size > M.ncols or size > M.nrows:
-        return IdealHandle(M.ctx, [])
-    return IdealHandle(M.ctx, minors(M, size))
+    """Fitt_i of the cokernel: ideal of minors of size (nrows - i).  The
+    handle is kept on M, so every call for the same ideal returns the
+    same handle and shares its Groebner bases."""
+    size = min(max(M.nrows - i, 0), min(M.nrows, M.ncols) + 1)
+    got = M._fitting.get(size)
+    if got is None:
+        gens = [Poly.constant(M.ctx, 1)] if size == 0 else minors(M, size)
+        got = M._fitting[size] = IdealHandle(M.ctx, gens)
+    return got
 
 
 def height(I, budget=None):

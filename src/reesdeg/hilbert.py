@@ -53,7 +53,9 @@ def _trim(a):
     return tuple(a) if a else (0,)
 
 
-@lru_cache(maxsize=None)
+# process-wide, so dim_degree and hilbert_function share numerators within
+# a command; bounded, so a long session cannot grow it without limit
+@lru_cache(maxsize=4096)
 def _numerator(gens, nvars):
     if not gens:
         return (1,)

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add
 
 MAX_PRIME = 2**31 - 1
 DEFAULT_PRIME = 32003
@@ -209,7 +210,7 @@ def monomial_compare(a, b, ctx):
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def monomial_div(a, b):
     """a / b, or None when b does not divide a."""
@@ -341,7 +342,7 @@ class Poly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 c = c1 * c2
                 prev = out.get(m)
                 c = c if prev is None else prev + c
@@ -371,7 +372,7 @@ class Poly:
         return Poly(
             self.ctx,
             {
-                tuple(x + y for x, y in zip(m, mon)): f.mul(v, c)
+                tuple(map(add, m, mon)): f.mul(v, c)
                 for m, v in self.terms.items()
             },
             _clean=True,

@@ -10,8 +10,6 @@ from reesdeg.conditions import (
     PresentationMatrix,
     check_Fm,
     check_Gm,
-    det_bareiss,
-    det_cofactor,
     determinant,
     fitting_ideal,
     height,
@@ -19,6 +17,8 @@ from reesdeg.conditions import (
     parse_matrix_file,
     serialize_matrix,
 )
+from reesdeg import groebner
+from reesdeg.families import FamilySpec, dense_form, make_family
 from reesdeg.groebner import ideal
 from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, parse_poly
 
@@ -64,7 +64,7 @@ class TestDeterminant:
         ctx, M = mat(("x",), [["0", "x"], ["0", "x"]])
         assert not determinant(M.entries)
 
-    def test_cofactor_vs_bareiss_vs_permutation(self):
+    def test_determinant_vs_permutation(self):
         rng = random.Random(42)
         for _ in range(12):
             char = rng.choice([0, 32003])
@@ -73,12 +73,9 @@ class TestDeterminant:
             entries = [
                 [random_poly(ctx, rng, 1, 2) for _ in range(n)] for _ in range(n)
             ]
-            expect = permanent_free_det(entries)
-            assert det_cofactor(entries) == expect
-            assert det_bareiss(entries) == expect
+            assert determinant(entries) == permanent_free_det(entries)
 
-    def test_bareiss_crosses_threshold(self):
-        # 5x5 goes through the fraction-free path
+    def test_five_by_five_constants(self):
         rng = random.Random(8)
         ctx = RingCtx(("x",), QQ)
         entries = [
@@ -87,6 +84,21 @@ class TestDeterminant:
         ]
         expect = permanent_free_det(entries)
         assert determinant(entries) == expect
+
+    def test_sizes_one_to_six(self):
+        rng = random.Random(6)
+        for n in range(1, 7):
+            for char in (0, 32003):
+                ctx = RingCtx(("x", "y"), FieldSpec(char))
+                entries = [
+                    [random_poly(ctx, rng, 1, 2) for _ in range(n)] for _ in range(n)
+                ]
+                assert determinant(entries) == permanent_free_det(entries)
+
+    def test_non_square_rejected(self):
+        ctx, M = mat(("x",), [["x", "1", "0"], ["0", "x", "1"]])
+        with pytest.raises(RingError):
+            determinant(M.entries)
 
     def test_swap_changes_sign(self):
         ctx, M = mat(("x", "y"), [["x", "y"], ["y", "x"]])
@@ -126,6 +138,124 @@ class TestFittingIdeals:
         assert [str(g) for g in fitting_ideal(M, 2).gens] == ["1"]
         assert [str(g) for g in fitting_ideal(M, 5).gens] == ["1"]
         assert fitting_ideal(M, -1).gens == ()
+
+
+class TestMinorChain:
+    SHAPES = ((1, 3), (3, 1), (2, 4), (4, 3), (3, 5), (5, 5), (6, 5), (5, 6))
+
+    def test_minors_vs_permutation(self):
+        # sparse entries (about a third are zero) and, every other shape,
+        # a zero row
+        rng = random.Random(7)
+        for char in (0, 32003):
+            ctx = RingCtx(("x", "y"), FieldSpec(char))
+            for t, (r, c) in enumerate(self.SHAPES):
+                entries = [
+                    [
+                        random_poly(ctx, rng, 1, 2) if rng.random() < 0.7 else Poly.zero(ctx)
+                        for _ in range(c)
+                    ]
+                    for _ in range(r)
+                ]
+                if t % 2:
+                    entries[rng.randrange(r)] = [Poly.zero(ctx)] * c
+                M = PresentationMatrix(ctx, entries)
+                for k in range(1, min(r, c) + 1):
+                    expect = [
+                        permanent_free_det(M.submatrix(rows, cols))
+                        for rows in itertools.combinations(range(r), k)
+                        for cols in itertools.combinations(range(c), k)
+                    ]
+                    assert minors(M, k) == expect
+
+    def test_minor_size_must_be_positive(self):
+        ctx, M = mat(("x",), [["x", "1"], ["0", "x"]])
+        with pytest.raises(RingError):
+            minors(M, 0)
+
+    def test_memo_outside_eq_and_hash(self):
+        ctx, M = mat(("x", "y"), [["x", "y"], ["y", "x"], ["x", "0"]])
+        _, N = mat(("x", "y"), [["x", "y"], ["y", "x"], ["x", "0"]])
+        minors(M, 2)
+        assert M == N and hash(M) == hash(N)
+
+    def test_fitting_handle_is_shared(self):
+        ctx, M = mat(("x", "y"), [["x", "y"], ["y", "x"], ["x", "0"]])
+        for i in (-1, 0, 1, 2, 3, 7):
+            assert fitting_ideal(M, i) is fitting_ideal(M, i)
+        assert fitting_ideal(M, 3) is fitting_ideal(M, 7)
+        assert fitting_ideal(M, 0).gens == ()
+
+
+def linear_6x5():
+    """Fixed random 6x5 matrix of linear forms in 4 variables over F_32003."""
+    ctx = RingCtx(("x0", "x1", "x2", "x3"), FieldSpec(32003))
+    rng = random.Random(65)
+    entries = [[dense_form(ctx, 1, rng) for _ in range(5)] for _ in range(6)]
+    return PresentationMatrix(ctx, entries)
+
+
+class TestConditionCounts:
+    """Deterministic work counts of G_4 then F_0 on one matrix: each
+    k-minor costs at most k products, and each Fitting ideal gets one
+    Groebner basis shared by both checks."""
+
+    def test_products_and_bases(self, monkeypatch):
+        M = linear_6x5()
+        products = [0]
+        runs = []
+        mul = Poly.__mul__
+        buchberger = groebner._buchberger
+
+        def counted_mul(a, b):
+            products[0] += 1
+            return mul(a, b)
+
+        def counted_buchberger(seeds, *args):
+            runs.append(len(seeds))
+            return buchberger(seeds, *args)
+
+        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        monkeypatch.setattr(groebner, "_buchberger", counted_buchberger)
+        check_Gm(M, 4)
+        check_Fm(M, 0)
+        bound = sum(
+            k * math.comb(6, k) * math.comb(5, k) for k in range(2, 6)
+        )
+        assert bound == 1230
+        assert products[0] <= bound
+        # one run per Fitting index 1..5, told apart by generator count
+        sizes = sorted(len(fitting_ideal(M, i).gens) for i in range(1, 6))
+        assert sorted(runs) == sizes == [6, 30, 75, 150, 200]
+
+
+class TestGoldenCertificates:
+    """Certificate tables recorded with the earlier per-minor cofactor
+    expansion; the chain must reproduce them."""
+
+    def tables(self, M, m):
+        return check_Gm(M, m).table, check_Fm(M, 0).table
+
+    def test_linear_6x5(self):
+        G, F = self.tables(linear_6x5(), 4)
+        assert G == ((1, 5, 2, 1, True), (2, 4, 4, 2, True), (3, 3, 4, 3, True))
+        assert F == G + ((4, 2, 4, 4, True), (5, 1, 4, 5, False))
+
+    def test_pfaffian(self):
+        fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))
+        G, F = self.tables(fam.matrix, 5)
+        expect = (
+            (1, 4, 3, 1, True),
+            (2, 3, 3, 2, True),
+            (3, 2, 5, 3, True),
+            (4, 1, 5, 4, True),
+        )
+        assert G == F == expect
+
+    def test_hilbert_burch_2_3(self):
+        fam = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 3), seed=0))
+        G, F = self.tables(fam.matrix, 3)
+        assert G == F == ((1, 2, 2, 1, True), (2, 1, 3, 2, True))
 
 
 class TestHeight:
