@@ -7,8 +7,6 @@ given by forms of one degree: how big is the image, how many points in a
 general fiber, is the map birational onto its image.
 """
 
-import warnings
-
 from reesdeg.families import j_multiplicity
 from reesdeg.ratmap import (
     base_locus,
@@ -53,10 +51,3 @@ print("base locus of (x0^2, x0*x1): codim", codim)
 # j-multiplicity of a zero-dimensional plane ideal: d * deg_map * deg_image
 two = rational_map([parse_poly(t, ctx) for t in ("x0^2", "x1^2")])
 print("j-multiplicity of (x0^2, x1^2):", j_multiplicity(two))
-
-# degree sampling over tiny primes is noisy, and the library says so
-with warnings.catch_warnings(record=True) as caught:
-    warnings.simplefilter("always")
-    small = RingCtx(("x0", "x1"), FieldSpec(7))
-    degree_report(rational_map([parse_poly(t, small) for t in ("x0^2", "x1^2")]))
-    print("warned:", caught[0].message if caught else "no")

@@ -19,6 +19,7 @@ from math import comb
 
 from .groebner import (
     IdealHandle,
+    _with_aux_var,
     eliminate,
     groebner_basis,
     ideal_equal,
@@ -76,18 +77,10 @@ def rees_ideal(forms, budget=None, y_names=None):
     forms = list(forms)
     d = _form_degree(forms)
     ctx = forms[0].ctx
-    nx, np = _split_ctx(ctx)
+    nx, _ = _split_ctx(ctx)
     s = len(forms) - 1
     xy = blowup_ambient(ctx, s, y_names=y_names)
-    t = fresh_names("t", 1, set(xy.var_names))[0]
-    sizes = (1, nx + s + 1) if np == 0 else (1, nx + s + 1, np)
-    tctx = RingCtx(
-        (t,) + xy.var_names,
-        ctx.field,
-        ("blocks", sizes),
-        weights=((-d, 1),) + xy.weights,
-        n_params=np,
-    )
+    tctx = _with_aux_var(xy, weight=(-d, 1))
     into_t = list(range(1, nx + 1)) + list(range(nx + s + 2, tctx.nvars))
     tv = Poly.var(tctx, 0)
     gens = []

@@ -146,10 +146,11 @@ class ConditionCertificate:
 
 def check_Gm(M, m, budget=None):
     """G_m: ht Fitt_i > i for all 1 <= i < m (m = inf tests every index
-    below the variable count)."""
+    below the variable count).  Fitt_i is the unit ideal for i >= nrows,
+    so the table stops there."""
     if m != math.inf and (not isinstance(m, int) or m < 1):
         raise RingError("G_m level must be a positive integer or inf")
-    top = M.ctx.nvars if m == math.inf else m
+    top = min(M.ctx.nvars if m == math.inf else m, M.nrows)
     rows = []
     ok_all = True
     for i in range(1, top):

@@ -456,6 +456,14 @@ def _restricted_order(order, k):
     return "grevlex"
 
 
+def elimination_order(ctx, k):
+    """The block order `eliminate` runs on: the first k variables in a
+    leading block (the ring's own order when it already has one)."""
+    if isinstance(ctx.order, tuple) and ctx.order[1][0] == k:
+        return ctx.order
+    return ("blocks", (k, ctx.nvars - k))
+
+
 def eliminate(I, k, budget=None):
     """Intersect with the subring spanned by all but the first k variables.
 
@@ -467,10 +475,7 @@ def eliminate(I, k, budget=None):
     n = ctx.nvars
     if not 0 < k < n:
         raise RingError("cannot eliminate %d of %d variables" % (k, n))
-    if isinstance(ctx.order, tuple) and ctx.order[1][0] == k:
-        elim_order = ctx.order
-    else:
-        elim_order = ("blocks", (k, n - k))
+    elim_order = elimination_order(ctx, k)
     gb = groebner_basis(I, order=elim_order, budget=budget)
     sub_order = _restricted_order(_order_key(ctx, elim_order), k)
     sub_ctx = RingCtx(
@@ -490,7 +495,9 @@ def eliminate(I, k, budget=None):
     return out
 
 
-def _with_aux_var(ctx):
+def _with_aux_var(ctx, weight=(0, 0)):
+    """`ctx` with one fresh variable of bidegree `weight` in a leading
+    block of its own."""
     t = fresh_names("t", 1, set(ctx.var_names))[0]
     order = ctx.order
     if order in ("grevlex", "lex"):
@@ -501,7 +508,7 @@ def _with_aux_var(ctx):
         (t,) + ctx.var_names,
         ctx.field,
         ("blocks", sizes),
-        weights=((0, 0),) + ctx.weights,
+        weights=(weight,) + ctx.weights,
         n_params=ctx.n_params,
     )
 

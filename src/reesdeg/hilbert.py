@@ -8,7 +8,7 @@ of the deflated numerator there; for dimension zero that value is the
 vector-space length of the quotient.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
 
@@ -117,7 +117,8 @@ def _check_standard_homogeneous(polys, ctx):
 def lead_ideal(I, order=None, budget=None):
     """Minimal generators of the lead-term ideal under the given order."""
     gb = groebner_basis(I, order=order, budget=budget)
-    return minimalize_monomials([g.lm() for g in gb])
+    key = (I.ctx if order is None else replace(I.ctx, order=order)).key
+    return minimalize_monomials([max(g.terms, key=key) for g in gb])
 
 
 @dataclass(frozen=True)
@@ -151,17 +152,21 @@ def _deflate(numer):
     return u, tuple(cur)
 
 
+def monomial_dim_degree(mons, nvars):
+    """HilbertSummary of k[x_1..x_nvars] modulo the ideal of `mons`."""
+    numer = hilbert_numerator(mons, nvars)
+    if numer == (0,):
+        return HilbertSummary(None, None, None, numer)
+    u, q = _deflate(numer)
+    dim = nvars - u
+    return HilbertSummary(dim, dim - 1, sum(q), numer)
+
+
 def dim_degree(I, budget=None):
     """HilbertSummary of R/I for a homogeneous ideal I."""
     gb = groebner_basis(I, budget=budget)
     _check_standard_homogeneous(gb, I.ctx)
-    n = I.ctx.nvars
-    numer = hilbert_numerator([g.lm() for g in gb], n)
-    if numer == (0,):
-        return HilbertSummary(None, None, None, numer)
-    u, q = _deflate(numer)
-    dim = n - u
-    return HilbertSummary(dim, dim - 1, sum(q), numer)
+    return monomial_dim_degree([g.lm() for g in gb], I.ctx.nvars)
 
 
 def hilbert_function(I, k, budget=None):

@@ -1,38 +1,36 @@
 """Degree and image of a rational map between projective spaces.
 
-A map P^r -> P^s is given by s+1 forms of a common degree.  The image
-ideal is the fiber cone ideal of the forms, so its Hilbert data give the
-dimension and degree of the image.  The degree of the map onto its image
-is measured geometrically: pick a random source point, cut out the fiber
-through its image value with the 2x2 minors of the evaluation matrix,
-remove the base locus by saturating with one form that does not vanish
-at the point, and read the fiber length off the Hilbert degree.
+A map F: P^r -> P^s is given by s+1 forms of a common degree.  Its
+graph is cut out by the Rees ideal R in k[x, y], and the image ideal
+P = R cap k[y] (the fiber cone ideal) gives the dimension and degree of
+the image Y.
 
-A special point can give a fiber of the wrong length either way: extra
-multiplicity can merge into it, and fiber points can escape into the
-base locus when the point lies on a curve through it.  The minimum over
-independent trials is reported, so the sampling box is kept wide (all
-of F_p, or [-2^16, 2^16] over Q) to make short special fibers unlikely.
+The degree of F onto Y is read off the fiber of the graph over the
+generic point of Y, as in Kronecker's method.  Computing P already
+builds the reduced basis G of R in the block order (x | y).  Every
+element of G that involves x has its x-leading coefficient outside P:
+the y-parts of its terms are standard monomials modulo P, and P is
+prime.  By Kalkbrener's specialization theorem those elements form a
+Groebner basis of R over the function field K(Y), so the x-parts of
+their leading monomials generate the initial ideal of the generic
+fiber.  That fiber is a point of P^r over K(Y) whose residue field has
+degree deg F, so deg F is the Hilbert degree of that monomial ideal in
+k[x] when its Krull dimension is 1; otherwise F is not generically
+finite.  No Groebner basis beyond the one the image needs is computed,
+and the answer does not depend on any seed.
 """
 
-import random
-import warnings
 from dataclasses import dataclass
 
-from .blowup import fiber_cone_ideal
-from .groebner import IdealHandle, saturate
-from .hilbert import dim_degree
+from .blowup import fiber_cone_ideal, rees_ideal
+from .groebner import IdealHandle, elimination_order, saturate
+from .hilbert import dim_degree, lead_ideal, monomial_dim_degree
 from .ring import Poly, RingError
 
 NOT_GENERICALLY_FINITE = "not-generically-finite"
 
 DEFAULT_TRIALS = 3
-RERUN_TRIALS = 7
 DEFAULT_SEED = 17
-SMALL_PRIME_BOUND = 1000
-MAX_POINT_RESAMPLES = 50
-# over Q, sample point coordinates are drawn from [-bound, bound]
-Q_SAMPLE_BOUND = 2**16
 
 
 @dataclass(frozen=True)
@@ -79,12 +77,11 @@ def image_ideal(spec, budget=None):
     return fiber_cone_ideal(list(spec.forms), budget=budget)
 
 
-def image_summary(spec, budget=None):
-    return dim_degree(image_ideal(spec, budget=budget), budget=budget)
-
-
-def analytic_spread_of_map(spec, budget=None):
-    return image_summary(spec, budget=budget).dim
+def image_summary(spec, budget=None, rees=None):
+    """Hilbert data of the image; `rees`, the Rees ideal of the forms,
+    may be passed in to share its basis with `degree_map`."""
+    fib = fiber_cone_ideal(list(spec.forms), budget=budget, rees=rees)
+    return dim_degree(fib, budget=budget)
 
 
 def is_generically_finite(spec, budget=None):
@@ -102,92 +99,25 @@ def base_locus(spec, budget=None):
     return sat, ctx.nvars - ring_dim
 
 
-def _trial_rng(seed, index):
-    return random.Random(seed * 2654435761 + index)
-
-
-def _sample_point(spec, rng):
-    ctx = spec.ctx
-    p = ctx.field.characteristic
-    for _ in range(MAX_POINT_RESAMPLES):
-        if p:
-            pt = [rng.randrange(p) for _ in range(ctx.nvars)]
-        else:
-            pt = [rng.randint(-Q_SAMPLE_BOUND, Q_SAMPLE_BOUND) for _ in range(ctx.nvars)]
-        values = [g.evaluate(pt) for g in spec.forms]
-        if any(values):
-            return pt, values
-    raise RingError("could not sample a point off the base locus")
-
-
-def _fiber_ideal(spec, values):
-    """2x2 minors of the matrix with rows (forms) and (values): the fiber
-    through a point with image `values`, base locus included."""
-    forms = spec.forms
-    gens = []
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            g = forms[i].scale(values[j]) - forms[j].scale(values[i])
-            if g:
-                gens.append(g)
-    return IdealHandle(spec.ctx, gens)
-
-
-def _fiber_length(spec, values, budget=None):
-    """Length of the saturated fiber through a point with image `values`;
-    None when that fiber is not zero-dimensional in P^r.
-
-    Saturating by the single form g_j with values[j] != 0 removes the
-    whole base locus: on an associated prime P of the fiber ideal the
-    minors give g_i*values[j] = g_j*values[i], so g_j lies in P exactly
-    when every form does.  That saturation also leaves no component
-    primary to (x0, ..., xr), since every form lies in that ideal.
-    """
-    fiber = _fiber_ideal(spec, values)
-    if not fiber.gens:
-        return None
-    j = next(i for i, v in enumerate(values) if v)
-    fiber = saturate(fiber, IdealHandle(spec.ctx, [spec.forms[j]]), budget=budget)
-    summ = dim_degree(fiber, budget=budget)
-    if summ.dim != 1:
-        return None
-    return summ.degree
-
-
-def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
-    """Degree of the map onto its image: minimum fiber length over
-    randomized trials.  Returns (value or marker, trial log), the log a
-    list of (trial index, fiber length or marker).
+def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None, rees=None):
+    """Degree of the map onto its image, from the generic fiber of the
+    graph.  Returns (value or marker, log); the log is empty, since the
+    answer is exact.  `trials` and `seed` are validated and otherwise
+    unused.  `rees`, the Rees ideal of the forms, may be passed in to
+    reuse the block basis the image computation cached on it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
     if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1, got %d" % budget)
-    p = spec.ctx.field.characteristic
-    if 0 < p < SMALL_PRIME_BOUND:
-        warnings.warn(
-            "prime %d is small; fiber sampling may be unreliable" % p, stacklevel=2
-        )
-
-    def run(n):
-        log = []
-        for idx in range(n):
-            rng = _trial_rng(seed, idx)
-            _, values = _sample_point(spec, rng)
-            length = _fiber_length(spec, values, budget=budget)
-            log.append((idx, length if length is not None else NOT_GENERICALLY_FINITE))
-        return log
-
-    log = run(trials)
-    finite = [v for _, v in log if isinstance(v, int)]
-    if len(set(log_v for _, log_v in log)) > 1 and trials < RERUN_TRIALS:
-        warnings.warn("fiber trials disagree; rerunning at %d trials" % RERUN_TRIALS,
-                      stacklevel=2)
-        log = run(RERUN_TRIALS)
-        finite = [v for _, v in log if isinstance(v, int)]
-    if not finite:
-        return NOT_GENERICALLY_FINITE, log
-    return min(finite), log
+    if rees is None:
+        rees = rees_ideal(list(spec.forms), budget=budget)
+    nx = spec.r + 1
+    leads = lead_ideal(rees, order=elimination_order(rees.ctx, nx), budget=budget)
+    fiber = monomial_dim_degree([m[:nx] for m in leads if any(m[:nx])], nx)
+    if fiber.dim != 1:
+        return NOT_GENERICALLY_FINITE, ()
+    return fiber.degree, ()
 
 
 def is_birational(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
@@ -198,8 +128,8 @@ def is_birational(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
 @dataclass(frozen=True)
 class DegreeReport:
     """Full account of one map: degree onto the image, image degree and
-    dimension, analytic spread, the trial log, and the multiplicity of
-    the saturated fiber cone (their product)."""
+    dimension, analytic spread, the (empty) trial log, and the
+    multiplicity of the saturated fiber cone (their product)."""
 
     deg_map: object
     deg_image: int
@@ -210,7 +140,8 @@ class DegreeReport:
 
 
 def degree_report(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
-    img = image_summary(spec, budget=budget)
+    rees = rees_ideal(list(spec.forms), budget=budget)
+    img = image_summary(spec, budget=budget, rees=rees)
     spread = img.dim
     dim_image = img.proj_dim_of_scheme
     deg_image = img.degree
@@ -218,7 +149,7 @@ def degree_report(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
         return DegreeReport(
             NOT_GENERICALLY_FINITE, deg_image, dim_image, spread, (), None
         )
-    value, log = degree_map(spec, trials=trials, seed=seed, budget=budget)
+    value, log = degree_map(spec, trials=trials, seed=seed, budget=budget, rees=rees)
     sfib = value * deg_image if isinstance(value, int) else None
     return DegreeReport(value, deg_image, dim_image, spread, tuple(log), sfib)
 

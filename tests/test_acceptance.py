@@ -10,7 +10,6 @@ import itertools
 import math
 import random
 import time
-import warnings
 from contextlib import contextmanager
 
 import conftest
@@ -455,9 +454,7 @@ def test_criterion_9f_fiber_lengths_match_gcd_oracle():
             if not all(forms) or binary_gcd_degree(forms, d) != 0:
                 continue
             spec = rational_map(forms)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                deg, _ = degree_map(spec)
+            deg, _ = degree_map(spec)
             assert isinstance(deg, int)
             images = set()
             for p0, p1 in rational_points:

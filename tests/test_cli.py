@@ -123,6 +123,15 @@ class TestConditions:
         heights = [row["height"] for row in payload["G"]["table"]]
         assert heights == [2, 2]
 
+    def test_huge_level_is_fast(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(MATRIX_A0)
+        start = time.perf_counter()
+        code, out = run(capsys, ["conditions", "--matrix", str(path), "--m", "1000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert len(json.loads(out)["G"]["table"]) == 2
+
 
 class TestSweep:
     def test_csv_header_and_rows(self, capsys):
@@ -265,6 +274,15 @@ class TestOutput:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["deg_map"] == 1
+
+    def test_degree_output_ignores_seed(self, capsys):
+        argv = ["degree", "--map", "x0^3, x0*x1^2 + x1^3"]
+        _, a = run(capsys, argv + ["--seed", "1"])
+        _, b = run(capsys, argv + ["--seed", "2"])
+        a, b = json.loads(a), json.loads(b)
+        assert (a.pop("seed"), b.pop("seed")) == (1, 2)
+        assert a == b
+        assert a["trials"] == []
 
     def test_seed_changes_trials_not_value(self, capsys):
         _, a = run(capsys, ["degree", "--map", "x0^2, x1^2", "--seed", "1"])

@@ -307,6 +307,13 @@ class TestConditions:
         assert cert.condition == "G_inf"
         assert len(cert.table) == 2
 
+    def test_huge_level_stops_at_the_row_count(self):
+        for a in (0, 1):
+            _, M = dejonq_matrix(a)
+            huge, rows = check_Gm(M, 10**9), check_Gm(M, M.nrows)
+            assert (huge.verdict, huge.table) == (rows.verdict, rows.table)
+            assert len(huge.table) == M.nrows - 1
+
     def test_bad_levels(self):
         _, M = dejonq_matrix(1)
         with pytest.raises(RingError):

@@ -12,6 +12,7 @@ from reesdeg.hilbert import (
     hilbert_numerator,
     lead_ideal,
     minimalize_monomials,
+    monomial_dim_degree,
 )
 from reesdeg.ring import FieldSpec, RingCtx, RingError, parse_poly
 
@@ -167,6 +168,20 @@ class TestLeadIdeal:
         L = lead_ideal(I)
         assert (2, 0, 0) in L
         assert L == minimalize_monomials(L)
+
+    def test_leads_taken_in_the_requested_order(self):
+        _, I = mk(("x", "y", "z"), ["x*z - y^2", "y - z^2"])
+        assert lead_ideal(I, order="lex") == [(0, 1, 0), (1, 0, 1)]
+        assert lead_ideal(I) == [(0, 0, 2), (0, 2, 0)]
+
+    def test_monomial_dim_degree_matches_dim_degree(self):
+        _, I = mk(
+            ("y0", "y1", "y2", "y3"),
+            ["y2^2 - y1*y3", "y1*y2 - y0*y3", "y1^2 - y0*y2"],
+        )
+        assert monomial_dim_degree(lead_ideal(I), 4) == dim_degree(I)
+        assert monomial_dim_degree([], 2).degree == 1
+        assert monomial_dim_degree([(0, 0)], 2).dim is None
 
     def test_dim_degree_order_invariance_spot(self):
         _, I = mk(

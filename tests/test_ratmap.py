@@ -2,15 +2,13 @@ import random
 
 import pytest
 
+import reesdeg.groebner as groebner_mod
 from conftest import nonzero_random_form
-from reesdeg.families import FamilySpec, make_family
+from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
+from reesdeg.families import FamilySpec, make_family, specialized_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
 from reesdeg.ratmap import (
     NOT_GENERICALLY_FINITE,
-    _fiber_ideal,
-    _fiber_length,
-    _sample_point,
-    _trial_rng,
     base_locus,
     degree_map,
     degree_report,
@@ -99,9 +97,7 @@ class TestBaseLocus:
 class TestDegreeMap:
     def test_identity(self):
         spec = mkmap(("x0", "x1"), ["x0", "x1"])
-        value, trials = degree_map(spec)
-        assert value == 1
-        assert all(v == 1 for _, v in trials)
+        assert degree_map(spec) == (1, ())
 
     def test_conic_parametrization_birational(self):
         spec = mkmap(("x0", "x1"), ["x0^2", "x0*x1", "x1^2"])
@@ -128,12 +124,6 @@ class TestDegreeMap:
     def test_char_zero(self):
         spec = mkmap(("x0", "x1"), ["x0^2", "x1^2"], field=QQ)
         value, _ = degree_map(spec)
-        assert value == 2
-
-    def test_small_prime_warns(self):
-        spec = mkmap(("x0", "x1"), ["x0^2", "x1^2"], field=FieldSpec(7))
-        with pytest.warns(UserWarning):
-            value, _ = degree_map(spec)
         assert value == 2
 
     @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1}, {"budget": -5}])
@@ -197,8 +187,8 @@ class TestFiberSaturation:
             ctx = spec.ctx
             maxi = IdealHandle(ctx, [Poly.var(ctx, i) for i in range(ctx.nvars)])
             for idx in range(2):
-                _, values = _sample_point(spec, _trial_rng(n, idx))
-                fiber = _fiber_ideal(spec, values)
+                _, values = sample_point(spec, trial_rng(n, idx))
+                fiber = fiber_ideal(spec, values)
                 j = next(i for i, v in enumerate(values) if v)
                 one = saturate(fiber, IdealHandle(ctx, [spec.forms[j]]))
                 two = saturate(saturate(fiber, IdealHandle(ctx, list(spec.forms))), maxi)
@@ -211,8 +201,112 @@ class TestFiberSaturation:
         # the image point (0 : 1) has fiber x0^2 = 0: length 2, found only
         # by saturating with the form that does not vanish there
         spec = mkmap(("x0", "x1"), ["x0^2", "x1^2"])
-        assert _fiber_length(spec, [0, 1]) == 2
-        assert _fiber_length(spec, [1, 0]) == 2
+        assert fiber_length(spec, [0, 1]) == 2
+        assert fiber_length(spec, [1, 0]) == 2
+
+
+def _family_maps():
+    """Hilbert-Burch, de Jonquieres at several parameters, the 5x5
+    Pfaffian, the Veronese surface, the twisted cubic, and random maps
+    from P^2 into P^3, P^4 and P^5."""
+    specs = []
+    shapes = {FP: ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)), QQ: ((1, 1), (1, 2), (2, 2))}
+    for field, mus in shapes.items():
+        for mu in mus:
+            fam = make_family(
+                FamilySpec("hilbert_burch", r=2, mu=mu, seed=4, prime=field.characteristic)
+            )
+            specs.append(rational_map(fam.forms))
+    for m in (2, 3):
+        fam = make_family(FamilySpec("dejonquieres", m=m, mode="generic-parametric"))
+        for a in (0, 1, 5, 12):
+            specs.append(rational_map(specialized_family(fam, (a,)).forms))
+    specs.append(rational_map(make_family(FamilySpec("pfaffian", r=4, seed=3)).forms))
+    specs.append(mkmap(("x0", "x1", "x2"), "x0^2 x0*x1 x0*x2 x1^2 x1*x2 x2^2".split()))
+    specs.append(mkmap(("x0", "x1"), "x0^3 x0^2*x1 x0*x1^2 x1^3".split()))
+    rng = random.Random(8)
+    ctx = RingCtx(("x0", "x1", "x2"), FP)
+    for n in (4, 5, 6):
+        for d in (1, 2):
+            specs.append(rational_map([nonzero_random_form(ctx, rng, d) for _ in range(n)]))
+    return specs
+
+
+def _compose_power(forms, e):
+    """The forms evaluated at (x0^e, ..., xr^e)."""
+    return [
+        Poly(g.ctx, {tuple(v * e for v in m): c for m, c in g.terms.items()})
+        for g in forms
+    ]
+
+
+def _power_composed_maps(field):
+    """Random maps precomposed with the e-th power map of the source,
+    and a double cover of a quadric cone in P^3."""
+    rng = random.Random(5 + field.characteristic)
+    specs = []
+    for nvars, e, d, n in (
+        (2, 2, 1, 2), (2, 3, 1, 2), (2, 2, 2, 3), (2, 3, 2, 4), (2, 2, 3, 2), (2, 6, 1, 2),
+        (3, 2, 1, 3), (3, 2, 1, 4), (3, 2, 2, 3),
+    ):
+        ctx = RingCtx(tuple("x%d" % i for i in range(nvars)), field)
+        base = [nonzero_random_form(ctx, rng, d, density=1.0) for _ in range(n)]
+        specs.append(rational_map(_compose_power(base, e)))
+    ctx = RingCtx(("x0", "x1", "x2"), field)
+    a, b, c = (nonzero_random_form(ctx, rng, 1, density=1.0) for _ in range(3))
+    specs.append(rational_map([a * a, a * b, b * b, c * c]))
+    return specs
+
+
+def _sampled_or_marker(spec):
+    got = sampled_degree(spec, trials=3, seed=1)
+    return NOT_GENERICALLY_FINITE if got is None else got
+
+
+class TestExactDegree:
+    def test_families_match_sampling(self):
+        for spec in _family_maps():
+            assert degree_report(spec).deg_map == _sampled_or_marker(spec)
+
+    @pytest.mark.parametrize("prime", [32003, 0, 7, 11])
+    def test_power_composed_maps_match_sampling(self, prime):
+        specs = _power_composed_maps(FieldSpec(prime))
+        values = [degree_report(spec).deg_map for spec in specs]
+        assert values == [_sampled_or_marker(spec) for spec in specs]
+        # the power maps really raise the degree
+        assert sum(1 for v in values if v != NOT_GENERICALLY_FINITE and v > 1) >= 8
+
+    def test_map_from_a_point(self):
+        # P^0 onto a point: the generic fiber is the whole source, one point
+        spec = mkmap(("x0",), ["x0^2", "2*x0^2"])
+        rep = degree_report(spec)
+        assert (rep.deg_map, rep.deg_image, rep.dim_image) == (1, 1, 0)
+
+    def test_quadric_cone_double_cover(self):
+        spec = mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2", "x2^2"])
+        rep = degree_report(spec)
+        assert (rep.deg_map, rep.deg_image, rep.dim_image) == (2, 2, 2)
+
+    def test_answer_ignores_seed_and_trials(self):
+        spec = mkmap(("x0", "x1"), ["x0^3", "x0*x1^2 + x1^3"])
+        one = degree_map(spec, trials=1, seed=1)
+        assert one == degree_map(spec, trials=9, seed=2) == (3, ())
+
+    def test_report_reuses_the_image_basis(self, monkeypatch):
+        runs = []
+        real = groebner_mod._buchberger
+
+        def counting(*args):
+            runs.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(groebner_mod, "_buchberger", counting)
+        forms = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 2), seed=8)).forms
+        image_summary(rational_map(forms))
+        alone = len(runs)
+        runs.clear()
+        assert degree_report(rational_map(forms)).deg_map == 4
+        assert len(runs) == alone
 
 
 class TestDegreeReport:
