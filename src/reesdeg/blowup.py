@@ -15,6 +15,7 @@ whether specialization commutes with blowing up at that point.
 """
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 
 from .groebner import (
@@ -159,8 +160,6 @@ def sfib_hilbert_function(forms, n, budget=None):
         raise RingError("saturated fiber needs specialized (parameter-free) forms")
     nx = ctx.nvars
     power = {}
-    from itertools import combinations_with_replacement
-
     for combo in combinations_with_replacement(range(len(forms)), n):
         g = forms[combo[0]]
         for i in combo[1:]:

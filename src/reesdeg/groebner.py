@@ -24,15 +24,19 @@ Polynomials are packed on entry to `groebner_basis`, `normal_form`,
 unpacked on exit.
 
 Elimination always goes through a block order (grevlex inside each
-block).  Intersections and saturations adjoin one leading auxiliary
-variable and eliminate it: I cap J from t*I + (1-t)*J, and I : g^infinity
-from I + (1 - t*g) (Rabinowitsch).  Saturation by an ideal intersects the
-saturations by its generators.  Colons divide out an intersection.
+block).  Intersections adjoin one leading auxiliary variable and
+eliminate it: I cap J from t*I + (1-t)*J.  Saturation of a homogeneous
+ideal by the irrelevant ideal m = (x_0..x_n) of a grevlex ring reads
+I : x_n^infinity off the reduced basis of I (Bayer-Stillman) and keeps
+it when the Hilbert series shows it equals I : m^infinity.  Every other
+saturation intersects the saturations by the generators of J, each by
+Rabinowitsch: eliminate t from I + (1 - t*g).
 """
 
 from dataclasses import replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import zip_longest
 
 from .ring import (
     Poly,
@@ -40,7 +44,6 @@ from .ring import (
     RingError,
     fresh_names,
     monomial_lcm,
-    poly_exact_div,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -320,14 +323,20 @@ def _buchberger(seeds, pk, fld, budget):
             return unit
 
     # G is already minimal: new leads are never divisible by active ones
-    # and update retires rows the other way around.  Tail reduction
-    # against the final leads finishes the reduced basis in one pass.
-    final = []
-    for g in sorted(G, key=lambda g: rows[g][0]):
-        others = [rows[h] for h in G if h != g]
-        rem, _ = _reduce(dict(terms_of[g]), others, guard, p, budget)
-        final.append(_monic(rem, fld))
-    return final
+    # and update retires rows the other way around.
+    return _reduce_tails([terms_of[g] for g in G], guard, p, budget)
+
+
+def _reduce_tails(basis, guard, p, budget):
+    """The reduced basis, sorted by lead, from the monic packed term dicts
+    of a minimal Groebner basis: one pass reducing each tail against the
+    other elements."""
+    rows = [_row(t, 0) for t in basis]
+    out = []
+    for i in sorted(range(len(basis)), key=lambda i: rows[i][0]):
+        rem, _ = _reduce(dict(basis[i]), rows[:i] + rows[i + 1:], guard, p, budget)
+        out.append(rem)
+    return out
 
 
 def _spair_closure_ok(basis_dicts, ctx):
@@ -541,27 +550,6 @@ def intersect(I, J, budget=None):
     return _drop_aux_var(gens, aux, ctx, budget)
 
 
-def colon(I, g, budget=None):
-    """(I : g) for a single polynomial g, via (I cap (g)) / g."""
-    if not isinstance(g, Poly) or g.ctx != I.ctx:
-        raise RingError("colon divisor must live in the ideal's ring")
-    if not g:
-        return IdealHandle(I.ctx, [Poly.constant(I.ctx, 1)])
-    cap = intersect(I, IdealHandle(I.ctx, [g]), budget=budget)
-    return IdealHandle(I.ctx, [poly_exact_div(f, g) for f in cap.gens])
-
-
-def colon_ideal(I, J, budget=None):
-    """(I : J) as the intersection of the single-generator colons."""
-    gens = [g for g in J.gens if g]
-    if not gens:
-        return IdealHandle(I.ctx, [Poly.constant(I.ctx, 1)])
-    out = colon(I, gens[0], budget=budget)
-    for g in gens[1:]:
-        out = intersect(out, colon(I, g, budget=budget), budget=budget)
-    return out
-
-
 def _saturate_by(I, g, budget):
     """(I : g^infinity) by Rabinowitsch: eliminate t from I + (1 - t*g)."""
     ctx = I.ctx
@@ -621,9 +609,87 @@ def _sat_exponent(I, S, J_gens, budget):
         cur = [(Poly(ctx, h, _clean=True) * g).terms for h in cur for g in J_gens]
 
 
+def _is_irrelevant_ideal(ctx, gens):
+    """True when `gens` are scalar multiples of all the variables of a
+    grevlex ring."""
+    if ctx.order != "grevlex":
+        return False
+    mons = set()
+    for g in gens:
+        if len(g.terms) != 1:
+            return False
+        (mon,) = g.terms
+        if sum(mon) != 1:
+            return False
+        mons.add(mon)
+    return len(mons) == ctx.nvars > 0
+
+
+def _finite_colength(leads_I, leads_S, n):
+    """True when S/I has finite length, for ideals I inside S of
+    k[x_0..x_{n-1}] with these lead monomials: exactly when the two Hilbert
+    series differ by a polynomial, that is when (1-t)^n divides the
+    difference of their numerators."""
+    from .hilbert import _deflate, hilbert_numerator
+
+    a = hilbert_numerator(leads_I, n)
+    b = hilbert_numerator(leads_S, n)
+    diff = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    return not any(diff) or _deflate(diff)[0] >= n
+
+
+def _saturate_by_variables(I, budget):
+    """I : m^infinity for m the ideal of all the variables of a grevlex
+    ring, or None when the shortcut does not apply.
+
+    For homogeneous f the last variable divides the grevlex lead of f only
+    when it divides f, so stripping its powers from the reduced basis of I
+    gives a basis of S = I : x_last^infinity (Bayer-Stillman).  Since
+    I : m^infinity lies between I and S, the two are equal exactly when
+    S/I has finite length.
+    """
+    ctx = I.ctx
+    if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
+        return None
+    pk = _packing(ctx.order, ctx.nvars)
+    gb = [pk.pack_terms(g.terms) for g in groebner_basis(I, budget=budget)]
+    shift, unit = pk.shifts[-1], pk.units[-1]
+    stripped = []
+    for t in gb:
+        a = min((m >> shift) & _MASK for m in t)
+        stripped.append({m - a * unit: c for m, c in t.items()} if a else t)
+    # keep the lead-minimal elements; a divisor's lead is never larger
+    stripped.sort(key=max)
+    minimal, leads = [], []
+    for t in stripped:
+        lead = max(t)
+        if not any(pk.divides(u, lead) for u in leads):
+            minimal.append(t)
+            leads.append(lead)
+    if not _finite_colength(
+        [pk.unpack(max(t)) for t in gb], [pk.unpack(u) for u in leads], ctx.nvars
+    ):
+        return None
+    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    basis = [
+        Poly(ctx, pk.unpack_terms(t), _clean=True)
+        for t in _reduce_tails(minimal, pk.guard, ctx.field.characteristic, b)
+    ]
+    if VERIFY_BASES and not _spair_closure_ok([g.terms for g in basis], ctx):
+        raise AssertionError("stripped basis fails the Buchberger criterion")
+    out = IdealHandle(ctx, basis)
+    seed_gb_cache(out, ctx.order, basis)
+    return out
+
+
 def saturate(I, J, budget=None):
-    """(I : J^infinity) as the intersection over the generators g of J
-    of (I : g^infinity), each computed by Rabinowitsch.
+    """(I : J^infinity).
+
+    For homogeneous I and J the ideal of all the variables of a grevlex
+    ring, one basis of I usually suffices (see `_saturate_by_variables`).
+    Otherwise, and whenever that shortcut fails its Hilbert series check,
+    the result is the intersection over the generators g of J of
+    (I : g^infinity), each computed by Rabinowitsch.
 
     The least k with I : J^k = I : J^infinity is the result's
     `sat_exponent`, computed when first read.  Homogeneous input stays
@@ -632,9 +698,10 @@ def saturate(I, J, budget=None):
     if I.ctx != J.ctx:
         raise RingError("ideals live in different rings")
     gens = list(J.gens)
-    if not gens:
+    out = _saturate_by_variables(I, budget) if _is_irrelevant_ideal(I.ctx, gens) else None
+    if out is None and not gens:
         out = IdealHandle(I.ctx, [Poly.constant(I.ctx, 1)])
-    else:
+    elif out is None:
         out = _saturate_by(I, gens[0], budget)
         for g in gens[1:]:
             out = intersect(out, _saturate_by(I, g, budget), budget=budget)

@@ -1,5 +1,6 @@
 import random
 
+import reesdeg.groebner as gb_mod
 from reesdeg.ring import FieldSpec, Poly, RingCtx, monomials_of_degree
 
 # filled by tests/test_acceptance.py; one line per acceptance criterion
@@ -51,3 +52,31 @@ def small_ctx(rng, chars=(0, 32003, 7), nmin=2, nmax=3):
     n = rng.randint(nmin, nmax)
     names = tuple("x%d" % i for i in range(n))
     return RingCtx(names, FieldSpec(rng.choice(chars)))
+
+
+def count_buchberger_runs(monkeypatch):
+    """Patch the Buchberger core to log each run; returns the log."""
+    runs = []
+    inner = gb_mod._buchberger
+
+    def counting(*args):
+        runs.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(gb_mod, "_buchberger", counting)
+    return runs
+
+
+def record_shortcut(monkeypatch):
+    """Log each attempt of the Bayer-Stillman saturation shortcut: True
+    when it answered, False when `saturate` fell back."""
+    taken = []
+    inner = gb_mod._saturate_by_variables
+
+    def recording(I, budget):
+        out = inner(I, budget)
+        taken.append(out is not None)
+        return out
+
+    monkeypatch.setattr(gb_mod, "_saturate_by_variables", recording)
+    return taken

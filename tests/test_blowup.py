@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import nonzero_random_form
+from conftest import count_buchberger_runs, nonzero_random_form
 from reesdeg.blowup import (
     analytic_spread,
     blowup_ambient,
@@ -16,6 +16,7 @@ from reesdeg.blowup import (
     specialize_forms,
     specialize_rees,
 )
+from reesdeg.families import FamilySpec, make_family
 from reesdeg.groebner import groebner_basis, ideal, ideal_contains, ideal_equal
 from reesdeg.ring import FieldSpec, RingCtx, RingError, parse_poly
 
@@ -133,6 +134,21 @@ class TestSaturatedFiberHF:
         _, forms = forms_of(("x0", "x1"), ["x0", "x1"])
         with pytest.raises(ValueError):
             sfib_hilbert_function(forms, -1)
+
+    def test_one_basis_per_power(self, monkeypatch):
+        # saturating I^n by the irrelevant ideal reuses the basis of I^n
+        spec = FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=5)
+        forms = list(make_family(spec).forms)
+        runs = count_buchberger_runs(monkeypatch)
+        for n, value in ((1, 3), (2, 7), (3, 13)):
+            del runs[:]
+            assert sfib_hilbert_function(forms, n) == value
+            assert len(runs) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pfaffian_values(self, seed):
+        forms = list(make_family(FamilySpec("pfaffian", r=4, D=1, seed=seed)).forms)
+        assert [sfib_hilbert_function(forms, n) for n in (1, 2, 3)] == [5, 15, 35]
 
 
 class TestSpecialization:

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reesdeg.groebner as gb_mod
-from conftest import nonzero_random_form, random_poly, small_ctx
+from colon_oracle import colon, colon_chain_saturate, colon_ideal
+from conftest import (
+    count_buchberger_runs,
+    nonzero_random_form,
+    rand_coeff,
+    random_form,
+    random_poly,
+    record_shortcut,
+    small_ctx,
+)
 from reesdeg.blowup import fiber_cone_ideal, rees_ideal
 from reesdeg.families import FamilySpec, make_family
 from reesdeg.groebner import (
@@ -13,8 +22,6 @@ from reesdeg.groebner import (
     _packing,
     _spair_closure_ok,
     _with_aux_var,
-    colon,
-    colon_ideal,
     eliminate,
     groebner_basis,
     ideal,
@@ -35,24 +42,12 @@ from reesdeg.ring import (
     monomial_div,
     monomial_divides,
     monomial_mul,
+    monomials_of_degree,
     parse_poly,
 )
 
 QQ = FieldSpec(0)
 FP = FieldSpec(32003)
-
-
-def colon_chain_saturate(I, J, max_rounds=64):
-    """Test oracle: I : J^infinity by iterating I : J, I : J^2, ... until
-    the chain stops growing.  Returns the saturation and the number of
-    strict steps."""
-    cur = I
-    for k in range(max_rounds):
-        nxt = colon_ideal(cur, J)
-        if ideal_equal(nxt, cur):
-            return cur, k
-        cur = nxt
-    raise AssertionError("colon chain did not stabilize")
 
 
 def random_saturation_case(rng, field):
@@ -218,16 +213,16 @@ class TestIdealOperations:
         _, expect = mk(("x", "y"), ["x*y"])
         assert ideal_equal(Q, expect)
 
-    def test_saturate_monomial(self):
+    def test_saturate_monomial(self, monkeypatch):
         ctx, I = mk(("x", "y"), ["x^2*y", "x*y^2"])
         _, m = mk(("x", "y"), ["x", "y"])
         S = saturate(I, m)
-        # the exponent costs a basis of I, made only when it is read
-        assert I.gb_cache == {}
         _, expect = mk(("x", "y"), ["x*y"])
         assert ideal_equal(S, expect)
+        # the exponent reuses the basis of I that the saturation made
+        runs = count_buchberger_runs(monkeypatch)
         assert S.sat_exponent == 1
-        assert I.gb_cache
+        assert runs == []
         assert ideal(ctx, list(I.gens)).sat_exponent is None
 
     def test_saturate_already_saturated(self):
@@ -298,6 +293,85 @@ class TestIdealOperations:
         out = interreduce(polys)
         assert parse_poly("x^2 + y", ctx) in out
         assert len(out) == 2
+
+
+def random_irrelevant_case(rng, field, on_plane):
+    """A homogeneous ideal I of k[x0, x1, x2] whose saturation by the
+    irrelevant ideal m is usually larger than I.
+
+    Without `on_plane`, I = f1 * m^e1 + f2 * m^e2 for random forms f1, f2,
+    so V(I) is the finite set V(f1, f2), on x2 = 0 only by chance.  With
+    `on_plane`, the generators are random forms in P = (x2, l), for a
+    linear form l in x0, x1, times random monomials, so V(P), a point on
+    the hyperplane x2 = 0, lies on V(I) and I : x2^infinity is larger
+    than I : m^infinity whenever it is a component.
+    """
+    ctx = RingCtx(("x0", "x1", "x2"), field)
+    gens = []
+    if on_plane:
+        x2 = Poly.var(ctx, 2)
+        c0, c1 = rand_coeff(ctx, rng, True), rand_coeff(ctx, rng, True)
+        line = Poly(ctx, {(1, 0, 0): c0, (0, 1, 0): c1})
+        for _ in range(rng.randint(2, 3)):
+            d = rng.randint(0, 1)
+            f = random_form(ctx, rng, d) * x2 + random_form(ctx, rng, d) * line
+            mon = tuple(rng.randint(0, 1) for _ in range(3))
+            gens.append(f * Poly.from_mon(ctx, mon))
+    else:
+        for _ in range(2):
+            f = nonzero_random_form(ctx, rng, rng.randint(1, 2))
+            mons = monomials_of_degree(3, rng.randint(0, 2))
+            gens += [f * Poly.from_mon(ctx, mon) for mon in mons]
+    return ideal(ctx, gens)
+
+
+class TestSaturateByVariables:
+    """saturate(I, m) by one grevlex basis (Bayer-Stillman) against the
+    colon chain, with the Rabinowitsch fallback when V(I) meets x2 = 0."""
+
+    @pytest.mark.parametrize(
+        "field", [FP, QQ, FieldSpec(7)], ids=["F_32003", "QQ", "F_7"]
+    )
+    def test_matches_colon_chain(self, field, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        taken = record_shortcut(monkeypatch)
+        rng = random.Random(2207 + field.characteristic)
+        cases = [(random_irrelevant_case(rng, field, i % 2), i % 2) for i in range(16)]
+        # V(I) is the point (0:1:0) on x2 = 0: stripping x2 gives the unit
+        # ideal, and only the fallback gets I : m^infinity = I
+        _, point = mk(("x0", "x1", "x2"), ["x0^2", "x0*x2", "x2^2"], field=field)
+        cases.append((point, True))
+        outcomes = {True: [], False: []}
+        for I, on_plane in cases:
+            m = ideal(I.ctx, [Poly.var(I.ctx, j) for j in range(3)])
+            del taken[:]
+            S = saturate(I, m)
+            oracle, k = colon_chain_saturate(I, m)
+            # the seeded basis is the reduced one, generators included
+            assert ideal_equal(S, oracle)
+            assert list(S.gens) == groebner_basis(ideal(I.ctx, list(oracle.gens)))
+            assert S.sat_exponent == k
+            assert len(taken) == 1
+            outcomes[bool(on_plane)].append(taken[0])
+        assert True in outcomes[False]
+        assert outcomes[True][-1] is False
+
+    def test_shortcut_only_for_the_irrelevant_ideal(self, monkeypatch):
+        taken = record_shortcut(monkeypatch)
+        names = ("x0", "x1", "x2")
+        _, I = mk(names, ["x0^2*x1", "x0*x1^2"])
+        for texts in (["x0", "x1"], ["x0 + x1", "x1", "x2"], ["x0^2", "x1", "x2"]):
+            _, J = mk(names, texts)
+            assert ideal_equal(saturate(I, J), colon_chain_saturate(I, J)[0])
+        _, lex_I = mk(names, ["x0^2*x1", "x0*x1^2"], order="lex")
+        _, lex_m = mk(names, ["x0", "x1", "x2"], order="lex")
+        saturate(lex_I, lex_m)
+        assert taken == []
+        # inhomogeneous input is turned away by the shortcut itself
+        _, J = mk(names, ["x0", "x1", "x2"])
+        _, inhom = mk(names, ["x0^2*x1 + x2", "x0*x1^2"])
+        assert ideal_equal(saturate(inhom, J), colon_chain_saturate(inhom, J)[0])
+        assert taken == [False]
 
 
 class TestBudget:

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-import reesdeg.groebner as groebner_mod
-from conftest import nonzero_random_form
+from conftest import count_buchberger_runs, nonzero_random_form, record_shortcut
 from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
 from reesdeg.families import FamilySpec, make_family, specialized_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
@@ -92,6 +91,16 @@ class TestBaseLocus:
         B, codim = base_locus(spec)
         assert codim == 1
         assert [str(g) for g in groebner_basis(B)] == ["x0"]
+
+    def test_base_point_on_last_hyperplane(self, monkeypatch):
+        # the base point (0:1:0) lies on x2 = 0, so saturating by x2 alone
+        # gives the unit ideal; the Hilbert series check rejects it
+        taken = record_shortcut(monkeypatch)
+        spec = mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x2", "x2^2"])
+        B, codim = base_locus(spec)
+        assert codim == 2
+        assert taken == [False]
+        assert [str(g) for g in groebner_basis(B)] == ["x2^2", "x0*x2", "x0^2"]
 
 
 class TestDegreeMap:
@@ -293,14 +302,7 @@ class TestExactDegree:
         assert one == degree_map(spec, trials=9, seed=2) == (3, ())
 
     def test_report_reuses_the_image_basis(self, monkeypatch):
-        runs = []
-        real = groebner_mod._buchberger
-
-        def counting(*args):
-            runs.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(groebner_mod, "_buchberger", counting)
+        runs = count_buchberger_runs(monkeypatch)
         forms = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 2), seed=8)).forms
         image_summary(rational_map(forms))
         alone = len(runs)
