@@ -9,9 +9,9 @@ y-only part, the associated graded ideal adds the forms back in.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
-substitution into the generic basis followed by interreduction, and the
-comparison against the Rees ideal of the specialized forms decides
-whether specialization commutes with blowing up at that point.
+substitution into the generic basis, and the comparison against the
+Rees ideal of the specialized forms decides whether specialization
+commutes with blowing up at that point.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,6 @@ from .groebner import (
     eliminate,
     groebner_basis,
     ideal_equal,
-    interreduce,
     normal_form,
     saturate,
 )
@@ -184,8 +183,9 @@ def specialize_forms(forms, point):
 
 
 def specialize_rees(generic, point, budget=None):
-    """Substitute parameter values into a generic Rees basis and
-    interreduce; returns an ideal in the parameter-free ambient ring."""
+    """Substitute parameter values into a generic Rees basis; returns an
+    ideal in the parameter-free ambient ring.  Its consumers reduce it
+    through the Groebner basis they build, so it is left unreduced."""
     ctx = generic.ctx
     nxy, np = ctx.nvars - ctx.n_params, ctx.n_params
     if np == 0:
@@ -194,8 +194,7 @@ def specialize_rees(generic, point, budget=None):
         ctx.var_names[:nxy], ctx.field, "grevlex", weights=ctx.weights[:nxy]
     )
     basis = groebner_basis(generic, budget=budget)
-    gens = [g.substitute_tail(sub, point) for g in basis]
-    return IdealHandle(sub, interreduce([g for g in gens if g], budget=budget))
+    return IdealHandle(sub, [g.substitute_tail(sub, point) for g in basis])
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """Command line front end.
 
 Subcommands: degree, image, rees, fiber-cone, sfib-hf, conditions,
-sweep, jmult, gr-dim.  Output is a JSON envelope carrying schema, the
-command, seed and prime (CSV and plain text are available where noted).
-Exit codes: 0 success, 2 malformed input, 3 budget exceeded.  The
-default step budget can be set through the REESDEG_BUDGET environment
-variable and overridden per run with --budget.
+sweep, jmult, gr-dim.  Each takes only the flags it reads, as listed in
+SUBCOMMAND_FLAGS, plus --seed, --budget, --format and --out.  Its input
+(--map, --matrix or --family; gr-dim takes a map or a family) is
+required.  Output is a JSON envelope carrying schema, the command, seed
+and prime; every subcommand also prints plain text, and sweep prints
+CSV.  No answer depends on the seed, which is only echoed.  Exit codes:
+0 success, 2 malformed input or usage, 3 budget exceeded.  The default
+step budget can be set through the REESDEG_BUDGET environment variable
+and overridden per run with --budget.
 """
 
 import argparse
@@ -67,8 +71,6 @@ def _infer_ring(map_text, prime):
 
 
 def _load_map(args):
-    if not args.map:
-        raise RingError("this command needs --map")
     if os.path.exists(args.map):
         with open(args.map) as fh:
             return parse_map_file(fh.read())
@@ -81,8 +83,6 @@ def _load_map(args):
 
 def _load_family(args):
     name = args.family
-    if name is None:
-        raise RingError("this command needs --family")
     if os.path.exists(name):
         with open(name) as fh:
             handle = parse_ideal(fh.read())
@@ -91,32 +91,8 @@ def _load_family(args):
         spec = FamilySpec("dejonquieres", mode="generic-parametric", prime=args.prime)
         return Family(spec, handle.ctx, None, tuple(handle.gens), 0)
     if name == "dejonquieres":
-        return make_family(
-            FamilySpec(
-                "dejonquieres",
-                m=args.m,
-                mode="generic-parametric",
-                seed=args.seed,
-                prime=args.prime,
-            )
-        )
-    if name == "hilbert_burch":
-        mu = tuple(int(v) for v in args.mu.split(",")) if args.mu else ()
-        return make_family(
-            FamilySpec(
-                "hilbert_burch",
-                r=len(mu),
-                mu=mu,
-                seed=args.seed,
-                prime=args.prime,
-            )
-        )
-    if name == "pfaffian":
-        return make_family(
-            FamilySpec(
-                "pfaffian", r=args.r, D=args.D, seed=args.seed, prime=args.prime
-            )
-        )
+        spec = FamilySpec("dejonquieres", m=args.m, mode="generic-parametric", prime=args.prime)
+        return make_family(spec)
     raise RingError("unknown family %r" % name)
 
 
@@ -158,14 +134,13 @@ def _cert_payload(cert):
     }
 
 
-def _emit(args, payload, text_lines=None, csv_lines=None):
-    fmt = args.format
-    if fmt == "csv" and csv_lines is not None:
-        out = "\n".join(csv_lines) + "\n"
-    elif fmt == "text" and text_lines is not None:
-        out = "\n".join(text_lines) + "\n"
-    else:
+def _emit(args, payload, lines):
+    """Write the JSON payload, or `lines` under --format text or csv
+    (only sweep offers csv, and its text lines are the CSV rows)."""
+    if args.format == "json":
         out = json.dumps(payload, sort_keys=True) + "\n"
+    else:
+        out = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(out)
@@ -173,14 +148,13 @@ def _emit(args, payload, text_lines=None, csv_lines=None):
         sys.stdout.write(out)
 
 
-def _envelope(args, command, ctx=None, **payload):
-    # report the characteristic of the ring actually used, not the flag
-    prime = ctx.field.characteristic if ctx is not None else args.prime
+def _envelope(args, command, ctx, **payload):
     base = {
         "schema": SCHEMA,
         "command": command,
         "seed": args.seed,
-        "prime": prime,
+        # the characteristic of the ring actually used, not the flag
+        "prime": ctx.field.characteristic,
     }
     base.update(payload)
     return base
@@ -195,7 +169,7 @@ def _ideal_payload(handle):
 
 def cmd_degree(args):
     spec = _load_map(args)
-    rep = degree_report(spec, trials=args.trials, seed=args.seed, budget=args.budget)
+    rep = degree_report(spec, budget=args.budget)
     payload = _envelope(
         args,
         "degree",
@@ -205,21 +179,19 @@ def cmd_degree(args):
         dim_image=rep.dim_image,
         analytic_spread=rep.analytic_spread,
         sfib_multiplicity=rep.sfib_multiplicity,
-        trials=[{"trial": t, "value": v} for t, v in rep.trials],
+        trials=[],
     )
     text = [
         "deg_map: %s" % rep.deg_map,
         "deg_image: %s" % rep.deg_image,
         "dim_image: %s" % rep.dim_image,
     ]
-    _emit(args, payload, text_lines=text)
+    _emit(args, payload, text)
 
 
 def cmd_image(args):
     spec = _load_map(args)
-    from .ratmap import image_ideal
-
-    fib = image_ideal(spec, budget=args.budget)
+    fib = fiber_cone_ideal(list(spec.forms), budget=args.budget)
     summ = dim_degree(fib, budget=args.budget)
     payload = _envelope(
         args,
@@ -229,21 +201,21 @@ def cmd_image(args):
         deg_image=summ.degree,
         **_ideal_payload(fib),
     )
-    _emit(args, payload, text_lines=serialize_ideal(fib).splitlines())
+    _emit(args, payload, serialize_ideal(fib).splitlines())
 
 
 def cmd_rees(args):
     spec = _load_map(args)
     handle = rees_ideal(list(spec.forms), budget=args.budget)
     payload = _envelope(args, "rees", ctx=spec.ctx, **_ideal_payload(handle))
-    _emit(args, payload, text_lines=serialize_ideal(handle).splitlines())
+    _emit(args, payload, serialize_ideal(handle).splitlines())
 
 
 def cmd_fiber_cone(args):
     spec = _load_map(args)
     handle = fiber_cone_ideal(list(spec.forms), budget=args.budget)
     payload = _envelope(args, "fiber-cone", ctx=spec.ctx, **_ideal_payload(handle))
-    _emit(args, payload, text_lines=serialize_ideal(handle).splitlines())
+    _emit(args, payload, serialize_ideal(handle).splitlines())
 
 
 def cmd_sfib_hf(args):
@@ -255,12 +227,10 @@ def cmd_sfib_hf(args):
     ]
     payload = _envelope(args, "sfib-hf", ctx=spec.ctx, values=values)
     text = ["n=%d: %d" % (v["n"], v["value"]) for v in values]
-    _emit(args, payload, text_lines=text)
+    _emit(args, payload, text)
 
 
 def cmd_conditions(args):
-    if not args.matrix:
-        raise RingError("conditions needs --matrix <file>")
     with open(args.matrix) as fh:
         M = parse_matrix_file(fh.read())
     level = args.m if args.m is not None else M.ctx.nvars
@@ -273,15 +243,13 @@ def cmd_conditions(args):
         "%s: %s" % (g.condition, "holds" if g.verdict else "fails"),
         "%s: %s" % (f.condition, "holds" if f.verdict else "fails"),
     ]
-    _emit(args, payload, text_lines=text)
+    _emit(args, payload, text)
 
 
 def cmd_sweep(args):
     fam = _load_family(args)
     points = _parse_points(args.points or "0,1", arity=fam.ctx.n_params)
-    rows = specialization_sweep(
-        fam, points, trials=args.trials, seed=args.seed, budget=args.budget
-    )
+    rows = specialization_sweep(fam, points, budget=args.budget)
     payload = _envelope(
         args,
         "sweep",
@@ -305,14 +273,14 @@ def cmd_sweep(args):
             "%s,%s,%s,%s,%s,%s"
             % (pt, r.deg_map, r.deg_image, r.gr_dim, r.g_condition, r.status)
         )
-    _emit(args, payload, csv_lines=csv, text_lines=csv)
+    _emit(args, payload, csv)
 
 
 def cmd_jmult(args):
     spec = _load_map(args)
-    value = j_multiplicity(spec, trials=args.trials, seed=args.seed, budget=args.budget)
+    value = j_multiplicity(spec, budget=args.budget)
     payload = _envelope(args, "jmult", ctx=spec.ctx, j_multiplicity=value)
-    _emit(args, payload, text_lines=["j_multiplicity: %s" % value])
+    _emit(args, payload, ["j_multiplicity: %s" % value])
 
 
 def cmd_gr_dim(args):
@@ -344,7 +312,7 @@ def cmd_gr_dim(args):
         "%s: %s" % (":".join(str(v) for v in r["point"]) or "-", r["gr_dim"])
         for r in rows
     ]
-    _emit(args, payload, text_lines=text)
+    _emit(args, payload, text)
 
 
 HANDLERS = {
@@ -360,48 +328,72 @@ HANDLERS = {
 }
 
 
+# add_argument keywords of every flag
+FLAGS = {
+    "--map": {"help": "comma separated forms, or a map file path"},
+    "--ring": {"help": "ring header, e.g. 'x0 x1 over 32003'"},
+    "--prime": {"type": int, "default": DEFAULT_PRIME, "help": "field characteristic, 0 for Q"},
+    "--matrix": {"help": "matrix file path"},
+    "--family": {"help": "dejonquieres, or a family file whose ring declares params"},
+    "--m": {"type": int, "help": "de Jonquieres parameter m, or condition level"},
+    "--points": {"help": "comma separated points (colon for tuples)"},
+    "--seed": {"type": int, "default": DEFAULT_SEED, "help": "echoed in the output"},
+    "--budget": {"type": int, "help": "reduction step budget per basis computation"},
+    "--format": {"choices": ("json", "text"), "default": "json"},
+    "--out": {"help": "write output to a file instead of stdout"},
+}
+COMMON_FLAGS = ("--seed", "--budget", "--format", "--out")
+MAP_FLAGS = ("--map", "--ring", "--prime")
+# the flags each subcommand reads besides COMMON_FLAGS
+SUBCOMMAND_FLAGS = {
+    "degree": MAP_FLAGS,
+    "image": MAP_FLAGS,
+    "rees": MAP_FLAGS,
+    "fiber-cone": MAP_FLAGS,
+    "sfib-hf": MAP_FLAGS + ("--points",),
+    "conditions": ("--matrix", "--m"),
+    "sweep": ("--family", "--m", "--points", "--prime"),
+    "jmult": MAP_FLAGS,
+    "gr-dim": ("--map", "--family", "--ring", "--prime", "--m", "--points"),
+}
+# per-subcommand changes to FLAGS
+OVERRIDES = {
+    ("sweep", "--format"): {"choices": ("json", "csv", "text")},
+    ("sweep", "--m"): {"default": 2},
+    ("gr-dim", "--m"): {"default": 2},
+}
+# a subcommand requires its input flag; gr-dim takes a map or a family
+INPUT_FLAGS = ("--map", "--matrix", "--family")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="reesdeg",
         description="Degrees and images of rational maps via blowup algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_budget = os.environ.get("REESDEG_BUDGET")
-    for name in HANDLERS:
+    env_budget = os.environ.get("REESDEG_BUDGET") or None
+    for name, flags in SUBCOMMAND_FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--ring", help="ring header, e.g. 'x0 x1 over 32003'")
-        p.add_argument("--map", help="comma separated forms, or a map file path")
-        p.add_argument("--matrix", help="matrix file path")
-        p.add_argument("--family", help="dejonquieres | hilbert_burch | pfaffian | file")
-        p.add_argument("--m", type=int, default=None,
-                       help="family parameter m, or condition level")
-        p.add_argument("--mu", help="comma separated column degrees")
-        p.add_argument("--D", type=int, default=1, help="pfaffian entry degree")
-        p.add_argument("--r", type=int, default=4, help="pfaffian source dimension")
-        p.add_argument("--points", help="comma separated points (colon for tuples)")
-        p.add_argument("--trials", type=int, default=3)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-        p.add_argument(
-            "--budget",
-            type=int,
-            # argparse runs string defaults through `type`, so a malformed
-            # REESDEG_BUDGET is a usage error like a malformed --budget
-            default=env_budget or None,
-            help="reduction step budget per basis computation",
-        )
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--out", help="write output to a file instead of stdout")
+        inputs = [f for f in flags if f in INPUT_FLAGS]
+        one_of = p.add_mutually_exclusive_group(required=True) if len(inputs) > 1 else None
+        for flag in flags + COMMON_FLAGS:
+            kw = {**FLAGS[flag], **OVERRIDES.get((name, flag), {})}
+            if one_of is not None and flag in inputs:
+                one_of.add_argument(flag, **kw)
+            else:
+                p.add_argument(flag, required=flag in inputs, **kw)
+        # argparse runs string defaults through `type`, so a malformed
+        # REESDEG_BUDGET is a usage error like a malformed --budget
+        p.set_defaults(budget=env_budget)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("sweep", "gr-dim") and args.m is None:
-        args.m = 2
-    if args.trials < 1 or (args.budget is not None and args.budget < 1):
-        sys.stderr.write("error: --trials and --budget must be at least 1\n")
+    if args.budget is not None and args.budget < 1:
+        sys.stderr.write("error: --budget must be at least 1\n")
         return 2
     try:
         HANDLERS[args.command](args)

@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 
 from .blowup import gr_dimension_at, rees_ideal, specialize_forms
 from .conditions import PresentationMatrix, check_Gm, determinant
-from .ratmap import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    degree_report,
-    rational_map,
-)
+from .ratmap import DEFAULT_SEED, degree_report, rational_map
 from .ring import (
     DEFAULT_PRIME,
     FieldSpec,
@@ -285,9 +280,7 @@ class SweepRow:
     status: str
 
 
-def specialization_sweep(
-    fam, points, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None
-):
+def specialization_sweep(fam, points, budget=None):
     """Evaluate a parametric family at the given parameter points.
 
     Each row records the map degree and image degree of the special
@@ -305,9 +298,7 @@ def specialization_sweep(
         point = tuple(point) if isinstance(point, (tuple, list)) else (point,)
         try:
             sp = specialized_family(fam, point)
-            rep = degree_report(
-                rational_map(sp.forms), trials=trials, seed=seed, budget=budget
-            )
+            rep = degree_report(rational_map(sp.forms), budget=budget)
             gdim = gr_dimension_at(
                 list(fam.forms), point, generic=generic, budget=budget
             )
@@ -322,13 +313,13 @@ def specialization_sweep(
     return rows
 
 
-def j_multiplicity(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
+def j_multiplicity(spec, budget=None):
     """j-multiplicity of the form ideal of a map, d * deg(map) * deg(image).
 
     Defined this way only when the analytic spread is maximal; otherwise
     the marker is returned.
     """
-    rep = degree_report(spec, trials=trials, seed=seed, budget=budget)
+    rep = degree_report(spec, budget=budget)
     if rep.analytic_spread != spec.r + 1:
         return ELL_NOT_MAXIMAL
     if not isinstance(rep.deg_map, int):

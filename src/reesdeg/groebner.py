@@ -19,9 +19,8 @@ in which case `a - b` is the quotient.  Every field stays below
 free: sums never spill into the next field, a failed subtraction always
 borrows into a guard bit, and a monomial whose degree reaches the bound
 raises `RingError` instead of wrapping.  Sugar reads the degree field.
-Polynomials are packed on entry to `groebner_basis`, `normal_form`,
-`interreduce`, the saturation exponent and the S-pair closure check, and
-unpacked on exit.
+Polynomials are packed on entry to `groebner_basis`, `normal_form`, the
+saturation exponent and the S-pair closure check, and unpacked on exit.
 
 Elimination always goes through a block order (grevlex inside each
 block).  Intersections adjoin one leading auxiliary variable and
@@ -707,34 +706,6 @@ def saturate(I, J, budget=None):
             out = intersect(out, _saturate_by(I, g, budget), budget=budget)
     out._sat = (I, gens, budget)
     return out
-
-
-def interreduce(polys, budget=None):
-    """Autoreduce a list of polynomials: monic, no lead divisibility, each
-    fully reduced against the others.  Not necessarily a Groebner basis."""
-    polys = [pl for pl in polys if pl]
-    if not polys:
-        return []
-    ctx = polys[-1].ctx
-    fld = ctx.field
-    pk = _packing(ctx.order, ctx.nvars)
-    work = [_monic(pk.pack_terms(pl.terms), fld) for pl in polys]
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    changed = True
-    while changed:
-        changed = False
-        work.sort(key=max)
-        for idx in range(len(work)):
-            others = [_row(t, 0) for j, t in enumerate(work) if j != idx and t]
-            if not others:
-                continue
-            rem, _ = _reduce(dict(work[idx]), others, pk.guard, fld.characteristic, b)
-            if rem != work[idx]:
-                changed = True
-                work[idx] = _monic(rem, fld) if rem else {}
-        work = [t for t in work if t]
-    work.sort(key=max)
-    return [Poly(ctx, pk.unpack_terms(t), _clean=True) for t in work]
 
 
 def serialize_ideal(I):

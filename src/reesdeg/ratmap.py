@@ -72,11 +72,6 @@ def rational_map(forms):
     return RationalMapSpec(forms, ctx.nvars - 1, len(forms) - 1, d)
 
 
-def image_ideal(spec, budget=None):
-    """Defining ideal of the closed image, in the target coordinate ring."""
-    return fiber_cone_ideal(list(spec.forms), budget=budget)
-
-
 def image_summary(spec, budget=None, rees=None):
     """Hilbert data of the image; `rees`, the Rees ideal of the forms,
     may be passed in to share its basis with `degree_map`."""
@@ -102,9 +97,12 @@ def base_locus(spec, budget=None):
 def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None, rees=None):
     """Degree of the map onto its image, from the generic fiber of the
     graph.  Returns (value or marker, log); the log is empty, since the
-    answer is exact.  `trials` and `seed` are validated and otherwise
-    unused.  `rees`, the Rees ideal of the forms, may be passed in to
-    reuse the block basis the image computation cached on it.
+    answer is exact.  `rees`, the Rees ideal of the forms, may be passed
+    in to reuse the block basis the image computation cached on it.
+
+    `trials` and `seed` are validated and otherwise unused, and the log
+    stays in the result, because the span tracer in perfbench/tracer.py
+    binds `trials` through this signature and reads `result[1]`.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
@@ -120,26 +118,25 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None, rees
     return fiber.degree, ()
 
 
-def is_birational(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
-    value, _ = degree_map(spec, trials=trials, seed=seed, budget=budget)
+def is_birational(spec, budget=None):
+    value, _ = degree_map(spec, budget=budget)
     return value == 1
 
 
 @dataclass(frozen=True)
 class DegreeReport:
     """Full account of one map: degree onto the image, image degree and
-    dimension, analytic spread, the (empty) trial log, and the
-    multiplicity of the saturated fiber cone (their product)."""
+    dimension, analytic spread, and the multiplicity of the saturated
+    fiber cone (the product of the two degrees)."""
 
     deg_map: object
     deg_image: int
     dim_image: int
     analytic_spread: int
-    trials: tuple
     sfib_multiplicity: object
 
 
-def degree_report(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
+def degree_report(spec, budget=None):
     rees = rees_ideal(list(spec.forms), budget=budget)
     img = image_summary(spec, budget=budget, rees=rees)
     spread = img.dim
@@ -147,11 +144,11 @@ def degree_report(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None):
     deg_image = img.degree
     if dim_image < spec.r:
         return DegreeReport(
-            NOT_GENERICALLY_FINITE, deg_image, dim_image, spread, (), None
+            NOT_GENERICALLY_FINITE, deg_image, dim_image, spread, None
         )
-    value, log = degree_map(spec, trials=trials, seed=seed, budget=budget, rees=rees)
+    value, _ = degree_map(spec, budget=budget, rees=rees)
     sfib = value * deg_image if isinstance(value, int) else None
-    return DegreeReport(value, deg_image, dim_image, spread, tuple(log), sfib)
+    return DegreeReport(value, deg_image, dim_image, spread, sfib)
 
 
 def serialize_map(spec):

@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ import time
 
 import pytest
 
-from reesdeg.cli import main
+from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, build_parser, main
 from reesdeg.groebner import EXP_BOUND
 
 MATRIX_A0 = """\
@@ -223,9 +225,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_is_two(self, capsys, trials):
-        code, out = run(capsys, ["degree", "--map", "x0^2, x1^2", "--trials", trials])
-        assert code == 2
-        assert out == ""
+        # --trials is retired, so any value is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["degree", "--map", "x0^2, x1^2", "--trials", trials])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_is_two(self, capsys, budget):
@@ -288,3 +292,106 @@ class TestOutput:
         _, a = run(capsys, ["degree", "--map", "x0^2, x1^2", "--seed", "1"])
         _, b = run(capsys, ["degree", "--map", "x0^2, x1^2", "--seed", "2"])
         assert json.loads(a)["deg_map"] == json.loads(b)["deg_map"] == 2
+
+
+# the flags each subcommand reads besides --seed, --budget, --format, --out
+EXPECTED_FLAGS = {
+    "degree": {"--map", "--ring", "--prime"},
+    "image": {"--map", "--ring", "--prime"},
+    "rees": {"--map", "--ring", "--prime"},
+    "fiber-cone": {"--map", "--ring", "--prime"},
+    "sfib-hf": {"--map", "--ring", "--prime", "--points"},
+    "conditions": {"--matrix", "--m"},
+    "sweep": {"--family", "--m", "--points", "--prime"},
+    "jmult": {"--map", "--ring", "--prime"},
+    "gr-dim": {"--map", "--ring", "--prime", "--family", "--m", "--points"},
+}
+
+
+def subparsers():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def flag_sets():
+    return {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in subparsers().items()
+    }
+
+
+def exit_code(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+class TestFlagTable:
+    def test_each_subcommand_has_only_its_flags(self):
+        common = {"--seed", "--budget", "--format", "--out"}
+        got = flag_sets()
+        assert got == {name: flags | common for name, flags in EXPECTED_FLAGS.items()}
+        assert got == {
+            name: set(flags + COMMON_FLAGS) for name, flags in SUBCOMMAND_FLAGS.items()
+        }
+        assert sum(len(flags) for flags in got.values()) == 67
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degree", "--map", "x0^2, x1^2", "--trials", "3"],
+            ["rees", "--map", "x0^2, x1^2", "--points", "1"],
+            ["conditions", "--matrix", "m.txt", "--map", "x0"],
+            ["image", "--map", "x0^2, x1^2", "--format", "csv"],
+            ["sweep", "--family", "dejonquieres", "--mu", "1,1"],
+            ["gr-dim", "--points", "0,1"],
+            ["gr-dim", "--map", "x0, x1", "--family", "dejonquieres"],
+            ["sweep", "--family", "hilbert_burch"],
+            ["degree"],
+            ["conditions"],
+            ["sweep", "--points", "0,1"],
+        ],
+    )
+    def test_flag_it_does_not_read_is_two(self, capsys, argv):
+        code, out = exit_code(capsys, argv)
+        assert code == 2
+        assert out == ""
+
+    def test_m_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["sweep", "--family", "dejonquieres"]).m == 2
+        assert parser.parse_args(["gr-dim", "--family", "dejonquieres"]).m == 2
+        assert parser.parse_args(["conditions", "--matrix", "m.txt"]).m is None
+
+    def test_gr_dim_takes_a_map(self, capsys):
+        code, out = run(capsys, ["gr-dim", "--map", "x0^2, x0*x1, x1^2"])
+        assert code == 0
+        assert json.loads(out)["rows"] == [{"point": [], "gr_dim": 2}]
+
+
+def load_workloads():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkArgv:
+    def test_parser_accepts_every_benchmark_op(self, tmp_path):
+        """The benchmark's operations keep parsing, so no flag they use is
+        dropped from the subcommand that gets it."""
+        wl = load_workloads()
+        parser = build_parser()
+        seen = 0
+        for name in wl.WORKLOADS:
+            workdir = tmp_path / name
+            workdir.mkdir()
+            workload = wl.Workload(name, 1, str(workdir), 1)
+            for op in workload.warm_up_ops() + workload.round_ops(0):
+                assert parser.parse_args(list(op.argv)).command == op.argv[0]
+                seen += 1
+        assert seen > 0

@@ -27,7 +27,6 @@ from reesdeg.groebner import (
     ideal,
     ideal_contains,
     ideal_equal,
-    interreduce,
     intersect,
     normal_form,
     parse_ideal,
@@ -282,17 +281,6 @@ class TestIdealOperations:
         assert groebner_basis(S) == [] and S.sat_exponent == 0
         S = saturate(unit, m)
         assert groebner_basis(S) == [Poly.constant(ctx, 1)] and S.sat_exponent == 0
-
-    def test_interreduce(self):
-        ctx = RingCtx(("x", "y"), QQ)
-        polys = [
-            parse_poly("x^2 + y", ctx),
-            parse_poly("2*x^2 + 2*y", ctx),
-            parse_poly("y^3", ctx),
-        ]
-        out = interreduce(polys)
-        assert parse_poly("x^2 + y", ctx) in out
-        assert len(out) == 2
 
 
 def random_irrelevant_case(rng, field, on_plane):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import count_buchberger_runs, nonzero_random_form, record_shortcut
 from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
+from reesdeg.blowup import fiber_cone_ideal
 from reesdeg.families import FamilySpec, make_family, specialized_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
 from reesdeg.ratmap import (
@@ -11,7 +12,6 @@ from reesdeg.ratmap import (
     base_locus,
     degree_map,
     degree_report,
-    image_ideal,
     image_summary,
     is_birational,
     is_generically_finite,
@@ -56,13 +56,13 @@ class TestValidation:
 class TestImage:
     def test_identity_has_zero_image_ideal(self):
         spec = mkmap(("x0", "x1"), ["x0", "x1"])
-        assert groebner_basis(image_ideal(spec)) == []
+        assert groebner_basis(fiber_cone_ideal(list(spec.forms))) == []
         s = image_summary(spec)
         assert s.proj_dim_of_scheme == 1
 
     def test_conic_image(self):
         spec = mkmap(("x0", "x1"), ["x0^2", "x0*x1", "x1^2"])
-        I = image_ideal(spec)
+        I = fiber_cone_ideal(list(spec.forms))
         basis = groebner_basis(I)
         assert basis == [parse_poly("y1^2 - y0*y2", I.ctx)]
         s = image_summary(spec)
@@ -70,7 +70,7 @@ class TestImage:
 
     def test_cremona_is_dominant(self):
         spec = mkmap(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"])
-        assert groebner_basis(image_ideal(spec)) == []
+        assert groebner_basis(fiber_cone_ideal(list(spec.forms))) == []
         assert is_generically_finite(spec)
 
     def test_collapsed_map_not_finite(self):
