@@ -68,7 +68,7 @@ def blowup_ambient(ctx, s, y_names=None):
     return RingCtx(names, ctx.field, order, weights=weights, n_params=np)
 
 
-def rees_ideal(forms, budget=None, y_names=None):
+def rees_ideal(forms, y_names=None):
     """Defining ideal of the Rees algebra in k[x, y (, params)].
 
     A principal ideal has polynomial Rees algebra, so the result is the
@@ -87,28 +87,28 @@ def rees_ideal(forms, budget=None, y_names=None):
     for i, g in enumerate(forms):
         yi = Poly.var(tctx, nx + 1 + i)
         gens.append(yi - tv * g.map_vars(tctx, into_t))
-    out = eliminate(IdealHandle(tctx, gens), 1, budget=budget)
+    out = eliminate(IdealHandle(tctx, gens), 1)
     if out.ctx != xy:
         raise AssertionError("elimination returned an unexpected ring")
     return out
 
 
-def fiber_cone_ideal(forms, budget=None, rees=None):
+def fiber_cone_ideal(forms, rees=None):
     """Defining ideal of the fiber cone in k[y (, params)]: the part of
     the Rees ideal not involving the x-coordinates."""
     if rees is None:
-        rees = rees_ideal(forms, budget=budget)
+        rees = rees_ideal(forms)
     ctx = forms[0].ctx
     nx, _ = _split_ctx(ctx)
-    return eliminate(rees, nx, budget=budget)
+    return eliminate(rees, nx)
 
 
-def analytic_spread(forms, budget=None, rees=None):
+def analytic_spread(forms, rees=None):
     """Krull dimension of the fiber cone."""
-    fib = fiber_cone_ideal(forms, budget=budget, rees=rees)
+    fib = fiber_cone_ideal(forms, rees=rees)
     if fib.ctx.n_params:
         raise RingError("analytic spread needs specialized (parameter-free) forms")
-    return dim_degree(fib, budget=budget).dim
+    return dim_degree(fib).dim
 
 
 def embed_in_blowup(forms, xy):
@@ -133,19 +133,19 @@ class BlowupPresentation:
     spread: int
 
 
-def blowup_presentation(forms, budget=None):
+def blowup_presentation(forms):
     forms = list(forms)
     if forms and forms[0].ctx.n_params:
         raise RingError("presentation needs specialized (parameter-free) forms")
     d = _form_degree(forms)
-    rees = rees_ideal(forms, budget=budget)
-    fib = fiber_cone_ideal(forms, budget=budget, rees=rees)
+    rees = rees_ideal(forms)
+    fib = fiber_cone_ideal(forms, rees=rees)
     gr = IdealHandle(rees.ctx, list(rees.gens) + embed_in_blowup(forms, rees.ctx))
-    spread = dim_degree(fib, budget=budget).dim
+    spread = dim_degree(fib).dim
     return BlowupPresentation(rees.ctx, d, rees, fib, gr, spread)
 
 
-def sfib_hilbert_function(forms, n, budget=None):
+def sfib_hilbert_function(forms, n):
     """Value of the saturated fiber cone Hilbert function at n: the
     dimension of the degree n*d piece of the saturation of I^n."""
     if n < 0:
@@ -165,9 +165,9 @@ def sfib_hilbert_function(forms, n, budget=None):
             g = g * forms[i]
         power[frozenset(g.terms.items())] = g
     maxi = IdealHandle(ctx, [Poly.var(ctx, i) for i in range(nx)])
-    sat = saturate(IdealHandle(ctx, list(power.values())), maxi, budget=budget)
+    sat = saturate(IdealHandle(ctx, list(power.values())), maxi)
     ambient_dim = comb(n * d + nx - 1, nx - 1)
-    return ambient_dim - hilbert_function(sat, n * d, budget=budget)
+    return ambient_dim - hilbert_function(sat, n * d)
 
 
 def specialize_forms(forms, point):
@@ -182,7 +182,7 @@ def specialize_forms(forms, point):
     return [g.substitute_tail(sub, point) for g in forms]
 
 
-def specialize_rees(generic, point, budget=None):
+def specialize_rees(generic, point):
     """Substitute parameter values into a generic Rees basis; returns an
     ideal in the parameter-free ambient ring.  Its consumers reduce it
     through the Groebner basis they build, so it is left unreduced."""
@@ -193,7 +193,7 @@ def specialize_rees(generic, point, budget=None):
     sub = RingCtx(
         ctx.var_names[:nxy], ctx.field, "grevlex", weights=ctx.weights[:nxy]
     )
-    basis = groebner_basis(generic, budget=budget)
+    basis = groebner_basis(generic)
     return IdealHandle(sub, [g.substitute_tail(sub, point) for g in basis])
 
 
@@ -207,7 +207,7 @@ class SpecializationResult:
     witness: object
 
 
-def gr_dimension_at(forms, point, generic=None, budget=None):
+def gr_dimension_at(forms, point, generic=None):
     """Dimension of the special fiber of the associated graded ring.
 
     `forms` live in a parameter ring; the generic Rees ideal may be
@@ -218,25 +218,25 @@ def gr_dimension_at(forms, point, generic=None, budget=None):
     if not forms[0].ctx.n_params:
         if tuple(point):
             raise RingError("parameter-free family takes an empty point")
-        rees = generic if generic is not None else rees_ideal(forms, budget=budget)
+        rees = generic if generic is not None else rees_ideal(forms)
         full = IdealHandle(
             rees.ctx, list(rees.gens) + embed_in_blowup(forms, rees.ctx)
         )
-        return dim_degree(full, budget=budget).dim
+        return dim_degree(full).dim
     if generic is None:
-        generic = rees_ideal(forms, budget=budget)
+        generic = rees_ideal(forms)
     special = specialize_forms(forms, point)
     for i, g in enumerate(special):
         if not g:
             raise RingError("parameter point kills generator %d" % i)
-    spec = specialize_rees(generic, point, budget=budget)
+    spec = specialize_rees(generic, point)
     full = IdealHandle(
         spec.ctx, list(spec.gens) + embed_in_blowup(special, spec.ctx)
     )
-    return dim_degree(full, budget=budget).dim
+    return dim_degree(full).dim
 
 
-def specialization_compare(forms, point, generic=None, budget=None):
+def specialization_compare(forms, point, generic=None):
     """Does blowing up commute with this specialization?
 
     The specialized generic Rees ideal always sits inside the Rees ideal
@@ -246,22 +246,22 @@ def specialization_compare(forms, point, generic=None, budget=None):
     against the specialized generic one.
     """
     if generic is None:
-        generic = rees_ideal(forms, budget=budget)
+        generic = rees_ideal(forms)
     special = specialize_forms(forms, point)
     for i, g in enumerate(special):
         if not g:
             raise RingError("parameter point kills generator %d" % i)
-    spec = specialize_rees(generic, point, budget=budget)
+    spec = specialize_rees(generic, point)
     ny = spec.ctx.nvars - (forms[0].ctx.nvars - forms[0].ctx.n_params)
-    direct = rees_ideal(special, budget=budget, y_names=spec.ctx.var_names[-ny:])
+    direct = rees_ideal(special, y_names=spec.ctx.var_names[-ny:])
     if direct.ctx != spec.ctx:
         raise AssertionError("specialized ambient rings disagree")
     for g in spec.gens:
-        if normal_form(g, direct, budget=budget):
+        if normal_form(g, direct):
             raise AssertionError("containment of the specialized ideal failed")
-    if ideal_equal(spec, direct, budget=budget):
+    if ideal_equal(spec, direct):
         return SpecializationResult("isomorphism", None)
-    for g in groebner_basis(direct, budget=budget):
-        if normal_form(g, spec, budget=budget):
+    for g in groebner_basis(direct):
+        if normal_form(g, spec):
             return SpecializationResult("proper_kernel", g)
     raise AssertionError("ideals differ but no witness was found")

@@ -7,9 +7,10 @@ SUBCOMMAND_FLAGS, plus --seed, --budget, --format and --out.  Its input
 required.  Output is a JSON envelope carrying schema, the command, seed
 and prime; every subcommand also prints plain text, and sweep prints
 CSV.  No answer depends on the seed, which is only echoed.  Exit codes:
-0 success, 2 malformed input or usage, 3 budget exceeded.  The default
-step budget can be set through the REESDEG_BUDGET environment variable
-and overridden per run with --budget.
+0 success, 2 malformed input or usage, 3 budget exceeded.  One step
+budget covers every Groebner computation of the command; its default,
+DEFAULT_BUDGET reduction steps, can be set through the REESDEG_BUDGET
+environment variable and overridden per run with --budget.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from .blowup import (
     fiber_cone_ideal,
@@ -26,7 +28,7 @@ from .blowup import (
 )
 from .conditions import check_Fm, check_Gm, parse_matrix_file
 from .families import Family, FamilySpec, j_multiplicity, make_family, specialization_sweep
-from .groebner import BudgetExceeded, serialize_ideal, parse_ideal
+from .groebner import DEFAULT_BUDGET, BudgetExceeded, parse_ideal, serialize_ideal, step_budget
 from .hilbert import dim_degree
 from .ratmap import (
     DEFAULT_SEED,
@@ -169,7 +171,7 @@ def _ideal_payload(handle):
 
 def cmd_degree(args):
     spec = _load_map(args)
-    rep = degree_report(spec, budget=args.budget)
+    rep = degree_report(spec)
     payload = _envelope(
         args,
         "degree",
@@ -191,8 +193,8 @@ def cmd_degree(args):
 
 def cmd_image(args):
     spec = _load_map(args)
-    fib = fiber_cone_ideal(list(spec.forms), budget=args.budget)
-    summ = dim_degree(fib, budget=args.budget)
+    fib = fiber_cone_ideal(list(spec.forms))
+    summ = dim_degree(fib)
     payload = _envelope(
         args,
         "image",
@@ -206,14 +208,14 @@ def cmd_image(args):
 
 def cmd_rees(args):
     spec = _load_map(args)
-    handle = rees_ideal(list(spec.forms), budget=args.budget)
+    handle = rees_ideal(list(spec.forms))
     payload = _envelope(args, "rees", ctx=spec.ctx, **_ideal_payload(handle))
     _emit(args, payload, serialize_ideal(handle).splitlines())
 
 
 def cmd_fiber_cone(args):
     spec = _load_map(args)
-    handle = fiber_cone_ideal(list(spec.forms), budget=args.budget)
+    handle = fiber_cone_ideal(list(spec.forms))
     payload = _envelope(args, "fiber-cone", ctx=spec.ctx, **_ideal_payload(handle))
     _emit(args, payload, serialize_ideal(handle).splitlines())
 
@@ -222,7 +224,7 @@ def cmd_sfib_hf(args):
     spec = _load_map(args)
     points = _parse_points(args.points or "0,1,2,3,4,5")
     values = [
-        {"n": pt[0], "value": sfib_hilbert_function(list(spec.forms), pt[0], budget=args.budget)}
+        {"n": pt[0], "value": sfib_hilbert_function(list(spec.forms), pt[0])}
         for pt in points
     ]
     payload = _envelope(args, "sfib-hf", ctx=spec.ctx, values=values)
@@ -234,8 +236,8 @@ def cmd_conditions(args):
     with open(args.matrix) as fh:
         M = parse_matrix_file(fh.read())
     level = args.m if args.m is not None else M.ctx.nvars
-    g = check_Gm(M, level, budget=args.budget)
-    f = check_Fm(M, 0, budget=args.budget)
+    g = check_Gm(M, level)
+    f = check_Fm(M, 0)
     payload = _envelope(
         args, "conditions", ctx=M.ctx, G=_cert_payload(g), F=_cert_payload(f)
     )
@@ -249,7 +251,7 @@ def cmd_conditions(args):
 def cmd_sweep(args):
     fam = _load_family(args)
     points = _parse_points(args.points or "0,1", arity=fam.ctx.n_params)
-    rows = specialization_sweep(fam, points, budget=args.budget)
+    rows = specialization_sweep(fam, points)
     payload = _envelope(
         args,
         "sweep",
@@ -278,7 +280,7 @@ def cmd_sweep(args):
 
 def cmd_jmult(args):
     spec = _load_map(args)
-    value = j_multiplicity(spec, budget=args.budget)
+    value = j_multiplicity(spec)
     payload = _envelope(args, "jmult", ctx=spec.ctx, j_multiplicity=value)
     _emit(args, payload, ["j_multiplicity: %s" % value])
 
@@ -288,25 +290,15 @@ def cmd_gr_dim(args):
         fam = _load_family(args)
         used_ctx = fam.ctx
         points = _parse_points(args.points or "0,1", arity=fam.ctx.n_params)
-        generic = fam.generic_rees(budget=args.budget)
+        generic = fam.generic_rees()
         rows = [
-            {
-                "point": list(pt),
-                "gr_dim": gr_dimension_at(
-                    list(fam.forms), pt, generic=generic, budget=args.budget
-                ),
-            }
+            {"point": list(pt), "gr_dim": gr_dimension_at(list(fam.forms), pt, generic=generic)}
             for pt in points
         ]
     else:
         spec = _load_map(args)
         used_ctx = spec.ctx
-        rows = [
-            {
-                "point": [],
-                "gr_dim": gr_dimension_at(list(spec.forms), (), budget=args.budget),
-            }
-        ]
+        rows = [{"point": [], "gr_dim": gr_dimension_at(list(spec.forms), ())}]
     payload = _envelope(args, "gr-dim", ctx=used_ctx, rows=rows)
     text = [
         "%s: %s" % (":".join(str(v) for v in r["point"]) or "-", r["gr_dim"])
@@ -338,7 +330,7 @@ FLAGS = {
     "--m": {"type": int, "help": "de Jonquieres parameter m, or condition level"},
     "--points": {"help": "comma separated points (colon for tuples)"},
     "--seed": {"type": int, "default": DEFAULT_SEED, "help": "echoed in the output"},
-    "--budget": {"type": int, "help": "reduction step budget per basis computation"},
+    "--budget": {"type": int, "help": "reduction step budget for the whole command"},
     "--format": {"choices": ("json", "text"), "default": "json"},
     "--out": {"help": "write output to a file instead of stdout"},
 }
@@ -366,13 +358,15 @@ OVERRIDES = {
 INPUT_FLAGS = ("--map", "--matrix", "--family")
 
 
-def build_parser():
+@lru_cache(maxsize=8)
+def build_parser(env_budget=None):
+    """The argument parser, with `env_budget`, the REESDEG_BUDGET value,
+    as the default of --budget."""
     parser = argparse.ArgumentParser(
         prog="reesdeg",
         description="Degrees and images of rational maps via blowup algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    env_budget = os.environ.get("REESDEG_BUDGET") or None
     for name, flags in SUBCOMMAND_FLAGS.items():
         p = sub.add_parser(name)
         inputs = [f for f in flags if f in INPUT_FLAGS]
@@ -385,18 +379,15 @@ def build_parser():
                 p.add_argument(flag, required=flag in inputs, **kw)
         # argparse runs string defaults through `type`, so a malformed
         # REESDEG_BUDGET is a usage error like a malformed --budget
-        p.set_defaults(budget=env_budget)
+        p.set_defaults(budget=env_budget or DEFAULT_BUDGET)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.budget is not None and args.budget < 1:
-        sys.stderr.write("error: --budget must be at least 1\n")
-        return 2
+    args = build_parser(os.environ.get("REESDEG_BUDGET") or None).parse_args(argv)
     try:
-        HANDLERS[args.command](args)
+        with step_budget(args.budget):
+            HANDLERS[args.command](args)
     except BudgetExceeded as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3

@@ -125,10 +125,10 @@ def fitting_ideal(M, i):
     return got
 
 
-def height(I, budget=None):
+def height(I):
     """Codimension of a homogeneous ideal: nvars - dim, inf for the unit
     ideal, 0 for the zero ideal."""
-    summ = dim_degree(I, budget=budget)
+    summ = dim_degree(I)
     if summ.dim is None:
         return math.inf
     return I.ctx.nvars - summ.dim
@@ -144,7 +144,7 @@ class ConditionCertificate:
     table: tuple
 
 
-def check_Gm(M, m, budget=None):
+def check_Gm(M, m):
     """G_m: ht Fitt_i > i for all 1 <= i < m (m = inf tests every index
     below the variable count).  Fitt_i is the unit ideal for i >= nrows,
     so the table stops there."""
@@ -154,21 +154,21 @@ def check_Gm(M, m, budget=None):
     rows = []
     ok_all = True
     for i in range(1, top):
-        ht = height(fitting_ideal(M, i), budget=budget)
+        ht = height(fitting_ideal(M, i))
         ok = ht > i
         ok_all = ok_all and ok
         rows.append((i, M.nrows - i, ht, i, ok))
     return ConditionCertificate("G_%s" % ("inf" if m == math.inf else m), ok_all, tuple(rows))
 
 
-def check_Fm(M, m, budget=None):
+def check_Fm(M, m):
     """F_m: ht Fitt_i >= m + i for all i >= 1 with Fitt_i proper."""
     if not isinstance(m, int) or m < 0:
         raise RingError("F_m level must be a nonnegative integer")
     rows = []
     ok_all = True
     for i in range(1, M.nrows):
-        ht = height(fitting_ideal(M, i), budget=budget)
+        ht = height(fitting_ideal(M, i))
         ok = ht >= m + i
         ok_all = ok_all and ok
         rows.append((i, M.nrows - i, ht, m + i, ok))

@@ -94,11 +94,11 @@ class Family:
     def parametric(self):
         return self.ctx.n_params > 0
 
-    def generic_rees(self, budget=None):
+    def generic_rees(self):
         if not self.parametric:
             raise RingError("generic Rees ideal needs a parametric family")
         if self._generic_rees is None:
-            self._generic_rees = rees_ideal(list(self.forms), budget=budget)
+            self._generic_rees = rees_ideal(list(self.forms))
         return self._generic_rees
 
 
@@ -280,7 +280,7 @@ class SweepRow:
     status: str
 
 
-def specialization_sweep(fam, points, budget=None):
+def specialization_sweep(fam, points):
     """Evaluate a parametric family at the given parameter points.
 
     Each row records the map degree and image degree of the special
@@ -291,20 +291,18 @@ def specialization_sweep(fam, points, budget=None):
     """
     if not fam.parametric:
         raise RingError("sweep needs a parametric family")
-    generic = fam.generic_rees(budget=budget)
+    generic = fam.generic_rees()
     r = fam.ctx.nvars - fam.ctx.n_params - 1
     rows = []
     for point in points:
         point = tuple(point) if isinstance(point, (tuple, list)) else (point,)
         try:
             sp = specialized_family(fam, point)
-            rep = degree_report(rational_map(sp.forms), budget=budget)
-            gdim = gr_dimension_at(
-                list(fam.forms), point, generic=generic, budget=budget
-            )
+            rep = degree_report(rational_map(sp.forms))
+            gdim = gr_dimension_at(list(fam.forms), point, generic=generic)
             verdict = None
             if sp.matrix is not None:
-                verdict = check_Gm(sp.matrix, r + 1, budget=budget).verdict
+                verdict = check_Gm(sp.matrix, r + 1).verdict
             rows.append(
                 SweepRow(point, rep.deg_map, rep.deg_image, gdim, verdict, "ok")
             )
@@ -313,13 +311,13 @@ def specialization_sweep(fam, points, budget=None):
     return rows
 
 
-def j_multiplicity(spec, budget=None):
+def j_multiplicity(spec):
     """j-multiplicity of the form ideal of a map, d * deg(map) * deg(image).
 
     Defined this way only when the analytic spread is maximal; otherwise
     the marker is returned.
     """
-    rep = degree_report(spec, budget=budget)
+    rep = degree_report(spec)
     if rep.analytic_spread != spec.r + 1:
         return ELL_NOT_MAXIMAL
     if not isinstance(rep.deg_map, int):

@@ -2,10 +2,12 @@
 
 The basis computation uses the Gebauer-Moeller pair update together with
 sugar-order pair selection, and counts every single division step against
-a per-call budget so that runaway eliminations fail loudly instead of
-hanging.  Pairs sit in a heap keyed by (sugar, lcm, i, j) and ties are
-impossible, so identical inputs produce identical bases, reduction traces
-and budgets.
+a budget so that runaway eliminations fail loudly instead of hanging.
+Inside a `with step_budget(n)` block every basis, normal form and
+saturation draws on one budget of n steps; outside any block each basis
+gets its own budget of `DEFAULT_BUDGET` steps.  Pairs sit in a heap
+keyed by (sugar, lcm, i, j) and ties are impossible, so identical inputs
+produce identical bases, reduction traces and budgets.
 
 Inside the engine a monomial is one Python int (Singular-style packed
 exponent vectors).  Fields of `_WIDTH` bits, least significant first,
@@ -32,6 +34,8 @@ saturation intersects the saturations by the generators of J, each by
 Rabinowitsch: eliminate t from I + (1 - t*g).
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import replace
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -74,6 +78,30 @@ class _Budget:
     def __init__(self, limit):
         self.limit = limit
         self.left = limit
+
+
+# the budget of the innermost enclosing step_budget block
+_ACTIVE_BUDGET = ContextVar("step_budget", default=None)
+
+
+@contextmanager
+def step_budget(limit):
+    """Charge every Groebner computation inside the block against one
+    budget of `limit` reduction steps."""
+    if limit < 1:
+        raise ValueError("budget must be at least 1, got %d" % limit)
+    token = _ACTIVE_BUDGET.set(_Budget(limit))
+    try:
+        yield
+    finally:
+        _ACTIVE_BUDGET.reset(token)
+
+
+def _budget():
+    """The active step budget, or a fresh default one outside any
+    step_budget block."""
+    active = _ACTIVE_BUDGET.get()
+    return _Budget(DEFAULT_BUDGET) if active is None else active
 
 
 def _charge(budget, n=1):
@@ -372,7 +400,7 @@ class IdealHandle:
                 cleaned.append(g)
         self.gens = tuple(cleaned)
         self.gb_cache = {}
-        # on a result of `saturate`: (I, J generators, budget) until
+        # on a result of `saturate`: (I, J generators) until
         # sat_exponent is first read, then the exponent
         self._sat = None
 
@@ -381,8 +409,8 @@ class IdealHandle:
         """Least k with I : J^k = I : J^infinity when this ideal is the
         result of saturate(I, J), else None.  Computed on first read."""
         if isinstance(self._sat, tuple):
-            I, J_gens, budget = self._sat
-            self._sat = _sat_exponent(I, self, J_gens, budget)
+            I, J_gens = self._sat
+            self._sat = _sat_exponent(I, self, J_gens)
         return self._sat
 
     def __repr__(self):
@@ -398,7 +426,7 @@ def _order_key(ctx, order):
     return normalized
 
 
-def groebner_basis(I, order=None, budget=None):
+def groebner_basis(I, order=None):
     """Reduced Groebner basis of I under `order` (default: the ring order).
 
     The basis is cached on the handle per order; generators are sorted by
@@ -409,9 +437,8 @@ def groebner_basis(I, order=None, budget=None):
     if cached is not None:
         return list(cached)
     work_ctx = I.ctx if okey == I.ctx.order else replace(I.ctx, order=okey)
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
     pk = _packing(okey, I.ctx.nvars)
-    basis = _buchberger([pk.pack_terms(g.terms) for g in I.gens], pk, I.ctx.field, b)
+    basis = _buchberger([pk.pack_terms(g.terms) for g in I.gens], pk, I.ctx.field, _budget())
     basis_dicts = [pk.unpack_terms(t) for t in basis]
     if VERIFY_BASES and not _spair_closure_ok(basis_dicts, work_ctx):
         raise AssertionError("computed basis fails the Buchberger criterion")
@@ -426,31 +453,31 @@ def seed_gb_cache(I, order, basis):
     I.gb_cache[okey] = tuple(basis)
 
 
-def normal_form(f, I, order=None, budget=None):
+def normal_form(f, I, order=None):
     """Remainder of f modulo the reduced basis of I: the canonical coset
     representative under the chosen order."""
     if f.ctx != I.ctx:
         raise RingError("polynomial and ideal live in different rings")
-    gb = groebner_basis(I, order=order, budget=budget)
+    gb = groebner_basis(I, order=order)
     if not gb:
         return f
     pk = _packing(_order_key(I.ctx, order), I.ctx.nvars)
     rows = [_row(pk.pack_terms(g.terms), 0) for g in gb]
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    rem, _ = _reduce(pk.pack_terms(f.terms), rows, pk.guard, I.ctx.field.characteristic, b)
+    p = I.ctx.field.characteristic
+    rem, _ = _reduce(pk.pack_terms(f.terms), rows, pk.guard, p, _budget())
     return Poly(I.ctx, pk.unpack_terms(rem), _clean=True)
 
 
-def ideal_contains(I, f, budget=None):
-    return not normal_form(f, I, budget=budget)
+def ideal_contains(I, f):
+    return not normal_form(f, I)
 
 
-def ideal_equal(I, J, budget=None):
+def ideal_equal(I, J):
     """Equality via reduced bases in the common ring order."""
     if I.ctx != J.ctx:
         raise RingError("ideals live in different rings")
-    a = groebner_basis(I, budget=budget)
-    b = groebner_basis(J, budget=budget)
+    a = groebner_basis(I)
+    b = groebner_basis(J)
     return [g.terms for g in a] == [g.terms for g in b]
 
 
@@ -472,7 +499,7 @@ def elimination_order(ctx, k):
     return ("blocks", (k, ctx.nvars - k))
 
 
-def eliminate(I, k, budget=None):
+def eliminate(I, k):
     """Intersect with the subring spanned by all but the first k variables.
 
     Runs a block-order basis putting the first k variables in their own
@@ -484,7 +511,7 @@ def eliminate(I, k, budget=None):
     if not 0 < k < n:
         raise RingError("cannot eliminate %d of %d variables" % (k, n))
     elim_order = elimination_order(ctx, k)
-    gb = groebner_basis(I, order=elim_order, budget=budget)
+    gb = groebner_basis(I, order=elim_order)
     sub_order = _restricted_order(_order_key(ctx, elim_order), k)
     sub_ctx = RingCtx(
         ctx.var_names[k:],
@@ -521,10 +548,10 @@ def _with_aux_var(ctx, weight=(0, 0)):
     )
 
 
-def _drop_aux_var(gens, aux, ctx, budget):
+def _drop_aux_var(gens, aux, ctx):
     """Eliminate the leading variable of `aux` from the ideal of `gens`
     and return the result as an ideal of `ctx`."""
-    elim = eliminate(IdealHandle(aux, gens), 1, budget=budget)
+    elim = eliminate(IdealHandle(aux, gens), 1)
     back = [g.map_vars(ctx, list(range(ctx.nvars))) for g in elim.gens]
     out = IdealHandle(ctx, back)
     if ctx.order == elim.ctx.order:
@@ -532,7 +559,7 @@ def _drop_aux_var(gens, aux, ctx, budget):
     return out
 
 
-def intersect(I, J, budget=None):
+def intersect(I, J):
     """I cap J through the single-variable trick: eliminate t from
     t*I + (1-t)*J."""
     if I.ctx != J.ctx:
@@ -546,10 +573,10 @@ def intersect(I, J, budget=None):
     one = Poly.constant(aux, 1)
     gens = [t * f.map_vars(aux, shift) for f in I.gens]
     gens += [(one - t) * g.map_vars(aux, shift) for g in J.gens]
-    return _drop_aux_var(gens, aux, ctx, budget)
+    return _drop_aux_var(gens, aux, ctx)
 
 
-def _saturate_by(I, g, budget):
+def _saturate_by(I, g):
     """(I : g^infinity) by Rabinowitsch: eliminate t from I + (1 - t*g)."""
     ctx = I.ctx
     aux = _with_aux_var(ctx)
@@ -557,7 +584,7 @@ def _saturate_by(I, g, budget):
     t = Poly.var(aux, 0)
     gens = [f.map_vars(aux, shift) for f in I.gens]
     gens.append(Poly.constant(aux, 1) - t * g.map_vars(aux, shift))
-    return _drop_aux_var(gens, aux, ctx, budget)
+    return _drop_aux_var(gens, aux, ctx)
 
 
 def _independent_remainders(polys, rows, pk, fld, budget):
@@ -587,7 +614,7 @@ def _independent_remainders(polys, rows, pk, fld, budget):
     return [pk.unpack_terms(t) for t in pivots.values()]
 
 
-def _sat_exponent(I, S, J_gens, budget):
+def _sat_exponent(I, S, J_gens):
     """Least k with J^k * S inside I, where S = I : J^infinity.
 
     I : J^k equals S exactly when J^k * S lies in I, so this is the
@@ -596,8 +623,8 @@ def _sat_exponent(I, S, J_gens, budget):
     """
     ctx = I.ctx
     pk = _packing(ctx.order, ctx.nvars)
-    rows = [_row(pk.pack_terms(g.terms), 0) for g in groebner_basis(I, budget=budget)]
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    rows = [_row(pk.pack_terms(g.terms), 0) for g in groebner_basis(I)]
+    b = _budget()
     cur = [g.terms for g in S.gens]
     k = 0
     while True:
@@ -637,7 +664,7 @@ def _finite_colength(leads_I, leads_S, n):
     return not any(diff) or _deflate(diff)[0] >= n
 
 
-def _saturate_by_variables(I, budget):
+def _saturate_by_variables(I):
     """I : m^infinity for m the ideal of all the variables of a grevlex
     ring, or None when the shortcut does not apply.
 
@@ -651,7 +678,7 @@ def _saturate_by_variables(I, budget):
     if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
         return None
     pk = _packing(ctx.order, ctx.nvars)
-    gb = [pk.pack_terms(g.terms) for g in groebner_basis(I, budget=budget)]
+    gb = [pk.pack_terms(g.terms) for g in groebner_basis(I)]
     shift, unit = pk.shifts[-1], pk.units[-1]
     stripped = []
     for t in gb:
@@ -669,10 +696,9 @@ def _saturate_by_variables(I, budget):
         [pk.unpack(max(t)) for t in gb], [pk.unpack(u) for u in leads], ctx.nvars
     ):
         return None
-    b = _Budget(DEFAULT_BUDGET if budget is None else budget)
     basis = [
         Poly(ctx, pk.unpack_terms(t), _clean=True)
-        for t in _reduce_tails(minimal, pk.guard, ctx.field.characteristic, b)
+        for t in _reduce_tails(minimal, pk.guard, ctx.field.characteristic, _budget())
     ]
     if VERIFY_BASES and not _spair_closure_ok([g.terms for g in basis], ctx):
         raise AssertionError("stripped basis fails the Buchberger criterion")
@@ -681,7 +707,7 @@ def _saturate_by_variables(I, budget):
     return out
 
 
-def saturate(I, J, budget=None):
+def saturate(I, J):
     """(I : J^infinity).
 
     For homogeneous I and J the ideal of all the variables of a grevlex
@@ -697,14 +723,14 @@ def saturate(I, J, budget=None):
     if I.ctx != J.ctx:
         raise RingError("ideals live in different rings")
     gens = list(J.gens)
-    out = _saturate_by_variables(I, budget) if _is_irrelevant_ideal(I.ctx, gens) else None
+    out = _saturate_by_variables(I) if _is_irrelevant_ideal(I.ctx, gens) else None
     if out is None and not gens:
         out = IdealHandle(I.ctx, [Poly.constant(I.ctx, 1)])
     elif out is None:
-        out = _saturate_by(I, gens[0], budget)
+        out = _saturate_by(I, gens[0])
         for g in gens[1:]:
-            out = intersect(out, _saturate_by(I, g, budget), budget=budget)
-    out._sat = (I, gens, budget)
+            out = intersect(out, _saturate_by(I, g))
+    out._sat = (I, gens)
     return out
 
 

@@ -114,9 +114,9 @@ def _check_standard_homogeneous(polys, ctx):
             raise RingError("ideal is not homogeneous: %s" % g)
 
 
-def lead_ideal(I, order=None, budget=None):
+def lead_ideal(I, order=None):
     """Minimal generators of the lead-term ideal under the given order."""
-    gb = groebner_basis(I, order=order, budget=budget)
+    gb = groebner_basis(I, order=order)
     key = (I.ctx if order is None else replace(I.ctx, order=order)).key
     return minimalize_monomials([max(g.terms, key=key) for g in gb])
 
@@ -162,18 +162,18 @@ def monomial_dim_degree(mons, nvars):
     return HilbertSummary(dim, dim - 1, sum(q), numer)
 
 
-def dim_degree(I, budget=None):
+def dim_degree(I):
     """HilbertSummary of R/I for a homogeneous ideal I."""
-    gb = groebner_basis(I, budget=budget)
+    gb = groebner_basis(I)
     _check_standard_homogeneous(gb, I.ctx)
     return monomial_dim_degree([g.lm() for g in gb], I.ctx.nvars)
 
 
-def hilbert_function(I, k, budget=None):
+def hilbert_function(I, k):
     """dim_k of R/I as a graded vector space, from the series numerator."""
     if k < 0:
         return 0
-    gb = groebner_basis(I, budget=budget)
+    gb = groebner_basis(I)
     _check_standard_homogeneous(gb, I.ctx)
     n = I.ctx.nvars
     numer = hilbert_numerator([g.lm() for g in gb], n)

@@ -72,29 +72,29 @@ def rational_map(forms):
     return RationalMapSpec(forms, ctx.nvars - 1, len(forms) - 1, d)
 
 
-def image_summary(spec, budget=None, rees=None):
+def image_summary(spec, rees=None):
     """Hilbert data of the image; `rees`, the Rees ideal of the forms,
     may be passed in to share its basis with `degree_map`."""
-    fib = fiber_cone_ideal(list(spec.forms), budget=budget, rees=rees)
-    return dim_degree(fib, budget=budget)
+    fib = fiber_cone_ideal(list(spec.forms), rees=rees)
+    return dim_degree(fib)
 
 
-def is_generically_finite(spec, budget=None):
+def is_generically_finite(spec):
     """True when the image has the same dimension as the source."""
-    return image_summary(spec, budget=budget).proj_dim_of_scheme == spec.r
+    return image_summary(spec).proj_dim_of_scheme == spec.r
 
 
-def base_locus(spec, budget=None):
+def base_locus(spec):
     """Saturated base ideal and its codimension (r+1 when empty)."""
     ctx = spec.ctx
     maxi = IdealHandle(ctx, [Poly.var(ctx, i) for i in range(ctx.nvars)])
-    sat = saturate(IdealHandle(ctx, list(spec.forms)), maxi, budget=budget)
-    summ = dim_degree(sat, budget=budget)
+    sat = saturate(IdealHandle(ctx, list(spec.forms)), maxi)
+    summ = dim_degree(sat)
     ring_dim = summ.dim if summ.dim is not None else 0
     return sat, ctx.nvars - ring_dim
 
 
-def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None, rees=None):
+def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, rees=None):
     """Degree of the map onto its image, from the generic fiber of the
     graph.  Returns (value or marker, log); the log is empty, since the
     answer is exact.  `rees`, the Rees ideal of the forms, may be passed
@@ -106,20 +106,18 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, budget=None, rees
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be at least 1, got %d" % budget)
     if rees is None:
-        rees = rees_ideal(list(spec.forms), budget=budget)
+        rees = rees_ideal(list(spec.forms))
     nx = spec.r + 1
-    leads = lead_ideal(rees, order=elimination_order(rees.ctx, nx), budget=budget)
+    leads = lead_ideal(rees, order=elimination_order(rees.ctx, nx))
     fiber = monomial_dim_degree([m[:nx] for m in leads if any(m[:nx])], nx)
     if fiber.dim != 1:
         return NOT_GENERICALLY_FINITE, ()
     return fiber.degree, ()
 
 
-def is_birational(spec, budget=None):
-    value, _ = degree_map(spec, budget=budget)
+def is_birational(spec):
+    value, _ = degree_map(spec)
     return value == 1
 
 
@@ -136,9 +134,9 @@ class DegreeReport:
     sfib_multiplicity: object
 
 
-def degree_report(spec, budget=None):
-    rees = rees_ideal(list(spec.forms), budget=budget)
-    img = image_summary(spec, budget=budget, rees=rees)
+def degree_report(spec):
+    rees = rees_ideal(list(spec.forms))
+    img = image_summary(spec, rees=rees)
     spread = img.dim
     dim_image = img.proj_dim_of_scheme
     deg_image = img.degree
@@ -146,7 +144,7 @@ def degree_report(spec, budget=None):
         return DegreeReport(
             NOT_GENERICALLY_FINITE, deg_image, dim_image, spread, None
         )
-    value, _ = degree_map(spec, budget=budget, rees=rees)
+    value, _ = degree_map(spec, rees=rees)
     sfib = value * deg_image if isinstance(value, int) else None
     return DegreeReport(value, deg_image, dim_image, spread, sfib)
 

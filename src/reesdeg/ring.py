@@ -395,12 +395,6 @@ class Poly:
             e >>= 1
         return out
 
-    def raw_degree(self):
-        """Maximum exponent sum over the terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
     def bidegree(self):
         """Common bidegree of all terms, or None if not bihomogeneous."""
         deg = None

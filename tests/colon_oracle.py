@@ -10,24 +10,24 @@ from reesdeg.groebner import IdealHandle, ideal_equal, intersect
 from reesdeg.ring import Poly, RingError, poly_exact_div
 
 
-def colon(I, g, budget=None):
+def colon(I, g):
     """(I : g) for a single polynomial g, via (I cap (g)) / g."""
     if not isinstance(g, Poly) or g.ctx != I.ctx:
         raise RingError("colon divisor must live in the ideal's ring")
     if not g:
         return IdealHandle(I.ctx, [Poly.constant(I.ctx, 1)])
-    cap = intersect(I, IdealHandle(I.ctx, [g]), budget=budget)
+    cap = intersect(I, IdealHandle(I.ctx, [g]))
     return IdealHandle(I.ctx, [poly_exact_div(f, g) for f in cap.gens])
 
 
-def colon_ideal(I, J, budget=None):
+def colon_ideal(I, J):
     """(I : J) as the intersection of the single-generator colons."""
     gens = [g for g in J.gens if g]
     if not gens:
         return IdealHandle(I.ctx, [Poly.constant(I.ctx, 1)])
-    out = colon(I, gens[0], budget=budget)
+    out = colon(I, gens[0])
     for g in gens[1:]:
-        out = intersect(out, colon(I, g, budget=budget), budget=budget)
+        out = intersect(out, colon(I, g))
     return out
 
 

@@ -1,5 +1,3 @@
-import random
-
 import reesdeg.groebner as gb_mod
 from reesdeg.ring import FieldSpec, Poly, RingCtx, monomials_of_degree
 
@@ -73,8 +71,8 @@ def record_shortcut(monkeypatch):
     taken = []
     inner = gb_mod._saturate_by_variables
 
-    def recording(I, budget):
-        out = inner(I, budget)
+    def recording(I):
+        out = inner(I)
         taken.append(out is not None)
         return out
 

@@ -51,7 +51,7 @@ def fiber_ideal(spec, values):
     return IdealHandle(spec.ctx, gens)
 
 
-def fiber_length(spec, values, budget=None):
+def fiber_length(spec, values):
     """Length of the saturated fiber through a point with image `values`;
     None when that fiber is not zero-dimensional in P^r.
 
@@ -65,8 +65,8 @@ def fiber_length(spec, values, budget=None):
     if not fiber.gens:
         return None
     j = next(i for i, v in enumerate(values) if v)
-    fiber = saturate(fiber, IdealHandle(spec.ctx, [spec.forms[j]]), budget=budget)
-    summ = dim_degree(fiber, budget=budget)
+    fiber = saturate(fiber, IdealHandle(spec.ctx, [spec.forms[j]]))
+    summ = dim_degree(fiber)
     if summ.dim != 1:
         return None
     return summ.degree

@@ -7,7 +7,6 @@ each from seeded generators.
 """
 
 import itertools
-import math
 import random
 import time
 from contextlib import contextmanager

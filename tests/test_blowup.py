@@ -17,7 +17,7 @@ from reesdeg.blowup import (
     specialize_rees,
 )
 from reesdeg.families import FamilySpec, make_family
-from reesdeg.groebner import groebner_basis, ideal, ideal_contains, ideal_equal
+from reesdeg.groebner import groebner_basis, ideal_contains
 from reesdeg.ring import FieldSpec, RingCtx, RingError, parse_poly
 
 QQ = FieldSpec(0)

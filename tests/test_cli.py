@@ -9,7 +9,7 @@ import time
 import pytest
 
 from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, build_parser, main
-from reesdeg.groebner import EXP_BOUND
+from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
 
 MATRIX_A0 = """\
 ring x y z over 32003 order grevlex
@@ -218,6 +218,22 @@ class TestExitCodes:
         )
         assert code == 3
 
+    # the two bases of this degree report take 63 and 17 steps
+    TWISTED_CUBIC = ["degree", "--map", "x0^3, x0^2*x1, x0*x1^2, x1^3"]
+
+    def test_budget_covers_the_whole_command(self, capsys):
+        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "70"])
+        assert code == 3
+        assert out == ""
+        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "80"])
+        assert code == 0
+        assert json.loads(out)["deg_map"] == 1
+
+    def test_successive_commands_get_fresh_budgets(self, capsys):
+        for _ in range(3):
+            code, _ = run(capsys, self.TWISTED_CUBIC + ["--budget", "80"])
+            assert code == 0
+
     def test_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("REESDEG_BUDGET", "3")
         code, _ = run(capsys, ["rees", "--map", "x0^3, x0^2*x1, x0*x1^2, x1^3"])
@@ -359,6 +375,13 @@ class TestFlagTable:
         code, out = exit_code(capsys, argv)
         assert code == 2
         assert out == ""
+
+    def test_parser_built_once_per_budget_default(self):
+        assert build_parser() is build_parser()
+        assert build_parser("7") is not build_parser()
+        argv = ["rees", "--map", "x0^2, x1^2"]
+        assert build_parser("7").parse_args(argv).budget == 7
+        assert build_parser().parse_args(argv).budget == DEFAULT_BUDGET
 
     def test_m_defaults(self):
         parser = build_parser()

@@ -15,7 +15,6 @@ from reesdeg.families import (
     signed_maximal_minors,
     specialization_sweep,
     specialized_family,
-    submaximal_pfaffians,
 )
 from reesdeg.ratmap import degree_report, rational_map
 from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, parse_poly

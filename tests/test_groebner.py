@@ -17,6 +17,7 @@ from conftest import (
 from reesdeg.blowup import fiber_cone_ideal, rees_ideal
 from reesdeg.families import FamilySpec, make_family
 from reesdeg.groebner import (
+    DEFAULT_BUDGET,
     EXP_BOUND,
     BudgetExceeded,
     _packing,
@@ -32,6 +33,7 @@ from reesdeg.groebner import (
     parse_ideal,
     saturate,
     serialize_ideal,
+    step_budget,
 )
 from reesdeg.ring import (
     FieldSpec,
@@ -368,12 +370,46 @@ class TestBudget:
             ("x", "y", "z"),
             ["x^3*y - z^2", "y^3*z - x^2", "z^3*x - y^2"],
         )
-        with pytest.raises(BudgetExceeded):
-            groebner_basis(I, budget=10)
+        with step_budget(10), pytest.raises(BudgetExceeded):
+            groebner_basis(I)
 
     def test_budget_generous_enough(self):
         _, I = mk(("x", "y"), ["x^2 - y"])
-        assert len(groebner_basis(I, budget=1000)) == 1
+        with step_budget(1000):
+            assert len(groebner_basis(I)) == 1
+
+    def test_calls_in_one_block_share_it(self):
+        gens = ["x^2*y - z^2", "y^2*z - x^2", "z^2*x - y^2"]
+
+        def basis():
+            # a fresh handle each time, so no basis comes from a cache
+            return groebner_basis(mk(("x", "y", "z"), gens)[1])
+
+        with step_budget(DEFAULT_BUDGET):
+            basis()
+            steps = DEFAULT_BUDGET - gb_mod._budget().left
+        assert steps > 1
+        with step_budget(steps):
+            basis()
+        with step_budget(2 * steps):
+            basis()
+            basis()
+        with step_budget(2 * steps - 1), pytest.raises(BudgetExceeded):
+            basis()
+            basis()
+
+    def test_fresh_default_outside_a_block(self):
+        assert gb_mod._budget() is not gb_mod._budget()
+        assert gb_mod._budget().limit == DEFAULT_BUDGET
+        with step_budget(5):
+            assert gb_mod._budget() is gb_mod._budget()
+        assert gb_mod._budget().limit == DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("limit", [0, -5])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError):
+            with step_budget(limit):
+                pass
 
 
 class TestClosureProperty:
