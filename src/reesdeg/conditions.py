@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groebner import IdealHandle
+from .groebner import IdealHandle, _homogeneous
 from .hilbert import dim_degree
 from .ring import Poly, RingError
 
@@ -134,6 +134,27 @@ def height(I):
     return I.ctx.nvars - summ.dim
 
 
+def _fitting_heights(M, top):
+    """ht Fitt_i for i = 1 .. top - 1, in order.
+
+    Fitt_i lies in Fitt_{i+1}, so once one index reaches height nvars
+    every later one has height nvars or is the unit ideal.  Homogeneous
+    minors generate the unit ideal exactly when one is a nonzero
+    constant, so those indices need no Groebner basis.
+    """
+    n = M.ctx.nvars
+    one = (0,) * n
+    ht = 0
+    for i in range(1, top):
+        I = fitting_ideal(M, i)
+        if ht >= n and _homogeneous(I.gens):
+            # a homogeneous minor with a constant term is a constant
+            ht = math.inf if any(one in g.terms for g in I.gens) else n
+        else:
+            ht = height(I)
+        yield ht
+
+
 @dataclass(frozen=True)
 class ConditionCertificate:
     """Verdict plus one (index, minor size, height, threshold, ok) row
@@ -153,8 +174,7 @@ def check_Gm(M, m):
     top = min(M.ctx.nvars if m == math.inf else m, M.nrows)
     rows = []
     ok_all = True
-    for i in range(1, top):
-        ht = height(fitting_ideal(M, i))
+    for i, ht in enumerate(_fitting_heights(M, top), 1):
         ok = ht > i
         ok_all = ok_all and ok
         rows.append((i, M.nrows - i, ht, i, ok))
@@ -167,8 +187,7 @@ def check_Fm(M, m):
         raise RingError("F_m level must be a nonnegative integer")
     rows = []
     ok_all = True
-    for i in range(1, M.nrows):
-        ht = height(fitting_ideal(M, i))
+    for i, ht in enumerate(_fitting_heights(M, M.nrows), 1):
         ok = ht >= m + i
         ok_all = ok_all and ok
         rows.append((i, M.nrows - i, ht, m + i, ok))

@@ -1,13 +1,25 @@
 """Buchberger engine and ideal arithmetic built on it.
 
 The basis computation uses the Gebauer-Moeller pair update together with
-sugar-order pair selection, and counts every single division step against
-a budget so that runaway eliminations fail loudly instead of hanging.
+sugar-order pair selection, and counts every single division step, every
+S-pair it reduces and every pair and basis row an update examines against
+a budget, so that runaway eliminations fail loudly instead of hanging.
 Inside a `with step_budget(n)` block every basis, normal form and
 saturation draws on one budget of n steps; outside any block each basis
 gets its own budget of `DEFAULT_BUDGET` steps.  Pairs sit in a heap
 keyed by (sugar, lcm, i, j) and ties are impossible, so identical inputs
 produce identical bases, reduction traces and budgets.
+
+A second basis of a homogeneous ideal is Hilbert-driven (Traverso,
+"Hilbert functions and the Buchberger algorithm", JSC 1996).  The
+Hilbert function of S/I does not depend on the monomial order, so when
+`gb_cache` already holds a basis of I in some order, its leads give the
+Hilbert series numerator.  Pairs of homogeneous input come off the heap
+in degree order; once the active leads reach HF(k), every S-pair of
+degree k left would reduce to zero, and it is dropped unreduced and
+uncharged.  The block basis of the Rees ideal that the image and the
+map degree read is such a second basis: `rees_ideal` caches the grevlex
+one.
 
 Inside the engine a monomial is one Python int (Singular-style packed
 exponent vectors).  Fields of `_WIDTH` bits, least significant first,
@@ -264,8 +276,14 @@ def _spoly(ti, ui, tj, uj, p):
     return s
 
 
-def _buchberger(seeds, pk, fld, budget):
-    """Reduced Groebner basis of the packed seed term dicts, packed."""
+def _buchberger(seeds, pk, fld, budget, hilbert=None):
+    """Reduced Groebner basis of the packed seed term dicts, packed.
+
+    `hilbert`, given only for seeds homogeneous in the standard grading,
+    is the Hilbert series numerator of S/I, known from a basis of the
+    same ideal in another order.  Pairs of a degree whose Hilbert
+    function value the active leads already reach are dropped unreduced.
+    """
     p = fld.characteristic
     guard = pk.guard
     start = [_monic(t, fld) for t in seeds if t]
@@ -291,6 +309,7 @@ def _buchberger(seeds, pk, fld, budget):
         # pairs whose lcm strictly factors through the new lead, retire
         # basis rows whose lead became divisible.
         nonlocal P, G
+        _charge(budget, len(G) + len(P))
         lth = rows[h][0]
         C = sorted((pk.lcm(rows[g][0], lth), g) for g in G)
         D = []
@@ -335,8 +354,26 @@ def _buchberger(seeds, pk, fld, budget):
         if not add(*_reduce(dict(t), basis_rows, guard, p, budget, sugar=sug)):
             return unit
 
+    if hilbert is not None:
+        from .hilbert import _hilbert_value, hilbert_numerator
+
+        n = len(pk.shifts)
+    hf_deg = hf_done = None
     while P:
         _, lcm, i, j = heappop(P)
+        if hilbert is not None:
+            # Homogeneous pairs come off in degree order.  A new lead of
+            # degree k is the one degree-k monomial it adds to the lead
+            # ideal, so degree k is complete once the basis has grown by
+            # HF_leads(k) - HF(k) rows since the first pair of degree k.
+            k = lcm & _MASK
+            if k != hf_deg:
+                leads = [pk.unpack(rows[g][0]) for g in G]
+                have = _hilbert_value(hilbert_numerator(leads, n), n, k)
+                hf_deg = k
+                hf_done = len(rows) + have - _hilbert_value(hilbert, n, k)
+            if len(rows) >= hf_done:
+                continue
         _charge(budget)
         u = lcm - rows[i][0]
         v = lcm - rows[j][0]
@@ -438,13 +475,33 @@ def groebner_basis(I, order=None):
         return list(cached)
     work_ctx = I.ctx if okey == I.ctx.order else replace(I.ctx, order=okey)
     pk = _packing(okey, I.ctx.nvars)
-    basis = _buchberger([pk.pack_terms(g.terms) for g in I.gens], pk, I.ctx.field, _budget())
+    seeds = [pk.pack_terms(g.terms) for g in I.gens]
+    basis = _buchberger(seeds, pk, I.ctx.field, _budget(), _known_numerator(I))
     basis_dicts = [pk.unpack_terms(t) for t in basis]
     if VERIFY_BASES and not _spair_closure_ok(basis_dicts, work_ctx):
         raise AssertionError("computed basis fails the Buchberger criterion")
     out = tuple(Poly(I.ctx, t, _clean=True) for t in basis_dicts)
     I.gb_cache[okey] = out
     return list(out)
+
+
+def _homogeneous(polys):
+    """True when every polynomial is homogeneous in the standard grading
+    (all variables of degree 1)."""
+    return all(len({sum(m) for m in g.terms}) == 1 for g in polys)
+
+
+def _known_numerator(I):
+    """Hilbert series numerator of S/I read off a basis cached in some
+    order, or None when I is not homogeneous or nothing is cached.  For
+    homogeneous I every order gives the same Hilbert series."""
+    if not I.gb_cache or not _homogeneous(I.gens):
+        return None
+    from .hilbert import hilbert_numerator
+
+    order, basis = next(iter(I.gb_cache.items()))
+    pack = _packing(order, I.ctx.nvars).pack
+    return hilbert_numerator([max(g.terms, key=pack) for g in basis], I.ctx.nvars)
 
 
 def seed_gb_cache(I, order, basis):
@@ -675,7 +732,7 @@ def _saturate_by_variables(I):
     S/I has finite length.
     """
     ctx = I.ctx
-    if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
+    if not _homogeneous(I.gens):
         return None
     pk = _packing(ctx.order, ctx.nvars)
     gb = [pk.pack_terms(g.terms) for g in groebner_basis(I)]

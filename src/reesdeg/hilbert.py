@@ -176,7 +176,14 @@ def hilbert_function(I, k):
     gb = groebner_basis(I)
     _check_standard_homogeneous(gb, I.ctx)
     n = I.ctx.nvars
-    numer = hilbert_numerator([g.lm() for g in gb], n)
+    return _hilbert_value(hilbert_numerator([g.lm() for g in gb], n), n, k)
+
+
+def _hilbert_value(numer, nvars, k):
+    """Coefficient of t^k in N(t) / (1-t)^nvars: the Hilbert function at
+    k of the quotient with series numerator N."""
     return sum(
-        c * comb(k - j + n - 1, n - 1) for j, c in enumerate(numer) if j <= k and c
+        c * comb(k - j + nvars - 1, nvars - 1)
+        for j, c in enumerate(numer)
+        if j <= k and c
     )

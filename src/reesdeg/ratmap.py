@@ -79,11 +79,6 @@ def image_summary(spec, rees=None):
     return dim_degree(fib)
 
 
-def is_generically_finite(spec):
-    """True when the image has the same dimension as the source."""
-    return image_summary(spec).proj_dim_of_scheme == spec.r
-
-
 def base_locus(spec):
     """Saturated base ideal and its codimension (r+1 when empty)."""
     ctx = spec.ctx

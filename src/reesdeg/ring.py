@@ -88,9 +88,6 @@ class FieldSpec:
         p = self.characteristic
         return pow(a, -1, p) if p else 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, e):
         p = self.characteristic
         return pow(a, e, p) if p else a**e
@@ -201,12 +198,6 @@ class RingCtx:
             a += e * wa
             b += e * wb
         return (a, b)
-
-
-def monomial_compare(a, b, ctx):
-    """Compare exponent tuples under the active order: -1, 0 or 1."""
-    ka, kb = ctx.key(a), ctx.key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def monomial_mul(a, b):
@@ -405,9 +396,6 @@ class Poly:
             elif d != deg:
                 return None
         return deg
-
-    def is_homogeneous(self):
-        return not self.terms or self.bidegree() is not None
 
     def evaluate(self, values):
         """Evaluate at a point given as one field element per variable."""

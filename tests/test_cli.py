@@ -218,20 +218,32 @@ class TestExitCodes:
         )
         assert code == 3
 
-    # the two bases of this degree report take 63 and 17 steps
+    # the two bases of this degree report take 223 and 25 steps
     TWISTED_CUBIC = ["degree", "--map", "x0^3, x0^2*x1, x0*x1^2, x1^3"]
 
     def test_budget_covers_the_whole_command(self, capsys):
-        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "70"])
+        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "240"])
         assert code == 3
         assert out == ""
-        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "80"])
+        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "250"])
         assert code == 0
         assert json.loads(out)["deg_map"] == 1
 
+    def test_pair_updates_are_charged(self, capsys):
+        # I^40 has 861 monomial generators that reduce in zero steps, so
+        # only the charge for the Gebauer-Moeller updates stops this early
+        start = time.perf_counter()
+        code, out = run(
+            capsys,
+            ["sfib-hf", "--map", "x0^2,x1^2,x2^2", "--points", "40", "--budget", "10"],
+        )
+        assert code == 3
+        assert out == ""
+        assert time.perf_counter() - start < 1.0
+
     def test_successive_commands_get_fresh_budgets(self, capsys):
         for _ in range(3):
-            code, _ = run(capsys, self.TWISTED_CUBIC + ["--budget", "80"])
+            code, _ = run(capsys, self.TWISTED_CUBIC + ["--budget", "250"])
             assert code == 0
 
     def test_budget_env_var(self, capsys, monkeypatch):

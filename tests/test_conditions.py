@@ -196,8 +196,8 @@ def linear_6x5():
 
 class TestConditionCounts:
     """Deterministic work counts of G_4 then F_0 on one matrix: each
-    k-minor costs at most k products, and each Fitting ideal gets one
-    Groebner basis shared by both checks."""
+    k-minor costs at most k products, and each Fitting ideal gets at
+    most one Groebner basis, shared by both checks."""
 
     def test_products_and_bases(self, monkeypatch):
         M = linear_6x5()
@@ -223,9 +223,11 @@ class TestConditionCounts:
         )
         assert bound == 1230
         assert products[0] <= bound
-        # one run per Fitting index 1..5, told apart by generator count
-        sizes = sorted(len(fitting_ideal(M, i).gens) for i in range(1, 6))
-        assert sorted(runs) == sizes == [6, 30, 75, 150, 200]
+        # one run each for Fitt_1 and Fitt_2, told apart by generator
+        # count; Fitt_2 has height 4 = nvars, so Fitt_3..Fitt_5 need none
+        sizes = [len(fitting_ideal(M, i).gens) for i in range(1, 6)]
+        assert sizes == [6, 75, 200, 150, 30]
+        assert runs == sizes[:2]
 
 
 class TestGoldenCertificates:
@@ -264,6 +266,35 @@ class TestHeight:
         assert height(ideal(ctx, [parse_poly(t, ctx) for t in ("x", "y")])) == 2
         assert height(ideal(ctx, [])) == 0
         assert height(ideal(ctx, [Poly.constant(ctx, 1)])) == math.inf
+
+
+class TestMonotoneChain:
+    """Past the first Fitting index of height nvars, heights are read off
+    the minors without a Groebner basis; they must be the heights a
+    basis gives."""
+
+    def chain_and_direct(self, M):
+        chain = [row[2] for row in check_Fm(M, 0).table]
+        bases = [bool(fitting_ideal(M, i).gb_cache) for i in range(1, M.nrows)]
+        direct = [height(fitting_ideal(M, i)) for i in range(1, M.nrows)]
+        return chain, bases, direct
+
+    def test_linear_6x5(self):
+        chain, bases, direct = self.chain_and_direct(linear_6x5())
+        assert chain == direct == [2, 4, 4, 4, 4]
+        assert bases == [True, True, False, False, False]
+
+    def test_constant_minor_is_the_unit_ideal(self):
+        _, M = mat(("x", "y"), [["x", "0"], ["0", "y"], ["1", "1"]])
+        chain, bases, direct = self.chain_and_direct(M)
+        assert chain == direct == [2, math.inf]
+        assert bases == [True, False]
+
+    def test_inhomogeneous_minors_take_a_basis(self):
+        _, M = mat(("x",), [["x + 1", "x"], ["x + 1", "x"], ["x", "0"]])
+        chain, bases, direct = self.chain_and_direct(M)
+        assert chain == direct == [1, math.inf]
+        assert bases == [True, True]
 
 
 DEJONQ_M2 = [

@@ -35,6 +35,7 @@ from reesdeg.groebner import (
     serialize_ideal,
     step_budget,
 )
+from reesdeg.hilbert import hilbert_numerator
 from reesdeg.ring import (
     FieldSpec,
     Poly,
@@ -543,16 +544,35 @@ class TestPackedEncoding:
             groebner_basis(I)
 
 
+def record_runs(monkeypatch):
+    """Patch the Buchberger core to log (target Hilbert numerator, steps
+    charged, packed basis) of each run; returns the log."""
+    runs = []
+    inner = gb_mod._buchberger
+
+    def recording(seeds, pk, fld, budget, hilbert=None):
+        left = budget.left
+        basis = inner(seeds, pk, fld, budget, hilbert)
+        runs.append((hilbert, left - budget.left, basis))
+        return basis
+
+    monkeypatch.setattr(gb_mod, "_buchberger", recording)
+    return runs
+
+
 # (steps charged, basis size, total terms) of every Buchberger run made by
-# rees_ideal and then fiber_cone_ideal.  Recorded with the tuple-monomial
-# engine that the packed one replaced: the two run the same algorithm, so
-# a change here is a change of algorithm, not of speed.
+# rees_ideal and then fiber_cone_ideal.  Sizes and term counts were
+# recorded with the tuple-monomial engine that the packed one replaced.
+# Steps count reductions, reduced S-pairs, and the pairs and basis rows
+# each Gebauer-Moeller update examines.  The second run of a homogeneous
+# case drops the S-pairs that the grevlex Hilbert series of the Rees
+# ideal rules out.  A change here is a change of algorithm, not of speed.
 GOLDEN_STEPS = {
-    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(333, 13, 358), (151, 6, 250)]),
-    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(565, 16, 686), (390, 9, 710)]),
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(3077, 22, 820), (3185, 19, 1114)]),
-    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(88, 10, 60), (2, 2, 7)]),
-    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(184, 9, 144), (61, 4, 77)]),
+    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(441, 13, 358), (64, 6, 250)]),
+    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(731, 16, 686), (150, 9, 710)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(3588, 22, 820), (748, 19, 1114)]),
+    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(150, 10, 60), (3, 2, 7)]),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(235, 9, 144), (29, 4, 77)]),
 }
 
 
@@ -561,17 +581,66 @@ class TestGoldenSteps:
     def test_step_counts_pinned(self, name, monkeypatch):
         spec, expected = GOLDEN_STEPS[name]
         forms = list(make_family(spec).forms)
-        runs = []
-        inner = gb_mod._buchberger
-
-        def recording(*args):
-            budget = next(a for a in args if isinstance(a, gb_mod._Budget))
-            basis = inner(*args)
-            runs.append(
-                (budget.limit - budget.left, len(basis), sum(len(t) for t in basis))
-            )
-            return basis
-
-        monkeypatch.setattr(gb_mod, "_buchberger", recording)
+        runs = record_runs(monkeypatch)
         fiber_cone_ideal(forms, rees=rees_ideal(forms))
-        assert runs == expected
+        got = [(steps, len(b), sum(len(t) for t in b)) for _, steps, b in runs]
+        assert got == expected
+
+
+# second orders for a homogeneous ideal whose grevlex basis is cached
+HILBERT_ORDERS = {
+    "2-block": lambda n: ("blocks", (2, n - 2)),
+    "3-block": lambda n: ("blocks", (1, 1, n - 2)),
+    "lex": lambda n: "lex",
+}
+
+
+class TestHilbertDriven:
+    """A basis in a second order, driven by the Hilbert series of a cached
+    grevlex basis, against the same basis computed from scratch."""
+
+    @pytest.mark.parametrize("order", list(HILBERT_ORDERS))
+    @pytest.mark.parametrize(
+        "field", [FP, FieldSpec(7), QQ], ids=["F_32003", "F_7", "QQ"]
+    )
+    def test_same_reduced_bases(self, field, order, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        runs = record_runs(monkeypatch)
+        rng = random.Random(1996 + field.characteristic + len(order))
+        plain_steps = driven_steps = 0
+        for _ in range(12):
+            n = rng.randint(3, 4)
+            ctx = RingCtx(tuple("x%d" % i for i in range(n)), field)
+            gens = [
+                nonzero_random_form(ctx, rng, rng.randint(1, 3), density=0.4)
+                for _ in range(rng.randint(2, 3))
+            ]
+            o = HILBERT_ORDERS[order](n)
+            del runs[:]
+            plain = groebner_basis(ideal(ctx, gens), order=o)
+            I = ideal(ctx, gens)
+            grevlex = groebner_basis(I)
+            driven = groebner_basis(I, order=o)
+            assert driven == plain
+            (none, plain_run, _), _, (target, driven_run, _) = runs
+            assert none is None
+            assert target == hilbert_numerator([g.lm() for g in grevlex], n)
+            plain_steps += plain_run
+            driven_steps += driven_run
+        assert driven_steps < plain_steps
+
+    def test_routing(self, monkeypatch):
+        runs = record_runs(monkeypatch)
+        # a grevlex basis is cached, but the ideal is not homogeneous
+        _, I = mk(("x", "y", "z"), ["x^2 - y", "x*y - z^2"])
+        groebner_basis(I)
+        groebner_basis(I, order="lex")
+        # homogeneous, but nothing is cached
+        _, J = mk(("x", "y", "z"), ["x^2 - y*z", "x*y - z^2"])
+        groebner_basis(J, order="lex")
+        assert [run[0] for run in runs] == [None, None, None]
+        # homogeneous with a cached basis: the target is its series
+        groebner_basis(J, order=("blocks", (1, 2)))
+        assert runs[-1][0] == hilbert_numerator(
+            [g.lm() for g in groebner_basis(J, order="lex")], 3
+        )
