@@ -8,7 +8,9 @@ Inside a `with step_budget(n)` block every basis, normal form and
 saturation draws on one budget of n steps; outside any block each basis
 gets its own budget of `DEFAULT_BUDGET` steps.  Pairs sit in a heap
 keyed by (sugar, lcm, i, j) and ties are impossible, so identical inputs
-produce identical bases, reduction traces and budgets.
+produce identical bases, reduction traces and budgets.  Monomial
+generators form no pairs: their minimal generators are the reduced
+basis, and each divisibility test made to find them costs one step.
 
 A second basis of a homogeneous ideal is Hilbert-driven (Traverso,
 "Hilbert functions and the Buchberger algorithm", JSC 1996).  The
@@ -33,8 +35,20 @@ in which case `a - b` is the quotient.  Every field stays below
 free: sums never spill into the next field, a failed subtraction always
 borrows into a guard bit, and a monomial whose degree reaches the bound
 raises `RingError` instead of wrapping.  Sugar reads the degree field.
-Polynomials are packed on entry to `groebner_basis`, `normal_form`, the
-saturation exponent and the S-pair closure check, and unpacked on exit.
+
+Coefficients over Q are Python ints inside the engine, as monomials are
+(fraction-free reduction).  An engine polynomial is primitive with a
+positive lead over Q and monic over F_p, and each basis row carries its
+lead coefficient lc, which is 1 over F_p.  To cancel a term c*m, `_reduce`
+multiplies the remainder and the terms still to reduce by lc/g, where
+g = gcd(c, lc), and subtracts (c/g) times the shifted row; `_spoly`
+cancels two leads with lc_j/g and lc_i/g.  No step divides, so the
+per-operation gcd that `fractions.Fraction` runs is gone from the inner
+loop.  Polynomials are packed, and over Q cleared of denominators, on
+entry to `groebner_basis`, `normal_form`, the saturation exponent, the
+Bayer-Stillman saturation and the S-pair closure check.  On exit a basis
+element is divided by its lead coefficient and a normal form by the
+product of the multipliers its reduction applied, so results stay exact.
 
 Elimination always goes through a block order (grevlex inside each
 block).  Intersections adjoin one leading auxiliary variable and
@@ -49,9 +63,11 @@ Rabinowitsch: eliminate t from I + (1 - t*g).
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
+from math import gcd, lcm
 
 from .ring import (
     Poly,
@@ -192,14 +208,18 @@ def _packing(order, n):
 
 
 def _reduce(work, rows, guard, p, budget, sugar=-1):
-    """Fully reduce the packed term dict `work` against monic rows.
+    """Fully reduce the packed term dict `work` against normalized rows.
 
-    Rows are (lead, tail terms, sugar); the first row whose lead divides
-    a monomial reduces it.  Returns the remainder dict and the propagated
-    sugar degree.  Monomials come off a heap of negated packed ints
-    strictly top down, so every monomial is visited once.
+    Rows are (lead, tail terms, sugar, lead coefficient); the first row
+    whose lead divides a monomial reduces it, fraction-free over Q (see
+    the module docstring).  Returns the remainder dict, the propagated
+    sugar degree and the scale, the product of the multipliers applied:
+    the remainder over the field is the returned one divided by the
+    scale.  Monomials come off a heap of negated packed ints strictly top
+    down, so every monomial is visited once.
     """
     rem = {}
+    scale = 1
     heap = [-m for m in work]
     heapify(heap)
     while heap:
@@ -217,11 +237,19 @@ def _reduce(work, rows, guard, p, budget, sugar=-1):
         budget.left -= 1
         if budget.left < 0:
             raise BudgetExceeded(budget.limit)
-        _, tail, gsug = row
+        _, tail, gsug, lc = row
         if sugar >= 0:
             s = gsug + (shift & _MASK)
             if s > sugar:
                 sugar = s
+        if lc != 1:
+            g = gcd(c, lc)
+            a = lc // g
+            c //= g
+            if a != 1:
+                work = {k: a * v for k, v in work.items()}
+                rem = {k: a * v for k, v in rem.items()}
+                scale *= a
         for m2, c2 in tail:
             mm = m2 + shift
             prev = work.get(mm)
@@ -239,31 +267,65 @@ def _reduce(work, rows, guard, p, budget, sugar=-1):
                     work[mm] = v
                 else:
                     del work[mm]
-    return rem, sugar
+    return rem, sugar, scale
 
 
-def _monic(terms, fld):
+def _normalize(terms, p):
+    """The canonical scalar multiple of a packed term dict: monic over
+    F_p; over Q (integer coefficients) primitive with a positive lead."""
     c = terms[max(terms)]
     if c == 1:
-        return dict(terms)
-    inv = fld.inv(c)
-    p = fld.characteristic
+        return terms
     if p:
+        inv = pow(c, -1, p)
         return {m: (v * inv) % p for m, v in terms.items()}
-    return {m: v * inv for m, v in terms.items()}
+    g = gcd(*terms.values())
+    if c < 0:
+        g = -g
+    return {m: v // g for m, v in terms.items()}
+
+
+def _pack_integral(pk, terms, p):
+    """(packed term dict, d) for an exponent-tuple dict of field
+    elements: over Q the packed dict holds the integers d*c, d the least
+    common denominator; over F_p, d is 1."""
+    packed = pk.pack_terms(terms)
+    if p:
+        return packed, 1
+    d = lcm(*(c.denominator for c in packed.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in packed.items()}, d
+
+
+def _unpack_divided(pk, terms, d, p):
+    """Exponent-tuple dict of the packed `terms` divided by the integer
+    d: Fractions over Q; over F_p, where d is 1, the terms themselves."""
+    if p:
+        return pk.unpack_terms(terms)
+    unpack = pk.unpack
+    return {unpack(m): Fraction(c, d) for m, c in terms.items()}
+
+
+def _unpack_monic(pk, terms, p):
+    return _unpack_divided(pk, terms, terms[max(terms)], p)
 
 
 def _row(terms, sugar):
     lead = max(terms)
-    return (lead, tuple((m, c) for m, c in terms.items() if m != lead), sugar)
+    return (lead, tuple((m, c) for m, c in terms.items() if m != lead), sugar, terms[lead])
 
 
 def _spoly(ti, ui, tj, uj, p):
-    """ui*ti - uj*tj for monic packed term dicts and packed cofactors."""
-    s = {m + ui: c for m, c in ti.items()}
+    """a*ui*ti - b*uj*tj for normalized packed term dicts and packed
+    cofactors, with a = lc_j/g, b = lc_i/g and g = gcd(lc_i, lc_j): the
+    least integer multipliers that cancel the leads (1 over F_p)."""
+    ci = ti[max(ti)]
+    cj = tj[max(tj)]
+    g = gcd(ci, cj)
+    a, b = cj // g, ci // g
+    s = {m + ui: a * c for m, c in ti.items()}
     for m, c in tj.items():
         mm = m + uj
-        val = s.get(mm, 0) - c
+        val = s.get(mm, 0) - b * c
         if p:
             val %= p
         if val:
@@ -286,10 +348,12 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
     """
     p = fld.characteristic
     guard = pk.guard
-    start = [_monic(t, fld) for t in seeds if t]
+    start = [_normalize(t, p) for t in seeds if t]
     if not start:
         return []
     start.sort(key=max)
+    if all(len(t) == 1 for t in start):
+        return _minimal_monomials(start, pk, budget)
 
     rows = []      # every basis row ever created: (lead, tail, sugar)
     terms_of = []  # parallel: full term dicts
@@ -339,19 +403,20 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
             return True
         if max(rem) == 0:
             return False
-        terms = _monic(rem, fld)
+        terms = _normalize(rem, p)
         rows.append(_row(terms, sugar))
         terms_of.append(terms)
         update(len(rows) - 1)
         return True
 
-    unit = [{0: fld.one}]
+    unit = [{0: 1}]
     for t in start:
         if max(t) == 0:
             return unit
         basis_rows = [rows[g] for g in G]
         sug = max(m & _MASK for m in t)
-        if not add(*_reduce(dict(t), basis_rows, guard, p, budget, sugar=sug)):
+        rem, sug, _ = _reduce(dict(t), basis_rows, guard, p, budget, sugar=sug)
+        if not add(rem, sug):
             return unit
 
     if hilbert is not None:
@@ -383,7 +448,8 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         si = rows[i][2] + (u & _MASK)
         sj = rows[j][2] + (v & _MASK)
         basis_rows = [rows[g] for g in G]
-        if not add(*_reduce(s, basis_rows, guard, p, budget, sugar=max(si, sj))):
+        rem, sug, _ = _reduce(s, basis_rows, guard, p, budget, sugar=max(si, sj))
+        if not add(rem, sug):
             return unit
 
     # G is already minimal: new leads are never divisible by active ones
@@ -391,15 +457,32 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
     return _reduce_tails([terms_of[g] for g in G], guard, p, budget)
 
 
+def _minimal_monomials(start, pk, budget):
+    """The reduced basis of an ideal generated by the one-term normalized
+    dicts `start`, sorted by lead: its minimal generators.  A monomial's
+    divisors come before it in any monomial order; every divisibility
+    test costs one budget step."""
+    leads = []
+    for (m,) in start:
+        if m == 0:
+            return [{0: 1}]
+        # k: the tests made up to the first divisor, 0 when none divides
+        k = next((k for k, u in enumerate(leads, 1) if pk.divides(u, m)), 0)
+        _charge(budget, k or len(leads))
+        if not k:
+            leads.append(m)
+    return [{m: 1} for m in leads]
+
+
 def _reduce_tails(basis, guard, p, budget):
-    """The reduced basis, sorted by lead, from the monic packed term dicts
-    of a minimal Groebner basis: one pass reducing each tail against the
-    other elements."""
+    """The reduced basis, sorted by lead and normalized, from the
+    normalized packed term dicts of a minimal Groebner basis: one pass
+    reducing each tail against the other elements."""
     rows = [_row(t, 0) for t in basis]
     out = []
     for i in sorted(range(len(basis)), key=lambda i: rows[i][0]):
-        rem, _ = _reduce(dict(basis[i]), rows[:i] + rows[i + 1:], guard, p, budget)
-        out.append(rem)
+        rem, _, _ = _reduce(dict(basis[i]), rows[:i] + rows[i + 1:], guard, p, budget)
+        out.append(_normalize(rem, p))
     return out
 
 
@@ -408,13 +491,13 @@ def _spair_closure_ok(basis_dicts, ctx):
     check = _Budget(10 * DEFAULT_BUDGET)
     pk = _packing(ctx.order, ctx.nvars)
     p = ctx.field.characteristic
-    packed = [pk.pack_terms(t) for t in basis_dicts]
+    packed = [_pack_integral(pk, t, p)[0] for t in basis_dicts]
     rows = [_row(t, 0) for t in packed]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             lcm = pk.lcm(rows[i][0], rows[j][0])
             s = _spoly(packed[i], lcm - rows[i][0], packed[j], lcm - rows[j][0], p)
-            rem, _ = _reduce(s, rows, pk.guard, p, check)
+            rem, _, _ = _reduce(s, rows, pk.guard, p, check)
             if rem:
                 return False
     return True
@@ -475,9 +558,10 @@ def groebner_basis(I, order=None):
         return list(cached)
     work_ctx = I.ctx if okey == I.ctx.order else replace(I.ctx, order=okey)
     pk = _packing(okey, I.ctx.nvars)
-    seeds = [pk.pack_terms(g.terms) for g in I.gens]
+    p = I.ctx.field.characteristic
+    seeds = [_pack_integral(pk, g.terms, p)[0] for g in I.gens]
     basis = _buchberger(seeds, pk, I.ctx.field, _budget(), _known_numerator(I))
-    basis_dicts = [pk.unpack_terms(t) for t in basis]
+    basis_dicts = [_unpack_monic(pk, t, p) for t in basis]
     if VERIFY_BASES and not _spair_closure_ok(basis_dicts, work_ctx):
         raise AssertionError("computed basis fails the Buchberger criterion")
     out = tuple(Poly(I.ctx, t, _clean=True) for t in basis_dicts)
@@ -519,10 +603,12 @@ def normal_form(f, I, order=None):
     if not gb:
         return f
     pk = _packing(_order_key(I.ctx, order), I.ctx.nvars)
-    rows = [_row(pk.pack_terms(g.terms), 0) for g in gb]
     p = I.ctx.field.characteristic
-    rem, _ = _reduce(pk.pack_terms(f.terms), rows, pk.guard, p, _budget())
-    return Poly(I.ctx, pk.unpack_terms(rem), _clean=True)
+    rows = [_row(_pack_integral(pk, g.terms, p)[0], 0) for g in gb]
+    work, d = _pack_integral(pk, f.terms, p)
+    rem, _, scale = _reduce(work, rows, pk.guard, p, _budget())
+    # rem is scale * d * NF(f)
+    return Poly(I.ctx, _unpack_divided(pk, rem, scale * d, p), _clean=True)
 
 
 def ideal_contains(I, f):
@@ -644,31 +730,22 @@ def _saturate_by(I, g):
     return _drop_aux_var(gens, aux, ctx)
 
 
-def _independent_remainders(polys, rows, pk, fld, budget):
-    """Nonzero remainders of the term dicts `polys` modulo the packed
+def _independent_remainders(polys, rows, guard, p, budget):
+    """Nonzero remainders of the packed term dicts `polys` modulo the
     basis rows, cut down to a linearly independent set with distinct
-    leads."""
-    p = fld.characteristic
+    leads, each up to a scalar."""
     pivots = {}
     for terms in polys:
-        rem, _ = _reduce(pk.pack_terms(terms), rows, pk.guard, p, budget)
+        rem, _, _ = _reduce(terms, rows, guard, p, budget)
         # a combination of remainders is again a remainder
         while rem:
             lead = max(rem)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = _monic(rem, fld)
+                pivots[lead] = _normalize(rem, p)
                 break
-            c = rem[lead]
-            for m, v in piv.items():
-                val = rem.get(m, 0) - c * v
-                if p:
-                    val %= p
-                if val:
-                    rem[m] = val
-                else:
-                    rem.pop(m, None)
-    return [pk.unpack_terms(t) for t in pivots.values()]
+            rem = _spoly(rem, 0, piv, 0, p)
+    return list(pivots.values())
 
 
 def _sat_exponent(I, S, J_gens):
@@ -680,16 +757,23 @@ def _sat_exponent(I, S, J_gens):
     """
     ctx = I.ctx
     pk = _packing(ctx.order, ctx.nvars)
-    rows = [_row(pk.pack_terms(g.terms), 0) for g in groebner_basis(I)]
+    p = ctx.field.characteristic
+
+    def packed(polys):
+        return [_pack_integral(pk, g.terms, p)[0] for g in polys]
+
+    rows = [_row(t, 0) for t in packed(groebner_basis(I))]
     b = _budget()
-    cur = [g.terms for g in S.gens]
+    cur = packed(S.gens)
     k = 0
     while True:
-        cur = _independent_remainders(cur, rows, pk, ctx.field, b)
+        cur = _independent_remainders(cur, rows, pk.guard, p, b)
         if not cur:
             return k
         k += 1
-        cur = [(Poly(ctx, h, _clean=True) * g).terms for h in cur for g in J_gens]
+        cur = packed(
+            Poly(ctx, _unpack_monic(pk, h, p), _clean=True) * g for h in cur for g in J_gens
+        )
 
 
 def _is_irrelevant_ideal(ctx, gens):
@@ -735,7 +819,8 @@ def _saturate_by_variables(I):
     if not _homogeneous(I.gens):
         return None
     pk = _packing(ctx.order, ctx.nvars)
-    gb = [pk.pack_terms(g.terms) for g in groebner_basis(I)]
+    p = ctx.field.characteristic
+    gb = [_pack_integral(pk, g.terms, p)[0] for g in groebner_basis(I)]
     shift, unit = pk.shifts[-1], pk.units[-1]
     stripped = []
     for t in gb:
@@ -754,8 +839,8 @@ def _saturate_by_variables(I):
     ):
         return None
     basis = [
-        Poly(ctx, pk.unpack_terms(t), _clean=True)
-        for t in _reduce_tails(minimal, pk.guard, ctx.field.characteristic, _budget())
+        Poly(ctx, _unpack_monic(pk, t, p), _clean=True)
+        for t in _reduce_tails(minimal, pk.guard, p, _budget())
     ]
     if VERIFY_BASES and not _spair_closure_ok([g.terms for g in basis], ctx):
         raise AssertionError("stripped basis fails the Buchberger criterion")

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import reesdeg.groebner as gb_mod
 from reesdeg.ring import FieldSpec, Poly, RingCtx, monomials_of_degree
 
@@ -22,26 +24,36 @@ def rand_coeff(ctx, rng, nonzero=False):
     return rng.randint(lo, 9)
 
 
-def random_poly(ctx, rng, max_deg=3, max_terms=4):
+def rand_rational(ctx, rng, nonzero=False):
+    """A rational of either sign with numerator and denominator up to
+    10^6, for fields of characteristic 0."""
+    while True:
+        c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        if c or not nonzero:
+            return c
+
+
+def random_poly(ctx, rng, max_deg=3, max_terms=4, coeff=rand_coeff):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         mon = tuple(rng.randint(0, max_deg) for _ in range(ctx.nvars))
-        terms[mon] = rand_coeff(ctx, rng)
+        terms[mon] = coeff(ctx, rng)
     return Poly(ctx, terms)
 
 
-def random_form(ctx, rng, deg, density=0.7):
-    """Random homogeneous polynomial of exact degree deg (possibly zero)."""
+def random_form(ctx, rng, deg, density=0.7, coeff=rand_coeff):
+    """Random homogeneous polynomial of exact degree deg (possibly zero),
+    with coefficients drawn by `coeff`."""
     terms = {}
     for mon in monomials_of_degree(ctx.nvars, deg):
         if rng.random() < density:
-            terms[mon] = rand_coeff(ctx, rng)
+            terms[mon] = coeff(ctx, rng)
     return Poly(ctx, terms)
 
 
-def nonzero_random_form(ctx, rng, deg, density=0.7):
+def nonzero_random_form(ctx, rng, deg, density=0.7, coeff=rand_coeff):
     while True:
-        f = random_form(ctx, rng, deg, density)
+        f = random_form(ctx, rng, deg, density, coeff)
         if f:
             return f
 

@@ -231,7 +231,8 @@ class TestExitCodes:
 
     def test_pair_updates_are_charged(self, capsys):
         # I^40 has 861 monomial generators that reduce in zero steps, so
-        # only the charge for the Gebauer-Moeller updates stops this early
+        # only the charge for the divisibility tests that minimalize them
+        # stops this early
         start = time.perf_counter()
         code, out = run(
             capsys,

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from conftest import (
     count_buchberger_runs,
     nonzero_random_form,
     rand_coeff,
+    rand_rational,
     random_form,
     random_poly,
     record_shortcut,
@@ -20,8 +22,10 @@ from reesdeg.groebner import (
     DEFAULT_BUDGET,
     EXP_BOUND,
     BudgetExceeded,
+    _Packing,
     _packing,
     _spair_closure_ok,
+    _spoly,
     _with_aux_var,
     eliminate,
     groebner_basis,
@@ -52,25 +56,26 @@ QQ = FieldSpec(0)
 FP = FieldSpec(32003)
 
 
-def random_saturation_case(rng, field):
+def random_saturation_case(rng, field, coeff=rand_coeff):
     """A homogeneous ideal I with components along V(J), and J.
 
     J is principal, two forms, or the maximal ideal; I's generators are
     random forms times random powers of J's generators, plus one plain
     random form, so that I : J^infinity is usually bigger than I.
+    Coefficients are drawn by `coeff`.
     """
     n = rng.randint(2, 3)
     ctx = RingCtx(tuple("x%d" % i for i in range(n)), field)
     kind = rng.choice(("principal", "pair", "maximal"))
     if kind == "principal":
-        jgens = [nonzero_random_form(ctx, rng, rng.randint(1, 2))]
+        jgens = [nonzero_random_form(ctx, rng, rng.randint(1, 2), coeff=coeff)]
     elif kind == "pair":
-        jgens = [nonzero_random_form(ctx, rng, 1) for _ in range(2)]
+        jgens = [nonzero_random_form(ctx, rng, 1, coeff=coeff) for _ in range(2)]
     else:
         jgens = [Poly.var(ctx, i) for i in range(n)]
-    gens = [nonzero_random_form(ctx, rng, rng.randint(1, 2))]
+    gens = [nonzero_random_form(ctx, rng, rng.randint(1, 2), coeff=coeff)]
     for _ in range(rng.randint(1, 2)):
-        f = nonzero_random_form(ctx, rng, 1)
+        f = nonzero_random_form(ctx, rng, 1, coeff=coeff)
         for g in jgens:
             f = f * g.pow(rng.randint(0, 2))
         gens.append(f)
@@ -644,3 +649,170 @@ class TestHilbertDriven:
         assert runs[-1][0] == hilbert_numerator(
             [g.lm() for g in groebner_basis(J, order="lex")], 3
         )
+
+
+def rational_ideal(rng, order=lambda n: "grevlex"):
+    """A random homogeneous ideal of Q[x0..x2] or Q[x0, x1] whose
+    coefficients are rationals of mixed sign with denominators up to 10^6, so that the
+    integer rows inside the engine have leads other than 1."""
+    n = rng.randint(2, 3)
+    ctx = RingCtx(tuple("x%d" % i for i in range(n)), QQ, order=order(n))
+    gens = [
+        nonzero_random_form(ctx, rng, rng.randint(1, 3), density=0.5, coeff=rand_rational)
+        for _ in range(rng.randint(2, 3))
+    ]
+    return ctx, gens
+
+
+class TestRationalExactness:
+    """Over Q the engine reduces with integer coefficients, scaling by
+    lead coefficients instead of dividing; every answer must still be
+    the exact one over Q."""
+
+    @pytest.mark.parametrize("order", ["grevlex", "lex", "block"])
+    def test_scaled_generators_give_the_same_basis(self, order, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        rng = random.Random(2003)
+        orders = {"block": lambda n: ("blocks", (1, n - 1))}
+        for _ in range(15):
+            ctx, gens = rational_ideal(rng, orders.get(order, lambda n: order))
+            basis = groebner_basis(ideal(ctx, gens))
+            scaled = [g * Poly.constant(ctx, rand_rational(ctx, rng, True)) for g in gens]
+            assert groebner_basis(ideal(ctx, scaled)) == basis
+            assert_reduced(basis, ctx)
+
+    def test_normal_form_is_exact(self, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        rng = random.Random(2011)
+        for _ in range(15):
+            ctx, gens = rational_ideal(rng)
+            I = ideal(ctx, gens)
+            leads = [g.lm() for g in groebner_basis(I)]
+            f, g = (random_poly(ctx, rng, 3, 4, coeff=rand_rational) for _ in range(2))
+            a, b = (Poly.constant(ctx, rand_rational(ctx, rng, True)) for _ in range(2))
+            nf, ng = normal_form(f, I), normal_form(g, I)
+            assert normal_form(a * f + b * g, I) == a * nf + b * ng
+            assert ideal_contains(I, f - nf)
+            assert normal_form(nf, I) == nf
+            assert not any(monomial_divides(u, m) for u in leads for m in nf.terms)
+
+    def test_normal_form_divides_the_scale_out(self):
+        # the basis is x - (3/2)*y, an integer row 2*x - 3*y inside the
+        # engine: reducing x^2 scales the remainder by 2 twice
+        ctx, I = mk(("x", "y"), ["-4*x + 6*y"])
+        assert normal_form(parse_poly("x", ctx), I) == parse_poly("3/2*y", ctx)
+        assert normal_form(parse_poly("x^2 + 1/3", ctx), I) == parse_poly("9/4*y^2 + 1/3", ctx)
+
+    def test_sat_exponent_matches_colon_chain(self, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        rng = random.Random(2017)
+        exponents = set()
+        for _ in range(12):
+            I, J = random_saturation_case(rng, QQ, coeff=rand_rational)
+            S = saturate(I, J)
+            oracle, k = colon_chain_saturate(I, J)
+            assert ideal_equal(S, oracle)
+            assert S.sat_exponent == k
+            exponents.add(k)
+        assert len(exponents) >= 2
+
+    @pytest.mark.parametrize("p", [0, 32003])
+    def test_spoly_uses_the_least_multipliers(self, p):
+        pk = _packing("grevlex", 2)
+        x, y = pk.pack((1, 0)), pk.pack((0, 1))
+        # leads 6 and 4 over Q: 2*(6x + y) - 3*(4x - y) = 5y
+        lead_cancelled = {y: 5} if p == 0 else {y: 2}
+        ti, tj = ({x: 6, y: 1}, {x: 4, y: -1}) if p == 0 else ({x: 1, y: 1}, {x: 1, y: p - 1})
+        assert _spoly(ti, 0, tj, 0, p) == lead_cancelled
+
+
+class TestEngineCoefficientCounts:
+    """Deterministic work counts of the Rees and fiber cone bases of
+    Hilbert-Burch (2,3) over Q: the engine does its arithmetic on ints,
+    so no Fraction operation runs inside `groebner_basis`."""
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        forms = list(make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 3), prime=0)).forms)
+        ops = [0]
+        inside = [False]
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            inner = getattr(Fraction, name)
+
+            def counted(a, b, inner=inner):
+                ops[0] += inside[0]
+                return inner(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        bases = []
+        basis = gb_mod.groebner_basis
+
+        def tracked(*args, **kwargs):
+            inside[0] = True
+            try:
+                bases.append(basis(*args, **kwargs))
+            finally:
+                inside[0] = False
+            return bases[-1]
+
+        monkeypatch.setattr(gb_mod, "groebner_basis", tracked)
+        fiber_cone_ideal(forms, rees=rees_ideal(forms))
+        assert [len(b) for b in bases] == [16, 9]
+        assert ops[0] == 0
+        # the counters see Fraction arithmetic inside groebner_basis
+        inside[0] = True
+        Fraction(1, 2) + Fraction(1, 3) * Fraction(2)
+        assert ops[0] == 2
+
+
+class TestMonomialSeeds:
+    """Monomial generators are a Groebner basis once minimalized; the
+    engine returns them without forming a pair or reducing."""
+
+    def test_power_of_squares(self, monkeypatch):
+        ctx = RingCtx(("x0", "x1", "x2"), FP)
+        mons = [(2 * a, 2 * b, 80 - 2 * a - 2 * b) for a in range(41) for b in range(41 - a)]
+        # redundant generators: a repeat and a proper multiple
+        gens = [Poly.from_mon(ctx, m) for m in mons + [mons[0], (81, 1, 0)]]
+        calls = {"lcm": 0, "reduce": 0}
+        lcm, reduce = _Packing.lcm, gb_mod._reduce
+
+        def counted_lcm(self, a, b):
+            calls["lcm"] += 1
+            return lcm(self, a, b)
+
+        def counted_reduce(*args, **kwargs):
+            calls["reduce"] += 1
+            return reduce(*args, **kwargs)
+
+        monkeypatch.setattr(_Packing, "lcm", counted_lcm)
+        monkeypatch.setattr(gb_mod, "_reduce", counted_reduce)
+        basis = groebner_basis(ideal(ctx, gens))
+        assert len(basis) == 861
+        assert calls == {"lcm": 0, "reduce": 0}
+        assert sorted(g.lm() for g in basis) == sorted(mons)
+        assert [ctx.key(g.lm()) for g in basis] == sorted(ctx.key(g.lm()) for g in basis)
+
+    @pytest.mark.parametrize("field", [FP, QQ], ids=["F_32003", "QQ"])
+    def test_minimal_generators(self, field):
+        rng = random.Random(40 + field.characteristic)
+        for _ in range(20):
+            ctx = RingCtx(("x", "y", "z"), field)
+            mons = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(1, 8))]
+            coeffs = [rand_coeff(ctx, rng, True) for _ in mons]
+            basis = groebner_basis(ideal(ctx, [Poly(ctx, {m: c}) for m, c in zip(mons, coeffs)]))
+            minimal = {
+                m for m in mons
+                if not any(monomial_divides(u, m) and u != m for u in mons)
+            }
+            assert [g.terms for g in basis] == [
+                {m: field.one} for m in sorted(minimal, key=ctx.key)
+            ]
+
+    def test_budget_counts_divisibility_tests(self):
+        ctx = RingCtx(("x", "y"), FP)
+        gens = [Poly.from_mon(ctx, (i, 6 - i)) for i in range(7)]
+        with step_budget(21):
+            assert len(groebner_basis(ideal(ctx, gens))) == 7
+        with pytest.raises(BudgetExceeded):
+            with step_budget(20):
+                groebner_basis(ideal(ctx, gens))

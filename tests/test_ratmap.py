@@ -311,6 +311,12 @@ class TestExactDegree:
 
 
 class TestDegreeReport:
+    def test_pfaffian_over_q(self):
+        # the 5x5 linear Pfaffian map is birational onto P^4 over Q too
+        fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3, prime=0))
+        rep = degree_report(rational_map(fam.forms))
+        assert (rep.deg_map, rep.dim_image, rep.deg_image) == (1, 4, 1)
+
     def test_conic_report(self):
         spec = mkmap(("x0", "x1"), ["x0^2", "x0*x1", "x1^2"])
         rep = degree_report(spec)

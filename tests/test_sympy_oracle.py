@@ -32,7 +32,12 @@ def ideals(draw):
     mon = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(
         lambda m: sum(m) <= 3
     )
-    coeff = st.integers(-5, 5) if prime == 0 else st.integers(0, prime - 1)
+    if prime == 0:
+        # rationals of either sign, so the engine's integer rows over Q
+        # have leads other than 1
+        coeff = st.fractions(-5, 5, max_denominator=1000)
+    else:
+        coeff = st.integers(0, prime - 1)
     gens = draw(
         st.lists(st.dictionaries(mon, coeff, min_size=1, max_size=4), min_size=2, max_size=3)
     )
