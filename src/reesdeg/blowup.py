@@ -26,6 +26,7 @@ from .groebner import (
     ideal_equal,
     normal_form,
     saturate,
+    seed_hilbert_series,
 )
 from .hilbert import dim_degree, hilbert_function
 from .ring import Poly, RingCtx, RingError, fresh_names
@@ -68,16 +69,19 @@ def blowup_ambient(ctx, s, y_names=None):
     return RingCtx(names, ctx.field, order, weights=weights, n_params=np)
 
 
-def rees_ideal(forms, y_names=None):
-    """Defining ideal of the Rees algebra in k[x, y (, params)].
+def graph_ideal(forms, y_names=None):
+    """(y_0 - t*g_0, ..., y_s - t*g_s) in k[t, x, y (, params)], with its
+    Hilbert series stated when the forms carry no parameters.
 
-    A principal ideal has polynomial Rees algebra, so the result is the
-    zero ideal when one form is given.
+    Weights t, x -> 1 and y -> d+1 make the graph ideal homogeneous.  In
+    a y-heavy order its generators have the coprime leads y_i, so S/graph
+    has the Hilbert series of S/(y_0, ..., y_s), known before any S-pair.
+    Parameters would need weight 0, which is no positive grading.
     """
     forms = list(forms)
     d = _form_degree(forms)
     ctx = forms[0].ctx
-    nx, _ = _split_ctx(ctx)
+    nx, np = _split_ctx(ctx)
     s = len(forms) - 1
     xy = blowup_ambient(ctx, s, y_names=y_names)
     tctx = _with_aux_var(xy, weight=(-d, 1))
@@ -87,7 +91,25 @@ def rees_ideal(forms, y_names=None):
     for i, g in enumerate(forms):
         yi = Poly.var(tctx, nx + 1 + i)
         gens.append(yi - tv * g.map_vars(tctx, into_t))
-    out = eliminate(IdealHandle(tctx, gens), 1)
+    graph = IdealHandle(tctx, gens)
+    if not np:
+        weights = (1,) * (nx + 1) + (d + 1,) * (s + 1)
+        # (1 - z^(d+1))^(s+1), the numerator of S/(y_0, ..., y_s)
+        numer = {j * (d + 1): (-1) ** j * comb(s + 1, j) for j in range(s + 2)}
+        seed_hilbert_series(graph, weights, numer)
+    return graph
+
+
+def rees_ideal(forms, y_names=None):
+    """Defining ideal of the Rees algebra in k[x, y (, params)]: the graph
+    ideal with t eliminated.
+
+    A principal ideal has polynomial Rees algebra, so the result is the
+    zero ideal when one form is given.
+    """
+    forms = list(forms)
+    xy = blowup_ambient(forms[0].ctx, len(forms) - 1, y_names=y_names)
+    out = eliminate(graph_ideal(forms, y_names=y_names), 1)
     if out.ctx != xy:
         raise AssertionError("elimination returned an unexpected ring")
     return out

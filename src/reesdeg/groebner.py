@@ -12,20 +12,27 @@ produce identical bases, reduction traces and budgets.  Monomial
 generators form no pairs: their minimal generators are the reduced
 basis, and each divisibility test made to find them costs one step.
 
-A second basis of a homogeneous ideal is Hilbert-driven (Traverso,
-"Hilbert functions and the Buchberger algorithm", JSC 1996).  The
+A basis of an ideal whose Hilbert series is known is Hilbert-driven
+(Traverso, "Hilbert functions and the Buchberger algorithm", JSC 1996).
+Pairs of input homogeneous in a grading by positive variable weights
+come off the heap in degree order; once the active leads reach HF(k),
+every S-pair of degree k left would reduce to zero, and it is dropped
+unreduced and uncharged.  The series is known in two cases.  The
 Hilbert function of S/I does not depend on the monomial order, so when
-`gb_cache` already holds a basis of I in some order, its leads give the
-Hilbert series numerator.  Pairs of homogeneous input come off the heap
-in degree order; once the active leads reach HF(k), every S-pair of
-degree k left would reduce to zero, and it is dropped unreduced and
-uncharged.  The block basis of the Rees ideal that the image and the
-map degree read is such a second basis: `rees_ideal` caches the grevlex
-one.
+`gb_cache` already holds a basis of a homogeneous I in some order, its
+leads give the series in the standard grading: the block basis of the
+Rees ideal that the image and the map degree read is such a second
+basis, since `rees_ideal` caches the grevlex one.  And the graph ideal
+(y_i - t*g_i) that `rees_ideal` eliminates t from is homogeneous once t
+and x weigh 1 and y weighs d+1, with the Hilbert series of
+S/(y_0, ..., y_s) (`seed_hilbert_series`), so its t-elimination is
+driven from the first S-pair.  Should a degree in that grading reach
+`EXP_BOUND` while the total degree stays below it, the basis is
+computed again without the series.
 
 Inside the engine a monomial is one Python int (Singular-style packed
 exponent vectors).  Fields of `_WIDTH` bits, least significant first,
-hold the total degree, the exponents e_0..e_{n-1}, and on top the order
+hold the degree, the exponents e_0..e_{n-1}, and on top the order
 key as n nonnegative linear forms: (deg, S_{n-2}, ..., S_0) with prefix
 sums S_k = e_0 + ... + e_k for grevlex, per block for block orders, the
 plain exponents for lex.  Integer comparison is then the monomial order,
@@ -34,7 +41,10 @@ in which case `a - b` is the quotient.  Every field stays below
 `EXP_BOUND` (2^23), which leaves the field's top bit, the guard bit,
 free: sums never spill into the next field, a failed subtraction always
 borrows into a guard bit, and a monomial whose degree reaches the bound
-raises `RingError` instead of wrapping.  Sugar reads the degree field.
+raises `RingError` instead of wrapping.  The degree field holds the
+degree in the grading the packing was made for (the total degree unless
+a Hilbert series names weights), and sugar, the pair order and the
+Hilbert check all read it.
 
 Coefficients over Q are Python ints inside the engine, as monomials are
 (fraction-free reduction).  An engine polynomial is primitive with a
@@ -66,8 +76,8 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import zip_longest
 from math import gcd, lcm
+from operator import mul
 
 from .ring import (
     Poly,
@@ -159,14 +169,20 @@ def _order_fields(order, n):
 
 
 class _Packing:
-    """Monomial encoding for one monomial order on n variables."""
+    """Monomial encoding for one monomial order on n variables, with the
+    degree field in a grading by positive variable weights (default: all
+    1, the standard grading)."""
 
-    __slots__ = ("units", "shifts", "guard")
+    __slots__ = ("units", "shifts", "guard", "grading")
 
-    def __init__(self, order, n):
+    def __init__(self, order, n, grading=None):
         # field 0 is the degree, field 1 + i the exponent e_i, and the
-        # order fields fill 2n down to n + 1
-        units = [1 + (1 << _WIDTH * (1 + i)) for i in range(n)]
+        # order fields fill 2n down to n + 1.  Weights of at least 1 keep
+        # every exponent and order field at most the degree.
+        self.grading = grading or (1,) * n
+        if min(self.grading, default=1) < 1:
+            raise ValueError("grading weights must be positive")
+        units = [w + (1 << _WIDTH * (1 + i)) for i, w in enumerate(self.grading)]
         for f, rng in enumerate(_order_fields(order, n)):
             for i in rng:
                 units[i] += 1 << _WIDTH * (2 * n - f)
@@ -175,7 +191,7 @@ class _Packing:
         self.guard = sum(EXP_BOUND << _WIDTH * k for k in range(2 * n + 1))
 
     def pack(self, mon):
-        if sum(mon) >= EXP_BOUND:
+        if sum(map(mul, mon, self.grading)) >= EXP_BOUND:
             raise _overflow()
         v = 0
         for e, u in zip(mon, self.units):
@@ -203,8 +219,8 @@ class _Packing:
 
 
 @lru_cache(maxsize=64)
-def _packing(order, n):
-    return _Packing(order, n)
+def _packing(order, n, grading=None):
+    return _Packing(order, n, grading)
 
 
 def _reduce(work, rows, guard, p, budget, sugar=-1):
@@ -341,10 +357,11 @@ def _spoly(ti, ui, tj, uj, p):
 def _buchberger(seeds, pk, fld, budget, hilbert=None):
     """Reduced Groebner basis of the packed seed term dicts, packed.
 
-    `hilbert`, given only for seeds homogeneous in the standard grading,
-    is the Hilbert series numerator of S/I, known from a basis of the
-    same ideal in another order.  Pairs of a degree whose Hilbert
-    function value the active leads already reach are dropped unreduced.
+    `hilbert`, when given, is the pair (grading, sparse numerator) of
+    the Hilbert series of S/I, and `pk` packs degrees in that grading.
+    Pairs of a degree whose Hilbert function value the active leads
+    already reach are dropped unreduced.  The seeds must be homogeneous
+    in the grading; an AssertionError says they are not.
     """
     p = fld.characteristic
     guard = pk.guard
@@ -352,6 +369,12 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
     if not start:
         return []
     start.sort(key=max)
+    if hilbert is not None:
+        from .hilbert import hilbert_value, weighted_numerator
+
+        grading, target = hilbert
+        if any(len({m & _MASK for m in t}) > 1 for t in start):
+            raise AssertionError("seed is not homogeneous in the grading of its Hilbert series")
     if all(len(t) == 1 for t in start):
         return _minimal_monomials(start, pk, budget)
 
@@ -419,11 +442,8 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         if not add(rem, sug):
             return unit
 
-    if hilbert is not None:
-        from .hilbert import _hilbert_value, hilbert_numerator
-
-        n = len(pk.shifts)
     hf_deg = hf_done = None
+    lead_exps = {}  # unpacked leads of degree at most hf_deg, by row
     while P:
         _, lcm, i, j = heappop(P)
         if hilbert is not None:
@@ -433,10 +453,14 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
             # HF_leads(k) - HF(k) rows since the first pair of degree k.
             k = lcm & _MASK
             if k != hf_deg:
-                leads = [pk.unpack(rows[g][0]) for g in G]
-                have = _hilbert_value(hilbert_numerator(leads, n), n, k)
+                # leads above degree k leave HF_leads(k) alone
+                for g in G:
+                    if g not in lead_exps and rows[g][0] & _MASK <= k:
+                        lead_exps[g] = pk.unpack(rows[g][0])
+                leads = [lead_exps[g] for g in G if g in lead_exps]
+                have = hilbert_value(weighted_numerator(leads, grading), grading, k)
                 hf_deg = k
-                hf_done = len(rows) + have - _hilbert_value(hilbert, n, k)
+                hf_done = len(rows) + have - hilbert_value(target, grading, k)
             if len(rows) >= hf_done:
                 continue
         _charge(budget)
@@ -506,7 +530,7 @@ def _spair_closure_ok(basis_dicts, ctx):
 class IdealHandle:
     """An ideal in a fixed ring with a per-order cache of reduced bases."""
 
-    __slots__ = ("ctx", "gens", "gb_cache", "_sat")
+    __slots__ = ("ctx", "gens", "gb_cache", "_sat", "_series")
 
     def __init__(self, ctx, gens):
         self.ctx = ctx
@@ -523,6 +547,8 @@ class IdealHandle:
         # on a result of `saturate`: (I, J generators) until
         # sat_exponent is first read, then the exponent
         self._sat = None
+        # (grading, numerator) of a Hilbert series of S/I known a priori
+        self._series = None
 
     @property
     def sat_exponent(self):
@@ -557,10 +583,16 @@ def groebner_basis(I, order=None):
     if cached is not None:
         return list(cached)
     work_ctx = I.ctx if okey == I.ctx.order else replace(I.ctx, order=okey)
-    pk = _packing(okey, I.ctx.nvars)
     p = I.ctx.field.characteristic
-    seeds = [_pack_integral(pk, g.terms, p)[0] for g in I.gens]
-    basis = _buchberger(seeds, pk, I.ctx.field, _budget(), _known_numerator(I))
+    target = _known_series(I)
+    try:
+        pk, basis = _run_buchberger(I, okey, target)
+    except RingError:
+        # a weighted degree reaches EXP_BOUND before the total degree
+        # does; the series only saves work, so the standard grading runs
+        if target is None or max(target[0]) == 1:
+            raise
+        pk, basis = _run_buchberger(I, okey, None)
     basis_dicts = [_unpack_monic(pk, t, p) for t in basis]
     if VERIFY_BASES and not _spair_closure_ok(basis_dicts, work_ctx):
         raise AssertionError("computed basis fails the Buchberger criterion")
@@ -569,29 +601,52 @@ def groebner_basis(I, order=None):
     return list(out)
 
 
+def _run_buchberger(I, order, target):
+    """(packing, packed reduced basis) of I in `order`, driven by the
+    Hilbert series `target` when it is not None."""
+    pk = _packing(order, I.ctx.nvars, target and target[0])
+    p = I.ctx.field.characteristic
+    seeds = [_pack_integral(pk, g.terms, p)[0] for g in I.gens]
+    return pk, _buchberger(seeds, pk, I.ctx.field, _budget(), target)
+
+
 def _homogeneous(polys):
     """True when every polynomial is homogeneous in the standard grading
     (all variables of degree 1)."""
     return all(len({sum(m) for m in g.terms}) == 1 for g in polys)
 
 
-def _known_numerator(I):
-    """Hilbert series numerator of S/I read off a basis cached in some
-    order, or None when I is not homogeneous or nothing is cached.  For
-    homogeneous I every order gives the same Hilbert series."""
+def _known_series(I):
+    """(grading, sparse numerator) of the Hilbert series of S/I, or None.
+
+    A series stated with `seed_hilbert_series` comes first.  Otherwise,
+    for I homogeneous in the standard grading, a basis cached in any
+    order gives it: every order gives the same Hilbert series.
+    """
+    if I._series is not None:
+        return I._series
     if not I.gb_cache or not _homogeneous(I.gens):
         return None
-    from .hilbert import hilbert_numerator
+    from .hilbert import weighted_numerator
 
     order, basis = next(iter(I.gb_cache.items()))
     pack = _packing(order, I.ctx.nvars).pack
-    return hilbert_numerator([max(g.terms, key=pack) for g in basis], I.ctx.nvars)
+    ones = (1,) * I.ctx.nvars
+    return ones, weighted_numerator([max(g.terms, key=pack) for g in basis], ones)
 
 
 def seed_gb_cache(I, order, basis):
     """Record an externally known reduced basis (e.g. from elimination)."""
     okey = _order_key(I.ctx, order)
     I.gb_cache[okey] = tuple(basis)
+
+
+def seed_hilbert_series(I, grading, numerator):
+    """Record the Hilbert series N(z) / prod_v (1 - z^w_v) of S/I, known
+    a priori, for positive variable weights `grading` in which the
+    generators of I are homogeneous; N is a {degree: coefficient} map.
+    Every basis of I computed afterwards is driven by it."""
+    I._series = (tuple(grading), dict(numerator))
 
 
 def normal_form(f, I, order=None):
@@ -797,12 +852,14 @@ def _finite_colength(leads_I, leads_S, n):
     k[x_0..x_{n-1}] with these lead monomials: exactly when the two Hilbert
     series differ by a polynomial, that is when (1-t)^n divides the
     difference of their numerators."""
-    from .hilbert import _deflate, hilbert_numerator
+    from .hilbert import _order_at_one, weighted_numerator
 
-    a = hilbert_numerator(leads_I, n)
-    b = hilbert_numerator(leads_S, n)
-    diff = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-    return not any(diff) or _deflate(diff)[0] >= n
+    ones = (1,) * n
+    diff = weighted_numerator(leads_I, ones)
+    for e, c in weighted_numerator(leads_S, ones).items():
+        diff[e] = diff.get(e, 0) - c
+    diff = {e: c for e, c in diff.items() if c}
+    return not diff or _order_at_one(diff)[0] >= n
 
 
 def _saturate_by_variables(I):

@@ -1,98 +1,154 @@
-"""Hilbert series, Krull dimension and degree of homogeneous quotients.
+"""Hilbert series, Krull dimension and degree of graded quotients.
 
 Everything reduces to the lead ideal: the Hilbert series of R/I equals
-that of R/LT(I), and the numerator N(t) of a monomial ideal follows the
-pivot recursion N(I) = N(I + (x)) + t * N(I : x) on a pivot variable.
-Dimension is the pole order of N(t)/(1-t)^n at t = 1, degree the value
-of the deflated numerator there; for dimension zero that value is the
+that of R/LT(I).  Variables carry positive integer weights w_v, all 1 in
+the standard grading, and the series of R/I is N(z) / prod_v (1 - z^w_v).
+The numerator N of a monomial ideal follows the pivot recursion
+N(I) = N(I + (x^a)) + z^(a*w_x) * N(I : x^a) on a pivot power x^a, with
+a the least positive exponent of x among the generators, so the
+recursion depth does not grow with the exponents; pairwise coprime
+generators end it with the product of their factors (1 - z^deg).
+Numerators are sparse {degree: coefficient} maps: (1 - z^(d+1)) costs
+two entries.  Dimension
+is the pole order of N(z)/(1-z)^n at z = 1, degree the value of the
+deflated numerator there; for dimension zero that value is the
 vector-space length of the quotient.
 """
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
+from operator import lshift, mul
 
 from .groebner import groebner_basis
 from .ring import RingError, monomial_divides, monomials_of_degree
 
 
+def _by_degree(m):
+    return sum(m), m
+
+
 def minimalize_monomials(mons):
-    """Minimal generating set of the monomial ideal spanned by `mons`."""
-    mons = sorted(set(tuple(m) for m in mons), key=lambda m: (sum(m), m))
-    out = []
+    """Minimal generating set of the monomial ideal spanned by `mons`,
+    sorted by (degree, exponents).
+
+    Exponent tuples are packed into ints with one spare guard bit per
+    field, so b divides a exactly when a - b sets no guard bit.
+    """
+    mons = sorted(set(map(tuple, mons)), key=_by_degree)
+    if not mons:
+        return []
+    width = max(max(m, default=0) for m in mons).bit_length() + 1
+    shifts = range(0, width * len(mons[0]), width)
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    out, kept = [], []
     for m in mons:
-        if not any(monomial_divides(g, m) for g in out):
+        v = sum(map(lshift, m, shifts))
+        # a divisor has no larger degree, so it is already kept
+        for u in kept:
+            if not (v - u) & guard:
+                break
+        else:
             out.append(m)
+            kept.append(v)
     return out
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
-
-
-def _poly_shift(a, k):
-    return (0,) * k + tuple(a)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
-
-def _trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a) if a else (0,)
+def _add_shifted(acc, numer, shift):
+    """acc += z^shift * numer on sparse numerators, in place."""
+    for e, c in numer.items():
+        v = acc.get(e + shift, 0) + c
+        if v:
+            acc[e + shift] = v
+        else:
+            del acc[e + shift]
 
 
 # process-wide, so dim_degree and hilbert_function share numerators within
-# a command; bounded, so a long session cannot grow it without limit
+# a command; bounded, so a long session cannot grow it without limit.
+# Results are shared through the cache and never modified.
 @lru_cache(maxsize=4096)
-def _numerator(gens, nvars):
+def _numerator(gens, weights):
+    # gens: a generating set sorted by (degree, exponents), so that a unit
+    # comes first; pairwise coprime generators are minimal
     if not gens:
-        return (1,)
-    if any(sum(m) == 0 for m in gens):
-        return (0,)
-    if all(sum(1 for e in m if e) == 1 for m in gens):
-        out = (1,)
+        return {0: 1}
+    if not any(gens[0]):
+        return {}
+    # pivot: the variable in the most generators, ties to the lowest
+    # index; its power: the least positive exponent it has
+    counts = Counter(i for m in gens for i, e in enumerate(m) if e)
+    pivot = min(counts, key=lambda i: (-counts[i], i))
+    if counts[pivot] == 1:
+        # pairwise coprime generators: a complete intersection
+        out = {0: 1}
         for m in gens:
-            out = _poly_mul(out, (1,) + (0,) * (sum(m) - 1) + (-1,))
+            nxt = dict(out)
+            _add_shifted(nxt, {e: -c for e, c in out.items()}, sum(map(mul, m, weights)))
+            out = nxt
         return out
-    # pivot: the most frequent variable among those present in a mixed
-    # generator, ties to the lowest index
-    mixed_vars = set()
-    for m in gens:
-        if sum(1 for e in m if e) > 1:
-            mixed_vars.update(i for i, e in enumerate(m) if e)
-    counts = [0] * nvars
-    for m in gens:
-        for i, e in enumerate(m):
-            if e and i in mixed_vars:
-                counts[i] += 1
-    pivot = max(range(nvars), key=lambda i: (counts[i], -i))
-    unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-    left = tuple(minimalize_monomials(list(gens) + [unit]))
+    a = min(m[pivot] for m in gens if m[pivot])
+    power = tuple(a if i == pivot else 0 for i in range(len(weights)))
+    # x^a divides every generator that has the pivot in it
+    left = tuple(sorted([power] + [m for m in gens if not m[pivot]], key=_by_degree))
     right = tuple(
         minimalize_monomials(
-            tuple(e - 1 if i == pivot and e else e for i, e in enumerate(m))
-            for m in gens
+            m[:pivot] + (max(m[pivot] - a, 0),) + m[pivot + 1:] for m in gens
         )
     )
-    return _trim(_poly_add(_numerator(left, nvars), _poly_shift(_numerator(right, nvars), 1)))
+    out = dict(_numerator(left, weights))
+    _add_shifted(out, _numerator(right, weights), a * weights[pivot])
+    return out
+
+
+def weighted_numerator(mons, weights):
+    """Sparse N(z), a {degree: coefficient} map, with the Hilbert series
+    of R/I equal to N(z) / prod_v (1 - z^w_v) for the monomial ideal I of
+    `mons` and positive variable weights `weights`.
+
+    The recursion holds for any generating set, so `mons` is only sorted
+    by (degree, exponents), not minimalized: the leads of a basis are
+    minimal already.
+    """
+    gens = tuple(sorted(set(map(tuple, mons)), key=_by_degree))
+    return dict(_numerator(gens, tuple(weights)))
 
 
 def hilbert_numerator(mons, nvars):
     """Coefficients of N(t) with HS(R/I) = N(t) / (1-t)^nvars."""
-    gens = tuple(minimalize_monomials(mons))
-    return _numerator(gens, nvars)
+    numer = weighted_numerator(mons, (1,) * nvars)
+    out = [0] * (max(numer, default=0) + 1)
+    for e, c in numer.items():
+        out[e] = c
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _monomial_count(groups, m):
+    """Number of monomials of weighted degree m in variables grouped as
+    sorted (weight, how many) pairs; the heaviest group is summed over."""
+    if not groups:
+        return int(m == 0)
+    (w, n), rest = groups[-1], groups[:-1]
+    if not rest:
+        return comb(m // w + n - 1, n - 1) if m % w == 0 else 0
+    return sum(
+        comb(j + n - 1, n - 1) * _monomial_count(rest, m - j * w)
+        for j in range(m // w + 1)
+    )
+
+
+@lru_cache(maxsize=64)
+def _weight_groups(weights):
+    return tuple(sorted(Counter(weights).items()))
+
+
+def hilbert_value(numer, weights, k):
+    """Coefficient of z^k in N(z) / prod_v (1 - z^w_v): the Hilbert
+    function at k of the quotient with sparse series numerator N."""
+    groups = _weight_groups(tuple(weights))
+    return sum(c * _monomial_count(groups, k - e) for e, c in numer.items() if e <= k)
 
 
 def count_standard_monomials(mons, nvars, k):
@@ -128,7 +184,8 @@ class HilbertSummary:
     `dim` is the Krull dimension of the quotient ring (None for the unit
     ideal, whose quotient is zero), `proj_dim_of_scheme` is dim - 1, and
     `degree` is the normalized leading Hilbert coefficient; in dimension
-    zero it is the length of the quotient.
+    zero it is the length of the quotient.  `series_numerator` holds the
+    (degree, coefficient) pairs of the standard-graded numerator.
     """
 
     dim: object
@@ -137,29 +194,27 @@ class HilbertSummary:
     series_numerator: tuple
 
 
-def _deflate(numer):
-    """Split N(t) = (1-t)^u * Q(t) with Q(1) != 0; returns (u, Q)."""
-    u = 0
-    cur = list(numer)
-    while sum(cur) == 0 and any(cur):
-        nxt = []
-        acc = 0
-        for c in cur[:-1]:
-            acc += c
-            nxt.append(acc)
-        cur = nxt if nxt else [0]
-        u += 1
-    return u, tuple(cur)
+def _order_at_one(numer):
+    """(u, Q(1)) for a nonzero sparse N(z) = (1-z)^u * Q(z) with
+    Q(1) != 0: the Taylor coefficients of N at z = 1 are the sums of
+    c * C(e, j) over its terms c*z^e."""
+    j = 0
+    while True:
+        a = sum(c * comb(e, j) for e, c in numer.items())
+        if a:
+            return j, (-1) ** j * a
+        j += 1
 
 
 def monomial_dim_degree(mons, nvars):
     """HilbertSummary of k[x_1..x_nvars] modulo the ideal of `mons`."""
-    numer = hilbert_numerator(mons, nvars)
-    if numer == (0,):
-        return HilbertSummary(None, None, None, numer)
-    u, q = _deflate(numer)
+    numer = weighted_numerator(mons, (1,) * nvars)
+    pairs = tuple(sorted(numer.items()))
+    if not numer:
+        return HilbertSummary(None, None, None, pairs)
+    u, q = _order_at_one(numer)
     dim = nvars - u
-    return HilbertSummary(dim, dim - 1, sum(q), numer)
+    return HilbertSummary(dim, dim - 1, q, pairs)
 
 
 def dim_degree(I):
@@ -175,15 +230,5 @@ def hilbert_function(I, k):
         return 0
     gb = groebner_basis(I)
     _check_standard_homogeneous(gb, I.ctx)
-    n = I.ctx.nvars
-    return _hilbert_value(hilbert_numerator([g.lm() for g in gb], n), n, k)
-
-
-def _hilbert_value(numer, nvars, k):
-    """Coefficient of t^k in N(t) / (1-t)^nvars: the Hilbert function at
-    k of the quotient with series numerator N."""
-    return sum(
-        c * comb(k - j + nvars - 1, nvars - 1)
-        for j, c in enumerate(numer)
-        if j <= k and c
-    )
+    ones = (1,) * I.ctx.nvars
+    return hilbert_value(weighted_numerator([g.lm() for g in gb], ones), ones, k)

@@ -218,14 +218,14 @@ class TestExitCodes:
         )
         assert code == 3
 
-    # the two bases of this degree report take 223 and 25 steps
+    # the two bases of this degree report take 106 and 25 steps
     TWISTED_CUBIC = ["degree", "--map", "x0^3, x0^2*x1, x0*x1^2, x1^3"]
 
     def test_budget_covers_the_whole_command(self, capsys):
-        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "240"])
+        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "125"])
         assert code == 3
         assert out == ""
-        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "250"])
+        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "135"])
         assert code == 0
         assert json.loads(out)["deg_map"] == 1
 
@@ -244,7 +244,7 @@ class TestExitCodes:
 
     def test_successive_commands_get_fresh_budgets(self, capsys):
         for _ in range(3):
-            code, _ = run(capsys, self.TWISTED_CUBIC + ["--budget", "250"])
+            code, _ = run(capsys, self.TWISTED_CUBIC + ["--budget", "135"])
             assert code == 0
 
     def test_budget_env_var(self, capsys, monkeypatch):
@@ -287,6 +287,34 @@ class TestExitCodes:
         assert code == 2
         assert elapsed < 1.0
         assert str(EXP_BOUND) in err
+
+
+class TestLargeExponents:
+    """Hilbert numerators and graph gradings of maps of huge degree."""
+
+    @pytest.mark.parametrize("command", ["rees", "image", "degree"])
+    def test_degree_5000_answers_at_once(self, capsys, command):
+        start = time.perf_counter()
+        code, out = run(capsys, [command, "--map", "x0^5000,x1^5000"])
+        assert code == 0
+        assert time.perf_counter() - start < 2.0
+        if command == "degree":
+            payload = json.loads(out)
+            assert (payload["deg_map"], payload["deg_image"]) == (5000, 1)
+
+    def test_rees_of_degree_two_to_the_twenty(self, capsys):
+        code, out = run(capsys, ["rees", "--map", "x0^1048576,x1^1048576", "--format", "text"])
+        assert code == 0
+        assert "x1^1048576*y0 + 32002*x0^1048576*y1" in out
+
+    def test_weighted_degree_past_the_bound_falls_back(self, capsys):
+        # y2^8 - y0*y1^7 has total degree 8 but weighted degree 8(d+1),
+        # past EXP_BOUND, in the grading of the graph ideal
+        d = 1 << 20
+        forms = "x0^%d,x1^%d,x0^%d*x1^%d" % (d, d, d // 8, 7 * d // 8)
+        code, out = run(capsys, ["rees", "--map", forms, "--format", "text"])
+        assert code == 0
+        assert "y0*y1^7 + 32002*y2^8" in out
 
 
 class TestOutput:

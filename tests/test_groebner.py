@@ -16,12 +16,13 @@ from conftest import (
     record_shortcut,
     small_ctx,
 )
-from reesdeg.blowup import fiber_cone_ideal, rees_ideal
+from reesdeg.blowup import fiber_cone_ideal, graph_ideal, rees_ideal
 from reesdeg.families import FamilySpec, make_family
 from reesdeg.groebner import (
     DEFAULT_BUDGET,
     EXP_BOUND,
     BudgetExceeded,
+    IdealHandle,
     _Packing,
     _packing,
     _spair_closure_ok,
@@ -36,10 +37,11 @@ from reesdeg.groebner import (
     normal_form,
     parse_ideal,
     saturate,
+    seed_hilbert_series,
     serialize_ideal,
     step_budget,
 )
-from reesdeg.hilbert import hilbert_numerator
+from reesdeg.hilbert import weighted_numerator
 from reesdeg.ring import (
     FieldSpec,
     Poly,
@@ -550,8 +552,9 @@ class TestPackedEncoding:
 
 
 def record_runs(monkeypatch):
-    """Patch the Buchberger core to log (target Hilbert numerator, steps
-    charged, packed basis) of each run; returns the log."""
+    """Patch the Buchberger core to log (target Hilbert series as a
+    (grading, numerator) pair, steps charged, packed basis) of each run;
+    returns the log."""
     runs = []
     inner = gb_mod._buchberger
 
@@ -569,15 +572,17 @@ def record_runs(monkeypatch):
 # rees_ideal and then fiber_cone_ideal.  Sizes and term counts were
 # recorded with the tuple-monomial engine that the packed one replaced.
 # Steps count reductions, reduced S-pairs, and the pairs and basis rows
-# each Gebauer-Moeller update examines.  The second run of a homogeneous
-# case drops the S-pairs that the grevlex Hilbert series of the Rees
-# ideal rules out.  A change here is a change of algorithm, not of speed.
+# each Gebauer-Moeller update examines.  The first run, the t-elimination
+# of the graph ideal, drops the S-pairs that its a priori weighted Hilbert
+# series rules out; the second run of a homogeneous case drops those that
+# the grevlex Hilbert series of the Rees ideal rules out.  A change here
+# is a change of algorithm, not of speed.
 GOLDEN_STEPS = {
-    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(441, 13, 358), (64, 6, 250)]),
-    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(731, 16, 686), (150, 9, 710)]),
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(3588, 22, 820), (748, 19, 1114)]),
-    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(150, 10, 60), (3, 2, 7)]),
-    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(235, 9, 144), (29, 4, 77)]),
+    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(225, 13, 358), (64, 6, 250)]),
+    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(346, 16, 686), (150, 9, 710)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1224, 22, 820), (748, 19, 1114)]),
+    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(94, 10, 60), (3, 2, 7)]),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(113, 9, 144), (29, 4, 77)]),
 }
 
 
@@ -629,7 +634,8 @@ class TestHilbertDriven:
             assert driven == plain
             (none, plain_run, _), _, (target, driven_run, _) = runs
             assert none is None
-            assert target == hilbert_numerator([g.lm() for g in grevlex], n)
+            ones = (1,) * n
+            assert target == (ones, weighted_numerator([g.lm() for g in grevlex], ones))
             plain_steps += plain_run
             driven_steps += driven_run
         assert driven_steps < plain_steps
@@ -646,9 +652,75 @@ class TestHilbertDriven:
         assert [run[0] for run in runs] == [None, None, None]
         # homogeneous with a cached basis: the target is its series
         groebner_basis(J, order=("blocks", (1, 2)))
-        assert runs[-1][0] == hilbert_numerator(
-            [g.lm() for g in groebner_basis(J, order="lex")], 3
-        )
+        leads = [g.lm() for g in groebner_basis(J, order="lex")]
+        assert runs[-1][0] == ((1, 1, 1), weighted_numerator(leads, (1, 1, 1)))
+
+
+def random_graph_ideal(rng, field):
+    """The graph ideal of 2-5 random forms of degree 1-3 in 2-4
+    variables, with three forms at most in degree 3 (four cubics in
+    three variables take seconds); returns it with the form degree."""
+    n = rng.randint(2, 4)
+    d = rng.randint(1, 3)
+    k = rng.randint(2, 5 if d < 3 else 3)
+    ctx = RingCtx(tuple("x%d" % i for i in range(n)), field)
+    coeff = rand_rational if field.characteristic == 0 else rand_coeff
+    forms = [nonzero_random_form(ctx, rng, d, density=0.4, coeff=coeff) for _ in range(k)]
+    return graph_ideal(forms), d
+
+
+class TestGraphSeries:
+    """The t-elimination of the graph ideal (y_i - t*g_i), driven by the
+    Hilbert series it has in the grading t, x -> 1, y -> d+1, against the
+    same basis computed without it."""
+
+    @pytest.mark.parametrize(
+        "field", [FP, FieldSpec(7), QQ], ids=["F_32003", "F_7", "QQ"]
+    )
+    def test_same_reduced_bases(self, field, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        runs = record_runs(monkeypatch)
+        rng = random.Random(1301 + field.characteristic)
+        plain_steps = driven_steps = 0
+        for _ in range(12):
+            graph, d = random_graph_ideal(rng, field)
+            n = graph.ctx.nvars
+            k = len(graph.gens)
+            del runs[:]
+            plain = groebner_basis(IdealHandle(graph.ctx, graph.gens))
+            driven = groebner_basis(graph)
+            assert driven == plain
+            (none, plain_run, _), (target, driven_run, _) = runs
+            assert none is None
+            assert target[0] == (1,) * (n - k) + (d + 1,) * k
+            plain_steps += plain_run
+            driven_steps += driven_run
+        assert driven_steps < plain_steps
+
+    @pytest.mark.parametrize(
+        "field", [FP, FieldSpec(7), QQ], ids=["F_32003", "F_7", "QQ"]
+    )
+    def test_series_matches_the_computed_leads(self, field):
+        rng = random.Random(1302 + field.characteristic)
+        for _ in range(12):
+            graph, _ = random_graph_ideal(rng, field)
+            grading, numer = gb_mod._known_series(graph)
+            plain = groebner_basis(IdealHandle(graph.ctx, graph.gens))
+            assert weighted_numerator([g.lm() for g in plain], grading) == numer
+
+    def test_parametric_forms_state_no_series(self):
+        forms = list(make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric")).forms)
+        assert gb_mod._known_series(graph_ideal(forms)) is None
+
+    def test_inhomogeneous_seed_with_a_target_raises(self):
+        _, I = mk(("x", "y"), ["x^2 - y"], field=FP)
+        seed_hilbert_series(I, (1, 1), {0: 1, 2: -1})
+        with pytest.raises(AssertionError, match="homogeneous"):
+            groebner_basis(I)
+        # with y of weight 2 the same seed is homogeneous
+        _, J = mk(("x", "y"), ["x^2 - y"], field=FP)
+        seed_hilbert_series(J, (1, 2), {0: 1, 2: -1})
+        assert [g.terms for g in groebner_basis(J)] == [{(2, 0): 1, (0, 1): 32002}]
 
 
 def rational_ideal(rng, order=lambda n: "grevlex"):

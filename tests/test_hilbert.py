@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,11 +11,13 @@ from reesdeg.hilbert import (
     dim_degree,
     hilbert_function,
     hilbert_numerator,
+    hilbert_value,
     lead_ideal,
     minimalize_monomials,
     monomial_dim_degree,
+    weighted_numerator,
 )
-from reesdeg.ring import FieldSpec, RingCtx, RingError, parse_poly
+from reesdeg.ring import FieldSpec, RingCtx, RingError, monomial_divides, parse_poly
 
 QQ = FieldSpec(0)
 
@@ -47,6 +50,94 @@ class TestMinimalize:
                 for b in mini:
                     if a != b:
                         assert any(x < y for x, y in zip(a, b))
+
+
+def weighted_standard_counts(mons, weights, top):
+    """Brute-force counts of the monomials of weighted degree 0..top
+    outside the monomial ideal of `mons`."""
+    counts = [0] * (top + 1)
+    for e in itertools.product(*(range(top // w + 1) for w in weights)):
+        k = sum(a * w for a, w in zip(e, weights))
+        if k <= top and not any(monomial_divides(g, e) for g in mons):
+            counts[k] += 1
+    return counts
+
+
+class TestMinimalizeAgainstBruteForce:
+    def test_same_generators_in_the_same_order(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            nvars = rng.randint(1, 4)
+            mons = [
+                tuple(rng.randint(0, 6) for _ in range(nvars))
+                for _ in range(rng.randint(1, 25))
+            ]
+            expected = sorted(
+                {
+                    m
+                    for m in mons
+                    if not any(g != m and monomial_divides(g, m) for g in mons)
+                },
+                key=lambda m: (sum(m), m),
+            )
+            assert minimalize_monomials(mons) == expected
+
+    def test_large_exponents(self):
+        mons = [(1 << 22, 0), (3, 1 << 20), (1 << 22, 1), (3, (1 << 20) + 5)]
+        assert minimalize_monomials(mons) == [(3, 1 << 20), (1 << 22, 0)]
+
+
+class TestWeightedNumerator:
+    def test_matches_weighted_counting(self):
+        rng = random.Random(1996)
+        for _ in range(60):
+            nvars = rng.randint(1, 4)
+            weights = tuple(rng.randint(1, 3) for _ in range(nvars))
+            mons = random_monomial_ideal(rng, nvars, rng.randint(1, 5), max_deg=3)
+            numer = weighted_numerator(mons, weights)
+            top = 10
+            counts = weighted_standard_counts(mons, weights, top)
+            assert [hilbert_value(numer, weights, k) for k in range(top + 1)] == counts
+            # N(z) is the series times prod_v (1 - z^w_v), coefficient by
+            # coefficient, up to the degree the counts reach
+            series = counts
+            for w in weights:
+                series = [c - (series[k - w] if k >= w else 0) for k, c in enumerate(series)]
+            assert series == [numer.get(k, 0) for k in range(top + 1)]
+
+    def test_standard_grading_is_the_dense_numerator(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            nvars = rng.randint(1, 3)
+            mons = random_monomial_ideal(rng, nvars, rng.randint(1, 5))
+            dense = hilbert_numerator(mons, nvars)
+            sparse = weighted_numerator(mons, (1,) * nvars)
+            assert sparse == {k: c for k, c in enumerate(dense) if c}
+
+    def test_sparse_with_huge_exponents(self):
+        # one entry per term, and a pivot power instead of one recursion
+        # level per unit of the exponent
+        assert weighted_numerator([(5000, 0), (0, 5000)], (1, 1)) == {
+            0: 1, 5000: -2, 10000: 1,
+        }
+        # two generators: 1 - z^deg(m1) - z^deg(m2) + z^deg(lcm)
+        assert weighted_numerator([(1, 5000), (3000, 2)], (1, 1)) == {
+            0: 1, 3002: -1, 5001: -1, 8000: 1,
+        }
+        # x*y^2 times an ideal of finite colength: the curve x*y^2 = 0
+        s = monomial_dim_degree([(1, 5000), (3000, 2), (2, 4000)], 2)
+        assert (s.dim, s.degree) == (1, 3)
+
+    def test_graph_grading(self):
+        # (y0, y1, y2) with y of weight d+1: (1 - z^(d+1))^3
+        weights = (1, 1, 1, 5, 5, 5)
+        ys = [tuple(int(v == 3 + i) for v in range(6)) for i in range(3)]
+        assert weighted_numerator(ys, weights) == {0: 1, 5: -3, 10: 3, 15: -1}
+        # the quotient is k[t, x0, x1]
+        numer = weighted_numerator(ys, weights)
+        assert [hilbert_value(numer, weights, k) for k in range(6)] == [
+            math.comb(k + 2, 2) for k in range(6)
+        ]
 
 
 class TestNumerator:
