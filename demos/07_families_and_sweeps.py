@@ -25,7 +25,7 @@ rep = degree_report(rational_map(pf.forms))
 print("5x5 Pfaffians: deg_map", rep.deg_map, " G_5", check_Gm(pf.matrix, 5).verdict)
 
 # the parametric cubic family: one generic Rees basis serves the sweep
-dj = make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric"))
+dj = make_family(FamilySpec("dejonquieres", m=2))
 print("sweep over a in {0, 1, 2}:")
 print("  point  deg_map  deg_image  gr_dim  G_3")
 for row in specialization_sweep(dj, [0, 1, 2]):

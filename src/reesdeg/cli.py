@@ -7,7 +7,8 @@ SUBCOMMAND_FLAGS, plus --seed, --budget, --format and --out.  Its input
 required.  Output is a JSON envelope carrying schema, the command, seed
 and prime; every subcommand also prints plain text, and sweep prints
 CSV.  No answer depends on the seed, which is only echoed.  Exit codes:
-0 success, 2 malformed input or usage, 3 budget exceeded.  One step
+0 success, 2 malformed input or usage, 3 budget exceeded; a failed
+internal check (AssertionError) is not caught and exits 1.  One step
 budget covers every Groebner computation of the command; its default,
 DEFAULT_BUDGET reduction steps, can be set through the REESDEG_BUDGET
 environment variable and overridden per run with --budget.
@@ -17,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from functools import lru_cache
 
@@ -58,8 +60,6 @@ def _ring_from_text(text):
 
 
 def _infer_ring(map_text, prime):
-    import re
-
     seen = []
     for name in re.findall(r"[A-Za-z_][A-Za-z_0-9]*", map_text):
         if name not in seen:
@@ -90,10 +90,10 @@ def _load_family(args):
             handle = parse_ideal(fh.read())
         if handle.ctx.n_params == 0:
             raise RingError("family file must declare params in its ring header")
-        spec = FamilySpec("dejonquieres", mode="generic-parametric", prime=args.prime)
+        spec = FamilySpec("dejonquieres", prime=args.prime)
         return Family(spec, handle.ctx, None, tuple(handle.gens), 0)
     if name == "dejonquieres":
-        spec = FamilySpec("dejonquieres", m=args.m, mode="generic-parametric", prime=args.prime)
+        spec = FamilySpec("dejonquieres", m=args.m, prime=args.prime)
         return make_family(spec)
     raise RingError("unknown family %r" % name)
 

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .groebner import IdealHandle, _homogeneous
 from .hilbert import dim_degree
-from .ring import Poly, RingError
+from .ring import Poly, RingError, format_poly, format_ring_header, parse_poly, parse_ring_header
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,6 @@ def check_Fm(M, m):
 
 
 def serialize_matrix(M):
-    from .ring import format_poly, format_ring_header
-
     lines = [format_ring_header(M.ctx), "matrix %d x %d" % (M.nrows, M.ncols)]
     for row in M.entries:
         lines.append(", ".join(format_poly(e) for e in row))
@@ -205,8 +203,6 @@ def serialize_matrix(M):
 
 def parse_matrix_file(text):
     """Ring header, `matrix r x c`, then one comma-separated row per line."""
-    from .ring import parse_poly, parse_ring_header
-
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 2:

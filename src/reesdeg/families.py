@@ -9,10 +9,10 @@ Pfaffians.  The de Jonquieres family is a fixed plane matrix carrying
 one deformation parameter, and is the one family the parametric blowup
 route runs on.
 
-Random instances draw every coefficient uniformly from the nonzero
-field elements, seeded; generic-parametric mode is reserved for the
-family with a declared parameter, since eliminating over the full
-generic coefficient ring is out of desk-scale reach.
+Hilbert-Burch and Pfaffian instances draw every coefficient uniformly
+from the nonzero field elements, seeded; eliminating over the full
+generic coefficient ring is out of desk-scale reach.  The de Jonquieres
+instance keeps its parameter in the ring.
 """
 
 import random
@@ -40,8 +40,7 @@ class FamilySpec:
     kind: hilbert_burch | pfaffian | dejonquieres.  `mu` gives the
     column degrees for hilbert_burch (weakly increasing, positive), `D`
     the entry degree for pfaffian, `m` the de Jonquieres parameter.
-    mode is random-specialized (seeded coefficients) or
-    generic-parametric (deformation parameters kept in the ring).
+    `seed` draws the coefficients of the random kinds.
     """
 
     kind: str
@@ -49,7 +48,6 @@ class FamilySpec:
     mu: tuple = ()
     D: int = 1
     m: int = 2
-    mode: str = "random-specialized"
     seed: int = DEFAULT_SEED
     prime: int = DEFAULT_PRIME
 
@@ -70,8 +68,6 @@ class FamilySpec:
                 raise RingError("pfaffian entry degree must be >= 1")
         if self.kind == "dejonquieres" and self.m < 2:
             raise RingError("dejonquieres needs m >= 2")
-        if self.mode not in ("random-specialized", "generic-parametric"):
-            raise RingError("unknown coefficient mode %r" % self.mode)
 
 
 @dataclass
@@ -198,11 +194,6 @@ def _coord_ctx(n, prime):
 def make_family(spec):
     """Realize a FamilySpec: build the matrix, take the coordinates."""
     if spec.kind == "hilbert_burch":
-        if spec.mode != "random-specialized":
-            raise RingError(
-                "hilbert_burch supports random-specialized coefficients only; "
-                "the fully generic matrix is out of desk-scale reach"
-            )
         ctx = _coord_ctx(spec.r + 1, spec.prime)
         rng = random.Random(spec.seed)
         entries = [
@@ -213,11 +204,6 @@ def make_family(spec):
         forms = signed_maximal_minors(M)
         return Family(spec, ctx, M, tuple(forms), sum(spec.mu))
     if spec.kind == "pfaffian":
-        if spec.mode != "random-specialized":
-            raise RingError(
-                "pfaffian supports random-specialized coefficients only; "
-                "the fully generic matrix is out of desk-scale reach"
-            )
         n = spec.r + 1
         ctx = _coord_ctx(n, spec.prime)
         rng = random.Random(spec.seed)
@@ -243,13 +229,7 @@ def make_family(spec):
         ],
     )
     forms = signed_maximal_minors(M)
-    fam = Family(spec, ctx, M, tuple(forms), m + 1)
-    if spec.mode == "random-specialized":
-        rng = random.Random(spec.seed)
-        p = spec.prime
-        val = rng.randrange(1, p) if p else rng.randint(1, 12)
-        return specialized_family(fam, (val,))
-    return fam
+    return Family(spec, ctx, M, tuple(forms), m + 1)
 
 
 def specialized_family(fam, point):
@@ -286,8 +266,9 @@ def specialization_sweep(fam, points):
     Each row records the map degree and image degree of the special
     member, the special fiber dimension of gr (computed through the one
     generic Rees basis shared across the sweep), and whether the
-    specialized matrix satisfies G_{r+1}.  Row failures are caught and
-    reported in the status column.
+    specialized matrix satisfies G_{r+1}.  A point whose member is
+    malformed (a RingError) gets a row with the message in the status
+    column; a failed internal check propagates.
     """
     if not fam.parametric:
         raise RingError("sweep needs a parametric family")
@@ -306,7 +287,7 @@ def specialization_sweep(fam, points):
             rows.append(
                 SweepRow(point, rep.deg_map, rep.deg_image, gdim, verdict, "ok")
             )
-        except (RingError, AssertionError) as exc:
+        except RingError as exc:
             rows.append(SweepRow(point, None, None, None, None, "error: %s" % exc))
     return rows
 

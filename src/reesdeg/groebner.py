@@ -30,21 +30,8 @@ driven from the first S-pair.  Should a degree in that grading reach
 `EXP_BOUND` while the total degree stays below it, the basis is
 computed again without the series.
 
-Inside the engine a monomial is one Python int (Singular-style packed
-exponent vectors).  Fields of `_WIDTH` bits, least significant first,
-hold the degree, the exponents e_0..e_{n-1}, and on top the order
-key as n nonnegative linear forms: (deg, S_{n-2}, ..., S_0) with prefix
-sums S_k = e_0 + ... + e_k for grevlex, per block for block orders, the
-plain exponents for lex.  Integer comparison is then the monomial order,
-`+` multiplies, and `b` divides `a` exactly when `(a - b) & guard` is 0,
-in which case `a - b` is the quotient.  Every field stays below
-`EXP_BOUND` (2^23), which leaves the field's top bit, the guard bit,
-free: sums never spill into the next field, a failed subtraction always
-borrows into a guard bit, and a monomial whose degree reaches the bound
-raises `RingError` instead of wrapping.  The degree field holds the
-degree in the grading the packing was made for (the total degree unless
-a Hilbert series names weights), and sugar, the pair order and the
-Hilbert check all read it.
+Inside the engine a monomial is one packed int, in the encoding of
+`ring` with the degree field in the grading of the run.
 
 Coefficients over Q are Python ints inside the engine, as monomials are
 (fraction-free reduction).  An engine polynomial is primitive with a
@@ -72,28 +59,29 @@ Rabinowitsch: eliminate t from I + (1 - t*g).
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul
 
 from .ring import (
+    _MASK,
+    EXP_BOUND,
     Poly,
     RingCtx,
     RingError,
+    _minimal_packed,
+    _normalize_order,
+    _overflow,
+    _packing,
+    format_poly,
+    format_ring_header,
     fresh_names,
-    monomial_lcm,
+    parse_poly,
+    parse_ring_header,
 )
 
 DEFAULT_BUDGET = 1_000_000
-
-# exponents and total degrees of every monomial the engine builds stay
-# below this; a packed field is one bit wider, the guard bit
-EXP_BOUND = 1 << 23
-_WIDTH = 24
-_MASK = EXP_BOUND - 1
 
 # flipped on by the test suite: re-checks the Buchberger criterion on
 # every basis before it is cached
@@ -146,81 +134,6 @@ def _charge(budget, n=1):
     budget.left -= n
     if budget.left < 0:
         raise BudgetExceeded(budget.limit)
-
-
-def _overflow():
-    return RingError("monomial degree reaches the packed exponent bound %d" % EXP_BOUND)
-
-
-def _order_fields(order, n):
-    """The order key as index ranges: each field sums e_i over a range,
-    most significant field first."""
-    if order == "lex":
-        return [range(i, i + 1) for i in range(n)]
-    sizes = (n,) if order == "grevlex" else order[1]
-    fields = []
-    lo = 0
-    for size in sizes:
-        hi = lo + size
-        fields.append(range(lo, hi))
-        fields.extend(range(lo, k + 1) for k in range(hi - 2, lo - 1, -1))
-        lo = hi
-    return fields
-
-
-class _Packing:
-    """Monomial encoding for one monomial order on n variables, with the
-    degree field in a grading by positive variable weights (default: all
-    1, the standard grading)."""
-
-    __slots__ = ("units", "shifts", "guard", "grading")
-
-    def __init__(self, order, n, grading=None):
-        # field 0 is the degree, field 1 + i the exponent e_i, and the
-        # order fields fill 2n down to n + 1.  Weights of at least 1 keep
-        # every exponent and order field at most the degree.
-        self.grading = grading or (1,) * n
-        if min(self.grading, default=1) < 1:
-            raise ValueError("grading weights must be positive")
-        units = [w + (1 << _WIDTH * (1 + i)) for i, w in enumerate(self.grading)]
-        for f, rng in enumerate(_order_fields(order, n)):
-            for i in rng:
-                units[i] += 1 << _WIDTH * (2 * n - f)
-        self.units = tuple(units)
-        self.shifts = tuple(_WIDTH * (1 + i) for i in range(n))
-        self.guard = sum(EXP_BOUND << _WIDTH * k for k in range(2 * n + 1))
-
-    def pack(self, mon):
-        if sum(map(mul, mon, self.grading)) >= EXP_BOUND:
-            raise _overflow()
-        v = 0
-        for e, u in zip(mon, self.units):
-            if e:
-                v += e * u
-        return v
-
-    def unpack(self, m):
-        return tuple((m >> s) & _MASK for s in self.shifts)
-
-    def pack_terms(self, terms):
-        pack = self.pack
-        return {pack(m): c for m, c in terms.items()}
-
-    def unpack_terms(self, terms):
-        unpack = self.unpack
-        return {unpack(m): c for m, c in terms.items()}
-
-    def lcm(self, a, b):
-        return self.pack(monomial_lcm(self.unpack(a), self.unpack(b)))
-
-    def divides(self, b, a):
-        # a - b borrows, and so sets a guard bit, exactly where b is larger
-        return not (a - b) & self.guard
-
-
-@lru_cache(maxsize=64)
-def _packing(order, n, grading=None):
-    return _Packing(order, n, grading)
 
 
 def _reduce(work, rows, guard, p, budget, sugar=-1):
@@ -375,8 +288,13 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         grading, target = hilbert
         if any(len({m & _MASK for m in t}) > 1 for t in start):
             raise AssertionError("seed is not homogeneous in the grading of its Hilbert series")
+    unit = [{0: 1}]
+    if max(start[0]) == 0:
+        return unit
     if all(len(t) == 1 for t in start):
-        return _minimal_monomials(start, pk, budget)
+        # the minimal generators, each divisibility test one step
+        keep = _minimal_packed([max(t) for t in start], guard, partial(_charge, budget))
+        return [start[i] for i in keep]
 
     rows = []      # every basis row ever created: (lead, tail, sugar)
     terms_of = []  # parallel: full term dicts
@@ -432,10 +350,7 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         update(len(rows) - 1)
         return True
 
-    unit = [{0: 1}]
     for t in start:
-        if max(t) == 0:
-            return unit
         basis_rows = [rows[g] for g in G]
         sug = max(m & _MASK for m in t)
         rem, sug, _ = _reduce(dict(t), basis_rows, guard, p, budget, sugar=sug)
@@ -481,23 +396,6 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
     return _reduce_tails([terms_of[g] for g in G], guard, p, budget)
 
 
-def _minimal_monomials(start, pk, budget):
-    """The reduced basis of an ideal generated by the one-term normalized
-    dicts `start`, sorted by lead: its minimal generators.  A monomial's
-    divisors come before it in any monomial order; every divisibility
-    test costs one budget step."""
-    leads = []
-    for (m,) in start:
-        if m == 0:
-            return [{0: 1}]
-        # k: the tests made up to the first divisor, 0 when none divides
-        k = next((k for k, u in enumerate(leads, 1) if pk.divides(u, m)), 0)
-        _charge(budget, k or len(leads))
-        if not k:
-            leads.append(m)
-    return [{m: 1} for m in leads]
-
-
 def _reduce_tails(basis, guard, p, budget):
     """The reduced basis, sorted by lead and normalized, from the
     normalized packed term dicts of a minimal Groebner basis: one pass
@@ -510,10 +408,11 @@ def _reduce_tails(basis, guard, p, budget):
     return out
 
 
-def _spair_closure_ok(basis_dicts, ctx):
-    """Buchberger criterion: every S-polynomial reduces to zero."""
+def _spair_closure_ok(basis_dicts, ctx, order=None):
+    """Buchberger criterion: every S-polynomial reduces to zero, in
+    `order` (default: the ring order)."""
     check = _Budget(10 * DEFAULT_BUDGET)
-    pk = _packing(ctx.order, ctx.nvars)
+    pk = _packing(order or ctx.order, ctx.nvars)
     p = ctx.field.characteristic
     packed = [_pack_integral(pk, t, p)[0] for t in basis_dicts]
     rows = [_row(t, 0) for t in packed]
@@ -568,8 +467,7 @@ def ideal(ctx, gens):
 
 
 def _order_key(ctx, order):
-    normalized = replace(ctx, order=order).order if order is not None else ctx.order
-    return normalized
+    return ctx.order if order is None else _normalize_order(order, ctx.nvars)
 
 
 def groebner_basis(I, order=None):
@@ -582,7 +480,6 @@ def groebner_basis(I, order=None):
     cached = I.gb_cache.get(okey)
     if cached is not None:
         return list(cached)
-    work_ctx = I.ctx if okey == I.ctx.order else replace(I.ctx, order=okey)
     p = I.ctx.field.characteristic
     target = _known_series(I)
     try:
@@ -594,7 +491,7 @@ def groebner_basis(I, order=None):
             raise
         pk, basis = _run_buchberger(I, okey, None)
     basis_dicts = [_unpack_monic(pk, t, p) for t in basis]
-    if VERIFY_BASES and not _spair_closure_ok(basis_dicts, work_ctx):
+    if VERIFY_BASES and not _spair_closure_ok(basis_dicts, I.ctx, okey):
         raise AssertionError("computed basis fails the Buchberger criterion")
     out = tuple(Poly(I.ctx, t, _clean=True) for t in basis_dicts)
     I.gb_cache[okey] = out
@@ -885,14 +782,9 @@ def _saturate_by_variables(I):
         stripped.append({m - a * unit: c for m, c in t.items()} if a else t)
     # keep the lead-minimal elements; a divisor's lead is never larger
     stripped.sort(key=max)
-    minimal, leads = [], []
-    for t in stripped:
-        lead = max(t)
-        if not any(pk.divides(u, lead) for u in leads):
-            minimal.append(t)
-            leads.append(lead)
+    minimal = [stripped[i] for i in _minimal_packed([max(t) for t in stripped], pk.guard)]
     if not _finite_colength(
-        [pk.unpack(max(t)) for t in gb], [pk.unpack(u) for u in leads], ctx.nvars
+        [pk.unpack(max(t)) for t in gb], [pk.unpack(max(t)) for t in minimal], ctx.nvars
     ):
         return None
     basis = [
@@ -935,8 +827,6 @@ def saturate(I, J):
 
 def serialize_ideal(I):
     """Ring header line followed by one generator per line."""
-    from .ring import format_ring_header, format_poly
-
     lines = [format_ring_header(I.ctx)]
     for g in I.gens:
         lines.append(format_poly(g))
@@ -945,8 +835,6 @@ def serialize_ideal(I):
 
 def parse_ideal(text):
     """Inverse of serialize_ideal; blank lines and # comments are skipped."""
-    from .ring import parse_ring_header, parse_poly
-
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -16,13 +16,13 @@ vector-space length of the quotient.
 """
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import lshift, mul
 
-from .groebner import groebner_basis
-from .ring import RingError, monomial_divides, monomials_of_degree
+from .groebner import _order_key, groebner_basis
+from .ring import RingError, _minimal_packed, _packing, monomial_divides, monomials_of_degree
 
 
 def _by_degree(m):
@@ -34,7 +34,11 @@ def minimalize_monomials(mons):
     sorted by (degree, exponents).
 
     Exponent tuples are packed into ints with one spare guard bit per
-    field, so b divides a exactly when a - b sets no guard bit.
+    field, so b divides a exactly when a - b sets no guard bit.  The
+    fields are only as wide as the largest exponent needs, not the
+    engine's 24 bits: the pivot recursion of `_numerator` calls this on
+    every node, and the wide packing made `sfib-hf` of (x0^2,x1^2,x2^2)
+    at power 40 about a quarter slower.
     """
     mons = sorted(set(map(tuple, mons)), key=_by_degree)
     if not mons:
@@ -42,17 +46,9 @@ def minimalize_monomials(mons):
     width = max(max(m, default=0) for m in mons).bit_length() + 1
     shifts = range(0, width * len(mons[0]), width)
     guard = sum(1 << (s + width - 1) for s in shifts)
-    out, kept = [], []
-    for m in mons:
-        v = sum(map(lshift, m, shifts))
-        # a divisor has no larger degree, so it is already kept
-        for u in kept:
-            if not (v - u) & guard:
-                break
-        else:
-            out.append(m)
-            kept.append(v)
-    return out
+    # a divisor has no larger degree, so it comes first
+    packed = [sum(map(lshift, m, shifts)) for m in mons]
+    return [mons[i] for i in _minimal_packed(packed, guard)]
 
 
 def _add_shifted(acc, numer, shift):
@@ -171,10 +167,10 @@ def _check_standard_homogeneous(polys, ctx):
 
 
 def lead_ideal(I, order=None):
-    """Minimal generators of the lead-term ideal under the given order."""
-    gb = groebner_basis(I, order=order)
-    key = (I.ctx if order is None else replace(I.ctx, order=order)).key
-    return minimalize_monomials([max(g.terms, key=key) for g in gb])
+    """Minimal generators of the lead-term ideal under the given order,
+    sorted by (degree, exponents): the leads of the reduced basis."""
+    key = _packing(_order_key(I.ctx, order), I.ctx.nvars).pack
+    return sorted((max(g.terms, key=key) for g in groebner_basis(I, order)), key=_by_degree)
 
 
 @dataclass(frozen=True)

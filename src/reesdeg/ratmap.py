@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .blowup import fiber_cone_ideal, rees_ideal
 from .groebner import IdealHandle, elimination_order, saturate
 from .hilbert import dim_degree, lead_ideal, monomial_dim_degree
-from .ring import Poly, RingError
+from .ring import Poly, RingError, format_poly, format_ring_header, parse_poly, parse_ring_header
 
 NOT_GENERICALLY_FINITE = "not-generically-finite"
 
@@ -145,16 +145,12 @@ def degree_report(spec):
 
 
 def serialize_map(spec):
-    from .ring import format_poly, format_ring_header
-
     head = format_ring_header(spec.ctx)
     return "%s\nmap: %s\n" % (head, ", ".join(format_poly(g) for g in spec.forms))
 
 
 def parse_map_file(text):
     """Ring header, then `map: g0, g1, ..., gs` on its own line."""
-    from .ring import parse_poly, parse_ring_header
-
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if len(lines) < 2:

@@ -9,16 +9,42 @@ shared by every polynomial of the ring.
 Supported orders: graded reverse lexicographic, lexicographic, and block
 orders (grevlex inside each block, blocks compared left to right), which
 is what every elimination step in the package runs on.
+
+A monomial order has one implementation: a monomial packs into one
+Python int (Singular-style packed exponent vectors; Bachmann and
+Schoenemann, "Monomial representations for Groebner bases computations",
+ISSAC 1998), and `RingCtx.key` is that packing for the ring's order, so
+`Poly` and the Buchberger engine compare monomials alike.  Fields of
+`_WIDTH` bits, least significant first, hold the degree, the exponents
+e_0..e_{n-1}, and on top the order key as n nonnegative linear forms:
+(deg, S_{n-2}, ..., S_0) with prefix sums S_k = e_0 + ... + e_k for
+grevlex, per block for block orders, the plain exponents for lex.
+Integer comparison is then the monomial order, `+` multiplies, and `b`
+divides `a` exactly when `(a - b) & guard` is 0, in which case `a - b`
+is the quotient.  Every field stays below `EXP_BOUND` (2^23), which
+leaves the field's top bit, the guard bit, free: sums never spill into
+the next field, a failed subtraction always borrows into a guard bit,
+and a monomial whose degree reaches the bound raises `RingError` instead
+of wrapping.  The degree field holds the degree in the grading the
+packing was made for (the total degree unless a Hilbert series names
+weights), and sugar, the pair order and the Hilbert check all read it.
 """
 
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add
+from functools import lru_cache
+from operator import add, mul
 
 MAX_PRIME = 2**31 - 1
 DEFAULT_PRIME = 32003
+
+# exponents and total degrees of every packed monomial stay below this;
+# a packed field is one bit wider, the guard bit
+EXP_BOUND = 1 << 23
+_WIDTH = 24
+_MASK = EXP_BOUND - 1
 
 
 class RingError(ValueError):
@@ -101,12 +127,6 @@ class FieldSpec:
         return 1 if self.characteristic else Fraction(1)
 
 
-def _grevlex_key(exps):
-    # later variables weigh against a monomial: ties broken by the last
-    # coordinate in which the exponents differ, smaller exponent wins
-    return (sum(exps),) + tuple(-e for e in reversed(exps))
-
-
 def _normalize_order(order, n):
     if order in ("grevlex", "lex"):
         return order
@@ -121,6 +141,101 @@ def _normalize_order(order, n):
             raise RingError("block sizes %r do not partition %d variables" % (sizes, n))
         return ("blocks", sizes)
     raise RingError("unknown monomial order %r" % (order,))
+
+
+def _overflow():
+    return RingError("monomial degree reaches the packed exponent bound %d" % EXP_BOUND)
+
+
+def _order_fields(order, n):
+    """The order key as index ranges: each field sums e_i over a range,
+    most significant field first."""
+    if order == "lex":
+        return [range(i, i + 1) for i in range(n)]
+    sizes = (n,) if order == "grevlex" else order[1]
+    fields = []
+    lo = 0
+    for size in sizes:
+        hi = lo + size
+        fields.append(range(lo, hi))
+        fields.extend(range(lo, k + 1) for k in range(hi - 2, lo - 1, -1))
+        lo = hi
+    return fields
+
+
+class _Packing:
+    """Monomial encoding for one normalized monomial order on n
+    variables, with the degree field in a grading by positive variable
+    weights (default: all 1, the standard grading)."""
+
+    __slots__ = ("units", "shifts", "guard", "grading")
+
+    def __init__(self, order, n, grading=None):
+        # field 0 is the degree, field 1 + i the exponent e_i, and the
+        # order fields fill 2n down to n + 1.  Weights of at least 1 keep
+        # every exponent and order field at most the degree.
+        self.grading = grading or (1,) * n
+        if min(self.grading, default=1) < 1:
+            raise ValueError("grading weights must be positive")
+        units = [w + (1 << _WIDTH * (1 + i)) for i, w in enumerate(self.grading)]
+        for f, rng in enumerate(_order_fields(order, n)):
+            for i in rng:
+                units[i] += 1 << _WIDTH * (2 * n - f)
+        self.units = tuple(units)
+        self.shifts = tuple(_WIDTH * (1 + i) for i in range(n))
+        self.guard = sum(EXP_BOUND << _WIDTH * k for k in range(2 * n + 1))
+
+    def pack(self, mon):
+        if sum(map(mul, mon, self.grading)) >= EXP_BOUND:
+            raise _overflow()
+        v = 0
+        for e, u in zip(mon, self.units):
+            if e:
+                v += e * u
+        return v
+
+    def unpack(self, m):
+        return tuple((m >> s) & _MASK for s in self.shifts)
+
+    def pack_terms(self, terms):
+        pack = self.pack
+        return {pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms):
+        unpack = self.unpack
+        return {unpack(m): c for m, c in terms.items()}
+
+    def lcm(self, a, b):
+        return self.pack(monomial_lcm(self.unpack(a), self.unpack(b)))
+
+    def divides(self, b, a):
+        # a - b borrows, and so sets a guard bit, exactly where b is larger
+        return not (a - b) & self.guard
+
+
+@lru_cache(maxsize=64)
+def _packing(order, n, grading=None):
+    return _Packing(order, n, grading)
+
+
+def _minimal_packed(packed, guard, charge=None):
+    """Indices of the minimal elements of `packed`, guard-bit packed
+    monomials listed so that every divisor of an element comes before it.
+    Of equal monomials the first is kept.  `charge`, when given, is called
+    after each element with the number of divisibility tests made for it."""
+    out, kept = [], []
+    for i, v in enumerate(packed):
+        tests = len(kept)
+        for u in kept:
+            if not (v - u) & guard:
+                tests = kept.index(u) + 1
+                break
+        else:
+            out.append(i)
+            kept.append(v)
+        if charge:
+            charge(tests)
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,7 +273,8 @@ class RingCtx:
             if len(w) != len(names):
                 raise RingError("weight count does not match variable count")
             object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_key_cache", {})
+        # the sort key of a monomial: larger key means larger monomial
+        object.__setattr__(self, "key", _packing(self.order, len(names)).pack)
 
     @property
     def nvars(self):
@@ -173,24 +289,6 @@ class RingCtx:
             return self.var_names.index(name)
         except ValueError:
             raise RingError("unknown variable %r" % name) from None
-
-    def key(self, mon):
-        """Sort key of a monomial; larger key means larger monomial."""
-        k = self._key_cache.get(mon)
-        if k is None:
-            order = self.order
-            if order == "grevlex":
-                k = _grevlex_key(mon)
-            elif order == "lex":
-                k = mon
-            else:
-                k = ()
-                i = 0
-                for size in order[1]:
-                    k += _grevlex_key(mon[i : i + size])
-                    i += size
-            self._key_cache[mon] = k
-        return k
 
     def bidegree_of_mon(self, mon):
         a = b = 0
@@ -233,7 +331,7 @@ def monomials_of_degree(nvars, d):
 class Poly:
     """Immutable sparse polynomial attached to a RingCtx."""
 
-    __slots__ = ("ctx", "terms", "_sorted")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms, _clean=False):
         self.ctx = ctx
@@ -247,7 +345,6 @@ class Poly:
                 if c:
                     clean[tuple(m)] = c
             self.terms = clean
-        self._sorted = None
 
     @classmethod
     def zero(cls, ctx):
@@ -287,17 +384,14 @@ class Poly:
 
     def sorted_terms(self):
         """Terms as (monomial, coeff) pairs, largest monomial first."""
-        if self._sorted is None:
-            key = self.ctx.key
-            self._sorted = sorted(
-                self.terms.items(), key=lambda t: key(t[0]), reverse=True
-            )
-        return self._sorted
+        key = self.ctx.key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
 
     def lt(self):
         if not self.terms:
             raise ValueError("leading term of zero polynomial")
-        return self.sorted_terms()[0]
+        m = max(self.terms, key=self.ctx.key)
+        return m, self.terms[m]
 
     def lm(self):
         return self.lt()[0]

@@ -75,9 +75,7 @@ def test_criterion_1_parametric_sweep_degree_drop():
     a=0 gives a birational member, generic a gives map degree m."""
     with criterion("1", "parametric sweep shows the degree drop at a=0"):
         for m in (2, 3):
-            fam = make_family(
-                FamilySpec("dejonquieres", m=m, mode="generic-parametric")
-            )
+            fam = make_family(FamilySpec("dejonquieres", m=m))
             for point, expected in ((0, 1), (1, m)):
                 start = time.monotonic()
                 rows = specialization_sweep(fam, [point])
@@ -92,9 +90,7 @@ def test_criterion_2_gr_dimension_over_rationals():
     4 at the special point, 3 at a generic one."""
     with criterion("2", "gr special fiber dimension over Q jumps 3 -> 4 at a=0"):
         start = time.monotonic()
-        fam = make_family(
-            FamilySpec("dejonquieres", m=2, mode="generic-parametric", prime=0)
-        )
+        fam = make_family(FamilySpec("dejonquieres", m=2, prime=0))
         generic = fam.generic_rees()
         forms = list(fam.forms)
         assert gr_dimension_at(forms, (0,), generic=generic) == 4
@@ -234,7 +230,7 @@ def test_criterion_8_specialization_kind_jump():
     nonzero parameters, proper kernel at a=0."""
     with criterion("8", "Rees specialization is iso generically, proper at a=0"):
         start = time.monotonic()
-        fam = make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric"))
+        fam = make_family(FamilySpec("dejonquieres", m=2))
         forms = list(fam.forms)
         rng = random.Random(88)
         for _ in range(3):

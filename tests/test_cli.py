@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import reesdeg.families as families
 from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, build_parser, main
 from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
 
@@ -171,6 +172,24 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert [r["deg_map"] for r in rows] == [1, 2, 2]
+
+    def test_failed_internal_check_is_not_a_row(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("internal check failed")
+
+        monkeypatch.setattr(families, "gr_dimension_at", broken)
+        with pytest.raises(AssertionError, match="internal check failed"):
+            main(["sweep", "--family", "dejonquieres", "--points", "0,1"])
+
+    def test_malformed_member_is_an_error_row(self, capsys, tmp_path):
+        path = tmp_path / "family.txt"
+        path.write_text("ring x y params a over 32003\na*x^2\ny^2\nx*y\n")
+        code, out = run(capsys, ["sweep", "--family", str(path), "--points", "0,1"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert rows[0]["status"].startswith("error: zero form")
+        assert rows[1]["status"] == "ok"
+        assert (rows[1]["deg_map"], rows[1]["deg_image"]) == (1, 2)
 
     def test_gr_dim_rows(self, capsys):
         code, out = run(

@@ -52,11 +52,9 @@ class TestFamilySpec:
         with pytest.raises(RingError):
             FamilySpec("dejonquieres", m=1)
 
-    def test_unknown_kind_and_mode(self):
+    def test_unknown_kind(self):
         with pytest.raises(RingError):
             FamilySpec("elephant")
-        with pytest.raises(RingError):
-            FamilySpec("dejonquieres", mode="psychic")
 
 
 class TestHilbertBurch:
@@ -81,12 +79,6 @@ class TestHilbertBurch:
         fam = make_family(FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=1))
         rep = degree_report(rational_map(fam.forms))
         assert rep.deg_map * rep.deg_image == 2
-
-    def test_generic_mode_rejected(self):
-        with pytest.raises(RingError):
-            make_family(
-                FamilySpec("hilbert_burch", r=2, mu=(1, 1), mode="generic-parametric")
-            )
 
     def test_minors_of_handmade_matrix(self):
         ctx = RingCtx(("x", "y", "z"), FieldSpec(0))
@@ -140,26 +132,24 @@ class TestPfaffian:
                 total = total + fam.matrix.entries[i][j] * fam.forms[j]
             assert not total
 
-    def test_generic_mode_rejected(self):
-        with pytest.raises(RingError):
-            make_family(FamilySpec("pfaffian", r=4, mode="generic-parametric"))
-
 
 class TestDeJonquieres:
     def test_parametric_construction(self):
-        fam = make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric"))
+        fam = make_family(FamilySpec("dejonquieres", m=2))
         assert fam.parametric
         assert fam.ctx.var_names == ("x", "y", "z", "a")
         assert fam.degree == 3
         assert len(fam.forms) == 3
 
     def test_random_specialized_draws_nonzero(self):
-        fam = make_family(FamilySpec("dejonquieres", m=2, seed=9))
+        a = random.Random(9).randrange(1, 32003)
+        fam = specialized_family(make_family(FamilySpec("dejonquieres", m=2)), (a,))
         assert not fam.parametric
         assert fam.ctx.var_names == ("x", "y", "z")
+        assert fam.matrix.entries[2][0] == Poly.var(fam.ctx, 2).scale(a)
 
     def test_sweep_frozen_values(self):
-        fam = make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric"))
+        fam = make_family(FamilySpec("dejonquieres", m=2))
         rows = specialization_sweep(fam, [0, 1])
         assert [r.status for r in rows] == ["ok", "ok"]
         assert [r.deg_map for r in rows] == [1, 2]
@@ -168,14 +158,14 @@ class TestDeJonquieres:
         assert [r.g_condition for r in rows] == [False, True]
 
     def test_sweep_reuses_generic_rees(self):
-        fam = make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric"))
+        fam = make_family(FamilySpec("dejonquieres", m=2))
         specialization_sweep(fam, [1])
         cached = fam._generic_rees
         specialization_sweep(fam, [2])
         assert fam._generic_rees is cached
 
     def test_specialization_kind_jump(self):
-        fam = make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric"))
+        fam = make_family(FamilySpec("dejonquieres", m=2))
         iso = specialization_compare(list(fam.forms), (1,))
         assert iso.kind == "isomorphism"
         drop = specialization_compare(list(fam.forms), (0,))
@@ -183,18 +173,18 @@ class TestDeJonquieres:
         assert str(drop.witness) == "z*y0^2 + y*y0*y1 + z*y1^2 + z*y1*y2"
 
     def test_sweep_needs_parametric(self):
-        fam = make_family(FamilySpec("dejonquieres", m=2))
+        fam = specialized_family(make_family(FamilySpec("dejonquieres", m=2)), (5,))
         with pytest.raises(RingError):
             specialization_sweep(fam, [0])
 
     def test_specialized_family_keeps_matrix(self):
-        fam = make_family(FamilySpec("dejonquieres", m=3, mode="generic-parametric"))
+        fam = make_family(FamilySpec("dejonquieres", m=3))
         sp = specialized_family(fam, (5,))
         assert sp.matrix is not None
         assert check_Gm(sp.matrix, 3).verdict is True
 
     def test_matrixless_family_tolerated(self):
-        fam = make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric"))
+        fam = make_family(FamilySpec("dejonquieres", m=2))
         bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
         rows = specialization_sweep(bare, [1])
         assert rows[0].g_condition is None

@@ -17,14 +17,12 @@ from conftest import (
     small_ctx,
 )
 from reesdeg.blowup import fiber_cone_ideal, graph_ideal, rees_ideal
-from reesdeg.families import FamilySpec, make_family
+from reesdeg.families import FamilySpec, make_family, specialized_family
 from reesdeg.groebner import (
     DEFAULT_BUDGET,
     EXP_BOUND,
     BudgetExceeded,
     IdealHandle,
-    _Packing,
-    _packing,
     _spair_closure_ok,
     _spoly,
     _with_aux_var,
@@ -47,6 +45,8 @@ from reesdeg.ring import (
     Poly,
     RingCtx,
     RingError,
+    _Packing,
+    _packing,
     monomial_div,
     monomial_divides,
     monomial_mul,
@@ -487,6 +487,27 @@ def packed_rings(draw):
     return _with_aux_var(ctx) if kind == "aux" else ctx
 
 
+def grevlex_key(exps):
+    # later variables weigh against a monomial: ties broken by the last
+    # coordinate in which the exponents differ, smaller exponent wins
+    return (sum(exps),) + tuple(-e for e in reversed(exps))
+
+
+def tuple_key(order, mon):
+    """Reference sort key of a monomial, independent of the packing: the
+    grevlex key, the exponents for lex, and the grevlex keys of the
+    blocks joined together for a block order."""
+    if order == "grevlex":
+        return grevlex_key(mon)
+    if order == "lex":
+        return mon
+    key, i = (), 0
+    for size in order[1]:
+        key += grevlex_key(mon[i : i + size])
+        i += size
+    return key
+
+
 def exponents(ctx, hi=30):
     return st.lists(st.integers(0, hi), min_size=ctx.nvars, max_size=ctx.nvars).map(tuple)
 
@@ -500,9 +521,10 @@ class TestPackedEncoding:
         a = data.draw(exponents(ctx))
         b = data.draw(exponents(ctx))
         pa, pb = pk.pack(a), pk.pack(b)
+        assert (ctx.key(a), ctx.key(b)) == (pa, pb)
         assert pk.unpack(pa) == a
         assert pa & (EXP_BOUND - 1) == sum(a)
-        assert (pa < pb) == (ctx.key(a) < ctx.key(b))
+        assert (pa < pb) == (tuple_key(ctx.order, a) < tuple_key(ctx.order, b))
         assert (pa == pb) == (a == b)
         assert pa + pb == pk.pack(monomial_mul(a, b))
         assert pk.divides(pb, pa) == monomial_divides(b, a)
@@ -576,7 +598,8 @@ def record_runs(monkeypatch):
 # of the graph ideal, drops the S-pairs that its a priori weighted Hilbert
 # series rules out; the second run of a homogeneous case drops those that
 # the grevlex Hilbert series of the Rees ideal rules out.  A change here
-# is a change of algorithm, not of speed.
+# is a change of algorithm, not of speed.  The de Jonquieres family is
+# specialized at a nonzero parameter value drawn from its seed.
 GOLDEN_STEPS = {
     "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(225, 13, 358), (64, 6, 250)]),
     "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(346, 16, 686), (150, 9, 710)]),
@@ -590,7 +613,10 @@ class TestGoldenSteps:
     @pytest.mark.parametrize("name", list(GOLDEN_STEPS))
     def test_step_counts_pinned(self, name, monkeypatch):
         spec, expected = GOLDEN_STEPS[name]
-        forms = list(make_family(spec).forms)
+        fam = make_family(spec)
+        if fam.parametric:
+            fam = specialized_family(fam, (random.Random(spec.seed).randrange(1, spec.prime),))
+        forms = list(fam.forms)
         runs = record_runs(monkeypatch)
         fiber_cone_ideal(forms, rees=rees_ideal(forms))
         got = [(steps, len(b), sum(len(t) for t in b)) for _, steps, b in runs]
@@ -603,6 +629,15 @@ HILBERT_ORDERS = {
     "3-block": lambda n: ("blocks", (1, 1, n - 2)),
     "lex": lambda n: "lex",
 }
+
+
+class TestOrderNames:
+    def test_block_and_blocks_share_a_cached_basis(self, monkeypatch):
+        _, I = mk(("x", "y", "z", "w"), ["x*y - z^2", "y*w - x^2", "z - w^3"], field=FP)
+        runs = count_buchberger_runs(monkeypatch)
+        first = groebner_basis(I, order=("blocks", (2, 2)))
+        assert groebner_basis(I, order=("block", 2)) == first
+        assert len(runs) == 1
 
 
 class TestHilbertDriven:
@@ -709,7 +744,7 @@ class TestGraphSeries:
             assert weighted_numerator([g.lm() for g in plain], grading) == numer
 
     def test_parametric_forms_state_no_series(self):
-        forms = list(make_family(FamilySpec("dejonquieres", m=2, mode="generic-parametric")).forms)
+        forms = list(make_family(FamilySpec("dejonquieres", m=2)).forms)
         assert gb_mod._known_series(graph_ideal(forms)) is None
 
     def test_inhomogeneous_seed_with_a_target_raises(self):
@@ -879,6 +914,24 @@ class TestMonomialSeeds:
             assert [g.terms for g in basis] == [
                 {m: field.one} for m in sorted(minimal, key=ctx.key)
             ]
+
+    @pytest.mark.parametrize(
+        "odd, steps", [(False, 2145), (True, 4356)], ids=["minimal", "with-multiples"]
+    )
+    def test_step_count_pinned(self, odd, steps):
+        # the generators of (x0^2, x1^2, x2^2)^10, and with odd, one proper
+        # multiple of each; the count was recorded before the divisibility
+        # scan was shared with the Hilbert and saturation code
+        ctx = RingCtx(("x0", "x1", "x2"), FP)
+        mons = [(2 * a, 2 * b, 20 - 2 * a - 2 * b) for a in range(11) for b in range(11 - a)]
+        if odd:
+            mons += [(a + 1, b, c + 1) for a, b, c in mons]
+        gens = [Poly.from_mon(ctx, m) for m in mons]
+        with step_budget(steps):
+            assert len(groebner_basis(ideal(ctx, gens))) == 66
+        with pytest.raises(BudgetExceeded):
+            with step_budget(steps - 1):
+                groebner_basis(ideal(ctx, gens))
 
     def test_budget_counts_divisibility_tests(self):
         ctx = RingCtx(("x", "y"), FP)

@@ -265,6 +265,22 @@ class TestLeadIdeal:
         assert lead_ideal(I, order="lex") == [(0, 1, 0), (1, 0, 1)]
         assert lead_ideal(I) == [(0, 0, 2), (0, 2, 0)]
 
+    @pytest.mark.parametrize("char", [32003, 7, 0], ids=["F_32003", "F_7", "QQ"])
+    def test_leads_of_the_reduced_basis(self, char):
+        # sorted by (degree, exponents), minimal and one per basis element
+        rng = random.Random(90 + char)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            ctx = RingCtx(tuple("x%d" % i for i in range(n)), FieldSpec(char))
+            gens = [nonzero_random_form(ctx, rng, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            I = ideal(ctx, gens)
+            k = rng.randint(1, n - 1)
+            for order in ("lex", ("block", k), ("blocks", (k, n - k))):
+                L = lead_ideal(I, order)
+                assert L == sorted(L, key=lambda m: (sum(m), m))
+                assert L == minimalize_monomials(L)
+                assert len(L) == len(groebner_basis(I, order))
+
     def test_monomial_dim_degree_matches_dim_degree(self):
         _, I = mk(
             ("y0", "y1", "y2", "y3"),

@@ -1,6 +1,8 @@
-"""Lint check without a linter: every name a module binds with a
-top-level import is used somewhere in that module.  Covers src/, tests/
-and demos/, parsed with the standard `ast` module."""
+"""Lint checks without a linter, parsed with the standard `ast` module.
+Every name a module binds with a top-level import is used somewhere in
+that module (src/, tests/ and demos/).  An import inside a function of
+src/ breaks an import cycle: it is a relative import of a sibling module
+that imports this module at top level."""
 
 import ast
 import pathlib
@@ -34,3 +36,55 @@ def test_no_unused_top_level_imports():
             if names:
                 found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def _module_name(node):
+    if isinstance(node, ast.ImportFrom):
+        return "." * node.level + (node.module or "")
+    return node.names[0].name
+
+
+def top_level_modules(tree):
+    """Modules the module imports at top level, relative ones as `.name`."""
+    return {_module_name(n) for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))}
+
+
+def function_level_imports(tree):
+    """(line, module) of every import made inside a function."""
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.add((node.lineno, _module_name(node)))
+    return sorted(found)
+
+
+def imports_breaking_no_cycle(trees):
+    """`module:line imported` for each function-level import among the
+    sibling modules `trees` (name to parsed module) that is not a
+    relative import of a sibling importing that module at top level."""
+    bad = []
+    for name, tree in sorted(trees.items()):
+        for line, target in function_level_imports(tree):
+            sibling = trees.get(target[1:]) if target.startswith(".") else None
+            if sibling is None or "." + name not in top_level_modules(sibling):
+                bad.append("%s:%d %s" % (name, line, target))
+    return bad
+
+
+def test_imports_breaking_no_cycle_are_found():
+    trees = {
+        "a": ast.parse("from .b import f\ndef g():\n    from .c import h\n    import re\n"),
+        "b": ast.parse("def f():\n    from .a import g\n"),
+        "c": ast.parse("import os\n"),
+    }
+    assert imports_breaking_no_cycle(trees) == ["a:3 .c", "a:4 re"]
+
+
+def test_function_level_imports_break_cycles():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in (ROOT / "src" / "reesdeg").glob("*.py")
+    }
+    assert imports_breaking_no_cycle(trees) == []
