@@ -72,6 +72,11 @@ def _infer_ring(map_text, prime):
     return RingCtx(tuple(sorted(seen, key=natural)), FieldSpec(prime))
 
 
+def _prime(args):
+    """The --prime value, DEFAULT_PRIME when the flag is not given."""
+    return DEFAULT_PRIME if args.prime is None else args.prime
+
+
 def _load_map(args):
     if os.path.exists(args.map):
         with open(args.map) as fh:
@@ -79,7 +84,7 @@ def _load_map(args):
     if args.ring:
         ctx = _ring_from_text(args.ring)
     else:
-        ctx = _infer_ring(args.map, args.prime)
+        ctx = _infer_ring(args.map, _prime(args))
     return rational_map([parse_poly(part, ctx) for part in args.map.split(",")])
 
 
@@ -90,10 +95,15 @@ def _load_family(args):
             handle = parse_ideal(fh.read())
         if handle.ctx.n_params == 0:
             raise RingError("family file must declare params in its ring header")
-        spec = FamilySpec("dejonquieres", prime=args.prime)
+        prime = handle.ctx.field.characteristic
+        if args.prime not in (None, prime):
+            raise RingError(
+                "--prime %d disagrees with the family file's ring over %d" % (args.prime, prime)
+            )
+        spec = FamilySpec("dejonquieres", prime=prime)
         return Family(spec, handle.ctx, None, tuple(handle.gens), 0)
     if name == "dejonquieres":
-        spec = FamilySpec("dejonquieres", m=args.m, prime=args.prime)
+        spec = FamilySpec("dejonquieres", m=args.m, prime=_prime(args))
         return make_family(spec)
     raise RingError("unknown family %r" % name)
 
@@ -324,7 +334,7 @@ HANDLERS = {
 FLAGS = {
     "--map": {"help": "comma separated forms, or a map file path"},
     "--ring": {"help": "ring header, e.g. 'x0 x1 over 32003'"},
-    "--prime": {"type": int, "default": DEFAULT_PRIME, "help": "field characteristic, 0 for Q"},
+    "--prime": {"type": int, "help": "field characteristic, 0 for Q (default %d)" % DEFAULT_PRIME},
     "--matrix": {"help": "matrix file path"},
     "--family": {"help": "dejonquieres, or a family file whose ring declares params"},
     "--m": {"type": int, "help": "de Jonquieres parameter m, or condition level"},

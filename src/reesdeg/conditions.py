@@ -17,6 +17,18 @@ products, not k!.  The table and the Fitting ideal handles live on the
 PresentationMatrix itself, outside its dataclass fields, so G_m and F_m
 on one matrix share every minor and every Groebner basis.  A
 determinant is the top minor of the same chain over a fresh table.
+
+The chain runs on packed term dicts in the ring's own monomial packing
+(see `ring`), where `+` multiplies two monomials.  A matrix packs its
+entries the first time a minor of size 2 or more is asked for, never
+when it is built, and a minor is unpacked into a `Poly` only when
+`minors` or `determinant` returns it.  A returned minor leaves the
+table: the Fitting ideals ask for each size once, largest first, and
+only a larger minor reads a smaller one, so the table never holds a
+minor both packed and as a `Poly`.  Every field of a packed entry and
+of a memoized minor is below `EXP_BOUND`, so a product never spills
+into the next field; a minor whose degree reaches the bound sets the
+degree field's guard bit and raises `RingError`.
 """
 
 import math
@@ -25,7 +37,8 @@ from itertools import combinations
 
 from .groebner import IdealHandle, _homogeneous
 from .hilbert import dim_degree
-from .ring import Poly, RingError, format_poly, format_ring_header, parse_poly, parse_ring_header
+from .ring import EXP_BOUND, Poly, RingError, _overflow, _packing
+from .ring import format_poly, format_ring_header, parse_poly, parse_ring_header
 
 
 @dataclass(frozen=True)
@@ -48,9 +61,12 @@ class PresentationMatrix:
                     raise RingError("matrix entry from a different ring")
         object.__setattr__(self, "entries", rows)
         # memo tables outside the dataclass fields, so eq and hash ignore
-        # them: minors keyed by (rows, cols), Fitting ideals by minor size
+        # them: packed minors keyed by (rows, cols) until returned,
+        # Fitting ideals by minor size, and the packed entries once a
+        # minor needs them
         object.__setattr__(self, "_minors", {})
         object.__setattr__(self, "_fitting", {})
+        object.__setattr__(self, "_packed", None)
 
     @property
     def nrows(self):
@@ -60,33 +76,44 @@ class PresentationMatrix:
     def ncols(self):
         return len(self.entries[0])
 
-    def submatrix(self, rows, cols):
-        return [[self.entries[i][j] for j in cols] for i in rows]
 
-
-def _minor(entries, memo, rows, cols):
-    """Minor on row and column index tuples by Laplace expansion along
-    its first row: sum over j of (-1)^j M[rows[0]][cols[j]] times the
-    memoized minor on (rows[1:], cols without cols[j]).  Zero entries
-    and zero sub-minors cost no product."""
+def _minor(entries, memo, rows, cols, p):
+    """Packed minor on row and column index tuples by Laplace expansion
+    along its first row: sum over j of (-1)^j M[rows[0]][cols[j]] times
+    the memoized minor on (rows[1:], cols without cols[j]).  `entries`
+    are packed term dicts and p is the characteristic.  Zero entries and
+    zero sub-minors cost no product; over F_p the products add up as
+    plain ints, reduced once per minor."""
+    if len(rows) == 1:
+        return entries[rows[0]][cols[0]]
     key = (rows, cols)
     got = memo.get(key)
     if got is not None:
         return got
     head = entries[rows[0]]
-    if len(rows) == 1:
-        got = head[cols[0]]
-    else:
-        rest = rows[1:]
-        got = Poly.zero(head[0].ctx)
-        for j, c in enumerate(cols):
-            if not head[c]:
-                continue
-            sub = _minor(entries, memo, rest, cols[:j] + cols[j + 1 :])
-            if not sub:
-                continue
-            term = head[c] * sub
-            got = got + term if j % 2 == 0 else got - term
+    rest = rows[1:]
+    acc = {}
+    get = acc.get
+    for j, c in enumerate(cols):
+        if not head[c]:
+            continue
+        sub = _minor(entries, memo, rest, cols[:j] + cols[j + 1 :], p)
+        if not sub:
+            continue
+        for m1, c1 in head[c].items():
+            if j % 2:
+                c1 = -c1
+            for m2, c2 in sub.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    got = {}
+    for m, c in acc.items():
+        if p:
+            c %= p
+        if c:
+            if m & EXP_BOUND:
+                raise _overflow()
+            got[m] = c
     memo[key] = got
     return got
 
@@ -96,21 +123,36 @@ def determinant(rows):
     rows = [list(r) for r in rows]
     if not rows or len(rows) != len(rows[0]):
         raise RingError("determinant of a non-square matrix")
-    full = tuple(range(len(rows)))
-    return _minor(rows, {}, full, full)
+    return minors(PresentationMatrix(rows[0][0].ctx, rows), len(rows))[0]
 
 
 def minors(M, size):
     """All size x size minors as polynomials (possibly with repeats), row
     subsets then column subsets in lexicographic order.  They come from
-    the matrix's own table, so each minor of M is expanded once."""
+    the matrix's own table and then leave it, so with sizes asked for
+    largest first, as the Fitting ideals do, each minor of M is expanded
+    once.  The 1-minors are the entries themselves."""
     if size < 1:
         raise RingError("minor size must be positive")
-    return [
-        _minor(M.entries, M._minors, rows, cols)
+    subsets = [
+        (rows, cols)
         for rows in combinations(range(M.nrows), size)
         for cols in combinations(range(M.ncols), size)
     ]
+    if size == 1:
+        return [M.entries[r][c] for (r,), (c,) in subsets]
+    pk = _packing(M.ctx.order, M.ctx.nvars)
+    if M._packed is None:
+        packed = [[pk.pack_terms(e.terms) for e in row] for row in M.entries]
+        object.__setattr__(M, "_packed", packed)
+    p = M.ctx.field.characteristic
+    memo = M._minors
+    got = []
+    for rows, cols in subsets:
+        terms = _minor(M._packed, memo, rows, cols, p)
+        got.append(Poly(M.ctx, pk.unpack_terms(terms), _clean=True))
+        del memo[rows, cols]
+    return got
 
 
 def fitting_ideal(M, i):

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .blowup import gr_dimension_at, rees_ideal, specialize_forms
-from .conditions import PresentationMatrix, check_Gm, determinant
+from .conditions import PresentationMatrix, check_Gm, minors
 from .ratmap import DEFAULT_SEED, degree_report, rational_map
 from .ring import (
     DEFAULT_PRIME,
@@ -111,15 +111,13 @@ def dense_form(ctx, degree, rng, nx=None):
 
 def signed_maximal_minors(M):
     """Map coordinates from an (r+1) x r matrix: g_i is (-1)^i times the
-    minor dropping row i.  The signs satisfy M^T g = 0, which is checked."""
+    minor dropping row i.  The signs satisfy M^T g = 0, which is checked.
+    The minors come from the matrix's own table, which lists them
+    dropping row r, r-1, ..., 0."""
     if M.nrows != M.ncols + 1:
         raise RingError("maximal minors need an (r+1) x r matrix")
     ctx = M.ctx
-    forms = []
-    for i in range(M.nrows):
-        rows = [r for r in range(M.nrows) if r != i]
-        d = determinant(M.submatrix(rows, range(M.ncols)))
-        forms.append(d if i % 2 == 0 else -d)
+    forms = [d if i % 2 == 0 else -d for i, d in enumerate(reversed(minors(M, M.ncols)))]
     for j in range(M.ncols):
         acc = Poly.zero(ctx)
         for i in range(M.nrows):

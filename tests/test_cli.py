@@ -126,6 +126,23 @@ class TestConditions:
         heights = [row["height"] for row in payload["G"]["table"]]
         assert heights == [2, 2]
 
+    def test_degree_past_packed_bound_is_two(self, capsys, tmp_path):
+        # Fitt_1 of a 3 x 2 matrix takes 2-minors from the chain, and the
+        # first one, x0^(2e) - 1, reaches EXP_BOUND: an error, not a wrap
+        e = EXP_BOUND // 2
+        path = tmp_path / "m.txt"
+        path.write_text(
+            "ring x0 over 32003\nmatrix 3 x 2\nx0^%d, 1\n1, x0^%d\n1, 1\n" % (e, e)
+        )
+        start = time.perf_counter()
+        code = main(["conditions", "--matrix", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert elapsed < 1.0
+        assert captured.out == ""
+        assert str(EXP_BOUND) in captured.err
+
     def test_huge_level_is_fast(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text(MATRIX_A0)
@@ -137,6 +154,8 @@ class TestConditions:
 
 
 class TestSweep:
+    FAMILY_FILE = "ring x y params a over 32003\na*x^2\ny^2\nx*y\n"
+
     def test_csv_header_and_rows(self, capsys):
         code, out = run(
             capsys,
@@ -183,13 +202,34 @@ class TestSweep:
 
     def test_malformed_member_is_an_error_row(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
-        path.write_text("ring x y params a over 32003\na*x^2\ny^2\nx*y\n")
+        path.write_text(self.FAMILY_FILE)
         code, out = run(capsys, ["sweep", "--family", str(path), "--points", "0,1"])
         assert code == 0
         rows = json.loads(out)["rows"]
         assert rows[0]["status"].startswith("error: zero form")
         assert rows[1]["status"] == "ok"
         assert (rows[1]["deg_map"], rows[1]["deg_image"]) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--prime", "7"], ["gr-dim", "--prime", "0"]]
+    )
+    def test_prime_disagreeing_with_family_file_is_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "family.txt"
+        path.write_text(self.FAMILY_FILE)
+        code = main(argv + ["--family", str(path), "--points", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--prime %s " % argv[-1] in captured.err and "32003" in captured.err
+
+    @pytest.mark.parametrize("command", ["sweep", "gr-dim"])
+    def test_prime_matching_family_file_runs(self, capsys, tmp_path, command):
+        path = tmp_path / "family.txt"
+        path.write_text(self.FAMILY_FILE)
+        argv = [command, "--family", str(path), "--points", "1", "--prime", "32003"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["prime"] == 32003
 
     def test_gr_dim_rows(self, capsys):
         code, out = run(

@@ -16,10 +16,10 @@ from reesdeg.conditions import (
     parse_matrix_file,
     serialize_matrix,
 )
-from reesdeg import groebner
-from reesdeg.families import FamilySpec, dense_form, make_family
+from reesdeg import conditions, groebner
+from reesdeg.families import FamilySpec, dense_form, make_family, signed_maximal_minors
 from reesdeg.groebner import ideal
-from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, parse_poly
+from reesdeg.ring import EXP_BOUND, FieldSpec, Poly, RingCtx, RingError, parse_poly
 
 QQ = FieldSpec(0)
 
@@ -28,6 +28,10 @@ def mat(names, rows, field=QQ):
     ctx = RingCtx(tuple(names), field)
     prows = [[parse_poly(e, ctx) for e in row] for row in rows]
     return ctx, PresentationMatrix(ctx, prows)
+
+
+def submatrix(M, rows, cols):
+    return [[M.entries[i][j] for j in cols] for i in rows]
 
 
 def permanent_free_det(entries):
@@ -104,6 +108,13 @@ class TestDeterminant:
         swapped = [M.entries[1], M.entries[0]]
         assert determinant(swapped) == -determinant(M.entries)
 
+    def test_degree_past_packed_bound_raises(self):
+        # each entry packs; their product's degree reaches EXP_BOUND
+        e = EXP_BOUND // 2
+        ctx, M = mat(("x0",), [["x0^%d" % e, "1"], ["1", "x0^%d" % e]])
+        with pytest.raises(RingError, match=str(EXP_BOUND)):
+            determinant(M.entries)
+
 
 class TestMatrixShape:
     def test_ragged_rejected(self):
@@ -120,8 +131,9 @@ class TestMatrixShape:
 
     def test_submatrix(self):
         ctx, M = mat(("x", "y"), [["x", "y", "0"], ["y", "x", "1"]])
-        S = M.submatrix((0,), (0, 2))
+        S = submatrix(M, (0,), (0, 2))
         assert len(S) == 1 and len(S[0]) == 2
+        assert S[0][1] == M.entries[0][2]
 
 
 class TestFittingIdeals:
@@ -161,7 +173,7 @@ class TestMinorChain:
                 M = PresentationMatrix(ctx, entries)
                 for k in range(1, min(r, c) + 1):
                     expect = [
-                        permanent_free_det(M.submatrix(rows, cols))
+                        permanent_free_det(submatrix(M, rows, cols))
                         for rows in itertools.combinations(range(r), k)
                         for cols in itertools.combinations(range(c), k)
                     ]
@@ -171,6 +183,17 @@ class TestMinorChain:
         ctx, M = mat(("x",), [["x", "1"], ["0", "x"]])
         with pytest.raises(RingError):
             minors(M, 0)
+
+    def test_entries_packed_only_for_larger_minors(self):
+        ctx, M = mat(("x", "y"), [["x", "y"], ["y", "x"], ["x", "0"]])
+        assert M._packed is None
+        assert minors(M, 1) == [e for row in M.entries for e in row]
+        assert M._packed is None
+        first = minors(M, 2)
+        assert M._packed is not None
+        # a returned minor leaves the table; asked again, it is expanded again
+        assert not M._minors
+        assert minors(M, 2) == first
 
     def test_memo_outside_eq_and_hash(self):
         ctx, M = mat(("x", "y"), [["x", "y"], ["y", "x"], ["x", "0"]])
@@ -186,6 +209,25 @@ class TestMinorChain:
         assert fitting_ideal(M, 0).gens == ()
 
 
+class TestSharedMaximalMinors:
+    """signed_maximal_minors reads every maximal minor off the matrix's
+    one table; each must match the permutation oracle on M without row i."""
+
+    @pytest.mark.parametrize("char", [0, 32003])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_signed_minors_vs_permutation(self, r, char):
+        rng = random.Random(100 * r + char)
+        ctx = RingCtx(("x", "y", "z"), FieldSpec(char))
+        entries = [[random_poly(ctx, rng, 1, 3) for _ in range(r)] for _ in range(r + 1)]
+        M = PresentationMatrix(ctx, entries)
+        got = signed_maximal_minors(M)
+        assert len(got) == r + 1
+        for i, g in enumerate(got):
+            keep = [k for k in range(r + 1) if k != i]
+            d = permanent_free_det(submatrix(M, keep, range(r)))
+            assert g == (d if i % 2 == 0 else -d)
+
+
 def linear_6x5():
     """Fixed random 6x5 matrix of linear forms in 4 variables over F_32003."""
     ctx = RingCtx(("x0", "x1", "x2", "x3"), FieldSpec(32003))
@@ -196,25 +238,28 @@ def linear_6x5():
 
 class TestConditionCounts:
     """Deterministic work counts of G_4 then F_0 on one matrix: each
-    k-minor costs at most k products, and each Fitting ideal gets at
-    most one Groebner basis, shared by both checks."""
+    k-minor is expanded once, at the cost of at most k products, and
+    each Fitting ideal gets at most one Groebner basis, shared by both
+    checks."""
 
     def test_products_and_bases(self, monkeypatch):
         M = linear_6x5()
         products = [0]
         runs = []
-        mul = Poly.__mul__
+        minor = conditions._minor
         buchberger = groebner._buchberger
 
-        def counted_mul(a, b):
-            products[0] += 1
-            return mul(a, b)
+        def counted_minor(entries, memo, rows, cols, p):
+            # a k-minor not in the table is expanded: k products at most
+            if len(rows) > 1 and (rows, cols) not in memo:
+                products[0] += len(rows)
+            return minor(entries, memo, rows, cols, p)
 
         def counted_buchberger(seeds, *args):
             runs.append(len(seeds))
             return buchberger(seeds, *args)
 
-        monkeypatch.setattr(Poly, "__mul__", counted_mul)
+        monkeypatch.setattr(conditions, "_minor", counted_minor)
         monkeypatch.setattr(groebner, "_buchberger", counted_buchberger)
         check_Gm(M, 4)
         check_Fm(M, 0)
@@ -222,7 +267,7 @@ class TestConditionCounts:
             k * math.comb(6, k) * math.comb(5, k) for k in range(2, 6)
         )
         assert bound == 1230
-        assert products[0] <= bound
+        assert 0 < products[0] <= bound
         # one run each for Fitt_1 and Fitt_2, told apart by generator
         # count; Fitt_2 has height 4 = nvars, so Fitt_3..Fitt_5 need none
         sizes = [len(fitting_ideal(M, i).gens) for i in range(1, 6)]
