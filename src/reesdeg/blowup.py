@@ -20,6 +20,8 @@ from math import comb
 
 from .groebner import (
     IdealHandle,
+    _budget,
+    _charge,
     _with_aux_var,
     eliminate,
     groebner_basis,
@@ -169,7 +171,8 @@ def blowup_presentation(forms):
 
 def sfib_hilbert_function(forms, n):
     """Value of the saturated fiber cone Hilbert function at n: the
-    dimension of the degree n*d piece of the saturation of I^n."""
+    dimension of the degree n*d piece of the saturation of I^n.  Each
+    product forming I^n costs one step of the step budget."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     if n == 0:
@@ -180,10 +183,12 @@ def sfib_hilbert_function(forms, n):
     if ctx.n_params:
         raise RingError("saturated fiber needs specialized (parameter-free) forms")
     nx = ctx.nvars
+    budget = _budget()
     power = {}
     for combo in combinations_with_replacement(range(len(forms)), n):
         g = forms[combo[0]]
         for i in combo[1:]:
+            _charge(budget)
             g = g * forms[i]
         power[frozenset(g.terms.items())] = g
     maxi = IdealHandle(ctx, [Poly.var(ctx, i) for i in range(nx)])

@@ -6,11 +6,13 @@ SUBCOMMAND_FLAGS, plus --seed, --budget, --format and --out.  Its input
 (--map, --matrix or --family; gr-dim takes a map or a family) is
 required.  Output is a JSON envelope carrying schema, the command, seed
 and prime; every subcommand also prints plain text, and sweep prints
-CSV.  No answer depends on the seed, which is only echoed.  Exit codes:
-0 success, 2 malformed input or usage, 3 budget exceeded; a failed
-internal check (AssertionError) is not caught and exits 1.  One step
-budget covers every Groebner computation of the command; its default,
-DEFAULT_BUDGET reduction steps, can be set through the REESDEG_BUDGET
+CSV.  No answer depends on the seed, which is only echoed; an explicit
+--prime must name the field that --ring or a file header fixes.  Exit
+codes: 0 success, 2 malformed input or usage, 3 budget exceeded; a
+failed internal check (AssertionError) is not caught and exits 1.  One
+step budget covers every Groebner computation of the command and the
+products of its minor chain and of I^n; its default,
+DEFAULT_BUDGET steps, can be set through the REESDEG_BUDGET
 environment variable and overridden per run with --budget.
 """
 
@@ -23,6 +25,7 @@ import sys
 from functools import lru_cache
 
 from .blowup import (
+    _form_degree,
     fiber_cone_ideal,
     gr_dimension_at,
     rees_ideal,
@@ -77,12 +80,23 @@ def _prime(args):
     return DEFAULT_PRIME if args.prime is None else args.prime
 
 
+def _fixed_field(args, ctx, source):
+    """`ctx`, whose field `source` (--ring or a file header) fixed; an
+    explicit --prime must name the same field."""
+    prime = ctx.field.characteristic
+    if args.prime not in (None, prime):
+        raise RingError("--prime %d disagrees with %s over %d" % (args.prime, source, prime))
+    return ctx
+
+
 def _load_map(args):
     if os.path.exists(args.map):
         with open(args.map) as fh:
-            return parse_map_file(fh.read())
+            spec = parse_map_file(fh.read())
+        _fixed_field(args, spec.ctx, "the map file's ring")
+        return spec
     if args.ring:
-        ctx = _ring_from_text(args.ring)
+        ctx = _fixed_field(args, _ring_from_text(args.ring), "--ring")
     else:
         ctx = _infer_ring(args.map, _prime(args))
     return rational_map([parse_poly(part, ctx) for part in args.map.split(",")])
@@ -95,13 +109,9 @@ def _load_family(args):
             handle = parse_ideal(fh.read())
         if handle.ctx.n_params == 0:
             raise RingError("family file must declare params in its ring header")
-        prime = handle.ctx.field.characteristic
-        if args.prime not in (None, prime):
-            raise RingError(
-                "--prime %d disagrees with the family file's ring over %d" % (args.prime, prime)
-            )
-        spec = FamilySpec("dejonquieres", prime=prime)
-        return Family(spec, handle.ctx, None, tuple(handle.gens), 0)
+        ctx = _fixed_field(args, handle.ctx, "the family file's ring")
+        spec = FamilySpec("file", prime=ctx.field.characteristic)
+        return Family(spec, ctx, None, tuple(handle.gens), _form_degree(handle.gens))
     if name == "dejonquieres":
         spec = FamilySpec("dejonquieres", m=args.m, prime=_prime(args))
         return make_family(spec)

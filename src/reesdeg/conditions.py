@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groebner import IdealHandle, _homogeneous
+from .groebner import IdealHandle, _budget, _charge, _homogeneous
 from .hilbert import dim_degree
 from .ring import EXP_BOUND, Poly, RingError, _overflow, _packing
 from .ring import format_poly, format_ring_header, parse_poly, parse_ring_header
@@ -81,9 +81,10 @@ def _minor(entries, memo, rows, cols, p):
     """Packed minor on row and column index tuples by Laplace expansion
     along its first row: sum over j of (-1)^j M[rows[0]][cols[j]] times
     the memoized minor on (rows[1:], cols without cols[j]).  `entries`
-    are packed term dicts and p is the characteristic.  Zero entries and
-    zero sub-minors cost no product; over F_p the products add up as
-    plain ints, reduced once per minor."""
+    are packed term dicts and p is the characteristic.  Each product of
+    an entry and a sub-minor costs one step of the step budget; zero
+    entries and zero sub-minors cost no product.  Over F_p the products
+    add up as plain ints, reduced once per minor."""
     if len(rows) == 1:
         return entries[rows[0]][cols[0]]
     key = (rows, cols)
@@ -94,12 +95,14 @@ def _minor(entries, memo, rows, cols, p):
     rest = rows[1:]
     acc = {}
     get = acc.get
+    budget = _budget()
     for j, c in enumerate(cols):
         if not head[c]:
             continue
         sub = _minor(entries, memo, rest, cols[:j] + cols[j + 1 :], p)
         if not sub:
             continue
+        _charge(budget)
         for m1, c1 in head[c].items():
             if j % 2:
                 c1 = -c1

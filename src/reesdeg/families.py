@@ -37,10 +37,11 @@ ELL_NOT_MAXIMAL = "ell-not-maximal"
 class FamilySpec:
     """Recipe for one family instance.
 
-    kind: hilbert_burch | pfaffian | dejonquieres.  `mu` gives the
-    column degrees for hilbert_burch (weakly increasing, positive), `D`
-    the entry degree for pfaffian, `m` the de Jonquieres parameter.
-    `seed` draws the coefficients of the random kinds.
+    kind: hilbert_burch | pfaffian | dejonquieres | file.  `mu` gives
+    the column degrees for hilbert_burch (weakly increasing, positive),
+    `D` the entry degree for pfaffian, `m` the de Jonquieres parameter.
+    `seed` draws the coefficients of the random kinds.  A `file` family
+    is read from a family file, so `make_family` has no recipe for it.
     """
 
     kind: str
@@ -52,7 +53,7 @@ class FamilySpec:
     prime: int = DEFAULT_PRIME
 
     def __post_init__(self):
-        if self.kind not in ("hilbert_burch", "pfaffian", "dejonquieres"):
+        if self.kind not in ("hilbert_burch", "pfaffian", "dejonquieres", "file"):
             raise RingError("unknown family kind %r" % self.kind)
         if self.kind == "hilbert_burch":
             mu = tuple(self.mu)
@@ -214,6 +215,8 @@ def make_family(spec):
         M = PresentationMatrix(ctx, entries)
         forms = submaximal_pfaffians(M)
         return Family(spec, ctx, M, tuple(forms), spec.D * (spec.r // 2))
+    if spec.kind != "dejonquieres":
+        raise RingError("family kind %r has no recipe; read it from its file" % spec.kind)
     # de Jonquieres: one parameter, fixed shape
     ctx = RingCtx(("x", "y", "z", "a"), FieldSpec(spec.prime), n_params=1)
     x, y, z, a = (Poly.var(ctx, i) for i in range(4))

@@ -576,16 +576,6 @@ def ideal_equal(I, J):
     return [g.terms for g in a] == [g.terms for g in b]
 
 
-def _restricted_order(order, k):
-    if order in ("grevlex", "lex"):
-        return order
-    sizes = order[1]
-    if sizes[0] == k:
-        rest = sizes[1:]
-        return "grevlex" if len(rest) == 1 else ("blocks", rest)
-    return "grevlex"
-
-
 def elimination_order(ctx, k):
     """The block order `eliminate` runs on: the first k variables in a
     leading block (the ring's own order when it already has one)."""
@@ -607,7 +597,9 @@ def eliminate(I, k):
         raise RingError("cannot eliminate %d of %d variables" % (k, n))
     elim_order = elimination_order(ctx, k)
     gb = groebner_basis(I, order=elim_order)
-    sub_order = _restricted_order(_order_key(ctx, elim_order), k)
+    # the blocks after the leading one, grevlex when only one is left
+    rest = elim_order[1][1:]
+    sub_order = "grevlex" if len(rest) == 1 else ("blocks", rest)
     sub_ctx = RingCtx(
         ctx.var_names[k:],
         ctx.field,

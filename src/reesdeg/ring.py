@@ -595,96 +595,51 @@ def poly_exact_div(f, g):
     return Poly(ctx, quot, _clean=True)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(/)|(\+)|(-))")
+# signs between terms, and one factor: n, n/m, x or x^e
+_SIGNS = re.compile(r"([+-][\s+-]*)")
+_FACTOR = re.compile(r"\s*(?:(\d+)\s*(?:/\s*(\d+))?|([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*(\d+))?)\s*")
 
 
 def parse_poly(text, ctx):
-    """Parse a sum of terms `c*x^a*y^b` into a Poly.
+    """Parse polynomial text into a Poly.
 
-    Accepted coefficients are integers and integer fractions; in finite
-    characteristic fractions are resolved by modular inversion.
+    The grammar: a polynomial is terms joined by runs of `+` and `-`
+    (the first term may also carry a sign run); a term is factors
+    joined by `*`; a factor is an integer n, a fraction n/m, a variable
+    x or a power x^e with e a nonnegative integer.  Whitespace may stand
+    between any two tokens, but nothing stands for a product: `2 x0`,
+    `2x0` and `x0 x1` are errors, as is any other text.  Blank text is
+    the zero polynomial.  In finite characteristic fractions are
+    resolved by modular inversion.
     """
-    pos = 0
-    n = len(text)
-    tokens = []
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise RingError("parse error at %r" % text[pos : pos + 20])
-        pos = m.end()
-        if m.group(1):
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        elif m.group(3):
-            tokens.append(("pow", None))
-        elif m.group(4):
-            tokens.append(("mul", None))
-        elif m.group(5):
-            tokens.append(("slash", None))
-        elif m.group(6):
-            tokens.append(("plus", None))
-        else:
-            tokens.append(("minus", None))
-
+    if not text.strip():
+        return Poly.zero(ctx)
     fld = ctx.field
-    out = Poly.zero(ctx)
-    i = 0
-
-    def peek():
-        return tokens[i][0] if i < len(tokens) else None
-
-    while i < len(tokens):
-        sign = 1
-        while peek() in ("plus", "minus"):
-            if peek() == "minus":
-                sign = -sign
-            i += 1
-        if i >= len(tokens):
-            raise RingError("dangling sign in %r" % text)
-        coeff = Fraction(sign)
+    terms = {}
+    pieces = _SIGNS.split("+" + text)
+    for signs, term in zip(pieces[1::2], pieces[2::2]):
+        coeff = Fraction(-1 if signs.count("-") % 2 else 1)
         exps = [0] * ctx.nvars
-        expect_factor = True
-        while expect_factor:
-            kind, val = tokens[i] if i < len(tokens) else (None, None)
-            if kind == "int":
-                i += 1
-                num = val
-                if peek() == "slash":
-                    i += 1
-                    if peek() != "int":
-                        raise RingError("bad fraction in %r" % text)
-                    den = tokens[i][1]
-                    i += 1
-                    if den == 0:
-                        raise RingError("zero denominator in %r" % text)
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-            elif kind == "name":
-                idx = ctx.index(val)
-                i += 1
-                e = 1
-                if peek() == "pow":
-                    i += 1
-                    if peek() != "int":
-                        raise RingError("bad exponent in %r" % text)
-                    e = tokens[i][1]
-                    i += 1
-                exps[idx] += e
+        for factor in term.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise RingError("parse error at %r in %r" % (factor.strip(), text))
+            num, den, name, e = m.groups()
+            if name:
+                exps[ctx.index(name)] += int(e or 1)
+            elif den and not int(den):
+                raise RingError("zero denominator in %r" % text)
             else:
-                raise RingError("expected a factor in %r" % text)
-            if peek() == "mul":
-                i += 1
-                expect_factor = True
-            else:
-                expect_factor = False
+                coeff *= Fraction(int(num), int(den or 1))
         c = fld.norm(coeff)
         if c:
-            out = out + Poly(ctx, {tuple(exps): c}, _clean=True)
-    return out
+            mon = tuple(exps)
+            s = fld.add(terms.get(mon, fld.zero), c)
+            if s:
+                terms[mon] = s
+            else:
+                del terms[mon]
+    return Poly(ctx, terms, _clean=True)
 
 
 def _format_coeff(c):

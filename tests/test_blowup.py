@@ -16,6 +16,7 @@ from reesdeg.blowup import (
     specialize_forms,
     specialize_rees,
 )
+import reesdeg.groebner as gb_mod
 from reesdeg.families import FamilySpec, make_family
 from reesdeg.groebner import groebner_basis, ideal_contains
 from reesdeg.ring import FieldSpec, RingCtx, RingError, parse_poly
@@ -86,6 +87,25 @@ class TestReesIdeal:
         _, forms = forms_of(("x0", "x1"), ["x0", "x1^2"])
         with pytest.raises(RingError):
             rees_ideal(forms)
+
+    def test_weighted_degree_past_the_bound_reruns_without_series(self, monkeypatch):
+        # y weighs d + 1 = 3 000 001 in the grading of the graph ideal, so
+        # the driven t-run reaches EXP_BOUND where the total degree does
+        # not, and groebner_basis runs the same order again undriven
+        targets = []
+        inner = gb_mod._run_buchberger
+
+        def logged(I, order, target):
+            targets.append(target)
+            return inner(I, order, target)
+
+        monkeypatch.setattr(gb_mod, "_run_buchberger", logged)
+        d = 3_000_000
+        _, forms = forms_of(("x0", "x1"), ["x0^%d" % d, "x1^%d" % d], field=FieldSpec(32003))
+        R = rees_ideal(forms)
+        assert [str(g) for g in R.gens] == ["x1^%d*y0 + 32002*x0^%d*y1" % (d, d)]
+        graph_series = ((1, 1, 1, d + 1, d + 1), {0: 1, d + 1: -2, 2 * d + 2: 1})
+        assert targets == [graph_series, None]
 
     def test_custom_y_names(self):
         _, forms = forms_of(("x0", "x1"), ["x0", "x1"])

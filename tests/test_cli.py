@@ -2,6 +2,7 @@ import argparse
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import reesdeg.families as families
-from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, build_parser, main
+from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, _load_family, build_parser, main
 from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
 
 MATRIX_A0 = """\
@@ -19,6 +20,10 @@ x, z*y
 32002*y, z*x + y^2
 0, z*x
 """
+
+
+# the subcommands that read --map, with its --ring and --prime
+MAP_COMMANDS = [name for name, flags in SUBCOMMAND_FLAGS.items() if "--map" in flags]
 
 
 def run(capsys, argv):
@@ -155,6 +160,7 @@ class TestConditions:
 
 class TestSweep:
     FAMILY_FILE = "ring x y params a over 32003\na*x^2\ny^2\nx*y\n"
+    MAP_FILE = "ring x0 x1 over 7\nmap: x0^2, x1^2\n"
 
     def test_csv_header_and_rows(self, capsys):
         code, out = run(
@@ -210,26 +216,62 @@ class TestSweep:
         assert rows[1]["status"] == "ok"
         assert (rows[1]["deg_map"], rows[1]["deg_image"]) == (1, 2)
 
+    # what fixes the field besides --prime: family.txt over F_32003,
+    # --ring over F_7, or map.txt over F_7
+    FIELD_INPUTS = {
+        "family": ["--family", "family.txt", "--points", "1"],
+        "ring": ["--map", "x0^2, x1^2", "--ring", "x0 x1 over 7"],
+        "map": ["--map", "map.txt"],
+    }
+
+    def field_argv(self, tmp_path, monkeypatch, command, prime, field):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "family.txt").write_text(self.FAMILY_FILE)
+        (tmp_path / "map.txt").write_text(self.MAP_FILE)
+        return [command, "--prime", prime] + self.FIELD_INPUTS[field]
+
     @pytest.mark.parametrize(
-        "argv", [["sweep", "--prime", "7"], ["gr-dim", "--prime", "0"]]
+        "argv",
+        [["sweep", "7", "family"], ["gr-dim", "0", "family"]]
+        + [
+            pytest.param([command, "5", field], id="%s-%s" % (command, field))
+            for field in ("ring", "map")
+            for command in MAP_COMMANDS
+        ],
     )
-    def test_prime_disagreeing_with_family_file_is_two(self, capsys, tmp_path, argv):
-        path = tmp_path / "family.txt"
-        path.write_text(self.FAMILY_FILE)
-        code = main(argv + ["--family", str(path), "--points", "1"])
+    def test_prime_disagreeing_with_family_file_is_two(self, capsys, tmp_path, monkeypatch, argv):
+        code = main(self.field_argv(tmp_path, monkeypatch, *argv))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "--prime %s " % argv[-1] in captured.err and "32003" in captured.err
+        _, prime, field = argv
+        fixed = "over 32003" if field == "family" else "over 7"
+        assert "--prime %s disagrees" % prime in captured.err and fixed in captured.err
 
-    @pytest.mark.parametrize("command", ["sweep", "gr-dim"])
-    def test_prime_matching_family_file_runs(self, capsys, tmp_path, command):
-        path = tmp_path / "family.txt"
-        path.write_text(self.FAMILY_FILE)
-        argv = [command, "--family", str(path), "--points", "1", "--prime", "32003"]
-        code, out = run(capsys, argv)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["sweep", "32003", "family"], id="sweep"),
+            pytest.param(["gr-dim", "32003", "family"], id="gr-dim"),
+        ]
+        + [
+            pytest.param([command, "7", field], id="%s-%s" % (command, field))
+            for field in ("ring", "map")
+            for command in MAP_COMMANDS
+        ],
+    )
+    def test_prime_matching_family_file_runs(self, capsys, tmp_path, monkeypatch, argv):
+        code, out = run(capsys, self.field_argv(tmp_path, monkeypatch, *argv))
         assert code == 0
-        assert json.loads(out)["prime"] == 32003
+        assert json.loads(out)["prime"] == int(argv[1])
+
+    def test_family_file_has_its_own_kind_and_degree(self, tmp_path):
+        path = tmp_path / "family.txt"
+        path.write_text("ring x y z params a over 32003\na*x^3\ny^3\nx*y*z + a*z^3\n")
+        fam = _load_family(build_parser().parse_args(["sweep", "--family", str(path)]))
+        assert fam.spec.kind == "file"
+        # the parameter a does not count towards the degree
+        assert fam.degree == 3
 
     def test_gr_dim_rows(self, capsys):
         code, out = run(
@@ -257,6 +299,12 @@ class TestExitCodes:
     def test_parse_error_is_two(self, capsys):
         code, _ = run(capsys, ["degree", "--map", "x0^2, x1^^2"])
         assert code == 2
+
+    def test_juxtaposed_factors_are_two(self, capsys):
+        # read as a sum, "x0 x0, x1 x1" was the identity map, degree 1
+        code, out = run(capsys, ["degree", "--map", "x0 x0, x1 x1"])
+        assert code == 2
+        assert out == ""
 
     def test_missing_file_is_two(self, capsys, tmp_path):
         code, _ = run(
@@ -297,6 +345,46 @@ class TestExitCodes:
             capsys,
             ["sfib-hf", "--map", "x0^2,x1^2,x2^2", "--points", "40", "--budget", "10"],
         )
+        assert code == 3
+        assert out == ""
+        assert time.perf_counter() - start < 1.0
+
+    def test_power_products_are_charged(self, capsys):
+        # I^20 of six quadrics takes 53 130 products of 20 forms before
+        # any basis is asked for
+        start = time.perf_counter()
+        code, out = run(
+            capsys,
+            [
+                "sfib-hf",
+                "--map",
+                "x0^2,x1^2,x2^2,x0*x1,x0*x2,x1*x2",
+                "--points",
+                "20",
+                "--budget",
+                "10",
+            ],
+        )
+        assert code == 3
+        assert out == ""
+        assert time.perf_counter() - start < 1.0
+
+    def test_minor_products_are_charged(self, capsys, tmp_path):
+        # the 9-minors of a linear 10 x 9 matrix expand every smaller
+        # minor of its chain before Fitt_1 gets a basis
+        rng = random.Random(10)
+        names = ["x%d" % i for i in range(4)]
+        rows = [
+            ", ".join(
+                " + ".join("%d*%s" % (rng.randrange(1, 32003), x) for x in names)
+                for _ in range(9)
+            )
+            for _ in range(10)
+        ]
+        path = tmp_path / "m.txt"
+        path.write_text("ring %s over 32003\nmatrix 10 x 9\n%s\n" % (" ".join(names), "\n".join(rows)))
+        start = time.perf_counter()
+        code, out = run(capsys, ["conditions", "--matrix", str(path), "--budget", "1"])
         assert code == 3
         assert out == ""
         assert time.perf_counter() - start < 1.0

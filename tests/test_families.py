@@ -56,6 +56,12 @@ class TestFamilySpec:
         with pytest.raises(RingError):
             FamilySpec("elephant")
 
+    def test_file_kind_has_no_recipe(self):
+        # a family file is read by the CLI; make_family must not build
+        # the de Jonquieres family in its place
+        with pytest.raises(RingError, match="no recipe"):
+            make_family(FamilySpec("file"))
+
 
 class TestHilbertBurch:
     def test_shape_and_degrees(self):

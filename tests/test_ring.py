@@ -214,6 +214,10 @@ class TestParseFormat:
             "x2",
             "0",
             "7",
+            "--x0",
+            "1 / 2 * x0",
+            "x0^0",
+            "",
         ]
         for text in cases:
             f = parse_poly(text, ctx)
@@ -226,9 +230,22 @@ class TestParseFormat:
 
     def test_parenthesis_free_grammar_rejects_garbage(self):
         ctx = ctx3()
-        for bad in ("x0 +", "y3", "x0^^2", "x0**2", "(x0)"):
+        for bad in ("x0 +", "y3", "x0^^2", "x0**2", "(x0)", "x0 x1", "2x0", "x0^2 x1", "2 3"):
             with pytest.raises(RingError):
                 parse_poly(bad, ctx)
+
+    def test_separators_and_signs_read_as_written(self):
+        ctx = ctx3()
+        for text, same in [
+            ("--x0", "x0"),
+            ("+ - x0", "-x0"),
+            ("1 / 2 * x0", "1/2*x0"),
+            ("x0 ^ 2 * x0", "x0^3"),
+            ("x0^0", "1"),
+            ("", "0"),
+            ("x0 - x0 + 2*x1", "2*x1"),
+        ]:
+            assert parse_poly(text, ctx) == parse_poly(same, ctx)
 
     def test_round_trip_random(self):
         import random
