@@ -52,6 +52,6 @@ sat = saturate(emb, m)
 print("saturate (x^2*y, x*y^2):", [str(g) for g in groebner_basis(sat)])
 print("rounds of quotienting needed:", sat.sat_exponent)
 
-# every call above charges reduction steps against a budget so runaway
+# every call above charges its steps against a budget so runaway
 # computations fail fast instead of hanging; see groebner.BudgetExceeded.
 # Inside `with step_budget(n):` all of them share one budget of n steps

@@ -9,7 +9,9 @@ and prime; every subcommand also prints plain text, and sweep prints
 CSV.  No answer depends on the seed, which is only echoed; an explicit
 --prime must name the field that --ring or a file header fixes.  Exit
 codes: 0 success, 2 malformed input or usage, 3 budget exceeded; a
-failed internal check (AssertionError) is not caught and exits 1.  One
+failed internal check (AssertionError) is not caught and exits 1;
+--ring with a map file is a usage error, since the file's header names
+its ring.  One
 step budget covers every Groebner computation of the command and the
 products of its minor chain and of I^n; its default,
 DEFAULT_BUDGET steps, can be set through the REESDEG_BUDGET
@@ -91,6 +93,8 @@ def _fixed_field(args, ctx, source):
 
 def _load_map(args):
     if os.path.exists(args.map):
+        if args.ring:
+            raise RingError("--ring does not apply to a map file, whose header names its ring")
         with open(args.map) as fh:
             spec = parse_map_file(fh.read())
         _fixed_field(args, spec.ctx, "the map file's ring")
@@ -350,7 +354,7 @@ FLAGS = {
     "--m": {"type": int, "help": "de Jonquieres parameter m, or condition level"},
     "--points": {"help": "comma separated points (colon for tuples)"},
     "--seed": {"type": int, "default": DEFAULT_SEED, "help": "echoed in the output"},
-    "--budget": {"type": int, "help": "reduction step budget for the whole command"},
+    "--budget": {"type": int, "help": "step budget for the whole command"},
     "--format": {"choices": ("json", "text"), "default": "json"},
     "--out": {"help": "write output to a file instead of stdout"},
 }

@@ -31,7 +31,9 @@ driven from the first S-pair.  Should a degree in that grading reach
 computed again without the series.
 
 Inside the engine a monomial is one packed int, in the encoding of
-`ring` with the degree field in the grading of the run.
+`ring` with the degree field in the grading of the run.  Each basis row
+also carries the exponent tuple of its lead, unpacked once, and the
+pair update forms lcms from those tuples.
 
 Coefficients over Q are Python ints inside the engine, as monomials are
 (fraction-free reduction).  An engine polynomial is primitive with a
@@ -41,11 +43,19 @@ multiplies the remainder and the terms still to reduce by lc/g, where
 g = gcd(c, lc), and subtracts (c/g) times the shifted row; `_spoly`
 cancels two leads with lc_j/g and lc_i/g.  No step divides, so the
 per-operation gcd that `fractions.Fraction` runs is gone from the inner
-loop.  Polynomials are packed, and over Q cleared of denominators, on
-entry to `groebner_basis`, `normal_form`, the saturation exponent, the
-Bayer-Stillman saturation and the S-pair closure check.  On exit a basis
-element is divided by its lead coefficient and a normal form by the
-product of the multipliers its reduction applied, so results stay exact.
+loop.  Over F_p, `_reduce` lets the sums it accumulates grow as plain
+ints and takes one coefficient mod p only when it reduces that term.
+
+Terms stay packed from end to end.  A handle holds its generators as
+`Poly` objects or packed term dicts (the Fitting ideals of `conditions`
+hand over packed minors), and `gb_cache` holds each basis packed, in
+the packing of its run.  `hilbert` reads leads off the packed basis,
+`normal_form` and the saturation code reduce against it, and
+`eliminate` moves the rows free of the eliminated block into the
+subring's packing by dropping the block's fields.  A `Poly` is made only
+where a caller reads terms; a basis element is then divided by its lead
+coefficient and a normal form by the product of the multipliers its
+reduction applied, so results stay exact.
 
 Elimination always goes through a block order (grevlex inside each
 block).  Intersections adjoin one leading auxiliary variable and
@@ -66,6 +76,7 @@ from math import gcd, lcm
 
 from .ring import (
     _MASK,
+    _WIDTH,
     EXP_BOUND,
     Poly,
     RingCtx,
@@ -89,12 +100,10 @@ VERIFY_BASES = False
 
 
 class BudgetExceeded(RuntimeError):
-    """A Groebner computation ran past its reduction-step budget."""
+    """A computation ran past its step budget."""
 
     def __init__(self, budget):
-        super().__init__(
-            "Groebner computation exceeded its budget of %d reduction steps" % budget
-        )
+        super().__init__("computation exceeded its budget of %d steps" % budget)
         self.budget = budget
 
 
@@ -112,8 +121,10 @@ _ACTIVE_BUDGET = ContextVar("step_budget", default=None)
 
 @contextmanager
 def step_budget(limit):
-    """Charge every Groebner computation inside the block against one
-    budget of `limit` reduction steps."""
+    """Charge every computation inside the block against one budget of
+    `limit` steps: reductions, reduced S-pairs, pairs and rows examined by
+    pair updates, monomial divisibility tests, and the products of the
+    minor chain and of the power loop in `sfib_hilbert_function`."""
     if limit < 1:
         raise ValueError("budget must be at least 1, got %d" % limit)
     token = _ACTIVE_BUDGET.set(_Budget(limit))
@@ -145,7 +156,11 @@ def _reduce(work, rows, guard, p, budget, sugar=-1):
     sugar degree and the scale, the product of the multipliers applied:
     the remainder over the field is the returned one divided by the
     scale.  Monomials come off a heap of negated packed ints strictly top
-    down, so every monomial is visited once.
+    down, and a reduction only adds monomials below the one it cancels,
+    so every monomial is pushed and visited once.  The terms still to
+    reduce hold unreduced integer sums: over F_p a coefficient is taken
+    mod p when its monomial comes off the heap, and a coefficient that is
+    0 there is skipped, so the remainder's coefficients lie in [1, p).
     """
     rem = {}
     scale = 1
@@ -153,8 +168,10 @@ def _reduce(work, rows, guard, p, budget, sugar=-1):
     heapify(heap)
     while heap:
         m = -heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
+        c = work.pop(m)
+        if p:
+            c %= p
+        if not c:
             continue
         for row in rows:
             shift = m - row[0]
@@ -185,17 +202,10 @@ def _reduce(work, rows, guard, p, budget, sugar=-1):
             if prev is None:
                 if mm & EXP_BOUND:
                     raise _overflow()
-                v = -c * c2
-                work[mm] = v % p if p else v
+                work[mm] = -c * c2
                 heappush(heap, -mm)
             else:
-                v = prev - c * c2
-                if p:
-                    v %= p
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
+                work[mm] = prev - c * c2
     return rem, sugar, scale
 
 
@@ -214,28 +224,27 @@ def _normalize(terms, p):
     return {m: v // g for m, v in terms.items()}
 
 
-def _pack_integral(pk, terms, p):
-    """(packed term dict, d) for an exponent-tuple dict of field
-    elements: over Q the packed dict holds the integers d*c, d the least
-    common denominator; over F_p, d is 1."""
-    packed = pk.pack_terms(terms)
+def _integral(terms, p):
+    """(terms, d) for a packed term dict of field elements: over Q the
+    dict of the integers d*c, d the least common denominator; over F_p
+    the terms themselves and 1."""
     if p:
-        return packed, 1
-    d = lcm(*(c.denominator for c in packed.values()))
-    return {m: c.numerator * (d // c.denominator) for m, c in packed.items()}, d
+        return terms, 1
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
 
-def _unpack_divided(pk, terms, d, p):
-    """Exponent-tuple dict of the packed `terms` divided by the integer
-    d: Fractions over Q; over F_p, where d is 1, the terms themselves."""
+def _divided(terms, d, p):
+    """The packed integer `terms` divided by d, as field elements:
+    Fractions over Q; over F_p, where d is 1, the terms themselves."""
     if p:
-        return pk.unpack_terms(terms)
-    unpack = pk.unpack
-    return {unpack(m): Fraction(c, d) for m, c in terms.items()}
+        return terms
+    return {m: Fraction(c, d) for m, c in terms.items()}
 
 
-def _unpack_monic(pk, terms, p):
-    return _unpack_divided(pk, terms, terms[max(terms)], p)
+def _poly(ctx, pk, terms):
+    """The Poly of a packed term dict of field elements."""
+    return Poly(ctx, pk.unpack_terms(terms), _clean=True)
 
 
 def _row(terms, sugar):
@@ -296,12 +305,14 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         keep = _minimal_packed([max(t) for t in start], guard, partial(_charge, budget))
         return [start[i] for i in keep]
 
-    rows = []      # every basis row ever created: (lead, tail, sugar)
+    rows = []      # every basis row ever created: (lead, tail, sugar, lc)
     terms_of = []  # parallel: full term dicts
+    exps = []      # parallel: exponent tuples of the leads
     G = []         # active row indices
     P = []         # heap of pairs (sugar, lcm, i, j)
 
     divides = pk.divides
+    pack = pk.pack
 
     def pair_entry(i, j, lcm):
         d = lcm & _MASK
@@ -315,8 +326,12 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         # basis rows whose lead became divisible.
         nonlocal P, G
         _charge(budget, len(G) + len(P))
-        lth = rows[h][0]
-        C = sorted((pk.lcm(rows[g][0], lth), g) for g in G)
+        lth, eh = rows[h][0], exps[h]
+
+        def lcm_h(g):
+            return pack([x if x > y else y for x, y in zip(exps[g], eh)])
+
+        C = sorted((lcm_h(g), g) for g in G)
         D = []
         for idx, (lcm, g) in enumerate(C):
             # coprime leads have lcm = product
@@ -327,11 +342,7 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
                 D.append((lcm, g))
         keep = [
             e for e in P
-            if not (
-                divides(lth, e[1])
-                and pk.lcm(rows[e[2]][0], lth) != e[1]
-                and pk.lcm(rows[e[3]][0], lth) != e[1]
-            )
+            if not (divides(lth, e[1]) and lcm_h(e[2]) != e[1] and lcm_h(e[3]) != e[1])
         ]
         keep.extend(pair_entry(g, h, lcm) for lcm, g in D if lcm != rows[g][0] + lth)
         heapify(keep)
@@ -347,6 +358,7 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         terms = _normalize(rem, p)
         rows.append(_row(terms, sugar))
         terms_of.append(terms)
+        exps.append(pk.unpack(rows[-1][0]))
         update(len(rows) - 1)
         return True
 
@@ -358,7 +370,6 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
             return unit
 
     hf_deg = hf_done = None
-    lead_exps = {}  # unpacked leads of degree at most hf_deg, by row
     while P:
         _, lcm, i, j = heappop(P)
         if hilbert is not None:
@@ -369,10 +380,7 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
             k = lcm & _MASK
             if k != hf_deg:
                 # leads above degree k leave HF_leads(k) alone
-                for g in G:
-                    if g not in lead_exps and rows[g][0] & _MASK <= k:
-                        lead_exps[g] = pk.unpack(rows[g][0])
-                leads = [lead_exps[g] for g in G if g in lead_exps]
+                leads = [exps[g] for g in G if rows[g][0] & _MASK <= k]
                 have = hilbert_value(weighted_numerator(leads, grading), grading, k)
                 hf_deg = k
                 hf_done = len(rows) + have - hilbert_value(target, grading, k)
@@ -414,11 +422,12 @@ def _spair_closure_ok(basis_dicts, ctx, order=None):
     check = _Budget(10 * DEFAULT_BUDGET)
     pk = _packing(order or ctx.order, ctx.nvars)
     p = ctx.field.characteristic
-    packed = [_pack_integral(pk, t, p)[0] for t in basis_dicts]
+    packed = [_integral(pk.pack_terms(t), p)[0] for t in basis_dicts]
     rows = [_row(t, 0) for t in packed]
+    exps = [pk.unpack(row[0]) for row in rows]
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            lcm = pk.lcm(rows[i][0], rows[j][0])
+            lcm = pk.pack([x if x > y else y for x, y in zip(exps[i], exps[j])])
             s = _spoly(packed[i], lcm - rows[i][0], packed[j], lcm - rows[j][0], p)
             rem, _, _ = _reduce(s, rows, pk.guard, p, check)
             if rem:
@@ -427,27 +436,46 @@ def _spair_closure_ok(basis_dicts, ctx, order=None):
 
 
 class IdealHandle:
-    """An ideal in a fixed ring with a per-order cache of reduced bases."""
+    """An ideal in a fixed ring with a per-order cache of reduced bases.
 
-    __slots__ = ("ctx", "gens", "gb_cache", "_sat", "_series")
+    Generators are `Poly` objects or, given `pk`, packed term dicts of
+    field elements in `pk`, a packing of the ring's order, which `gens`
+    unpacks on first read.  `gb_cache` maps an order to (packing,
+    reduced basis as normalized packed term dicts).
+    """
 
-    def __init__(self, ctx, gens):
+    __slots__ = ("ctx", "_gens", "_packed", "gb_cache", "_polys", "_sat", "_series")
+
+    def __init__(self, ctx, gens, pk=None):
         self.ctx = ctx
-        cleaned = []
-        for g in gens:
-            if not isinstance(g, Poly):
-                raise RingError("ideal generators must be Poly instances")
-            if g.ctx != ctx:
-                raise RingError("generator from a different ring")
-            if g:
-                cleaned.append(g)
-        self.gens = tuple(cleaned)
+        if pk is None:
+            cleaned = []
+            for g in gens:
+                if not isinstance(g, Poly):
+                    raise RingError("ideal generators must be Poly instances")
+                if g.ctx != ctx:
+                    raise RingError("generator from a different ring")
+                if g:
+                    cleaned.append(g)
+            self._gens = tuple(cleaned)
+            self._packed = None
+        else:
+            self._gens = None
+            self._packed = (pk, tuple(t for t in gens if t))
         self.gb_cache = {}
+        self._polys = {}
         # on a result of `saturate`: (I, J generators) until
         # sat_exponent is first read, then the exponent
         self._sat = None
         # (grading, numerator) of a Hilbert series of S/I known a priori
         self._series = None
+
+    @property
+    def gens(self):
+        if self._gens is None:
+            pk, seeds = self._packed
+            self._gens = tuple(_poly(self.ctx, pk, t) for t in seeds)
+        return self._gens
 
     @property
     def sat_exponent(self):
@@ -466,21 +494,48 @@ def ideal(ctx, gens):
     return IdealHandle(ctx, list(gens))
 
 
+def _seeds(I, pk=None):
+    """(packing, generators of I as packed term dicts of field elements)
+    in `pk`, by default in the handle's own packing: the one it was built
+    in, else the ring's.  Generators packed into the ring's packing are
+    kept on the handle."""
+    ring = _packing(I.ctx.order, I.ctx.nvars)
+    if I._packed is None and pk in (None, ring):
+        I._packed = (ring, tuple(ring.pack_terms(g.terms) for g in I.gens))
+    if pk is None or I._packed is not None and I._packed[0] is pk:
+        return I._packed
+    return pk, tuple(pk.pack_terms(g.terms) for g in I.gens)
+
+
+def _basis_ideal(ctx, pk, basis):
+    """The ideal generated by `basis`, a reduced basis in the ring order
+    as normalized packed term dicts in `pk`, with that basis cached."""
+    p = ctx.field.characteristic
+    out = IdealHandle(ctx, [_divided(t, t[max(t)], p) for t in basis], pk)
+    out.gb_cache[ctx.order] = (pk, tuple(basis))
+    return out
+
+
+def _homogeneous(pk, polys):
+    """True when every packed term dict in `polys` is homogeneous in the
+    standard grading (all variables of degree 1)."""
+    if max(pk.grading) == 1:
+        return all(len({m & _MASK for m in t}) == 1 for t in polys)
+    unpack = pk.unpack
+    return all(len({sum(unpack(m)) for m in t}) == 1 for t in polys)
+
+
 def _order_key(ctx, order):
     return ctx.order if order is None else _normalize_order(order, ctx.nvars)
 
 
-def groebner_basis(I, order=None):
-    """Reduced Groebner basis of I under `order` (default: the ring order).
-
-    The basis is cached on the handle per order; generators are sorted by
-    increasing leading monomial and are monic.
-    """
+def _basis(I, order=None):
+    """(packing, reduced basis of I under `order` as normalized packed
+    term dicts sorted by lead), cached in `I.gb_cache` per order."""
     okey = _order_key(I.ctx, order)
-    cached = I.gb_cache.get(okey)
-    if cached is not None:
-        return list(cached)
-    p = I.ctx.field.characteristic
+    got = I.gb_cache.get(okey)
+    if got is not None:
+        return got
     target = _known_series(I)
     try:
         pk, basis = _run_buchberger(I, okey, target)
@@ -490,12 +545,27 @@ def groebner_basis(I, order=None):
         if target is None or max(target[0]) == 1:
             raise
         pk, basis = _run_buchberger(I, okey, None)
-    basis_dicts = [_unpack_monic(pk, t, p) for t in basis]
-    if VERIFY_BASES and not _spair_closure_ok(basis_dicts, I.ctx, okey):
+    if VERIFY_BASES and not _spair_closure_ok([pk.unpack_terms(t) for t in basis], I.ctx, okey):
         raise AssertionError("computed basis fails the Buchberger criterion")
-    out = tuple(Poly(I.ctx, t, _clean=True) for t in basis_dicts)
-    I.gb_cache[okey] = out
-    return list(out)
+    got = I.gb_cache[okey] = (pk, tuple(basis))
+    return got
+
+
+def groebner_basis(I, order=None):
+    """Reduced Groebner basis of I under `order` (default: the ring order).
+
+    Generators are sorted by increasing leading monomial and are monic.
+    The packed basis is cached on the handle per order, and so is the
+    list of polynomials made from it on the first call.
+    """
+    okey = _order_key(I.ctx, order)
+    polys = I._polys.get(okey)
+    if polys is None:
+        pk, basis = _basis(I, okey)
+        p = I.ctx.field.characteristic
+        polys = tuple(_poly(I.ctx, pk, _divided(t, t[max(t)], p)) for t in basis)
+        I._polys[okey] = polys
+    return list(polys)
 
 
 def _run_buchberger(I, order, target):
@@ -503,14 +573,8 @@ def _run_buchberger(I, order, target):
     Hilbert series `target` when it is not None."""
     pk = _packing(order, I.ctx.nvars, target and target[0])
     p = I.ctx.field.characteristic
-    seeds = [_pack_integral(pk, g.terms, p)[0] for g in I.gens]
+    seeds = [_integral(t, p)[0] for t in _seeds(I, pk)[1]]
     return pk, _buchberger(seeds, pk, I.ctx.field, _budget(), target)
-
-
-def _homogeneous(polys):
-    """True when every polynomial is homogeneous in the standard grading
-    (all variables of degree 1)."""
-    return all(len({sum(m) for m in g.terms}) == 1 for g in polys)
 
 
 def _known_series(I):
@@ -522,20 +586,13 @@ def _known_series(I):
     """
     if I._series is not None:
         return I._series
-    if not I.gb_cache or not _homogeneous(I.gens):
+    if not I.gb_cache or not _homogeneous(*_seeds(I)):
         return None
     from .hilbert import weighted_numerator
 
-    order, basis = next(iter(I.gb_cache.items()))
-    pack = _packing(order, I.ctx.nvars).pack
+    pk, basis = next(iter(I.gb_cache.values()))
     ones = (1,) * I.ctx.nvars
-    return ones, weighted_numerator([max(g.terms, key=pack) for g in basis], ones)
-
-
-def seed_gb_cache(I, order, basis):
-    """Record an externally known reduced basis (e.g. from elimination)."""
-    okey = _order_key(I.ctx, order)
-    I.gb_cache[okey] = tuple(basis)
+    return ones, weighted_numerator([pk.unpack(max(t)) for t in basis], ones)
 
 
 def seed_hilbert_series(I, grading, numerator):
@@ -551,16 +608,15 @@ def normal_form(f, I, order=None):
     representative under the chosen order."""
     if f.ctx != I.ctx:
         raise RingError("polynomial and ideal live in different rings")
-    gb = groebner_basis(I, order=order)
-    if not gb:
+    pk, basis = _basis(I, order)
+    if not basis:
         return f
-    pk = _packing(_order_key(I.ctx, order), I.ctx.nvars)
     p = I.ctx.field.characteristic
-    rows = [_row(_pack_integral(pk, g.terms, p)[0], 0) for g in gb]
-    work, d = _pack_integral(pk, f.terms, p)
+    rows = [_row(t, 0) for t in basis]
+    work, d = _integral(pk.pack_terms(f.terms), p)
     rem, _, scale = _reduce(work, rows, pk.guard, p, _budget())
     # rem is scale * d * NF(f)
-    return Poly(I.ctx, _unpack_divided(pk, rem, scale * d, p), _clean=True)
+    return _poly(I.ctx, pk, _divided(rem, scale * d, p))
 
 
 def ideal_contains(I, f):
@@ -590,13 +646,19 @@ def eliminate(I, k):
     Runs a block-order basis putting the first k variables in their own
     leading block and keeps the generators free of them; those form a
     reduced basis of the elimination ideal in the restricted order.
+
+    They stay packed.  The leading block's degree is the top field of a
+    packed monomial, so an element is free of the block exactly when its
+    lead is below that field.  Dropping the block's k exponent fields and
+    k order fields, and keeping the degree field, then moves a monomial
+    into the packing of the subring in the grading restricted to it.
     """
     ctx = I.ctx
     n = ctx.nvars
     if not 0 < k < n:
         raise RingError("cannot eliminate %d of %d variables" % (k, n))
     elim_order = elimination_order(ctx, k)
-    gb = groebner_basis(I, order=elim_order)
+    pk, basis = _basis(I, elim_order)
     # the blocks after the leading one, grevlex when only one is left
     rest = elim_order[1][1:]
     sub_order = "grevlex" if len(rest) == 1 else ("blocks", rest)
@@ -607,14 +669,11 @@ def eliminate(I, k):
         weights=ctx.weights[k:],
         n_params=min(ctx.n_params, n - k),
     )
-    index_map = [None] * k + list(range(n - k))
-    kept = []
-    for g in gb:
-        if all(all(e == 0 for e in m[:k]) for m in g.terms):
-            kept.append(g.map_vars(sub_ctx, index_map))
-    out = IdealHandle(sub_ctx, kept)
-    seed_gb_cache(out, sub_order, kept)
-    return out
+    top, shift = 1 << _WIDTH * 2 * n, _WIDTH * k
+    kept = [
+        {(m >> shift) | (m & _MASK): c for m, c in t.items()} for t in basis if max(t) < top
+    ]
+    return _basis_ideal(sub_ctx, _packing(sub_order, n - k, pk.grading[k:]), kept)
 
 
 def _with_aux_var(ctx, weight=(0, 0)):
@@ -639,11 +698,9 @@ def _drop_aux_var(gens, aux, ctx):
     """Eliminate the leading variable of `aux` from the ideal of `gens`
     and return the result as an ideal of `ctx`."""
     elim = eliminate(IdealHandle(aux, gens), 1)
-    back = [g.map_vars(ctx, list(range(ctx.nvars))) for g in elim.gens]
-    out = IdealHandle(ctx, back)
-    if ctx.order == elim.ctx.order:
-        seed_gb_cache(out, ctx.order, tuple(back))
-    return out
+    if elim.ctx == ctx:
+        return elim
+    return IdealHandle(ctx, [g.map_vars(ctx, list(range(ctx.nvars))) for g in elim.gens])
 
 
 def intersect(I, J):
@@ -680,7 +737,7 @@ def _independent_remainders(polys, rows, guard, p, budget):
     leads, each up to a scalar."""
     pivots = {}
     for terms in polys:
-        rem, _, _ = _reduce(terms, rows, guard, p, budget)
+        rem, _, _ = _reduce(dict(terms), rows, guard, p, budget)
         # a combination of remainders is again a remainder
         while rem:
             lead = max(rem)
@@ -700,24 +757,19 @@ def _sat_exponent(I, S, J_gens):
     remainders modulo I matter, and a spanning set of them is enough.
     """
     ctx = I.ctx
-    pk = _packing(ctx.order, ctx.nvars)
     p = ctx.field.characteristic
-
-    def packed(polys):
-        return [_pack_integral(pk, g.terms, p)[0] for g in polys]
-
-    rows = [_row(t, 0) for t in packed(groebner_basis(I))]
+    pk, basis = _basis(I)
+    rows = [_row(t, 0) for t in basis]
     b = _budget()
-    cur = packed(S.gens)
+    cur = [_integral(t, p)[0] for t in _seeds(S, pk)[1]]
     k = 0
     while True:
         cur = _independent_remainders(cur, rows, pk.guard, p, b)
         if not cur:
             return k
         k += 1
-        cur = packed(
-            Poly(ctx, _unpack_monic(pk, h, p), _clean=True) * g for h in cur for g in J_gens
-        )
+        prods = (_poly(ctx, pk, _divided(h, h[max(h)], p)) * g for h in cur for g in J_gens)
+        cur = [_integral(pk.pack_terms(f.terms), p)[0] for f in prods]
 
 
 def _is_irrelevant_ideal(ctx, gens):
@@ -762,11 +814,10 @@ def _saturate_by_variables(I):
     S/I has finite length.
     """
     ctx = I.ctx
-    if not _homogeneous(I.gens):
+    if not _homogeneous(*_seeds(I)):
         return None
-    pk = _packing(ctx.order, ctx.nvars)
     p = ctx.field.characteristic
-    gb = [_pack_integral(pk, g.terms, p)[0] for g in groebner_basis(I)]
+    pk, gb = _basis(I)
     shift, unit = pk.shifts[-1], pk.units[-1]
     stripped = []
     for t in gb:
@@ -779,15 +830,10 @@ def _saturate_by_variables(I):
         [pk.unpack(max(t)) for t in gb], [pk.unpack(max(t)) for t in minimal], ctx.nvars
     ):
         return None
-    basis = [
-        Poly(ctx, _unpack_monic(pk, t, p), _clean=True)
-        for t in _reduce_tails(minimal, pk.guard, p, _budget())
-    ]
-    if VERIFY_BASES and not _spair_closure_ok([g.terms for g in basis], ctx):
+    basis = _reduce_tails(minimal, pk.guard, p, _budget())
+    if VERIFY_BASES and not _spair_closure_ok([pk.unpack_terms(t) for t in basis], ctx):
         raise AssertionError("stripped basis fails the Buchberger criterion")
-    out = IdealHandle(ctx, basis)
-    seed_gb_cache(out, ctx.order, basis)
-    return out
+    return _basis_ideal(ctx, pk, basis)
 
 
 def saturate(I, J):

@@ -21,8 +21,8 @@ from functools import lru_cache
 from math import comb
 from operator import lshift, mul
 
-from .groebner import _order_key, groebner_basis
-from .ring import RingError, _minimal_packed, _packing, monomial_divides, monomials_of_degree
+from .groebner import _basis, _homogeneous, groebner_basis
+from .ring import RingError, _minimal_packed, monomial_divides, monomials_of_degree
 
 
 def _by_degree(m):
@@ -157,20 +157,23 @@ def count_standard_monomials(mons, nvars, k):
     return total
 
 
-def _check_standard_homogeneous(polys, ctx):
-    if any(sum(w) != 1 for w in ctx.weights):
+def _standard_leads(I):
+    """Leads of the reduced basis of I in the ring order, read off the
+    packed basis; I must be homogeneous in the standard grading."""
+    if any(sum(w) != 1 for w in I.ctx.weights):
         raise RingError("dimension computations need all variables in degree 1")
-    for g in polys:
-        degs = {sum(m) for m in g.terms}
-        if len(degs) > 1:
-            raise RingError("ideal is not homogeneous: %s" % g)
+    pk, basis = _basis(I)
+    for i, t in enumerate(basis):
+        if not _homogeneous(pk, [t]):
+            raise RingError("ideal is not homogeneous: %s" % groebner_basis(I)[i])
+    return [pk.unpack(max(t)) for t in basis]
 
 
 def lead_ideal(I, order=None):
     """Minimal generators of the lead-term ideal under the given order,
     sorted by (degree, exponents): the leads of the reduced basis."""
-    key = _packing(_order_key(I.ctx, order), I.ctx.nvars).pack
-    return sorted((max(g.terms, key=key) for g in groebner_basis(I, order)), key=_by_degree)
+    pk, basis = _basis(I, order)
+    return sorted((pk.unpack(max(t)) for t in basis), key=_by_degree)
 
 
 @dataclass(frozen=True)
@@ -215,16 +218,12 @@ def monomial_dim_degree(mons, nvars):
 
 def dim_degree(I):
     """HilbertSummary of R/I for a homogeneous ideal I."""
-    gb = groebner_basis(I)
-    _check_standard_homogeneous(gb, I.ctx)
-    return monomial_dim_degree([g.lm() for g in gb], I.ctx.nvars)
+    return monomial_dim_degree(_standard_leads(I), I.ctx.nvars)
 
 
 def hilbert_function(I, k):
     """dim_k of R/I as a graded vector space, from the series numerator."""
     if k < 0:
         return 0
-    gb = groebner_basis(I)
-    _check_standard_homogeneous(gb, I.ctx)
     ones = (1,) * I.ctx.nvars
-    return hilbert_value(weighted_numerator([g.lm() for g in gb], ones), ones, k)
+    return hilbert_value(weighted_numerator(_standard_leads(I), ones), ones, k)

@@ -166,7 +166,10 @@ def _order_fields(order, n):
 class _Packing:
     """Monomial encoding for one normalized monomial order on n
     variables, with the degree field in a grading by positive variable
-    weights (default: all 1, the standard grading)."""
+    weights (default: all 1, the standard grading).  The order and
+    exponent fields do not depend on the grading.  There is no packed
+    lcm: callers keep exponent tuples and pack their elementwise maximum.
+    """
 
     __slots__ = ("units", "shifts", "guard", "grading")
 
@@ -205,17 +208,21 @@ class _Packing:
         unpack = self.unpack
         return {unpack(m): c for m, c in terms.items()}
 
-    def lcm(self, a, b):
-        return self.pack(monomial_lcm(self.unpack(a), self.unpack(b)))
-
     def divides(self, b, a):
         # a - b borrows, and so sets a guard bit, exactly where b is larger
         return not (a - b) & self.guard
 
 
-@lru_cache(maxsize=64)
+_shared_packing = lru_cache(maxsize=64)(_Packing)
+
+
 def _packing(order, n, grading=None):
-    return _Packing(order, n, grading)
+    """The one shared packing of a normalized order on n variables; a
+    grading of all ones is the standard grading, so packings compare
+    with `is`."""
+    if grading is not None and max(grading) == 1:
+        grading = None
+    return _shared_packing(order, n, grading)
 
 
 def _minimal_packed(packed, guard, charge=None):

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import reesdeg.families as families
+import reesdeg.groebner as gb_mod
 from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, _load_family, build_parser, main
 from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
 
@@ -368,6 +369,34 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert time.perf_counter() - start < 1.0
+
+    def test_budget_message_counts_steps(self, capsys, monkeypatch):
+        # the power loop runs out before any reduction, so the message
+        # names steps, not reduction steps
+        reductions = []
+        reduce = gb_mod._reduce
+        monkeypatch.setattr(
+            gb_mod, "_reduce", lambda *a, **k: reductions.append(1) or reduce(*a, **k)
+        )
+        six_quadrics = "x0^2,x1^2,x2^2,x0*x1,x0*x2,x1*x2"
+        code = main(["sfib-hf", "--map", six_quadrics, "--points", "20", "--budget", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and not reductions
+        assert captured.err == "error: computation exceeded its budget of 10 steps\n"
+
+    @pytest.mark.parametrize("command", MAP_COMMANDS)
+    @pytest.mark.parametrize("ring", ["a b c over 0", "x0 x1 over 7"])
+    def test_ring_with_map_file_is_two(self, capsys, tmp_path, command, ring):
+        # the file's header names the ring, so --ring has nothing to say,
+        # even when it agrees with the header
+        path = tmp_path / "map.txt"
+        path.write_text("ring x0 x1 over 7\nmap: x0^2, x1^2\n")
+        code, out = run(capsys, [command, "--map", str(path), "--ring", ring])
+        assert code == 2
+        assert out == ""
+        code, out = run(capsys, [command, "--map", str(path)])
+        assert code == 0
 
     def test_minor_products_are_charged(self, capsys, tmp_path):
         # the 9-minors of a linear 10 x 9 matrix expand every smaller

@@ -18,7 +18,7 @@ from reesdeg.conditions import (
 )
 from reesdeg import conditions, groebner
 from reesdeg.families import FamilySpec, dense_form, make_family, signed_maximal_minors
-from reesdeg.groebner import ideal
+from reesdeg.groebner import IdealHandle, groebner_basis, ideal, saturate
 from reesdeg.ring import EXP_BOUND, FieldSpec, Poly, RingCtx, RingError, parse_poly
 
 QQ = FieldSpec(0)
@@ -415,3 +415,64 @@ class TestSerialization:
     def test_bad_matrix_file(self):
         with pytest.raises(RingError):
             parse_matrix_file("ring x over 0 order grevlex\nmatrix 2 x 2\nx\n")
+
+
+class TestPackedSeeds:
+    """Fitting ideals hand the chain's packed minors straight to the
+    engine; they must give what the same minors as polynomials give."""
+
+    def matrices(self, prime):
+        rng = random.Random(90 + prime)
+        ctx = RingCtx(("x0", "x1", "x2", "x3"), FieldSpec(prime))
+        out = [
+            PresentationMatrix(ctx, [[dense_form(ctx, 1, rng) for _ in range(c)] for _ in range(r)])
+            for r, c in ((4, 3), (5, 4), (3, 3))
+        ]
+        return out + [make_family(FamilySpec("pfaffian", r=4, D=1, seed=3, prime=prime)).matrix]
+
+    @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
+    def test_packed_and_poly_seeds_agree(self, prime, monkeypatch):
+        monkeypatch.setattr(groebner, "VERIFY_BASES", True)
+        for M in self.matrices(prime):
+            heights = []
+            for i in range(1, M.nrows):
+                packed = fitting_ideal(M, i)
+                plain = IdealHandle(M.ctx, minors(M, M.nrows - i))
+                assert packed.gens == plain.gens
+                assert groebner_basis(packed) == groebner_basis(plain)
+                assert height(packed) == height(plain)
+                heights.append(height(plain))
+            G = tuple((i, M.nrows - i, h, i, h > i) for i, h in enumerate(heights, 1))
+            F = tuple((i, M.nrows - i, h, i, h >= i) for i, h in enumerate(heights, 1))
+            top = min(M.ctx.nvars, M.nrows)
+            assert check_Gm(M, math.inf).table == G[: top - 1]
+            assert check_Fm(M, 0).table == F
+
+    def test_verify_checks_packed_bases(self, monkeypatch):
+        # the bases the packed path makes go through the Buchberger
+        # criterion: a Fitting ideal's, and the stripped basis of the
+        # saturation by the variables
+        monkeypatch.setattr(groebner, "VERIFY_BASES", True)
+        checked = []
+        closure = groebner._spair_closure_ok
+
+        def spy(basis, ctx, order=None):
+            checked.append(sorted(ctx.key(max(t, key=ctx.key)) for t in basis))
+            return closure(basis, ctx, order)
+
+        monkeypatch.setattr(groebner, "_spair_closure_ok", spy)
+        M = self.matrices(32003)[0]
+        I = fitting_ideal(M, 1)
+        height(I)
+        leads = sorted(M.ctx.key(g.lm()) for g in groebner_basis(I))
+        assert checked == [leads]
+        ctx = M.ctx
+        # (x0) cut with the square of the irrelevant ideal
+        J = ideal(ctx, [parse_poly("x0*x%d" % j, ctx) for j in range(4)])
+        maxi = ideal(ctx, [Poly.var(ctx, j) for j in range(4)])
+        del checked[:]
+        S = saturate(J, maxi)
+        # J's own basis, then the stripped one
+        assert [str(g) for g in groebner_basis(S)] == ["x0"]
+        assert checked[0] == sorted(ctx.key(g.lm()) for g in groebner_basis(J))
+        assert checked[1:] == [[ctx.key((1, 0, 0, 0))]]

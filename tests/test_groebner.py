@@ -45,7 +45,6 @@ from reesdeg.ring import (
     Poly,
     RingCtx,
     RingError,
-    _Packing,
     _packing,
     monomial_div,
     monomial_divides,
@@ -528,7 +527,6 @@ class TestPackedEncoding:
         assert (pa == pb) == (a == b)
         assert pa + pb == pk.pack(monomial_mul(a, b))
         assert pk.divides(pb, pa) == monomial_divides(b, a)
-        assert pk.lcm(pa, pb) == pk.pack(tuple(map(max, a, b)))
         if pk.divides(pb, pa):
             assert pk.unpack(pa - pb) == monomial_div(a, b)
 
@@ -833,10 +831,87 @@ class TestRationalExactness:
         assert _spoly(ti, 0, tj, 0, p) == lead_cancelled
 
 
+def eager_remainder(f, basis):
+    """The remainder of f modulo a monic basis by division on Polys,
+    every coefficient reduced at once: a reference for `_reduce`."""
+    ctx = f.ctx
+    rem = Poly.zero(ctx)
+    while f:
+        m, c = f.lt()
+        for g in basis:
+            q = monomial_div(m, g.lm())
+            if q is not None:
+                f = f - g.mul_term(q, c)
+                break
+        else:
+            rem = rem + Poly.from_mon(ctx, m, c)
+            f = f - Poly.from_mon(ctx, m, c)
+    return rem
+
+
+@st.composite
+def f7_ideals(draw):
+    """A random ideal of F_7[x0..x2] and a polynomial to reduce modulo it."""
+    ctx = RingCtx(("x0", "x1", "x2"), FieldSpec(7))
+    mon = st.lists(st.integers(0, 2), min_size=3, max_size=3).map(tuple)
+    poly = st.dictionaries(mon, st.integers(1, 6), min_size=1, max_size=5).map(
+        lambda t: Poly(ctx, t)
+    )
+    gens = draw(st.lists(poly, min_size=1, max_size=3))
+    return ideal(ctx, gens), draw(poly)
+
+
+class TestDelayedModP:
+    """Over F_p the reducer keeps unreduced integer sums and takes a
+    coefficient mod p only when its monomial comes off the heap."""
+
+    def test_sums_that_vanish_mod_p(self, monkeypatch):
+        ctx, I = mk(("x", "y", "z"), ["x + 4*y", "y^2 + 3*z^2"], field=FieldSpec(7))
+        text = "3*x^3 + 3*x*y*z + 5*y^2*z + 2*x*z^2 + 5*y*z^2 + 5*z^3 + 5*x*z + 6*y*z"
+        f = parse_poly(text, ctx)
+        basis = groebner_basis(I)
+        sums = []
+        reduce = gb_mod._reduce
+
+        class Recorded(dict):
+            def __setitem__(self, m, c):
+                sums.append(c)
+                super().__setitem__(m, c)
+
+        monkeypatch.setattr(
+            gb_mod, "_reduce", lambda work, *a, **k: reduce(Recorded(work), *a, **k)
+        )
+        with step_budget(100):
+            nf = normal_form(f, I)
+            # the count an eager mod p gives: delaying it changes no step
+            assert 100 - gb_mod._ACTIVE_BUDGET.get().left == 7
+        # three stored sums are nonzero multiples of 7, which vanish and
+        # are skipped when their monomials come off the heap
+        assert [c for c in sums if c % 7 == 0] == [-7, -7, -14]
+        assert all(0 < c < 7 for c in nf.terms.values())
+        assert nf == parse_poly("6*y*z^2 + 5*z^3", ctx) == eager_remainder(f, basis)
+        sympy = pytest.importorskip("sympy")
+        x, y, z = sympy.symbols("x y z")
+        G = sympy.groebner([x + 4 * y, y**2 + 3 * z**2], x, y, z, order="grevlex", modulus=7)
+        theirs = sympy.Poly(G.reduce(sympy.sympify(text.replace("^", "**")))[1], x, y, z)
+        assert nf == Poly(ctx, {m: int(c) for m, c in theirs.terms()})
+
+    @settings(max_examples=60, deadline=None)
+    @given(f7_ideals())
+    def test_remainders_match_eager_reduction(self, case):
+        I, f = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            nf = normal_form(f, I)
+            assert nf == eager_remainder(f, groebner_basis(I))
+        assert all(0 < c < 7 for c in nf.terms.values())
+
+
 class TestEngineCoefficientCounts:
     """Deterministic work counts of the Rees and fiber cone bases of
     Hilbert-Burch (2,3) over Q: the engine does its arithmetic on ints,
-    so no Fraction operation runs inside `groebner_basis`."""
+    so no Fraction operation runs inside `_basis`, which computes every
+    packed basis."""
 
     def test_no_fraction_arithmetic(self, monkeypatch):
         forms = list(make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 3), prime=0)).forms)
@@ -851,7 +926,7 @@ class TestEngineCoefficientCounts:
 
             monkeypatch.setattr(Fraction, name, counted)
         bases = []
-        basis = gb_mod.groebner_basis
+        basis = gb_mod._basis
 
         def tracked(*args, **kwargs):
             inside[0] = True
@@ -861,11 +936,11 @@ class TestEngineCoefficientCounts:
                 inside[0] = False
             return bases[-1]
 
-        monkeypatch.setattr(gb_mod, "groebner_basis", tracked)
+        monkeypatch.setattr(gb_mod, "_basis", tracked)
         fiber_cone_ideal(forms, rees=rees_ideal(forms))
-        assert [len(b) for b in bases] == [16, 9]
+        assert [len(b[1]) for b in bases] == [16, 9]
         assert ops[0] == 0
-        # the counters see Fraction arithmetic inside groebner_basis
+        # the counters see Fraction arithmetic inside _basis
         inside[0] = True
         Fraction(1, 2) + Fraction(1, 3) * Fraction(2)
         assert ops[0] == 2
@@ -880,22 +955,22 @@ class TestMonomialSeeds:
         mons = [(2 * a, 2 * b, 80 - 2 * a - 2 * b) for a in range(41) for b in range(41 - a)]
         # redundant generators: a repeat and a proper multiple
         gens = [Poly.from_mon(ctx, m) for m in mons + [mons[0], (81, 1, 0)]]
-        calls = {"lcm": 0, "reduce": 0}
-        lcm, reduce = _Packing.lcm, gb_mod._reduce
+        calls = {"spoly": 0, "reduce": 0}
+        spoly, reduce = gb_mod._spoly, gb_mod._reduce
 
-        def counted_lcm(self, a, b):
-            calls["lcm"] += 1
-            return lcm(self, a, b)
+        def counted_spoly(*args, **kwargs):
+            calls["spoly"] += 1
+            return spoly(*args, **kwargs)
 
         def counted_reduce(*args, **kwargs):
             calls["reduce"] += 1
             return reduce(*args, **kwargs)
 
-        monkeypatch.setattr(_Packing, "lcm", counted_lcm)
+        monkeypatch.setattr(gb_mod, "_spoly", counted_spoly)
         monkeypatch.setattr(gb_mod, "_reduce", counted_reduce)
         basis = groebner_basis(ideal(ctx, gens))
         assert len(basis) == 861
-        assert calls == {"lcm": 0, "reduce": 0}
+        assert calls == {"spoly": 0, "reduce": 0}
         assert sorted(g.lm() for g in basis) == sorted(mons)
         assert [ctx.key(g.lm()) for g in basis] == sorted(ctx.key(g.lm()) for g in basis)
 
