@@ -234,6 +234,19 @@ class SpecializationResult:
     witness: object
 
 
+def _specialized(forms, point, generic):
+    """(specialized forms, specialized generic Rees ideal) at `point`;
+    the generic Rees ideal is computed when `generic` is None.  A point
+    that kills one of the forms is rejected."""
+    if generic is None:
+        generic = rees_ideal(forms)
+    special = specialize_forms(forms, point)
+    for i, g in enumerate(special):
+        if not g:
+            raise RingError("parameter point kills generator %d" % i)
+    return special, specialize_rees(generic, point)
+
+
 def gr_dimension_at(forms, point, generic=None):
     """Dimension of the special fiber of the associated graded ring.
 
@@ -250,13 +263,7 @@ def gr_dimension_at(forms, point, generic=None):
             rees.ctx, list(rees.gens) + embed_in_blowup(forms, rees.ctx)
         )
         return dim_degree(full).dim
-    if generic is None:
-        generic = rees_ideal(forms)
-    special = specialize_forms(forms, point)
-    for i, g in enumerate(special):
-        if not g:
-            raise RingError("parameter point kills generator %d" % i)
-    spec = specialize_rees(generic, point)
+    special, spec = _specialized(forms, point, generic)
     full = IdealHandle(
         spec.ctx, list(spec.gens) + embed_in_blowup(special, spec.ctx)
     )
@@ -272,13 +279,7 @@ def specialization_compare(forms, point, generic=None):
     by a generator of the special Rees ideal that does not reduce to zero
     against the specialized generic one.
     """
-    if generic is None:
-        generic = rees_ideal(forms)
-    special = specialize_forms(forms, point)
-    for i, g in enumerate(special):
-        if not g:
-            raise RingError("parameter point kills generator %d" % i)
-    spec = specialize_rees(generic, point)
+    special, spec = _specialized(forms, point, generic)
     ny = spec.ctx.nvars - (forms[0].ctx.nvars - forms[0].ctx.n_params)
     direct = rees_ideal(special, y_names=spec.ctx.var_names[-ny:])
     if direct.ctx != spec.ctx:

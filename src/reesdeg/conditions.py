@@ -18,29 +18,25 @@ PresentationMatrix itself, outside its dataclass fields, so G_m and F_m
 on one matrix share every minor and every Groebner basis.  A
 determinant is the top minor of the same chain over a fresh table.
 
-The chain runs on packed term dicts in the ring's own monomial packing
-(see `ring`), where `+` multiplies two monomials.  A matrix packs its
-entries the first time a Fitting ideal or a minor of size 2 or more is
-asked for, never when it is built.  A Fitting ideal hands the packed
-minors to the Groebner engine as they are, and its height is read off
-the packed lead monomials of their basis, so no minor of a Fitting
-ideal becomes a `Poly` unless a caller reads its generators; `minors`
-and `determinant` unpack the minors they return.  A minor leaves the
-table once it is handed out: the Fitting ideals ask for each size once,
+The chain runs on the entries' own terms, packed monomials of the
+ring (see `ring`), where `+` multiplies two monomials, and a minor's
+term dict becomes a `Poly` as it is.  A Fitting ideal hands its minors
+to the Groebner engine without conversion, and its height is read off
+the packed lead monomials of their basis.  A minor leaves the table
+once it is handed out: the Fitting ideals ask for each size once,
 largest first, and only a larger minor reads a smaller one.  Every
-field of a packed entry and of a memoized minor is below `EXP_BOUND`, so
-a product never spills into the next field; a minor whose degree
-reaches the bound sets the degree field's guard bit and raises
-`RingError`.
+field of an entry and of a memoized minor is below `EXP_BOUND`, so a
+product never spills into the next field; a minor whose degree reaches
+the bound sets the degree field's guard bit and raises `RingError`.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groebner import IdealHandle, _budget, _charge, _homogeneous, _poly, _seeds
+from .groebner import IdealHandle, _budget, _charge, _homogeneous
 from .hilbert import dim_degree
-from .ring import EXP_BOUND, Poly, RingError, _overflow, _packing
+from .ring import EXP_BOUND, Poly, RingError, _overflow
 from .ring import format_poly, format_ring_header, parse_poly, parse_ring_header
 
 
@@ -64,12 +60,10 @@ class PresentationMatrix:
                     raise RingError("matrix entry from a different ring")
         object.__setattr__(self, "entries", rows)
         # memo tables outside the dataclass fields, so eq and hash ignore
-        # them: packed minors keyed by (rows, cols) until returned,
-        # Fitting ideals by minor size, and the packed entries once a
-        # minor needs them
+        # them: packed minors keyed by (rows, cols) until returned, and
+        # Fitting ideals by minor size
         object.__setattr__(self, "_minors", {})
         object.__setattr__(self, "_fitting", {})
-        object.__setattr__(self, "_packed", None)
 
     @property
     def nrows(self):
@@ -132,52 +126,36 @@ def determinant(rows):
     return minors(PresentationMatrix(rows[0][0].ctx, rows), len(rows))[0]
 
 
-def _packed_minors(M, size):
-    """(packing, all size x size minors as packed term dicts, possibly
-    with repeats), row subsets then column subsets in lexicographic
-    order.  They come from the matrix's own table and then leave it, so
-    with sizes asked for largest first, as the Fitting ideals do, each
-    minor of M is expanded once."""
-    pk = _packing(M.ctx.order, M.ctx.nvars)
-    if M._packed is None:
-        packed = [[pk.pack_terms(e.terms) for e in row] for row in M.entries]
-        object.__setattr__(M, "_packed", packed)
+def minors(M, size):
+    """All size x size minors as polynomials (possibly with repeats), row
+    subsets then column subsets in lexicographic order.  They come from
+    the matrix's own table and then leave it, so with sizes asked for
+    largest first, as the Fitting ideals do, each minor of M is expanded
+    once.  The 1-minors are the entries themselves."""
+    if size < 1:
+        raise RingError("minor size must be positive")
+    if size == 1:
+        return [e for row in M.entries for e in row]
+    entries = [[e.terms for e in row] for row in M.entries]
     p = M.ctx.field.characteristic
     memo = M._minors
     got = []
     for rows in combinations(range(M.nrows), size):
         for cols in combinations(range(M.ncols), size):
-            got.append(_minor(M._packed, memo, rows, cols, p))
+            got.append(Poly(M.ctx, _minor(entries, memo, rows, cols, p), _clean=True))
             memo.pop((rows, cols), None)
-    return pk, got
-
-
-def minors(M, size):
-    """All size x size minors as polynomials (possibly with repeats), row
-    subsets then column subsets in lexicographic order, each expanded
-    once when sizes are asked for largest first.  The 1-minors are the
-    entries themselves."""
-    if size < 1:
-        raise RingError("minor size must be positive")
-    if size == 1:
-        return [e for row in M.entries for e in row]
-    pk, got = _packed_minors(M, size)
-    return [_poly(M.ctx, pk, t) for t in got]
+    return got
 
 
 def fitting_ideal(M, i):
-    """Fitt_i of the cokernel: ideal of minors of size (nrows - i), handed
-    to the Groebner engine packed.  The handle is kept on M, so every
-    call for the same ideal returns the same handle and shares its
-    Groebner bases."""
+    """Fitt_i of the cokernel: ideal of minors of size (nrows - i).  The
+    handle is kept on M, so every call for the same ideal returns the
+    same handle and shares its Groebner bases."""
     size = min(max(M.nrows - i, 0), min(M.nrows, M.ncols) + 1)
     got = M._fitting.get(size)
     if got is None:
-        if size == 0:
-            pk, gens = _packing(M.ctx.order, M.ctx.nvars), [{0: M.ctx.field.one}]
-        else:
-            pk, gens = _packed_minors(M, size)
-        got = M._fitting[size] = IdealHandle(M.ctx, gens, pk)
+        gens = [Poly.constant(M.ctx, 1)] if size == 0 else minors(M, size)
+        got = M._fitting[size] = IdealHandle(M.ctx, gens)
     return got
 
 
@@ -202,8 +180,8 @@ def _fitting_heights(M, top):
     ht = 0
     for i in range(1, top):
         I = fitting_ideal(M, i)
-        pk, seeds = _seeds(I)
-        if ht >= n and _homogeneous(pk, seeds):
+        seeds = [g.terms for g in I.gens]
+        if ht >= n and _homogeneous(seeds):
             # a homogeneous minor with a constant term is a constant, and
             # the constant monomial packs to 0
             ht = math.inf if any(0 in t for t in seeds) else n

@@ -35,6 +35,15 @@ Inside the engine a monomial is one packed int, in the encoding of
 also carries the exponent tuple of its lead, unpacked once, and the
 pair update forms lcms from those tuples.
 
+Outside a Buchberger run every packed monomial is in the standard
+grading: `Poly` terms and handle generators in the ring's packing
+(`RingCtx.packing`), a basis cached in `gb_cache` under an order in
+`_packing(order, n)`.  A run driven by a series in other weights packs
+its seeds in those weights and moves its basis back on leaving `_basis`,
+by reading the standard degree off the order fields (`_Packing.standard`).
+A run or a reduction in another order than the ring's moves terms with
+`_repacked`.
+
 Coefficients over Q are Python ints inside the engine, as monomials are
 (fraction-free reduction).  An engine polynomial is primitive with a
 positive lead over Q and monic over F_p, and each basis row carries its
@@ -46,16 +55,14 @@ per-operation gcd that `fractions.Fraction` runs is gone from the inner
 loop.  Over F_p, `_reduce` lets the sums it accumulates grow as plain
 ints and takes one coefficient mod p only when it reduces that term.
 
-Terms stay packed from end to end.  A handle holds its generators as
-`Poly` objects or packed term dicts (the Fitting ideals of `conditions`
-hand over packed minors), and `gb_cache` holds each basis packed, in
-the packing of its run.  `hilbert` reads leads off the packed basis,
-`normal_form` and the saturation code reduce against it, and
-`eliminate` moves the rows free of the eliminated block into the
-subring's packing by dropping the block's fields.  A `Poly` is made only
-where a caller reads terms; a basis element is then divided by its lead
-coefficient and a normal form by the product of the multipliers its
-reduction applied, so results stay exact.
+Terms stay packed from end to end.  A handle's generators are `Poly`
+objects whose terms are the engine's seeds as they are, `hilbert` reads
+leads off the packed basis, `normal_form` and the saturation code reduce
+against it, and `eliminate` moves the rows free of the eliminated block
+into the subring's packing by dropping the block's fields.  A basis
+element becomes a `Poly` divided by its lead coefficient and a normal
+form divided by the product of the multipliers its reduction applied,
+so results stay exact.
 
 Elimination always goes through a block order (grevlex inside each
 block).  Intersections adjoin one leading auxiliary variable and
@@ -242,9 +249,10 @@ def _divided(terms, d, p):
     return {m: Fraction(c, d) for m, c in terms.items()}
 
 
-def _poly(ctx, pk, terms):
-    """The Poly of a packed term dict of field elements."""
-    return Poly(ctx, pk.unpack_terms(terms), _clean=True)
+def _repacked(terms, src, dst):
+    """A packed term dict moved from packing `src` into packing `dst`."""
+    unpack, pack = src.unpack, dst.pack
+    return {pack(unpack(m)): c for m, c in terms.items()}
 
 
 def _row(terms, sugar):
@@ -416,13 +424,14 @@ def _reduce_tails(basis, guard, p, budget):
     return out
 
 
-def _spair_closure_ok(basis_dicts, ctx, order=None):
+def _spair_closure_ok(basis, ctx, order=None):
     """Buchberger criterion: every S-polynomial reduces to zero, in
-    `order` (default: the ring order)."""
+    `order` (default: the ring order), for packed term dicts in the
+    standard packing of that order."""
     check = _Budget(10 * DEFAULT_BUDGET)
     pk = _packing(order or ctx.order, ctx.nvars)
     p = ctx.field.characteristic
-    packed = [_integral(pk.pack_terms(t), p)[0] for t in basis_dicts]
+    packed = [_integral(t, p)[0] for t in basis]
     rows = [_row(t, 0) for t in packed]
     exps = [pk.unpack(row[0]) for row in rows]
     for i in range(len(rows)):
@@ -438,44 +447,30 @@ def _spair_closure_ok(basis_dicts, ctx, order=None):
 class IdealHandle:
     """An ideal in a fixed ring with a per-order cache of reduced bases.
 
-    Generators are `Poly` objects or, given `pk`, packed term dicts of
-    field elements in `pk`, a packing of the ring's order, which `gens`
-    unpacks on first read.  `gb_cache` maps an order to (packing,
-    reduced basis as normalized packed term dicts).
+    `gens` are `Poly` objects of the ring.  `gb_cache` maps an order to
+    (packing, reduced basis as normalized packed term dicts), the packing
+    being `_packing(order, n)`.
     """
 
-    __slots__ = ("ctx", "_gens", "_packed", "gb_cache", "_polys", "_sat", "_series")
+    __slots__ = ("ctx", "gens", "gb_cache", "_sat", "_series")
 
-    def __init__(self, ctx, gens, pk=None):
+    def __init__(self, ctx, gens):
         self.ctx = ctx
-        if pk is None:
-            cleaned = []
-            for g in gens:
-                if not isinstance(g, Poly):
-                    raise RingError("ideal generators must be Poly instances")
-                if g.ctx != ctx:
-                    raise RingError("generator from a different ring")
-                if g:
-                    cleaned.append(g)
-            self._gens = tuple(cleaned)
-            self._packed = None
-        else:
-            self._gens = None
-            self._packed = (pk, tuple(t for t in gens if t))
+        cleaned = []
+        for g in gens:
+            if not isinstance(g, Poly):
+                raise RingError("ideal generators must be Poly instances")
+            if g.ctx != ctx:
+                raise RingError("generator from a different ring")
+            if g:
+                cleaned.append(g)
+        self.gens = tuple(cleaned)
         self.gb_cache = {}
-        self._polys = {}
         # on a result of `saturate`: (I, J generators) until
         # sat_exponent is first read, then the exponent
         self._sat = None
         # (grading, numerator) of a Hilbert series of S/I known a priori
         self._series = None
-
-    @property
-    def gens(self):
-        if self._gens is None:
-            pk, seeds = self._packed
-            self._gens = tuple(_poly(self.ctx, pk, t) for t in seeds)
-        return self._gens
 
     @property
     def sat_exponent(self):
@@ -494,35 +489,29 @@ def ideal(ctx, gens):
     return IdealHandle(ctx, list(gens))
 
 
-def _seeds(I, pk=None):
-    """(packing, generators of I as packed term dicts of field elements)
-    in `pk`, by default in the handle's own packing: the one it was built
-    in, else the ring's.  Generators packed into the ring's packing are
-    kept on the handle."""
-    ring = _packing(I.ctx.order, I.ctx.nvars)
-    if I._packed is None and pk in (None, ring):
-        I._packed = (ring, tuple(ring.pack_terms(g.terms) for g in I.gens))
-    if pk is None or I._packed is not None and I._packed[0] is pk:
-        return I._packed
-    return pk, tuple(pk.pack_terms(g.terms) for g in I.gens)
+def _seeds(I, pk):
+    """The generators of I as packed term dicts of field elements in
+    `pk`: their own terms in the ring's packing, else moved there."""
+    ring = I.ctx.packing
+    if pk is ring:
+        return [g.terms for g in I.gens]
+    return [_repacked(g.terms, ring, pk) for g in I.gens]
 
 
-def _basis_ideal(ctx, pk, basis):
+def _basis_ideal(ctx, basis):
     """The ideal generated by `basis`, a reduced basis in the ring order
-    as normalized packed term dicts in `pk`, with that basis cached."""
+    as normalized packed term dicts in the ring's packing, with that
+    basis cached."""
     p = ctx.field.characteristic
-    out = IdealHandle(ctx, [_divided(t, t[max(t)], p) for t in basis], pk)
-    out.gb_cache[ctx.order] = (pk, tuple(basis))
+    out = IdealHandle(ctx, [Poly(ctx, _divided(t, t[max(t)], p), _clean=True) for t in basis])
+    out.gb_cache[ctx.order] = (ctx.packing, tuple(basis))
     return out
 
 
-def _homogeneous(pk, polys):
+def _homogeneous(polys):
     """True when every packed term dict in `polys` is homogeneous in the
     standard grading (all variables of degree 1)."""
-    if max(pk.grading) == 1:
-        return all(len({m & _MASK for m in t}) == 1 for t in polys)
-    unpack = pk.unpack
-    return all(len({sum(unpack(m)) for m in t}) == 1 for t in polys)
+    return all(len({m & _MASK for m in t}) == 1 for t in polys)
 
 
 def _order_key(ctx, order):
@@ -538,16 +527,16 @@ def _basis(I, order=None):
         return got
     target = _known_series(I)
     try:
-        pk, basis = _run_buchberger(I, okey, target)
+        basis = _run_buchberger(I, okey, target)
     except RingError:
         # a weighted degree reaches EXP_BOUND before the total degree
         # does; the series only saves work, so the standard grading runs
         if target is None or max(target[0]) == 1:
             raise
-        pk, basis = _run_buchberger(I, okey, None)
-    if VERIFY_BASES and not _spair_closure_ok([pk.unpack_terms(t) for t in basis], I.ctx, okey):
+        basis = _run_buchberger(I, okey, None)
+    if VERIFY_BASES and not _spair_closure_ok(basis, I.ctx, okey):
         raise AssertionError("computed basis fails the Buchberger criterion")
-    got = I.gb_cache[okey] = (pk, tuple(basis))
+    got = I.gb_cache[okey] = (_packing(okey, I.ctx.nvars), tuple(basis))
     return got
 
 
@@ -555,26 +544,25 @@ def groebner_basis(I, order=None):
     """Reduced Groebner basis of I under `order` (default: the ring order).
 
     Generators are sorted by increasing leading monomial and are monic.
-    The packed basis is cached on the handle per order, and so is the
-    list of polynomials made from it on the first call.
+    The packed basis is cached on the handle per order.
     """
-    okey = _order_key(I.ctx, order)
-    polys = I._polys.get(okey)
-    if polys is None:
-        pk, basis = _basis(I, okey)
-        p = I.ctx.field.characteristic
-        polys = tuple(_poly(I.ctx, pk, _divided(t, t[max(t)], p)) for t in basis)
-        I._polys[okey] = polys
-    return list(polys)
+    pk, basis = _basis(I, order)
+    ctx = I.ctx
+    p = ctx.field.characteristic
+    out = [_divided(t, t[max(t)], p) for t in basis]
+    if pk is not ctx.packing:
+        out = [_repacked(t, pk, ctx.packing) for t in out]
+    return [Poly(ctx, t, _clean=True) for t in out]
 
 
 def _run_buchberger(I, order, target):
-    """(packing, packed reduced basis) of I in `order`, driven by the
-    Hilbert series `target` when it is not None."""
+    """Packed reduced basis of I in `order`, in the standard grading,
+    driven by the Hilbert series `target` when it is not None."""
     pk = _packing(order, I.ctx.nvars, target and target[0])
     p = I.ctx.field.characteristic
-    seeds = [_integral(t, p)[0] for t in _seeds(I, pk)[1]]
-    return pk, _buchberger(seeds, pk, I.ctx.field, _budget(), target)
+    seeds = [_integral(t, p)[0] for t in _seeds(I, pk)]
+    basis = _buchberger(seeds, pk, I.ctx.field, _budget(), target)
+    return basis if max(pk.grading) == 1 else [pk.standard(t) for t in basis]
 
 
 def _known_series(I):
@@ -586,7 +574,7 @@ def _known_series(I):
     """
     if I._series is not None:
         return I._series
-    if not I.gb_cache or not _homogeneous(*_seeds(I)):
+    if not I.gb_cache or not _homogeneous(g.terms for g in I.gens):
         return None
     from .hilbert import weighted_numerator
 
@@ -612,11 +600,13 @@ def normal_form(f, I, order=None):
     if not basis:
         return f
     p = I.ctx.field.characteristic
+    ring = I.ctx.packing
     rows = [_row(t, 0) for t in basis]
-    work, d = _integral(pk.pack_terms(f.terms), p)
+    work, d = _integral(dict(f.terms) if pk is ring else _repacked(f.terms, ring, pk), p)
     rem, _, scale = _reduce(work, rows, pk.guard, p, _budget())
     # rem is scale * d * NF(f)
-    return _poly(I.ctx, pk, _divided(rem, scale * d, p))
+    rem = _divided(rem, scale * d, p)
+    return Poly(I.ctx, rem if pk is ring else _repacked(rem, pk, ring), _clean=True)
 
 
 def ideal_contains(I, f):
@@ -651,7 +641,7 @@ def eliminate(I, k):
     packed monomial, so an element is free of the block exactly when its
     lead is below that field.  Dropping the block's k exponent fields and
     k order fields, and keeping the degree field, then moves a monomial
-    into the packing of the subring in the grading restricted to it.
+    into the packing of the subring.
     """
     ctx = I.ctx
     n = ctx.nvars
@@ -673,7 +663,7 @@ def eliminate(I, k):
     kept = [
         {(m >> shift) | (m & _MASK): c for m, c in t.items()} for t in basis if max(t) < top
     ]
-    return _basis_ideal(sub_ctx, _packing(sub_order, n - k, pk.grading[k:]), kept)
+    return _basis_ideal(sub_ctx, kept)
 
 
 def _with_aux_var(ctx, weight=(0, 0)):
@@ -694,6 +684,15 @@ def _with_aux_var(ctx, weight=(0, 0)):
     )
 
 
+def _lifted_into_aux(ctx):
+    """(aux, t, lift): `ctx` with a leading auxiliary variable (weight
+    (0, 0)), that variable as a polynomial, and the map of polynomials
+    of `ctx` into `aux`."""
+    aux = _with_aux_var(ctx)
+    shift = [i + 1 for i in range(ctx.nvars)]
+    return aux, Poly.var(aux, 0), lambda f: f.map_vars(aux, shift)
+
+
 def _drop_aux_var(gens, aux, ctx):
     """Eliminate the leading variable of `aux` from the ideal of `gens`
     and return the result as an ideal of `ctx`."""
@@ -711,24 +710,19 @@ def intersect(I, J):
     ctx = I.ctx
     if not I.gens or not J.gens:
         return IdealHandle(ctx, [])
-    aux = _with_aux_var(ctx)
-    shift = [i + 1 for i in range(ctx.nvars)]
-    t = Poly.var(aux, 0)
+    aux, t, lift = _lifted_into_aux(ctx)
     one = Poly.constant(aux, 1)
-    gens = [t * f.map_vars(aux, shift) for f in I.gens]
-    gens += [(one - t) * g.map_vars(aux, shift) for g in J.gens]
+    gens = [t * lift(f) for f in I.gens]
+    gens += [(one - t) * lift(g) for g in J.gens]
     return _drop_aux_var(gens, aux, ctx)
 
 
 def _saturate_by(I, g):
     """(I : g^infinity) by Rabinowitsch: eliminate t from I + (1 - t*g)."""
-    ctx = I.ctx
-    aux = _with_aux_var(ctx)
-    shift = [i + 1 for i in range(ctx.nvars)]
-    t = Poly.var(aux, 0)
-    gens = [f.map_vars(aux, shift) for f in I.gens]
-    gens.append(Poly.constant(aux, 1) - t * g.map_vars(aux, shift))
-    return _drop_aux_var(gens, aux, ctx)
+    aux, t, lift = _lifted_into_aux(I.ctx)
+    gens = [lift(f) for f in I.gens]
+    gens.append(Poly.constant(aux, 1) - t * lift(g))
+    return _drop_aux_var(gens, aux, I.ctx)
 
 
 def _independent_remainders(polys, rows, guard, p, budget):
@@ -761,15 +755,15 @@ def _sat_exponent(I, S, J_gens):
     pk, basis = _basis(I)
     rows = [_row(t, 0) for t in basis]
     b = _budget()
-    cur = [_integral(t, p)[0] for t in _seeds(S, pk)[1]]
+    cur = [_integral(g.terms, p)[0] for g in S.gens]
     k = 0
     while True:
         cur = _independent_remainders(cur, rows, pk.guard, p, b)
         if not cur:
             return k
         k += 1
-        prods = (_poly(ctx, pk, _divided(h, h[max(h)], p)) * g for h in cur for g in J_gens)
-        cur = [_integral(pk.pack_terms(f.terms), p)[0] for f in prods]
+        prods = (Poly(ctx, _divided(h, h[max(h)], p), _clean=True) * g for h in cur for g in J_gens)
+        cur = [_integral(f.terms, p)[0] for f in prods]
 
 
 def _is_irrelevant_ideal(ctx, gens):
@@ -782,7 +776,7 @@ def _is_irrelevant_ideal(ctx, gens):
         if len(g.terms) != 1:
             return False
         (mon,) = g.terms
-        if sum(mon) != 1:
+        if mon & _MASK != 1:
             return False
         mons.add(mon)
     return len(mons) == ctx.nvars > 0
@@ -814,7 +808,7 @@ def _saturate_by_variables(I):
     S/I has finite length.
     """
     ctx = I.ctx
-    if not _homogeneous(*_seeds(I)):
+    if not _homogeneous(g.terms for g in I.gens):
         return None
     p = ctx.field.characteristic
     pk, gb = _basis(I)
@@ -831,9 +825,9 @@ def _saturate_by_variables(I):
     ):
         return None
     basis = _reduce_tails(minimal, pk.guard, p, _budget())
-    if VERIFY_BASES and not _spair_closure_ok([pk.unpack_terms(t) for t in basis], ctx):
+    if VERIFY_BASES and not _spair_closure_ok(basis, ctx):
         raise AssertionError("stripped basis fails the Buchberger criterion")
-    return _basis_ideal(ctx, pk, basis)
+    return _basis_ideal(ctx, basis)
 
 
 def saturate(I, J):

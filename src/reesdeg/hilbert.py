@@ -164,7 +164,7 @@ def _standard_leads(I):
         raise RingError("dimension computations need all variables in degree 1")
     pk, basis = _basis(I)
     for i, t in enumerate(basis):
-        if not _homogeneous(pk, [t]):
+        if not _homogeneous([t]):
             raise RingError("ideal is not homogeneous: %s" % groebner_basis(I)[i])
     return [pk.unpack(max(t)) for t in basis]
 

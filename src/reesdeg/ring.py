@@ -1,6 +1,6 @@
 """Exact multivariate polynomial arithmetic over QQ and prime fields.
 
-Polynomials are sparse dicts mapping exponent tuples to coefficients.
+Polynomials are sparse dicts mapping packed monomials to coefficients.
 Coefficients are `fractions.Fraction` in characteristic 0 and Python ints
 in the range [0, p) in characteristic p.  A `RingCtx` fixes the variable
 names, the coefficient field, the monomial order and a bigrading, and is
@@ -10,24 +10,30 @@ Supported orders: graded reverse lexicographic, lexicographic, and block
 orders (grevlex inside each block, blocks compared left to right), which
 is what every elimination step in the package runs on.
 
-A monomial order has one implementation: a monomial packs into one
-Python int (Singular-style packed exponent vectors; Bachmann and
-Schoenemann, "Monomial representations for Groebner bases computations",
-ISSAC 1998), and `RingCtx.key` is that packing for the ring's order, so
-`Poly` and the Buchberger engine compare monomials alike.  Fields of
-`_WIDTH` bits, least significant first, hold the degree, the exponents
-e_0..e_{n-1}, and on top the order key as n nonnegative linear forms:
-(deg, S_{n-2}, ..., S_0) with prefix sums S_k = e_0 + ... + e_k for
-grevlex, per block for block orders, the plain exponents for lex.
-Integer comparison is then the monomial order, `+` multiplies, and `b`
-divides `a` exactly when `(a - b) & guard` is 0, in which case `a - b`
-is the quotient.  Every field stays below `EXP_BOUND` (2^23), which
-leaves the field's top bit, the guard bit, free: sums never spill into
-the next field, a failed subtraction always borrows into a guard bit,
-and a monomial whose degree reaches the bound raises `RingError` instead
-of wrapping.  The degree field holds the degree in the grading the
-packing was made for (the total degree unless a Hilbert series names
-weights), and sugar, the pair order and the Hilbert check all read it.
+There is one monomial representation: a monomial packs into one Python
+int (Singular-style packed exponent vectors; Bachmann and Schoenemann,
+"Monomial representations for Groebner bases computations", ISSAC 1998).
+`RingCtx.packing` is the packing of the ring's order in the standard
+grading and `RingCtx.key` packs an exponent tuple in it; `Poly.terms` is
+keyed by these ints, and so is every term the Buchberger engine hands
+back, so `Poly` and the engine share monomials without conversion.
+Exponent tuples appear only at the edges: the `Poly` constructor,
+`lt`/`lm`, and the methods that read exponents (`bidegree`, `evaluate`,
+`map_vars`, `substitute_tail`, printing).  Fields of `_WIDTH` bits,
+least significant first, hold the degree, the exponents e_0..e_{n-1},
+and on top the order key as n nonnegative linear forms: per block of
+the order, the block's degree and then the prefix sums S_{hi-2}, ...,
+S_lo of its variables (grevlex is one block, lex n blocks of one
+variable).  Integer comparison is then the monomial order, `+`
+multiplies, and `b` divides `a` exactly when `(a - b) & guard` is 0, in
+which case `a - b` is the quotient.  Every field stays below `EXP_BOUND`
+(2^23), which leaves the field's top bit, the guard bit, free: sums
+never spill into the next field, a failed subtraction always borrows
+into a guard bit, and a product whose degree reaches the bound sets the
+degree field's guard bit and raises `RingError` instead of wrapping.  The
+degree field holds the degree in the grading the packing was made for:
+the total degree, except inside a Buchberger run driven by a Hilbert
+series in other weights.
 """
 
 import re
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 
 MAX_PRIME = 2**31 - 1
 DEFAULT_PRIME = 32003
@@ -147,15 +153,20 @@ def _overflow():
     return RingError("monomial degree reaches the packed exponent bound %d" % EXP_BOUND)
 
 
+def _block_sizes(order, n):
+    """Block sizes of a normalized order: lex is n blocks of one variable."""
+    if order == "lex":
+        return (1,) * n
+    return (n,) if order == "grevlex" else order[1]
+
+
 def _order_fields(order, n):
     """The order key as index ranges: each field sums e_i over a range,
-    most significant field first."""
-    if order == "lex":
-        return [range(i, i + 1) for i in range(n)]
-    sizes = (n,) if order == "grevlex" else order[1]
+    most significant field first.  A block of k variables has k fields,
+    the first of them its degree."""
     fields = []
     lo = 0
-    for size in sizes:
+    for size in _block_sizes(order, n):
         hi = lo + size
         fields.append(range(lo, hi))
         fields.extend(range(lo, k + 1) for k in range(hi - 2, lo - 1, -1))
@@ -171,7 +182,7 @@ class _Packing:
     lcm: callers keep exponent tuples and pack their elementwise maximum.
     """
 
-    __slots__ = ("units", "shifts", "guard", "grading")
+    __slots__ = ("units", "shifts", "guard", "grading", "tops")
 
     def __init__(self, order, n, grading=None):
         # field 0 is the degree, field 1 + i the exponent e_i, and the
@@ -187,6 +198,9 @@ class _Packing:
         self.units = tuple(units)
         self.shifts = tuple(_WIDTH * (1 + i) for i in range(n))
         self.guard = sum(EXP_BOUND << _WIDTH * k for k in range(2 * n + 1))
+        # the order fields holding the degree of each block
+        sizes = _block_sizes(order, n)
+        self.tops = tuple(_WIDTH * (2 * n - sum(sizes[:b])) for b in range(len(sizes)))
 
     def pack(self, mon):
         if sum(map(mul, mon, self.grading)) >= EXP_BOUND:
@@ -200,20 +214,25 @@ class _Packing:
     def unpack(self, m):
         return tuple((m >> s) & _MASK for s in self.shifts)
 
-    def pack_terms(self, terms):
-        pack = self.pack
-        return {pack(m): c for m, c in terms.items()}
-
-    def unpack_terms(self, terms):
-        unpack = self.unpack
-        return {unpack(m): c for m, c in terms.items()}
+    def standard(self, terms):
+        """A packed term dict moved into the standard grading of the same
+        order without unpacking: the degrees of the blocks sum to the
+        total degree."""
+        out = {}
+        for m, c in terms.items():
+            d = m - (m & _MASK)
+            for s in self.tops:
+                d += (m >> s) & _MASK
+            out[d] = c
+        return out
 
     def divides(self, b, a):
         # a - b borrows, and so sets a guard bit, exactly where b is larger
         return not (a - b) & self.guard
 
 
-_shared_packing = lru_cache(maxsize=64)(_Packing)
+# unbounded, so a packing is never rebuilt: packings compare with `is`
+_shared_packing = lru_cache(maxsize=None)(_Packing)
 
 
 def _packing(order, n, grading=None):
@@ -254,6 +273,8 @@ class RingCtx:
     computations carry their own pairs so that homogeneity can be checked
     in every intermediate ring.  The trailing `n_params` variables are
     deformation parameters (weight (0, 0)) rather than coordinates.
+    `packing` is the monomial packing of every `Poly` of the ring, and
+    `key` packs an exponent tuple in it.
     """
 
     var_names: tuple
@@ -280,16 +301,14 @@ class RingCtx:
             if len(w) != len(names):
                 raise RingError("weight count does not match variable count")
             object.__setattr__(self, "weights", w)
-        # the sort key of a monomial: larger key means larger monomial
-        object.__setattr__(self, "key", _packing(self.order, len(names)).pack)
+        # the packing of every Poly of the ring, and the sort key of an
+        # exponent tuple: larger key means larger monomial
+        object.__setattr__(self, "packing", _packing(self.order, len(names)))
+        object.__setattr__(self, "key", self.packing.pack)
 
     @property
     def nvars(self):
         return len(self.var_names)
-
-    @property
-    def zero_mon(self):
-        return (0,) * self.nvars
 
     def index(self, name):
         try:
@@ -305,23 +324,8 @@ class RingCtx:
         return (a, b)
 
 
-def monomial_mul(a, b):
-    return tuple(map(add, a, b))
-
-def monomial_div(a, b):
-    """a / b, or None when b does not divide a."""
-    q = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        q.append(x - y)
-    return tuple(q)
-
 def monomial_divides(b, a):
     return all(x <= y for x, y in zip(b, a))
-
-def monomial_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def monomials_of_degree(nvars, d):
@@ -335,12 +339,32 @@ def monomials_of_degree(nvars, d):
         yield tuple(e)
 
 
+def _pack_checked(ctx, mon):
+    """`ctx.key` of an exponent tuple, which must have one nonnegative
+    exponent per variable."""
+    mon = tuple(mon)
+    if len(mon) != ctx.nvars or min(mon, default=0) < 0:
+        raise RingError("monomial %r is not %d nonnegative exponents" % (mon, ctx.nvars))
+    return ctx.key(mon)
+
+
+def _checked_degrees(terms):
+    """`terms`, after checking that no product set the degree guard bit."""
+    for m in terms:
+        if m & EXP_BOUND:
+            raise _overflow()
+    return terms
+
+
 class Poly:
-    """Immutable sparse polynomial attached to a RingCtx."""
+    """Immutable sparse polynomial attached to a RingCtx: `terms` maps
+    monomials packed by `ctx.key` to nonzero coefficients."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms, _clean=False):
+        """`terms` maps exponent tuples to coefficients; with `_clean` it
+        is already a dict of packed monomials and nonzero field elements."""
         self.ctx = ctx
         if _clean:
             self.terms = terms
@@ -348,9 +372,10 @@ class Poly:
             f = ctx.field
             clean = {}
             for m, c in terms.items():
+                m = _pack_checked(ctx, m)
                 c = f.norm(c)
                 if c:
-                    clean[tuple(m)] = c
+                    clean[m] = c
             self.terms = clean
 
     @classmethod
@@ -362,19 +387,20 @@ class Poly:
         c = ctx.field.norm(c)
         if not c:
             return cls.zero(ctx)
-        return cls(ctx, {ctx.zero_mon: c}, _clean=True)
+        return cls(ctx, {0: c}, _clean=True)
 
     @classmethod
     def var(cls, ctx, i, e=1):
         mon = tuple(e if j == i else 0 for j in range(ctx.nvars))
-        return cls(ctx, {mon: ctx.field.one}, _clean=True)
+        return cls(ctx, {_pack_checked(ctx, mon): ctx.field.one}, _clean=True)
 
     @classmethod
     def from_mon(cls, ctx, mon, c=None):
+        m = _pack_checked(ctx, mon)
         c = ctx.field.one if c is None else ctx.field.norm(c)
         if not c:
             return cls.zero(ctx)
-        return cls(ctx, {tuple(mon): c}, _clean=True)
+        return cls(ctx, {m: c}, _clean=True)
 
     def __bool__(self):
         return bool(self.terms)
@@ -389,16 +415,12 @@ class Poly:
     def __hash__(self):
         return hash((self.ctx.var_names, frozenset(self.terms.items())))
 
-    def sorted_terms(self):
-        """Terms as (monomial, coeff) pairs, largest monomial first."""
-        key = self.ctx.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     def lt(self):
+        """(exponent tuple, coefficient) of the leading term."""
         if not self.terms:
             raise ValueError("leading term of zero polynomial")
-        m = max(self.terms, key=self.ctx.key)
-        return m, self.terms[m]
+        m = max(self.terms)
+        return self.ctx.packing.unpack(m), self.terms[m]
 
     def lm(self):
         return self.lt()[0]
@@ -434,7 +456,7 @@ class Poly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
                 c = c1 * c2
                 prev = out.get(m)
                 c = c if prev is None else prev + c
@@ -444,7 +466,7 @@ class Poly:
                     out[m] = c
                 else:
                     out.pop(m, None)
-        return Poly(self.ctx, out, _clean=True)
+        return Poly(self.ctx, _checked_degrees(out), _clean=True)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -457,18 +479,14 @@ class Poly:
         return Poly(self.ctx, {m: f.mul(v, c) for m, v in self.terms.items()}, _clean=True)
 
     def mul_term(self, mon, c):
+        """self times c * x^mon, for an exponent tuple mon."""
         f = self.ctx.field
+        u = _pack_checked(self.ctx, mon)
         c = f.norm(c)
         if not c:
             return Poly.zero(self.ctx)
-        return Poly(
-            self.ctx,
-            {
-                tuple(map(add, m, mon)): f.mul(v, c)
-                for m, v in self.terms.items()
-            },
-            _clean=True,
-        )
+        out = {m + u: f.mul(v, c) for m, v in self.terms.items()}
+        return Poly(self.ctx, _checked_degrees(out), _clean=True)
 
     def monic(self):
         if not self.terms:
@@ -490,8 +508,9 @@ class Poly:
     def bidegree(self):
         """Common bidegree of all terms, or None if not bihomogeneous."""
         deg = None
+        unpack = self.ctx.packing.unpack
         for m in self.terms:
-            d = self.ctx.bidegree_of_mon(m)
+            d = self.ctx.bidegree_of_mon(unpack(m))
             if deg is None:
                 deg = d
             elif d != deg:
@@ -504,10 +523,11 @@ class Poly:
             raise ValueError("point arity does not match ring")
         f = self.ctx.field
         vals = [f.norm(v) for v in values]
+        unpack = self.ctx.packing.unpack
         total = f.zero
         for m, c in self.terms.items():
             t = c
-            for v, e in zip(vals, m):
+            for v, e in zip(vals, unpack(m)):
                 if e:
                     t = f.mul(t, f.pow(v, e))
             total = f.add(total, t)
@@ -520,9 +540,10 @@ class Poly:
         """
         out = {}
         f = new_ctx.field
+        unpack, key = self.ctx.packing.unpack, new_ctx.key
         for m, c in self.terms.items():
             new = [0] * new_ctx.nvars
-            for i, e in enumerate(m):
+            for i, e in enumerate(unpack(m)):
                 if not e:
                     continue
                 j = index_map[i]
@@ -531,8 +552,10 @@ class Poly:
                         "variable %s present but not mapped" % self.ctx.var_names[i]
                     )
                 new[j] = e
-            out[tuple(new)] = f.norm(c)
-        return Poly(new_ctx, out)
+            c = f.norm(c)
+            if c:
+                out[key(new)] = c
+        return Poly(new_ctx, out, _clean=True)
 
     def substitute_tail(self, new_ctx, values):
         """Assign field values to the trailing variables, keep the rest.
@@ -545,17 +568,18 @@ class Poly:
             raise RingError("substitution arity mismatch")
         f = new_ctx.field
         vals = [f.norm(v) for v in values]
+        unpack, key = self.ctx.packing.unpack, new_ctx.key
         out = {}
         for m, c in self.terms.items():
-            head, tail = m[:k], m[k:]
+            m = unpack(m)
             t = f.norm(c)
-            for v, e in zip(vals, tail):
+            for v, e in zip(vals, m[k:]):
                 if e:
                     t = f.mul(t, f.pow(v, e))
             if not t:
                 continue
-            prev = out.get(head, f.zero)
-            s = f.add(prev, t)
+            head = key(m[:k])
+            s = f.add(out.get(head, f.zero), t)
             if s:
                 out[head] = s
             else:
@@ -579,21 +603,20 @@ def poly_exact_div(f, g):
         raise ZeroDivisionError("division by the zero polynomial")
     ctx = f.ctx
     fld = ctx.field
-    gm, gc = g.lt()
+    guard = ctx.packing.guard
+    (gm, gc), *rest = sorted(g.terms.items(), reverse=True)
     ginv = fld.inv(gc)
-    rest = g.sorted_terms()[1:]
     work = dict(f.terms)
     quot = {}
-    keyf = ctx.key
     while work:
-        m = max(work, key=keyf)
-        q = monomial_div(m, gm)
-        if q is None:
+        m = max(work)
+        q = m - gm
+        if q & guard:
             raise RingError("inexact polynomial division")
         c = fld.mul(work.pop(m), ginv)
         quot[q] = c
         for m2, c2 in rest:
-            mm = monomial_mul(m2, q)
+            mm = m2 + q
             s = fld.sub(work.get(mm, fld.zero), fld.mul(c2, c))
             if s:
                 work[mm] = s
@@ -640,7 +663,7 @@ def parse_poly(text, ctx):
                 coeff *= Fraction(int(num), int(den or 1))
         c = fld.norm(coeff)
         if c:
-            mon = tuple(exps)
+            mon = ctx.key(exps)
             s = fld.add(terms.get(mon, fld.zero), c)
             if s:
                 terms[mon] = s
@@ -662,10 +685,11 @@ def format_poly(p):
     if not p:
         return "0"
     fld = p.ctx.field
+    unpack = p.ctx.packing.unpack
     parts = []
-    for mon, c in p.sorted_terms():
+    for mon, c in sorted(p.terms.items(), reverse=True):
         vars_part = []
-        for name, e in zip(p.ctx.var_names, mon):
+        for name, e in zip(p.ctx.var_names, unpack(mon)):
             if e == 1:
                 vars_part.append(name)
             elif e > 1:

@@ -412,7 +412,7 @@ def _ugcd(a, b):
 def _split_binary(f, d):
     coeffs = [0] * (d + 1)
     for mon, c in f.terms.items():
-        coeffs[mon[0]] = int(c) % P7
+        coeffs[f.ctx.packing.unpack(mon)[0]] = int(c) % P7
     lo = min(i for i in range(d + 1) if coeffs[i])
     hi = max(i for i in range(d + 1) if coeffs[i])
     return lo, d - hi, coeffs[lo : hi + 1]

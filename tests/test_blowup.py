@@ -66,6 +66,7 @@ class TestReesIdeal:
         for rel in groebner_basis(R):
             total = Poly.zero(ctx)
             for mon, c in rel.terms.items():
+                mon = rel.ctx.packing.unpack(mon)
                 part = Poly.constant(ctx, c)
                 for i in range(2):
                     if mon[i]:

@@ -16,7 +16,9 @@ from conftest import (
     record_shortcut,
     small_ctx,
 )
+from reference_poly import monomial_div, monomial_mul
 from reesdeg.blowup import fiber_cone_ideal, graph_ideal, rees_ideal
+from reesdeg.conditions import PresentationMatrix, fitting_ideal, height
 from reesdeg.families import FamilySpec, make_family, specialized_family
 from reesdeg.groebner import (
     DEFAULT_BUDGET,
@@ -45,10 +47,9 @@ from reesdeg.ring import (
     Poly,
     RingCtx,
     RingError,
+    _Packing,
     _packing,
-    monomial_div,
     monomial_divides,
-    monomial_mul,
     monomials_of_degree,
     parse_poly,
 )
@@ -94,7 +95,7 @@ def assert_reduced(basis, ctx):
     for i, g in enumerate(basis):
         assert g.lc() == ctx.field.one
         others = [h.lm() for j, h in enumerate(basis) if j != i]
-        for mon in g.terms:
+        for mon in map(ctx.packing.unpack, g.terms):
             assert not any(monomial_divides(lm, mon) for lm in others)
 
 
@@ -571,6 +572,71 @@ class TestPackedEncoding:
             groebner_basis(I)
 
 
+def assert_standard_packed(I):
+    """Every packed monomial of a handle, generators and cached bases, is
+    in the standard packing of its order: the degree field is the total
+    degree and the packing is the shared `_packing(order, n)`."""
+    n = I.ctx.nvars
+    assert I.ctx.packing is _packing(I.ctx.order, n)
+    dicts = [(I.ctx.packing, g.terms) for g in I.gens]
+    for order, (pk, basis) in I.gb_cache.items():
+        assert pk is _packing(order, n)
+        dicts += [(pk, t) for t in basis]
+    for pk, t in dicts:
+        for m in t:
+            assert pk.pack(pk.unpack(m)) == m
+
+
+class TestOnePacking:
+    """`Poly` terms are the engine's seeds, and every basis leaves the
+    engine in the standard packing of its order."""
+
+    def test_poly_seeds_are_not_repacked(self, monkeypatch):
+        ctx = RingCtx(("x", "y", "z"), FP)
+        I = ideal(ctx, [parse_poly("x^2 + y*z", ctx)])
+        # more shapes of ring than a bounded cache of packings would keep
+        shapes = [RingCtx(tuple("v%d" % i for i in range(n)), FP, order)
+                  for n in range(2, 40) for order in ("grevlex", "lex")]
+        assert len({(r.order, r.nvars) for r in shapes}) > 64
+        packed = []
+        pack = _Packing.pack
+        monkeypatch.setattr(_Packing, "pack", lambda pk, mon: packed.append(mon) or pack(pk, mon))
+        # one generator forms no pair, so no lcm is packed either
+        assert [str(g) for g in groebner_basis(I)] == ["x^2 + y*z"]
+        assert I.gb_cache[ctx.order][0] is ctx.packing
+        assert packed == []
+
+    def test_bases_leave_the_engine_standard_packed(self, monkeypatch):
+        handles = []
+        inner = gb_mod._basis
+
+        def spy(I, order=None):
+            handles.append(I)
+            return inner(I, order)
+
+        monkeypatch.setattr(gb_mod, "_basis", spy)
+        for field in (FP, QQ):
+            ctx = RingCtx(("x0", "x1", "x2"), field)
+            forms = [parse_poly(t, ctx) for t in ("x0^2", "x0*x1 + x2^2", "x1^2 - x0*x2", "x2^2")]
+            rees = rees_ideal(forms)
+            results = [rees, fiber_cone_ideal(forms, rees=rees)]
+            maxi = ideal(ctx, [Poly.var(ctx, i) for i in range(3)])
+            # Bayer-Stillman, then Rabinowitsch
+            results.append(saturate(ideal(ctx, [f * Poly.var(ctx, 0) for f in forms]), maxi))
+            results.append(saturate(ideal(ctx, forms), ideal(ctx, forms[:2])))
+            M = PresentationMatrix(ctx, [[Poly.var(ctx, (i + j) % 3) for j in range(2)] for i in range(3)])
+            height(fitting_ideal(M, 1))
+            results.append(fitting_ideal(M, 1))
+            results.append(eliminate(ideal(ctx, forms), 1))
+            for I in results:
+                groebner_basis(I)
+            assert len(handles) > len(results)
+            for I in handles + results:
+                assert_standard_packed(I)
+            # the graph ideal's t-run was driven in other weights
+            assert any(I._series and max(I._series[0]) > 1 for I in handles)
+
+
 def record_runs(monkeypatch):
     """Patch the Buchberger core to log (target Hilbert series as a
     (grading, numerator) pair, steps charged, packed basis) of each run;
@@ -753,7 +819,8 @@ class TestGraphSeries:
         # with y of weight 2 the same seed is homogeneous
         _, J = mk(("x", "y"), ["x^2 - y"], field=FP)
         seed_hilbert_series(J, (1, 2), {0: 1, 2: -1})
-        assert [g.terms for g in groebner_basis(J)] == [{(2, 0): 1, (0, 1): 32002}]
+        key = J.ctx.key
+        assert [g.terms for g in groebner_basis(J)] == [{key((2, 0)): 1, key((0, 1)): 32002}]
 
 
 def rational_ideal(rng, order=lambda n: "grevlex"):
@@ -799,7 +866,8 @@ class TestRationalExactness:
             assert normal_form(a * f + b * g, I) == a * nf + b * ng
             assert ideal_contains(I, f - nf)
             assert normal_form(nf, I) == nf
-            assert not any(monomial_divides(u, m) for u in leads for m in nf.terms)
+            mons = map(ctx.packing.unpack, nf.terms)
+            assert not any(monomial_divides(u, m) for m in mons for u in leads)
 
     def test_normal_form_divides_the_scale_out(self):
         # the basis is x - (3/2)*y, an integer row 2*x - 3*y inside the
@@ -987,7 +1055,7 @@ class TestMonomialSeeds:
                 if not any(monomial_divides(u, m) and u != m for u in mons)
             }
             assert [g.terms for g in basis] == [
-                {m: field.one} for m in sorted(minimal, key=ctx.key)
+                {ctx.key(m): field.one} for m in sorted(minimal, key=ctx.key)
             ]
 
     @pytest.mark.parametrize(

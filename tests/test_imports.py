@@ -88,3 +88,48 @@ def test_function_level_imports_break_cycles():
         for path in (ROOT / "src" / "reesdeg").glob("*.py")
     }
     assert imports_breaking_no_cycle(trees) == []
+
+
+def private_imports(trees):
+    """{module: {sibling: private names}} that the sibling modules
+    `trees` (name to parsed module) import from each other, at any
+    level of nesting."""
+    found = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private = {a.name for a in node.names if a.name.startswith("_")}
+                if private:
+                    found.setdefault(name, {}).setdefault(node.module, set()).update(private)
+    return found
+
+
+def test_private_imports_are_found():
+    trees = {
+        "a": ast.parse("from .b import f, _g\ndef h():\n    from .c import _k as k\n"),
+        "b": ast.parse("from os import _exit\nfrom .a import h\n"),
+    }
+    assert private_imports(trees) == {"a": {"b": {"_g"}, "c": {"_k"}}}
+
+
+# Private names one module of src/reesdeg imports from another.  The
+# monomial packing stays inside ring, groebner, hilbert and conditions: a
+# module above them that reaches into it would fail here.
+PRIVATE_IMPORTS = {
+    "blowup": {"groebner": {"_budget", "_charge", "_with_aux_var"}},
+    "cli": {"blowup": {"_form_degree"}},
+    "conditions": {"groebner": {"_budget", "_charge", "_homogeneous"}, "ring": {"_overflow"}},
+    "groebner": {
+        "hilbert": {"_order_at_one"},
+        "ring": {"_MASK", "_WIDTH", "_minimal_packed", "_normalize_order", "_overflow", "_packing"},
+    },
+    "hilbert": {"groebner": {"_basis", "_homogeneous"}, "ring": {"_minimal_packed"}},
+}
+
+
+def test_private_imports_are_pinned():
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in (ROOT / "src" / "reesdeg").glob("*.py")
+    }
+    assert private_imports(trees) == PRIVATE_IMPORTS

@@ -245,7 +245,7 @@ def _family_maps():
 def _compose_power(forms, e):
     """The forms evaluated at (x0^e, ..., xr^e)."""
     return [
-        Poly(g.ctx, {tuple(v * e for v in m): c for m, c in g.terms.items()})
+        Poly(g.ctx, {tuple(v * e for v in g.ctx.packing.unpack(m)): c for m, c in g.terms.items()})
         for g in forms
     ]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
+from reference_poly import monomial_div, monomial_lcm
 from reesdeg.ring import (
     FieldSpec,
     Poly,
@@ -13,8 +14,6 @@ from reesdeg.ring import (
     format_poly,
     format_ring_header,
     fresh_names,
-    monomial_div,
-    monomial_lcm,
     monomials_of_degree,
     parse_poly,
     parse_ring_header,
@@ -114,13 +113,23 @@ class TestPolyArithmetic:
     def test_zero_terms_dropped(self):
         ctx = ctx3()
         f = Poly(ctx, {(1, 0, 0): 1, (0, 1, 0): 0})
-        assert f.terms == {(1, 0, 0): Fraction(1)}
+        assert f.terms == {ctx.key((1, 0, 0)): Fraction(1)}
+
+    def test_malformed_monomials_raise(self):
+        ctx = ctx3()
+        for terms in ({(1, 0): 1}, {(1, 0, 0): 1, (0, 0, 0, 5): 2}, {(-1, 0, 0): 1}):
+            with pytest.raises(RingError, match="3 nonnegative exponents"):
+                Poly(ctx, terms)
+        with pytest.raises(RingError):
+            Poly.from_mon(ctx, (0, 2, -1))
+        with pytest.raises(RingError):
+            Poly.var(ctx, 0).mul_term((1, 1), 1)
 
     def test_add_cancels(self):
         ctx = ctx3()
         x = Poly.var(ctx, 0)
         assert not (x - x)
-        assert (x + x).terms == {(1, 0, 0): Fraction(2)}
+        assert (x + x).terms == {ctx.key((1, 0, 0)): Fraction(2)}
 
     def test_product_example(self):
         ctx = ctx3()

@@ -51,7 +51,7 @@ def sympy_basis(I, order):
     syms = sympy.symbols(I.ctx.var_names)
     exprs = [
         sympy.Poly.from_dict(
-            {m: sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+            {I.ctx.packing.unpack(m): sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
              for m, c in g.terms.items()},
             *syms,
             domain=sympy.QQ,
