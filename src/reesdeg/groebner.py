@@ -55,6 +55,16 @@ per-operation gcd that `fractions.Fraction` runs is gone from the inner
 loop.  Over F_p, `_reduce` lets the sums it accumulates grow as plain
 ints and takes one coefficient mod p only when it reduces that term.
 
+A cached basis is minimal, not reduced.  It has the reduced basis's
+leads, which are all that Hilbert series, dimensions, map degrees and
+Fitting heights read, and normal forms, saturation exponents and the
+Bayer-Stillman strip are the same from any Groebner basis.
+`groebner_basis` (and `ideal_equal`) reduces the tails of a cached basis
+once, on first demand, and records its order in the handle's
+`_reduced`; `eliminate` reduces only the rows it keeps, against each
+other.  Bases of monomials and bases handed to `_basis_ideal` are
+reduced from the start.
+
 Terms stay packed from end to end.  A handle's generators are `Poly`
 objects whose terms are the engine's seeds as they are, `hilbert` reads
 leads off the packed basis, `normal_form` and the saturation code reduce
@@ -68,7 +78,7 @@ Elimination always goes through a block order (grevlex inside each
 block).  Intersections adjoin one leading auxiliary variable and
 eliminate it: I cap J from t*I + (1-t)*J.  Saturation of a homogeneous
 ideal by the irrelevant ideal m = (x_0..x_n) of a grevlex ring reads
-I : x_n^infinity off the reduced basis of I (Bayer-Stillman) and keeps
+I : x_n^infinity off a Groebner basis of I (Bayer-Stillman) and keeps
 it when the Hilbert series shows it equals I : m^infinity.  Every other
 saturation intersects the saturations by the generators of J, each by
 Rabinowitsch: eliminate t from I + (1 - t*g).
@@ -285,7 +295,9 @@ def _spoly(ti, ui, tj, uj, p):
 
 
 def _buchberger(seeds, pk, fld, budget, hilbert=None):
-    """Reduced Groebner basis of the packed seed term dicts, packed.
+    """Minimal Groebner basis of the packed seed term dicts: normalized,
+    packed, sorted by lead, and with each tail as the reduction that made
+    its row left it (`_reduce_tails` interreduces tails).
 
     `hilbert`, when given, is the pair (grading, sparse numerator) of
     the Hilbert series of S/I, and `pk` packs degrees in that grading.
@@ -407,9 +419,9 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         if not add(rem, sug):
             return unit
 
-    # G is already minimal: new leads are never divisible by active ones
-    # and update retires rows the other way around.
-    return _reduce_tails([terms_of[g] for g in G], guard, p, budget)
+    # G is minimal: new leads are never divisible by active ones and
+    # update retires rows the other way around.
+    return sorted((terms_of[g] for g in G), key=max)
 
 
 def _reduce_tails(basis, guard, p, budget):
@@ -445,14 +457,16 @@ def _spair_closure_ok(basis, ctx, order=None):
 
 
 class IdealHandle:
-    """An ideal in a fixed ring with a per-order cache of reduced bases.
+    """An ideal in a fixed ring with a per-order cache of Groebner bases.
 
     `gens` are `Poly` objects of the ring.  `gb_cache` maps an order to
-    (packing, reduced basis as normalized packed term dicts), the packing
-    being `_packing(order, n)`.
+    (packing, minimal basis as normalized packed term dicts sorted by
+    lead), the packing being `_packing(order, n)`.  `_reduced` holds the
+    orders whose cached basis is also reduced: its tails were
+    interreduced, or it has none.
     """
 
-    __slots__ = ("ctx", "gens", "gb_cache", "_sat", "_series")
+    __slots__ = ("ctx", "gens", "gb_cache", "_reduced", "_sat", "_series")
 
     def __init__(self, ctx, gens):
         self.ctx = ctx
@@ -466,6 +480,7 @@ class IdealHandle:
                 cleaned.append(g)
         self.gens = tuple(cleaned)
         self.gb_cache = {}
+        self._reduced = set()
         # on a result of `saturate`: (I, J generators) until
         # sat_exponent is first read, then the exponent
         self._sat = None
@@ -501,11 +516,24 @@ def _seeds(I, pk):
 def _basis_ideal(ctx, basis):
     """The ideal generated by `basis`, a reduced basis in the ring order
     as normalized packed term dicts in the ring's packing, with that
-    basis cached."""
+    basis cached as reduced."""
+    if VERIFY_BASES and not _is_reduced(basis, ctx.packing.guard):
+        raise AssertionError("basis handed to _basis_ideal is not reduced")
     p = ctx.field.characteristic
     out = IdealHandle(ctx, [Poly(ctx, _divided(t, t[max(t)], p), _clean=True) for t in basis])
     out.gb_cache[ctx.order] = (ctx.packing, tuple(basis))
+    out._reduced.add(ctx.order)
     return out
+
+
+def _is_reduced(basis, guard):
+    """True when no monomial of the packed term dicts `basis`, other than
+    a lead itself, is divisible by a lead of `basis`."""
+    leads = [max(t) for t in basis]
+    return not any(
+        not (m - lead) & guard and (m, lead) != (own, own)
+        for t, own in zip(basis, leads) for m in t for lead in leads
+    )
 
 
 def _homogeneous(polys):
@@ -519,8 +547,9 @@ def _order_key(ctx, order):
 
 
 def _basis(I, order=None):
-    """(packing, reduced basis of I under `order` as normalized packed
-    term dicts sorted by lead), cached in `I.gb_cache` per order."""
+    """(packing, minimal Groebner basis of I under `order` as normalized
+    packed term dicts sorted by lead), cached in `I.gb_cache` per order;
+    a basis of monomials is recorded as reduced."""
     okey = _order_key(I.ctx, order)
     got = I.gb_cache.get(okey)
     if got is not None:
@@ -537,16 +566,34 @@ def _basis(I, order=None):
     if VERIFY_BASES and not _spair_closure_ok(basis, I.ctx, okey):
         raise AssertionError("computed basis fails the Buchberger criterion")
     got = I.gb_cache[okey] = (_packing(okey, I.ctx.nvars), tuple(basis))
+    if all(len(t) == 1 for t in basis):
+        I._reduced.add(okey)
     return got
+
+
+def _reduced_basis(I, order=None):
+    """(packing, reduced basis of I under `order`): the cached basis,
+    whose tails are reduced once, on first demand, the reduced basis
+    then replacing the minimal one in `I.gb_cache`."""
+    pk, basis = _basis(I, order)
+    okey = _order_key(I.ctx, order)
+    if okey not in I._reduced:
+        basis = tuple(_reduce_tails(basis, pk.guard, I.ctx.field.characteristic, _budget()))
+        I.gb_cache[okey] = (pk, basis)
+        I._reduced.add(okey)
+    if VERIFY_BASES and not _is_reduced(basis, pk.guard):
+        raise AssertionError("basis leaving groebner_basis is not reduced")
+    return pk, basis
 
 
 def groebner_basis(I, order=None):
     """Reduced Groebner basis of I under `order` (default: the ring order).
 
     Generators are sorted by increasing leading monomial and are monic.
-    The packed basis is cached on the handle per order.
+    The packed basis is cached on the handle per order; its tails are
+    reduced on the first call in that order.
     """
-    pk, basis = _basis(I, order)
+    pk, basis = _reduced_basis(I, order)
     ctx = I.ctx
     p = ctx.field.characteristic
     out = [_divided(t, t[max(t)], p) for t in basis]
@@ -556,7 +603,7 @@ def groebner_basis(I, order=None):
 
 
 def _run_buchberger(I, order, target):
-    """Packed reduced basis of I in `order`, in the standard grading,
+    """Packed minimal basis of I in `order`, in the standard grading,
     driven by the Hilbert series `target` when it is not None."""
     pk = _packing(order, I.ctx.nvars, target and target[0])
     p = I.ctx.field.characteristic
@@ -592,8 +639,8 @@ def seed_hilbert_series(I, grading, numerator):
 
 
 def normal_form(f, I, order=None):
-    """Remainder of f modulo the reduced basis of I: the canonical coset
-    representative under the chosen order."""
+    """Remainder of f modulo a Groebner basis of I, any one giving the
+    same: the canonical coset representative under the chosen order."""
     if f.ctx != I.ctx:
         raise RingError("polynomial and ideal live in different rings")
     pk, basis = _basis(I, order)
@@ -635,7 +682,9 @@ def eliminate(I, k):
 
     Runs a block-order basis putting the first k variables in their own
     leading block and keeps the generators free of them; those form a
-    reduced basis of the elimination ideal in the restricted order.
+    minimal basis of the elimination ideal in the restricted order.  They
+    are reduced against each other alone, since a lead in the eliminated
+    block divides no monomial free of it; the block basis stays minimal.
 
     They stay packed.  The leading block's degree is the top field of a
     packed monomial, so an element is free of the block exactly when its
@@ -663,6 +712,9 @@ def eliminate(I, k):
     kept = [
         {(m >> shift) | (m & _MASK): c for m, c in t.items()} for t in basis if max(t) < top
     ]
+    if elim_order not in I._reduced:
+        p = ctx.field.characteristic
+        kept = _reduce_tails(kept, sub_ctx.packing.guard, p, _budget())
     return _basis_ideal(sub_ctx, kept)
 
 
@@ -802,7 +854,7 @@ def _saturate_by_variables(I):
     ring, or None when the shortcut does not apply.
 
     For homogeneous f the last variable divides the grevlex lead of f only
-    when it divides f, so stripping its powers from the reduced basis of I
+    when it divides f, so stripping its powers from a Groebner basis of I
     gives a basis of S = I : x_last^infinity (Bayer-Stillman).  Since
     I : m^infinity lies between I and S, the two are equal exactly when
     S/I has finite length.

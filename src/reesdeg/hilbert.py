@@ -158,20 +158,25 @@ def count_standard_monomials(mons, nvars, k):
 
 
 def _standard_leads(I):
-    """Leads of the reduced basis of I in the ring order, read off the
-    packed basis; I must be homogeneous in the standard grading."""
+    """Leads of a minimal Groebner basis of I in the ring order, read off
+    the cached packed basis, whose tails are never read; I must be
+    homogeneous in the standard grading."""
     if any(sum(w) != 1 for w in I.ctx.weights):
         raise RingError("dimension computations need all variables in degree 1")
     pk, basis = _basis(I)
-    for i, t in enumerate(basis):
-        if not _homogeneous([t]):
-            raise RingError("ideal is not homogeneous: %s" % groebner_basis(I)[i])
+    if not _homogeneous(basis):
+        # inhomogeneous generators can leave inhomogeneous tails in a
+        # minimal basis of a homogeneous ideal; its reduced basis has none
+        for g in groebner_basis(I):
+            if not _homogeneous([g.terms]):
+                raise RingError("ideal is not homogeneous: %s" % g)
     return [pk.unpack(max(t)) for t in basis]
 
 
 def lead_ideal(I, order=None):
     """Minimal generators of the lead-term ideal under the given order,
-    sorted by (degree, exponents): the leads of the reduced basis."""
+    sorted by (degree, exponents): the leads of a minimal Groebner basis,
+    which are those of the reduced one."""
     pk, basis = _basis(I, order)
     return sorted((pk.unpack(max(t)) for t in basis), key=_by_degree)
 

@@ -7,10 +7,11 @@ the image Y.
 
 The degree of F onto Y is read off the fiber of the graph over the
 generic point of Y, as in Kronecker's method.  Computing P already
-builds the reduced basis G of R in the block order (x | y).  Every
-element of G that involves x has its x-leading coefficient outside P:
-the y-parts of its terms are standard monomials modulo P, and P is
-prime.  By Kalkbrener's specialization theorem those elements form a
+builds a minimal Groebner basis of R in the block order (x | y), whose
+leads are those of the reduced basis G; only leads are read here, so
+its tails are never reduced.  Every element of G that involves x has
+its x-leading coefficient outside P: the y-parts of its terms are
+standard monomials modulo P, and P is prime.  By Kalkbrener's specialization theorem those elements form a
 Groebner basis of R over the function field K(Y), so the x-parts of
 their leading monomials generate the initial ideal of the generic
 fiber.  That fiber is a point of P^r over K(Y) whose residue field has

@@ -18,11 +18,12 @@ grading and `RingCtx.key` packs an exponent tuple in it; `Poly.terms` is
 keyed by these ints, and so is every term the Buchberger engine hands
 back, so `Poly` and the engine share monomials without conversion.
 Exponent tuples appear only at the edges: the `Poly` constructor,
-`lt`/`lm`, and the methods that read exponents (`bidegree`, `evaluate`,
-`map_vars`, `substitute_tail`, printing).  Fields of `_WIDTH` bits,
-least significant first, hold the degree, the exponents e_0..e_{n-1},
-and on top the order key as n nonnegative linear forms: per block of
-the order, the block's degree and then the prefix sums S_{hi-2}, ...,
+`lt`/`lm`, and the methods that read exponents (`evaluate`, `map_vars`,
+`substitute_tail`, printing, and `bidegree` in weighted or parameter
+rings).  Fields of `_WIDTH` bits, least significant first, hold the
+degree, the exponents e_0..e_{n-1}, and on top the order key as n
+nonnegative linear forms: per block of the order, the block's degree
+and then the prefix sums S_{hi-2}, ...,
 S_lo of its variables (grevlex is one block, lex n blocks of one
 variable).  Integer comparison is then the monomial order, `+`
 multiplies, and `b` divides `a` exactly when `(a - b) & guard` is 0, in
@@ -305,6 +306,9 @@ class RingCtx:
         # exponent tuple: larger key means larger monomial
         object.__setattr__(self, "packing", _packing(self.order, len(names)))
         object.__setattr__(self, "key", self.packing.pack)
+        # every variable of bidegree (1, 0): a monomial's bidegree is its
+        # degree field and 0
+        object.__setattr__(self, "_plain", all(w == (1, 0) for w in self.weights))
 
     @property
     def nvars(self):
@@ -506,7 +510,11 @@ class Poly:
         return out
 
     def bidegree(self):
-        """Common bidegree of all terms, or None if not bihomogeneous."""
+        """Common bidegree of all terms, or None if not bihomogeneous.
+        Exponents are unpacked only in weighted or parameter rings."""
+        if self.ctx._plain:
+            degs = {m & _MASK for m in self.terms}
+            return (degs.pop(), 0) if len(degs) == 1 else None
         deg = None
         unpack = self.ctx.packing.unpack
         for m in self.terms:

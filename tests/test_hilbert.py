@@ -204,6 +204,14 @@ class TestDimDegree:
         with pytest.raises(RingError):
             dim_degree(I)
 
+    def test_homogeneous_ideal_of_inhomogeneous_generators(self):
+        # the ideal is (x^2*z^2, x*y*z, y^2*z); its minimal basis keeps the
+        # inhomogeneous first generator, its reduced basis does not
+        _, I = mk(("x", "y", "z"), ["x^2*z^2 - x*y*z - y^2*z", "x^2*z^2", "x*y*z"])
+        _, J = mk(("x", "y", "z"), ["x^2*z^2", "x*y*z", "y^2*z"])
+        assert dim_degree(I) == dim_degree(J)
+        assert [g.terms for g in groebner_basis(I)] == [g.terms for g in groebner_basis(J)]
+
     def test_weighted_ring_rejected(self):
         ctx = RingCtx(("x", "y", "a"), QQ, n_params=1)
         I = ideal(ctx, [parse_poly("x", ctx)])

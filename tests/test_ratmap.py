@@ -18,7 +18,7 @@ from reesdeg.ratmap import (
     rational_map,
     serialize_map,
 )
-from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, parse_poly
+from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, _Packing, parse_poly
 
 QQ = FieldSpec(0)
 FP = FieldSpec(32003)
@@ -50,6 +50,19 @@ class TestValidation:
     def test_inhomogeneous_rejected(self):
         with pytest.raises(RingError):
             mkmap(("x0", "x1"), ["x0^2 + x1", "x1^2"])
+
+    def test_degrees_read_without_unpacking(self, monkeypatch):
+        # every variable has bidegree (1, 0), so a term's bidegree is its
+        # degree field: no exponent tuple is unpacked
+        ctx = RingCtx(("x0", "x1", "x2"), FP)
+        forms = [parse_poly(t, ctx) for t in ("x0^2 + x1*x2", "x0*x1 - 3*x2^2", "x1^2")]
+        unpacked = []
+        unpack = _Packing.unpack
+        monkeypatch.setattr(_Packing, "unpack", lambda pk, m: unpacked.append(m) or unpack(pk, m))
+        assert rational_map(forms).degree == 2
+        with pytest.raises(RingError, match="homogeneous"):
+            rational_map(forms + [parse_poly("x0^2 + x1", ctx)])
+        assert unpacked == []
 
 
 class TestImage:
