@@ -4,8 +4,12 @@ For forms g0..gs of common degree d in R = k[x], the Rees algebra is the
 image of S = R[y0..ys] under yi -> gi*t; its defining ideal is obtained
 exactly by eliminating t from (y0 - t*g0, ..., ys - t*gs).  The ambient
 ring carries the bigrading x -> (1,0), y -> (0,1), t -> (-d,1), so every
-intermediate ideal stays bihomogeneous.  The fiber cone ideal is the
-y-only part, the associated graded ideal adds the forms back in.
+intermediate ideal stays bihomogeneous.  t is adjoined by the engine's
+one auxiliary-variable helper, `groebner._with_aux_var`, and eliminated
+by `groebner._drop_aux_var`, as in intersections and saturations.  The
+fiber cone ideal is the y-only part, the associated graded ideal adds
+the forms back in.  Every entry point checks its forms through
+`_form_degree`: nonzero, of one ring, of one positive degree.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
@@ -22,6 +26,7 @@ from .groebner import (
     IdealHandle,
     _budget,
     _charge,
+    _drop_aux_var,
     _with_aux_var,
     eliminate,
     groebner_basis,
@@ -35,16 +40,21 @@ from .ring import Poly, RingCtx, RingError, fresh_names
 
 
 def _form_degree(forms):
-    """Common x-degree of the forms; parameters do not count."""
+    """The common degree d > 0 of nonzero forms of one ring, each of
+    bidegree (d, 0): parameters do not count.  No message formats a
+    form, so forms of a plain ring are checked without unpacking."""
     if not forms:
         raise RingError("no forms given")
+    ctx = forms[0].ctx
     d = None
-    for g in forms:
+    for i, g in enumerate(forms):
+        if g.ctx != ctx:
+            raise RingError("forms from different rings")
         if not g:
             raise RingError("zero form in the generating set")
         bd = g.bidegree()
-        if bd is None:
-            raise RingError("form is not homogeneous: %s" % g)
+        if bd is None or bd[1] != 0:
+            raise RingError("form %d is not homogeneous in the coordinates" % i)
         if d is None:
             d = bd[0]
         elif bd[0] != d:
@@ -85,10 +95,9 @@ def graph_ideal(forms, y_names=None):
     ctx = forms[0].ctx
     nx, np = _split_ctx(ctx)
     s = len(forms) - 1
-    xy = blowup_ambient(ctx, s, y_names=y_names)
-    tctx = _with_aux_var(xy, weight=(-d, 1))
+    tctx, tv, _ = _with_aux_var(blowup_ambient(ctx, s, y_names=y_names), weight=(-d, 1))
+    # one map_vars per form: x and the parameters go straight into tctx
     into_t = list(range(1, nx + 1)) + list(range(nx + s + 2, tctx.nvars))
-    tv = Poly.var(tctx, 0)
     gens = []
     for i, g in enumerate(forms):
         yi = Poly.var(tctx, nx + 1 + i)
@@ -110,11 +119,8 @@ def rees_ideal(forms, y_names=None):
     zero ideal when one form is given.
     """
     forms = list(forms)
-    xy = blowup_ambient(forms[0].ctx, len(forms) - 1, y_names=y_names)
-    out = eliminate(graph_ideal(forms, y_names=y_names), 1)
-    if out.ctx != xy:
-        raise AssertionError("elimination returned an unexpected ring")
-    return out
+    graph = graph_ideal(forms, y_names=y_names)
+    return _drop_aux_var(graph, blowup_ambient(forms[0].ctx, len(forms) - 1, y_names=y_names))
 
 
 def fiber_cone_ideal(forms, rees=None):
@@ -122,8 +128,7 @@ def fiber_cone_ideal(forms, rees=None):
     the Rees ideal not involving the x-coordinates."""
     if rees is None:
         rees = rees_ideal(forms)
-    ctx = forms[0].ctx
-    nx, _ = _split_ctx(ctx)
+    nx, _ = _split_ctx(forms[0].ctx)
     return eliminate(rees, nx)
 
 
@@ -144,6 +149,11 @@ def embed_in_blowup(forms, xy):
     return [g.map_vars(xy, imap) for g in forms]
 
 
+def _gr_ideal(rees, forms):
+    """Defining ideal of the associated graded ring: rees + (forms)."""
+    return IdealHandle(rees.ctx, list(rees.gens) + embed_in_blowup(forms, rees.ctx))
+
+
 @dataclass(frozen=True)
 class BlowupPresentation:
     """Rees ideal, fiber cone ideal and associated graded ideal of a
@@ -159,14 +169,13 @@ class BlowupPresentation:
 
 def blowup_presentation(forms):
     forms = list(forms)
-    if forms and forms[0].ctx.n_params:
-        raise RingError("presentation needs specialized (parameter-free) forms")
     d = _form_degree(forms)
+    if forms[0].ctx.n_params:
+        raise RingError("presentation needs specialized (parameter-free) forms")
     rees = rees_ideal(forms)
     fib = fiber_cone_ideal(forms, rees=rees)
-    gr = IdealHandle(rees.ctx, list(rees.gens) + embed_in_blowup(forms, rees.ctx))
     spread = dim_degree(fib).dim
-    return BlowupPresentation(rees.ctx, d, rees, fib, gr, spread)
+    return BlowupPresentation(rees.ctx, d, rees, fib, _gr_ideal(rees, forms), spread)
 
 
 def sfib_hilbert_function(forms, n):
@@ -197,15 +206,20 @@ def sfib_hilbert_function(forms, n):
     return ambient_dim - hilbert_function(sat, n * d)
 
 
-def specialize_forms(forms, point):
-    """Substitute parameter values, landing in the plain coordinate ring."""
-    ctx = forms[0].ctx
-    nx, np = _split_ctx(ctx)
+def _parameter_free(ctx, point, what):
+    """`ctx` without its parameters, under grevlex, for substituting
+    `point`, which must give each parameter a value, into `what`."""
+    k, np = _split_ctx(ctx)
     if np == 0:
-        raise RingError("forms carry no parameters")
+        raise RingError("%s carries no parameters" % what)
     if len(point) != np:
         raise RingError("expected %d parameter values" % np)
-    sub = RingCtx(ctx.var_names[:nx], ctx.field, "grevlex", weights=ctx.weights[:nx])
+    return RingCtx(ctx.var_names[:k], ctx.field, "grevlex", weights=ctx.weights[:k])
+
+
+def specialize_forms(forms, point):
+    """Substitute parameter values, landing in the plain coordinate ring."""
+    sub = _parameter_free(forms[0].ctx, point, "the form ideal")
     return [g.substitute_tail(sub, point) for g in forms]
 
 
@@ -213,13 +227,7 @@ def specialize_rees(generic, point):
     """Substitute parameter values into a generic Rees basis; returns an
     ideal in the parameter-free ambient ring.  Its consumers reduce it
     through the Groebner basis they build, so it is left unreduced."""
-    ctx = generic.ctx
-    nxy, np = ctx.nvars - ctx.n_params, ctx.n_params
-    if np == 0:
-        raise RingError("generic Rees ideal carries no parameters")
-    sub = RingCtx(
-        ctx.var_names[:nxy], ctx.field, "grevlex", weights=ctx.weights[:nxy]
-    )
+    sub = _parameter_free(generic.ctx, point, "the generic Rees ideal")
     basis = groebner_basis(generic)
     return IdealHandle(sub, [g.substitute_tail(sub, point) for g in basis])
 
@@ -255,19 +263,13 @@ def gr_dimension_at(forms, point, generic=None):
     kill one of the forms are rejected.  A parameter-free family is
     accepted with the empty point and charted directly.
     """
-    if not forms[0].ctx.n_params:
-        if tuple(point):
-            raise RingError("parameter-free family takes an empty point")
+    if forms[0].ctx.n_params:
+        forms, rees = _specialized(forms, point, generic)
+    elif tuple(point):
+        raise RingError("parameter-free family takes an empty point")
+    else:
         rees = generic if generic is not None else rees_ideal(forms)
-        full = IdealHandle(
-            rees.ctx, list(rees.gens) + embed_in_blowup(forms, rees.ctx)
-        )
-        return dim_degree(full).dim
-    special, spec = _specialized(forms, point, generic)
-    full = IdealHandle(
-        spec.ctx, list(spec.gens) + embed_in_blowup(special, spec.ctx)
-    )
-    return dim_degree(full).dim
+    return dim_degree(_gr_ideal(rees, forms)).dim
 
 
 def specialization_compare(forms, point, generic=None):

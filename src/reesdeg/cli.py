@@ -10,8 +10,9 @@ CSV.  No answer depends on the seed, which is only echoed; an explicit
 --prime must name the field that --ring or a file header fixes.  Exit
 codes: 0 success, 2 malformed input or usage, 3 budget exceeded; a
 failed internal check (AssertionError) is not caught and exits 1;
---ring with a map file is a usage error, since the file's header names
-its ring.  One
+--ring with a map file or a family, --m with a family file, and
+--points or --m on gr-dim with a map are usage errors, since the input
+does not read them.  One
 step budget covers every Groebner computation of the command and the
 products of its minor chain and of I^n; its default,
 DEFAULT_BUDGET steps, can be set through the REESDEG_BUDGET
@@ -109,6 +110,8 @@ def _load_map(args):
 def _load_family(args):
     name = args.family
     if os.path.exists(name):
+        if args.m is not None:
+            raise RingError("--m does not apply to a family file")
         with open(name) as fh:
             handle = parse_ideal(fh.read())
         if handle.ctx.n_params == 0:
@@ -117,7 +120,7 @@ def _load_family(args):
         spec = FamilySpec("file", prime=ctx.field.characteristic)
         return Family(spec, ctx, None, tuple(handle.gens), _form_degree(handle.gens))
     if name == "dejonquieres":
-        spec = FamilySpec("dejonquieres", m=args.m, prime=_prime(args))
+        spec = FamilySpec("dejonquieres", m=2 if args.m is None else args.m, prime=_prime(args))
         return make_family(spec)
     raise RingError("unknown family %r" % name)
 
@@ -311,6 +314,8 @@ def cmd_jmult(args):
 
 def cmd_gr_dim(args):
     if args.family:
+        if args.ring is not None:
+            raise RingError("--ring does not apply to --family, whose ring is its own")
         fam = _load_family(args)
         used_ctx = fam.ctx
         points = _parse_points(args.points or "0,1", arity=fam.ctx.n_params)
@@ -320,6 +325,9 @@ def cmd_gr_dim(args):
             for pt in points
         ]
     else:
+        for flag, value in (("--points", args.points), ("--m", args.m)):
+            if value is not None:
+                raise RingError("%s does not apply to --map, only to --family" % flag)
         spec = _load_map(args)
         used_ctx = spec.ctx
         rows = [{"point": [], "gr_dim": gr_dimension_at(list(spec.forms), ())}]
@@ -351,7 +359,7 @@ FLAGS = {
     "--prime": {"type": int, "help": "field characteristic, 0 for Q (default %d)" % DEFAULT_PRIME},
     "--matrix": {"help": "matrix file path"},
     "--family": {"help": "dejonquieres, or a family file whose ring declares params"},
-    "--m": {"type": int, "help": "de Jonquieres parameter m, or condition level"},
+    "--m": {"type": int, "help": "de Jonquieres parameter m (default 2), or condition level"},
     "--points": {"help": "comma separated points (colon for tuples)"},
     "--seed": {"type": int, "default": DEFAULT_SEED, "help": "echoed in the output"},
     "--budget": {"type": int, "help": "step budget for the whole command"},
@@ -375,8 +383,6 @@ SUBCOMMAND_FLAGS = {
 # per-subcommand changes to FLAGS
 OVERRIDES = {
     ("sweep", "--format"): {"choices": ("json", "csv", "text")},
-    ("sweep", "--m"): {"default": 2},
-    ("gr-dim", "--m"): {"default": 2},
 }
 # a subcommand requires its input flag; gr-dim takes a map or a family
 INPUT_FLAGS = ("--map", "--matrix", "--family")

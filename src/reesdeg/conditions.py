@@ -31,6 +31,7 @@ the bound sets the degree field's guard bit and raises `RingError`.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -200,6 +201,16 @@ class ConditionCertificate:
     table: tuple
 
 
+def _certificate(name, M, top, offset, holds):
+    """Certificate of `holds(ht Fitt_i, offset + i)` for i = 1 .. top - 1,
+    with offset + i as each row's threshold."""
+    rows = tuple(
+        (i, M.nrows - i, ht, offset + i, holds(ht, offset + i))
+        for i, ht in enumerate(_fitting_heights(M, top), 1)
+    )
+    return ConditionCertificate(name, all(row[4] for row in rows), rows)
+
+
 def check_Gm(M, m):
     """G_m: ht Fitt_i > i for all 1 <= i < m (m = inf tests every index
     below the variable count).  Fitt_i is the unit ideal for i >= nrows,
@@ -207,26 +218,15 @@ def check_Gm(M, m):
     if m != math.inf and (not isinstance(m, int) or m < 1):
         raise RingError("G_m level must be a positive integer or inf")
     top = min(M.ctx.nvars if m == math.inf else m, M.nrows)
-    rows = []
-    ok_all = True
-    for i, ht in enumerate(_fitting_heights(M, top), 1):
-        ok = ht > i
-        ok_all = ok_all and ok
-        rows.append((i, M.nrows - i, ht, i, ok))
-    return ConditionCertificate("G_%s" % ("inf" if m == math.inf else m), ok_all, tuple(rows))
+    name = "G_%s" % ("inf" if m == math.inf else m)
+    return _certificate(name, M, top, 0, operator.gt)
 
 
 def check_Fm(M, m):
     """F_m: ht Fitt_i >= m + i for all i >= 1 with Fitt_i proper."""
     if not isinstance(m, int) or m < 0:
         raise RingError("F_m level must be a nonnegative integer")
-    rows = []
-    ok_all = True
-    for i, ht in enumerate(_fitting_heights(M, M.nrows), 1):
-        ok = ht >= m + i
-        ok_all = ok_all and ok
-        rows.append((i, M.nrows - i, ht, m + i, ok))
-    return ConditionCertificate("F_%d" % m, ok_all, tuple(rows))
+    return _certificate("F_%d" % m, M, M.nrows, m, operator.ge)
 
 
 def serialize_matrix(M):

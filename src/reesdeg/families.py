@@ -117,15 +117,20 @@ def signed_maximal_minors(M):
     dropping row r, r-1, ..., 0."""
     if M.nrows != M.ncols + 1:
         raise RingError("maximal minors need an (r+1) x r matrix")
-    ctx = M.ctx
     forms = [d if i % 2 == 0 else -d for i, d in enumerate(reversed(minors(M, M.ncols)))]
-    for j in range(M.ncols):
-        acc = Poly.zero(ctx)
-        for i in range(M.nrows):
-            acc = acc + M.entries[i][j] * forms[i]
-        if acc:
-            raise AssertionError("syzygy check failed for the signed minors")
+    _check_syzygies(zip(*M.entries), forms, "minors")
     return forms
+
+
+def _check_syzygies(rows, forms, what):
+    """Each row times the column of forms vanishes; `what` names the
+    forms in the error message."""
+    for row in rows:
+        acc = Poly.zero(forms[0].ctx)
+        for e, g in zip(row, forms):
+            acc = acc + e * g
+        if acc:
+            raise AssertionError("syzygy check failed for the signed %s" % what)
 
 
 def _pfaffian(rows):
@@ -170,19 +175,13 @@ def submaximal_pfaffians(M):
     if M.nrows != M.ncols or M.nrows % 2 == 0 or M.nrows < 5:
         raise RingError("submaximal pfaffians need an odd square matrix, size >= 5")
     _check_alternating(M)
-    ctx = M.ctx
     forms = []
     for i in range(M.nrows):
         keep = [k for k in range(M.nrows) if k != i]
         minor = [[M.entries[a][b] for b in keep] for a in keep]
         pf = _pfaffian(minor)
         forms.append(pf if i % 2 == 0 else -pf)
-    for i in range(M.nrows):
-        acc = Poly.zero(ctx)
-        for j in range(M.ncols):
-            acc = acc + M.entries[i][j] * forms[j]
-        if acc:
-            raise AssertionError("syzygy check failed for the signed pfaffians")
+    _check_syzygies(M.entries, forms, "pfaffians")
     return forms
 
 

@@ -719,39 +719,28 @@ def eliminate(I, k):
 
 
 def _with_aux_var(ctx, weight=(0, 0)):
-    """`ctx` with one fresh variable of bidegree `weight` in a leading
-    block of its own."""
+    """(aux, t, lift): `ctx` with a fresh variable t of bidegree `weight`
+    in a leading block of its own, t as a polynomial, and the map of
+    polynomials of `ctx` into `aux`.  `_drop_aux_var` eliminates t."""
     t = fresh_names("t", 1, set(ctx.var_names))[0]
-    order = ctx.order
-    if order in ("grevlex", "lex"):
-        sizes = (1, ctx.nvars)
-    else:
-        sizes = (1,) + order[1]
-    return RingCtx(
+    sizes = (1, ctx.nvars) if ctx.order in ("grevlex", "lex") else (1,) + ctx.order[1]
+    aux = RingCtx(
         (t,) + ctx.var_names,
         ctx.field,
         ("blocks", sizes),
         weights=(weight,) + ctx.weights,
         n_params=ctx.n_params,
     )
+    return aux, Poly.var(aux, 0), lambda f: f.map_vars(aux, range(1, ctx.nvars + 1))
 
 
-def _lifted_into_aux(ctx):
-    """(aux, t, lift): `ctx` with a leading auxiliary variable (weight
-    (0, 0)), that variable as a polynomial, and the map of polynomials
-    of `ctx` into `aux`."""
-    aux = _with_aux_var(ctx)
-    shift = [i + 1 for i in range(ctx.nvars)]
-    return aux, Poly.var(aux, 0), lambda f: f.map_vars(aux, shift)
-
-
-def _drop_aux_var(gens, aux, ctx):
-    """Eliminate the leading variable of `aux` from the ideal of `gens`
-    and return the result as an ideal of `ctx`."""
-    elim = eliminate(IdealHandle(aux, gens), 1)
+def _drop_aux_var(I, ctx):
+    """Eliminate t of `_with_aux_var` from the ideal I and return the
+    result as an ideal of `ctx`, the ring t was adjoined to."""
+    elim = eliminate(I, 1)
     if elim.ctx == ctx:
         return elim
-    return IdealHandle(ctx, [g.map_vars(ctx, list(range(ctx.nvars))) for g in elim.gens])
+    return IdealHandle(ctx, [g.map_vars(ctx, range(ctx.nvars)) for g in elim.gens])
 
 
 def intersect(I, J):
@@ -762,19 +751,19 @@ def intersect(I, J):
     ctx = I.ctx
     if not I.gens or not J.gens:
         return IdealHandle(ctx, [])
-    aux, t, lift = _lifted_into_aux(ctx)
+    aux, t, lift = _with_aux_var(ctx)
     one = Poly.constant(aux, 1)
     gens = [t * lift(f) for f in I.gens]
     gens += [(one - t) * lift(g) for g in J.gens]
-    return _drop_aux_var(gens, aux, ctx)
+    return _drop_aux_var(IdealHandle(aux, gens), ctx)
 
 
 def _saturate_by(I, g):
     """(I : g^infinity) by Rabinowitsch: eliminate t from I + (1 - t*g)."""
-    aux, t, lift = _lifted_into_aux(I.ctx)
+    aux, t, lift = _with_aux_var(I.ctx)
     gens = [lift(f) for f in I.gens]
     gens.append(Poly.constant(aux, 1) - t * lift(g))
-    return _drop_aux_var(gens, aux, I.ctx)
+    return _drop_aux_var(IdealHandle(aux, gens), I.ctx)
 
 
 def _independent_remainders(polys, rows, guard, p, budget):

@@ -23,7 +23,7 @@ and the answer does not depend on any seed.
 
 from dataclasses import dataclass
 
-from .blowup import fiber_cone_ideal, rees_ideal
+from .blowup import _form_degree, fiber_cone_ideal, rees_ideal
 from .groebner import IdealHandle, elimination_order, saturate
 from .hilbert import dim_degree, lead_ideal, monomial_dim_degree
 from .ring import Poly, RingError, format_poly, format_ring_header, parse_poly, parse_ring_header
@@ -55,22 +55,7 @@ def rational_map(forms):
     ctx = forms[0].ctx
     if ctx.n_params:
         raise RingError("rational maps take parameter-free forms")
-    d = None
-    for g in forms:
-        if not g:
-            raise RingError("zero form does not define a coordinate of a map")
-        if g.ctx != ctx:
-            raise RingError("forms from different rings")
-        bd = g.bidegree()
-        if bd is None or bd[1] != 0:
-            raise RingError("map coordinates must be homogeneous forms in x")
-        if d is None:
-            d = bd[0]
-        elif bd[0] != d:
-            raise RingError("map coordinates have mixed degrees")
-    if d == 0:
-        raise RingError("constant forms do not define a rational map")
-    return RationalMapSpec(forms, ctx.nvars - 1, len(forms) - 1, d)
+    return RationalMapSpec(forms, ctx.nvars - 1, len(forms) - 1, _form_degree(forms))
 
 
 def image_summary(spec, rees=None):

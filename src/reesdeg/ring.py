@@ -715,11 +715,7 @@ def format_poly(p):
 
 
 def _order_token(order):
-    if order == "grevlex":
-        return "grevlex"
-    if order == "lex":
-        return "lex"
-    return "elim:%d" % order[1][0]
+    return order if order in ("grevlex", "lex") else "elim:%d" % order[1][0]
 
 
 def format_ring_header(ctx):
@@ -748,6 +744,8 @@ def parse_ring_header(line):
         while i < len(toks) and toks[i] != "over":
             params.append(toks[i])
             i += 1
+        if not params:
+            raise RingError("'params' names no parameters in ring header: %r" % line)
     if i >= len(toks) or toks[i] != "over":
         raise RingError("missing 'over <char>' in ring header: %r" % line)
     i += 1
@@ -765,10 +763,10 @@ def parse_ring_header(line):
         tok = toks[i + 1]
         if tok in ("grevlex", "lex"):
             order = tok
-        elif tok.startswith("elim:"):
-            order = ("block", int(tok.split(":", 1)[1]))
+        elif re.fullmatch(r"elim:\d+", tok):
+            order = ("block", int(tok[len("elim:") :]))
         else:
-            raise RingError("unknown order token %r" % tok)
+            raise RingError("unknown order token %r in ring header: %r" % (tok, line))
         i += 2
     if i != len(toks):
         raise RingError("trailing tokens in ring header: %r" % line)

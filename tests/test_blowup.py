@@ -10,6 +10,7 @@ from reesdeg.blowup import (
     embed_in_blowup,
     fiber_cone_ideal,
     gr_dimension_at,
+    graph_ideal,
     rees_ideal,
     sfib_hilbert_function,
     specialization_compare,
@@ -18,7 +19,8 @@ from reesdeg.blowup import (
 )
 import reesdeg.groebner as gb_mod
 from reesdeg.families import FamilySpec, make_family
-from reesdeg.groebner import groebner_basis, ideal_contains
+from reesdeg.groebner import eliminate, groebner_basis, ideal_contains
+from reesdeg.ratmap import rational_map
 from reesdeg.ring import FieldSpec, RingCtx, RingError, parse_poly
 
 QQ = FieldSpec(0)
@@ -194,6 +196,16 @@ class TestSpecialization:
         with pytest.raises(RingError):
             specialize_forms(fam, (1, 2))
 
+    def test_rees_specialization_checks_the_point(self):
+        _, fam = forms_of(("x", "y", "a"), self.FAMILY, n_params=1)
+        generic = rees_ideal(fam)
+        for point in ((), (1, 2)):
+            with pytest.raises(RingError, match="expected 1 parameter values"):
+                specialize_rees(generic, point)
+        _, forms = forms_of(("x", "y"), ["x", "y"])
+        with pytest.raises(RingError, match="no parameters"):
+            specialize_rees(rees_ideal(forms), ())
+
     def test_specialized_rees_contained_in_direct(self):
         ctx, fam = forms_of(("x", "y", "a"), self.FAMILY, n_params=1)
         generic = rees_ideal(fam)
@@ -215,6 +227,53 @@ class TestSpecialization:
         assert gr_dimension_at(forms, ()) == 2
         with pytest.raises(RingError):
             gr_dimension_at(forms, (1,))
+
+
+# every entry point that takes forms, called on a list of them
+FORM_ENTRY_POINTS = {
+    "rational_map": rational_map,
+    "graph_ideal": graph_ideal,
+    "rees_ideal": rees_ideal,
+    "fiber_cone_ideal": fiber_cone_ideal,
+    "gr_dimension_at": lambda forms: gr_dimension_at(forms, ()),
+    "sfib_hilbert_function": lambda forms: sfib_hilbert_function(forms, 1),
+    "blowup_presentation": blowup_presentation,
+}
+
+
+class TestFormCheck:
+    F7 = FieldSpec(7)
+
+    @pytest.mark.parametrize("entry", sorted(FORM_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "other",
+        [(("u", "v"), F7, "u*v"), (("x0", "x1"), QQ, "x0*x1")],
+        ids=["other-names", "other-field"],
+    )
+    def test_forms_from_different_rings_rejected(self, entry, other):
+        # neither form may be read in the other's ring: the Q form is not
+        # reduced mod 7, and u, v are not x0, x1
+        _, (f,) = forms_of(("x0", "x1"), ["x0^2"], field=self.F7)
+        names, field, text = other
+        _, (g,) = forms_of(names, [text], field=field)
+        with pytest.raises(RingError, match="different rings"):
+            FORM_ENTRY_POINTS[entry]([f, g])
+
+    @pytest.mark.parametrize(
+        "names, texts, n_params, y_names",
+        [
+            (("x0", "x1"), ["x0^2", "x0*x1", "x1^2"], 0, None),
+            (("x", "y", "a"), ["x^2", "a*x*y", "y^2"], 1, None),
+            (("x0", "x1"), ["x0", "x1"], 0, ("u", "v")),
+        ],
+    )
+    def test_rees_ideal_lives_in_the_blowup_ambient(self, names, texts, n_params, y_names):
+        # eliminating t lands in the ambient ring itself, so the Rees
+        # ideal needs no renumbering
+        ctx, forms = forms_of(names, texts, n_params=n_params)
+        amb = blowup_ambient(ctx, len(forms) - 1, y_names=y_names)
+        assert eliminate(graph_ideal(forms, y_names=y_names), 1).ctx == amb
+        assert rees_ideal(forms, y_names=y_names).ctx == amb
 
 
 class TestAmbient:

@@ -601,10 +601,37 @@ class TestFlagTable:
         assert build_parser().parse_args(argv).budget == DEFAULT_BUDGET
 
     def test_m_defaults(self):
+        # the parser gives --m no default; de Jonquieres, the one family
+        # that reads m, takes 2 when --m is not given
         parser = build_parser()
-        assert parser.parse_args(["sweep", "--family", "dejonquieres"]).m == 2
-        assert parser.parse_args(["gr-dim", "--family", "dejonquieres"]).m == 2
+        for command in ("sweep", "gr-dim"):
+            args = parser.parse_args([command, "--family", "dejonquieres"])
+            assert args.m is None
+            assert _load_family(args).spec.m == 2
+            args = parser.parse_args([command, "--family", "dejonquieres", "--m", "3"])
+            assert _load_family(args).spec.m == 3
         assert parser.parse_args(["conditions", "--matrix", "m.txt"]).m is None
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gr-dim", "--map", "x0^2,x1^2", "--points", "5,6"], "--points"),
+            (["gr-dim", "--map", "x0^2,x1^2", "--m", "7"], "--m"),
+            (["gr-dim", "--family", "dejonquieres", "--ring", "x y over 7"], "--ring"),
+            (["sweep", "--family", "family.txt", "--m", "5"], "--m"),
+            (["gr-dim", "--family", "family.txt", "--m", "5"], "--m"),
+        ],
+    )
+    def test_flag_its_input_does_not_read_is_two(
+        self, capsys, tmp_path, monkeypatch, argv, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "family.txt").write_text(TestSweep.FAMILY_FILE)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s does not apply" % flag)
 
     def test_gr_dim_takes_a_map(self, capsys):
         code, out = run(capsys, ["gr-dim", "--map", "x0^2, x0*x1, x1^2"])

@@ -485,7 +485,7 @@ def packed_rings(draw):
         order = ("blocks", (a, b, n - a - b))
     n_params = draw(st.integers(0, 1)) if kind == "aux" else 0
     ctx = RingCtx(tuple("x%d" % i for i in range(n)), FP, order, n_params=n_params)
-    return _with_aux_var(ctx) if kind == "aux" else ctx
+    return _with_aux_var(ctx)[0] if kind == "aux" else ctx
 
 
 def grevlex_key(exps):

@@ -116,7 +116,7 @@ def test_private_imports_are_found():
 # monomial packing stays inside ring, groebner, hilbert and conditions: a
 # module above them that reaches into it would fail here.
 PRIVATE_IMPORTS = {
-    "blowup": {"groebner": {"_budget", "_charge", "_with_aux_var"}},
+    "blowup": {"groebner": {"_budget", "_charge", "_drop_aux_var", "_with_aux_var"}},
     "cli": {"blowup": {"_form_degree"}},
     "conditions": {"groebner": {"_budget", "_charge", "_homogeneous"}, "ring": {"_overflow"}},
     "groebner": {
@@ -124,6 +124,7 @@ PRIVATE_IMPORTS = {
         "ring": {"_MASK", "_WIDTH", "_minimal_packed", "_normalize_order", "_overflow", "_packing"},
     },
     "hilbert": {"groebner": {"_basis", "_homogeneous"}, "ring": {"_minimal_packed"}},
+    "ratmap": {"blowup": {"_form_degree"}},
 }
 
 

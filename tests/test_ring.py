@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -278,14 +279,16 @@ class TestRingHeader:
         assert parse_ring_header(line) == ctx
 
     def test_round_trip_params_and_orders(self):
-        for order in ("grevlex", "lex", ("block", 2)):
-            ctx = RingCtx(
-                ("x0", "x1", "x2", "a"),
-                QQ,
-                order=order,
-                n_params=1,
-            )
-            assert parse_ring_header(format_ring_header(ctx)) == ctx
+        for field in (QQ, FP):
+            for params in ((), ("a",), ("a", "b")):
+                for order in ("grevlex", "lex", ("block", 2)):
+                    ctx = RingCtx(
+                        ("x0", "x1", "x2") + params,
+                        field,
+                        order=order,
+                        n_params=len(params),
+                    )
+                    assert parse_ring_header(format_ring_header(ctx)) == ctx
 
     def test_parse_example(self):
         ctx = parse_ring_header("ring x0 x1 x2 over 32003 order grevlex")
@@ -297,6 +300,9 @@ class TestRingHeader:
             parse_ring_header("ring over 7")
         with pytest.raises(RingError):
             parse_ring_header("x0 x1 over 7")
+        for line in ("ring x y params over 7", "ring x y over 7 order elim:x"):
+            with pytest.raises(RingError, match=re.escape(repr(line))):
+                parse_ring_header(line)
 
 
 class TestSubstitution:
