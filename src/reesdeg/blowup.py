@@ -242,29 +242,32 @@ class SpecializationResult:
     witness: object
 
 
-def _specialized(forms, point, generic):
+def _specialized(forms, point, generic, special=None):
     """(specialized forms, specialized generic Rees ideal) at `point`;
-    the generic Rees ideal is computed when `generic` is None.  A point
-    that kills one of the forms is rejected."""
+    the generic Rees ideal is computed when `generic` is None, and the
+    forms are specialized when `special` is None.  A point that kills
+    one of the forms is rejected."""
     if generic is None:
         generic = rees_ideal(forms)
-    special = specialize_forms(forms, point)
+    if special is None:
+        special = specialize_forms(forms, point)
     for i, g in enumerate(special):
         if not g:
             raise RingError("parameter point kills generator %d" % i)
     return special, specialize_rees(generic, point)
 
 
-def gr_dimension_at(forms, point, generic=None):
+def gr_dimension_at(forms, point, generic=None, special=None):
     """Dimension of the special fiber of the associated graded ring.
 
     `forms` live in a parameter ring; the generic Rees ideal may be
-    passed in to amortize it across many points.  Specializations that
+    passed in to amortize it across many points, and so may `special`,
+    the forms already specialized at `point`.  Specializations that
     kill one of the forms are rejected.  A parameter-free family is
     accepted with the empty point and charted directly.
     """
     if forms[0].ctx.n_params:
-        forms, rees = _specialized(forms, point, generic)
+        forms, rees = _specialized(forms, point, generic, special)
     elif tuple(point):
         raise RingError("parameter-free family takes an empty point")
     else:

@@ -265,10 +265,11 @@ def specialization_sweep(fam, points):
 
     Each row records the map degree and image degree of the special
     member, the special fiber dimension of gr (computed through the one
-    generic Rees basis shared across the sweep), and whether the
-    specialized matrix satisfies G_{r+1}.  A point whose member is
-    malformed (a RingError) gets a row with the message in the status
-    column; a failed internal check propagates.
+    generic Rees basis shared across the sweep, from the forms
+    specialized once per point), and whether the specialized matrix
+    satisfies G_{r+1}.  A point whose member is malformed (a RingError)
+    gets a row with the message in the status column; a failed internal
+    check propagates.
     """
     if not fam.parametric:
         raise RingError("sweep needs a parametric family")
@@ -280,7 +281,9 @@ def specialization_sweep(fam, points):
         try:
             sp = specialized_family(fam, point)
             rep = degree_report(rational_map(sp.forms))
-            gdim = gr_dimension_at(list(fam.forms), point, generic=generic)
+            gdim = gr_dimension_at(
+                list(fam.forms), point, generic=generic, special=list(sp.forms)
+            )
             verdict = None
             if sp.matrix is not None:
                 verdict = check_Gm(sp.matrix, r + 1).verdict

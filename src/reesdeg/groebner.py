@@ -12,6 +12,19 @@ produce identical bases, reduction traces and budgets.  Monomial
 generators form no pairs: their minimal generators are the reduced
 basis, and each divisibility test made to find them costs one step.
 
+Seeds homogeneous in the grading of the run enter one degree at a time,
+lowest first.  The seeds of one degree are reduced against the rows of
+lower degree and then brought into reduced row echelon form as one
+Gauss-Jordan block, with leads looked up in a dict and one step charged
+per row operation (`_gauss_jordan`); no row of that degree could reduce
+the rows it leaves any further.  A seed that is a linear combination of
+others, as most minors of a Fitting ideal are, thus vanishes in the
+block instead of costing a reduction of its own.  Pairs are formed only
+once every block is in, and when the blocks leave only monomials they
+are the basis.  Seeds that are not homogeneous enter one at a time
+after the blocks, each reduced against the basis so far, and S-pairs
+are reduced by `_reduce` alone.
+
 A basis of an ideal whose Hilbert series is known is Hilbert-driven
 (Traverso, "Hilbert functions and the Buchberger algorithm", JSC 1996).
 Pairs of input homogeneous in a grading by positive variable weights
@@ -140,8 +153,9 @@ _ACTIVE_BUDGET = ContextVar("step_budget", default=None)
 def step_budget(limit):
     """Charge every computation inside the block against one budget of
     `limit` steps: reductions, reduced S-pairs, pairs and rows examined by
-    pair updates, monomial divisibility tests, and the products of the
-    minor chain and of the power loop in `sfib_hilbert_function`."""
+    pair updates, row operations and rows scanned in seed blocks, monomial
+    divisibility tests, and the products of the minor chain and of the
+    power loop in `sfib_hilbert_function`."""
     if limit < 1:
         raise ValueError("budget must be at least 1, got %d" % limit)
     token = _ACTIVE_BUDGET.set(_Budget(limit))
@@ -294,6 +308,61 @@ def _spoly(ti, ui, tj, uj, p):
     return s
 
 
+def _cancel(t, m, row, p):
+    """The packed integer term dict t with its term at m cancelled by the
+    normalized `row` whose lead is m, scaled as `_reduce` scales: t - c*row
+    over F_p, (lc/g)*t - (c/g)*row over Q with g = gcd(c, lc).  Changes t
+    in place unless it scales it."""
+    c, lc = t[m], row[m]
+    if lc != 1:
+        g = gcd(c, lc)
+        a, c = lc // g, c // g
+        if a != 1:
+            t = {k: a * v for k, v in t.items()}
+    for k, v in row.items():
+        val = t.get(k, 0) - c * v
+        if p:
+            val %= p
+        if val:
+            t[k] = val
+        else:
+            del t[k]
+    return t
+
+
+def _gauss_jordan(block, p, budget):
+    """The reduced row echelon form of packed term dicts of one degree:
+    normalized rows sorted by lead, with distinct leads and no lead of
+    one in the tail of another.  Each row entering is cleared of the
+    leads of the rows before it, found by dict lookups; cancelling one
+    brings in no other, since those rows are already reduced.  A row
+    left over then has its lead cleared from the rows before it.  Each
+    row operation costs one step of `budget`, and so does each row
+    scanned for a new lead below the largest lead so far."""
+    pivots = {}
+    top = -1
+    for t in block:
+        t = dict(t)
+        for m in [m for m in t if m in pivots]:
+            _charge(budget)
+            t = _cancel(t, m, pivots[m], p)
+        if not t:
+            continue
+        t = _normalize(t, p)
+        lead = max(t)
+        if lead < top:
+            # only a row with a larger lead can hold this one
+            _charge(budget, len(pivots))
+            for m, row in pivots.items():
+                if lead in row:
+                    _charge(budget)
+                    pivots[m] = _normalize(_cancel(row, lead, t, p), p)
+        else:
+            top = lead
+        pivots[lead] = t
+    return sorted(pivots.values(), key=max)
+
+
 def _buchberger(seeds, pk, fld, budget, hilbert=None):
     """Minimal Groebner basis of the packed seed term dicts: normalized,
     packed, sorted by lead, and with each tail as the reduction that made
@@ -311,11 +380,20 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
     if not start:
         return []
     start.sort(key=max)
+    # homogeneous seeds enter one degree at a time, as one Gauss-Jordan
+    # block reduced against the rows of lower degree; the others one by one
+    blocks, rest = {}, []
+    for t in start:
+        degs = {m & _MASK for m in t}
+        if len(degs) == 1:
+            blocks.setdefault(degs.pop(), []).append(t)
+        else:
+            rest.append(t)
     if hilbert is not None:
         from .hilbert import hilbert_value, weighted_numerator
 
         grading, target = hilbert
-        if any(len({m & _MASK for m in t}) > 1 for t in start):
+        if rest:
             raise AssertionError("seed is not homogeneous in the grading of its Hilbert series")
     unit = [{0: 1}]
     if max(start[0]) == 0:
@@ -369,20 +447,34 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         P = keep
         G = [g for g in G if not divides(lth, rows[g][0])] + [h]
 
+    def push(terms, sugar):
+        rows.append(_row(terms, sugar))
+        terms_of.append(terms)
+        exps.append(pk.unpack(rows[-1][0]))
+
     def add(rem, sugar):
         # returns False once the unit ideal is reached
         if not rem:
             return True
         if max(rem) == 0:
             return False
-        terms = _normalize(rem, p)
-        rows.append(_row(terms, sugar))
-        terms_of.append(terms)
-        exps.append(pk.unpack(rows[-1][0]))
+        push(_normalize(rem, p), sugar)
         update(len(rows) - 1)
         return True
 
-    for t in start:
+    for d in sorted(blocks):
+        block = blocks[d]
+        if rows:
+            block = [_reduce(dict(t), rows, guard, p, budget)[0] for t in block]
+        for terms in _gauss_jordan(block, p, budget):
+            push(terms, d)
+    # The block rows are interreduced, so no update retires one of them
+    # and the updates can wait until here.  Monomials alone form no pair.
+    if not rest and all(len(t) == 1 for t in terms_of):
+        return sorted(terms_of, key=max)
+    for h in range(len(rows)):
+        update(h)
+    for t in rest:
         basis_rows = [rows[g] for g in G]
         sug = max(m & _MASK for m in t)
         rem, sug, _ = _reduce(dict(t), basis_rows, guard, p, budget, sugar=sug)

@@ -19,7 +19,16 @@ from reesdeg.conditions import (
 from reesdeg import conditions, groebner
 from reesdeg.families import FamilySpec, dense_form, make_family, signed_maximal_minors
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal, saturate
-from reesdeg.ring import EXP_BOUND, FieldSpec, Poly, RingCtx, RingError, parse_poly
+from reesdeg.cli import main
+from reesdeg.ring import (
+    EXP_BOUND,
+    FieldSpec,
+    Poly,
+    RingCtx,
+    RingError,
+    monomials_of_degree,
+    parse_poly,
+)
 
 QQ = FieldSpec(0)
 
@@ -270,6 +279,65 @@ class TestConditionCounts:
         sizes = [len(fitting_ideal(M, i).gens) for i in range(1, 6)]
         assert sizes == [6, 75, 200, 150, 30]
         assert runs == sizes[:2]
+
+
+class TestSeedBlock:
+    """The 75 quartic 4-minors of linear_6x5 span all 35 quartics in four
+    variables.  They enter Fitt_2's Buchberger run as one Gauss-Jordan
+    block, which leaves 35 monomials and no S-polynomial to build."""
+
+    def test_fitt2_is_every_quartic_monomial(self, monkeypatch):
+        M = linear_6x5()
+        I = fitting_ideal(M, 2)
+        assert len(I.gens) == 75
+        built = []
+        spoly = groebner._spoly
+        monkeypatch.setattr(groebner, "_spoly", lambda *args: built.append(1) or spoly(*args))
+        assert height(I) == 4
+        _, basis = I.gb_cache[M.ctx.order]
+        assert [len(t) for t in basis] == [1] * 35
+        assert {max(t) for t in basis} == {M.ctx.key(m) for m in monomials_of_degree(4, 4)}
+        assert built == []
+
+    def test_budget_below_the_row_operations(self, monkeypatch):
+        M = linear_6x5()
+        gens = fitting_ideal(M, 2).gens
+        ops = []
+        cancel = groebner._cancel
+        monkeypatch.setattr(groebner, "_cancel", lambda *args: ops.append(1) or cancel(*args))
+        height(IdealHandle(M.ctx, gens))
+        assert ops
+        with pytest.raises(groebner.BudgetExceeded) as exc:
+            with groebner.step_budget(len(ops) - 1):
+                height(IdealHandle(M.ctx, gens))
+        assert any(entry.name == "_gauss_jordan" for entry in exc.traceback)
+
+    def test_conditions_budget_runs_out_in_the_block(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "m65.txt"
+        path.write_text(serialize_matrix(linear_6x5()))
+        argv = ["conditions", "--matrix", str(path)]
+        blocks = []
+        ops = []
+        gauss_jordan = groebner._gauss_jordan
+        cancel = groebner._cancel
+
+        def spy(block, p, budget):
+            # (rows, steps spent before the block, row operations in it)
+            spent, before = budget.limit - budget.left, len(ops)
+            try:
+                return gauss_jordan(block, p, budget)
+            finally:
+                blocks.append((len(block), spent, len(ops) - before))
+
+        monkeypatch.setattr(groebner, "_gauss_jordan", spy)
+        monkeypatch.setattr(groebner, "_cancel", lambda *args: ops.append(1) or cancel(*args))
+        assert main(argv) == 0
+        [(spent, n)] = [(spent, n) for rows, spent, n in blocks if rows == 75]
+        del blocks[:]
+        capsys.readouterr()
+        assert main(argv + ["--budget", str(spent + n - 1)]) == 3
+        assert capsys.readouterr().out == ""
+        assert blocks[-1][:2] == (75, spent)
 
 
 class TestGoldenCertificates:

@@ -1,8 +1,11 @@
+import json
 import random
 
 import pytest
 
+from reesdeg import blowup, families
 from reesdeg.blowup import specialization_compare
+from reesdeg.cli import main
 from reesdeg.conditions import PresentationMatrix, check_Gm, determinant
 from reesdeg.families import (
     ELL_NOT_MAXIMAL,
@@ -169,6 +172,22 @@ class TestDeJonquieres:
         cached = fam._generic_rees
         specialization_sweep(fam, [2])
         assert fam._generic_rees is cached
+
+    def test_sweep_specializes_the_forms_once_per_point(self, monkeypatch, capsys):
+        calls = []
+        inner = blowup.specialize_forms
+
+        def spy(forms, point):
+            calls.append(point)
+            return inner(forms, point)
+
+        # families calls it for the member, blowup for the gr dimension
+        monkeypatch.setattr(blowup, "specialize_forms", spy)
+        monkeypatch.setattr(families, "specialize_forms", spy)
+        assert main(["sweep", "--family", "dejonquieres", "--points", "1,2,3"]) == 0
+        assert calls == [(1,), (2,), (3,)]
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [r["gr_dim"] for r in rows] == [3, 3, 3]
 
     def test_specialization_kind_jump(self):
         fam = make_family(FamilySpec("dejonquieres", m=2))

@@ -659,19 +659,32 @@ def record_runs(monkeypatch):
 # rees_ideal and then fiber_cone_ideal.  A run returns a minimal basis
 # whose tails are not interreduced, so term counts are of that basis and
 # steps include no tails pass.
-# Steps count reductions, reduced S-pairs, and the pairs and basis rows
-# each Gebauer-Moeller update examines.  The first run, the t-elimination
+# Steps count reductions, reduced S-pairs, the pairs and basis rows each
+# Gebauer-Moeller update examines, and the row operations and rows
+# scanned of the Gauss-Jordan block that each degree of homogeneous seeds
+# enters as.  The first run, the t-elimination
 # of the graph ideal, drops the S-pairs that its a priori weighted Hilbert
 # series rules out; the second run of a homogeneous case drops those that
 # the grevlex Hilbert series of the Rees ideal rules out.  A change here
 # is a change of algorithm, not of speed.  The de Jonquieres family is
 # specialized at a nonzero parameter value drawn from its seed.
 GOLDEN_STEPS = {
-    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(219, 13, 360), (64, 6, 250)]),
-    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(339, 16, 689), (149, 9, 704)]),
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1189, 22, 829), (727, 19, 1081)]),
+    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(225, 13, 360), (64, 6, 250)]),
+    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(345, 16, 689), (149, 9, 704)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1198, 22, 830), (724, 19, 1081)]),
     "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(94, 10, 60), (3, 2, 7)]),
-    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(109, 9, 145), (29, 4, 77)]),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(115, 9, 145), (29, 4, 77)]),
+}
+
+# The same triples for the Fitting ideal runs of check_Gm(matrix, m), one
+# per index whose height takes a basis.  Their seeds are minors, most of
+# them linearly dependent, so these runs pin the seed block above all.
+GOLDEN_FITTING_STEPS = {
+    "pfaffian5": (
+        FamilySpec("pfaffian", r=4, D=1), 5, [(1373, 15, 840), (2967, 20, 270), (1516, 15, 15)]
+    ),
+    "hb12": (FamilySpec("hilbert_burch", r=2, mu=(1, 2)), 3, [(36, 4, 32), (27, 3, 3)]),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), 3, [(36, 4, 32), (27, 3, 3)]),
 }
 
 
@@ -685,6 +698,15 @@ class TestGoldenSteps:
         forms = list(fam.forms)
         runs = record_runs(monkeypatch)
         fiber_cone_ideal(forms, rees=rees_ideal(forms))
+        got = [(steps, len(b), sum(len(t) for t in b)) for _, steps, b in runs]
+        assert got == expected
+
+    @pytest.mark.parametrize("name", list(GOLDEN_FITTING_STEPS))
+    def test_fitting_step_counts_pinned(self, name, monkeypatch):
+        spec, m, expected = GOLDEN_FITTING_STEPS[name]
+        matrix = make_family(spec).matrix
+        runs = record_runs(monkeypatch)
+        check_Gm(matrix, m)
         got = [(steps, len(b), sum(len(t) for t in b)) for _, steps, b in runs]
         assert got == expected
 
@@ -1105,6 +1127,45 @@ def homogeneous_ideals(draw):
     return ideal(ctx, gens)
 
 
+@st.composite
+def planted_seeds(draw):
+    """(ring, forms, the same forms with planted linear combinations of
+    them mixed in): 1-4 forms of one degree 1-3 in 2-4 variables over F_7,
+    F_32003 or Q, each with 1-5 terms; a combination may be a multiple or
+    a repeat of one form."""
+    field = draw(st.sampled_from([FieldSpec(7), FP, QQ]))
+    n = draw(st.integers(2, 4))
+    ctx = RingCtx(tuple("x%d" % i for i in range(n)), field)
+    p = field.characteristic
+    coeff = st.integers(1, p - 1) if p else st.integers(-9, 9).filter(bool)
+    mons = list(monomials_of_degree(n, draw(st.integers(1, 3))))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        chosen = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=5, unique=True))
+        gens.append(Poly(ctx, {m: draw(coeff) for m in chosen}))
+    mixed = list(gens)
+    for _ in range(draw(st.integers(1, 4))):
+        picked = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=len(gens)))
+        combo = Poly.zero(ctx)
+        for g in picked:
+            combo = combo + Poly.constant(ctx, draw(coeff)) * g
+        mixed.insert(draw(st.integers(0, len(mixed))), combo)
+    return ctx, gens, mixed
+
+
+class TestSeedBlock:
+    """Homogeneous seeds enter a run one degree at a time as a
+    Gauss-Jordan block; seeds that depend on the others add nothing."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(planted_seeds())
+    def test_planted_combinations_change_no_basis(self, case):
+        ctx, gens, mixed = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            assert groebner_basis(ideal(ctx, mixed)) == groebner_basis(ideal(ctx, gens))
+
+
 def by_exponents(g):
     """A polynomial's terms keyed by exponent tuples."""
     return {g.ctx.packing.unpack(m): c for m, c in g.terms.items()}
@@ -1164,8 +1225,9 @@ class TestLazyTails:
         dj = make_family(FamilySpec("dejonquieres", m=2))
         rees = [rees_ideal(list(fam.forms)) for fam in (hb, dj)]
         rows = record_tails(monkeypatch)
-        # the Pfaffians' minimal grevlex basis keeps tails to reduce
-        I = ideal(pf.ctx, pf.forms)
+        # seeds of two degrees: the cubic's row enters before the cubic
+        # S-pair rows, and the minimal grevlex basis keeps tails to reduce
+        I = ideal(pf.ctx, list(pf.forms) + [parse_poly("x1^3 - x2^3", pf.ctx)])
         dim_degree(I)
         assert I.ctx.order not in I._reduced
         check_Gm(pf.matrix, 5)
