@@ -36,7 +36,7 @@ from .blowup import (
 )
 from .conditions import check_Fm, check_Gm, parse_matrix_file
 from .families import Family, FamilySpec, j_multiplicity, make_family, specialization_sweep
-from .groebner import DEFAULT_BUDGET, BudgetExceeded, parse_ideal, serialize_ideal, step_budget
+from .groebner import DEFAULT_BUDGET, BudgetExceeded, parse_ideal, step_budget
 from .hilbert import dim_degree
 from .ratmap import (
     DEFAULT_SEED,
@@ -189,11 +189,14 @@ def _envelope(args, command, ctx, **payload):
     return base
 
 
-def _ideal_payload(handle):
-    return {
-        "ring": format_ring_header(handle.ctx),
-        "generators": [format_poly(g) for g in handle.gens],
-    }
+def _emit_ideal(args, command, ctx, handle, **payload):
+    """Emit `payload` with the ring and generators of `handle`, each
+    generator formatted once: the text lines are the ring header and
+    the generators, as `serialize_ideal` writes them."""
+    ring = format_ring_header(handle.ctx)
+    gens = [format_poly(g) for g in handle.gens]
+    payload = _envelope(args, command, ctx, ring=ring, generators=gens, **payload)
+    _emit(args, payload, [ring] + gens)
 
 
 def cmd_degree(args):
@@ -222,29 +225,19 @@ def cmd_image(args):
     spec = _load_map(args)
     fib = fiber_cone_ideal(list(spec.forms))
     summ = dim_degree(fib)
-    payload = _envelope(
-        args,
-        "image",
-        ctx=spec.ctx,
-        dim_image=summ.proj_dim_of_scheme,
-        deg_image=summ.degree,
-        **_ideal_payload(fib),
+    _emit_ideal(
+        args, "image", spec.ctx, fib, dim_image=summ.proj_dim_of_scheme, deg_image=summ.degree
     )
-    _emit(args, payload, serialize_ideal(fib).splitlines())
 
 
 def cmd_rees(args):
     spec = _load_map(args)
-    handle = rees_ideal(list(spec.forms))
-    payload = _envelope(args, "rees", ctx=spec.ctx, **_ideal_payload(handle))
-    _emit(args, payload, serialize_ideal(handle).splitlines())
+    _emit_ideal(args, "rees", spec.ctx, rees_ideal(list(spec.forms)))
 
 
 def cmd_fiber_cone(args):
     spec = _load_map(args)
-    handle = fiber_cone_ideal(list(spec.forms))
-    payload = _envelope(args, "fiber-cone", ctx=spec.ctx, **_ideal_payload(handle))
-    _emit(args, payload, serialize_ideal(handle).splitlines())
+    _emit_ideal(args, "fiber-cone", spec.ctx, fiber_cone_ideal(list(spec.forms)))
 
 
 def cmd_sfib_hf(args):

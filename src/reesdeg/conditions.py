@@ -175,19 +175,31 @@ def _fitting_heights(M, top):
     Fitt_i lies in Fitt_{i+1}, so once one index reaches height nvars
     every later one has height nvars or is the unit ideal.  Homogeneous
     minors generate the unit ideal exactly when one is a nonzero
-    constant, so those indices need no Groebner basis.
+    constant, so those indices need no Groebner basis.  When every
+    nonzero entry of M is a form of one positive degree, so is every
+    nonzero minor, and those indices need not even expand their minors.
     """
     n = M.ctx.nvars
+    # every monomial of every entry; the constant monomial packs to 0
+    mons = {m for row in M.entries for e in row for m in e.terms}
+    forms = 0 not in mons and _homogeneous([mons])
     ht = 0
     for i in range(1, top):
-        I = fitting_ideal(M, i)
-        seeds = [g.terms for g in I.gens]
-        if ht >= n and _homogeneous(seeds):
+        if ht < n:
+            ht = height(fitting_ideal(M, i))
+        elif forms:
+            # no minor is expanded past here, so the smaller minors the
+            # chain left in the table would never leave it
+            M._minors.clear()
+        else:
+            I = fitting_ideal(M, i)
+            seeds = [g.terms for g in I.gens]
             # a homogeneous minor with a constant term is a constant, and
             # the constant monomial packs to 0
-            ht = math.inf if any(0 in t for t in seeds) else n
-        else:
-            ht = height(I)
+            if _homogeneous(seeds):
+                ht = math.inf if any(0 in t for t in seeds) else n
+            else:
+                ht = height(I)
         yield ht
 
 

@@ -67,6 +67,11 @@ cancels two leads with lc_j/g and lc_i/g.  No step divides, so the
 per-operation gcd that `fractions.Fraction` runs is gone from the inner
 loop.  Over F_p, `_reduce` lets the sums it accumulates grow as plain
 ints and takes one coefficient mod p only when it reduces that term.
+At the boundary, `_integral` clears the denominators of a polynomial
+entering the engine, and passes it on as it is when every coefficient
+is already an int; `_divided` divides one leaving it by its lead or
+its scale, giving ints where the division is exact and a Fraction only
+where it is not.
 
 A cached basis is minimal, not reduced.  It has the reduced basis's
 leads, which are all that Hilbert series, dimensions, map degrees and
@@ -257,20 +262,22 @@ def _normalize(terms, p):
 
 def _integral(terms, p):
     """(terms, d) for a packed term dict of field elements: over Q the
-    dict of the integers d*c, d the least common denominator; over F_p
-    the terms themselves and 1."""
-    if p:
+    dict of the integers d*c, d the least common denominator; over F_p,
+    and over Q when every coefficient is an int, the terms themselves
+    and 1."""
+    if p or all(type(c) is int for c in terms.values()):
         return terms, 1
     d = lcm(*(c.denominator for c in terms.values()))
     return {m: c.numerator * (d // c.denominator) for m, c in terms.items()}, d
 
 
-def _divided(terms, d, p):
-    """The packed integer `terms` divided by d, as field elements:
-    Fractions over Q; over F_p, where d is 1, the terms themselves."""
-    if p:
+def _divided(terms, d):
+    """The packed integer `terms` divided by a positive d, as field
+    elements: the terms themselves when d is 1, as it is over F_p;
+    otherwise c // d where d divides c, and the Fraction c/d elsewhere."""
+    if d == 1:
         return terms
-    return {m: Fraction(c, d) for m, c in terms.items()}
+    return {m: c // d if not c % d else Fraction(c, d) for m, c in terms.items()}
 
 
 def _repacked(terms, src, dst):
@@ -611,8 +618,7 @@ def _basis_ideal(ctx, basis):
     basis cached as reduced."""
     if VERIFY_BASES and not _is_reduced(basis, ctx.packing.guard):
         raise AssertionError("basis handed to _basis_ideal is not reduced")
-    p = ctx.field.characteristic
-    out = IdealHandle(ctx, [Poly(ctx, _divided(t, t[max(t)], p), _clean=True) for t in basis])
+    out = IdealHandle(ctx, [Poly(ctx, _divided(t, t[max(t)]), _clean=True) for t in basis])
     out.gb_cache[ctx.order] = (ctx.packing, tuple(basis))
     out._reduced.add(ctx.order)
     return out
@@ -687,8 +693,7 @@ def groebner_basis(I, order=None):
     """
     pk, basis = _reduced_basis(I, order)
     ctx = I.ctx
-    p = ctx.field.characteristic
-    out = [_divided(t, t[max(t)], p) for t in basis]
+    out = [_divided(t, t[max(t)]) for t in basis]
     if pk is not ctx.packing:
         out = [_repacked(t, pk, ctx.packing) for t in out]
     return [Poly(ctx, t, _clean=True) for t in out]
@@ -744,7 +749,7 @@ def normal_form(f, I, order=None):
     work, d = _integral(dict(f.terms) if pk is ring else _repacked(f.terms, ring, pk), p)
     rem, _, scale = _reduce(work, rows, pk.guard, p, _budget())
     # rem is scale * d * NF(f)
-    rem = _divided(rem, scale * d, p)
+    rem = _divided(rem, scale * d)
     return Poly(I.ctx, rem if pk is ring else _repacked(rem, pk, ring), _clean=True)
 
 
@@ -895,7 +900,7 @@ def _sat_exponent(I, S, J_gens):
         if not cur:
             return k
         k += 1
-        prods = (Poly(ctx, _divided(h, h[max(h)], p), _clean=True) * g for h in cur for g in J_gens)
+        prods = (Poly(ctx, _divided(h, h[max(h)]), _clean=True) * g for h in cur for g in J_gens)
         cur = [_integral(f.terms, p)[0] for f in prods]
 
 

@@ -1,10 +1,14 @@
 """Exact multivariate polynomial arithmetic over QQ and prime fields.
 
 Polynomials are sparse dicts mapping packed monomials to coefficients.
-Coefficients are `fractions.Fraction` in characteristic 0 and Python ints
-in the range [0, p) in characteristic p.  A `RingCtx` fixes the variable
-names, the coefficient field, the monomial order and a bigrading, and is
-shared by every polynomial of the ring.
+In characteristic 0 a coefficient is a Python int when it is integral
+and a `fractions.Fraction` only when it is not, so integral input
+computes on plain ints from parsing on; in characteristic p it is an int
+in the range [0, p).  Results of arithmetic are not brought back to that
+form: a Fraction of denominator 1 arises only from fractional input, and
+it compares, hashes and prints like the equal int.  A `RingCtx` fixes the
+variable names, the coefficient field, the monomial order and a
+bigrading, and is shared by every polynomial of the ring.
 
 Supported orders: graded reverse lexicographic, lexicographic, and block
 orders (grevlex inside each block, blocks compared left to right), which
@@ -87,7 +91,9 @@ class FieldSpec:
             raise RingError("characteristic %d is not prime" % p)
 
     def norm(self, c):
-        """Coerce ints, Fractions and field elements to canonical form."""
+        """Coerce ints, Fractions and field elements to canonical form:
+        over Q an int when integral and a Fraction otherwise, over F_p
+        an int in [0, p)."""
         p = self.characteristic
         if p:
             if isinstance(c, Fraction):
@@ -95,9 +101,10 @@ class FieldSpec:
                     raise RingError("denominator of %s vanishes mod %d" % (c, p))
                 return (c.numerator * pow(c.denominator, -1, p)) % p
             return int(c) % p
-        if isinstance(c, Fraction):
+        if type(c) is int:
             return c
-        return Fraction(c)
+        c = Fraction(c)
+        return c.numerator if c.denominator == 1 else c
 
     def add(self, a, b):
         p = self.characteristic
@@ -119,19 +126,14 @@ class FieldSpec:
         if not a:
             raise ZeroDivisionError("inverse of zero field element")
         p = self.characteristic
-        return pow(a, -1, p) if p else 1 / a
+        return pow(a, -1, p) if p else self.norm(Fraction(1, a))
 
     def pow(self, a, e):
         p = self.characteristic
         return pow(a, e, p) if p else a**e
 
-    @property
-    def zero(self):
-        return 0 if self.characteristic else Fraction(0)
-
-    @property
-    def one(self):
-        return 1 if self.characteristic else Fraction(1)
+    zero = 0
+    one = 1
 
 
 def _normalize_order(order, n):
@@ -656,7 +658,7 @@ def parse_poly(text, ctx):
     terms = {}
     pieces = _SIGNS.split("+" + text)
     for signs, term in zip(pieces[1::2], pieces[2::2]):
-        coeff = Fraction(-1 if signs.count("-") % 2 else 1)
+        coeff = -1 if signs.count("-") % 2 else 1
         exps = [0] * ctx.nvars
         for factor in term.split("*"):
             m = _FACTOR.fullmatch(factor)
@@ -668,7 +670,7 @@ def parse_poly(text, ctx):
             elif den and not int(den):
                 raise RingError("zero denominator in %r" % text)
             else:
-                coeff *= Fraction(int(num), int(den or 1))
+                coeff *= Fraction(int(num), int(den)) if den else int(num)
         c = fld.norm(coeff)
         if c:
             mon = ctx.key(exps)
@@ -678,14 +680,6 @@ def parse_poly(text, ctx):
             else:
                 del terms[mon]
     return Poly(ctx, terms, _clean=True)
-
-
-def _format_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return str(c.numerator)
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(c)
 
 
 def format_poly(p):
@@ -702,11 +696,12 @@ def format_poly(p):
                 vars_part.append(name)
             elif e > 1:
                 vars_part.append("%s^%d" % (name, e))
-        neg = isinstance(c, Fraction) and c < 0
+        # coefficients mod p are never negative
+        neg = c < 0
         mag = -c if neg else c
         body = "*".join(vars_part)
         if not vars_part or mag != fld.one:
-            body = _format_coeff(mag) + ("*" + body if body else "")
+            body = str(mag) + ("*" + body if body else "")
         if not parts:
             parts.append(("-" if neg else "") + body)
         else:

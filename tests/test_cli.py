@@ -11,6 +11,7 @@ import pytest
 
 import reesdeg.families as families
 import reesdeg.groebner as gb_mod
+import reesdeg.ring as ring
 from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, _load_family, build_parser, main
 from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
 
@@ -107,6 +108,21 @@ class TestImageAndBlowup:
         code, out = run(capsys, ["fiber-cone", "--map", "x0^2, x0*x1, x1^2"])
         assert code == 0
         assert json.loads(out)["generators"] == ["y1^2 + 32002*y0*y2"]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_each_generator_formatted_once(self, capsys, monkeypatch, fmt):
+        # the Rees ideal of this map has 6 generators
+        calls = []
+        inner = ring.format_poly
+        for mod in [m for name, m in sys.modules.items() if name.startswith("reesdeg")]:
+            if getattr(mod, "format_poly", None) is inner:
+                monkeypatch.setattr(mod, "format_poly", lambda f: calls.append(1) or inner(f))
+        argv = ["rees", "--map", "x0^2, x0*x1, x1^2, x0*x2", "--format", fmt]
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert len(calls) == 6
+        gens = json.loads(out)["generators"] if fmt == "json" else out.splitlines()[1:]
+        assert len(gens) == 6
 
     def test_sfib_hf_values(self, capsys):
         code, out = run(

@@ -394,6 +394,27 @@ class TestMonotoneChain:
         assert chain == direct == [2, 4, 4, 4, 4]
         assert bases == [True, True, False, False, False]
 
+    def test_forms_of_one_degree_expand_no_minor_past_height_nvars(self, monkeypatch):
+        # Fitt_2 of linear_6x5 already has height 4 = nvars, so the 3-,
+        # 2- and 1-minors are never expanded
+        M = linear_6x5()
+        sizes = []
+        inner = conditions.minors
+        monkeypatch.setattr(conditions, "minors", lambda M, k: sizes.append(k) or inner(M, k))
+        G, F = check_Gm(M, 4).table, check_Fm(M, 0).table
+        assert sizes == [5, 4]
+        # and no smaller minor is left behind in the table
+        assert M._minors == {}
+        assert G == ((1, 5, 2, 1, True), (2, 4, 4, 2, True), (3, 3, 4, 3, True))
+        assert F == G + ((4, 2, 4, 4, True), (5, 1, 4, 5, False))
+
+    def test_constant_entry_still_reports_the_unit_ideal(self):
+        # a constant among the entries: the minors are not forms of one
+        # degree, so the later indices are expanded and read
+        _, M = mat(("x", "y"), [["x", "0"], ["0", "y"], ["1", "1"]])
+        assert [row[2] for row in check_Gm(M, math.inf).table] == [2]
+        assert [row[2] for row in check_Fm(M, 0).table] == [2, math.inf]
+
     def test_constant_minor_is_the_unit_ideal(self):
         _, M = mat(("x", "y"), [["x", "0"], ["0", "y"], ["1", "1"]])
         chain, bases, direct = self.chain_and_direct(M)

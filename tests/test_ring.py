@@ -46,6 +46,19 @@ class TestFieldSpec:
             assert f.mul(a, f.inv(a)) == 1
         assert QQ.inv(Fraction(3, 5)) == Fraction(5, 3)
 
+    def test_integral_rationals_are_ints(self):
+        assert type(QQ.norm(Fraction(4, 2))) is int
+        assert type(QQ.norm(3)) is int
+        assert type(QQ.norm(Fraction(1, 2))) is Fraction
+        assert QQ.zero == FP.zero == 0 and QQ.one == FP.one == 1
+
+    def test_rational_inverse_is_exact(self):
+        assert QQ.inv(2) == Fraction(1, 2)
+        assert type(QQ.inv(2)) is Fraction
+        assert QQ.inv(Fraction(1, 3)) == 3
+        assert type(QQ.inv(Fraction(1, 3))) is int
+        assert QQ.inv(-1) == -1
+
     def test_bad_characteristic(self):
         with pytest.raises(RingError):
             FieldSpec(6)
@@ -125,6 +138,17 @@ class TestPolyArithmetic:
             Poly.from_mon(ctx, (0, 2, -1))
         with pytest.raises(RingError):
             Poly.var(ctx, 0).mul_term((1, 1), 1)
+
+    def test_int_and_fraction_coefficients_agree(self):
+        # a Fraction of denominator 1 only comes from fractional input;
+        # it compares, hashes and prints like the int
+        ctx = ctx3()
+        m = ctx.key((1, 0, 0))
+        f = Poly(ctx, {m: 3, 0: -2}, _clean=True)
+        g = Poly(ctx, {m: Fraction(3), 0: Fraction(-2)}, _clean=True)
+        assert f == g and hash(f) == hash(g)
+        assert format_poly(f) == format_poly(g) == "3*x0 - 2"
+        assert Poly(ctx, {(1, 0, 0): Fraction(6, 2)}).terms == {m: 3}
 
     def test_add_cancels(self):
         ctx = ctx3()
@@ -265,6 +289,28 @@ class TestParseFormat:
             ctx = ctx3(FieldSpec(rng.choice([0, 7, 32003])))
             f = random_poly(ctx, rng)
             assert parse_poly(format_poly(f), ctx) == f
+
+    def test_negative_int_coefficients_print_as_differences(self):
+        ctx = ctx3()
+        f = parse_poly("-2*x0^2 - 3*x1 + 1/2*x2 - 1", ctx)
+        assert format_poly(f) == "-2*x0^2 - 3*x1 + 1/2*x2 - 1"
+        assert [type(c) for c in f.terms.values()] == [int, int, Fraction, int]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * 3),
+            st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)),
+            max_size=5,
+        )
+    )
+    def test_round_trip_rational(self, terms):
+        ctx = ctx3()
+        f = Poly(ctx, terms)
+        g = parse_poly(format_poly(f), ctx)
+        assert g == f
+        # integral coefficients come back as ints
+        assert all(type(c) is int or c.denominator > 1 for c in g.terms.values())
 
     def test_format_orders_terms_descending(self):
         ctx = ctx3()
