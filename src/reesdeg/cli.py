@@ -36,7 +36,7 @@ from .blowup import (
 )
 from .conditions import check_Fm, check_Gm, parse_matrix_file
 from .families import Family, FamilySpec, j_multiplicity, make_family, specialization_sweep
-from .groebner import DEFAULT_BUDGET, BudgetExceeded, parse_ideal, step_budget
+from .groebner import DEFAULT_BUDGET, BudgetExceeded, groebner_basis, parse_ideal, step_budget
 from .hilbert import dim_degree
 from .ratmap import (
     DEFAULT_SEED,
@@ -190,11 +190,11 @@ def _envelope(args, command, ctx, **payload):
 
 
 def _emit_ideal(args, command, ctx, handle, **payload):
-    """Emit `payload` with the ring and generators of `handle`, each
-    generator formatted once: the text lines are the ring header and
-    the generators, as `serialize_ideal` writes them."""
+    """Emit `payload` with the ring and the reduced Groebner basis of
+    `handle`, each generator formatted once: the text lines are the ring
+    header and the generators, as `serialize_ideal` writes them."""
     ring = format_ring_header(handle.ctx)
-    gens = [format_poly(g) for g in handle.gens]
+    gens = [format_poly(g) for g in groebner_basis(handle)]
     payload = _envelope(args, command, ctx, ring=ring, generators=gens, **payload)
     _emit(args, payload, [ring] + gens)
 

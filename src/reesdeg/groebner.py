@@ -73,15 +73,14 @@ is already an int; `_divided` divides one leaving it by its lead or
 its scale, giving ints where the division is exact and a Fraction only
 where it is not.
 
-A cached basis is minimal, not reduced.  It has the reduced basis's
-leads, which are all that Hilbert series, dimensions, map degrees and
-Fitting heights read, and normal forms, saturation exponents and the
-Bayer-Stillman strip are the same from any Groebner basis.
-`groebner_basis` (and `ideal_equal`) reduces the tails of a cached basis
-once, on first demand, and records its order in the handle's
-`_reduced`; `eliminate` reduces only the rows it keeps, against each
-other.  Bases of monomials and bases handed to `_basis_ideal` are
-reduced from the start.
+A cached basis is minimal, and that is the one invariant the engine
+keeps.  A minimal basis has the reduced basis's leads, which are all
+that Hilbert series, dimensions, map degrees and Fitting heights read,
+and normal forms, saturation exponents, eliminations and the
+Bayer-Stillman strip are the same from any Groebner basis.  Tails are
+reduced in one place, `groebner_basis` (which `ideal_equal` calls): it
+reduces the cached basis and caches the result in its place, and a
+pass over a basis already reduced makes no reduction step.
 
 Terms stay packed from end to end.  A handle's generators are `Poly`
 objects whose terms are the engine's seeds as they are, `hilbert` reads
@@ -291,30 +290,6 @@ def _row(terms, sugar):
     return (lead, tuple((m, c) for m, c in terms.items() if m != lead), sugar, terms[lead])
 
 
-def _spoly(ti, ui, tj, uj, p):
-    """a*ui*ti - b*uj*tj for normalized packed term dicts and packed
-    cofactors, with a = lc_j/g, b = lc_i/g and g = gcd(lc_i, lc_j): the
-    least integer multipliers that cancel the leads (1 over F_p)."""
-    ci = ti[max(ti)]
-    cj = tj[max(tj)]
-    g = gcd(ci, cj)
-    a, b = cj // g, ci // g
-    s = {m + ui: a * c for m, c in ti.items()}
-    for m, c in tj.items():
-        mm = m + uj
-        val = s.get(mm, 0) - b * c
-        if p:
-            val %= p
-        if val:
-            s[mm] = val
-        else:
-            s.pop(mm, None)
-    for m in s:
-        if m & EXP_BOUND:
-            raise _overflow()
-    return s
-
-
 def _cancel(t, m, row, p):
     """The packed integer term dict t with its term at m cancelled by the
     normalized `row` whose lead is m, scaled as `_reduce` scales: t - c*row
@@ -337,15 +312,28 @@ def _cancel(t, m, row, p):
     return t
 
 
+def _spoly(ti, ui, tj, uj, p):
+    """a*ui*ti - b*uj*tj for normalized packed term dicts and packed
+    cofactors, with a = lc_j/g, b = lc_i/g and g = gcd(lc_i, lc_j): the
+    least integer multipliers that cancel the leads (1 over F_p), which
+    are those `_cancel` applies to the two shifted rows."""
+    lead = max(ti) + ui
+    s = _cancel({m + ui: c for m, c in ti.items()}, lead, {m + uj: c for m, c in tj.items()}, p)
+    for m in s:
+        if m & EXP_BOUND:
+            raise _overflow()
+    return s
+
+
 def _gauss_jordan(block, p, budget):
-    """The reduced row echelon form of packed term dicts of one degree:
-    normalized rows sorted by lead, with distinct leads and no lead of
-    one in the tail of another.  Each row entering is cleared of the
-    leads of the rows before it, found by dict lookups; cancelling one
-    brings in no other, since those rows are already reduced.  A row
-    left over then has its lead cleared from the rows before it.  Each
-    row operation costs one step of `budget`, and so does each row
-    scanned for a new lead below the largest lead so far."""
+    """The reduced row echelon form of packed term dicts, such as the
+    seeds of one degree: normalized rows sorted by lead, with distinct
+    leads and no lead of one in the tail of another.  Each row entering
+    is cleared of the leads of the rows before it, found by dict lookups;
+    cancelling one brings in no other, since those rows are already
+    reduced.  A row left over then has its lead cleared from the rows
+    before it.  Each row operation costs one step of `budget`, and so
+    does each row scanned for a new lead below the largest lead so far."""
     pivots = {}
     top = -1
     for t in block:
@@ -373,7 +361,7 @@ def _gauss_jordan(block, p, budget):
 def _buchberger(seeds, pk, fld, budget, hilbert=None):
     """Minimal Groebner basis of the packed seed term dicts: normalized,
     packed, sorted by lead, and with each tail as the reduction that made
-    its row left it (`_reduce_tails` interreduces tails).
+    its row left it (`groebner_basis` interreduces tails).
 
     `hilbert`, when given, is the pair (grading, sparse numerator) of
     the Hilbert series of S/I, and `pk` packs degrees in that grading.
@@ -526,12 +514,16 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
 def _reduce_tails(basis, guard, p, budget):
     """The reduced basis, sorted by lead and normalized, from the
     normalized packed term dicts of a minimal Groebner basis: one pass
-    reducing each tail against the other elements."""
+    reducing each tail against the other elements.  A row of one term
+    has no tail and passes through, and a pass over a reduced basis
+    makes no reduction step."""
     rows = [_row(t, 0) for t in basis]
     out = []
     for i in sorted(range(len(basis)), key=lambda i: rows[i][0]):
-        rem, _, _ = _reduce(dict(basis[i]), rows[:i] + rows[i + 1:], guard, p, budget)
-        out.append(_normalize(rem, p))
+        t = basis[i]
+        if len(t) > 1:
+            t = _normalize(_reduce(dict(t), rows[:i] + rows[i + 1:], guard, p, budget)[0], p)
+        out.append(t)
     return out
 
 
@@ -560,12 +552,12 @@ class IdealHandle:
 
     `gens` are `Poly` objects of the ring.  `gb_cache` maps an order to
     (packing, minimal basis as normalized packed term dicts sorted by
-    lead), the packing being `_packing(order, n)`.  `_reduced` holds the
-    orders whose cached basis is also reduced: its tails were
-    interreduced, or it has none.
+    lead), the packing being `_packing(order, n)`.  A cached basis may
+    also be reduced, once `groebner_basis` has read it, but nothing
+    inside the engine relies on that.
     """
 
-    __slots__ = ("ctx", "gens", "gb_cache", "_reduced", "_sat", "_series")
+    __slots__ = ("ctx", "gens", "gb_cache", "_sat", "_series")
 
     def __init__(self, ctx, gens):
         self.ctx = ctx
@@ -579,7 +571,6 @@ class IdealHandle:
                 cleaned.append(g)
         self.gens = tuple(cleaned)
         self.gb_cache = {}
-        self._reduced = set()
         # on a result of `saturate`: (I, J generators) until
         # sat_exponent is first read, then the exponent
         self._sat = None
@@ -613,14 +604,16 @@ def _seeds(I, pk):
 
 
 def _basis_ideal(ctx, basis):
-    """The ideal generated by `basis`, a reduced basis in the ring order
-    as normalized packed term dicts in the ring's packing, with that
-    basis cached as reduced."""
-    if VERIFY_BASES and not _is_reduced(basis, ctx.packing.guard):
-        raise AssertionError("basis handed to _basis_ideal is not reduced")
+    """The ideal generated by `basis`, a minimal Groebner basis in the
+    ring order as normalized packed term dicts in the ring's packing,
+    sorted by lead, with that basis cached."""
+    if VERIFY_BASES and not (
+        len(_minimal_packed([max(t) for t in basis], ctx.packing.guard)) == len(basis)
+        and _spair_closure_ok(basis, ctx)
+    ):
+        raise AssertionError("basis handed to _basis_ideal is not a minimal Groebner basis")
     out = IdealHandle(ctx, [Poly(ctx, _divided(t, t[max(t)]), _clean=True) for t in basis])
     out.gb_cache[ctx.order] = (ctx.packing, tuple(basis))
-    out._reduced.add(ctx.order)
     return out
 
 
@@ -646,8 +639,7 @@ def _order_key(ctx, order):
 
 def _basis(I, order=None):
     """(packing, minimal Groebner basis of I under `order` as normalized
-    packed term dicts sorted by lead), cached in `I.gb_cache` per order;
-    a basis of monomials is recorded as reduced."""
+    packed term dicts sorted by lead), cached in `I.gb_cache` per order."""
     okey = _order_key(I.ctx, order)
     got = I.gb_cache.get(okey)
     if got is not None:
@@ -663,36 +655,24 @@ def _basis(I, order=None):
         basis = _run_buchberger(I, okey, None)
     if VERIFY_BASES and not _spair_closure_ok(basis, I.ctx, okey):
         raise AssertionError("computed basis fails the Buchberger criterion")
-    got = I.gb_cache[okey] = (_packing(okey, I.ctx.nvars), tuple(basis))
-    if all(len(t) == 1 for t in basis):
-        I._reduced.add(okey)
-    return got
-
-
-def _reduced_basis(I, order=None):
-    """(packing, reduced basis of I under `order`): the cached basis,
-    whose tails are reduced once, on first demand, the reduced basis
-    then replacing the minimal one in `I.gb_cache`."""
-    pk, basis = _basis(I, order)
-    okey = _order_key(I.ctx, order)
-    if okey not in I._reduced:
-        basis = tuple(_reduce_tails(basis, pk.guard, I.ctx.field.characteristic, _budget()))
-        I.gb_cache[okey] = (pk, basis)
-        I._reduced.add(okey)
-    if VERIFY_BASES and not _is_reduced(basis, pk.guard):
-        raise AssertionError("basis leaving groebner_basis is not reduced")
-    return pk, basis
+    I.gb_cache[okey] = (_packing(okey, I.ctx.nvars), tuple(basis))
+    return I.gb_cache[okey]
 
 
 def groebner_basis(I, order=None):
     """Reduced Groebner basis of I under `order` (default: the ring order).
 
     Generators are sorted by increasing leading monomial and are monic.
-    The packed basis is cached on the handle per order; its tails are
-    reduced on the first call in that order.
+    This is the one place tails are reduced: each call reduces those of
+    the basis cached in that order and caches the result in its place,
+    so a second call makes no reduction step and returns the same list.
     """
-    pk, basis = _reduced_basis(I, order)
+    pk, basis = _basis(I, order)
     ctx = I.ctx
+    basis = tuple(_reduce_tails(basis, pk.guard, ctx.field.characteristic, _budget()))
+    I.gb_cache[_order_key(ctx, order)] = (pk, basis)
+    if VERIFY_BASES and not _is_reduced(basis, pk.guard):
+        raise AssertionError("basis leaving groebner_basis is not reduced")
     out = [_divided(t, t[max(t)]) for t in basis]
     if pk is not ctx.packing:
         out = [_repacked(t, pk, ctx.packing) for t in out]
@@ -779,9 +759,8 @@ def eliminate(I, k):
 
     Runs a block-order basis putting the first k variables in their own
     leading block and keeps the generators free of them; those form a
-    minimal basis of the elimination ideal in the restricted order.  They
-    are reduced against each other alone, since a lead in the eliminated
-    block divides no monomial free of it; the block basis stays minimal.
+    minimal basis of the elimination ideal in the restricted order, which
+    the result caches and takes as its generators.
 
     They stay packed.  The leading block's degree is the top field of a
     packed monomial, so an element is free of the block exactly when its
@@ -809,9 +788,6 @@ def eliminate(I, k):
     kept = [
         {(m >> shift) | (m & _MASK): c for m, c in t.items()} for t in basis if max(t) < top
     ]
-    if elim_order not in I._reduced:
-        p = ctx.field.characteristic
-        kept = _reduce_tails(kept, sub_ctx.packing.guard, p, _budget())
     return _basis_ideal(sub_ctx, kept)
 
 
@@ -863,30 +839,14 @@ def _saturate_by(I, g):
     return _drop_aux_var(IdealHandle(aux, gens), I.ctx)
 
 
-def _independent_remainders(polys, rows, guard, p, budget):
-    """Nonzero remainders of the packed term dicts `polys` modulo the
-    basis rows, cut down to a linearly independent set with distinct
-    leads, each up to a scalar."""
-    pivots = {}
-    for terms in polys:
-        rem, _, _ = _reduce(dict(terms), rows, guard, p, budget)
-        # a combination of remainders is again a remainder
-        while rem:
-            lead = max(rem)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = _normalize(rem, p)
-                break
-            rem = _spoly(rem, 0, piv, 0, p)
-    return list(pivots.values())
-
-
 def _sat_exponent(I, S, J_gens):
     """Least k with J^k * S inside I, where S = I : J^infinity.
 
     I : J^k equals S exactly when J^k * S lies in I, so this is the
     number of strict steps in the chain I, I : J, I : J^2, ...  Only the
-    remainders modulo I matter, and a spanning set of them is enough.
+    remainders modulo I matter, and a spanning set of them is enough: a
+    linear combination of remainders is again a remainder, so
+    `_gauss_jordan` cuts them down to a basis of their span.
     """
     ctx = I.ctx
     p = ctx.field.characteristic
@@ -896,7 +856,8 @@ def _sat_exponent(I, S, J_gens):
     cur = [_integral(g.terms, p)[0] for g in S.gens]
     k = 0
     while True:
-        cur = _independent_remainders(cur, rows, pk.guard, p, b)
+        rems = (_reduce(dict(t), rows, pk.guard, p, b)[0] for t in cur)
+        cur = _gauss_jordan([r for r in rems if r], p, b)
         if not cur:
             return k
         k += 1
@@ -948,7 +909,6 @@ def _saturate_by_variables(I):
     ctx = I.ctx
     if not _homogeneous(g.terms for g in I.gens):
         return None
-    p = ctx.field.characteristic
     pk, gb = _basis(I)
     shift, unit = pk.shifts[-1], pk.units[-1]
     stripped = []
@@ -962,10 +922,7 @@ def _saturate_by_variables(I):
         [pk.unpack(max(t)) for t in gb], [pk.unpack(max(t)) for t in minimal], ctx.nvars
     ):
         return None
-    basis = _reduce_tails(minimal, pk.guard, p, _budget())
-    if VERIFY_BASES and not _spair_closure_ok(basis, ctx):
-        raise AssertionError("stripped basis fails the Buchberger criterion")
-    return _basis_ideal(ctx, basis)
+    return _basis_ideal(ctx, minimal)
 
 
 def saturate(I, J):

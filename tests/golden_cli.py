@@ -1,10 +1,13 @@
-"""Golden command-line output over Q.
+"""Golden command-line output over Q and over F_32003.
 
 Each case runs one subcommand, in JSON and in text, on input whose
 coefficients include negative integers and fractions, and its standard
 output must equal the file recorded under tests/golden/cli byte for
 byte.  The cases pin how coefficients print: the sign of a negative
-integer, `n/m` for a fraction, and each generator printed once.
+integer, `n/m` for a fraction, and each generator printed once.  The
+`rees`, `fiber-cone` and `image` listings also run over F_32003, on the
+same maps and on one whose Rees rows have tails that reduce, so the
+reduced bases they print are pinned over F_p as well.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -30,6 +33,10 @@ MAPS = {
     "q2": "1/2*x0^2, -3*x0*x1, x1^2 - 2/3*x0*x2, -x0*x2",
 }
 MAP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "sfib-hf")
+# listings over F_32003; the Rees basis of "quad5" in the elimination
+# order has rows whose tails reduce against the other kept rows
+FP_MAPS = dict(MAPS, quad5="x0^2, x1^2, x2^2, x0*x1 - x1*x2, x0*x2 + x1*x2")
+FP_COMMANDS = ("rees", "fiber-cone", "image")
 FORMATS = {"json": "json", "text": "txt"}
 
 
@@ -41,6 +48,10 @@ def _cases():
             for name, forms in MAPS.items():
                 argv = [command, "--map", forms, "--prime", "0", "--format", fmt]
                 out["%s-%s.%s" % (command, name, ext)] = argv
+        for command in FP_COMMANDS:
+            for name, forms in FP_MAPS.items():
+                argv = [command, "--map", forms, "--prime", "32003", "--format", fmt]
+                out["%s-%s-p32003.%s" % (command, name, ext)] = argv
         matrix = str(GOLDEN / "matrix_q.txt")
         out["conditions-matrix_q.%s" % ext] = ["conditions", "--matrix", matrix, "--format", fmt]
     return out

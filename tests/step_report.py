@@ -1,0 +1,119 @@
+"""Deterministic work counts of the benchmark workloads, per command.
+
+Runs rounds 0..N-1 of each workload in perfbench/workloads.py at one
+seed, in-process, and prints for every command the budget steps the
+operations charged, the Buchberger runs, the `_reduce` calls and the
+rows sent to `_reduce_tails`, with a total per workload.  These counts
+do not depend on the machine or its load, so they compare two trees
+where wall time on a shared host cannot:
+
+    python3 tests/step_report.py --seed 7 --rounds 3
+    python3 tests/step_report.py --workload eliminate_fp
+
+Only the standard library is needed.  The workload module is imported
+and used as it is; the counters wrap functions of reesdeg.groebner for
+the length of the run.
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from collections import defaultdict
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import reesdeg.cli as cli  # noqa: E402
+import reesdeg.groebner as gb  # noqa: E402
+from workloads import WORKLOADS, Workload  # noqa: E402
+
+COLUMNS = ("steps", "runs", "reduce", "tails_rows", "failed")
+
+
+@contextlib.contextmanager
+def counting():
+    """Wrap the engine so that `counts` (yielded) accumulates runs,
+    `_reduce` calls and tails rows; `budgets` keeps every step budget
+    made, whose spent steps are read afterwards."""
+    counts = defaultdict(int)
+    budgets = []
+    names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails")
+    saved = {name: getattr(gb, name) for name in names}
+
+    class Budget(saved["_Budget"]):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    def buchberger(*args, **kwargs):
+        counts["runs"] += 1
+        return saved["_buchberger"](*args, **kwargs)
+
+    def reduce(*args, **kwargs):
+        counts["reduce"] += 1
+        return saved["_reduce"](*args, **kwargs)
+
+    def reduce_tails(basis, *args):
+        counts["tails_rows"] += len(basis)
+        return saved["_reduce_tails"](basis, *args)
+
+    gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails = (
+        Budget, buchberger, reduce, reduce_tails)
+    try:
+        yield counts, budgets
+    finally:
+        for name, fn in saved.items():
+            setattr(gb, name, fn)
+
+
+def run_op(argv):
+    """(exit code, counts) of one command line run in-process."""
+    with counting() as (counts, budgets):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(list(argv))
+        counts["steps"] = sum(b.limit - b.left for b in budgets)
+    return rc, counts
+
+
+def workload_counts(name, seed, rounds):
+    """{command: {column: total}} over rounds 0..rounds-1 of a workload."""
+    table = defaultdict(lambda: dict.fromkeys(COLUMNS, 0))
+    with tempfile.TemporaryDirectory() as workdir:
+        work = Workload(name, seed, workdir, rounds)
+        for j in range(rounds):
+            for op in work.round_ops(j):
+                rc, counts = run_op(op.argv)
+                row = table[op.argv[0]]
+                for col in COLUMNS[:-1]:
+                    row[col] += counts[col]
+                row["failed"] += rc != 0
+    return dict(table)
+
+
+def format_table(name, table):
+    total = {col: sum(row[col] for row in table.values()) for col in COLUMNS}
+    lines = ["%-24s" % name + "".join("%12s" % col for col in COLUMNS)]
+    for command, row in list(table.items()) + [("total", total)]:
+        lines.append("  %-22s" % command + "".join("%12d" % row[col] for col in COLUMNS))
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--rounds", type=int, default=3, help="rounds 0..N-1 (default 3)")
+    parser.add_argument("--workload", choices=WORKLOADS, action="append")
+    args = parser.parse_args(argv)
+    print("seed %d, rounds 0..%d" % (args.seed, args.rounds - 1))
+    for name in args.workload or WORKLOADS:
+        print("\n".join(format_table(name, workload_counts(name, args.seed, args.rounds))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

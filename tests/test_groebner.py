@@ -24,6 +24,7 @@ from reesdeg.blowup import (
     rees_ideal,
     sfib_hilbert_function,
 )
+from reesdeg.cli import main
 from reesdeg.conditions import (
     PresentationMatrix,
     check_Gm,
@@ -56,7 +57,7 @@ from reesdeg.groebner import (
     step_budget,
 )
 from reesdeg.hilbert import dim_degree, lead_ideal, weighted_numerator
-from reesdeg.ratmap import parse_map_file, rational_map, serialize_map
+from reesdeg.ratmap import base_locus, parse_map_file, rational_map, serialize_map
 from reesdeg.ring import (
     FieldSpec,
     Poly,
@@ -360,9 +361,9 @@ class TestSaturateByVariables:
             del taken[:]
             S = saturate(I, m)
             oracle, k = colon_chain_saturate(I, m)
-            # the seeded basis is the reduced one, generators included
+            # the seeded basis is a minimal one, whose reduction is the oracle's
             assert ideal_equal(S, oracle)
-            assert list(S.gens) == groebner_basis(ideal(I.ctx, list(oracle.gens)))
+            assert groebner_basis(S) == groebner_basis(ideal(I.ctx, list(oracle.gens)))
             assert S.sat_exponent == k
             assert len(taken) == 1
             outcomes[bool(on_plane)].append(taken[0])
@@ -672,7 +673,8 @@ def record_runs(monkeypatch):
 # (steps charged, basis size, total terms) of every Buchberger run made by
 # rees_ideal and then fiber_cone_ideal.  A run returns a minimal basis
 # whose tails are not interreduced, so term counts are of that basis and
-# steps include no tails pass.
+# steps include no tails pass.  The fiber cone run is seeded by the Rees
+# ideal's minimal basis, tails unreduced, as `eliminate` leaves it.
 # Steps count reductions, reduced S-pairs, the pairs and basis rows each
 # Gebauer-Moeller update examines, and the row operations and rows
 # scanned of the Gauss-Jordan block that each degree of homogeneous seeds
@@ -685,7 +687,7 @@ def record_runs(monkeypatch):
 GOLDEN_STEPS = {
     "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(225, 13, 360), (64, 6, 250)]),
     "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(345, 16, 689), (149, 9, 704)]),
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1198, 22, 830), (724, 19, 1081)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1198, 22, 830), (727, 19, 1081)]),
     "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(94, 10, 60), (3, 2, 7)]),
     "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(115, 9, 145), (29, 4, 77)]),
 }
@@ -1239,8 +1241,9 @@ def record_tails(monkeypatch):
 
 
 class TestLazyTails:
-    """A cached basis is minimal; its tails are reduced only where a
-    reduced basis is read, and every answer is that of the reduced basis."""
+    """A cached basis is minimal, and `groebner_basis` is the one place
+    tails are reduced: readers of leads send no row to `_reduce_tails`,
+    and every reduced basis is the one of its ideal."""
 
     @settings(max_examples=40, deadline=None)
     @given(homogeneous_ideals(), st.data())
@@ -1249,7 +1252,11 @@ class TestLazyTails:
         k = data.draw(st.integers(1, ctx.nvars - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gb_mod, "VERIFY_BASES", True)
-            got = [by_exponents(g) for g in eliminate(I, k).gens]
+            elim = eliminate(I, k)
+            # the generators are the kept rows of the minimal block basis
+            pk, kept = elim.gb_cache[elim.ctx.order]
+            assert [g.lm() for g in elim.gens] == [pk.unpack(max(t)) for t in kept]
+            got = [by_exponents(g) for g in groebner_basis(elim)]
             full = groebner_basis(ideal(ctx, I.gens), order=elimination_order(ctx, k))
         free = [by_exponents(g) for g in full]
         free = [t for t in free if not any(any(m[:k]) for m in t)]
@@ -1272,50 +1279,89 @@ class TestLazyTails:
         assert leads == sorted(lex_leads, key=lambda m: (sum(m), m))
         assert dim_degree(ideal(ctx, I.gens)) == summary
 
-    def test_lead_readers_reduce_no_tails(self, monkeypatch):
+    @pytest.mark.parametrize("field", [FieldSpec(7), FP, QQ], ids=["F_7", "F_32003", "QQ"])
+    def test_results_reduce_to_the_basis_of_their_generators(self, field, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        texts = ["x0*x2 + x1*x2 + x2^2", "2*x0^2 + x1^2 + x1*x2", "x0^2 - x0*x1 - x0*x2"]
+        ctx, J = mk(("x0", "x1", "x2"), texts, field=field)
+        x0, x1 = Poly.var(ctx, 0), Poly.var(ctx, 1)
+        m = ideal(ctx, [Poly.var(ctx, j) for j in range(3)])
+        # an elimination, a Bayer-Stillman strip and a Rabinowitsch
+        # saturation, each caching a minimal basis whose tails reduce
+        results = [
+            eliminate(J, 1),
+            saturate(ideal(ctx, [x0 * g for g in J.gens]), m),
+            saturate(ideal(ctx, [x1 * g for g in J.gens]), ideal(ctx, [x1])),
+        ]
+        for R in results:
+            pk, basis = R.gb_cache[R.ctx.order]
+            assert not gb_mod._is_reduced(basis, pk.guard)
+        rng = random.Random(5003 + field.characteristic)
+        for _ in range(4):
+            I, K = random_saturation_case(rng, field)
+            results += [eliminate(I, 1), saturate(I, K)]
+        for R in results:
+            assert groebner_basis(R) == groebner_basis(ideal(R.ctx, R.gens))
+
+    def test_lead_readers_reduce_no_tails(self, monkeypatch, capsys):
         pf = make_family(FamilySpec("pfaffian", r=4, D=1))
         hb = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 2)))
-        dj = make_family(FamilySpec("dejonquieres", m=2))
-        rees = [rees_ideal(list(fam.forms)) for fam in (hb, dj)]
+        rees = rees_ideal(list(hb.forms))
         rows = record_tails(monkeypatch)
         # seeds of two degrees: the cubic's row enters before the cubic
         # S-pair rows, and the minimal grevlex basis keeps tails to reduce
         I = ideal(pf.ctx, list(pf.forms) + [parse_poly("x1^3 - x2^3", pf.ctx)])
         dim_degree(I)
-        assert I.ctx.order not in I._reduced
         check_Gm(pf.matrix, 5)
         check_Gm(hb.matrix, 3)
-        assert gr_dimension_at(list(hb.forms), (), generic=rees[0]) == 3
-        assert [gr_dimension_at(list(dj.forms), (a,), generic=rees[1]) for a in (0, 1)] == [4, 3]
+        assert gr_dimension_at(list(hb.forms), (), generic=rees) == 3
+        base_locus(rational_map(list(hb.forms)))
+        # a map whose Rees rows keep tails that reduce
+        quad5 = "x0^2, x1^2, x2^2, x0*x1 - x1*x2, x0*x2 + x1*x2"
+        for command in (["degree"], ["jmult"], ["gr-dim"], ["sfib-hf", "--points", "1,2"]):
+            assert main(command + ["--map", quad5, "--prime", "32003"]) == 0
+        capsys.readouterr()
         assert rows == []
         pk, basis = I.gb_cache[I.ctx.order]
         assert not gb_mod._is_reduced(basis, pk.guard)
 
-    def test_eliminate_reduces_only_the_kept_rows(self, monkeypatch):
+    def test_eliminate_reduces_no_tails(self, monkeypatch):
         fam = make_family(FamilySpec("pfaffian", r=4, D=1))
         graph = graph_ideal(list(fam.forms))
         rows = record_tails(monkeypatch)
         rees = eliminate(graph, 1)
+        fiber_cone_ideal(list(fam.forms), rees=rees)
+        assert rows == []
         _, block = graph.gb_cache[elimination_order(graph.ctx, 1)]
-        assert rows == [len(rees.gens)] and len(block) > len(rees.gens)
-        assert elimination_order(graph.ctx, 1) not in graph._reduced
-        # the Rees ideal caches its reduced basis: nothing is left to reduce
+        pk, kept = rees.gb_cache[rees.ctx.order]
+        assert len(block) > len(kept) == len(rees.gens)
+        assert not gb_mod._is_reduced(kept, pk.guard)
         groebner_basis(rees)
-        assert len(rows) == 1
-        fiber = fiber_cone_ideal(list(fam.forms), rees=rees)
-        assert rows[1:] == [len(fiber.gens)]
+        assert rows == [len(rees.gens)]
 
-    def test_second_groebner_basis_runs_no_tails_pass(self, monkeypatch):
-        rows = record_tails(monkeypatch)
+    def test_second_groebner_basis_charges_no_steps(self):
         for field in (FieldSpec(7), FP, QQ):
             _, I = mk(("x", "y", "z"), ["x^2 - y^2 + z^2", "x*y - z^2", "y*z - x^2"], field=field)
-            first = groebner_basis(I)
-            assert rows[-1] == len(first) == 5
-            calls = len(rows)
-            assert groebner_basis(I) == first
-            assert ideal_equal(I, ideal(I.ctx, first))
-            # the second handle's basis is the only new tails pass
-            assert len(rows) == calls + 1
+            with step_budget(DEFAULT_BUDGET):
+                budget = gb_mod._budget()
+                gb_mod._basis(I)
+                spent, bases = [], []
+                for _ in range(2):
+                    left = budget.left
+                    bases.append(groebner_basis(I))
+                    spent.append(left - budget.left)
+            assert spent[0] > 0 and spent[1] == 0
+            assert bases[1] == bases[0] and len(bases[0]) == 5
+            assert ideal_equal(I, ideal(I.ctx, bases[0]))
+
+    def test_monomial_basis_makes_no_reduce_call(self, monkeypatch):
+        _, I = mk(("x", "y", "z"), ["x^2*y", "y^3", "x*z^2", "x^2*y*z"], field=FP)
+        gb_mod._basis(I)
+        calls = []
+        inner = gb_mod._reduce
+        monkeypatch.setattr(gb_mod, "_reduce", lambda *args: calls.append(1) or inner(*args))
+        assert [len(g.terms) for g in groebner_basis(I)] == [1, 1, 1]
+        assert calls == []
 
     def test_verify_catches_a_missing_tails_pass(self, monkeypatch):
         monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
@@ -1325,5 +1371,6 @@ class TestLazyTails:
             groebner_basis(I)
         texts = ["x0*x2 + x1*x2 + x2^2", "2*x0^2 + x1^2 + x1*x2", "x0^2 - x0*x1 - x0*x2"]
         _, J = mk(("x0", "x1", "x2"), texts, field=FP)
+        elim = eliminate(J, 1)
         with pytest.raises(AssertionError, match="not reduced"):
-            eliminate(J, 1)
+            groebner_basis(elim)
