@@ -35,7 +35,7 @@ from .groebner import (
     saturate,
     seed_hilbert_series,
 )
-from .hilbert import dim_degree, hilbert_function
+from .hilbert import dim_degree, hilbert_function, lead_ideal, monomial_dim_degree
 from .ring import Poly, RingCtx, RingError, fresh_names
 
 
@@ -132,12 +132,24 @@ def fiber_cone_ideal(forms, rees=None):
     return eliminate(rees, nx)
 
 
+def _fiber_cone_summary(forms, rees=None):
+    """HilbertSummary of the fiber cone of parameter-free forms, read off
+    the leads of the Rees basis in the ring order that are free of x: an
+    initial ideal keeps the bigraded Hilbert function, whose values in
+    bidegrees (0, n) are those of the fiber cone."""
+    ctx = forms[0].ctx
+    if ctx.n_params:
+        raise RingError("analytic spread needs specialized (parameter-free) forms")
+    if rees is None:
+        rees = rees_ideal(forms)
+    nx = ctx.nvars
+    y_leads = [m[nx:] for m in lead_ideal(rees) if not any(m[:nx])]
+    return monomial_dim_degree(y_leads, len(forms))
+
+
 def analytic_spread(forms, rees=None):
     """Krull dimension of the fiber cone."""
-    fib = fiber_cone_ideal(forms, rees=rees)
-    if fib.ctx.n_params:
-        raise RingError("analytic spread needs specialized (parameter-free) forms")
-    return dim_degree(fib).dim
+    return _fiber_cone_summary(list(forms), rees).dim
 
 
 def embed_in_blowup(forms, xy):
@@ -224,12 +236,13 @@ def specialize_forms(forms, point):
 
 
 def specialize_rees(generic, point):
-    """Substitute parameter values into a generic Rees basis; returns an
-    ideal in the parameter-free ambient ring.  Its consumers reduce it
-    through the Groebner basis they build, so it is left unreduced."""
+    """Substitute parameter values into the generators of a generic Rees
+    ideal, for `rees_ideal`'s result its cached minimal Groebner basis;
+    returns an ideal in the parameter-free ambient ring.  Substitution is
+    a ring map, so any generating set gives the same ideal, and its
+    consumers build their own Groebner basis of it."""
     sub = _parameter_free(generic.ctx, point, "the generic Rees ideal")
-    basis = groebner_basis(generic)
-    return IdealHandle(sub, [g.substitute_tail(sub, point) for g in basis])
+    return IdealHandle(sub, [g.substitute_tail(sub, point) for g in generic.gens])
 
 
 @dataclass(frozen=True)

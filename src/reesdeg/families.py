@@ -296,7 +296,8 @@ def specialization_sweep(fam, points):
 
 
 def j_multiplicity(spec):
-    """j-multiplicity of the form ideal of a map, d * deg(map) * deg(image).
+    """j-multiplicity of the form ideal of a map, d * d_r, where
+    d_r = deg(map) * deg(image) is the top projective degree.
 
     Defined this way only when the analytic spread is maximal; otherwise
     the marker is returned.
@@ -306,4 +307,4 @@ def j_multiplicity(spec):
         return ELL_NOT_MAXIMAL
     if not isinstance(rep.deg_map, int):
         raise AssertionError("maximal spread but no finite map degree")
-    return spec.degree * rep.deg_map * rep.deg_image
+    return spec.degree * rep.sfib_multiplicity

@@ -7,7 +7,9 @@ byte.  The cases pin how coefficients print: the sign of a negative
 integer, `n/m` for a fraction, and each generator printed once.  The
 `rees`, `fiber-cone` and `image` listings also run over F_32003, on the
 same maps and on one whose Rees rows have tails that reduce, so the
-reduced bases they print are pinned over F_p as well.
+reduced bases they print are pinned over F_p as well.  `degree` and
+`jmult` run over both fields, and `sweep` runs the de Jonquieres family
+at m = 2 over both, so every command that reads a map degree is pinned.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -32,11 +34,12 @@ MAPS = {
     # a birational map onto a quadric surface of P^3
     "q2": "1/2*x0^2, -3*x0*x1, x1^2 - 2/3*x0*x2, -x0*x2",
 }
-MAP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "sfib-hf")
+MAP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "sfib-hf", "jmult")
 # listings over F_32003; the Rees basis of "quad5" in the elimination
 # order has rows whose tails reduce against the other kept rows
 FP_MAPS = dict(MAPS, quad5="x0^2, x1^2, x2^2, x0*x1 - x1*x2, x0*x2 + x1*x2")
-FP_COMMANDS = ("rees", "fiber-cone", "image")
+FP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "jmult")
+SWEEP = ["sweep", "--family", "dejonquieres", "--m", "2", "--points", "0,1,2"]
 FORMATS = {"json": "json", "text": "txt"}
 
 
@@ -52,6 +55,9 @@ def _cases():
             for name, forms in FP_MAPS.items():
                 argv = [command, "--map", forms, "--prime", "32003", "--format", fmt]
                 out["%s-%s-p32003.%s" % (command, name, ext)] = argv
+        for prime, suffix in (("0", ""), ("32003", "-p32003")):
+            argv = SWEEP + ["--prime", prime, "--format", fmt]
+            out["sweep-dejonquieres%s.%s" % (suffix, ext)] = argv
         matrix = str(GOLDEN / "matrix_q.txt")
         out["conditions-matrix_q.%s" % ext] = ["conditions", "--matrix", matrix, "--format", fmt]
     return out

@@ -1,14 +1,21 @@
-"""Deterministic work counts of the benchmark workloads, per command.
+"""Deterministic work counts and checked answers of the benchmark
+workloads, per command.
 
 Runs rounds 0..N-1 of each workload in perfbench/workloads.py at one
 seed, in-process, and prints for every command the budget steps the
-operations charged, the Buchberger runs, the `_reduce` calls and the
-rows sent to `_reduce_tails`, with a total per workload.  These counts
-do not depend on the machine or its load, so they compare two trees
-where wall time on a shared host cannot:
+operations charged, the Buchberger runs, the `_reduce` calls, the rows
+sent to `_reduce_tails` and the failed operations, with a total per
+workload.  The counts do not depend on the machine or its load, so they
+compare two trees where wall time on a shared host cannot:
 
     python3 tests/step_report.py --seed 7 --rounds 3
     python3 tests/step_report.py --workload eliminate_fp
+
+An operation fails when its exit code is nonzero or when
+`workloads.check_answer` rejects its answer: the laws of its family
+apply at every seed, and at seed 1 the answers recorded in
+perfbench/expected.json do too.  Each failure is printed, and the
+script exits 1 when there is one.
 
 Only the standard library is needed.  The workload module is imported
 and used as it is; the counters wrap functions of reesdeg.groebner for
@@ -28,7 +35,9 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import reesdeg.cli as cli  # noqa: E402
 import reesdeg.groebner as gb  # noqa: E402
-from workloads import WORKLOADS, Workload  # noqa: E402
+from workloads import WORKLOADS, Workload, check_answer, load_expected  # noqa: E402
+
+RECORDED_SEED = 1  # the seed whose answers perfbench/expected.json holds
 
 COLUMNS = ("steps", "runs", "reduce", "tails_rows", "failed")
 
@@ -71,28 +80,42 @@ def counting():
             setattr(gb, name, fn)
 
 
-def run_op(argv):
-    """(exit code, counts) of one command line run in-process."""
+def run_op(argv, out=None):
+    """(exit code, counts) of one command line run in-process; its
+    standard output goes to the text stream `out` when one is given.  An
+    exception that escapes the command is returned as a message in place
+    of the exit code, as perfbench/worker.py records it."""
+    out = io.StringIO() if out is None else out
     with counting() as (counts, budgets):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.main(list(argv))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = cli.main(list(argv))
+            except Exception as exc:
+                rc = "exception %s: %s" % (type(exc).__name__, exc)
         counts["steps"] = sum(b.limit - b.left for b in budgets)
     return rc, counts
 
 
 def workload_counts(name, seed, rounds):
-    """{command: {column: total}} over rounds 0..rounds-1 of a workload."""
+    """({command: {column: total}}, [failure messages]) over rounds
+    0..rounds-1 of a workload."""
+    expected = load_expected() if seed == RECORDED_SEED else {}
     table = defaultdict(lambda: dict.fromkeys(COLUMNS, 0))
+    failures = []
     with tempfile.TemporaryDirectory() as workdir:
         work = Workload(name, seed, workdir, rounds)
         for j in range(rounds):
             for op in work.round_ops(j):
-                rc, counts = run_op(op.argv)
+                out = io.StringIO()
+                rc, counts = run_op(op.argv, out)
                 row = table[op.argv[0]]
                 for col in COLUMNS[:-1]:
                     row[col] += counts[col]
-                row["failed"] += rc != 0
-    return dict(table)
+                why = check_answer(op, rc, out.getvalue(), expected)
+                if why is not None:
+                    row["failed"] += 1
+                    failures.append("%s round %d, %s: %s" % (name, j, op.label, why))
+    return dict(table), failures
 
 
 def format_table(name, table):
@@ -110,9 +133,14 @@ def main(argv=None):
     parser.add_argument("--workload", choices=WORKLOADS, action="append")
     args = parser.parse_args(argv)
     print("seed %d, rounds 0..%d" % (args.seed, args.rounds - 1))
+    failures = []
     for name in args.workload or WORKLOADS:
-        print("\n".join(format_table(name, workload_counts(name, args.seed, args.rounds))))
-    return 0
+        table, failed = workload_counts(name, args.seed, args.rounds)
+        print("\n".join(format_table(name, table)))
+        failures += failed
+    for line in failures:
+        print("FAILED " + line)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -342,16 +342,26 @@ class TestExitCodes:
         )
         assert code == 3
 
-    # the two bases of this degree report take 106 and 25 steps
+    # the Rees basis of the twisted cubic takes 106 steps, and `image`
+    # takes 25 more for its fiber cone basis; `degree` reads its answers
+    # off the Rees basis alone
     TWISTED_CUBIC = ["degree", "--map", "x0^3, x0^2*x1, x0*x1^2, x1^3"]
 
     def test_budget_covers_the_whole_command(self, capsys):
-        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "125"])
+        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "105"])
         assert code == 3
         assert out == ""
-        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "135"])
+        code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "106"])
         assert code == 0
         assert json.loads(out)["deg_map"] == 1
+        # the two bases of `image` draw on one budget
+        image = ["image"] + self.TWISTED_CUBIC[1:]
+        code, out = run(capsys, image + ["--budget", "130"])
+        assert code == 3
+        assert out == ""
+        code, out = run(capsys, image + ["--budget", "131"])
+        assert code == 0
+        assert json.loads(out)["deg_image"] == 3
 
     def test_pair_updates_are_charged(self, capsys):
         # I^40 has 861 monomial generators that reduce in zero steps, so

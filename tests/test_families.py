@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import count_buchberger_runs
 from reesdeg import blowup, families
 from reesdeg.blowup import specialization_compare
 from reesdeg.cli import main
@@ -235,24 +236,21 @@ class TestJMultiplicity:
         assert j_multiplicity(spec) == ELL_NOT_MAXIMAL
 
     def test_image_computed_once(self, monkeypatch):
-        import reesdeg.ratmap as ratmap_mod
+        # the image and the degree are read off the one Rees basis: one
+        # Buchberger run per map, and the fiber cone ideal is never built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fiber_cone_ideal called")
 
-        calls = []
-        real = ratmap_mod.image_summary
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ratmap_mod, "image_summary", counting)
+        monkeypatch.setattr(blowup, "fiber_cone_ideal", forbidden)
+        runs = count_buchberger_runs(monkeypatch)
         ctx = RingCtx(("x", "y"), FP)
         spec = rational_map([parse_poly("x^2", ctx), parse_poly("y^2", ctx)])
         assert j_multiplicity(spec) == 4
-        assert len(calls) == 1
-        calls.clear()
+        assert len(runs) == 1
+        runs.clear()
         flat = rational_map([parse_poly("x^2 + y^2", ctx)])
         assert j_multiplicity(flat) == ELL_NOT_MAXIMAL
-        assert len(calls) == 1
+        assert len(runs) == 1
 
 
 class TestSubmaximalPfaffians:

@@ -124,7 +124,7 @@ PRIVATE_IMPORTS = {
         "ring": {"_MASK", "_WIDTH", "_minimal_packed", "_normalize_order", "_overflow", "_packing"},
     },
     "hilbert": {"groebner": {"_basis", "_homogeneous"}, "ring": {"_minimal_packed"}},
-    "ratmap": {"blowup": {"_form_degree"}},
+    "ratmap": {"blowup": {"_fiber_cone_summary", "_form_degree"}},
 }
 
 

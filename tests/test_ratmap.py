@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reesdeg.blowup as blowup_mod
 from conftest import count_buchberger_runs, nonzero_random_form, record_shortcut
 from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
+from generic_fiber import generic_fiber_degree
 from reesdeg.blowup import fiber_cone_ideal
-from reesdeg.families import FamilySpec, make_family, specialized_family
+from reesdeg.families import FamilySpec, j_multiplicity, make_family, specialized_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
 from reesdeg.ratmap import (
     NOT_GENERICALLY_FINITE,
@@ -15,9 +18,11 @@ from reesdeg.ratmap import (
     image_summary,
     is_birational,
     parse_map_file,
+    projective_degrees,
     rational_map,
     serialize_map,
 )
+from reesdeg.hilbert import dim_degree
 from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, _Packing, parse_poly
 
 QQ = FieldSpec(0)
@@ -353,6 +358,115 @@ class TestDegreeReport:
         rep = degree_report(spec)
         assert rep.deg_map == NOT_GENERICALLY_FINITE
         assert rep.dim_image == 0
+
+
+    def test_one_basis_per_map(self, monkeypatch):
+        # the image and the degree are both read off the Rees basis: one
+        # Buchberger run per map, and no fiber cone ideal is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fiber_cone_ideal called")
+
+        monkeypatch.setattr(blowup_mod, "fiber_cone_ideal", forbidden)
+        runs = count_buchberger_runs(monkeypatch)
+        pfaffian = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3, prime=0)).forms
+        specs = [
+            mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2", "x2^2"]),
+            mkmap(("x0", "x1"), ["x0^2", "x1^2"], QQ),
+            mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2"]),
+            rational_map(pfaffian),
+        ]
+        for spec in specs:
+            for answer in (degree_report, j_multiplicity):
+                runs.clear()
+                answer(spec)
+                assert len(runs) == 1
+
+
+def _maps_by_name():
+    return {
+        "identity": mkmap(("x0", "x1", "x2", "x3"), ["x0", "x1", "x2", "x3"]),
+        "cremona": mkmap(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"]),
+        "twisted cubic": mkmap(("x0", "x1"), ["x0^3", "x0^2*x1", "x0*x1^2", "x1^3"]),
+        "frobenius": mkmap(("x0", "x1"), ["x0^7", "x1^7"], FieldSpec(7)),
+        "common factor": mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x0*x2"]),
+    }
+
+
+class TestProjectiveDegrees:
+    @pytest.mark.parametrize("prime", [32003, 0])
+    def test_pfaffian(self, prime):
+        fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3, prime=prime))
+        assert projective_degrees(rational_map(fam.forms)) == (1, 2, 4, 3, 1)
+
+    @pytest.mark.parametrize(
+        "name, degrees, deg_map",
+        [
+            ("identity", (1, 1, 1, 1), 1),
+            ("cremona", (1, 2, 1), 1),
+            ("twisted cubic", (1, 3), 1),
+            # purely inseparable of degree 7 onto P^1
+            ("frobenius", (1, 7), 7),
+            # x0 * (x0, x1, x2): the identity with a codimension-1 base locus
+            ("common factor", (1, 1, 1), 1),
+        ],
+    )
+    def test_known_classes(self, name, degrees, deg_map):
+        spec = _maps_by_name()[name]
+        assert projective_degrees(spec) == degrees
+        assert degree_map(spec) == (deg_map, ())
+        assert generic_fiber_degree(spec) == deg_map
+
+    def test_common_factor_keeps_the_form_degree(self):
+        spec = _maps_by_name()["common factor"]
+        assert spec.degree == 2
+        rep = degree_report(spec)
+        assert (rep.deg_map, rep.deg_image, rep.sfib_multiplicity) == (1, 1, 1)
+
+    def test_fewer_forms_than_coordinates(self):
+        # (x0 : x1) on P^2: fibers are lines, which meet a general line once
+        spec = mkmap(("x0", "x1", "x2"), ["x0", "x1"])
+        assert projective_degrees(spec) == (1, 1, 0)
+        assert degree_map(spec) == (NOT_GENERICALLY_FINITE, ())
+
+    def test_single_form(self):
+        # s = 0: the graph is the whole source
+        spec = mkmap(("x0", "x1", "x2"), ["x0^2 + x1*x2"], QQ)
+        assert projective_degrees(spec) == (1, 0, 0)
+        assert degree_map(spec) == (NOT_GENERICALLY_FINITE, ())
+        point = mkmap(("x0",), ["x0^3"])
+        assert projective_degrees(point) == (1,)
+        assert degree_map(point) == (1, ())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        prime=st.sampled_from([7, 32003, 0]),
+        nvars=st.integers(2, 3),
+        nforms=st.integers(1, 4),
+        deg=st.integers(1, 2),
+        factor=st.booleans(),
+    )
+    def test_top_degree_is_the_product(self, seed, prime, nvars, nforms, deg, factor):
+        # d_r = deg F * deg Y, with deg F from the generic-fiber oracle and
+        # the image from the block basis of the fiber cone
+        rng = random.Random(seed)
+        ctx = RingCtx(tuple("x%d" % i for i in range(nvars)), FieldSpec(prime))
+        forms = [nonzero_random_form(ctx, rng, deg) for _ in range(nforms)]
+        if factor:
+            h = nonzero_random_form(ctx, rng, 1)
+            forms = [h * g for g in forms]
+        spec = rational_map(forms)
+        degrees = projective_degrees(spec)
+        assert len(degrees) == nvars and degrees[0] == 1
+        image = dim_degree(fiber_cone_ideal(list(forms)))
+        assert image == image_summary(spec)
+        oracle = generic_fiber_degree(spec)
+        assert degree_map(spec) == (oracle, ())
+        if oracle == NOT_GENERICALLY_FINITE:
+            assert degrees[-1] == 0
+        else:
+            assert degrees[-1] == oracle * image.degree
+            assert degree_report(spec).sfib_multiplicity == degrees[-1]
 
 
 class TestSerialization:
