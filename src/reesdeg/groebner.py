@@ -33,29 +33,24 @@ every S-pair of degree k left would reduce to zero, and it is dropped
 unreduced and uncharged.  The series is known in two cases.  The
 Hilbert function of S/I does not depend on the monomial order, so when
 `gb_cache` already holds a basis of a homogeneous I in some order, its
-leads give the series in the standard grading: the block basis of the
-Rees ideal that the image and the map degree read is such a second
-basis, since `rees_ideal` caches the grevlex one.  And the graph ideal
+leads give the series in the standard grading: the block basis that
+`fiber_cone_ideal` computes to eliminate x from the Rees ideal is such a
+second basis, since `rees_ideal` caches the grevlex one.  And the graph ideal
 (y_i - t*g_i) that `rees_ideal` eliminates t from is homogeneous once t
 and x weigh 1 and y weighs d+1, with the Hilbert series of
 S/(y_0, ..., y_s) (`seed_hilbert_series`), so its t-elimination is
-driven from the first S-pair.  Should a degree in that grading reach
-`EXP_BOUND` while the total degree stays below it, the basis is
-computed again without the series.
+driven from the first S-pair.  A run reads the degree in its grading off
+the packed monomial as the total degree plus (w - 1)*e_v over the
+variables v of weight w > 1.
 
 Inside the engine a monomial is one packed int, in the encoding of
-`ring` with the degree field in the grading of the run.  Each basis row
-also carries the exponent tuple of its lead, unpacked once, and the
-pair update forms lcms from those tuples.
-
-Outside a Buchberger run every packed monomial is in the standard
-grading: `Poly` terms and handle generators in the ring's packing
+`ring`, and every packed monomial has the total degree in its degree
+field.  Each basis row also carries the exponent tuple of its lead,
+unpacked once, and the pair update forms lcms from those tuples.
+`Poly` terms and handle generators are in the ring's packing
 (`RingCtx.packing`), a basis cached in `gb_cache` under an order in
-`_packing(order, n)`.  A run driven by a series in other weights packs
-its seeds in those weights and moves its basis back on leaving `_basis`,
-by reading the standard degree off the order fields (`_Packing.standard`).
-A run or a reduction in another order than the ring's moves terms with
-`_repacked`.
+`_packing(order, n)`.  A run or a reduction in another order than the
+ring's moves terms with `_repacked`.
 
 Coefficients over Q are Python ints inside the engine, as monomials are
 (fraction-free reduction).  An engine polynomial is primitive with a
@@ -358,19 +353,38 @@ def _gauss_jordan(block, p, budget):
     return sorted(pivots.values(), key=max)
 
 
+def _degree_in(pk, grading):
+    """The degree of a monomial packed by `pk` in `grading`, positive
+    variable weights (None: the standard grading), as a function: the
+    total degree in the degree field plus (w - 1)*e_v over the variables
+    v of weight w > 1."""
+    heavy = tuple((s, w - 1) for s, w in zip(pk.shifts, grading or ()) if w > 1)
+
+    def deg(m):
+        d = m & _MASK
+        for s, w in heavy:
+            d += w * ((m >> s) & _MASK)
+        return d
+
+    return deg
+
+
 def _buchberger(seeds, pk, fld, budget, hilbert=None):
     """Minimal Groebner basis of the packed seed term dicts: normalized,
     packed, sorted by lead, and with each tail as the reduction that made
     its row left it (`groebner_basis` interreduces tails).
 
     `hilbert`, when given, is the pair (grading, sparse numerator) of
-    the Hilbert series of S/I, and `pk` packs degrees in that grading.
-    Pairs of a degree whose Hilbert function value the active leads
-    already reach are dropped unreduced.  The seeds must be homogeneous
-    in the grading; an AssertionError says they are not.
+    the Hilbert series of S/I.  Pairs of a degree whose Hilbert function
+    value the active leads already reach are dropped unreduced.  The
+    seeds must be homogeneous in the grading; an AssertionError says they
+    are not.  Seed blocks, sugar and pair keys read degrees in the
+    grading through `_degree_in`; the monomials stay in `pk`, whose order
+    fields alone decide every comparison.
     """
     p = fld.characteristic
     guard = pk.guard
+    deg = _degree_in(pk, hilbert and hilbert[0])
     start = [_normalize(t, p) for t in seeds if t]
     if not start:
         return []
@@ -379,7 +393,7 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
     # block reduced against the rows of lower degree; the others one by one
     blocks, rest = {}, []
     for t in start:
-        degs = {m & _MASK for m in t}
+        degs = {deg(m) for m in t}
         if len(degs) == 1:
             blocks.setdefault(degs.pop(), []).append(t)
         else:
@@ -408,9 +422,8 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
     pack = pk.pack
 
     def pair_entry(i, j, lcm):
-        d = lcm & _MASK
-        si = rows[i][2] + d - (rows[i][0] & _MASK)
-        sj = rows[j][2] + d - (rows[j][0] & _MASK)
+        si = rows[i][2] + deg(lcm - rows[i][0])
+        sj = rows[j][2] + deg(lcm - rows[j][0])
         return (si if si > sj else sj, lcm, i, j)
 
     def update(h):
@@ -484,10 +497,10 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
             # degree k is the one degree-k monomial it adds to the lead
             # ideal, so degree k is complete once the basis has grown by
             # HF_leads(k) - HF(k) rows since the first pair of degree k.
-            k = lcm & _MASK
+            k = deg(lcm)
             if k != hf_deg:
                 # leads above degree k leave HF_leads(k) alone
-                leads = [exps[g] for g in G if rows[g][0] & _MASK <= k]
+                leads = [exps[g] for g in G if deg(rows[g][0]) <= k]
                 have = hilbert_value(weighted_numerator(leads, grading), grading, k)
                 hf_deg = k
                 hf_done = len(rows) + have - hilbert_value(target, grading, k)
@@ -499,8 +512,8 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         s = _spoly(terms_of[i], u, terms_of[j], v, p)
         if not s:
             continue
-        si = rows[i][2] + (u & _MASK)
-        sj = rows[j][2] + (v & _MASK)
+        si = rows[i][2] + deg(u)
+        sj = rows[j][2] + deg(v)
         basis_rows = [rows[g] for g in G]
         rem, sug, _ = _reduce(s, basis_rows, guard, p, budget, sugar=max(si, sj))
         if not add(rem, sug):
@@ -530,7 +543,7 @@ def _reduce_tails(basis, guard, p, budget):
 def _spair_closure_ok(basis, ctx, order=None):
     """Buchberger criterion: every S-polynomial reduces to zero, in
     `order` (default: the ring order), for packed term dicts in the
-    standard packing of that order."""
+    packing of that order."""
     check = _Budget(10 * DEFAULT_BUDGET)
     pk = _packing(order or ctx.order, ctx.nvars)
     p = ctx.field.characteristic
@@ -644,15 +657,7 @@ def _basis(I, order=None):
     got = I.gb_cache.get(okey)
     if got is not None:
         return got
-    target = _known_series(I)
-    try:
-        basis = _run_buchberger(I, okey, target)
-    except RingError:
-        # a weighted degree reaches EXP_BOUND before the total degree
-        # does; the series only saves work, so the standard grading runs
-        if target is None or max(target[0]) == 1:
-            raise
-        basis = _run_buchberger(I, okey, None)
+    basis = _run_buchberger(I, okey, _known_series(I))
     if VERIFY_BASES and not _spair_closure_ok(basis, I.ctx, okey):
         raise AssertionError("computed basis fails the Buchberger criterion")
     I.gb_cache[okey] = (_packing(okey, I.ctx.nvars), tuple(basis))
@@ -680,13 +685,12 @@ def groebner_basis(I, order=None):
 
 
 def _run_buchberger(I, order, target):
-    """Packed minimal basis of I in `order`, in the standard grading,
-    driven by the Hilbert series `target` when it is not None."""
-    pk = _packing(order, I.ctx.nvars, target and target[0])
+    """Packed minimal basis of I in `order`, driven by the Hilbert series
+    `target` when it is not None."""
+    pk = _packing(order, I.ctx.nvars)
     p = I.ctx.field.characteristic
     seeds = [_integral(t, p)[0] for t in _seeds(I, pk)]
-    basis = _buchberger(seeds, pk, I.ctx.field, _budget(), target)
-    return basis if max(pk.grading) == 1 else [pk.standard(t) for t in basis]
+    return _buchberger(seeds, pk, I.ctx.field, _budget(), target)
 
 
 def _known_series(I):
@@ -711,8 +715,12 @@ def seed_hilbert_series(I, grading, numerator):
     """Record the Hilbert series N(z) / prod_v (1 - z^w_v) of S/I, known
     a priori, for positive variable weights `grading` in which the
     generators of I are homogeneous; N is a {degree: coefficient} map.
-    Every basis of I computed afterwards is driven by it."""
-    I._series = (tuple(grading), dict(numerator))
+    Every basis of I computed afterwards is driven by it.  `grading`
+    must be one int weight of at least 1 per variable."""
+    grading = tuple(grading)
+    if len(grading) != I.ctx.nvars or not all(type(w) is int and w >= 1 for w in grading):
+        raise RingError("grading %r is not one positive int weight per variable" % (grading,))
+    I._series = (grading, dict(numerator))
 
 
 def normal_form(f, I, order=None):

@@ -17,10 +17,10 @@ is what every elimination step in the package runs on.
 There is one monomial representation: a monomial packs into one Python
 int (Singular-style packed exponent vectors; Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998).
-`RingCtx.packing` is the packing of the ring's order in the standard
-grading and `RingCtx.key` packs an exponent tuple in it; `Poly.terms` is
-keyed by these ints, and so is every term the Buchberger engine hands
-back, so `Poly` and the engine share monomials without conversion.
+`RingCtx.packing` is the packing of the ring's order and `RingCtx.key`
+packs an exponent tuple in it; `Poly.terms` is keyed by these ints, and
+so is every term the Buchberger engine hands back, so `Poly` and the
+engine share monomials without conversion.
 Exponent tuples appear only at the edges: the `Poly` constructor,
 `lt`/`lm`, and the methods that read exponents (`evaluate`, `map_vars`,
 `substitute_tail`, printing, and `bidegree` in weighted or parameter
@@ -36,9 +36,7 @@ which case `a - b` is the quotient.  Every field stays below `EXP_BOUND`
 never spill into the next field, a failed subtraction always borrows
 into a guard bit, and a product whose degree reaches the bound sets the
 degree field's guard bit and raises `RingError` instead of wrapping.  The
-degree field holds the degree in the grading the packing was made for:
-the total degree, except inside a Buchberger run driven by a Hilbert
-series in other weights.
+degree field always holds the total degree, inside Buchberger runs too.
 """
 
 import re
@@ -46,7 +44,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from functools import lru_cache
-from operator import mul
 
 MAX_PRIME = 2**31 - 1
 DEFAULT_PRIME = 32003
@@ -156,20 +153,14 @@ def _overflow():
     return RingError("monomial degree reaches the packed exponent bound %d" % EXP_BOUND)
 
 
-def _block_sizes(order, n):
-    """Block sizes of a normalized order: lex is n blocks of one variable."""
-    if order == "lex":
-        return (1,) * n
-    return (n,) if order == "grevlex" else order[1]
-
-
 def _order_fields(order, n):
     """The order key as index ranges: each field sums e_i over a range,
     most significant field first.  A block of k variables has k fields,
-    the first of them its degree."""
+    the first of them its degree; lex is n blocks of one variable."""
+    sizes = (1,) * n if order == "lex" else (n,) if order == "grevlex" else order[1]
     fields = []
     lo = 0
-    for size in _block_sizes(order, n):
+    for size in sizes:
         hi = lo + size
         fields.append(range(lo, hi))
         fields.extend(range(lo, k + 1) for k in range(hi - 2, lo - 1, -1))
@@ -179,34 +170,27 @@ def _order_fields(order, n):
 
 class _Packing:
     """Monomial encoding for one normalized monomial order on n
-    variables, with the degree field in a grading by positive variable
-    weights (default: all 1, the standard grading).  The order and
-    exponent fields do not depend on the grading.  There is no packed
+    variables.  The degree field is the total degree.  There is no packed
     lcm: callers keep exponent tuples and pack their elementwise maximum.
+    Make one with `_packing`.
     """
 
-    __slots__ = ("units", "shifts", "guard", "grading", "tops")
+    __slots__ = ("units", "shifts", "guard")
 
-    def __init__(self, order, n, grading=None):
+    def __init__(self, order, n):
         # field 0 is the degree, field 1 + i the exponent e_i, and the
-        # order fields fill 2n down to n + 1.  Weights of at least 1 keep
-        # every exponent and order field at most the degree.
-        self.grading = grading or (1,) * n
-        if min(self.grading, default=1) < 1:
-            raise ValueError("grading weights must be positive")
-        units = [w + (1 << _WIDTH * (1 + i)) for i, w in enumerate(self.grading)]
+        # order fields fill 2n down to n + 1; every exponent and order
+        # field is at most the degree
+        units = [1 + (1 << _WIDTH * (1 + i)) for i in range(n)]
         for f, rng in enumerate(_order_fields(order, n)):
             for i in rng:
                 units[i] += 1 << _WIDTH * (2 * n - f)
         self.units = tuple(units)
         self.shifts = tuple(_WIDTH * (1 + i) for i in range(n))
         self.guard = sum(EXP_BOUND << _WIDTH * k for k in range(2 * n + 1))
-        # the order fields holding the degree of each block
-        sizes = _block_sizes(order, n)
-        self.tops = tuple(_WIDTH * (2 * n - sum(sizes[:b])) for b in range(len(sizes)))
 
     def pack(self, mon):
-        if sum(map(mul, mon, self.grading)) >= EXP_BOUND:
+        if sum(mon) >= EXP_BOUND:
             raise _overflow()
         v = 0
         for e, u in zip(mon, self.units):
@@ -217,34 +201,14 @@ class _Packing:
     def unpack(self, m):
         return tuple((m >> s) & _MASK for s in self.shifts)
 
-    def standard(self, terms):
-        """A packed term dict moved into the standard grading of the same
-        order without unpacking: the degrees of the blocks sum to the
-        total degree."""
-        out = {}
-        for m, c in terms.items():
-            d = m - (m & _MASK)
-            for s in self.tops:
-                d += (m >> s) & _MASK
-            out[d] = c
-        return out
-
     def divides(self, b, a):
         # a - b borrows, and so sets a guard bit, exactly where b is larger
         return not (a - b) & self.guard
 
 
-# unbounded, so a packing is never rebuilt: packings compare with `is`
-_shared_packing = lru_cache(maxsize=None)(_Packing)
-
-
-def _packing(order, n, grading=None):
-    """The one shared packing of a normalized order on n variables; a
-    grading of all ones is the standard grading, so packings compare
-    with `is`."""
-    if grading is not None and max(grading) == 1:
-        grading = None
-    return _shared_packing(order, n, grading)
+# the one shared packing of a normalized order on n variables; unbounded,
+# so a packing is never rebuilt and packings compare with `is`
+_packing = lru_cache(maxsize=None)(_Packing)
 
 
 def _minimal_packed(packed, guard, charge=None):

@@ -4,9 +4,10 @@ workloads, per command.
 Runs rounds 0..N-1 of each workload in perfbench/workloads.py at one
 seed, in-process, and prints for every command the budget steps the
 operations charged, the Buchberger runs, the `_reduce` calls, the rows
-sent to `_reduce_tails` and the failed operations, with a total per
-workload.  The counts do not depend on the machine or its load, so they
-compare two trees where wall time on a shared host cannot:
+sent to `_reduce_tails`, the terms `_repacked` moved between packings
+and the failed operations, with a total per workload.  The counts do
+not depend on the machine or its load, so they compare two trees where
+wall time on a shared host cannot:
 
     python3 tests/step_report.py --seed 7 --rounds 3
     python3 tests/step_report.py --workload eliminate_fp
@@ -39,17 +40,17 @@ from workloads import WORKLOADS, Workload, check_answer, load_expected  # noqa: 
 
 RECORDED_SEED = 1  # the seed whose answers perfbench/expected.json holds
 
-COLUMNS = ("steps", "runs", "reduce", "tails_rows", "failed")
+COLUMNS = ("steps", "runs", "reduce", "tails_rows", "moved", "failed")
 
 
 @contextlib.contextmanager
 def counting():
     """Wrap the engine so that `counts` (yielded) accumulates runs,
-    `_reduce` calls and tails rows; `budgets` keeps every step budget
-    made, whose spent steps are read afterwards."""
+    `_reduce` calls, tails rows and moved terms; `budgets` keeps every
+    step budget made, whose spent steps are read afterwards."""
     counts = defaultdict(int)
     budgets = []
-    names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails")
+    names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails", "_repacked")
     saved = {name: getattr(gb, name) for name in names}
 
     class Budget(saved["_Budget"]):
@@ -71,8 +72,12 @@ def counting():
         counts["tails_rows"] += len(basis)
         return saved["_reduce_tails"](basis, *args)
 
-    gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails = (
-        Budget, buchberger, reduce, reduce_tails)
+    def repacked(terms, *args):
+        counts["moved"] += len(terms)
+        return saved["_repacked"](terms, *args)
+
+    gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails, gb._repacked = (
+        Budget, buchberger, reduce, reduce_tails, repacked)
     try:
         yield counts, budgets
     finally:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,7 @@ from reesdeg.groebner import (
     EXP_BOUND,
     BudgetExceeded,
     IdealHandle,
+    _degree_in,
     _spair_closure_ok,
     _spoly,
     _with_aux_var,
@@ -582,6 +584,18 @@ class TestPackedEncoding:
         with pytest.raises(RingError, match=str(EXP_BOUND)):
             normal_form(f, I)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_run_degree_is_the_weighted_degree(self, data):
+        # a driven run reads the degree in its grading off the standard
+        # packing, also where it passes EXP_BOUND
+        ctx = data.draw(packed_rings())
+        pk = _packing(ctx.order, ctx.nvars)
+        weights = data.draw(st.lists(st.integers(1, 10**7), min_size=ctx.nvars, max_size=ctx.nvars))
+        a = data.draw(exponents(ctx))
+        assert _degree_in(pk, weights)(pk.pack(a)) == sum(map(mul, weights, a))
+        assert _degree_in(pk, None)(pk.pack(a)) == sum(a)
+
     def test_lcm_past_the_bound_raises(self):
         _, I = mk(("x", "y"), ["x^%d*y - 1" % (EXP_BOUND - 2), "x*y^2 - 1"], field=FP)
         with pytest.raises(RingError, match=str(EXP_BOUND)):
@@ -621,6 +635,23 @@ class TestOnePacking:
         assert [str(g) for g in groebner_basis(I)] == ["x^2 + y*z"]
         assert I.gb_cache[ctx.order][0] is ctx.packing
         assert packed == []
+
+    @pytest.mark.parametrize("field", [FP, QQ], ids=["F_32003", "QQ"])
+    def test_rees_ideal_moves_no_term(self, monkeypatch, field):
+        # the graph ideal's ring order is its t-elimination order, so its
+        # driven run takes the generators' own terms as seeds
+        moved = []
+        inner = gb_mod._repacked
+        monkeypatch.setattr(
+            gb_mod, "_repacked", lambda terms, src, dst: moved.append(terms) or inner(terms, src, dst)
+        )
+        runs = record_runs(monkeypatch)
+        ctx = RingCtx(("x0", "x1", "x2"), field)
+        forms = [parse_poly(t, ctx) for t in ("x0^2", "x0*x1 + x2^2", "x1^2 - x0*x2", "x2^2")]
+        rees = rees_ideal(forms)
+        groebner_basis(rees)
+        assert [max(run[0][0]) for run in runs] == [3]
+        assert moved == []
 
     def test_bases_leave_the_engine_standard_packed(self, monkeypatch):
         handles = []
@@ -861,6 +892,13 @@ class TestGraphSeries:
         seed_hilbert_series(J, (1, 2), {0: 1, 2: -1})
         key = J.ctx.key
         assert [g.terms for g in groebner_basis(J)] == [{key((2, 0)): 1, key((0, 1)): 32002}]
+
+    @pytest.mark.parametrize("grading", [(1, 0), (1, 2, 3), (1,), (1, -1)])
+    def test_grading_is_one_positive_weight_per_variable(self, grading):
+        _, I = mk(("x", "y"), ["x^2 - y"], field=FP)
+        with pytest.raises(RingError, match="weight per variable"):
+            seed_hilbert_series(I, grading, {0: 1, 2: -1})
+        assert gb_mod._known_series(I) is None
 
 
 def rational_ideal(rng, order=lambda n: "grevlex"):
