@@ -8,8 +8,10 @@ intermediate ideal stays bihomogeneous.  t is adjoined by the engine's
 one auxiliary-variable helper, `groebner._with_aux_var`, and eliminated
 by `groebner._drop_aux_var`, as in intersections and saturations.  The
 fiber cone ideal is the y-only part, the associated graded ideal adds
-the forms back in.  Every entry point checks its forms through
-`_form_degree`: nonzero, of one ring, of one positive degree.
+the forms back in.  As dim gr_I(S) = dim S for every proper ideal I
+(Matsumura, Commutative Ring Theory, Th. 15.7), only a family's special
+fibers still build a gr basis.  Every entry point checks its forms
+through `_form_degree`: nonzero, of one ring, of one positive degree.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
@@ -273,19 +275,19 @@ def _specialized(forms, point, generic, special=None):
 def gr_dimension_at(forms, point, generic=None, special=None):
     """Dimension of the special fiber of the associated graded ring.
 
-    `forms` live in a parameter ring; the generic Rees ideal may be
-    passed in to amortize it across many points, and so may `special`,
-    the forms already specialized at `point`.  Specializations that
-    kill one of the forms are rejected.  A parameter-free family is
-    accepted with the empty point and charted directly.
+    Parameter-free forms take the empty point and give dim S, the number
+    of variables, from no basis, and `generic` is ignored.  Forms in a
+    parameter ring read gr off spec(generic Rees) + (forms) at `point`;
+    the generic Rees ideal and `special`, the forms specialized there,
+    may be passed in to amortize them.  A point killing a form fails.
     """
     if forms[0].ctx.n_params:
         forms, rees = _specialized(forms, point, generic, special)
-    elif tuple(point):
+        return dim_degree(_gr_ideal(rees, forms)).dim
+    if tuple(point):
         raise RingError("parameter-free family takes an empty point")
-    else:
-        rees = generic if generic is not None else rees_ideal(forms)
-    return dim_degree(_gr_ideal(rees, forms)).dim
+    _form_degree(forms)
+    return forms[0].ctx.nvars
 
 
 def specialization_compare(forms, point, generic=None):

@@ -5,7 +5,7 @@ For a module presented by an (r+1) x c matrix M, Fitt_i is generated by
 the minors of size (rows - i): the unit ideal once the size drops to
 zero or below, the zero ideal once it exceeds the column count.  G_m
 asks ht Fitt_i > i for every i < m (m may be infinity, meaning every
-i below the number of variables); F_m asks ht Fitt_i >= m + i for every
+i below the number of rows); F_m asks ht Fitt_i >= m + i for every
 i >= 1.  Certificates record one row per index so a failure names the
 offending minor size.
 
@@ -224,12 +224,12 @@ def _certificate(name, M, top, offset, holds):
 
 
 def check_Gm(M, m):
-    """G_m: ht Fitt_i > i for all 1 <= i < m (m = inf tests every index
-    below the variable count).  Fitt_i is the unit ideal for i >= nrows,
-    so the table stops there."""
+    """G_m: ht Fitt_i > i for all 1 <= i < m (m = inf tests every
+    index).  Fitt_i is the unit ideal for i >= nrows, so the table stops
+    there, and G_inf is G_nrows."""
     if m != math.inf and (not isinstance(m, int) or m < 1):
         raise RingError("G_m level must be a positive integer or inf")
-    top = min(M.ctx.nvars if m == math.inf else m, M.nrows)
+    top = min(m, M.nrows)
     name = "G_%s" % ("inf" if m == math.inf else m)
     return _certificate(name, M, top, 0, operator.gt)
 

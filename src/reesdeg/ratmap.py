@@ -146,17 +146,13 @@ class DegreeReport:
 def degree_report(spec):
     rees = rees_ideal(list(spec.forms))
     img = image_summary(spec, rees=rees)
-    spread = img.dim
     dim_image = img.proj_dim_of_scheme
-    deg_image = img.degree
     if dim_image < spec.r:
-        return DegreeReport(
-            NOT_GENERICALLY_FINITE, deg_image, dim_image, spread, None
-        )
+        return DegreeReport(NOT_GENERICALLY_FINITE, img.degree, dim_image, img.dim, None)
     # through the module attribute, which perfbench's self-test replaces
-    # to inject a wrong degree
+    # to inject a wrong degree; d_r = deg F * deg Y, as degree_map asserts
     value, _ = degree_map(spec, rees=rees)
-    return DegreeReport(value, deg_image, dim_image, spread, projective_degrees(spec, rees)[-1])
+    return DegreeReport(value, img.degree, dim_image, img.dim, value * img.degree)
 
 
 def serialize_map(spec):

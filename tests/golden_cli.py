@@ -7,9 +7,10 @@ byte.  The cases pin how coefficients print: the sign of a negative
 integer, `n/m` for a fraction, and each generator printed once.  The
 `rees`, `fiber-cone` and `image` listings also run over F_32003, on the
 same maps and on one whose Rees rows have tails that reduce, so the
-reduced bases they print are pinned over F_p as well.  `degree` and
-`jmult` run over both fields, and `sweep` runs the de Jonquieres family
-at m = 2 over both, so every command that reads a map degree is pinned.
+reduced bases they print are pinned over F_p as well.  `degree`,
+`jmult` and `gr-dim` run over both fields, and `sweep` runs the de
+Jonquieres family at m = 2 over both, so every command that reads a map
+degree is pinned, and so is the gr dimension of a map.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -34,11 +35,11 @@ MAPS = {
     # a birational map onto a quadric surface of P^3
     "q2": "1/2*x0^2, -3*x0*x1, x1^2 - 2/3*x0*x2, -x0*x2",
 }
-MAP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "sfib-hf", "jmult")
+MAP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "sfib-hf", "jmult", "gr-dim")
 # listings over F_32003; the Rees basis of "quad5" in the elimination
 # order has rows whose tails reduce against the other kept rows
 FP_MAPS = dict(MAPS, quad5="x0^2, x1^2, x2^2, x0*x1 - x1*x2, x0*x2 + x1*x2")
-FP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "jmult")
+FP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "jmult", "gr-dim")
 SWEEP = ["sweep", "--family", "dejonquieres", "--m", "2", "--points", "0,1,2"]
 FORMATS = {"json": "json", "text": "txt"}
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import count_buchberger_runs, nonzero_random_form
+from gr_oracle import gr_dimension
 from reesdeg.blowup import (
     analytic_spread,
     blowup_ambient,
@@ -228,6 +230,36 @@ class TestSpecialization:
         assert gr_dimension_at(forms, ()) == 2
         with pytest.raises(RingError):
             gr_dimension_at(forms, (1,))
+
+
+class TestGrDimension:
+    """dim gr_I(S) = dim S for fixed forms, against the gr basis."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        prime=st.sampled_from([7, 32003, 0]),
+        nvars=st.integers(2, 4),
+        nforms=st.integers(1, 4),
+        deg=st.integers(1, 3),
+        factor=st.booleans(),
+        miss=st.booleans(),
+    )
+    def test_dimension_is_the_variable_count(self, seed, prime, nvars, nforms, deg, factor, miss):
+        # forms of degree deg, sharing a linear factor or not, and, with
+        # `miss`, all of them free of one variable of the ring
+        rng = random.Random(seed)
+        ctx = RingCtx(tuple("x%d" % i for i in range(nvars)), FieldSpec(prime))
+        keep = list(range(nvars))
+        if miss:
+            del keep[rng.randrange(nvars)]
+        sub = RingCtx(tuple(ctx.var_names[i] for i in keep), ctx.field)
+        h = nonzero_random_form(sub, rng, 1) if factor else None
+        forms = []
+        for _ in range(nforms):
+            g = nonzero_random_form(sub, rng, deg - 1 if factor else deg)
+            forms.append((h * g if factor else g).map_vars(ctx, keep))
+        assert gr_dimension_at(forms, ()) == gr_dimension(forms) == nvars
 
 
 # every entry point that takes forms, called on a list of them

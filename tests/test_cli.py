@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from conftest import count_buchberger_runs
 import reesdeg.families as families
 import reesdeg.groebner as gb_mod
 import reesdeg.ring as ring
@@ -663,6 +664,21 @@ class TestFlagTable:
         code, out = run(capsys, ["gr-dim", "--map", "x0^2, x0*x1, x1^2"])
         assert code == 0
         assert json.loads(out)["rows"] == [{"point": [], "gr_dim": 2}]
+
+    def test_gr_dim_of_a_map_runs_no_basis(self, capsys, monkeypatch):
+        # dim gr_I(S) = dim S: the 5x5 Pfaffian map answers 5 without a
+        # Buchberger run, so a budget of one step suffices
+        fam = families.make_family(families.FamilySpec("pfaffian", r=4, D=1))
+        pfaffians = ", ".join(ring.format_poly(g) for g in fam.forms)
+        runs = count_buchberger_runs(monkeypatch)
+        code, out = run(capsys, ["gr-dim", "--map", pfaffians, "--budget", "1"])
+        assert (code, runs) == (0, [])
+        assert json.loads(out)["rows"] == [{"point": [], "gr_dim": 5}]
+        # the forms are still checked
+        code = main(["gr-dim", "--map", "x0^2, x1^3", "--budget", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: forms have mixed degrees 2 and 3\n"
 
 
 def load_workloads():

@@ -412,7 +412,7 @@ class TestMonotoneChain:
         # a constant among the entries: the minors are not forms of one
         # degree, so the later indices are expanded and read
         _, M = mat(("x", "y"), [["x", "0"], ["0", "y"], ["1", "1"]])
-        assert [row[2] for row in check_Gm(M, math.inf).table] == [2]
+        assert [row[2] for row in check_Gm(M, math.inf).table] == [2, math.inf]
         assert [row[2] for row in check_Fm(M, 0).table] == [2, math.inf]
 
     def test_constant_minor_is_the_unit_ideal(self):
@@ -475,6 +475,17 @@ class TestConditions:
             assert (huge.verdict, huge.table) == (rows.verdict, rows.table)
             assert len(huge.table) == M.nrows - 1
 
+    def test_G_inf_runs_past_the_variable_count(self):
+        # 4 rows in 3 variables: Fitt_3, the entries, has height at most
+        # 3, so G_4 fails, and so must G_inf
+        ctx = RingCtx(("x0", "x1", "x2"), FieldSpec(32003))
+        rng = random.Random(0)
+        M = PresentationMatrix(ctx, [[dense_form(ctx, 1, rng) for _ in range(3)] for _ in range(4)])
+        inf, four, huge = check_Gm(M, math.inf), check_Gm(M, 4), check_Gm(M, 10**9)
+        assert (inf.verdict, inf.table) == (four.verdict, four.table) == (huge.verdict, huge.table)
+        assert inf.verdict is False and len(inf.table) == 3
+        assert inf.table[-1] == (3, 1, 3, 3, False)
+
     def test_bad_levels(self):
         _, M = dejonq_matrix(1)
         with pytest.raises(RingError):
@@ -530,8 +541,7 @@ class TestPackedSeeds:
                 heights.append(height(plain))
             G = tuple((i, M.nrows - i, h, i, h > i) for i, h in enumerate(heights, 1))
             F = tuple((i, M.nrows - i, h, i, h >= i) for i, h in enumerate(heights, 1))
-            top = min(M.ctx.nvars, M.nrows)
-            assert check_Gm(M, math.inf).table == G[: top - 1]
+            assert check_Gm(M, math.inf).table == G
             assert check_Fm(M, 0).table == F
 
     def test_verify_checks_packed_bases(self, monkeypatch):

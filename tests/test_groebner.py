@@ -1344,7 +1344,9 @@ class TestLazyTails:
     def test_lead_readers_reduce_no_tails(self, monkeypatch, capsys):
         pf = make_family(FamilySpec("pfaffian", r=4, D=1))
         hb = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 2)))
-        rees = rees_ideal(list(hb.forms))
+        # a map's gr dimension needs no basis, a family point's reads one
+        dj = make_family(FamilySpec("dejonquieres", m=2))
+        generic = dj.generic_rees()
         rows = record_tails(monkeypatch)
         # seeds of two degrees: the cubic's row enters before the cubic
         # S-pair rows, and the minimal grevlex basis keeps tails to reduce
@@ -1352,12 +1354,13 @@ class TestLazyTails:
         dim_degree(I)
         check_Gm(pf.matrix, 5)
         check_Gm(hb.matrix, 3)
-        assert gr_dimension_at(list(hb.forms), (), generic=rees) == 3
+        assert gr_dimension_at(list(dj.forms), (1,), generic=generic) == 3
         base_locus(rational_map(list(hb.forms)))
         # a map whose Rees rows keep tails that reduce
         quad5 = "x0^2, x1^2, x2^2, x0*x1 - x1*x2, x0*x2 + x1*x2"
-        for command in (["degree"], ["jmult"], ["gr-dim"], ["sfib-hf", "--points", "1,2"]):
+        for command in (["degree"], ["jmult"], ["sfib-hf", "--points", "1,2"]):
             assert main(command + ["--map", quad5, "--prime", "32003"]) == 0
+        assert main(["gr-dim", "--family", "dejonquieres", "--points", "0,2"]) == 0
         capsys.readouterr()
         assert rows == []
         pk, basis = I.gb_cache[I.ctx.order]
