@@ -32,7 +32,6 @@ from .groebner import (
     _with_aux_var,
     eliminate,
     groebner_basis,
-    ideal_equal,
     normal_form,
     saturate,
     seed_hilbert_series,
@@ -296,8 +295,8 @@ def specialization_compare(forms, point, generic=None):
     The specialized generic Rees ideal always sits inside the Rees ideal
     of the specialized forms; equality means the blowup of the special
     member is the fiber of the family.  Otherwise the defect is exhibited
-    by a generator of the special Rees ideal that does not reduce to zero
-    against the specialized generic one.
+    by the first element of the reduced basis of the special Rees ideal
+    that does not reduce to zero against the specialized generic one.
     """
     special, spec = _specialized(forms, point, generic)
     ny = spec.ctx.nvars - (forms[0].ctx.nvars - forms[0].ctx.n_params)
@@ -307,9 +306,7 @@ def specialization_compare(forms, point, generic=None):
     for g in spec.gens:
         if normal_form(g, direct):
             raise AssertionError("containment of the specialized ideal failed")
-    if ideal_equal(spec, direct):
-        return SpecializationResult("isomorphism", None)
     for g in groebner_basis(direct):
         if normal_form(g, spec):
             return SpecializationResult("proper_kernel", g)
-    raise AssertionError("ideals differ but no witness was found")
+    return SpecializationResult("isomorphism", None)

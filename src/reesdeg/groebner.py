@@ -30,27 +30,29 @@ A basis of an ideal whose Hilbert series is known is Hilbert-driven
 Pairs of input homogeneous in a grading by positive variable weights
 come off the heap in degree order; once the active leads reach HF(k),
 every S-pair of degree k left would reduce to zero, and it is dropped
-unreduced and uncharged.  The series is known in two cases.  The
-Hilbert function of S/I does not depend on the monomial order, so when
-`gb_cache` already holds a basis of a homogeneous I in some order, its
-leads give the series in the standard grading: the block basis that
-`fiber_cone_ideal` computes to eliminate x from the Rees ideal is such a
-second basis, since `rees_ideal` caches the grevlex one.  And the graph ideal
+unreduced and uncharged.  A handle's series is the one stated with
+`seed_hilbert_series`, and it is stated in two cases.  The graph ideal
 (y_i - t*g_i) that `rees_ideal` eliminates t from is homogeneous once t
 and x weigh 1 and y weighs d+1, with the Hilbert series of
-S/(y_0, ..., y_s) (`seed_hilbert_series`), so its t-elimination is
-driven from the first S-pair.  A run reads the degree in its grading off
-the packed monomial as the total degree plus (w - 1)*e_v over the
-variables v of weight w > 1.
+S/(y_0, ..., y_s), so its t-elimination is driven from the first
+S-pair.  And the Hilbert function of S/I does not depend on the
+monomial order, so when `eliminate` runs a homogeneous I with a cached
+basis in a copy of its ring under a block order (`_reordered`), the
+leads of that basis give the copy its series in the standard grading.
+The block run that `fiber_cone_ideal` makes to eliminate x from the
+Rees ideal is driven so, since `rees_ideal` caches the grevlex basis.
+A run reads the degree in its grading off the packed monomial as the
+total degree plus (w - 1)*e_v over the variables v of weight w > 1.
 
 Inside the engine a monomial is one packed int, in the encoding of
 `ring`, and every packed monomial has the total degree in its degree
 field.  Each basis row also carries the exponent tuple of its lead,
 unpacked once, and the pair update forms lcms from those tuples.
-`Poly` terms and handle generators are in the ring's packing
-(`RingCtx.packing`), a basis cached in `gb_cache` under an order in
-`_packing(order, n)`.  A run or a reduction in another order than the
-ring's moves terms with `_repacked`.
+`Poly` terms, handle generators and the basis cached in `gb_cache` are
+all in the ring's packing (`RingCtx.packing`): a handle has one monomial
+order, its ring's.  The one move between packings is `_repacked`, which
+`_reordered` applies to the generators of the ideal that `eliminate`
+copies into a ring under its block order.
 
 Coefficients over Q are Python ints inside the engine, as monomials are
 (fraction-free reduction).  An engine polynomial is primitive with a
@@ -111,9 +113,7 @@ from .ring import (
     RingCtx,
     RingError,
     _minimal_packed,
-    _normalize_order,
     _overflow,
-    _packing,
     format_poly,
     format_ring_header,
     fresh_names,
@@ -540,12 +540,11 @@ def _reduce_tails(basis, guard, p, budget):
     return out
 
 
-def _spair_closure_ok(basis, ctx, order=None):
-    """Buchberger criterion: every S-polynomial reduces to zero, in
-    `order` (default: the ring order), for packed term dicts in the
-    packing of that order."""
+def _spair_closure_ok(basis, ctx):
+    """Buchberger criterion: every S-polynomial reduces to zero in the
+    ring order, for packed term dicts in the ring's packing."""
     check = _Budget(10 * DEFAULT_BUDGET)
-    pk = _packing(order or ctx.order, ctx.nvars)
+    pk = ctx.packing
     p = ctx.field.characteristic
     packed = [_integral(t, p)[0] for t in basis]
     rows = [_row(t, 0) for t in packed]
@@ -561,13 +560,16 @@ def _spair_closure_ok(basis, ctx, order=None):
 
 
 class IdealHandle:
-    """An ideal in a fixed ring with a per-order cache of Groebner bases.
+    """An ideal in a fixed ring with a cached Groebner basis in the
+    ring's order.
 
-    `gens` are `Poly` objects of the ring.  `gb_cache` maps an order to
-    (packing, minimal basis as normalized packed term dicts sorted by
-    lead), the packing being `_packing(order, n)`.  A cached basis may
-    also be reduced, once `groebner_basis` has read it, but nothing
-    inside the engine relies on that.
+    `gens` are `Poly` objects of the ring.  `gb_cache` maps the ring's
+    order to (the ring's packing, minimal basis as normalized packed term
+    dicts sorted by lead) once a basis is computed, and holds nothing
+    else.  A cached basis may also be reduced, once `groebner_basis` has
+    read it, but nothing inside the engine relies on that.  A basis in
+    another order is one of a copy of the ideal in a ring under that
+    order (`_reordered`).
     """
 
     __slots__ = ("ctx", "gens", "gb_cache", "_sat", "_series")
@@ -607,15 +609,6 @@ def ideal(ctx, gens):
     return IdealHandle(ctx, list(gens))
 
 
-def _seeds(I, pk):
-    """The generators of I as packed term dicts of field elements in
-    `pk`: their own terms in the ring's packing, else moved there."""
-    ring = I.ctx.packing
-    if pk is ring:
-        return [g.terms for g in I.gens]
-    return [_repacked(g.terms, ring, pk) for g in I.gens]
-
-
 def _basis_ideal(ctx, basis):
     """The ideal generated by `basis`, a minimal Groebner basis in the
     ring order as normalized packed term dicts in the ring's packing,
@@ -646,69 +639,39 @@ def _homogeneous(polys):
     return all(len({m & _MASK for m in t}) == 1 for t in polys)
 
 
-def _order_key(ctx, order):
-    return ctx.order if order is None else _normalize_order(order, ctx.nvars)
-
-
-def _basis(I, order=None):
-    """(packing, minimal Groebner basis of I under `order` as normalized
-    packed term dicts sorted by lead), cached in `I.gb_cache` per order."""
-    okey = _order_key(I.ctx, order)
-    got = I.gb_cache.get(okey)
+def _basis(I):
+    """(packing, minimal Groebner basis of I in the ring order as
+    normalized packed term dicts sorted by lead), cached in `I.gb_cache`;
+    driven by the Hilbert series stated with `seed_hilbert_series`, if
+    any."""
+    ctx = I.ctx
+    got = I.gb_cache.get(ctx.order)
     if got is not None:
         return got
-    basis = _run_buchberger(I, okey, _known_series(I))
-    if VERIFY_BASES and not _spair_closure_ok(basis, I.ctx, okey):
+    p = ctx.field.characteristic
+    seeds = [_integral(g.terms, p)[0] for g in I.gens]
+    basis = _buchberger(seeds, ctx.packing, ctx.field, _budget(), I._series)
+    if VERIFY_BASES and not _spair_closure_ok(basis, ctx):
         raise AssertionError("computed basis fails the Buchberger criterion")
-    I.gb_cache[okey] = (_packing(okey, I.ctx.nvars), tuple(basis))
-    return I.gb_cache[okey]
+    I.gb_cache[ctx.order] = (ctx.packing, tuple(basis))
+    return I.gb_cache[ctx.order]
 
 
-def groebner_basis(I, order=None):
-    """Reduced Groebner basis of I under `order` (default: the ring order).
+def groebner_basis(I):
+    """Reduced Groebner basis of I in the ring order.
 
     Generators are sorted by increasing leading monomial and are monic.
     This is the one place tails are reduced: each call reduces those of
-    the basis cached in that order and caches the result in its place,
-    so a second call makes no reduction step and returns the same list.
+    the cached basis and caches the result in its place, so a second
+    call makes no reduction step and returns the same list.
     """
-    pk, basis = _basis(I, order)
+    pk, basis = _basis(I)
     ctx = I.ctx
     basis = tuple(_reduce_tails(basis, pk.guard, ctx.field.characteristic, _budget()))
-    I.gb_cache[_order_key(ctx, order)] = (pk, basis)
+    I.gb_cache[ctx.order] = (pk, basis)
     if VERIFY_BASES and not _is_reduced(basis, pk.guard):
         raise AssertionError("basis leaving groebner_basis is not reduced")
-    out = [_divided(t, t[max(t)]) for t in basis]
-    if pk is not ctx.packing:
-        out = [_repacked(t, pk, ctx.packing) for t in out]
-    return [Poly(ctx, t, _clean=True) for t in out]
-
-
-def _run_buchberger(I, order, target):
-    """Packed minimal basis of I in `order`, driven by the Hilbert series
-    `target` when it is not None."""
-    pk = _packing(order, I.ctx.nvars)
-    p = I.ctx.field.characteristic
-    seeds = [_integral(t, p)[0] for t in _seeds(I, pk)]
-    return _buchberger(seeds, pk, I.ctx.field, _budget(), target)
-
-
-def _known_series(I):
-    """(grading, sparse numerator) of the Hilbert series of S/I, or None.
-
-    A series stated with `seed_hilbert_series` comes first.  Otherwise,
-    for I homogeneous in the standard grading, a basis cached in any
-    order gives it: every order gives the same Hilbert series.
-    """
-    if I._series is not None:
-        return I._series
-    if not I.gb_cache or not _homogeneous(g.terms for g in I.gens):
-        return None
-    from .hilbert import weighted_numerator
-
-    pk, basis = next(iter(I.gb_cache.values()))
-    ones = (1,) * I.ctx.nvars
-    return ones, weighted_numerator([pk.unpack(max(t)) for t in basis], ones)
+    return [Poly(ctx, _divided(t, t[max(t)]), _clean=True) for t in basis]
 
 
 def seed_hilbert_series(I, grading, numerator):
@@ -723,22 +686,20 @@ def seed_hilbert_series(I, grading, numerator):
     I._series = (grading, dict(numerator))
 
 
-def normal_form(f, I, order=None):
+def normal_form(f, I):
     """Remainder of f modulo a Groebner basis of I, any one giving the
-    same: the canonical coset representative under the chosen order."""
+    same: the canonical coset representative in the ring order."""
     if f.ctx != I.ctx:
         raise RingError("polynomial and ideal live in different rings")
-    pk, basis = _basis(I, order)
+    pk, basis = _basis(I)
     if not basis:
         return f
     p = I.ctx.field.characteristic
-    ring = I.ctx.packing
     rows = [_row(t, 0) for t in basis]
-    work, d = _integral(dict(f.terms) if pk is ring else _repacked(f.terms, ring, pk), p)
+    work, d = _integral(dict(f.terms), p)
     rem, _, scale = _reduce(work, rows, pk.guard, p, _budget())
     # rem is scale * d * NF(f)
-    rem = _divided(rem, scale * d)
-    return Poly(I.ctx, rem if pk is ring else _repacked(rem, pk, ring), _clean=True)
+    return Poly(I.ctx, _divided(rem, scale * d), _clean=True)
 
 
 def ideal_contains(I, f):
@@ -762,13 +723,39 @@ def elimination_order(ctx, k):
     return ("blocks", (k, ctx.nvars - k))
 
 
+def _reordered(I, order):
+    """I in a copy of its ring under the monomial order `order`, its
+    generators moved into the copy's packing.
+
+    The copy keeps a Hilbert series of S/I known on I, since every order
+    gives the same one: the series stated with `seed_hilbert_series`, or,
+    for I homogeneous in the standard grading with a cached basis, the
+    standard-graded series of that basis's leads.  A basis in the copy
+    is then Hilbert-driven.
+    """
+    ctx = I.ctx
+    copy = RingCtx(ctx.var_names, ctx.field, order, weights=ctx.weights, n_params=ctx.n_params)
+    out = IdealHandle(
+        copy, [Poly(copy, _repacked(g.terms, ctx.packing, copy.packing), _clean=True) for g in I.gens]
+    )
+    out._series = I._series
+    if out._series is None and I.gb_cache and _homogeneous(g.terms for g in I.gens):
+        from .hilbert import weighted_numerator
+
+        pk, basis = I.gb_cache[ctx.order]
+        ones = (1,) * ctx.nvars
+        seed_hilbert_series(out, ones, weighted_numerator([pk.unpack(max(t)) for t in basis], ones))
+    return out
+
+
 def eliminate(I, k):
     """Intersect with the subring spanned by all but the first k variables.
 
-    Runs a block-order basis putting the first k variables in their own
-    leading block and keeps the generators free of them; those form a
-    minimal basis of the elimination ideal in the restricted order, which
-    the result caches and takes as its generators.
+    Runs a basis in a block order putting the first k variables in their
+    own leading block, in a copy of the ring (`_reordered`) unless that
+    is the ring's order, and keeps the generators free of them; those
+    form a minimal basis of the elimination ideal in the restricted
+    order, which the result caches and takes as its generators.
 
     They stay packed.  The leading block's degree is the top field of a
     packed monomial, so an element is free of the block exactly when its
@@ -781,7 +768,7 @@ def eliminate(I, k):
     if not 0 < k < n:
         raise RingError("cannot eliminate %d of %d variables" % (k, n))
     elim_order = elimination_order(ctx, k)
-    pk, basis = _basis(I, elim_order)
+    pk, basis = _basis(I if elim_order == ctx.order else _reordered(I, elim_order))
     # the blocks after the leading one, grevlex when only one is left
     rest = elim_order[1][1:]
     sub_order = "grevlex" if len(rest) == 1 else ("blocks", rest)

@@ -173,11 +173,12 @@ def _standard_leads(I):
     return [pk.unpack(max(t)) for t in basis]
 
 
-def lead_ideal(I, order=None):
-    """Minimal generators of the lead-term ideal under the given order,
+def lead_ideal(I):
+    """Minimal generators of the lead-term ideal in the ring order,
     sorted by (degree, exponents): the leads of a minimal Groebner basis,
-    which are those of the reduced one."""
-    pk, basis = _basis(I, order)
+    which are those of the reduced one.  For another order, build I in a
+    ring with that order."""
+    pk, basis = _basis(I)
     return sorted((pk.unpack(max(t)) for t in basis), key=_by_degree)
 
 

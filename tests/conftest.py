@@ -64,6 +64,16 @@ def small_ctx(rng, chars=(0, 32003, 7), nmin=2, nmax=3):
     return RingCtx(names, FieldSpec(rng.choice(chars)))
 
 
+def in_order(I, order):
+    """A fresh handle on the ideal I in a copy of its ring under the
+    monomial order `order`, with nothing cached and no series stated:
+    built through `Poly.map_vars`, apart from the engine's own copy
+    (`groebner._reordered`), as the undriven reference."""
+    ctx = I.ctx
+    ring = RingCtx(ctx.var_names, ctx.field, order, weights=ctx.weights, n_params=ctx.n_params)
+    return gb_mod.IdealHandle(ring, [g.map_vars(ring, range(ctx.nvars)) for g in I.gens])
+
+
 def count_buchberger_runs(monkeypatch):
     """Patch the Buchberger core to log each run; returns the log."""
     runs = []

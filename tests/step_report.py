@@ -4,8 +4,8 @@ workloads, per command.
 Runs rounds 0..N-1 of each workload in perfbench/workloads.py at one
 seed, in-process, and prints for every command the budget steps the
 operations charged, the Buchberger runs, the `_reduce` calls, the rows
-sent to `_reduce_tails`, the terms `_repacked` moved between packings
-and the failed operations, with a total per workload.  The counts do
+sent to `_reduce_tails`, the terms `_repacked` moved into the copy of
+a ring under an elimination order, and the failed operations, with a total per workload.  The counts do
 not depend on the machine or its load, so they compare two trees where
 wall time on a shared host cannot:
 

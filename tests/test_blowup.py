@@ -99,13 +99,13 @@ class TestReesIdeal:
         # packed monomials keep total degrees, and the one driven t-run
         # reads the weighted ones off them
         targets = []
-        inner = gb_mod._run_buchberger
+        inner = gb_mod._buchberger
 
-        def logged(I, order, target):
-            targets.append(target)
-            return inner(I, order, target)
+        def logged(seeds, pk, fld, budget, hilbert=None):
+            targets.append(hilbert)
+            return inner(seeds, pk, fld, budget, hilbert)
 
-        monkeypatch.setattr(gb_mod, "_run_buchberger", logged)
+        monkeypatch.setattr(gb_mod, "_buchberger", logged)
         d = 3_000_000
         _, forms = forms_of(("x0", "x1"), ["x0^%d" % d, "x1^%d" % d], field=FieldSpec(32003))
         R = rees_ideal(forms)

@@ -552,9 +552,9 @@ class TestPackedSeeds:
         checked = []
         closure = groebner._spair_closure_ok
 
-        def spy(basis, ctx, order=None):
+        def spy(basis, ctx):
             checked.append(sorted(max(t) for t in basis))
-            return closure(basis, ctx, order)
+            return closure(basis, ctx)
 
         monkeypatch.setattr(groebner, "_spair_closure_ok", spy)
         M = self.matrices(32003)[0]

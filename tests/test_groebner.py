@@ -9,6 +9,7 @@ import reesdeg.groebner as gb_mod
 from colon_oracle import colon, colon_chain_saturate, colon_ideal
 from conftest import (
     count_buchberger_runs,
+    in_order,
     nonzero_random_form,
     rand_coeff,
     rand_rational,
@@ -603,16 +604,18 @@ class TestPackedEncoding:
 
 
 def assert_standard_packed(I):
-    """Every packed monomial of a handle, generators and cached bases, is
-    in the standard packing of its order: the degree field is the total
-    degree and the packing is the shared `_packing(order, n)`."""
-    n = I.ctx.nvars
-    assert I.ctx.packing is _packing(I.ctx.order, n)
-    dicts = [(I.ctx.packing, g.terms) for g in I.gens]
-    for order, (pk, basis) in I.gb_cache.items():
-        assert pk is _packing(order, n)
-        dicts += [(pk, t) for t in basis]
-    for pk, t in dicts:
+    """Every packed monomial of a handle, generators and cached basis, is
+    in the standard packing of its ring's order: the degree field is the
+    total degree and the packing is the shared `_packing(order, n)`.  The
+    cache holds the ring-order basis alone."""
+    pk = I.ctx.packing
+    assert pk is _packing(I.ctx.order, I.ctx.nvars)
+    assert set(I.gb_cache) <= {I.ctx.order}
+    dicts = [g.terms for g in I.gens]
+    for cached, basis in I.gb_cache.values():
+        assert cached is pk
+        dicts += basis
+    for t in dicts:
         for m in t:
             assert pk.pack(pk.unpack(m)) == m
 
@@ -657,9 +660,9 @@ class TestOnePacking:
         handles = []
         inner = gb_mod._basis
 
-        def spy(I, order=None):
+        def spy(I):
             handles.append(I)
-            return inner(I, order)
+            return inner(I)
 
         monkeypatch.setattr(gb_mod, "_basis", spy)
         for field in (FP, QQ):
@@ -680,6 +683,8 @@ class TestOnePacking:
             assert len(handles) > len(results)
             for I in handles + results:
                 assert_standard_packed(I)
+            # the fiber cone's block run was made in a copy of the Rees ring
+            assert any(I.ctx.order == elimination_order(rees.ctx, 3) for I in handles)
             # the graph ideal's t-run was driven in other weights
             assert any(I._series and max(I._series[0]) > 1 for I in handles)
 
@@ -758,7 +763,8 @@ class TestGoldenSteps:
         assert got == expected
 
 
-# second orders for a homogeneous ideal whose grevlex basis is cached
+# orders of a copy of a ring whose homogeneous ideal has a cached grevlex
+# basis; the first is the one `eliminate(I, 2)` runs in
 HILBERT_ORDERS = {
     "2-block": lambda n: ("blocks", (2, n - 2)),
     "3-block": lambda n: ("blocks", (1, 1, n - 2)),
@@ -768,16 +774,22 @@ HILBERT_ORDERS = {
 
 class TestOrderNames:
     def test_block_and_blocks_share_a_cached_basis(self, monkeypatch):
-        _, I = mk(("x", "y", "z", "w"), ["x*y - z^2", "y*w - x^2", "z - w^3"], field=FP)
+        names = ("x", "y", "z", "w")
+        ctx, I = mk(names, ["x*y - z^2", "y*w - x^2", "z - w^3"], field=FP, order=("block", 2))
+        assert ctx == RingCtx(names, FP, ("blocks", (2, 2)))
         runs = count_buchberger_runs(monkeypatch)
-        first = groebner_basis(I, order=("blocks", (2, 2)))
-        assert groebner_basis(I, order=("block", 2)) == first
-        assert len(runs) == 1
+        groebner_basis(I)
+        # ("blocks", (2, 2)) is the ring's order, so eliminate reads the
+        # cached basis
+        eliminate(I, 2)
+        assert len(runs) == 1 and list(I.gb_cache) == [("blocks", (2, 2))]
 
 
 class TestHilbertDriven:
-    """A basis in a second order, driven by the Hilbert series of a cached
-    grevlex basis, against the same basis computed from scratch."""
+    """A basis in a copy of a grevlex ring under another order
+    (`_reordered`), driven by the Hilbert series of the cached grevlex
+    basis, against the same basis computed from scratch; and the block
+    run of `eliminate`, which makes such a copy."""
 
     @pytest.mark.parametrize("order", list(HILBERT_ORDERS))
     @pytest.mark.parametrize(
@@ -797,10 +809,10 @@ class TestHilbertDriven:
             ]
             o = HILBERT_ORDERS[order](n)
             del runs[:]
-            plain = groebner_basis(ideal(ctx, gens), order=o)
+            plain = groebner_basis(in_order(ideal(ctx, gens), o))
             I = ideal(ctx, gens)
             grevlex = groebner_basis(I)
-            driven = groebner_basis(I, order=o)
+            driven = groebner_basis(gb_mod._reordered(I, o))
             assert driven == plain
             (none, plain_run, _), _, (target, driven_run, _) = runs
             assert none is None
@@ -810,20 +822,64 @@ class TestHilbertDriven:
             driven_steps += driven_run
         assert driven_steps < plain_steps
 
+    @pytest.mark.parametrize(
+        "field", [FP, FieldSpec(7), QQ], ids=["F_32003", "F_7", "QQ"]
+    )
+    def test_eliminate_runs_driven(self, field, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        runs = record_runs(monkeypatch)
+        rng = random.Random(1997 + field.characteristic)
+        p = field.characteristic
+        plain_steps = driven_steps = 0
+        for _ in range(12):
+            n = rng.randint(3, 4)
+            k = rng.randint(1, n - 1)
+            ctx = RingCtx(tuple("x%d" % i for i in range(n)), field)
+            gens = [
+                nonzero_random_form(ctx, rng, rng.randint(1, 3), density=0.4)
+                for _ in range(rng.randint(2, 3))
+            ]
+            del runs[:]
+            # nothing cached: the block run is undriven
+            plain_elim = eliminate(ideal(ctx, gens), k)
+            I = ideal(ctx, gens)
+            grevlex = groebner_basis(I)
+            driven_elim = eliminate(I, k)
+            (none, plain_run, plain), _, (target, driven_run, driven) = runs
+            assert none is None
+            ones = (1,) * n
+            assert target == (ones, weighted_numerator([g.lm() for g in grevlex], ones))
+            # the same reduced block basis, and so the same elimination ideal
+            guard = _packing(elimination_order(ctx, k), n).guard
+            reduced = [gb_mod._reduce_tails(b, guard, p, gb_mod._budget()) for b in (plain, driven)]
+            assert reduced[0] == reduced[1]
+            assert groebner_basis(driven_elim) == groebner_basis(plain_elim)
+            # the handle keeps its ring-order basis alone
+            assert list(I.gb_cache) == [ctx.order]
+            plain_steps += plain_run
+            driven_steps += driven_run
+        assert driven_steps < plain_steps
+
     def test_routing(self, monkeypatch):
         runs = record_runs(monkeypatch)
         # a grevlex basis is cached, but the ideal is not homogeneous
         _, I = mk(("x", "y", "z"), ["x^2 - y", "x*y - z^2"])
         groebner_basis(I)
-        groebner_basis(I, order="lex")
+        eliminate(I, 1)
         # homogeneous, but nothing is cached
         _, J = mk(("x", "y", "z"), ["x^2 - y*z", "x*y - z^2"])
-        groebner_basis(J, order="lex")
+        eliminate(J, 1)
         assert [run[0] for run in runs] == [None, None, None]
         # homogeneous with a cached basis: the target is its series
-        groebner_basis(J, order=("blocks", (1, 2)))
-        leads = [g.lm() for g in groebner_basis(J, order="lex")]
+        leads = [g.lm() for g in groebner_basis(J)]
+        eliminate(J, 2)
         assert runs[-1][0] == ((1, 1, 1), weighted_numerator(leads, (1, 1, 1)))
+        # a stated series goes to the copy as it is
+        _, K = mk(("x", "y"), ["x^2 - y"], field=FP)
+        seed_hilbert_series(K, (1, 2), {0: 1, 2: -1})
+        eliminate(K, 1)
+        assert runs[-1][0] == ((1, 2), {0: 1, 2: -1})
+        assert K.gb_cache == {}
 
 
 def random_graph_ideal(rng, field):
@@ -874,13 +930,13 @@ class TestGraphSeries:
         rng = random.Random(1302 + field.characteristic)
         for _ in range(12):
             graph, _ = random_graph_ideal(rng, field)
-            grading, numer = gb_mod._known_series(graph)
+            grading, numer = graph._series
             plain = groebner_basis(IdealHandle(graph.ctx, graph.gens))
             assert weighted_numerator([g.lm() for g in plain], grading) == numer
 
     def test_parametric_forms_state_no_series(self):
         forms = list(make_family(FamilySpec("dejonquieres", m=2)).forms)
-        assert gb_mod._known_series(graph_ideal(forms)) is None
+        assert graph_ideal(forms)._series is None
 
     def test_inhomogeneous_seed_with_a_target_raises(self):
         _, I = mk(("x", "y"), ["x^2 - y"], field=FP)
@@ -898,7 +954,7 @@ class TestGraphSeries:
         _, I = mk(("x", "y"), ["x^2 - y"], field=FP)
         with pytest.raises(RingError, match="weight per variable"):
             seed_hilbert_series(I, grading, {0: 1, 2: -1})
-        assert gb_mod._known_series(I) is None
+        assert I._series is None
 
 
 def rational_ideal(rng, order=lambda n: "grevlex"):
@@ -1295,7 +1351,7 @@ class TestLazyTails:
             pk, kept = elim.gb_cache[elim.ctx.order]
             assert [g.lm() for g in elim.gens] == [pk.unpack(max(t)) for t in kept]
             got = [by_exponents(g) for g in groebner_basis(elim)]
-            full = groebner_basis(ideal(ctx, I.gens), order=elimination_order(ctx, k))
+            full = groebner_basis(in_order(I, elimination_order(ctx, k)))
         free = [by_exponents(g) for g in full]
         free = [t for t in free if not any(any(m[:k]) for m in t)]
         assert got == [{m[k:]: c for m, c in t.items()} for t in free]
@@ -1307,14 +1363,12 @@ class TestLazyTails:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gb_mod, "VERIFY_BASES", True)
             summary = dim_degree(I)
-            leads = lead_ideal(I, order="lex")
+            lex_I = in_order(I, "lex")
+            leads = lead_ideal(lex_I)
             assert groebner_basis(I) == groebner_basis(ideal(ctx, I.gens))
-            lex = groebner_basis(ideal(ctx, I.gens), order="lex")
-            assert groebner_basis(I, order="lex") == lex
-        # Poly.lm reads the ring order, so the lex leads are taken here
-        lex_key = RingCtx(ctx.var_names, ctx.field, "lex").key
-        lex_leads = [max(by_exponents(g), key=lex_key) for g in lex]
-        assert leads == sorted(lex_leads, key=lambda m: (sum(m), m))
+            lex = groebner_basis(in_order(I, "lex"))
+            assert groebner_basis(lex_I) == lex
+        assert leads == sorted((g.lm() for g in lex), key=lambda m: (sum(m), m))
         assert dim_degree(ideal(ctx, I.gens)) == summary
 
     @pytest.mark.parametrize("field", [FieldSpec(7), FP, QQ], ids=["F_7", "F_32003", "QQ"])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import nonzero_random_form
+from conftest import in_order, nonzero_random_form
 from reesdeg.groebner import groebner_basis, ideal
 from reesdeg.hilbert import (
     count_standard_monomials,
@@ -269,13 +269,18 @@ class TestLeadIdeal:
         assert L == minimalize_monomials(L)
 
     def test_leads_taken_in_the_requested_order(self):
-        _, I = mk(("x", "y", "z"), ["x*z - y^2", "y - z^2"])
-        assert lead_ideal(I, order="lex") == [(0, 1, 0), (1, 0, 1)]
-        assert lead_ideal(I) == [(0, 0, 2), (0, 2, 0)]
+        texts = ["x*z - y^2", "y - z^2"]
+        _, lex = mk(("x", "y", "z"), texts, field=FieldSpec(32003), order="lex")
+        _, grevlex = mk(("x", "y", "z"), texts, field=FieldSpec(32003))
+        assert lead_ideal(lex) == [(0, 1, 0), (1, 0, 1)]
+        assert lead_ideal(grevlex) == [(0, 0, 2), (0, 2, 0)]
+        for I in (lex, grevlex):
+            assert sorted(g.lm() for g in groebner_basis(I)) == sorted(lead_ideal(I))
 
     @pytest.mark.parametrize("char", [32003, 7, 0], ids=["F_32003", "F_7", "QQ"])
     def test_leads_of_the_reduced_basis(self, char):
-        # sorted by (degree, exponents), minimal and one per basis element
+        # sorted by (degree, exponents), minimal and one per basis element,
+        # and the leads of the reduced basis in each ring's own order
         rng = random.Random(90 + char)
         for _ in range(12):
             n = rng.randint(2, 4)
@@ -284,10 +289,12 @@ class TestLeadIdeal:
             I = ideal(ctx, gens)
             k = rng.randint(1, n - 1)
             for order in ("lex", ("block", k), ("blocks", (k, n - k))):
-                L = lead_ideal(I, order)
+                J = in_order(I, order)
+                L = lead_ideal(J)
                 assert L == sorted(L, key=lambda m: (sum(m), m))
                 assert L == minimalize_monomials(L)
-                assert len(L) == len(groebner_basis(I, order))
+                G = groebner_basis(J)
+                assert sorted(g.lm() for g in G) == sorted(L)
 
     def test_monomial_dim_degree_matches_dim_degree(self):
         _, I = mk(

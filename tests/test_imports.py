@@ -121,7 +121,7 @@ PRIVATE_IMPORTS = {
     "conditions": {"groebner": {"_budget", "_charge", "_homogeneous"}, "ring": {"_overflow"}},
     "groebner": {
         "hilbert": {"_order_at_one"},
-        "ring": {"_MASK", "_WIDTH", "_minimal_packed", "_normalize_order", "_overflow", "_packing"},
+        "ring": {"_MASK", "_WIDTH", "_minimal_packed", "_overflow"},
     },
     "hilbert": {"groebner": {"_basis", "_homogeneous"}, "ring": {"_minimal_packed"}},
     "ratmap": {"blowup": {"_fiber_cone_summary", "_form_degree"}},

@@ -16,6 +16,11 @@ def test_counts_one_listing():
     assert counts["runs"] == 1 and counts["tails_rows"] == 15
     assert counts["steps"] > 0 and counts["reduce"] > 0
     assert counts["moved"] == 0
+    rc, counts = run_op(["fiber-cone", "--map", quad5, "--prime", "32003"])
+    assert rc == 0
+    # the t-run, then the (x | y) block run in a copy of the Rees ring,
+    # into which each term of the 15 Rees generators moves once
+    assert counts["runs"] == 2 and counts["moved"] == 92
     assert (gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails, gb._repacked) == engine
 
 
