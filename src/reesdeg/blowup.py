@@ -7,11 +7,19 @@ ring carries the bigrading x -> (1,0), y -> (0,1), t -> (-d,1), so every
 intermediate ideal stays bihomogeneous.  t is adjoined by the engine's
 one auxiliary-variable helper, `groebner._with_aux_var`, and eliminated
 by `groebner._drop_aux_var`, as in intersections and saturations.  The
-fiber cone ideal is the y-only part, the associated graded ideal adds
-the forms back in.  As dim gr_I(S) = dim S for every proper ideal I
-(Matsumura, Commutative Ring Theory, Th. 15.7), only a family's special
-fibers still build a gr basis.  Every entry point checks its forms
-through `_form_degree`: nonzero, of one ring, of one positive degree.
+associated graded ideal adds the forms back in.  As dim gr_I(S) = dim S
+for every proper ideal I (Matsumura, Commutative Ring Theory, Th. 15.7),
+only a family's special fibers still build a gr basis.  Every entry point
+checks its forms through `_form_degree`: nonzero, of one ring, of one
+positive degree.
+
+The fiber cone ideal R cap k[y (, params)] is read off the Rees basis.
+Every seed, S-polynomial and row operation of the engine keeps that basis
+bihomogeneous, parameters of bidegree (0, 0), so an element with an
+x-free lead has no term in x, and the lead of any f in R cap k[y] is
+divisible by such a lead.  The elements with x-free leads are thus a
+minimal Groebner basis of it, in the order the ring's induces there:
+grevlex on y, then a block of the parameters.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
@@ -26,17 +34,18 @@ from math import comb
 
 from .groebner import (
     IdealHandle,
+    _basis,
+    _basis_ideal,
     _budget,
     _charge,
     _drop_aux_var,
     _with_aux_var,
-    eliminate,
     groebner_basis,
     normal_form,
     saturate,
     seed_hilbert_series,
 )
-from .hilbert import dim_degree, hilbert_function, lead_ideal, monomial_dim_degree
+from .hilbert import dim_degree, hilbert_function, monomial_dim_degree
 from .ring import Poly, RingCtx, RingError, fresh_names
 
 
@@ -124,28 +133,37 @@ def rees_ideal(forms, y_names=None):
     return _drop_aux_var(graph, blowup_ambient(forms[0].ctx, len(forms) - 1, y_names=y_names))
 
 
+def _x_free_rows(rees, nx):
+    """(packing, rows of the minimal Rees basis whose leads are free of
+    the first nx variables, x): a minimal basis of the fiber cone ideal."""
+    pk, basis = _basis(rees)
+    return pk, [t for t in basis if not any(pk.unpack(max(t))[:nx])]
+
+
 def fiber_cone_ideal(forms, rees=None):
-    """Defining ideal of the fiber cone in k[y (, params)]: the part of
-    the Rees ideal not involving the x-coordinates."""
+    """Defining ideal of the fiber cone in k[y (, params)], under the
+    order the Rees ring's induces, with the x-free Rees rows as basis."""
     if rees is None:
         rees = rees_ideal(forms)
-    nx, _ = _split_ctx(forms[0].ctx)
-    return eliminate(rees, nx)
+    nx, np = _split_ctx(forms[0].ctx)
+    ctx = rees.ctx
+    order = "grevlex" if not np else ("blocks", (ctx.nvars - nx - np, np))
+    sub = RingCtx(ctx.var_names[nx:], ctx.field, order, weights=ctx.weights[nx:], n_params=np)
+    pk, rows = _x_free_rows(rees, nx)
+    return _basis_ideal(sub, [{sub.key(pk.unpack(m)[nx:]): c for m, c in t.items()} for t in rows])
 
 
 def _fiber_cone_summary(forms, rees=None):
     """HilbertSummary of the fiber cone of parameter-free forms, read off
-    the leads of the Rees basis in the ring order that are free of x: an
-    initial ideal keeps the bigraded Hilbert function, whose values in
-    bidegrees (0, n) are those of the fiber cone."""
+    the leads of the x-free part of the Rees basis."""
     ctx = forms[0].ctx
     if ctx.n_params:
         raise RingError("analytic spread needs specialized (parameter-free) forms")
     if rees is None:
         rees = rees_ideal(forms)
     nx = ctx.nvars
-    y_leads = [m[nx:] for m in lead_ideal(rees) if not any(m[:nx])]
-    return monomial_dim_degree(y_leads, len(forms))
+    pk, rows = _x_free_rows(rees, nx)
+    return monomial_dim_degree([pk.unpack(max(t))[nx:] for t in rows], len(forms))
 
 
 def analytic_spread(forms, rees=None):

@@ -31,16 +31,12 @@ Pairs of input homogeneous in a grading by positive variable weights
 come off the heap in degree order; once the active leads reach HF(k),
 every S-pair of degree k left would reduce to zero, and it is dropped
 unreduced and uncharged.  A handle's series is the one stated with
-`seed_hilbert_series`, and it is stated in two cases.  The graph ideal
-(y_i - t*g_i) that `rees_ideal` eliminates t from is homogeneous once t
-and x weigh 1 and y weighs d+1, with the Hilbert series of
-S/(y_0, ..., y_s), so its t-elimination is driven from the first
-S-pair.  And the Hilbert function of S/I does not depend on the
-monomial order, so when `eliminate` runs a homogeneous I with a cached
-basis in a copy of its ring under a block order (`_reordered`), the
-leads of that basis give the copy its series in the standard grading.
-The block run that `fiber_cone_ideal` makes to eliminate x from the
-Rees ideal is driven so, since `rees_ideal` caches the grevlex basis.
+`seed_hilbert_series`.  The graph ideal (y_i - t*g_i) that `rees_ideal`
+eliminates t from is homogeneous once t and x weigh 1 and y weighs d+1,
+with the Hilbert series of S/(y_0, ..., y_s), so its t-elimination is
+driven from the first S-pair.  The Hilbert function of S/I does not
+depend on the monomial order, so the copy of a ring under a block order
+that `eliminate` runs in (`_reordered`) keeps a series stated on I.
 A run reads the degree in its grading off the packed monomial as the
 total degree plus (w - 1)*e_v over the variables v of weight w > 1.
 
@@ -50,9 +46,8 @@ field.  Each basis row also carries the exponent tuple of its lead,
 unpacked once, and the pair update forms lcms from those tuples.
 `Poly` terms, handle generators and the basis cached in `gb_cache` are
 all in the ring's packing (`RingCtx.packing`): a handle has one monomial
-order, its ring's.  The one move between packings is `_repacked`, which
-`_reordered` applies to the generators of the ideal that `eliminate`
-copies into a ring under its block order.
+order, its ring's.  A basis in another order is one of a copy of the
+ideal, made with `Poly.map_vars` in a ring under that order.
 
 Coefficients over Q are Python ints inside the engine, as monomials are
 (fraction-free reduction).  An engine polynomial is primitive with a
@@ -272,12 +267,6 @@ def _divided(terms, d):
     if d == 1:
         return terms
     return {m: c // d if not c % d else Fraction(c, d) for m, c in terms.items()}
-
-
-def _repacked(terms, src, dst):
-    """A packed term dict moved from packing `src` into packing `dst`."""
-    unpack, pack = src.unpack, dst.pack
-    return {pack(unpack(m)): c for m, c in terms.items()}
 
 
 def _row(terms, sugar):
@@ -724,27 +713,13 @@ def elimination_order(ctx, k):
 
 
 def _reordered(I, order):
-    """I in a copy of its ring under the monomial order `order`, its
-    generators moved into the copy's packing.
-
-    The copy keeps a Hilbert series of S/I known on I, since every order
-    gives the same one: the series stated with `seed_hilbert_series`, or,
-    for I homogeneous in the standard grading with a cached basis, the
-    standard-graded series of that basis's leads.  A basis in the copy
-    is then Hilbert-driven.
-    """
+    """I in a copy of its ring under the monomial order `order`.  The
+    copy keeps the Hilbert series stated on I with `seed_hilbert_series`,
+    if any, since every order gives the same one."""
     ctx = I.ctx
     copy = RingCtx(ctx.var_names, ctx.field, order, weights=ctx.weights, n_params=ctx.n_params)
-    out = IdealHandle(
-        copy, [Poly(copy, _repacked(g.terms, ctx.packing, copy.packing), _clean=True) for g in I.gens]
-    )
+    out = IdealHandle(copy, [g.map_vars(copy, range(ctx.nvars)) for g in I.gens])
     out._series = I._series
-    if out._series is None and I.gb_cache and _homogeneous(g.terms for g in I.gens):
-        from .hilbert import weighted_numerator
-
-        pk, basis = I.gb_cache[ctx.order]
-        ones = (1,) * ctx.nvars
-        seed_hilbert_series(out, ones, weighted_numerator([pk.unpack(max(t)) for t in basis], ones))
     return out
 
 

@@ -674,7 +674,12 @@ def format_poly(p):
 
 
 def _order_token(order):
-    return order if order in ("grevlex", "lex") else "elim:%d" % order[1][0]
+    if order in ("grevlex", "lex"):
+        return order
+    # elim:k reads back as the two blocks (k, n - k) and states no other
+    if len(order[1]) != 2:
+        raise RingError("a ring header cannot state the block order %r" % (order,))
+    return "elim:%d" % order[1][0]
 
 
 def format_ring_header(ctx):

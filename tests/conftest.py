@@ -66,9 +66,9 @@ def small_ctx(rng, chars=(0, 32003, 7), nmin=2, nmax=3):
 
 def in_order(I, order):
     """A fresh handle on the ideal I in a copy of its ring under the
-    monomial order `order`, with nothing cached and no series stated:
-    built through `Poly.map_vars`, apart from the engine's own copy
-    (`groebner._reordered`), as the undriven reference."""
+    monomial order `order`, with nothing cached and no series stated,
+    as the undriven reference: built apart from the engine's own copy
+    (`groebner._reordered`), which keeps a stated series."""
     ctx = I.ctx
     ring = RingCtx(ctx.var_names, ctx.field, order, weights=ctx.weights, n_params=ctx.n_params)
     return gb_mod.IdealHandle(ring, [g.map_vars(ring, range(ctx.nvars)) for g in I.gens])
@@ -85,6 +85,15 @@ def count_buchberger_runs(monkeypatch):
 
     monkeypatch.setattr(gb_mod, "_buchberger", counting)
     return runs
+
+
+def record_copies(monkeypatch):
+    """Patch `groebner._reordered` to log the order of each copy of a
+    ring it makes; returns the log."""
+    copies = []
+    inner = gb_mod._reordered
+    monkeypatch.setattr(gb_mod, "_reordered", lambda I, order: copies.append(order) or inner(I, order))
+    return copies
 
 
 def record_shortcut(monkeypatch):

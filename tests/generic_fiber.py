@@ -4,7 +4,8 @@ the graph instead.
 
 Eliminating x from the Rees ideal R builds a minimal Groebner basis of R
 in the block order (x | y), in a copy of its ring under that order, whose
-leads are those of the reduced basis G.  Every element of G that involves x has its x-leading coefficient
+leads are those of the reduced basis G.  The run is driven by the Hilbert
+series of the leads of the grevlex Rees basis, which every order shares.  Every element of G that involves x has its x-leading coefficient
 outside the image ideal P = R cap k[y]: the y-parts of its terms are
 standard monomials modulo P, and P is prime.  By Kalkbrener's
 specialization theorem ("On the stability of Groebner bases under
@@ -17,8 +18,8 @@ Krull dimension is 1; otherwise F is not generically finite.
 """
 
 from reesdeg.blowup import rees_ideal
-from reesdeg.groebner import _reordered, elimination_order
-from reesdeg.hilbert import lead_ideal, monomial_dim_degree
+from reesdeg.groebner import _reordered, elimination_order, seed_hilbert_series
+from reesdeg.hilbert import lead_ideal, monomial_dim_degree, weighted_numerator
 from reesdeg.ratmap import NOT_GENERICALLY_FINITE
 
 
@@ -27,6 +28,8 @@ def generic_fiber_degree(spec):
     marker, from the leads of the (x | y) block basis of its Rees ideal."""
     rees = rees_ideal(list(spec.forms))
     nx = spec.r + 1
+    ones = (1,) * rees.ctx.nvars
+    seed_hilbert_series(rees, ones, weighted_numerator(lead_ideal(rees), ones))
     leads = lead_ideal(_reordered(rees, elimination_order(rees.ctx, nx)))
     fiber = monomial_dim_degree([m[:nx] for m in leads if any(m[:nx])], nx)
     return fiber.degree if fiber.dim == 1 else NOT_GENERICALLY_FINITE

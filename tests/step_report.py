@@ -4,10 +4,9 @@ workloads, per command.
 Runs rounds 0..N-1 of each workload in perfbench/workloads.py at one
 seed, in-process, and prints for every command the budget steps the
 operations charged, the Buchberger runs, the `_reduce` calls, the rows
-sent to `_reduce_tails`, the terms `_repacked` moved into the copy of
-a ring under an elimination order, and the failed operations, with a total per workload.  The counts do
-not depend on the machine or its load, so they compare two trees where
-wall time on a shared host cannot:
+sent to `_reduce_tails` and the failed operations, with a total per
+workload.  The counts do not depend on the machine or its load, so they
+compare two trees where wall time on a shared host cannot:
 
     python3 tests/step_report.py --seed 7 --rounds 3
     python3 tests/step_report.py --workload eliminate_fp
@@ -40,17 +39,17 @@ from workloads import WORKLOADS, Workload, check_answer, load_expected  # noqa: 
 
 RECORDED_SEED = 1  # the seed whose answers perfbench/expected.json holds
 
-COLUMNS = ("steps", "runs", "reduce", "tails_rows", "moved", "failed")
+COLUMNS = ("steps", "runs", "reduce", "tails_rows", "failed")
 
 
 @contextlib.contextmanager
 def counting():
     """Wrap the engine so that `counts` (yielded) accumulates runs,
-    `_reduce` calls, tails rows and moved terms; `budgets` keeps every
-    step budget made, whose spent steps are read afterwards."""
+    `_reduce` calls and tails rows; `budgets` keeps every step budget
+    made, whose spent steps are read afterwards."""
     counts = defaultdict(int)
     budgets = []
-    names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails", "_repacked")
+    names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails")
     saved = {name: getattr(gb, name) for name in names}
 
     class Budget(saved["_Budget"]):
@@ -72,12 +71,8 @@ def counting():
         counts["tails_rows"] += len(basis)
         return saved["_reduce_tails"](basis, *args)
 
-    def repacked(terms, *args):
-        counts["moved"] += len(terms)
-        return saved["_repacked"](terms, *args)
-
-    gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails, gb._repacked = (
-        Budget, buchberger, reduce, reduce_tails, repacked)
+    gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails = (
+        Budget, buchberger, reduce, reduce_tails)
     try:
         yield counts, budgets
     finally:

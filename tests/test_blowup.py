@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_buchberger_runs, nonzero_random_form
+from conftest import count_buchberger_runs, nonzero_random_form, rand_coeff
 from gr_oracle import gr_dimension
 from reesdeg.blowup import (
     analytic_spread,
@@ -21,9 +21,9 @@ from reesdeg.blowup import (
 )
 import reesdeg.groebner as gb_mod
 from reesdeg.families import FamilySpec, make_family
-from reesdeg.groebner import eliminate, groebner_basis, ideal_contains
+from reesdeg.groebner import IdealHandle, eliminate, groebner_basis, ideal_contains, ideal_equal
 from reesdeg.ratmap import rational_map
-from reesdeg.ring import FieldSpec, RingCtx, RingError, parse_poly
+from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, monomials_of_degree, parse_poly
 
 QQ = FieldSpec(0)
 
@@ -145,6 +145,92 @@ class TestFiberCone:
         for g in pres.fiber.gens:
             lifted = g.map_vars(pres.ambient, [nx + j for j in range(3)])
             assert ideal_contains(pres.rees, lifted)
+
+
+def random_forms(ctx, rng, nforms, deg, factor, base):
+    """`nforms` nonzero forms of degree `deg` in the coordinates of `ctx`,
+    each coefficient a random combination of 1 and the parameters: with
+    `factor` all divisible by one linear form, and with `base` all
+    vanishing at the point (1 : 0 : ... : 0)."""
+    nx, np = ctx.nvars - ctx.n_params, ctx.n_params
+    # exponents of 1, a_0, ..., a_{np-1}
+    params = [tuple(int(i == j) for i in range(np)) for j in range(-1, np)]
+    mons = [m for m in monomials_of_degree(nx, deg - factor) if not (base and m[0] == deg)]
+    if factor:
+        coords = RingCtx(ctx.var_names[:nx], ctx.field)
+        h = Poly.var(ctx, 1) if base else nonzero_random_form(coords, rng, 1).map_vars(ctx, range(nx))
+    forms = []
+    while len(forms) < nforms:
+        g = Poly(ctx, {m + a: rand_coeff(ctx, rng) for m in mons for a in params if rng.random() < 0.5})
+        g = g * h if factor else g
+        if g:
+            forms.append(g)
+    return forms
+
+
+def parametric_fiber_cases():
+    """{name: forms} of one-parameter families: de Jonquieres m = 2, 3,
+    and linear pencils over F_7, F_32003 and Q with one form more than
+    the coordinates, so that the fiber cone has relations over k[a]."""
+    cases = {
+        "dejonquieres%d" % m: list(make_family(FamilySpec("dejonquieres", m=m)).forms)
+        for m in (2, 3)
+    }
+    rng = random.Random(2019)
+    for i, prime in enumerate((7, 32003, 0, 7, 32003, 0)):
+        nx = 2 + i % 2
+        ctx = RingCtx(("x0", "x1", "x2")[:nx] + ("a",), FieldSpec(prime), n_params=1)
+        cases["pencil%d-F_%d" % (i, prime)] = random_forms(ctx, rng, nx + 1, 1, False, i > 2)
+    return cases
+
+
+PARAMETRIC_FIBER_CASES = parametric_fiber_cases()
+
+
+class TestFiberConeOracle:
+    """The fiber cone ideal read off the Rees basis against the x-block
+    elimination of the Rees ideal, which runs a second Buchberger pass in
+    a copy of the Rees ring under the (x | y) block order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        prime=st.sampled_from([7, 32003, 0]),
+        nvars=st.integers(2, 3),
+        nforms=st.integers(1, 4),
+        deg=st.integers(1, 2),
+        factor=st.booleans(),
+        base=st.booleans(),
+    )
+    def test_reduced_basis_is_the_elimination_basis(
+        self, seed, prime, nvars, nforms, deg, factor, base
+    ):
+        # kept small: one Q case of degree 3 in 4 variables kept the
+        # oracle busy for over 10 minutes
+        rng = random.Random(seed)
+        ctx = RingCtx(tuple("x%d" % i for i in range(nvars)), FieldSpec(prime))
+        forms = random_forms(ctx, rng, nforms, deg, factor and deg > 1, base)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            fiber = fiber_cone_ideal(forms)
+            oracle = eliminate(rees_ideal(forms), nvars)
+            assert fiber.ctx == oracle.ctx
+            assert groebner_basis(fiber) == groebner_basis(oracle)
+
+    @pytest.mark.parametrize("name", list(PARAMETRIC_FIBER_CASES))
+    def test_parametric_fiber_cone_is_the_elimination_ideal(self, name, monkeypatch):
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        forms = PARAMETRIC_FIBER_CASES[name]
+        rees = rees_ideal(forms)
+        fiber = fiber_cone_ideal(forms, rees=rees)
+        nx = forms[0].ctx.nvars - 1
+        oracle = eliminate(rees, nx)
+        # the order the Rees ring induces on (y | a), not eliminate's grevlex
+        ny = rees.ctx.nvars - nx - 1
+        assert fiber.ctx.order == ("blocks", (ny, 1))
+        assert oracle.ctx.order == "grevlex"
+        moved = [g.map_vars(oracle.ctx, range(ny + 1)) for g in fiber.gens]
+        assert ideal_equal(IdealHandle(oracle.ctx, moved), oracle)
 
 
 class TestSaturatedFiberHF:

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import count_buchberger_runs
+from conftest import count_buchberger_runs, record_copies
 import reesdeg.families as families
 import reesdeg.groebner as gb_mod
 import reesdeg.ring as ring
@@ -343,9 +343,8 @@ class TestExitCodes:
         )
         assert code == 3
 
-    # the Rees basis of the twisted cubic takes 106 steps, and `image`
-    # takes 25 more for its fiber cone basis; `degree` reads its answers
-    # off the Rees basis alone
+    # the Rees basis of the twisted cubic takes 106 steps; `degree` reads
+    # its answers off it, and `image` reads its fiber cone basis off it
     TWISTED_CUBIC = ["degree", "--map", "x0^3, x0^2*x1, x0*x1^2, x1^3"]
 
     def test_budget_covers_the_whole_command(self, capsys):
@@ -355,14 +354,22 @@ class TestExitCodes:
         code, out = run(capsys, self.TWISTED_CUBIC + ["--budget", "106"])
         assert code == 0
         assert json.loads(out)["deg_map"] == 1
-        # the two bases of `image` draw on one budget
         image = ["image"] + self.TWISTED_CUBIC[1:]
-        code, out = run(capsys, image + ["--budget", "130"])
+        code, out = run(capsys, image + ["--budget", "105"])
         assert code == 3
         assert out == ""
-        code, out = run(capsys, image + ["--budget", "131"])
+        code, out = run(capsys, image + ["--budget", "106"])
         assert code == 0
         assert json.loads(out)["deg_image"] == 3
+        # the saturations of I and of I^2 take 6 and 31 steps, and their
+        # two bases draw on one budget
+        sfib = ["sfib-hf"] + self.TWISTED_CUBIC[1:] + ["--points", "1,2"]
+        code, out = run(capsys, sfib + ["--budget", "36"])
+        assert code == 3
+        assert out == ""
+        code, out = run(capsys, sfib + ["--budget", "37"])
+        assert code == 0
+        assert [v["value"] for v in json.loads(out)["values"]] == [4, 7]
 
     def test_pair_updates_are_charged(self, capsys):
         # I^40 has 861 monomial generators that reduce in zero steps, so
@@ -679,6 +686,19 @@ class TestFlagTable:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: forms have mixed degrees 2 and 3\n"
+
+    @pytest.mark.parametrize("command", ["fiber-cone", "image"])
+    def test_fiber_cone_is_read_off_the_rees_basis(self, capsys, monkeypatch, command):
+        # the 5x5 Pfaffian map makes the t-run of its Rees ideal alone:
+        # no second Buchberger run, and no copy of the Rees ring
+        fam = families.make_family(families.FamilySpec("pfaffian", r=4, D=1))
+        pfaffians = ", ".join(ring.format_poly(g) for g in fam.forms)
+        runs = count_buchberger_runs(monkeypatch)
+        copies = record_copies(monkeypatch)
+        code, out = run(capsys, [command, "--map", pfaffians])
+        assert (code, len(runs), copies) == (0, 1, [])
+        # the map is birational onto P^4, whose ideal is zero
+        assert json.loads(out)["generators"] == []
 
 
 def load_workloads():

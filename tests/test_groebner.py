@@ -15,6 +15,7 @@ from conftest import (
     rand_rational,
     random_form,
     random_poly,
+    record_copies,
     record_shortcut,
     small_ctx,
 )
@@ -642,19 +643,16 @@ class TestOnePacking:
     @pytest.mark.parametrize("field", [FP, QQ], ids=["F_32003", "QQ"])
     def test_rees_ideal_moves_no_term(self, monkeypatch, field):
         # the graph ideal's ring order is its t-elimination order, so its
-        # driven run takes the generators' own terms as seeds
-        moved = []
-        inner = gb_mod._repacked
-        monkeypatch.setattr(
-            gb_mod, "_repacked", lambda terms, src, dst: moved.append(terms) or inner(terms, src, dst)
-        )
+        # driven run takes the generators' own terms as seeds, in no copy
+        # of the ring
+        copies = record_copies(monkeypatch)
         runs = record_runs(monkeypatch)
         ctx = RingCtx(("x0", "x1", "x2"), field)
         forms = [parse_poly(t, ctx) for t in ("x0^2", "x0*x1 + x2^2", "x1^2 - x0*x2", "x2^2")]
         rees = rees_ideal(forms)
         groebner_basis(rees)
         assert [max(run[0][0]) for run in runs] == [3]
-        assert moved == []
+        assert copies == []
 
     def test_bases_leave_the_engine_standard_packed(self, monkeypatch):
         handles = []
@@ -683,8 +681,9 @@ class TestOnePacking:
             assert len(handles) > len(results)
             for I in handles + results:
                 assert_standard_packed(I)
-            # the fiber cone's block run was made in a copy of the Rees ring
-            assert any(I.ctx.order == elimination_order(rees.ctx, 3) for I in handles)
+            # the fiber cone is read off the Rees basis, in no copy of its ring
+            names = rees.ctx.var_names
+            assert all(I.ctx.order == rees.ctx.order for I in handles if I.ctx.var_names == names)
             # the graph ideal's t-run was driven in other weights
             assert any(I._series and max(I._series[0]) > 1 for I in handles)
 
@@ -707,25 +706,23 @@ def record_runs(monkeypatch):
 
 
 # (steps charged, basis size, total terms) of every Buchberger run made by
-# rees_ideal and then fiber_cone_ideal.  A run returns a minimal basis
-# whose tails are not interreduced, so term counts are of that basis and
-# steps include no tails pass.  The fiber cone run is seeded by the Rees
-# ideal's minimal basis, tails unreduced, as `eliminate` leaves it.
-# Steps count reductions, reduced S-pairs, the pairs and basis rows each
+# rees_ideal and then fiber_cone_ideal: the one run of rees_ideal, since
+# the fiber cone basis is the x-free part of the Rees basis.  A run
+# returns a minimal basis whose tails are not interreduced, so term
+# counts are of that basis and steps include no tails pass.  Steps count
+# reductions, reduced S-pairs, the pairs and basis rows each
 # Gebauer-Moeller update examines, and the row operations and rows
 # scanned of the Gauss-Jordan block that each degree of homogeneous seeds
-# enters as.  The first run, the t-elimination
-# of the graph ideal, drops the S-pairs that its a priori weighted Hilbert
-# series rules out; the second run of a homogeneous case drops those that
-# the grevlex Hilbert series of the Rees ideal rules out.  A change here
-# is a change of algorithm, not of speed.  The de Jonquieres family is
-# specialized at a nonzero parameter value drawn from its seed.
+# enters as.  The run, the t-elimination of the graph ideal, drops the
+# S-pairs that its a priori weighted Hilbert series rules out.  A change
+# here is a change of algorithm, not of speed.  The de Jonquieres family
+# is specialized at a nonzero parameter value drawn from its seed.
 GOLDEN_STEPS = {
-    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(225, 13, 360), (64, 6, 250)]),
-    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(345, 16, 689), (149, 9, 704)]),
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1198, 22, 830), (727, 19, 1081)]),
-    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(94, 10, 60), (3, 2, 7)]),
-    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(115, 9, 145), (29, 4, 77)]),
+    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(225, 13, 360)]),
+    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(345, 16, 689)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1198, 22, 830)]),
+    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(94, 10, 60)]),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(115, 9, 145)]),
 }
 
 # The same triples for the Fitting ideal runs of check_Gm(matrix, m), one
@@ -787,9 +784,9 @@ class TestOrderNames:
 
 class TestHilbertDriven:
     """A basis in a copy of a grevlex ring under another order
-    (`_reordered`), driven by the Hilbert series of the cached grevlex
-    basis, against the same basis computed from scratch; and the block
-    run of `eliminate`, which makes such a copy."""
+    (`_reordered`), driven by the Hilbert series of the grevlex basis's
+    leads stated on the ideal, against the same basis computed from
+    scratch; and the block run of `eliminate`, which makes such a copy."""
 
     @pytest.mark.parametrize("order", list(HILBERT_ORDERS))
     @pytest.mark.parametrize(
@@ -811,13 +808,14 @@ class TestHilbertDriven:
             del runs[:]
             plain = groebner_basis(in_order(ideal(ctx, gens), o))
             I = ideal(ctx, gens)
-            grevlex = groebner_basis(I)
+            ones = (1,) * n
+            series = (ones, weighted_numerator([g.lm() for g in groebner_basis(I)], ones))
+            seed_hilbert_series(I, *series)
             driven = groebner_basis(gb_mod._reordered(I, o))
             assert driven == plain
             (none, plain_run, _), _, (target, driven_run, _) = runs
             assert none is None
-            ones = (1,) * n
-            assert target == (ones, weighted_numerator([g.lm() for g in grevlex], ones))
+            assert target == series
             plain_steps += plain_run
             driven_steps += driven_run
         assert driven_steps < plain_steps
@@ -840,15 +838,16 @@ class TestHilbertDriven:
                 for _ in range(rng.randint(2, 3))
             ]
             del runs[:]
-            # nothing cached: the block run is undriven
+            # no series stated: the block run is undriven
             plain_elim = eliminate(ideal(ctx, gens), k)
             I = ideal(ctx, gens)
-            grevlex = groebner_basis(I)
+            ones = (1,) * n
+            series = (ones, weighted_numerator([g.lm() for g in groebner_basis(I)], ones))
+            seed_hilbert_series(I, *series)
             driven_elim = eliminate(I, k)
             (none, plain_run, plain), _, (target, driven_run, driven) = runs
             assert none is None
-            ones = (1,) * n
-            assert target == (ones, weighted_numerator([g.lm() for g in grevlex], ones))
+            assert target == series
             # the same reduced block basis, and so the same elimination ideal
             guard = _packing(elimination_order(ctx, k), n).guard
             reduced = [gb_mod._reduce_tails(b, guard, p, gb_mod._budget()) for b in (plain, driven)]
@@ -869,11 +868,10 @@ class TestHilbertDriven:
         # homogeneous, but nothing is cached
         _, J = mk(("x", "y", "z"), ["x^2 - y*z", "x*y - z^2"])
         eliminate(J, 1)
-        assert [run[0] for run in runs] == [None, None, None]
-        # homogeneous with a cached basis: the target is its series
-        leads = [g.lm() for g in groebner_basis(J)]
+        # homogeneous with a cached basis, but no series stated
+        groebner_basis(J)
         eliminate(J, 2)
-        assert runs[-1][0] == ((1, 1, 1), weighted_numerator(leads, (1, 1, 1)))
+        assert [run[0] for run in runs] == [None, None, None, None, None]
         # a stated series goes to the copy as it is
         _, K = mk(("x", "y"), ["x^2 - y"], field=FP)
         seed_hilbert_series(K, (1, 2), {0: 1, 2: -1})
@@ -1140,7 +1138,8 @@ class TestEngineCoefficientCounts:
 
         monkeypatch.setattr(gb_mod, "_basis", tracked)
         fiber_cone_ideal(forms, rees=rees_ideal(forms))
-        assert [len(b[1]) for b in bases] == [16, 9]
+        # the t-run alone: the fiber cone is read off the Rees basis
+        assert [len(b[1]) for b in bases] == [16]
         assert ops[0] == 0
         # the counters see Fraction arithmetic inside _basis
         inside[0] = True

@@ -336,6 +336,17 @@ class TestRingHeader:
                     )
                     assert parse_ring_header(format_ring_header(ctx)) == ctx
 
+    @pytest.mark.parametrize(
+        "names, sizes, n_params",
+        # the ring `groebner._with_aux_var` makes over a parametric ring:
+        # (t | x y | a); and one block over all the variables
+        [(("t", "x", "y", "a"), (1, 2, 1), 1), (("x0", "x1", "x2"), (3,), 0)],
+    )
+    def test_order_without_a_token_raises(self, names, sizes, n_params):
+        ctx = RingCtx(names, FP, order=("blocks", sizes), n_params=n_params)
+        with pytest.raises(RingError, match="cannot state the block order"):
+            format_ring_header(ctx)
+
     def test_parse_example(self):
         ctx = parse_ring_header("ring x0 x1 x2 over 32003 order grevlex")
         assert ctx.var_names == ("x0", "x1", "x2")

@@ -7,7 +7,7 @@ from step_report import main, run_op, workload_counts
 
 
 def test_counts_one_listing():
-    engine = (gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails, gb._repacked)
+    engine = (gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails)
     quad5 = "x0^2, x1^2, x2^2, x0*x1 - x1*x2, x0*x2 + x1*x2"
     rc, counts = run_op(["rees", "--map", quad5, "--prime", "32003"])
     assert rc == 0
@@ -15,13 +15,12 @@ def test_counts_one_listing():
     # the listing then reduces the tails of the 15 Rees rows once
     assert counts["runs"] == 1 and counts["tails_rows"] == 15
     assert counts["steps"] > 0 and counts["reduce"] > 0
-    assert counts["moved"] == 0
     rc, counts = run_op(["fiber-cone", "--map", quad5, "--prime", "32003"])
     assert rc == 0
-    # the t-run, then the (x | y) block run in a copy of the Rees ring,
-    # into which each term of the 15 Rees generators moves once
-    assert counts["runs"] == 2 and counts["moved"] == 92
-    assert (gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails, gb._repacked) == engine
+    # the t-run alone: the fiber cone basis is the 7 Rees rows whose
+    # leads are free of x, and the listing reduces their tails
+    assert counts["runs"] == 1 and counts["tails_rows"] == 7
+    assert (gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails) == engine
 
 
 def test_wrong_answers_fail(monkeypatch, capsys):
