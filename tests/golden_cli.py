@@ -10,7 +10,9 @@ same maps and on one whose Rees rows have tails that reduce, so the
 reduced bases they print are pinned over F_p as well.  `degree`,
 `jmult` and `gr-dim` run over both fields, and `sweep` runs the de
 Jonquieres family at m = 2 over both, so every command that reads a map
-degree is pinned, and so is the gr dimension of a map.
+degree is pinned, and so is the gr dimension of a map.  `rees`,
+`fiber-cone`, `image` and `degree` also run "quad5" with --ring in the
+lex order and in the order elim:1, so a map ring's order is pinned too.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -40,6 +42,9 @@ MAP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "sfib-hf", "jmult", "gr
 # order has rows whose tails reduce against the other kept rows
 FP_MAPS = dict(MAPS, quad5="x0^2, x1^2, x2^2, x0*x1 - x1*x2, x0*x2 + x1*x2")
 FP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "jmult", "gr-dim")
+# "quad5" in map rings under other orders, named by --ring
+ORDERS = {"lex": "lex", "elim1": "elim:1"}
+ORDER_COMMANDS = ("rees", "fiber-cone", "image", "degree")
 SWEEP = ["sweep", "--family", "dejonquieres", "--m", "2", "--points", "0,1,2"]
 FORMATS = {"json": "json", "text": "txt"}
 
@@ -56,6 +61,11 @@ def _cases():
             for name, forms in FP_MAPS.items():
                 argv = [command, "--map", forms, "--prime", "32003", "--format", fmt]
                 out["%s-%s-p32003.%s" % (command, name, ext)] = argv
+        for command in ORDER_COMMANDS:
+            for tag, order in ORDERS.items():
+                ring = "x0 x1 x2 over 32003 order " + order
+                argv = [command, "--map", FP_MAPS["quad5"], "--ring", ring, "--format", fmt]
+                out["%s-quad5-%s-p32003.%s" % (command, tag, ext)] = argv
         for prime, suffix in (("0", ""), ("32003", "-p32003")):
             argv = SWEEP + ["--prime", prime, "--format", fmt]
             out["sweep-dejonquieres%s.%s" % (suffix, ext)] = argv
