@@ -23,7 +23,8 @@ conic = [parse_poly(t, ctx) for t in ("x0^2", "x0*x1", "x1^2")]
 R = rees_ideal(conic)
 print("Rees ideal of (x0^2, x0*x1, x1^2):")
 for g in groebner_basis(R):
-    print("   ", g, "  bidegree", g.bidegree())
+    # the Rees ring is bigraded by its x | y split: x0 x1 | y0 y1 y2
+    print("   ", g, "  bidegree", g.bidegree(2))
 
 # the pure-y generator survives into the fiber cone; the image of the
 # induced map P^1 -> P^2 is the conic it cuts out

@@ -2,12 +2,14 @@
 
 For forms g0..gs of common degree d in R = k[x], the Rees algebra is the
 image of S = R[y0..ys] under yi -> gi*t; its defining ideal is obtained
-exactly by eliminating t from (y0 - t*g0, ..., ys - t*gs).  The ambient
-ring carries the bigrading x -> (1,0), y -> (0,1), t -> (-d,1), so every
-intermediate ideal stays bihomogeneous.  t is adjoined by the engine's
-one auxiliary-variable helper, `groebner._with_aux_var`, and eliminated
-by `groebner._drop_aux_var`, as in intersections and saturations.  The
-associated graded ideal adds the forms back in.  As dim gr_I(S) = dim S
+exactly by eliminating t from (y0 - t*g0, ..., ys - t*gs).  The
+bigrading of the ambient ring is its x | y split: x -> (1,0), y -> (0,1),
+parameters (0,0), read by `Poly.bidegree(nx)`, and no ring stores it.
+With t -> (-d,1) every intermediate ideal stays bihomogeneous.  t is
+adjoined by the engine's one auxiliary-variable helper,
+`groebner._with_aux_var`, and eliminated by `eliminate(graph, 1)`, as in
+intersections and saturations, which lands in the ambient ring itself.
+The associated graded ideal adds the forms back in.  As dim gr_I(S) = dim S
 for every proper ideal I (Matsumura, Commutative Ring Theory, Th. 15.7),
 only a family's special fibers still build a gr basis.  Every entry point
 checks its forms through `_form_degree`: nonzero, of one ring, of one
@@ -38,8 +40,8 @@ from .groebner import (
     _basis_ideal,
     _budget,
     _charge,
-    _drop_aux_var,
     _with_aux_var,
+    eliminate,
     groebner_basis,
     normal_form,
     saturate,
@@ -50,9 +52,10 @@ from .ring import Poly, RingCtx, RingError, fresh_names
 
 
 def _form_degree(forms):
-    """The common degree d > 0 of nonzero forms of one ring, each of
-    bidegree (d, 0): parameters do not count.  No message formats a
-    form, so forms of a plain ring are checked without unpacking."""
+    """The common degree d > 0 of nonzero forms of one ring, homogeneous
+    in the coordinates: parameters do not count.  No message formats a
+    form, so forms of a ring without parameters are checked without
+    unpacking."""
     if not forms:
         raise RingError("no forms given")
     ctx = forms[0].ctx
@@ -62,8 +65,8 @@ def _form_degree(forms):
             raise RingError("forms from different rings")
         if not g:
             raise RingError("zero form in the generating set")
-        bd = g.bidegree()
-        if bd is None or bd[1] != 0:
+        bd = g.bidegree(ctx.nvars - ctx.n_params)
+        if bd is None:
             raise RingError("form %d is not homogeneous in the coordinates" % i)
         if d is None:
             d = bd[0]
@@ -81,14 +84,13 @@ def _split_ctx(ctx):
 
 
 def blowup_ambient(ctx, s, y_names=None):
-    """Ring k[x, y0..ys (, params)] with the blowup bigrading."""
+    """Ring k[x, y0..ys (, params)], bigraded by its x | y split."""
     nx, np = _split_ctx(ctx)
     if y_names is None:
         y_names = fresh_names("y", s + 1, set(ctx.var_names))
     names = ctx.var_names[:nx] + tuple(y_names) + ctx.var_names[nx:]
-    weights = ctx.weights[:nx] + ((0, 1),) * (s + 1) + ctx.weights[nx:]
     order = "grevlex" if np == 0 else ("blocks", (nx + s + 1, np))
-    return RingCtx(names, ctx.field, order, weights=weights, n_params=np)
+    return RingCtx(names, ctx.field, order, n_params=np)
 
 
 def graph_ideal(forms, y_names=None):
@@ -105,7 +107,7 @@ def graph_ideal(forms, y_names=None):
     ctx = forms[0].ctx
     nx, np = _split_ctx(ctx)
     s = len(forms) - 1
-    tctx, tv, _ = _with_aux_var(blowup_ambient(ctx, s, y_names=y_names), weight=(-d, 1))
+    tctx, tv, _ = _with_aux_var(blowup_ambient(ctx, s, y_names=y_names))
     # one map_vars per form: x and the parameters go straight into tctx
     into_t = list(range(1, nx + 1)) + list(range(nx + s + 2, tctx.nvars))
     gens = []
@@ -128,9 +130,7 @@ def rees_ideal(forms, y_names=None):
     A principal ideal has polynomial Rees algebra, so the result is the
     zero ideal when one form is given.
     """
-    forms = list(forms)
-    graph = graph_ideal(forms, y_names=y_names)
-    return _drop_aux_var(graph, blowup_ambient(forms[0].ctx, len(forms) - 1, y_names=y_names))
+    return eliminate(graph_ideal(forms, y_names=y_names), 1)
 
 
 def _x_free_rows(rees, nx):
@@ -148,7 +148,7 @@ def fiber_cone_ideal(forms, rees=None):
     nx, np = _split_ctx(forms[0].ctx)
     ctx = rees.ctx
     order = "grevlex" if not np else ("blocks", (ctx.nvars - nx - np, np))
-    sub = RingCtx(ctx.var_names[nx:], ctx.field, order, weights=ctx.weights[nx:], n_params=np)
+    sub = RingCtx(ctx.var_names[nx:], ctx.field, order, n_params=np)
     pk, rows = _x_free_rows(rees, nx)
     return _basis_ideal(sub, [{sub.key(pk.unpack(m)[nx:]): c for m, c in t.items()} for t in rows])
 
@@ -215,13 +215,13 @@ def sfib_hilbert_function(forms, n):
     product forming I^n costs one step of the step budget."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    if n == 0:
-        return 1
     forms = list(forms)
     d = _form_degree(forms)
     ctx = forms[0].ctx
     if ctx.n_params:
         raise RingError("saturated fiber needs specialized (parameter-free) forms")
+    if n == 0:
+        return 1
     nx = ctx.nvars
     budget = _budget()
     power = {}
@@ -245,7 +245,7 @@ def _parameter_free(ctx, point, what):
         raise RingError("%s carries no parameters" % what)
     if len(point) != np:
         raise RingError("expected %d parameter values" % np)
-    return RingCtx(ctx.var_names[:k], ctx.field, "grevlex", weights=ctx.weights[:k])
+    return RingCtx(ctx.var_names[:k], ctx.field, "grevlex")
 
 
 def specialize_forms(forms, point):

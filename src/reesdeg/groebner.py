@@ -84,8 +84,12 @@ form divided by the product of the multipliers its reduction applied,
 so results stay exact.
 
 Elimination always goes through a block order (grevlex inside each
-block).  Intersections adjoin one leading auxiliary variable and
-eliminate it: I cap J from t*I + (1-t)*J.  Saturation of a homogeneous
+block).  A ring states its order in one spelling and no grading (the
+bigrading of a Rees ring is its x | y split, which `Poly.bidegree`
+reads), so adjoining t as a leading block of its own
+(`_with_aux_var`) and eliminating it with `eliminate(I, 1)` lands in
+the ring t was adjoined to, with the basis cached.  Intersections
+eliminate t from t*I + (1-t)*J.  Saturation of a homogeneous
 ideal by the irrelevant ideal m = (x_0..x_n) of a grevlex ring reads
 I : x_n^infinity off a Groebner basis of I (Bayer-Stillman) and keeps
 it when the Hilbert series shows it equals I : m^infinity.  Every other
@@ -107,7 +111,9 @@ from .ring import (
     Poly,
     RingCtx,
     RingError,
+    _block_sizes,
     _minimal_packed,
+    _normalize_order,
     _overflow,
     format_poly,
     format_ring_header,
@@ -707,9 +713,9 @@ def ideal_equal(I, J):
 def elimination_order(ctx, k):
     """The block order `eliminate` runs on: the first k variables in a
     leading block (the ring's own order when it already has one)."""
-    if isinstance(ctx.order, tuple) and ctx.order[1][0] == k:
+    if _block_sizes(ctx.order, ctx.nvars)[0] == k:
         return ctx.order
-    return ("blocks", (k, ctx.nvars - k))
+    return _normalize_order(("block", k), ctx.nvars)
 
 
 def _reordered(I, order):
@@ -717,7 +723,7 @@ def _reordered(I, order):
     copy keeps the Hilbert series stated on I with `seed_hilbert_series`,
     if any, since every order gives the same one."""
     ctx = I.ctx
-    copy = RingCtx(ctx.var_names, ctx.field, order, weights=ctx.weights, n_params=ctx.n_params)
+    copy = RingCtx(ctx.var_names, ctx.field, order, n_params=ctx.n_params)
     out = IdealHandle(copy, [g.map_vars(copy, range(ctx.nvars)) for g in I.gens])
     out._series = I._series
     return out
@@ -744,16 +750,9 @@ def eliminate(I, k):
         raise RingError("cannot eliminate %d of %d variables" % (k, n))
     elim_order = elimination_order(ctx, k)
     pk, basis = _basis(I if elim_order == ctx.order else _reordered(I, elim_order))
-    # the blocks after the leading one, grevlex when only one is left
-    rest = elim_order[1][1:]
-    sub_order = "grevlex" if len(rest) == 1 else ("blocks", rest)
-    sub_ctx = RingCtx(
-        ctx.var_names[k:],
-        ctx.field,
-        sub_order,
-        weights=ctx.weights[k:],
-        n_params=min(ctx.n_params, n - k),
-    )
+    # the blocks after the leading one
+    sub_order = ("blocks", _block_sizes(elim_order, n)[1:])
+    sub_ctx = RingCtx(ctx.var_names[k:], ctx.field, sub_order, n_params=min(ctx.n_params, n - k))
     top, shift = 1 << _WIDTH * 2 * n, _WIDTH * k
     kept = [
         {(m >> shift) | (m & _MASK): c for m, c in t.items()} for t in basis if max(t) < top
@@ -761,29 +760,15 @@ def eliminate(I, k):
     return _basis_ideal(sub_ctx, kept)
 
 
-def _with_aux_var(ctx, weight=(0, 0)):
-    """(aux, t, lift): `ctx` with a fresh variable t of bidegree `weight`
-    in a leading block of its own, t as a polynomial, and the map of
-    polynomials of `ctx` into `aux`.  `_drop_aux_var` eliminates t."""
+def _with_aux_var(ctx):
+    """(aux, t, lift): `ctx` with a fresh variable t in a leading block of
+    its own before the blocks of `ctx`, t as a polynomial, and the map of
+    polynomials of `ctx` into `aux`.  `eliminate(I, 1)` eliminates t and
+    lands in `ctx` itself."""
     t = fresh_names("t", 1, set(ctx.var_names))[0]
-    sizes = (1, ctx.nvars) if ctx.order in ("grevlex", "lex") else (1,) + ctx.order[1]
-    aux = RingCtx(
-        (t,) + ctx.var_names,
-        ctx.field,
-        ("blocks", sizes),
-        weights=(weight,) + ctx.weights,
-        n_params=ctx.n_params,
-    )
+    sizes = (1,) + _block_sizes(ctx.order, ctx.nvars)
+    aux = RingCtx((t,) + ctx.var_names, ctx.field, ("blocks", sizes), n_params=ctx.n_params)
     return aux, Poly.var(aux, 0), lambda f: f.map_vars(aux, range(1, ctx.nvars + 1))
-
-
-def _drop_aux_var(I, ctx):
-    """Eliminate t of `_with_aux_var` from the ideal I and return the
-    result as an ideal of `ctx`, the ring t was adjoined to."""
-    elim = eliminate(I, 1)
-    if elim.ctx == ctx:
-        return elim
-    return IdealHandle(ctx, [g.map_vars(ctx, range(ctx.nvars)) for g in elim.gens])
 
 
 def intersect(I, J):
@@ -798,7 +783,7 @@ def intersect(I, J):
     one = Poly.constant(aux, 1)
     gens = [t * lift(f) for f in I.gens]
     gens += [(one - t) * lift(g) for g in J.gens]
-    return _drop_aux_var(IdealHandle(aux, gens), ctx)
+    return eliminate(IdealHandle(aux, gens), 1)
 
 
 def _saturate_by(I, g):
@@ -806,7 +791,7 @@ def _saturate_by(I, g):
     aux, t, lift = _with_aux_var(I.ctx)
     gens = [lift(f) for f in I.gens]
     gens.append(Poly.constant(aux, 1) - t * lift(g))
-    return _drop_aux_var(IdealHandle(aux, gens), I.ctx)
+    return eliminate(IdealHandle(aux, gens), 1)
 
 
 def _sat_exponent(I, S, J_gens):

@@ -160,8 +160,9 @@ def count_standard_monomials(mons, nvars, k):
 def _standard_leads(I):
     """Leads of a minimal Groebner basis of I in the ring order, read off
     the cached packed basis, whose tails are never read; I must be
-    homogeneous in the standard grading."""
-    if any(sum(w) != 1 for w in I.ctx.weights):
+    homogeneous in the standard grading, so its ring has no parameters,
+    the only variables not of degree 1."""
+    if I.ctx.n_params:
         raise RingError("dimension computations need all variables in degree 1")
     pk, basis = _basis(I)
     if not _homogeneous(basis):

@@ -7,12 +7,18 @@ computes on plain ints from parsing on; in characteristic p it is an int
 in the range [0, p).  Results of arithmetic are not brought back to that
 form: a Fraction of denominator 1 arises only from fractional input, and
 it compares, hashes and prints like the equal int.  A `RingCtx` fixes the
-variable names, the coefficient field, the monomial order and a
-bigrading, and is shared by every polynomial of the ring.
+variable names, the coefficient field, the monomial order and the number
+of trailing parameters, exactly what its header line states, and is
+shared by every polynomial of the ring.  A bigrading is a split of the
+coordinates into a first group x and the rest y: `Poly.bidegree(nx)`
+reads it off the first nx variables, and parameters have degree 0.
 
 Supported orders: graded reverse lexicographic, lexicographic, and block
 orders (grevlex inside each block, blocks compared left to right), which
-is what every elimination step in the package runs on.
+is what every elimination step in the package runs on.  An order is its
+block sizes (`_block_sizes`), and a ring stores one spelling of each:
+"grevlex" for one block, "lex" for two or more blocks of one variable,
+and ("blocks", sizes) otherwise.
 
 There is one monomial representation: a monomial packs into one Python
 int (Singular-style packed exponent vectors; Bachmann and Schoenemann,
@@ -23,8 +29,8 @@ so is every term the Buchberger engine hands back, so `Poly` and the
 engine share monomials without conversion.
 Exponent tuples appear only at the edges: the `Poly` constructor,
 `lt`/`lm`, and the methods that read exponents (`evaluate`, `map_vars`,
-`substitute_tail`, printing, and `bidegree` in weighted or parameter
-rings).  Fields of `_WIDTH` bits, least significant first, hold the
+`substitute_tail`, printing, and `bidegree` of a split or parameter
+ring).  Fields of `_WIDTH` bits, least significant first, hold the
 degree, the exponents e_0..e_{n-1}, and on top the order key as n
 nonnegative linear forms: per block of the order, the block's degree
 and then the prefix sums S_{hi-2}, ...,
@@ -133,20 +139,34 @@ class FieldSpec:
     one = 1
 
 
-def _normalize_order(order, n):
-    if order in ("grevlex", "lex"):
-        return order
+def _block_sizes(order, n):
+    """The block sizes of any spelling of a monomial order on n variables:
+    "grevlex" is one block, "lex" n blocks of one variable, ("block", k)
+    the blocks (k, n - k) and ("blocks", sizes) the blocks `sizes`."""
+    if order == "grevlex":
+        return (n,)
+    if order == "lex":
+        return (1,) * n
     if isinstance(order, tuple) and len(order) == 2 and order[0] == "block":
         k = order[1]
         if not 0 < k < n:
             raise RingError("block size %r out of range for %d variables" % (k, n))
-        return ("blocks", (k, n - k))
+        return (k, n - k)
     if isinstance(order, tuple) and len(order) == 2 and order[0] == "blocks":
         sizes = tuple(order[1])
         if any(s <= 0 for s in sizes) or sum(sizes) != n:
             raise RingError("block sizes %r do not partition %d variables" % (sizes, n))
-        return ("blocks", sizes)
+        return sizes
     raise RingError("unknown monomial order %r" % (order,))
+
+
+def _normalize_order(order, n):
+    """The one spelling of `order`: "grevlex" for one block, "lex" for
+    two or more blocks of one variable, else ("blocks", sizes)."""
+    sizes = _block_sizes(order, n)
+    if len(sizes) <= 1:
+        return "grevlex"
+    return "lex" if max(sizes) == 1 else ("blocks", sizes)
 
 
 def _overflow():
@@ -157,10 +177,9 @@ def _order_fields(order, n):
     """The order key as index ranges: each field sums e_i over a range,
     most significant field first.  A block of k variables has k fields,
     the first of them its degree; lex is n blocks of one variable."""
-    sizes = (1,) * n if order == "lex" else (n,) if order == "grevlex" else order[1]
     fields = []
     lo = 0
-    for size in sizes:
+    for size in _block_sizes(order, n):
         hi = lo + size
         fields.append(range(lo, hi))
         fields.extend(range(lo, k + 1) for k in range(hi - 2, lo - 1, -1))
@@ -233,21 +252,19 @@ def _minimal_packed(packed, guard, charge=None):
 
 @dataclass(frozen=True)
 class RingCtx:
-    """A polynomial ring: names, field, monomial order, bigrading.
+    """A polynomial ring: names, field, monomial order, parameter count,
+    which is all `format_ring_header` states.
 
-    `weights` assigns each variable a bidegree pair; the default (1, 0)
-    gives the standard grading.  Auxiliary variables added for blowup
-    computations carry their own pairs so that homogeneity can be checked
-    in every intermediate ring.  The trailing `n_params` variables are
-    deformation parameters (weight (0, 0)) rather than coordinates.
-    `packing` is the monomial packing of every `Poly` of the ring, and
-    `key` packs an exponent tuple in it.
+    The trailing `n_params` variables are deformation parameters rather
+    than coordinates.  `order` is stored in its one spelling, so two
+    spellings of one order give equal rings.  `packing` is the monomial
+    packing of every `Poly` of the ring, shared by every ring of its
+    order and size, and `key` packs an exponent tuple in it.
     """
 
     var_names: tuple
     field: FieldSpec = field(default_factory=FieldSpec)
     order: object = "grevlex"
-    weights: tuple = None
     n_params: int = 0
 
     def __post_init__(self):
@@ -258,23 +275,13 @@ class RingCtx:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", nm):
                 raise RingError("bad variable name %r" % nm)
         object.__setattr__(self, "var_names", names)
+        if not 0 <= self.n_params <= len(names):
+            raise RingError("%r parameters in a ring of %d variables" % (self.n_params, len(names)))
         object.__setattr__(self, "order", _normalize_order(self.order, len(names)))
-        if self.weights is None:
-            w = tuple((1, 0) for _ in names[: len(names) - self.n_params])
-            w += tuple((0, 0) for _ in range(self.n_params))
-            object.__setattr__(self, "weights", w)
-        else:
-            w = tuple(tuple(p) for p in self.weights)
-            if len(w) != len(names):
-                raise RingError("weight count does not match variable count")
-            object.__setattr__(self, "weights", w)
         # the packing of every Poly of the ring, and the sort key of an
         # exponent tuple: larger key means larger monomial
         object.__setattr__(self, "packing", _packing(self.order, len(names)))
         object.__setattr__(self, "key", self.packing.pack)
-        # every variable of bidegree (1, 0): a monomial's bidegree is its
-        # degree field and 0
-        object.__setattr__(self, "_plain", all(w == (1, 0) for w in self.weights))
 
     @property
     def nvars(self):
@@ -285,13 +292,6 @@ class RingCtx:
             return self.var_names.index(name)
         except ValueError:
             raise RingError("unknown variable %r" % name) from None
-
-    def bidegree_of_mon(self, mon):
-        a = b = 0
-        for e, (wa, wb) in zip(mon, self.weights):
-            a += e * wa
-            b += e * wb
-        return (a, b)
 
 
 def monomial_divides(b, a):
@@ -475,21 +475,26 @@ class Poly:
             e >>= 1
         return out
 
-    def bidegree(self):
-        """Common bidegree of all terms, or None if not bihomogeneous.
-        Exponents are unpacked only in weighted or parameter rings."""
-        if self.ctx._plain:
+    def bidegree(self, nx):
+        """Common (degree in the first nx variables, degree in the other
+        coordinates) of all terms, or None if not bihomogeneous; the
+        parameters do not count.  Exponents are unpacked only when nx
+        leaves out a variable."""
+        ctx = self.ctx
+        nc = ctx.nvars - ctx.n_params
+        if not 0 <= nx <= nc:
+            raise RingError("cannot split %d coordinates after %r" % (nc, nx))
+        if nx == ctx.nvars:
             degs = {m & _MASK for m in self.terms}
             return (degs.pop(), 0) if len(degs) == 1 else None
-        deg = None
-        unpack = self.ctx.packing.unpack
+        unpack = ctx.packing.unpack
+        degs = set()
         for m in self.terms:
-            d = self.ctx.bidegree_of_mon(unpack(m))
-            if deg is None:
-                deg = d
-            elif d != deg:
+            e = unpack(m)
+            degs.add((sum(e[:nx]), sum(e[nx:nc])))
+            if len(degs) > 1:
                 return None
-        return deg
+        return degs.pop() if degs else None
 
     def evaluate(self, values):
         """Evaluate at a point given as one field element per variable."""

@@ -70,7 +70,7 @@ def in_order(I, order):
     as the undriven reference: built apart from the engine's own copy
     (`groebner._reordered`), which keeps a stated series."""
     ctx = I.ctx
-    ring = RingCtx(ctx.var_names, ctx.field, order, weights=ctx.weights, n_params=ctx.n_params)
+    ring = RingCtx(ctx.var_names, ctx.field, order, n_params=ctx.n_params)
     return gb_mod.IdealHandle(ring, [g.map_vars(ring, range(ctx.nvars)) for g in I.gens])
 
 

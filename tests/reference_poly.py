@@ -102,11 +102,11 @@ class RefPoly:
         m = max(self.terms, key=lambda m: order_key(self.ctx.order, m))
         return m, self.terms[m]
 
-    def bidegree(self):
-        degs = {
-            tuple(sum(e * w[k] for e, w in zip(m, self.ctx.weights)) for k in range(2))
-            for m in self.terms
-        }
+    def bidegree(self, nx):
+        """(degree in the first nx variables, degree in the other
+        coordinates) of every term, or None when the terms disagree."""
+        nc = self.ctx.nvars - self.ctx.n_params
+        degs = {(sum(m[:nx]), sum(m[nx:nc])) for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def evaluate(self, values):

@@ -21,7 +21,15 @@ from reesdeg.blowup import (
 )
 import reesdeg.groebner as gb_mod
 from reesdeg.families import FamilySpec, make_family
-from reesdeg.groebner import IdealHandle, eliminate, groebner_basis, ideal_contains, ideal_equal
+from reesdeg.groebner import (
+    IdealHandle,
+    eliminate,
+    groebner_basis,
+    ideal_contains,
+    ideal_equal,
+    parse_ideal,
+    serialize_ideal,
+)
 from reesdeg.ratmap import rational_map
 from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, monomials_of_degree, parse_poly
 
@@ -59,7 +67,7 @@ class TestReesIdeal:
             forms = [nonzero_random_form(ctx, rng, 2) for _ in range(3)]
             R = rees_ideal(forms)
             for g in groebner_basis(R):
-                assert g.bidegree() is not None
+                assert g.bidegree(2) is not None
 
     def test_forms_vanish_on_rees(self):
         # every Rees relation must vanish under y_i -> g_i
@@ -242,6 +250,15 @@ class TestSaturatedFiberHF:
         _, forms = forms_of(("x0", "x1"), ["x0^2", "x1^2"])
         assert [sfib_hilbert_function(forms, n) for n in range(4)] == [1, 3, 5, 7]
 
+    def test_power_zero_checks_its_forms(self):
+        # n = 0 rejects what n >= 1 rejects
+        ctx = RingCtx(("x0", "x1"), QQ)
+        _, params = forms_of(("x", "y", "a"), ["a*x^2", "y^2"], n_params=1)
+        for forms in ([Poly.zero(ctx)], params):
+            for n in (0, 1):
+                with pytest.raises(RingError):
+                    sfib_hilbert_function(forms, n)
+
     def test_negative_rejected(self):
         _, forms = forms_of(("x0", "x1"), ["x0", "x1"])
         with pytest.raises(ValueError):
@@ -395,14 +412,45 @@ class TestFormCheck:
         assert rees_ideal(forms, y_names=y_names).ctx == amb
 
 
+class TestSerializedRings:
+    """A ring is what its header states, so a serialized Rees or fiber
+    cone ideal reads back in the ring it was written from."""
+
+    @staticmethod
+    def assert_reads_back(X, nx=None):
+        Y = parse_ideal(serialize_ideal(X))
+        assert Y.ctx == X.ctx
+        assert ideal_equal(Y, X)
+        if nx is not None:
+            bidegrees = [g.bidegree(nx) for g in X.gens]
+            assert None not in bidegrees
+            assert [g.bidegree(nx) for g in Y.gens] == bidegrees
+
+    @pytest.mark.parametrize("p", [7, 32003, 0])
+    def test_plain_map(self, p):
+        _, forms = forms_of(
+            ("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2", "x2^2"], field=FieldSpec(p)
+        )
+        rees = rees_ideal(forms)
+        self.assert_reads_back(rees, nx=3)
+        self.assert_reads_back(fiber_cone_ideal(forms, rees=rees))
+
+    @pytest.mark.parametrize("p", [7, 32003, 0])
+    def test_dejonquieres(self, p):
+        fam = make_family(FamilySpec("dejonquieres", m=2, prime=p))
+        forms = list(fam.forms)
+        rees = rees_ideal(forms)
+        self.assert_reads_back(rees, nx=fam.ctx.nvars - fam.ctx.n_params)
+        self.assert_reads_back(fiber_cone_ideal(forms, rees=rees))
+
+
 class TestAmbient:
     def test_blowup_ambient_names(self):
         ctx = RingCtx(("x0", "x1"), QQ)
         amb = blowup_ambient(ctx, 2)
         assert amb.var_names[:2] == ("x0", "x1")
         assert len(amb.var_names) == 5
-        assert amb.weights[0] == (1, 0)
-        assert amb.weights[-1] == (0, 1)
+        assert amb == RingCtx(amb.var_names, QQ)
 
     def test_fresh_names_dodge_existing(self):
         ctx = RingCtx(("y0", "y1"), QQ)

@@ -74,7 +74,7 @@ class TestHilbertBurch:
         assert len(fam.forms) == 3
         assert fam.degree == 3
         for g in fam.forms:
-            assert g.bidegree() == (3, 0)
+            assert g.bidegree(fam.ctx.nvars) == (3, 0)
 
     def test_syzygy(self):
         # columns of the matrix annihilate the signed minor vector
@@ -132,7 +132,7 @@ class TestPfaffian:
         assert len(fam.forms) == 5
         assert fam.degree == 2
         for g in fam.forms:
-            assert g.bidegree() == (2, 0)
+            assert g.bidegree(fam.ctx.nvars) == (2, 0)
 
     def test_pfaffian_syzygy(self):
         fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))

@@ -781,6 +781,22 @@ class TestOrderNames:
         eliminate(I, 2)
         assert len(runs) == 1 and list(I.gb_cache) == [("blocks", (2, 2))]
 
+    @pytest.mark.parametrize("op", [intersect, saturate])
+    def test_lex_results_keep_their_basis(self, op, monkeypatch):
+        # t, then the lex ring's own blocks, is lex on one variable more:
+        # eliminating t lands in the lex ring with its basis cached
+        names = ("x", "y", "z")
+        ctx, I = mk(names, ["x*y - z^2", "y^2 - x*z", "x^3 - y*z^2"], field=FP, order="lex")
+        _, J = mk(names, ["x - z", "y*z"], field=FP, order="lex")
+        runs = count_buchberger_runs(monkeypatch)
+        K = op(I, J)
+        made = len(runs)
+        assert K.ctx == ctx
+        groebner_basis(K)
+        assert len(runs) == made
+        plain = op(in_order(I, "grevlex"), in_order(J, "grevlex"))
+        assert ideal_equal(K, in_order(plain, "lex"))
+
 
 class TestHilbertDriven:
     """A basis in a copy of a grevlex ring under another order

@@ -118,13 +118,15 @@ def test_private_imports_are_found():
 # a module above them that reaches into it would fail here.
 PRIVATE_IMPORTS = {
     "blowup": {
-        "groebner": {"_basis", "_basis_ideal", "_budget", "_charge", "_drop_aux_var", "_with_aux_var"}
+        "groebner": {"_basis", "_basis_ideal", "_budget", "_charge", "_with_aux_var"}
     },
     "cli": {"blowup": {"_form_degree"}},
     "conditions": {"groebner": {"_budget", "_charge", "_homogeneous"}, "ring": {"_overflow"}},
     "groebner": {
         "hilbert": {"_order_at_one"},
-        "ring": {"_MASK", "_WIDTH", "_minimal_packed", "_overflow"},
+        "ring": {
+            "_MASK", "_WIDTH", "_block_sizes", "_minimal_packed", "_normalize_order", "_overflow"
+        },
     },
     "hilbert": {"groebner": {"_basis", "_homogeneous"}, "ring": {"_minimal_packed"}},
     "ratmap": {"blowup": {"_fiber_cone_summary", "_form_degree"}},

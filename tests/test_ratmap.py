@@ -57,8 +57,8 @@ class TestValidation:
             mkmap(("x0", "x1"), ["x0^2 + x1", "x1^2"])
 
     def test_degrees_read_without_unpacking(self, monkeypatch):
-        # every variable has bidegree (1, 0), so a term's bidegree is its
-        # degree field: no exponent tuple is unpacked
+        # a ring without parameters: a term's degree in the coordinates
+        # is its degree field, so no exponent tuple is unpacked
         ctx = RingCtx(("x0", "x1", "x2"), FP)
         forms = [parse_poly(t, ctx) for t in ("x0^2 + x1*x2", "x0*x1 - 3*x2^2", "x1^2")]
         unpacked = []

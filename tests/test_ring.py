@@ -107,6 +107,25 @@ class TestOrders:
         assert ctx.key((1, 1, 0)) > ctx.key((0, 2, 0))
         assert ctx.key((0, 0, 1)) == ctx.key((0, 0, 1))
 
+    @pytest.mark.parametrize(
+        "n, spellings",
+        [
+            (1, ["grevlex", "lex", ("blocks", (1,))]),
+            (2, ["lex", ("blocks", (1, 1)), ("block", 1)]),
+            (3, ["lex", ("blocks", (1, 1, 1))]),
+            (3, ["grevlex", ("blocks", (3,))]),
+            (3, [("block", 1), ("blocks", (1, 2))]),
+            (4, [("block", 2), ("blocks", (2, 2))]),
+        ],
+    )
+    def test_every_spelling_is_one_ring(self, n, spellings):
+        # an order is its block sizes: its spellings give one ring, with
+        # one shared packing
+        names = tuple("x%d" % i for i in range(n))
+        rings = [RingCtx(names, FP, order) for order in spellings]
+        assert all(r == rings[0] for r in rings[1:])
+        assert all(r.packing is rings[0].packing for r in rings[1:])
+
 
 class TestMonomials:
     def test_div_and_lcm(self):
@@ -185,10 +204,12 @@ class TestPolyArithmetic:
 
     def test_is_homogeneous(self):
         ctx = ctx3()
-        assert parse_poly("x0^2 + x1*x2", ctx).bidegree() is not None
-        assert parse_poly("x0^2 + x1", ctx).bidegree() is None
+        assert parse_poly("x0^2 + x1*x2", ctx).bidegree(3) is not None
+        assert parse_poly("x0^2 + x1", ctx).bidegree(3) is None
         # the zero polynomial has no bidegree
-        assert Poly.zero(ctx).bidegree() is None
+        assert Poly.zero(ctx).bidegree(3) is None
+        with pytest.raises(RingError, match="cannot split"):
+            Poly.zero(ctx).bidegree(4)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**30), st.sampled_from([0, 7, 32003]))
@@ -325,27 +346,39 @@ class TestRingHeader:
         assert parse_ring_header(line) == ctx
 
     def test_round_trip_params_and_orders(self):
+        # every order a header names: grevlex, lex and each two-block order
         for field in (QQ, FP):
             for params in ((), ("a",), ("a", "b")):
-                for order in ("grevlex", "lex", ("block", 2)):
-                    ctx = RingCtx(
-                        ("x0", "x1", "x2") + params,
-                        field,
-                        order=order,
-                        n_params=len(params),
-                    )
-                    assert parse_ring_header(format_ring_header(ctx)) == ctx
+                for n in (1, 2, 3):
+                    names = tuple("x%d" % i for i in range(n)) + params
+                    orders = ["grevlex", "lex"] + [("block", k) for k in range(1, len(names))]
+                    for order in orders:
+                        ctx = RingCtx(names, field, order=order, n_params=len(params))
+                        assert parse_ring_header(format_ring_header(ctx)) == ctx
 
     @pytest.mark.parametrize(
         "names, sizes, n_params",
         # the ring `groebner._with_aux_var` makes over a parametric ring:
-        # (t | x y | a); and one block over all the variables
-        [(("t", "x", "y", "a"), (1, 2, 1), 1), (("x0", "x1", "x2"), (3,), 0)],
+        # (t | x y | a)
+        [(("t", "x", "y", "a"), (1, 2, 1), 1)],
     )
     def test_order_without_a_token_raises(self, names, sizes, n_params):
         ctx = RingCtx(names, FP, order=("blocks", sizes), n_params=n_params)
         with pytest.raises(RingError, match="cannot state the block order"):
             format_ring_header(ctx)
+
+    def test_one_block_states_grevlex(self):
+        ctx = RingCtx(("x0", "x1", "x2"), FP, order=("blocks", (3,)))
+        assert ctx.order == "grevlex"
+        assert format_ring_header(ctx) == "ring x0 x1 x2 over 32003 order grevlex"
+
+    @pytest.mark.parametrize("n_params", [-1, 3, 5])
+    def test_parameter_count_out_of_range_raises(self, n_params):
+        # a header could not state it: "ring x y params  over 7" does not
+        # parse back
+        with pytest.raises(RingError, match="parameters in a ring of 2 variables"):
+            RingCtx(("x", "y"), FP, n_params=n_params)
+        assert RingCtx(("x", "y"), FP, n_params=2).n_params == 2
 
     def test_parse_example(self):
         ctx = parse_ring_header("ring x0 x1 x2 over 32003 order grevlex")
