@@ -13,6 +13,10 @@ Jonquieres family at m = 2 over both, so every command that reads a map
 degree is pinned, and so is the gr dimension of a map.  `rees`,
 `fiber-cone`, `image` and `degree` also run "quad5" with --ring in the
 lex order and in the order elim:1, so a map ring's order is pinned too.
+`conditions` runs on every matrix file of MATRICES: a 4x3 matrix over
+Q, the linear 5x5 Pfaffian family matrix over F_32003 and over Q, and a
+6x6 alternating matrix of linear forms in 7 variables over F_7 with
+zero entries off the diagonal.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -45,6 +49,8 @@ FP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "jmult", "gr-dim")
 # "quad5" in map rings under other orders, named by --ring
 ORDERS = {"lex": "lex", "elim1": "elim:1"}
 ORDER_COMMANDS = ("rees", "fiber-cone", "image", "degree")
+# input matrices of `conditions`, under tests/golden/cli
+MATRICES = ("matrix_q", "pfaffian5_p32003", "pfaffian5_q", "alternating6_p7")
 SWEEP = ["sweep", "--family", "dejonquieres", "--m", "2", "--points", "0,1,2"]
 FORMATS = {"json": "json", "text": "txt"}
 
@@ -69,8 +75,9 @@ def _cases():
         for prime, suffix in (("0", ""), ("32003", "-p32003")):
             argv = SWEEP + ["--prime", prime, "--format", fmt]
             out["sweep-dejonquieres%s.%s" % (suffix, ext)] = argv
-        matrix = str(GOLDEN / "matrix_q.txt")
-        out["conditions-matrix_q.%s" % ext] = ["conditions", "--matrix", matrix, "--format", fmt]
+        for name in MATRICES:
+            matrix = str(GOLDEN / (name + ".txt"))
+            out["conditions-%s.%s" % (name, ext)] = ["conditions", "--matrix", matrix, "--format", fmt]
     return out
 
 

@@ -6,7 +6,7 @@ same files through a fresh interpreter, with the standard library alone.
 
 import pytest
 
-from golden_cli import CASES, GOLDEN
+from golden_cli import CASES, GOLDEN, MATRICES
 from reesdeg.cli import main
 
 
@@ -19,5 +19,5 @@ def test_cli_output_matches_golden(name, capsys):
 
 
 def test_every_golden_file_has_a_case():
-    recorded = {p.name for p in GOLDEN.iterdir()} - {"matrix_q.txt"}
+    recorded = {p.name for p in GOLDEN.iterdir()} - {name + ".txt" for name in MATRICES}
     assert recorded == set(CASES)
