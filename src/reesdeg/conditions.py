@@ -18,12 +18,27 @@ PresentationMatrix itself, outside its dataclass fields, so G_m and F_m
 on one matrix share every minor and every Groebner basis.  A
 determinant is the top minor of the same chain over a fresh table.
 
-The chain runs on the entries' own terms, packed monomials of the
-ring (see `ring`), where `+` multiplies two monomials, and a minor's
-term dict becomes a `Poly` as it is.  A Fitting ideal hands its minors
-to the Groebner engine without conversion, and its height is read off
-the packed lead monomials of their basis.  A minor leaves the table
-once it is handed out: the Fitting ideals ask for each size once,
+An alternating matrix (square, zero diagonal, M[j][i] = -M[i][j],
+tested exactly) has even rank, so its k-minors vanish exactly where its
+2 ceil(k/2)-sub-Pfaffians do, and the two ideals have one height
+(Buchsbaum-Eisenbud, "Algebra structures for finite free resolutions",
+Amer. J. Math. 1977).  G_m and F_m read the heights of such a matrix off
+its sub-Pfaffians and expand no minor.  These come from a first-row
+chain of the same kind: the Pfaffian on an index tuple expands into at
+most len - 1 products with Pfaffians on the tuple less its first index
+and one other, memoized by index tuple in a table local to one
+certificate, so every size shares the smaller sizes.  Their ideals are
+kept on the matrix by Pfaffian size, so minor sizes 2j - 1 and 2j, and
+G_m and F_m, share one handle and one basis.  Each product of either
+chain costs one step of the step budget.  `fitting_ideal` and `minors`
+keep the minor route.
+
+Both chains run on the entries' own terms, packed monomials of the
+ring (see `ring`), where `+` multiplies two monomials, and a minor's or
+Pfaffian's term dict becomes a `Poly` as it is.  A Fitting ideal hands
+its minors to the Groebner engine without conversion, and its height is
+read off the packed lead monomials of their basis.  A minor leaves the
+table once it is handed out: the Fitting ideals ask for each size once,
 largest first, and only a larger minor reads a smaller one.  Every
 field of an entry and of a memoized minor is below `EXP_BOUND`, so a
 product never spills into the next field; a minor whose degree reaches
@@ -61,10 +76,12 @@ class PresentationMatrix:
                     raise RingError("matrix entry from a different ring")
         object.__setattr__(self, "entries", rows)
         # memo tables outside the dataclass fields, so eq and hash ignore
-        # them: packed minors keyed by (rows, cols) until returned, and
-        # Fitting ideals by minor size
+        # them: packed minors keyed by (rows, cols) until returned,
+        # Fitting ideals by minor size, and the ideals of sub-Pfaffians
+        # of an alternating matrix by Pfaffian size
         object.__setattr__(self, "_minors", {})
         object.__setattr__(self, "_fitting", {})
+        object.__setattr__(self, "_pfaffians", {})
 
     @property
     def nrows(self):
@@ -75,36 +92,19 @@ class PresentationMatrix:
         return len(self.entries[0])
 
 
-def _minor(entries, memo, rows, cols, p):
-    """Packed minor on row and column index tuples by Laplace expansion
-    along its first row: sum over j of (-1)^j M[rows[0]][cols[j]] times
-    the memoized minor on (rows[1:], cols without cols[j]).  `entries`
-    are packed term dicts and p is the characteristic.  Each product of
-    an entry and a sub-minor costs one step of the step budget; zero
-    entries and zero sub-minors cost no product.  Over F_p the products
-    add up as plain ints, reduced once per minor."""
-    if len(rows) == 1:
-        return entries[rows[0]][cols[0]]
-    key = (rows, cols)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    head = entries[rows[0]]
-    rest = rows[1:]
+def _expansion(products, p):
+    """Packed sum of the signed products (negate, a, b) of packed term
+    dicts, one step of the step budget each.  Over F_p the products add
+    up as plain ints, reduced once."""
     acc = {}
     get = acc.get
     budget = _budget()
-    for j, c in enumerate(cols):
-        if not head[c]:
-            continue
-        sub = _minor(entries, memo, rest, cols[:j] + cols[j + 1 :], p)
-        if not sub:
-            continue
+    for negate, a, b in products:
         _charge(budget)
-        for m1, c1 in head[c].items():
-            if j % 2:
+        for m1, c1 in a.items():
+            if negate:
                 c1 = -c1
-            for m2, c2 in sub.items():
+            for m2, c2 in b.items():
                 m = m1 + m2
                 acc[m] = get(m, 0) + c1 * c2
     got = {}
@@ -115,8 +115,76 @@ def _minor(entries, memo, rows, cols, p):
             if m & EXP_BOUND:
                 raise _overflow()
             got[m] = c
-    memo[key] = got
     return got
+
+
+def _minor(entries, memo, rows, cols, p):
+    """Packed minor on row and column index tuples by Laplace expansion
+    along its first row: sum over j of (-1)^j M[rows[0]][cols[j]] times
+    the memoized minor on (rows[1:], cols without cols[j]).  `entries`
+    are packed term dicts and p is the characteristic.  Zero entries and
+    zero sub-minors cost no product."""
+    if len(rows) == 1:
+        return entries[rows[0]][cols[0]]
+    key = (rows, cols)
+    got = memo.get(key)
+    if got is None:
+        head, rest = entries[rows[0]], rows[1:]
+        products = []
+        for j, c in enumerate(cols):
+            if head[c]:
+                sub = _minor(entries, memo, rest, cols[:j] + cols[j + 1 :], p)
+                if sub:
+                    products.append((j % 2, head[c], sub))
+        got = memo[key] = _expansion(products, p)
+    return got
+
+
+def _pfaffian(entries, memo, idx, p):
+    """Packed Pfaffian of the principal submatrix on the index tuple idx,
+    of even length at least 2, of an alternating matrix, by expansion
+    along its first row: sum over j >= 1 of (-1)^(j+1) M[idx[0]][idx[j]]
+    times the memoized Pfaffian on idx without idx[0] and idx[j].  The
+    memo is keyed by index tuple, so the sub-Pfaffians of every size
+    below len(idx) are left in it for later calls."""
+    if len(idx) == 2:
+        return entries[idx[0]][idx[1]]
+    got = memo.get(idx)
+    if got is None:
+        head, rest = entries[idx[0]], idx[1:]
+        products = []
+        for j, c in enumerate(rest):
+            if head[c]:
+                sub = _pfaffian(entries, memo, rest[:j] + rest[j + 1 :], p)
+                if sub:
+                    products.append((j % 2, head[c], sub))
+        got = memo[idx] = _expansion(products, p)
+    return got
+
+
+def is_alternating(M):
+    """True when M is square with a zero diagonal and M[j][i] = -M[i][j]."""
+    rows = M.entries
+    n = M.nrows
+    return (
+        n == M.ncols
+        and not any(rows[i][i] for i in range(n))
+        and not any(rows[i][j] + rows[j][i] for i in range(n) for j in range(i + 1, n))
+    )
+
+
+def pfaffians(M, size, memo=None):
+    """All size x size sub-Pfaffians of the alternating matrix M, for
+    even size in 2..nrows, as polynomials, principal index subsets in
+    lexicographic order.  `memo` keeps the packed sub-Pfaffians of the
+    chain between calls; the caller checks that M is alternating."""
+    entries = [[e.terms for e in row] for row in M.entries]
+    p = M.ctx.field.characteristic
+    memo = {} if memo is None else memo
+    return [
+        Poly(M.ctx, _pfaffian(entries, memo, idx, p), _clean=True)
+        for idx in combinations(range(M.nrows), size)
+    ]
 
 
 def determinant(rows):
@@ -169,33 +237,55 @@ def height(I):
     return I.ctx.nvars - summ.dim
 
 
+def _pfaffian_ideal(M, size, memo):
+    """Ideal of the size x size sub-Pfaffians of the alternating matrix
+    M, for even size in 2..nrows, with the chain's sub-Pfaffians kept in
+    `memo`.  The handle is kept on M by size, so the minor sizes 2j - 1
+    and 2j, and G_m and F_m, share it and its Groebner bases."""
+    got = M._pfaffians.get(size)
+    if got is None:
+        got = M._pfaffians[size] = IdealHandle(M.ctx, pfaffians(M, size, memo))
+    return got
+
+
 def _fitting_heights(M, top):
     """ht Fitt_i for i = 1 .. top - 1, in order.
 
+    For an alternating M, index i reads the ideal of sub-Pfaffians of
+    size 2 ceil((nrows - i) / 2), which has the height of the minors'.
+
     Fitt_i lies in Fitt_{i+1}, so once one index reaches height nvars
     every later one has height nvars or is the unit ideal.  Homogeneous
-    minors generate the unit ideal exactly when one is a nonzero
+    generators generate the unit ideal exactly when one is a nonzero
     constant, so those indices need no Groebner basis.  When every
     nonzero entry of M is a form of one positive degree, so is every
-    nonzero minor, and those indices need not even expand their minors.
+    nonzero minor and sub-Pfaffian, and those indices need not even
+    expand them.
     """
     n = M.ctx.nvars
     # every monomial of every entry; the constant monomial packs to 0
     mons = {m for row in M.entries for e in row for m in e.terms}
     forms = 0 not in mons and _homogeneous([mons])
+    memo = {} if is_alternating(M) else None
+
+    def ideal_of(i):
+        if memo is None:
+            return fitting_ideal(M, i)
+        return _pfaffian_ideal(M, (M.nrows - i + 1) // 2 * 2, memo)
+
     ht = 0
     for i in range(1, top):
         if ht < n:
-            ht = height(fitting_ideal(M, i))
+            ht = height(ideal_of(i))
         elif forms:
             # no minor is expanded past here, so the smaller minors the
             # chain left in the table would never leave it
             M._minors.clear()
         else:
-            I = fitting_ideal(M, i)
+            I = ideal_of(i)
             seeds = [g.terms for g in I.gens]
-            # a homogeneous minor with a constant term is a constant, and
-            # the constant monomial packs to 0
+            # a homogeneous generator with a constant term is a constant,
+            # and the constant monomial packs to 0
             if _homogeneous(seeds):
                 ht = math.inf if any(0 in t for t in seeds) else n
             else:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .blowup import gr_dimension_at, rees_ideal, specialize_forms
-from .conditions import PresentationMatrix, check_Gm, minors
+from .conditions import PresentationMatrix, check_Gm, is_alternating, minors, pfaffians
 from .ratmap import DEFAULT_SEED, degree_report, rational_map
 from .ring import (
     DEFAULT_PRIME,
@@ -133,54 +133,27 @@ def _check_syzygies(rows, forms, what):
             raise AssertionError("syzygy check failed for the signed %s" % what)
 
 
-def _pfaffian(rows):
-    """Pfaffian of an even alternating matrix by first-row expansion."""
-    n = len(rows)
-    if n == 0:
-        raise RingError("pfaffian of an empty matrix")
-    ctx = rows[0][0].ctx
-    if n == 2:
-        return rows[0][1]
-    total = Poly.zero(ctx)
-    for j in range(1, n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        keep = [k for k in range(1, n) if k != j]
-        minor = [[rows[a][b] for b in keep] for a in keep]
-        term = entry * _pfaffian(minor)
-        total = total + term if j % 2 == 1 else total - term
-    return total
-
-
 def pfaffian(M):
+    """Pfaffian of an even alternating matrix, the top of the chain of
+    `conditions.pfaffians`."""
     if M.nrows != M.ncols or M.nrows % 2:
         raise RingError("pfaffian needs an even square matrix")
-    _check_alternating(M)
-    return _pfaffian([list(r) for r in M.entries])
-
-
-def _check_alternating(M):
-    for i in range(M.nrows):
-        if M.entries[i][i]:
-            raise RingError("alternating matrix has a nonzero diagonal entry")
-        for j in range(i + 1, M.ncols):
-            if M.entries[i][j] + M.entries[j][i]:
-                raise RingError("matrix is not alternating")
+    if not is_alternating(M):
+        raise RingError("matrix is not alternating")
+    return pfaffians(M, M.nrows)[0]
 
 
 def submaximal_pfaffians(M):
     """Map coordinates from an odd alternating matrix: g_i is (-1)^i
-    times the Pfaffian dropping row and column i; M g = 0 is checked."""
+    times the Pfaffian dropping row and column i; M g = 0 is checked.
+    The Pfaffians come from one chain, which lists them dropping row
+    r, r-1, ..., 0, so they share their sub-Pfaffians."""
     if M.nrows != M.ncols or M.nrows % 2 == 0 or M.nrows < 5:
         raise RingError("submaximal pfaffians need an odd square matrix, size >= 5")
-    _check_alternating(M)
-    forms = []
-    for i in range(M.nrows):
-        keep = [k for k in range(M.nrows) if k != i]
-        minor = [[M.entries[a][b] for b in keep] for a in keep]
-        pf = _pfaffian(minor)
-        forms.append(pf if i % 2 == 0 else -pf)
+    if not is_alternating(M):
+        raise RingError("matrix is not alternating")
+    pfs = reversed(pfaffians(M, M.nrows - 1))
+    forms = [pf if i % 2 == 0 else -pf for i, pf in enumerate(pfs)]
     _check_syzygies(M.entries, forms, "pfaffians")
     return forms
 

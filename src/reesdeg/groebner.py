@@ -102,6 +102,7 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd, lcm
 
 from .ring import (
@@ -154,8 +155,9 @@ def step_budget(limit):
     """Charge every computation inside the block against one budget of
     `limit` steps: reductions, reduced S-pairs, pairs and rows examined by
     pair updates, row operations and rows scanned in seed blocks, monomial
-    divisibility tests, and the products of the minor chain and of the
-    power loop in `sfib_hilbert_function`."""
+    divisibility tests, and the products of the minor and sub-Pfaffian
+    chains of `conditions` and of the power loop in
+    `sfib_hilbert_function`."""
     if limit < 1:
         raise ValueError("budget must be at least 1, got %d" % limit)
     token = _ACTIVE_BUDGET.set(_Budget(limit))
@@ -711,9 +713,10 @@ def ideal_equal(I, J):
 
 
 def elimination_order(ctx, k):
-    """The block order `eliminate` runs on: the first k variables in a
-    leading block (the ring's own order when it already has one)."""
-    if _block_sizes(ctx.order, ctx.nvars)[0] == k:
+    """The block order `eliminate` runs on: the ring's own order when a
+    prefix of its blocks holds exactly the first k variables, else the
+    first k variables in a leading block."""
+    if k in accumulate(_block_sizes(ctx.order, ctx.nvars)):
         return ctx.order
     return _normalize_order(("block", k), ctx.nvars)
 
@@ -732,17 +735,20 @@ def _reordered(I, order):
 def eliminate(I, k):
     """Intersect with the subring spanned by all but the first k variables.
 
-    Runs a basis in a block order putting the first k variables in their
-    own leading block, in a copy of the ring (`_reordered`) unless that
-    is the ring's order, and keeps the generators free of them; those
-    form a minimal basis of the elimination ideal in the restricted
-    order, which the result caches and takes as its generators.
+    Runs a basis in a block order whose leading blocks hold exactly the
+    first k variables: the ring's own order when it has such blocks (so
+    a lex ring eliminates any prefix), else a copy of the ring
+    (`_reordered`) with those variables in one leading block.  It keeps
+    the generators free of them; those form a minimal basis of the
+    elimination ideal in the order of the remaining blocks, which the
+    result caches and takes as its generators.
 
-    They stay packed.  The leading block's degree is the top field of a
-    packed monomial, so an element is free of the block exactly when its
-    lead is below that field.  Dropping the block's k exponent fields and
-    k order fields, and keeping the degree field, then moves a monomial
-    into the packing of the subring.
+    They stay packed.  The leading blocks fill the k top order fields of
+    a packed monomial, each field at most its block's degree, so an
+    element is free of them exactly when its lead is below field
+    2n - k + 1.  Dropping their k exponent fields and k order fields, and
+    keeping the degree field, then moves a monomial into the packing of
+    the subring.
     """
     ctx = I.ctx
     n = ctx.nvars
@@ -750,10 +756,11 @@ def eliminate(I, k):
         raise RingError("cannot eliminate %d of %d variables" % (k, n))
     elim_order = elimination_order(ctx, k)
     pk, basis = _basis(I if elim_order == ctx.order else _reordered(I, elim_order))
-    # the blocks after the leading one
-    sub_order = ("blocks", _block_sizes(elim_order, n)[1:])
+    # the blocks after those of the first k variables
+    sizes = _block_sizes(elim_order, n)
+    sub_order = ("blocks", sizes[list(accumulate(sizes)).index(k) + 1 :])
     sub_ctx = RingCtx(ctx.var_names[k:], ctx.field, sub_order, n_params=min(ctx.n_params, n - k))
-    top, shift = 1 << _WIDTH * 2 * n, _WIDTH * k
+    top, shift = 1 << _WIDTH * (2 * n - k + 1), _WIDTH * k
     kept = [
         {(m >> shift) | (m & _MASK): c for m, c in t.items()} for t in basis if max(t) < top
     ]

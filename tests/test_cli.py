@@ -452,6 +452,26 @@ class TestExitCodes:
         assert out == ""
         assert time.perf_counter() - start < 1.0
 
+    def test_pfaffian_products_are_charged(self, capsys, tmp_path):
+        # a linear alternating 9 x 9 matrix takes the sub-Pfaffian chain,
+        # whose 8-Pfaffians expand every smaller one before a basis
+        rng = random.Random(9)
+        names = ["x%d" % i for i in range(4)]
+        entries = [["0"] * 9 for _ in range(9)]
+        for i in range(9):
+            for j in range(i + 1, 9):
+                coeffs = [rng.randrange(1, 32003) for _ in names]
+                entries[i][j] = " + ".join("%d*%s" % (c, x) for c, x in zip(coeffs, names))
+                entries[j][i] = " + ".join("%d*%s" % (32003 - c, x) for c, x in zip(coeffs, names))
+        rows = "\n".join(", ".join(row) for row in entries)
+        path = tmp_path / "a.txt"
+        path.write_text("ring %s over 32003\nmatrix 9 x 9\n%s\n" % (" ".join(names), rows))
+        start = time.perf_counter()
+        code, out = run(capsys, ["conditions", "--matrix", str(path), "--budget", "1"])
+        assert code == 3
+        assert out == ""
+        assert time.perf_counter() - start < 1.0
+
     def test_successive_commands_get_fresh_budgets(self, capsys):
         for _ in range(3):
             code, _ = run(capsys, self.TWISTED_CUBIC + ["--budget", "135"])

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import count_buchberger_runs
+import pfaffian_oracle
+from conftest import count_buchberger_runs, random_form
 from reesdeg import blowup, families
 from reesdeg.blowup import specialization_compare
 from reesdeg.cli import main
@@ -20,7 +21,7 @@ from reesdeg.families import (
     specialization_sweep,
     specialized_family,
 )
-from reesdeg.ratmap import degree_report, rational_map
+from reesdeg.ratmap import degree_report, rational_map, serialize_map
 from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, parse_poly
 
 FP = FieldSpec(32003)
@@ -133,6 +134,31 @@ class TestPfaffian:
         assert fam.degree == 2
         for g in fam.forms:
             assert g.bidegree(fam.ctx.nvars) == (2, 0)
+
+    @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
+    def test_family_forms_match_the_recursion(self, prime):
+        # the benchmark keys its recorded answers on these map files
+        specs = [FamilySpec("pfaffian", r=4, D=1, seed=seed, prime=prime) for seed in range(5)]
+        specs += [FamilySpec("pfaffian", r=4, D=2, seed=5, prime=prime)]
+        specs += [FamilySpec("pfaffian", r=6, D=1, seed=6, prime=prime)]
+        for spec in specs:
+            fam = make_family(spec)
+            old = pfaffian_oracle.submaximal_pfaffians(fam.matrix)
+            assert serialize_map(rational_map(fam.forms)) == serialize_map(rational_map(old))
+
+    def test_chain_matches_the_recursion(self):
+        # sparse alternating matrices of mixed degree, sizes 2 to 6
+        rng = random.Random(12)
+        for char in (2, 7, 0):
+            ctx = RingCtx(("x", "y", "z"), FieldSpec(char))
+            for n in (2, 4, 6):
+                entries = [[Poly.zero(ctx)] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        f = random_form(ctx, rng, rng.randint(1, 2), density=0.5)
+                        entries[i][j], entries[j][i] = f, -f
+                M = PresentationMatrix(ctx, entries)
+                assert pfaffian(M) == pfaffian_oracle.pfaffian(M.entries)
 
     def test_pfaffian_syzygy(self):
         fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))

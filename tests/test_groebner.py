@@ -726,12 +726,12 @@ GOLDEN_STEPS = {
 }
 
 # The same triples for the Fitting ideal runs of check_Gm(matrix, m), one
-# per index whose height takes a basis.  Their seeds are minors, most of
-# them linearly dependent, so these runs pin the seed block above all.
+# per ideal whose height takes a basis.  Hilbert-Burch seeds are minors,
+# most of them linearly dependent, so these runs pin the seed block above
+# all.  The Pfaffian matrix is alternating, so its runs are of the ideals
+# of 4- and 2-sub-Pfaffians, one per pair of minor sizes.
 GOLDEN_FITTING_STEPS = {
-    "pfaffian5": (
-        FamilySpec("pfaffian", r=4, D=1), 5, [(1373, 15, 840), (2967, 20, 270), (1516, 15, 15)]
-    ),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), 5, [(170, 6, 71), (55, 5, 5)]),
     "hb12": (FamilySpec("hilbert_burch", r=2, mu=(1, 2)), 3, [(36, 4, 32), (27, 3, 3)]),
     "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), 3, [(36, 4, 32), (27, 3, 3)]),
 }
@@ -759,6 +759,16 @@ class TestGoldenSteps:
         got = [(steps, len(b), sum(len(t) for t in b)) for _, steps, b in runs]
         assert got == expected
 
+    def test_pfaffian_minor_oracle_steps_pinned(self, monkeypatch):
+        # the runs the minor route made on the Pfaffian matrix, whose 4-,
+        # 3- and 2-minors still pin the seed block through fitting_ideal
+        matrix = make_family(FamilySpec("pfaffian", r=4, D=1)).matrix
+        runs = record_runs(monkeypatch)
+        for i in (1, 2, 3):
+            height(fitting_ideal(matrix, i))
+        got = [(steps, len(b), sum(len(t) for t in b)) for _, steps, b in runs]
+        assert got == [(1373, 15, 840), (2967, 20, 270), (1516, 15, 15)]
+
 
 # orders of a copy of a ring whose homogeneous ideal has a cached grevlex
 # basis; the first is the one `eliminate(I, 2)` runs in
@@ -780,6 +790,34 @@ class TestOrderNames:
         # cached basis
         eliminate(I, 2)
         assert len(runs) == 1 and list(I.gb_cache) == [("blocks", (2, 2))]
+
+    def test_lex_ring_eliminates_a_prefix_in_its_own_order(self, monkeypatch):
+        # the cached lex basis eliminates any prefix of the variables, so
+        # eliminate makes no copy of the ring and lands in a lex subring
+        names = ("x", "y", "z", "w")
+        ctx, I = mk(names, ["x*y - z^2", "y*w - x^2", "z - w^3"], field=FP, order="lex")
+        copies = record_copies(monkeypatch)
+        runs = count_buchberger_runs(monkeypatch)
+        J = eliminate(I, 2)
+        assert copies == [] and len(runs) == 1
+        assert J.ctx == RingCtx(("z", "w"), FP, "lex")
+        assert list(I.gb_cache) == ["lex"]
+        oracle = eliminate(in_order(I, "grevlex"), 2)
+        assert oracle.ctx.order == "grevlex"
+        assert ideal_equal(J, in_order(oracle, "lex"))
+
+    @pytest.mark.parametrize(
+        "sizes, k, copied",
+        [((1, 2, 1), 1, False), ((1, 2, 1), 3, False), ((1, 2, 1), 2, True), ((2, 2), 1, True)],
+    )
+    def test_block_prefixes_are_eliminated_in_the_ring_order(self, sizes, k, copied, monkeypatch):
+        names = ("x", "y", "z", "w")
+        ctx, I = mk(names, ["x*y - z^2", "y*w - x^2", "z - w^3"], field=FP, order=("blocks", sizes))
+        copies = record_copies(monkeypatch)
+        J = eliminate(I, k)
+        assert bool(copies) == copied
+        oracle = eliminate(in_order(I, "grevlex"), k)
+        assert ideal_equal(J, in_order(oracle, J.ctx.order))
 
     @pytest.mark.parametrize("op", [intersect, saturate])
     def test_lex_results_keep_their_basis(self, op, monkeypatch):
