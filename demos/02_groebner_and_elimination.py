@@ -35,8 +35,11 @@ f = parse_poly("x^4", ctx)
 print("NF(x^4) =", normal_form(f, curve))
 print("x^6 - z^2 in I:", ideal_contains(curve, parse_poly("x^6 - z^2", ctx)))
 
-# eliminating x projects onto the (y, z) plane: the image is y^3 = z^2
-shadow = eliminate(curve, 1)
+# eliminating x projects onto the (y, z) plane: the image is y^3 = z^2.
+# eliminate runs in the ring's own order, so the curve is written again
+# in a ring whose leading block holds x alone
+elim = RingCtx(("x", "y", "z"), FieldSpec(0), ("block", 1))
+shadow = eliminate(ideal(elim, [parse_poly(t, elim) for t in ("y - x^2", "z - x^3")]), 1)
 print("eliminate x:", [str(g) for g in groebner_basis(shadow)])
 
 # intersection of two coordinate lines is the union's ideal

@@ -24,7 +24,9 @@ pf = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))
 rep = degree_report(rational_map(pf.forms))
 print("5x5 Pfaffians: deg_map", rep.deg_map, " G_5", check_Gm(pf.matrix, 5).verdict)
 
-# the parametric cubic family: one generic Rees basis serves the sweep
+# the parametric cubic family: the leading coefficients of its generic
+# graph basis are a and a^2, so every point a != 0 is certified and read
+# off the specialized generic basis; a = 0 gets its own Rees and gr bases
 dj = make_family(FamilySpec("dejonquieres", m=2))
 print("sweep over a in {0, 1, 2}:")
 print("  point  deg_map  deg_image  gr_dim  G_3")

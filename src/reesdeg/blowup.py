@@ -11,7 +11,7 @@ adjoined by the engine's one auxiliary-variable helper,
 intersections and saturations, which lands in the ambient ring itself.
 The associated graded ideal adds the forms back in.  As dim gr_I(S) = dim S
 for every proper ideal I (Matsumura, Commutative Ring Theory, Th. 15.7),
-only a family's special fibers still build a gr basis.  Every entry point
+only a family's uncertified points still build a gr basis.  Every entry point
 checks its forms through `_form_degree`: nonzero, of one ring, of one
 positive degree.
 
@@ -27,7 +27,10 @@ Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
 substitution into the generic basis, and the comparison against the
 Rees ideal of the specialized forms decides whether specialization
-commutes with blowing up at that point.
+commutes with blowing up at that point.  Where no leading coefficient
+in the parameters of the generic graph basis vanishes, it does, and the
+substituted generic Rees basis is a Groebner basis of the special Rees
+ideal (`certified_rees`, after Kalkbrener), so no basis is built there.
 """
 
 from dataclasses import dataclass
@@ -40,6 +43,8 @@ from .groebner import (
     _basis_ideal,
     _budget,
     _charge,
+    _integral,
+    _normalize,
     _with_aux_var,
     eliminate,
     groebner_basis,
@@ -48,7 +53,7 @@ from .groebner import (
     seed_hilbert_series,
 )
 from .hilbert import dim_degree, hilbert_function, monomial_dim_degree
-from .ring import Poly, RingCtx, RingError, fresh_names
+from .ring import Poly, RingCtx, RingError, _minimal_packed, fresh_names
 
 
 def _form_degree(forms):
@@ -258,10 +263,66 @@ def specialize_rees(generic, point):
     """Substitute parameter values into the generators of a generic Rees
     ideal, for `rees_ideal`'s result its cached minimal Groebner basis;
     returns an ideal in the parameter-free ambient ring.  Substitution is
-    a ring map, so any generating set gives the same ideal, and its
-    consumers build their own Groebner basis of it."""
+    a ring map, so any generating set gives the same ideal; the
+    substituted basis is a Groebner basis of it only at a point that
+    `certified_rees` accepts, and elsewhere its consumers build their own."""
     sub = _parameter_free(generic.ctx, point, "the generic Rees ideal")
     return IdealHandle(sub, [g.substitute_tail(sub, point) for g in generic.gens])
+
+
+def leading_coefficients(graph):
+    """The leading coefficients in k[params] of the rows of the cached
+    minimal basis of a graph ideal in a parameter ring, each normalized
+    and listed once, constants left out: for each row, the terms whose
+    exponents in t, x and y are those of its lead, as a polynomial in
+    the parameters."""
+    ctx = graph.ctx
+    k = ctx.nvars - ctx.n_params
+    params = RingCtx(ctx.var_names[k:], ctx.field)
+    p = ctx.field.characteristic
+    pk, basis = _basis(graph)
+    coeffs = {}
+    for t in basis:
+        head = pk.unpack(max(t))[:k]
+        lc = {}
+        for m, c in t.items():
+            e = pk.unpack(m)
+            if e[:k] == head:
+                lc[params.key(e[k:])] = c
+        if max(lc):
+            lc = _normalize(lc, p)
+            coeffs.setdefault(frozenset(lc.items()), Poly(params, lc, _clean=True))
+    return tuple(coeffs.values())
+
+
+def certifies(coeffs, point):
+    """True when none of `coeffs`, the `leading_coefficients` of a
+    generic graph basis, vanishes at `point`."""
+    return all(c.evaluate(point) for c in coeffs)
+
+
+def certified_rees(generic, coeffs, point):
+    """The Rees ideal of the forms specialized at `point`, with a minimal
+    Groebner basis read off `generic`, their generic Rees ideal; None
+    when one of `coeffs`, the `leading_coefficients` of the generic graph
+    basis, vanishes at `point`.
+
+    Where none vanishes, the generic graph basis, in the block order
+    t | x y | params, specializes to a Groebner basis of the special
+    graph ideal with the same leads in t, x and y (Kalkbrener, "On the
+    stability of Groebner bases under specializations", JSC 1997).  Its
+    t-free rows, the generic Rees basis, thus specialize to a Groebner
+    basis of the special member's own Rees ideal.  Leads that differ
+    only in the parameters may coincide or divide each other there, so
+    the specialized rows are minimalized.
+    """
+    if not certifies(coeffs, point):
+        return None
+    spec = specialize_rees(generic, point)
+    p = spec.ctx.field.characteristic
+    rows = sorted((_normalize(_integral(g.terms, p)[0], p) for g in spec.gens), key=max)
+    keep = _minimal_packed([max(t) for t in rows], spec.ctx.packing.guard)
+    return _basis_ideal(spec.ctx, [rows[i] for i in keep])
 
 
 @dataclass(frozen=True)
@@ -294,9 +355,13 @@ def gr_dimension_at(forms, point, generic=None, special=None):
 
     Parameter-free forms take the empty point and give dim S, the number
     of variables, from no basis, and `generic` is ignored.  Forms in a
-    parameter ring read gr off spec(generic Rees) + (forms) at `point`;
-    the generic Rees ideal and `special`, the forms specialized there,
-    may be passed in to amortize them.  A point killing a form fails.
+    parameter ring read gr off spec(generic Rees) + (forms) at `point`
+    from its basis; the generic Rees ideal and `special`, the forms
+    specialized there, may be passed in to amortize them.  At a point
+    that `certified_rees` accepts, spec(generic Rees) is the special
+    member's own Rees ideal, so the answer is again dim S of the
+    coordinates, which `families.Family.gr_dimension` reads without
+    calling this.  A point killing a form fails.
     """
     if forms[0].ctx.n_params:
         forms, rees = _specialized(forms, point, generic, special)

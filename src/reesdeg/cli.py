@@ -12,11 +12,13 @@ codes: 0 success, 2 malformed input or usage, 3 budget exceeded; a
 failed internal check (AssertionError) is not caught and exits 1;
 --ring with a map file or a family, --m with a family file, and
 --points or --m on gr-dim with a map are usage errors, since the input
-does not read them.  One
-step budget covers every Groebner computation of the command and the
-products of its minor chain and of I^n; its default,
-DEFAULT_BUDGET steps, can be set through the REESDEG_BUDGET
-environment variable and overridden per run with --budget.
+does not read them.  A --points value must name at least one point of
+integer coordinates; parameter points over F_p are reduced mod p before
+they are used and echoed.  One step budget covers every Groebner
+computation of the command and the products of its minor chain and of
+I^n; its default, DEFAULT_BUDGET steps, can be set through the
+REESDEG_BUDGET environment variable and overridden per run with
+--budget.
 """
 
 import argparse
@@ -125,17 +127,32 @@ def _load_family(args):
     raise RingError("unknown family %r" % name)
 
 
-def _parse_points(text, arity=1):
+def _parse_points(text, default, arity=1, prime=0):
+    """The points of a --points value, `default` when the flag is not
+    given: comma separated, each of `arity` colon separated integers,
+    reduced mod `prime` unless it is 0.  A value naming no point is an
+    error, as is a coordinate that is no integer."""
     pts = []
-    for part in text.split(","):
+    for part in (default if text is None else text).split(","):
         part = part.strip()
         if not part:
             continue
-        vals = tuple(int(v) for v in part.split(":"))
+        try:
+            vals = tuple(int(v) for v in part.split(":"))
+        except ValueError:
+            raise RingError("--points coordinates must be integers, got %r" % part) from None
         if len(vals) != arity:
             raise RingError("point %r needs %d coordinates" % (part, arity))
-        pts.append(vals)
+        pts.append(tuple(v % prime for v in vals) if prime else vals)
+    if not pts:
+        raise RingError("--points %r names no point" % text)
     return pts
+
+
+def _family_points(args, fam):
+    """The parameter points of --points, default 0 and 1, over the
+    family's field."""
+    return _parse_points(args.points, "0,1", fam.ctx.n_params, fam.ctx.field.characteristic)
 
 
 def _jsonable(v):
@@ -242,7 +259,7 @@ def cmd_fiber_cone(args):
 
 def cmd_sfib_hf(args):
     spec = _load_map(args)
-    points = _parse_points(args.points or "0,1,2,3,4,5")
+    points = _parse_points(args.points, "0,1,2,3,4,5")
     values = [
         {"n": pt[0], "value": sfib_hilbert_function(list(spec.forms), pt[0])}
         for pt in points
@@ -270,7 +287,7 @@ def cmd_conditions(args):
 
 def cmd_sweep(args):
     fam = _load_family(args)
-    points = _parse_points(args.points or "0,1", arity=fam.ctx.n_params)
+    points = _family_points(args, fam)
     rows = specialization_sweep(fam, points)
     payload = _envelope(
         args,
@@ -311,11 +328,8 @@ def cmd_gr_dim(args):
             raise RingError("--ring does not apply to --family, whose ring is its own")
         fam = _load_family(args)
         used_ctx = fam.ctx
-        points = _parse_points(args.points or "0,1", arity=fam.ctx.n_params)
-        generic = fam.generic_rees()
         rows = [
-            {"point": list(pt), "gr_dim": gr_dimension_at(list(fam.forms), pt, generic=generic)}
-            for pt in points
+            {"point": list(pt), "gr_dim": fam.gr_dimension(pt)} for pt in _family_points(args, fam)
         ]
     else:
         for flag, value in (("--points", args.points), ("--m", args.m)):

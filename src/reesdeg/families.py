@@ -18,8 +18,16 @@ instance keeps its parameter in the ring.
 import random
 from dataclasses import dataclass, field
 
-from .blowup import gr_dimension_at, rees_ideal, specialize_forms
+from .blowup import (
+    certified_rees,
+    certifies,
+    gr_dimension_at,
+    graph_ideal,
+    leading_coefficients,
+    specialize_forms,
+)
 from .conditions import PresentationMatrix, check_Gm, is_alternating, minors, pfaffians
+from .groebner import eliminate
 from .ratmap import DEFAULT_SEED, degree_report, rational_map
 from .ring import (
     DEFAULT_PRIME,
@@ -75,9 +83,14 @@ class FamilySpec:
 class Family:
     """A realized family: presentation matrix, map coordinates, degree.
 
-    Parameter-free instances expose map coordinates directly; the
-    parametric de Jonquieres instance keeps its parameter in the ring
-    and caches the generic Rees ideal for reuse across sweep points.
+    Parameter-free instances expose map coordinates directly.  A
+    parametric instance keeps its parameters in the ring and caches, on
+    first use, the generic graph ideal with its basis, the generic Rees
+    ideal eliminated from it, and the leading coefficients of that basis
+    in the parameters.  A point where none of them vanishes is certified:
+    its member's Rees ideal is the generic one specialized, with its
+    basis read off the generic basis, and no basis is built for it
+    (`blowup.certified_rees`).  Every other point takes the full route.
     """
 
     spec: FamilySpec
@@ -85,7 +98,9 @@ class Family:
     matrix: PresentationMatrix
     forms: tuple
     degree: int
+    _graph: object = field(default=None, repr=False)
     _generic_rees: object = field(default=None, repr=False)
+    _lead_coeffs: object = field(default=None, repr=False)
 
     @property
     def parametric(self):
@@ -95,8 +110,35 @@ class Family:
         if not self.parametric:
             raise RingError("generic Rees ideal needs a parametric family")
         if self._generic_rees is None:
-            self._generic_rees = rees_ideal(list(self.forms))
+            self._graph = graph_ideal(list(self.forms))
+            self._generic_rees = eliminate(self._graph, 1)
         return self._generic_rees
+
+    def lead_coefficients(self):
+        """The `blowup.leading_coefficients` of the generic graph basis."""
+        if self._lead_coeffs is None:
+            self.generic_rees()
+            self._lead_coeffs = leading_coefficients(self._graph)
+        return self._lead_coeffs
+
+    def special_rees(self, point):
+        """The Rees ideal of the member at `point`, with its basis read
+        off the generic one, when the point is certified; else None."""
+        return certified_rees(self.generic_rees(), self.lead_coefficients(), point)
+
+    def gr_dimension(self, point, special=None):
+        """Dimension of the special fiber of gr at `point`; `special`, the
+        forms specialized there, may be passed in.  At a certified point
+        the member's Rees ideal is spec(generic Rees), so this is r + 1,
+        as for any map (`blowup.gr_dimension_at`), from no basis; a point
+        that kills a form, or is not certified, goes to `gr_dimension_at`.
+        """
+        forms = list(self.forms)
+        if special is None:
+            special = specialize_forms(forms, point)
+        if all(special) and certifies(self.lead_coefficients(), point):
+            return self.ctx.nvars - self.ctx.n_params
+        return gr_dimension_at(forms, point, generic=self.generic_rees(), special=special)
 
 
 def dense_form(ctx, degree, rng, nx=None):
@@ -237,26 +279,28 @@ def specialization_sweep(fam, points):
     """Evaluate a parametric family at the given parameter points.
 
     Each row records the map degree and image degree of the special
-    member, the special fiber dimension of gr (computed through the one
-    generic Rees basis shared across the sweep, from the forms
-    specialized once per point), and whether the specialized matrix
-    satisfies G_{r+1}.  A point whose member is malformed (a RingError)
-    gets a row with the message in the status column; a failed internal
-    check propagates.
+    member, the special fiber dimension of gr, and whether the
+    specialized matrix satisfies G_{r+1}.  At a point the family
+    certifies, the degrees are read off the specialized generic Rees
+    basis and the gr dimension is r + 1, so no basis is built; at any
+    other point the member gets its own Rees basis and gr basis
+    (`Family.special_rees`, `Family.gr_dimension`).  A point whose member
+    is malformed (a RingError) gets a row with the message in the status
+    column; a failed internal check propagates.
     """
     if not fam.parametric:
         raise RingError("sweep needs a parametric family")
-    generic = fam.generic_rees()
+    # forms that have no generic Rees ideal fail the sweep, not a row
+    fam.generic_rees()
     r = fam.ctx.nvars - fam.ctx.n_params - 1
     rows = []
     for point in points:
         point = tuple(point) if isinstance(point, (tuple, list)) else (point,)
         try:
             sp = specialized_family(fam, point)
-            rep = degree_report(rational_map(sp.forms))
-            gdim = gr_dimension_at(
-                list(fam.forms), point, generic=generic, special=list(sp.forms)
-            )
+            spec = rational_map(sp.forms)
+            rep = degree_report(spec, rees=fam.special_rees(point))
+            gdim = fam.gr_dimension(point, special=list(sp.forms))
             verdict = None
             if sp.matrix is not None:
                 verdict = check_Gm(sp.matrix, r + 1).verdict

@@ -35,10 +35,10 @@ unreduced and uncharged.  A handle's series is the one stated with
 eliminates t from is homogeneous once t and x weigh 1 and y weighs d+1,
 with the Hilbert series of S/(y_0, ..., y_s), so its t-elimination is
 driven from the first S-pair.  The Hilbert function of S/I does not
-depend on the monomial order, so the copy of a ring under a block order
-that `eliminate` runs in (`_reordered`) keeps a series stated on I.
-A run reads the degree in its grading off the packed monomial as the
-total degree plus (w - 1)*e_v over the variables v of weight w > 1.
+depend on the monomial order, so a series stated on a copy of I in a
+ring under another order drives that copy's run too.  A run reads the
+degree in its grading off the packed monomial as the total degree plus
+(w - 1)*e_v over the variables v of weight w > 1.
 
 Inside the engine a monomial is one packed int, in the encoding of
 `ring`, and every packed monomial has the total degree in its degree
@@ -46,8 +46,7 @@ field.  Each basis row also carries the exponent tuple of its lead,
 unpacked once, and the pair update forms lcms from those tuples.
 `Poly` terms, handle generators and the basis cached in `gb_cache` are
 all in the ring's packing (`RingCtx.packing`): a handle has one monomial
-order, its ring's.  A basis in another order is one of a copy of the
-ideal, made with `Poly.map_vars` in a ring under that order.
+order, its ring's, and no function here copies an ideal into another.
 
 Coefficients over Q are Python ints inside the engine, as monomials are
 (fraction-free reduction).  An engine polynomial is primitive with a
@@ -83,13 +82,15 @@ element becomes a `Poly` divided by its lead coefficient and a normal
 form divided by the product of the multipliers its reduction applied,
 so results stay exact.
 
-Elimination always goes through a block order (grevlex inside each
-block).  A ring states its order in one spelling and no grading (the
-bigrading of a Rees ring is its x | y split, which `Poly.bidegree`
-reads), so adjoining t as a leading block of its own
-(`_with_aux_var`) and eliminating it with `eliminate(I, 1)` lands in
-the ring t was adjoined to, with the basis cached.  Intersections
-eliminate t from t*I + (1-t)*J.  Saturation of a homogeneous
+Elimination runs in the ring's own order, which must be a block order
+(grevlex inside each block) whose leading blocks hold exactly the
+eliminated variables; `eliminate` refuses any other ring.  A ring
+states its order in one spelling and no grading (the bigrading of a
+Rees ring is its x | y split, which `Poly.bidegree` reads), so
+adjoining t as a leading block of its own (`_with_aux_var`) and
+eliminating it with `eliminate(I, 1)` lands in the ring t was adjoined
+to, with the basis cached.  Intersections eliminate t from
+t*I + (1-t)*J.  Saturation of a homogeneous
 ideal by the irrelevant ideal m = (x_0..x_n) of a grevlex ring reads
 I : x_n^infinity off a Groebner basis of I (Bayer-Stillman) and keeps
 it when the Hilbert series shows it equals I : m^infinity.  Every other
@@ -114,7 +115,6 @@ from .ring import (
     RingError,
     _block_sizes,
     _minimal_packed,
-    _normalize_order,
     _overflow,
     format_poly,
     format_ring_header,
@@ -564,9 +564,7 @@ class IdealHandle:
     order to (the ring's packing, minimal basis as normalized packed term
     dicts sorted by lead) once a basis is computed, and holds nothing
     else.  A cached basis may also be reduced, once `groebner_basis` has
-    read it, but nothing inside the engine relies on that.  A basis in
-    another order is one of a copy of the ideal in a ring under that
-    order (`_reordered`).
+    read it, but nothing inside the engine relies on that.
     """
 
     __slots__ = ("ctx", "gens", "gb_cache", "_sat", "_series")
@@ -712,36 +710,16 @@ def ideal_equal(I, J):
     return [g.terms for g in a] == [g.terms for g in b]
 
 
-def elimination_order(ctx, k):
-    """The block order `eliminate` runs on: the ring's own order when a
-    prefix of its blocks holds exactly the first k variables, else the
-    first k variables in a leading block."""
-    if k in accumulate(_block_sizes(ctx.order, ctx.nvars)):
-        return ctx.order
-    return _normalize_order(("block", k), ctx.nvars)
-
-
-def _reordered(I, order):
-    """I in a copy of its ring under the monomial order `order`.  The
-    copy keeps the Hilbert series stated on I with `seed_hilbert_series`,
-    if any, since every order gives the same one."""
-    ctx = I.ctx
-    copy = RingCtx(ctx.var_names, ctx.field, order, n_params=ctx.n_params)
-    out = IdealHandle(copy, [g.map_vars(copy, range(ctx.nvars)) for g in I.gens])
-    out._series = I._series
-    return out
-
-
 def eliminate(I, k):
     """Intersect with the subring spanned by all but the first k variables.
 
-    Runs a basis in a block order whose leading blocks hold exactly the
-    first k variables: the ring's own order when it has such blocks (so
-    a lex ring eliminates any prefix), else a copy of the ring
-    (`_reordered`) with those variables in one leading block.  It keeps
-    the generators free of them; those form a minimal basis of the
-    elimination ideal in the order of the remaining blocks, which the
-    result caches and takes as its generators.
+    The ring's order must be a block order whose leading blocks hold
+    exactly the first k variables (a lex ring eliminates any prefix);
+    any other ring raises RingError, and a caller builds its ideal in
+    such a ring.  The generators free of those variables in the cached
+    basis form a minimal basis of the elimination ideal in the order of
+    the remaining blocks, which the result caches and takes as its
+    generators.
 
     They stay packed.  The leading blocks fill the k top order fields of
     a packed monomial, each field at most its block's degree, so an
@@ -754,11 +732,16 @@ def eliminate(I, k):
     n = ctx.nvars
     if not 0 < k < n:
         raise RingError("cannot eliminate %d of %d variables" % (k, n))
-    elim_order = elimination_order(ctx, k)
-    pk, basis = _basis(I if elim_order == ctx.order else _reordered(I, elim_order))
+    sizes = _block_sizes(ctx.order, n)
+    ends = list(accumulate(sizes))
+    if k not in ends:
+        raise RingError(
+            "eliminating the first %d variables needs leading blocks that hold exactly "
+            "them; the ring's blocks are %r" % (k, sizes)
+        )
+    pk, basis = _basis(I)
     # the blocks after those of the first k variables
-    sizes = _block_sizes(elim_order, n)
-    sub_order = ("blocks", sizes[list(accumulate(sizes)).index(k) + 1 :])
+    sub_order = ("blocks", sizes[ends.index(k) + 1 :])
     sub_ctx = RingCtx(ctx.var_names[k:], ctx.field, sub_order, n_params=min(ctx.n_params, n - k))
     top, shift = 1 << _WIDTH * (2 * n - k + 1), _WIDTH * k
     kept = [

@@ -143,8 +143,11 @@ class DegreeReport:
     sfib_multiplicity: object
 
 
-def degree_report(spec):
-    rees = rees_ideal(list(spec.forms))
+def degree_report(spec, rees=None):
+    """The DegreeReport of a map; `rees`, the Rees ideal of its forms,
+    may be passed in, and only the leads of its basis are read."""
+    if rees is None:
+        rees = rees_ideal(list(spec.forms))
     img = image_summary(spec, rees=rees)
     dim_image = img.proj_dim_of_scheme
     if dim_image < spec.r:

@@ -64,14 +64,19 @@ def small_ctx(rng, chars=(0, 32003, 7), nmin=2, nmax=3):
     return RingCtx(names, FieldSpec(rng.choice(chars)))
 
 
-def in_order(I, order):
+def in_order(I, order, series=False):
     """A fresh handle on the ideal I in a copy of its ring under the
-    monomial order `order`, with nothing cached and no series stated,
-    as the undriven reference: built apart from the engine's own copy
-    (`groebner._reordered`), which keeps a stated series."""
+    monomial order `order`, with nothing cached.  With `series`, the
+    Hilbert series stated on I, if any, is stated on the copy too, since
+    every order gives the same one; without it the copy is the undriven
+    reference.  `eliminate` runs only in a ring whose leading blocks hold
+    the eliminated variables, so a test eliminates from such a copy."""
     ctx = I.ctx
     ring = RingCtx(ctx.var_names, ctx.field, order, n_params=ctx.n_params)
-    return gb_mod.IdealHandle(ring, [g.map_vars(ring, range(ctx.nvars)) for g in I.gens])
+    out = gb_mod.IdealHandle(ring, [g.map_vars(ring, range(ctx.nvars)) for g in I.gens])
+    if series:
+        out._series = I._series
+    return out
 
 
 def count_buchberger_runs(monkeypatch):
@@ -85,15 +90,6 @@ def count_buchberger_runs(monkeypatch):
 
     monkeypatch.setattr(gb_mod, "_buchberger", counting)
     return runs
-
-
-def record_copies(monkeypatch):
-    """Patch `groebner._reordered` to log the order of each copy of a
-    ring it makes; returns the log."""
-    copies = []
-    inner = gb_mod._reordered
-    monkeypatch.setattr(gb_mod, "_reordered", lambda I, order: copies.append(order) or inner(I, order))
-    return copies
 
 
 def record_shortcut(monkeypatch):

@@ -2,10 +2,10 @@
 oracle for `ratmap.degree_map`, which reads the degree off the class of
 the graph instead.
 
-Eliminating x from the Rees ideal R builds a minimal Groebner basis of R
-in the block order (x | y), in a copy of its ring under that order, whose
-leads are those of the reduced basis G.  The run is driven by the Hilbert
-series of the leads of the grevlex Rees basis, which every order shares.  Every element of G that involves x has its x-leading coefficient
+A minimal Groebner basis of the Rees ideal R in the block order (x | y),
+built in a copy of its ring under that order, has the leads of the
+reduced basis G.  The run is driven by the Hilbert series of the leads
+of the grevlex Rees basis, which every order shares.  Every element of G that involves x has its x-leading coefficient
 outside the image ideal P = R cap k[y]: the y-parts of its terms are
 standard monomials modulo P, and P is prime.  By Kalkbrener's
 specialization theorem ("On the stability of Groebner bases under
@@ -17,8 +17,9 @@ so deg F is the Hilbert degree of that monomial ideal in k[x] when its
 Krull dimension is 1; otherwise F is not generically finite.
 """
 
+from conftest import in_order
 from reesdeg.blowup import rees_ideal
-from reesdeg.groebner import _reordered, elimination_order, seed_hilbert_series
+from reesdeg.groebner import seed_hilbert_series
 from reesdeg.hilbert import lead_ideal, monomial_dim_degree, weighted_numerator
 from reesdeg.ratmap import NOT_GENERICALLY_FINITE
 
@@ -30,6 +31,6 @@ def generic_fiber_degree(spec):
     nx = spec.r + 1
     ones = (1,) * rees.ctx.nvars
     seed_hilbert_series(rees, ones, weighted_numerator(lead_ideal(rees), ones))
-    leads = lead_ideal(_reordered(rees, elimination_order(rees.ctx, nx)))
+    leads = lead_ideal(in_order(rees, ("block", nx), series=True))
     fiber = monomial_dim_degree([m[:nx] for m in leads if any(m[:nx])], nx)
     return fiber.degree if fiber.dim == 1 else NOT_GENERICALLY_FINITE

@@ -10,6 +10,13 @@ compare two trees where wall time on a shared host cannot:
 
     python3 tests/step_report.py --seed 7 --rounds 3
     python3 tests/step_report.py --workload eliminate_fp
+    python3 tests/step_report.py --seed 7 --rounds 3 --times
+
+With --times, one warm-up operation per command runs first, on the
+workload's warm-up instances, and each command's in-process wall time,
+summed over the rounds, is printed beside the counts in ms and as a
+share of the workload's total.  Those two columns depend on the machine
+and its load; the others do not.
 
 An operation fails when its exit code is nonzero or when
 `workloads.check_answer` rejects its answer: the laws of its family
@@ -28,6 +35,7 @@ import io
 import os
 import sys
 import tempfile
+import time
 from collections import defaultdict
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -96,19 +104,26 @@ def run_op(argv, out=None):
     return rc, counts
 
 
-def workload_counts(name, seed, rounds):
+def workload_counts(name, seed, rounds, times=False):
     """({command: {column: total}}, [failure messages]) over rounds
-    0..rounds-1 of a workload."""
+    0..rounds-1 of a workload.  With `times`, the warm-up operations run
+    first, and each row also sums the wall time of its operations in
+    seconds, under "seconds"."""
     expected = load_expected() if seed == RECORDED_SEED else {}
-    table = defaultdict(lambda: dict.fromkeys(COLUMNS, 0))
+    table = defaultdict(lambda: dict.fromkeys(COLUMNS + ("seconds",) * times, 0))
     failures = []
     with tempfile.TemporaryDirectory() as workdir:
         work = Workload(name, seed, workdir, rounds)
+        for op in work.warm_up_ops() if times else ():
+            run_op(op.argv)
         for j in range(rounds):
             for op in work.round_ops(j):
                 out = io.StringIO()
+                start = time.perf_counter()
                 rc, counts = run_op(op.argv, out)
                 row = table[op.argv[0]]
+                if times:
+                    row["seconds"] += time.perf_counter() - start
                 for col in COLUMNS[:-1]:
                     row[col] += counts[col]
                 why = check_answer(op, rc, out.getvalue(), expected)
@@ -119,10 +134,20 @@ def workload_counts(name, seed, rounds):
 
 
 def format_table(name, table):
+    """The table's lines; when its rows carry "seconds", each line also
+    gives that time in ms and as a share of the total."""
+    timed = any("seconds" in row for row in table.values())
     total = {col: sum(row[col] for row in table.values()) for col in COLUMNS}
     lines = ["%-24s" % name + "".join("%12s" % col for col in COLUMNS)]
+    if timed:
+        total["seconds"] = sum(row["seconds"] for row in table.values())
+        lines[0] += "%12s%12s" % ("ms", "share")
     for command, row in list(table.items()) + [("total", total)]:
-        lines.append("  %-22s" % command + "".join("%12d" % row[col] for col in COLUMNS))
+        line = "  %-22s" % command + "".join("%12d" % row[col] for col in COLUMNS)
+        if timed:
+            share = 100 * row["seconds"] / total["seconds"] if total["seconds"] else 0.0
+            line += "%12.1f%11.1f%%" % (1000 * row["seconds"], share)
+        lines.append(line)
     return lines
 
 
@@ -131,11 +156,15 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--rounds", type=int, default=3, help="rounds 0..N-1 (default 3)")
     parser.add_argument("--workload", choices=WORKLOADS, action="append")
+    parser.add_argument(
+        "--times", action="store_true",
+        help="also print each command's wall time after a warm-up, in ms and as a share",
+    )
     args = parser.parse_args(argv)
     print("seed %d, rounds 0..%d" % (args.seed, args.rounds - 1))
     failures = []
     for name in args.workload or WORKLOADS:
-        table, failed = workload_counts(name, args.seed, args.rounds)
+        table, failed = workload_counts(name, args.seed, args.rounds, args.times)
         print("\n".join(format_table(name, table)))
         failures += failed
     for line in failures:

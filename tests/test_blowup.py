@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import count_buchberger_runs, nonzero_random_form, rand_coeff
+from conftest import count_buchberger_runs, in_order, nonzero_random_form, rand_coeff
 from gr_oracle import gr_dimension
 from reesdeg.blowup import (
     analytic_spread,
@@ -221,7 +221,7 @@ class TestFiberConeOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gb_mod, "VERIFY_BASES", True)
             fiber = fiber_cone_ideal(forms)
-            oracle = eliminate(rees_ideal(forms), nvars)
+            oracle = eliminate(in_order(rees_ideal(forms), ("block", nvars)), nvars)
             assert fiber.ctx == oracle.ctx
             assert groebner_basis(fiber) == groebner_basis(oracle)
 
@@ -232,7 +232,7 @@ class TestFiberConeOracle:
         rees = rees_ideal(forms)
         fiber = fiber_cone_ideal(forms, rees=rees)
         nx = forms[0].ctx.nvars - 1
-        oracle = eliminate(rees, nx)
+        oracle = eliminate(in_order(rees, ("block", nx)), nx)
         # the order the Rees ring induces on (y | a), not eliminate's grevlex
         ny = rees.ctx.nvars - nx - 1
         assert fiber.ctx.order == ("blocks", (ny, 1))

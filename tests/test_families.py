@@ -4,6 +4,8 @@ import random
 import pytest
 
 import pfaffian_oracle
+import reesdeg.groebner as gb_mod
+import sweep_oracle
 from conftest import count_buchberger_runs, random_form
 from reesdeg import blowup, families
 from reesdeg.blowup import specialization_compare
@@ -241,6 +243,111 @@ class TestDeJonquieres:
         rows = specialization_sweep(bare, [1])
         assert rows[0].g_condition is None
         assert rows[0].deg_map == 2
+
+
+def outcome(fn):
+    """fn() or, when it raises RingError, the message."""
+    try:
+        return fn()
+    except RingError as exc:
+        return str(exc)
+
+
+class TestCertifiedSweep:
+    """Points where no leading coefficient of the generic graph basis
+    vanishes take their answers from the specialized generic basis; the
+    rows equal those of the per-point route, `tests/sweep_oracle.py`."""
+
+    WIDE = [0, 1, -1, 2, 5, 100]
+
+    def same_rows(self, fam, points):
+        # the same family with nothing cached
+        oracle = Family(fam.spec, fam.ctx, fam.matrix, fam.forms, fam.degree)
+        assert specialization_sweep(fam, points) == sweep_oracle.sweep_rows(oracle, points)
+        for pt in [(p,) if isinstance(p, int) else p for p in points]:
+            # a point that kills a form fails with the same message
+            assert outcome(lambda: fam.gr_dimension(pt)) == outcome(
+                lambda: sweep_oracle.gr_dim_rows(oracle, [pt])[0]["gr_dim"])
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_every_point_of_f7(self, m):
+        self.same_rows(make_family(FamilySpec("dejonquieres", m=m, prime=7)), list(range(7)))
+
+    def test_every_point_of_f101(self, monkeypatch):
+        # every certified basis passes the minimality and S-pair checks
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        self.same_rows(make_family(FamilySpec("dejonquieres", m=2, prime=101)), list(range(101)))
+
+    @pytest.mark.parametrize("prime", [32003, 0], ids=["F_32003", "QQ"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_wide_points(self, m, prime):
+        self.same_rows(make_family(FamilySpec("dejonquieres", m=m, prime=prime)), self.WIDE)
+
+    @pytest.mark.parametrize("prime", [7, 0], ids=["F_7", "QQ"])
+    def test_two_parameter_file_family(self, prime):
+        # points on and off the locus of its leading coefficients, and
+        # points that kill a form
+        ctx = RingCtx(("x", "y", "z", "a", "b"), FieldSpec(prime), n_params=2)
+        texts = ("a*x^2 + b*y^2", "x*y + a*z^2", "b*y*z + x^2 - z^2")
+        forms = tuple(parse_poly(t, ctx) for t in texts)
+        fam = Family(FamilySpec("file", prime=prime), ctx, None, forms, 2)
+        points = [(a, b) for a in range(-2, 5) for b in range(-2, 5)]
+        self.same_rows(fam, points)
+        assert any(fam.special_rees(pt) is None for pt in points)
+        assert any(fam.special_rees(pt) is not None for pt in points)
+
+    @pytest.mark.parametrize("prime", [7, 0], ids=["F_7", "QQ"])
+    def test_leads_that_meet_are_minimalized(self, prime, monkeypatch):
+        # generic leads a*m and m*m' both lie in the basis; at a != 0 the
+        # second is redundant, and the certified basis leaves it out
+        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+        ctx = RingCtx(("x", "y", "z", "a"), FieldSpec(prime), n_params=1)
+        texts = ("y*z*a + 4*x^2", "x^2*a + 5*z^2", "6*z^2*a + 6*x^2 + 3*x*z + 2*y*z")
+        forms = tuple(parse_poly(t, ctx) for t in texts)
+        fam = Family(FamilySpec("file", prime=prime), ctx, None, forms, 2)
+        self.same_rows(fam, list(range(-3, 7)))
+        generic = fam.generic_rees()
+        certified = [(a,) for a in range(1, 7) if fam.special_rees((a,)) is not None]
+        assert any(
+            len(fam.special_rees(pt).gens) < len(blowup.specialize_rees(generic, pt).gens)
+            for pt in certified
+        )
+
+    def test_dejonquieres_leading_coefficients(self):
+        # the candidates for a drop are the roots of a, ..., a^(2m-2): a = 0
+        for m in (2, 3, 4):
+            for prime in (7, 32003, 0):
+                fam = make_family(FamilySpec("dejonquieres", m=m, prime=prime))
+                coeffs = [str(c) for c in fam.lead_coefficients()]
+                assert coeffs == ["a"] + ["a^%d" % k for k in range(2, 2 * m - 1)]
+
+    def test_certified_point_makes_no_run(self, monkeypatch, capsys):
+        fam = make_family(FamilySpec("dejonquieres", m=2))
+        bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
+        runs = count_buchberger_runs(monkeypatch)
+        rows = specialization_sweep(bare, [5, 1])
+        # the generic graph basis is the one run; no Rees or gr basis
+        # is built at a = 5 or a = 1
+        assert len(runs) == 1
+        assert [(r.deg_map, r.gr_dim) for r in rows] == [(2, 3), (2, 3)]
+        assert bare.gr_dimension((7,)) == 3 and len(runs) == 1
+        runs.clear()
+        assert main(["gr-dim", "--family", "dejonquieres", "--points", "5,6,7"]) == 0
+        capsys.readouterr()
+        assert len(runs) == 1
+
+    def test_zero_takes_the_full_route(self, monkeypatch):
+        fam = make_family(FamilySpec("dejonquieres", m=2))
+        bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
+        bare.generic_rees()
+        assert bare.special_rees((0,)) is None
+        runs = count_buchberger_runs(monkeypatch)
+        rows = specialization_sweep(bare, [0])
+        # the member's own Rees basis and its gr basis
+        assert len(runs) == 2
+        assert [(r.deg_map, r.gr_dim) for r in rows] == [(1, 4)]
+        drop = specialization_compare(list(fam.forms), (0,))
+        assert str(drop.witness) == "z*y0^2 + y*y0*y1 + z*y1^2 + z*y1*y2"
 
 
 class TestJMultiplicity:

@@ -15,7 +15,6 @@ from conftest import (
     rand_rational,
     random_form,
     random_poly,
-    record_copies,
     record_shortcut,
     small_ctx,
 )
@@ -47,7 +46,6 @@ from reesdeg.groebner import (
     _spoly,
     _with_aux_var,
     eliminate,
-    elimination_order,
     groebner_basis,
     ideal,
     ideal_contains,
@@ -182,13 +180,20 @@ class TestBasics:
 class TestElimination:
     def test_cubic_curve(self):
         # parametrization y = x^2, z = x^3; eliminating x leaves y^3 - z^2
-        ctx, I = mk(("x", "y", "z"), ["y - x^2", "z - x^3"])
+        ctx, I = mk(("x", "y", "z"), ["y - x^2", "z - x^3"], order=("block", 1))
         J = eliminate(I, 1)
         assert J.ctx.var_names == ("y", "z")
         assert groebner_basis(J) == [parse_poly("y^3 - z^2", J.ctx)]
 
+    def test_grevlex_ring_is_refused(self):
+        # eliminate runs in the ring's own order and copies no ideal
+        _, I = mk(("x", "y", "z"), ["y - x^2", "z - x^3"])
+        with pytest.raises(RingError, match="leading blocks that hold exactly them"):
+            eliminate(I, 1)
+        assert I.gb_cache == {}
+
     def test_eliminate_two(self):
-        ctx, I = mk(("s", "t", "u"), ["u - s - t"])
+        ctx, I = mk(("s", "t", "u"), ["u - s - t"], order=("block", 2))
         J = eliminate(I, 2)
         assert J.ctx.var_names == ("u",)
         assert groebner_basis(J) == []
@@ -643,16 +648,13 @@ class TestOnePacking:
     @pytest.mark.parametrize("field", [FP, QQ], ids=["F_32003", "QQ"])
     def test_rees_ideal_moves_no_term(self, monkeypatch, field):
         # the graph ideal's ring order is its t-elimination order, so its
-        # driven run takes the generators' own terms as seeds, in no copy
-        # of the ring
-        copies = record_copies(monkeypatch)
+        # driven run takes the generators' own terms as seeds
         runs = record_runs(monkeypatch)
         ctx = RingCtx(("x0", "x1", "x2"), field)
         forms = [parse_poly(t, ctx) for t in ("x0^2", "x0*x1 + x2^2", "x1^2 - x0*x2", "x2^2")]
         rees = rees_ideal(forms)
         groebner_basis(rees)
         assert [max(run[0][0]) for run in runs] == [3]
-        assert copies == []
 
     def test_bases_leave_the_engine_standard_packed(self, monkeypatch):
         handles = []
@@ -675,7 +677,7 @@ class TestOnePacking:
             M = PresentationMatrix(ctx, [[Poly.var(ctx, (i + j) % 3) for j in range(2)] for i in range(3)])
             height(fitting_ideal(M, 1))
             results.append(fitting_ideal(M, 1))
-            results.append(eliminate(ideal(ctx, forms), 1))
+            results.append(eliminate(in_order(ideal(ctx, forms), ("block", 1)), 1))
             for I in results:
                 groebner_basis(I)
             assert len(handles) > len(results)
@@ -792,31 +794,35 @@ class TestOrderNames:
         assert len(runs) == 1 and list(I.gb_cache) == [("blocks", (2, 2))]
 
     def test_lex_ring_eliminates_a_prefix_in_its_own_order(self, monkeypatch):
-        # the cached lex basis eliminates any prefix of the variables, so
-        # eliminate makes no copy of the ring and lands in a lex subring
+        # the cached lex basis eliminates any prefix of the variables, and
+        # eliminate lands in a lex subring
         names = ("x", "y", "z", "w")
         ctx, I = mk(names, ["x*y - z^2", "y*w - x^2", "z - w^3"], field=FP, order="lex")
-        copies = record_copies(monkeypatch)
         runs = count_buchberger_runs(monkeypatch)
         J = eliminate(I, 2)
-        assert copies == [] and len(runs) == 1
+        assert len(runs) == 1
         assert J.ctx == RingCtx(("z", "w"), FP, "lex")
         assert list(I.gb_cache) == ["lex"]
-        oracle = eliminate(in_order(I, "grevlex"), 2)
+        oracle = eliminate(in_order(I, ("block", 2)), 2)
         assert oracle.ctx.order == "grevlex"
         assert ideal_equal(J, in_order(oracle, "lex"))
 
     @pytest.mark.parametrize(
-        "sizes, k, copied",
+        "sizes, k, refused",
         [((1, 2, 1), 1, False), ((1, 2, 1), 3, False), ((1, 2, 1), 2, True), ((2, 2), 1, True)],
     )
-    def test_block_prefixes_are_eliminated_in_the_ring_order(self, sizes, k, copied, monkeypatch):
+    def test_block_prefixes_are_eliminated_in_the_ring_order(self, sizes, k, refused):
+        # a ring whose leading blocks do not hold exactly the first k
+        # variables is refused: eliminate copies no ideal into another order
         names = ("x", "y", "z", "w")
         ctx, I = mk(names, ["x*y - z^2", "y*w - x^2", "z - w^3"], field=FP, order=("blocks", sizes))
-        copies = record_copies(monkeypatch)
+        if refused:
+            with pytest.raises(RingError, match="leading blocks"):
+                eliminate(I, k)
+            assert I.gb_cache == {}
+            return
         J = eliminate(I, k)
-        assert bool(copies) == copied
-        oracle = eliminate(in_order(I, "grevlex"), k)
+        oracle = eliminate(in_order(I, ("block", k)), k)
         assert ideal_equal(J, in_order(oracle, J.ctx.order))
 
     @pytest.mark.parametrize("op", [intersect, saturate])
@@ -837,10 +843,10 @@ class TestOrderNames:
 
 
 class TestHilbertDriven:
-    """A basis in a copy of a grevlex ring under another order
-    (`_reordered`), driven by the Hilbert series of the grevlex basis's
-    leads stated on the ideal, against the same basis computed from
-    scratch; and the block run of `eliminate`, which makes such a copy."""
+    """A basis in a copy of a grevlex ring under another order, driven by
+    the Hilbert series of the grevlex basis's leads stated on the copy,
+    against the same basis computed from scratch; and the block run of
+    `eliminate` in such a copy."""
 
     @pytest.mark.parametrize("order", list(HILBERT_ORDERS))
     @pytest.mark.parametrize(
@@ -865,7 +871,7 @@ class TestHilbertDriven:
             ones = (1,) * n
             series = (ones, weighted_numerator([g.lm() for g in groebner_basis(I)], ones))
             seed_hilbert_series(I, *series)
-            driven = groebner_basis(gb_mod._reordered(I, o))
+            driven = groebner_basis(in_order(I, o, series=True))
             assert driven == plain
             (none, plain_run, _), _, (target, driven_run, _) = runs
             assert none is None
@@ -893,17 +899,18 @@ class TestHilbertDriven:
             ]
             del runs[:]
             # no series stated: the block run is undriven
-            plain_elim = eliminate(ideal(ctx, gens), k)
+            plain_elim = eliminate(in_order(ideal(ctx, gens), ("block", k)), k)
             I = ideal(ctx, gens)
             ones = (1,) * n
             series = (ones, weighted_numerator([g.lm() for g in groebner_basis(I)], ones))
             seed_hilbert_series(I, *series)
-            driven_elim = eliminate(I, k)
+            block = in_order(I, ("block", k), series=True)
+            driven_elim = eliminate(block, k)
             (none, plain_run, plain), _, (target, driven_run, driven) = runs
             assert none is None
             assert target == series
             # the same reduced block basis, and so the same elimination ideal
-            guard = _packing(elimination_order(ctx, k), n).guard
+            guard = block.ctx.packing.guard
             reduced = [gb_mod._reduce_tails(b, guard, p, gb_mod._budget()) for b in (plain, driven)]
             assert reduced[0] == reduced[1]
             assert groebner_basis(driven_elim) == groebner_basis(plain_elim)
@@ -915,21 +922,19 @@ class TestHilbertDriven:
 
     def test_routing(self, monkeypatch):
         runs = record_runs(monkeypatch)
-        # a grevlex basis is cached, but the ideal is not homogeneous
-        _, I = mk(("x", "y", "z"), ["x^2 - y", "x*y - z^2"])
+        # not homogeneous, then homogeneous with no series stated: the
+        # block runs are undriven, and a cached block basis is reused
+        _, I = mk(("x", "y", "z"), ["x^2 - y", "x*y - z^2"], order=("block", 1))
         groebner_basis(I)
         eliminate(I, 1)
-        # homogeneous, but nothing is cached
-        _, J = mk(("x", "y", "z"), ["x^2 - y*z", "x*y - z^2"])
-        eliminate(J, 1)
-        # homogeneous with a cached basis, but no series stated
-        groebner_basis(J)
+        _, J = mk(("x", "y", "z"), ["x^2 - y*z", "x*y - z^2"], order=("block", 2))
         eliminate(J, 2)
-        assert [run[0] for run in runs] == [None, None, None, None, None]
-        # a stated series goes to the copy as it is
+        assert [run[0] for run in runs] == [None, None]
+        # a series stated on the copy eliminate runs in drives its run,
+        # and the grevlex handle it was copied from computes nothing
         _, K = mk(("x", "y"), ["x^2 - y"], field=FP)
         seed_hilbert_series(K, (1, 2), {0: 1, 2: -1})
-        eliminate(K, 1)
+        eliminate(in_order(K, ("block", 1), series=True), 1)
         assert runs[-1][0] == ((1, 2), {0: 1, 2: -1})
         assert K.gb_cache == {}
 
@@ -1399,12 +1404,12 @@ class TestLazyTails:
         k = data.draw(st.integers(1, ctx.nvars - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gb_mod, "VERIFY_BASES", True)
-            elim = eliminate(I, k)
+            elim = eliminate(in_order(I, ("block", k)), k)
             # the generators are the kept rows of the minimal block basis
             pk, kept = elim.gb_cache[elim.ctx.order]
             assert [g.lm() for g in elim.gens] == [pk.unpack(max(t)) for t in kept]
             got = [by_exponents(g) for g in groebner_basis(elim)]
-            full = groebner_basis(in_order(I, elimination_order(ctx, k)))
+            full = groebner_basis(in_order(I, ("block", k)))
         free = [by_exponents(g) for g in full]
         free = [t for t in free if not any(any(m[:k]) for m in t)]
         assert got == [{m[k:]: c for m, c in t.items()} for t in free]
@@ -1434,7 +1439,7 @@ class TestLazyTails:
         # an elimination, a Bayer-Stillman strip and a Rabinowitsch
         # saturation, each caching a minimal basis whose tails reduce
         results = [
-            eliminate(J, 1),
+            eliminate(in_order(J, ("block", 1)), 1),
             saturate(ideal(ctx, [x0 * g for g in J.gens]), m),
             saturate(ideal(ctx, [x1 * g for g in J.gens]), ideal(ctx, [x1])),
         ]
@@ -1444,7 +1449,7 @@ class TestLazyTails:
         rng = random.Random(5003 + field.characteristic)
         for _ in range(4):
             I, K = random_saturation_case(rng, field)
-            results += [eliminate(I, 1), saturate(I, K)]
+            results += [eliminate(in_order(I, ("block", 1)), 1), saturate(I, K)]
         for R in results:
             assert groebner_basis(R) == groebner_basis(ideal(R.ctx, R.gens))
 
@@ -1480,7 +1485,7 @@ class TestLazyTails:
         rees = eliminate(graph, 1)
         fiber_cone_ideal(list(fam.forms), rees=rees)
         assert rows == []
-        _, block = graph.gb_cache[elimination_order(graph.ctx, 1)]
+        _, block = graph.gb_cache[graph.ctx.order]
         pk, kept = rees.gb_cache[rees.ctx.order]
         assert len(block) > len(kept) == len(rees.gens)
         assert not gb_mod._is_reduced(kept, pk.guard)
@@ -1518,7 +1523,7 @@ class TestLazyTails:
         with pytest.raises(AssertionError, match="not reduced"):
             groebner_basis(I)
         texts = ["x0*x2 + x1*x2 + x2^2", "2*x0^2 + x1^2 + x1*x2", "x0^2 - x0*x1 - x0*x2"]
-        _, J = mk(("x0", "x1", "x2"), texts, field=FP)
+        _, J = mk(("x0", "x1", "x2"), texts, field=FP, order=("block", 1))
         elim = eliminate(J, 1)
         with pytest.raises(AssertionError, match="not reduced"):
             groebner_basis(elim)

@@ -114,19 +114,22 @@ def test_private_imports_are_found():
 
 # Private names one module of src/reesdeg imports from another.  The
 # monomial packing stays inside ring, groebner, hilbert and conditions,
-# and blowup, which reads the fiber cone basis off the packed Rees basis:
+# and blowup, which reads the fiber cone basis off the packed Rees basis
+# and specializes the packed generic Rees basis at a certified point:
 # a module above them that reaches into it would fail here.
 PRIVATE_IMPORTS = {
     "blowup": {
-        "groebner": {"_basis", "_basis_ideal", "_budget", "_charge", "_with_aux_var"}
+        "groebner": {
+            "_basis", "_basis_ideal", "_budget", "_charge", "_integral", "_normalize",
+            "_with_aux_var",
+        },
+        "ring": {"_minimal_packed"},
     },
     "cli": {"blowup": {"_form_degree"}},
     "conditions": {"groebner": {"_budget", "_charge", "_homogeneous"}, "ring": {"_overflow"}},
     "groebner": {
         "hilbert": {"_order_at_one"},
-        "ring": {
-            "_MASK", "_WIDTH", "_block_sizes", "_minimal_packed", "_normalize_order", "_overflow"
-        },
+        "ring": {"_MASK", "_WIDTH", "_block_sizes", "_minimal_packed", "_overflow"},
     },
     "hilbert": {"groebner": {"_basis", "_homogeneous"}, "ring": {"_minimal_packed"}},
     "ratmap": {"blowup": {"_fiber_cone_summary", "_form_degree"}},

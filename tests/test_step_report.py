@@ -1,9 +1,11 @@
 """The step report counts the work of one command line, leaves the
-engine as it found it, and fails on a wrong answer."""
+engine as it found it, fails on a wrong answer, and with --times adds
+each command's wall time after a warm-up."""
 
 import reesdeg.groebner as gb
 import reesdeg.ratmap as ratmap
 from step_report import main, run_op, workload_counts
+from workloads import Workload
 
 
 def test_counts_one_listing():
@@ -47,3 +49,36 @@ def test_exit_code_and_exceptions_fail(monkeypatch):
     monkeypatch.setattr("reesdeg.cli.degree_report", broken)
     rc, _ = run_op(["degree", "--map", "x0^2, x1^2"])
     assert rc == "exception ZeroDivisionError: injected"
+
+
+def test_times_add_two_columns(capsys):
+    argv = ["--seed", "1", "--rounds", "1", "--workload", "rational_q"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--times"]) == 0
+    timed = capsys.readouterr().out.splitlines()
+    # the same counts, with ms and share after them
+    assert [line[: len(p)] for line, p in zip(timed, plain)] == plain
+    assert len(timed) == len(plain)
+    assert timed[1].split()[-2:] == ["ms", "share"] and "ms" not in plain[1]
+    shares = [float(line.split()[-1].rstrip("%")) for line in timed[2:-1]]
+    assert all(s > 0 for s in shares) and abs(sum(shares) - 100) < 0.5
+    assert timed[-1].split()[-1] == "100.0%"
+    assert float(timed[-1].split()[-2]) > 0
+
+
+def test_times_run_a_warm_up_first(monkeypatch):
+    warmed = []
+    inner = Workload.warm_up_ops
+
+    def warm_up_ops(self):
+        warmed.extend(inner(self))
+        return inner(self)
+
+    monkeypatch.setattr(Workload, "warm_up_ops", warm_up_ops)
+    table, _ = workload_counts("rational_q", 1, 1)
+    assert warmed == [] and all("seconds" not in row for row in table.values())
+    table, _ = workload_counts("rational_q", 1, 1, times=True)
+    # one warm-up operation per command, none of them counted
+    assert sorted(op.argv[0] for op in warmed) == sorted(table)
+    assert all(row["seconds"] > 0 for row in table.values())
