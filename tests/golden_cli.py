@@ -16,7 +16,13 @@ lex order and in the order elim:1, so a map ring's order is pinned too.
 `conditions` runs on every matrix file of MATRICES: a 4x3 matrix over
 Q, the linear 5x5 Pfaffian family matrix over F_32003 and over Q, and a
 6x6 alternating matrix of linear forms in 7 variables over F_7 with
-zero entries off the diagonal.
+zero entries off the diagonal.  The forms of RING_MAPS run over both
+fields in the ring named beside them: the sub-Pfaffians of that Q
+matrix, a dominant map onto P^4; three quadrics in x0, x1 of P^2,
+which are algebraically dependent; and two squares of P^2, which are
+independent forms with s < r.  Between them they pin `image`,
+`fiber-cone` and `degree` on dominant, dependent and not generically
+finite maps.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -49,6 +55,27 @@ FP_COMMANDS = ("rees", "fiber-cone", "image", "degree", "jmult", "gr-dim")
 # "quad5" in map rings under other orders, named by --ring
 ORDERS = {"lex": "lex", "elim1": "elim:1"}
 ORDER_COMMANDS = ("rees", "fiber-cone", "image", "degree")
+# (ring variables, forms, commands) of maps run in a ring named by --ring
+RING_MAPS = {
+    # the sub-Pfaffians of the 5x5 matrix in pfaffian5_q.txt
+    "pf5": (
+        "x0 x1 x2 x3 x4",
+        "142*x0^2 + 324*x0*x1 + 197*x1^2 + 215*x0*x2 + 319*x1*x2 + 117*x2^2 + 273*x0*x3"
+        " + 295*x1*x3 + 202*x2*x3 + 145*x3^2 + 214*x0*x4 + 265*x1*x4 + 221*x2*x4 + 213*x3*x4"
+        " + 50*x4^2, -86*x0^2 - 250*x0*x1 - 185*x1^2 - 143*x0*x2 - 292*x1*x2 - 123*x2^2"
+        " - 261*x0*x3 - 276*x1*x3 - 174*x2*x3 - 127*x3^2 - 230*x0*x4 - 331*x1*x4 - 251*x2*x4"
+        " - 253*x3*x4 - 124*x4^2, 120*x0^2 + 161*x0*x1 + 66*x1^2 + 154*x0*x2 + 124*x1*x2"
+        " + 56*x2^2 + 101*x0*x3 + 66*x1*x3 + 75*x2*x3 + 10*x3^2 + 125*x0*x4 + 88*x1*x4"
+        " + 71*x2*x4 + 39*x3*x4 + 45*x4^2, -114*x0^2 - 97*x0*x1 - 4*x1^2 - 101*x0*x2"
+        " + 3*x1*x2 + 13*x2^2 - 72*x0*x3 + 21*x1*x3 + 18*x2*x3 + 24*x3^2 - 49*x0*x4"
+        " - 28*x1*x4 - 20*x2*x4 + 24*x3*x4 - 19*x4^2, 82*x0^2 + 89*x0*x1 + 73*x1^2"
+        " + 2*x0*x2 + 46*x1*x2 - 14*x2^2 + 130*x0*x3 + 139*x1*x3 + 52*x2*x3 + 64*x3^2"
+        " + 113*x0*x4 + 158*x1*x4 + 83*x2*x4 + 116*x3*x4 + 43*x4^2",
+        ("image", "fiber-cone"),
+    ),
+    "conic3": ("x0 x1 x2", "x0^2, x0*x1, x1^2", ("image", "fiber-cone")),
+    "squares3": ("x0 x1 x2", "x0^2, x1^2", ("degree", "jmult", "image")),
+}
 # input matrices of `conditions`, under tests/golden/cli
 MATRICES = ("matrix_q", "pfaffian5_p32003", "pfaffian5_q", "alternating6_p7")
 SWEEP = ["sweep", "--family", "dejonquieres", "--m", "2", "--points", "0,1,2"]
@@ -73,6 +100,11 @@ def _cases():
                 argv = [command, "--map", FP_MAPS["quad5"], "--ring", ring, "--format", fmt]
                 out["%s-quad5-%s-p32003.%s" % (command, tag, ext)] = argv
         for prime, suffix in (("0", ""), ("32003", "-p32003")):
+            for name, (names, forms, commands) in RING_MAPS.items():
+                ring = "%s over %s" % (names, prime)
+                for command in commands:
+                    argv = [command, "--map", forms, "--ring", ring, "--format", fmt]
+                    out["%s-%s%s.%s" % (command, name, suffix, ext)] = argv
             argv = SWEEP + ["--prime", prime, "--format", fmt]
             out["sweep-dejonquieres%s.%s" % (suffix, ext)] = argv
         for name in MATRICES:
