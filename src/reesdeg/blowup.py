@@ -23,6 +23,24 @@ divisible by such a lead.  The elements with x-free leads are thus a
 minimal Groebner basis of it, in the order the ring's induces there:
 grevlex on y, then a block of the parameters.
 
+Parameter-free forms whose Jacobian matrix has full row rank s+1 over
+k(x) are algebraically independent, so their fiber cone ideal, the
+kernel of k[y] -> k[g], is zero and no Rees basis is needed to say so
+(`jacobian_independent`).  Take a relation F(g) = 0 of least degree.
+By the chain rule the vector of the (dF/dy_i)(g) lies in the left
+kernel of J, which is zero, so each dF/dy_i vanishes at g and, being
+of smaller degree, is 0 as a polynomial.  In characteristic 0, F is
+then constant; in characteristic p, F = G^p with G(g) = 0, a relation
+of smaller degree.  Either way there is no such F.  Jacobi proved the
+criterion in characteristic 0; this direction holds over any perfect
+field, F_p included, though there the converse fails (Pandey, Saxena
+and Sinhababu, "Algebraic independence over positive characteristic",
+Computational Complexity 2018).  The rank is taken at fixed integer
+points, modulo p over F_p and modulo one fixed prime over Q: a nonzero
+maximal minor at one point is a nonzero polynomial, so full rank there
+proves full rank over k(x).  The test is one-sided: forms it does not
+certify take the Rees route, and no answer depends on the points.
+
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
 substitution into the generic basis, and the comparison against the
@@ -34,6 +52,7 @@ ideal (`certified_rees`, after Kalkbrener), so no basis is built there.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -53,7 +72,7 @@ from .groebner import (
     seed_hilbert_series,
 )
 from .hilbert import dim_degree, hilbert_function, monomial_dim_degree
-from .ring import Poly, RingCtx, RingError, _minimal_packed, fresh_names
+from .ring import Poly, RingCtx, RingError, _is_prime, _minimal_packed, fresh_names
 
 
 def _form_degree(forms):
@@ -147,8 +166,15 @@ def _x_free_rows(rees, nx):
 
 def fiber_cone_ideal(forms, rees=None):
     """Defining ideal of the fiber cone in k[y (, params)], under the
-    order the Rees ring's induces, with the x-free Rees rows as basis."""
+    order the Rees ring's induces, with the x-free Rees rows as basis.
+    With no `rees` given, forms that `jacobian_independent` certifies get
+    the zero ideal of the y-ring `blowup_ambient` names, under grevlex,
+    from no basis."""
     if rees is None:
+        if jacobian_independent(forms):
+            ctx = forms[0].ctx
+            names = blowup_ambient(ctx, len(forms) - 1).var_names[ctx.nvars :]
+            return _basis_ideal(RingCtx(names, ctx.field, "grevlex"), [])
         rees = rees_ideal(forms)
     nx, np = _split_ctx(forms[0].ctx)
     ctx = rees.ctx
@@ -160,11 +186,15 @@ def fiber_cone_ideal(forms, rees=None):
 
 def _fiber_cone_summary(forms, rees=None):
     """HilbertSummary of the fiber cone of parameter-free forms, read off
-    the leads of the x-free part of the Rees basis."""
+    the leads of the x-free part of the Rees basis, or, with no `rees`
+    given and forms that `jacobian_independent` certifies, that of the
+    polynomial ring k[y_0..y_s]."""
     ctx = forms[0].ctx
     if ctx.n_params:
         raise RingError("analytic spread needs specialized (parameter-free) forms")
     if rees is None:
+        if jacobian_independent(forms):
+            return monomial_dim_degree([], len(forms))
         rees = rees_ideal(forms)
     nx = ctx.nvars
     pk, rows = _x_free_rows(rees, nx)
@@ -254,9 +284,14 @@ def _parameter_free(ctx, point, what):
 
 
 def specialize_forms(forms, point):
-    """Substitute parameter values, landing in the plain coordinate ring."""
+    """Substitute parameter values, landing in the plain coordinate ring.
+    A point that kills one of the forms is rejected, naming it."""
     sub = _parameter_free(forms[0].ctx, point, "the form ideal")
-    return [g.substitute_tail(sub, point) for g in forms]
+    special = [g.substitute_tail(sub, point) for g in forms]
+    for i, g in enumerate(special):
+        if not g:
+            raise RingError("parameter point kills generator %d" % i)
+    return special
 
 
 def specialize_rees(generic, point):
@@ -325,6 +360,91 @@ def certified_rees(generic, coeffs, point):
     return _basis_ideal(spec.ctx, [rows[i] for i in keep])
 
 
+# the prime modulo which `jacobian_independent` ranks the Jacobian of
+# forms over Q: the largest prime below MAX_PRIME
+_JACOBIAN_PRIME = 2_147_483_629
+# how many fixed points `jacobian_independent` tries
+_JACOBIAN_POINTS = 3
+
+
+@lru_cache(maxsize=None)
+def _jacobian_points(n):
+    """The fixed points of n integer coordinates at which the Jacobian
+    is ranked: point k holds the primes numbered k*n+1 to (k+1)*n."""
+    primes = []
+    q = 1
+    while len(primes) < _JACOBIAN_POINTS * n:
+        q += 1
+        if _is_prime(q):
+            primes.append(q)
+    return tuple(tuple(primes[k * n : (k + 1) * n]) for k in range(_JACOBIAN_POINTS))
+
+
+def _full_row_rank(rows, P, budget):
+    """True when `rows`, lists of residues mod the prime P, are linearly
+    independent mod P; each row operation costs one budget step."""
+    pivots = []
+    for row in rows:
+        for col, piv in pivots:
+            c = row[col]
+            if c:
+                _charge(budget)
+                row = [(a - c * b) % P for a, b in zip(row, piv)]
+        col = next((i for i, a in enumerate(row) if a), None)
+        if col is None:
+            return False
+        _charge(budget)
+        inv = pow(row[col], -1, P)
+        pivots.append((col, [a * inv % P for a in row]))
+    return True
+
+
+def jacobian_independent(forms):
+    """True when the Jacobian matrix of `forms` has full row rank at one
+    of the fixed `_jacobian_points`, which proves the forms algebraically
+    independent (see the module docstring); False when no point does, and
+    at once when there are more forms than variables or the ring has
+    parameters, which proves nothing.
+
+    The forms are checked by `_form_degree` first.  The rank is taken
+    modulo p over F_p, and over Q modulo `_JACOBIAN_PRIME` after each
+    form is scaled to integer coefficients, which changes no rank.  Each
+    form term evaluated and each row operation costs one budget step.
+    """
+    _form_degree(forms)
+    ctx = forms[0].ctx
+    n = ctx.nvars
+    if ctx.n_params or len(forms) > n:
+        return False
+    p = ctx.field.characteristic
+    P = p or _JACOBIAN_PRIME
+    unpack = ctx.packing.unpack
+    # per form, per term: (coefficient mod P, [(variable, exponent)])
+    terms = [
+        [(c % P, [(i, e) for i, e in enumerate(unpack(m)) if e])
+         for m, c in _integral(g.terms, p)[0].items()]
+        for g in forms
+    ]
+    budget = _budget()
+    for point in _jacobian_points(n):
+        rows = []
+        for form in terms:
+            row = [0] * n
+            for c, support in form:
+                _charge(budget)
+                powers = [pow(point[i], e, P) for i, e in support]
+                for k, (j, e) in enumerate(support):
+                    d = c * e * pow(point[j], e - 1, P)
+                    for h, v in enumerate(powers):
+                        if h != k:
+                            d = d * v % P
+                    row[j] = (row[j] + d) % P
+            rows.append(row)
+        if _full_row_rank(rows, P, budget):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class SpecializationResult:
     """Outcome of comparing spec(generic Rees) against the Rees ideal of
@@ -338,15 +458,12 @@ class SpecializationResult:
 def _specialized(forms, point, generic, special=None):
     """(specialized forms, specialized generic Rees ideal) at `point`;
     the generic Rees ideal is computed when `generic` is None, and the
-    forms are specialized when `special` is None.  A point that kills
-    one of the forms is rejected."""
+    forms are specialized when `special` is None, which rejects a point
+    that kills one of them."""
     if generic is None:
         generic = rees_ideal(forms)
     if special is None:
         special = specialize_forms(forms, point)
-    for i, g in enumerate(special):
-        if not g:
-            raise RingError("parameter point kills generator %d" % i)
     return special, specialize_rees(generic, point)
 
 

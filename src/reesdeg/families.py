@@ -131,12 +131,13 @@ class Family:
         forms specialized there, may be passed in.  At a certified point
         the member's Rees ideal is spec(generic Rees), so this is r + 1,
         as for any map (`blowup.gr_dimension_at`), from no basis; a point
-        that kills a form, or is not certified, goes to `gr_dimension_at`.
+        that is not certified goes to `gr_dimension_at`, and one that
+        kills a form fails in `specialize_forms`.
         """
         forms = list(self.forms)
         if special is None:
             special = specialize_forms(forms, point)
-        if all(special) and certifies(self.lead_coefficients(), point):
+        if certifies(self.lead_coefficients(), point):
             return self.ctx.nvars - self.ctx.n_params
         return gr_dimension_at(forms, point, generic=self.generic_rees(), special=special)
 
@@ -286,7 +287,8 @@ def specialization_sweep(fam, points):
     other point the member gets its own Rees basis and gr basis
     (`Family.special_rees`, `Family.gr_dimension`).  A point whose member
     is malformed (a RingError) gets a row with the message in the status
-    column; a failed internal check propagates.
+    column, such as "parameter point kills generator i", the message of
+    `gr-dim --family` there; a failed internal check propagates.
     """
     if not fam.parametric:
         raise RingError("sweep needs a parametric family")

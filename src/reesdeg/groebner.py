@@ -155,9 +155,10 @@ def step_budget(limit):
     """Charge every computation inside the block against one budget of
     `limit` steps: reductions, reduced S-pairs, pairs and rows examined by
     pair updates, row operations and rows scanned in seed blocks, monomial
-    divisibility tests, and the products of the minor and sub-Pfaffian
+    divisibility tests, the products of the minor and sub-Pfaffian
     chains of `conditions` and of the power loop in
-    `sfib_hilbert_function`."""
+    `sfib_hilbert_function`, and the form terms evaluated and row
+    operations of `blowup.jacobian_independent`."""
     if limit < 1:
         raise ValueError("budget must be at least 1, got %d" % limit)
     token = _ACTIVE_BUDGET.set(_Budget(limit))

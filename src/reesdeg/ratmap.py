@@ -19,6 +19,16 @@ J. Algebra 2021; Miller-Sturmfels, Combinatorial Commutative Algebra,
 Ch. 8).  So deg F is d_r / deg Y when Y has dimension r; otherwise F is
 not generically finite.  No Groebner basis beyond the Rees basis is
 computed, and the answer does not depend on any seed.
+
+The image needs no basis at all when the Jacobian matrix J of g_0..g_s
+has full row rank s+1 over k(x), which `blowup.jacobian_independent`
+checks at fixed points.  A least-degree relation F(g) = 0 would then
+have each (dF/dy_i)(g) = 0, as their vector lies in the left kernel of
+J, so each dF/dy_i = 0 by minimality: F is constant in characteristic
+0, and F = G^p with G(g) = 0 of smaller degree in characteristic p.
+So the g_i are algebraically independent, Y is all of P^s, and for
+s < r the map is not generically finite.  Forms the check does not
+certify, dependent or not, take the Rees route.
 """
 
 from dataclasses import dataclass
@@ -62,7 +72,9 @@ def rational_map(forms):
 def image_summary(spec, rees=None):
     """Hilbert data of the image, read off the leads of the Rees basis
     that are free of x; `rees`, the Rees ideal of the forms, may be
-    passed in to share its basis."""
+    passed in to share its basis.  With no `rees`, forms whose Jacobian
+    certifies their independence have all of P^s as image, read off no
+    basis (`blowup.jacobian_independent`)."""
     return _fiber_cone_summary(list(spec.forms), rees)
 
 
@@ -101,11 +113,12 @@ def base_locus(spec):
     return sat, ctx.nvars - ring_dim
 
 
-def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, rees=None):
+def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, rees=None, image=None):
     """Degree of the map onto its image, d_r / deg Y from the class of
     the graph.  Returns (value or marker, log); the log is empty, since
     the answer is exact.  `rees`, the Rees ideal of the forms, may be
-    passed in to share its basis.
+    passed in to share its basis, and `image`, the `image_summary` read
+    off it, to share that.
 
     `trials` and `seed` are validated and otherwise unused, and the log
     stays in the result, because the span tracer in perfbench/tracer.py
@@ -115,7 +128,7 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, rees=None):
         raise ValueError("trials must be at least 1, got %d" % trials)
     if rees is None:
         rees = rees_ideal(list(spec.forms))
-    img = image_summary(spec, rees=rees)
+    img = image_summary(spec, rees=rees) if image is None else image
     if img.proj_dim_of_scheme != spec.r:
         return NOT_GENERICALLY_FINITE, ()
     top = projective_degrees(spec, rees)[-1]
@@ -145,8 +158,15 @@ class DegreeReport:
 
 def degree_report(spec, rees=None):
     """The DegreeReport of a map; `rees`, the Rees ideal of its forms,
-    may be passed in, and only the leads of its basis are read."""
-    if rees is None:
+    may be passed in, and only the leads of its basis are read.
+
+    With s < r the image has dimension at most s < r, so the map is not
+    generically finite and the report needs no d_r: with no `rees`
+    given, it reads the image through `image_summary`, from no basis
+    when the Jacobian certifies the forms.  For s >= r the report needs
+    d_r, and so the Rees basis, whatever the Jacobian says.
+    """
+    if rees is None and spec.s >= spec.r:
         rees = rees_ideal(list(spec.forms))
     img = image_summary(spec, rees=rees)
     dim_image = img.proj_dim_of_scheme
@@ -154,7 +174,7 @@ def degree_report(spec, rees=None):
         return DegreeReport(NOT_GENERICALLY_FINITE, img.degree, dim_image, img.dim, None)
     # through the module attribute, which perfbench's self-test replaces
     # to inject a wrong degree; d_r = deg F * deg Y, as degree_map asserts
-    value, _ = degree_map(spec, rees=rees)
+    value, _ = degree_map(spec, rees=rees, image=img)
     return DegreeReport(value, img.degree, dim_image, img.dim, value * img.degree)
 
 

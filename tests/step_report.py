@@ -11,12 +11,15 @@ compare two trees where wall time on a shared host cannot:
     python3 tests/step_report.py --seed 7 --rounds 3
     python3 tests/step_report.py --workload eliminate_fp
     python3 tests/step_report.py --seed 7 --rounds 3 --times
+    python3 tests/step_report.py --seed 7 --rounds 3 --labels
 
 With --times, one warm-up operation per command runs first, on the
 workload's warm-up instances, and each command's in-process wall time,
 summed over the rounds, is printed beside the counts in ms and as a
 share of the workload's total.  Those two columns depend on the machine
-and its load; the others do not.
+and its load; the others do not.  With --labels, each command's row is
+followed by one row per operation label of that command, such as
+`image pf` or `conditions m65`, with the same columns.
 
 An operation fails when its exit code is nonzero or when
 `workloads.check_answer` rejects its answer: the laws of its family
@@ -104,11 +107,13 @@ def run_op(argv, out=None):
     return rc, counts
 
 
-def workload_counts(name, seed, rounds, times=False):
+def workload_counts(name, seed, rounds, times=False, labels=False):
     """({command: {column: total}}, [failure messages]) over rounds
     0..rounds-1 of a workload.  With `times`, the warm-up operations run
     first, and each row also sums the wall time of its operations in
-    seconds, under "seconds"."""
+    seconds, under "seconds".  With `labels`, the table also holds a row
+    per operation label, keyed by the label, which is the command and a
+    space and the instance."""
     expected = load_expected() if seed == RECORDED_SEED else {}
     table = defaultdict(lambda: dict.fromkeys(COLUMNS + ("seconds",) * times, 0))
     failures = []
@@ -121,29 +126,35 @@ def workload_counts(name, seed, rounds, times=False):
                 out = io.StringIO()
                 start = time.perf_counter()
                 rc, counts = run_op(op.argv, out)
-                row = table[op.argv[0]]
-                if times:
-                    row["seconds"] += time.perf_counter() - start
-                for col in COLUMNS[:-1]:
-                    row[col] += counts[col]
+                seconds = time.perf_counter() - start
                 why = check_answer(op, rc, out.getvalue(), expected)
+                for key in (op.argv[0],) + (op.label,) * labels:
+                    row = table[key]
+                    if times:
+                        row["seconds"] += seconds
+                    for col in COLUMNS[:-1]:
+                        row[col] += counts[col]
+                    row["failed"] += why is not None
                 if why is not None:
-                    row["failed"] += 1
                     failures.append("%s round %d, %s: %s" % (name, j, op.label, why))
     return dict(table), failures
 
 
 def format_table(name, table):
     """The table's lines; when its rows carry "seconds", each line also
-    gives that time in ms and as a share of the total."""
+    gives that time in ms and as a share of the total.  Label rows, whose
+    keys hold a space, follow their command's row, indented further."""
     timed = any("seconds" in row for row in table.values())
-    total = {col: sum(row[col] for row in table.values()) for col in COLUMNS}
+    commands = [key for key in table if " " not in key]
+    total = {col: sum(table[c][col] for c in commands) for col in COLUMNS}
     lines = ["%-24s" % name + "".join("%12s" % col for col in COLUMNS)]
     if timed:
-        total["seconds"] = sum(row["seconds"] for row in table.values())
+        total["seconds"] = sum(table[c]["seconds"] for c in commands)
         lines[0] += "%12s%12s" % ("ms", "share")
-    for command, row in list(table.items()) + [("total", total)]:
-        line = "  %-22s" % command + "".join("%12d" % row[col] for col in COLUMNS)
+    keys = [k for c in commands for k in table if k == c or k.startswith(c + " ")]
+    for key, row in [(k, table[k]) for k in keys] + [("total", total)]:
+        line = ("    %-20s" if " " in key else "  %-22s") % key
+        line += "".join("%12d" % row[col] for col in COLUMNS)
         if timed:
             share = 100 * row["seconds"] / total["seconds"] if total["seconds"] else 0.0
             line += "%12.1f%11.1f%%" % (1000 * row["seconds"], share)
@@ -160,11 +171,15 @@ def main(argv=None):
         "--times", action="store_true",
         help="also print each command's wall time after a warm-up, in ms and as a share",
     )
+    parser.add_argument(
+        "--labels", action="store_true",
+        help="also print one row per operation label under its command's row",
+    )
     args = parser.parse_args(argv)
     print("seed %d, rounds 0..%d" % (args.seed, args.rounds - 1))
     failures = []
     for name in args.workload or WORKLOADS:
-        table, failed = workload_counts(name, args.seed, args.rounds, args.times)
+        table, failed = workload_counts(name, args.seed, args.rounds, args.times, args.labels)
         print("\n".join(format_table(name, table)))
         failures += failed
     for line in failures:

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import count_buchberger_runs, in_order, nonzero_random_form, rand_coeff
 from gr_oracle import gr_dimension
+import reesdeg.blowup as blowup
 from reesdeg.blowup import (
     analytic_spread,
     blowup_ambient,
@@ -13,6 +15,7 @@ from reesdeg.blowup import (
     fiber_cone_ideal,
     gr_dimension_at,
     graph_ideal,
+    jacobian_independent,
     rees_ideal,
     sfib_hilbert_function,
     specialization_compare,
@@ -30,7 +33,7 @@ from reesdeg.groebner import (
     parse_ideal,
     serialize_ideal,
 )
-from reesdeg.ratmap import rational_map
+from reesdeg.ratmap import degree_report, image_summary, rational_map
 from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, monomials_of_degree, parse_poly
 
 QQ = FieldSpec(0)
@@ -239,6 +242,91 @@ class TestFiberConeOracle:
         assert oracle.ctx.order == "grevlex"
         moved = [g.map_vars(oracle.ctx, range(ny + 1)) for g in fiber.gens]
         assert ideal_equal(IdealHandle(oracle.ctx, moved), oracle)
+
+
+def small_fraction(ctx, rng):
+    """A coefficient of `ctx`: over Q a fraction with denominator up to 4."""
+    if ctx.field.characteristic:
+        return rand_coeff(ctx, rng)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+class TestJacobianCertificate:
+    """Forms whose Jacobian has full rank at a fixed point are
+    algebraically independent: their fiber cone ideal is zero and their
+    image all of P^s, read off no basis.  The Rees basis, the route every
+    other set of forms takes, is the oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        prime=st.sampled_from([7, 32003, 0]),
+        nvars=st.integers(2, 4),
+        nforms=st.integers(2, 4),
+        deg=st.integers(1, 2),
+        kind=st.sampled_from(["dense", "free", "conic"]),
+    )
+    def test_agrees_with_the_rees_basis(self, seed, prime, nvars, nforms, deg, kind):
+        rng = random.Random(seed)
+        ctx = RingCtx(tuple("x%d" % i for i in range(nvars)), FieldSpec(prime))
+        if kind == "conic":
+            # a conic, with four forms a quadric beside it: dependent
+            x0, x1 = Poly.var(ctx, 0), Poly.var(ctx, 1)
+            forms = [x0 * x0, x0 * x1, x1 * x1]
+            forms += [nonzero_random_form(ctx, rng, 2, 0.5, small_fraction)] * (nforms > 3)
+        else:
+            # "free" forms omit the last variable, so n of them are dependent
+            sub = RingCtx(ctx.var_names[: nvars - (kind == "free")], ctx.field)
+            forms = [
+                nonzero_random_form(sub, rng, deg, 0.5, small_fraction).map_vars(ctx, range(nvars))
+                for _ in range(nforms)
+            ]
+        rees = rees_ideal(forms)
+        oracle = fiber_cone_ideal(forms, rees=rees)
+        fiber = fiber_cone_ideal(forms)
+        assert fiber.ctx == oracle.ctx
+        assert groebner_basis(fiber) == groebner_basis(oracle)
+        if jacobian_independent(forms):
+            assert groebner_basis(oracle) == []
+        spec = rational_map(forms)
+        assert image_summary(spec) == image_summary(spec, rees=rees)
+        assert degree_report(spec) == degree_report(spec, rees=rees)
+
+    @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
+    def test_what_it_certifies(self, prime):
+        field = FieldSpec(prime)
+        names = ("x0", "x1", "x2")
+        cases = {
+            # Cremona map, squares with s < r, a pencil of lines
+            ("x1*x2", "x0*x2", "x0*x1"): True,
+            ("x0^2", "x1^2"): True,
+            ("x0 + 1/2*x1", "x2"): True,
+            # a conic, dependent forms of P^2; more forms than variables
+            ("x0^2", "x0*x1", "x1^2"): False,
+            ("x0", "x1", "x2", "x0 + x1"): False,
+        }
+        for texts, independent in cases.items():
+            _, forms = forms_of(names, texts, field)
+            assert jacobian_independent(forms) is independent, texts
+
+    def test_pth_powers_are_left_to_the_rees_basis(self):
+        # x0^7, x1^7 are independent, but over F_7 their Jacobian is zero
+        _, forms = forms_of(("x0", "x1", "x2"), ["x0^7", "x1^7"], FieldSpec(7))
+        assert not jacobian_independent(forms)
+        assert groebner_basis(fiber_cone_ideal(forms)) == []
+
+    def test_parameters_are_left_to_the_rees_basis(self):
+        _, forms = forms_of(("x", "y", "a"), ["a*x^2", "y^2"], n_params=1)
+        assert not jacobian_independent(forms)
+
+    def test_a_point_rank_drop_is_not_an_answer(self, monkeypatch):
+        # at points with x1 = 0 the Jacobian of the independent forms
+        # x0*x1, x1*x2 has rank 1: they take the Rees route
+        monkeypatch.setattr(blowup, "_jacobian_points", lambda n: ((1, 0, 2),) * 3)
+        _, forms = forms_of(("x0", "x1", "x2"), ["x0*x1", "x1*x2"])
+        assert not jacobian_independent(forms)
+        runs = count_buchberger_runs(monkeypatch)
+        assert groebner_basis(fiber_cone_ideal(forms)) == [] and len(runs) == 1
 
 
 class TestSaturatedFiberHF:

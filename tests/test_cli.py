@@ -230,7 +230,8 @@ class TestSweep:
         code, out = run(capsys, ["sweep", "--family", str(path), "--points", "0,1"])
         assert code == 0
         rows = json.loads(out)["rows"]
-        assert rows[0]["status"].startswith("error: zero form")
+        # the message `gr-dim --family` gives at that point
+        assert rows[0]["status"] == "error: parameter point kills generator 0"
         assert rows[1]["status"] == "ok"
         assert (rows[1]["deg_map"], rows[1]["deg_image"]) == (1, 2)
 
@@ -763,15 +764,65 @@ class TestFlagTable:
 
     @pytest.mark.parametrize("command", ["fiber-cone", "image"])
     def test_fiber_cone_is_read_off_the_rees_basis(self, capsys, monkeypatch, command):
-        # the 5x5 Pfaffian map makes the t-run of its Rees ideal alone:
-        # no second Buchberger run
-        fam = families.make_family(families.FamilySpec("pfaffian", r=4, D=1))
-        pfaffians = ", ".join(ring.format_poly(g) for g in fam.forms)
+        # four dependent quadrics of P^3, which the Jacobian does not
+        # certify, make the t-run of their Rees ideal alone: no second
+        # Buchberger run
         runs = count_buchberger_runs(monkeypatch)
-        code, out = run(capsys, [command, "--map", pfaffians])
+        code, out = run(capsys, [command, "--map", "x0*x1, x2*x3, x0*x2, x1*x3"])
         assert (code, len(runs)) == (0, 1)
-        # the map is birational onto P^4, whose ideal is zero
-        assert json.loads(out)["generators"] == []
+        # the image is the quadric surface y0*y1 = y2*y3
+        assert json.loads(out)["generators"] == ["y0*y1 + 32002*y2*y3"]
+
+    @pytest.mark.parametrize("command", ["fiber-cone", "image"])
+    @pytest.mark.parametrize("prime", [32003, 0], ids=["F_32003", "QQ"])
+    def test_dominant_map_makes_no_run(self, capsys, monkeypatch, command, prime):
+        # the Jacobian of the 5x5 Pfaffian map has full rank, so its
+        # image is P^4 with no Buchberger run; the twisted cubic's four
+        # forms in two variables take the Rees route, one t-run
+        spec = families.FamilySpec("pfaffian", r=4, D=1, prime=prime)
+        pfaffians = ", ".join(ring.format_poly(g) for g in families.make_family(spec).forms)
+        runs = count_buchberger_runs(monkeypatch)
+        code, out = run(capsys, [command, "--map", pfaffians, "--prime", str(prime)])
+        assert (code, runs) == (0, [])
+        payload = json.loads(out)
+        assert payload["generators"] == []
+        assert payload["ring"] == "ring y0 y1 y2 y3 y4 over %d order grevlex" % prime
+        if command == "image":
+            assert (payload["dim_image"], payload["deg_image"]) == (4, 1)
+        cubic = "x0^3, x0^2*x1, x0*x1^2, x1^3"
+        code, out = run(capsys, [command, "--map", cubic, "--prime", str(prime)])
+        assert (code, len(runs)) == (0, 1)
+        assert len(json.loads(out)["generators"]) == 3
+
+    @pytest.mark.parametrize("command", ["fiber-cone", "image", "degree"])
+    @pytest.mark.parametrize(
+        "forms, message",
+        [
+            ("x0, x1^2", "forms have mixed degrees 1 and 2"),
+            ("x0^2, 0, x1^2", "zero form in the generating set"),
+            ("1, 2", "forms must have positive degree"),
+        ],
+        ids=["mixed", "zero", "constants"],
+    )
+    def test_bad_forms_fail_before_the_jacobian(self, capsys, command, forms, message):
+        # x0, x1^2 has a full-rank Jacobian, and still fails
+        code = main([command, "--map", forms, "--ring", "x0 x1 x2 over 32003"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: %s\n" % message
+
+    @pytest.mark.parametrize("command", ["fiber-cone", "image", "degree"])
+    def test_budget_bounds_the_jacobian(self, capsys, monkeypatch, command):
+        # x0^2, x1^2 in P^2: two terms and two row operations certify the
+        # forms, one more step than the budget
+        runs = count_buchberger_runs(monkeypatch)
+        argv = [command, "--map", "x0^2, x1^2", "--ring", "x0 x1 x2 over 32003"]
+        code = main(argv + ["--budget", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, runs) == (3, "", [])
+        assert captured.err == "error: computation exceeded its budget of 3 steps\n"
+        code, out = run(capsys, argv + ["--budget", "4"])
+        assert (code, runs) == (0, [])
 
 
 def load_workloads():

@@ -381,8 +381,15 @@ class TestJMultiplicity:
         assert j_multiplicity(spec) == 4
         assert len(runs) == 1
         runs.clear()
+        # one form, s = 0 < r: its Jacobian certifies that the image is
+        # P^0, so the report needs no Rees basis
         flat = rational_map([parse_poly("x^2 + y^2", ctx)])
         assert j_multiplicity(flat) == ELL_NOT_MAXIMAL
+        assert runs == []
+        # a conic of P^2 needs its Rees basis, the one run
+        plane = RingCtx(("x", "y", "z"), FP)
+        conic = rational_map([parse_poly(t, plane) for t in ("x^2", "x*y", "y^2")])
+        assert j_multiplicity(conic) == ELL_NOT_MAXIMAL
         assert len(runs) == 1
 
 

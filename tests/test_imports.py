@@ -123,7 +123,7 @@ PRIVATE_IMPORTS = {
             "_basis", "_basis_ideal", "_budget", "_charge", "_integral", "_normalize",
             "_with_aux_var",
         },
-        "ring": {"_minimal_packed"},
+        "ring": {"_is_prime", "_minimal_packed"},
     },
     "cli": {"blowup": {"_form_degree"}},
     "conditions": {"groebner": {"_budget", "_charge", "_homogeneous"}, "ring": {"_overflow"}},

@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reesdeg.blowup as blowup_mod
+import reesdeg.ratmap as ratmap
 from conftest import count_buchberger_runs, nonzero_random_form, record_shortcut
 from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
 from generic_fiber import generic_fiber_degree
-from reesdeg.blowup import fiber_cone_ideal
+from reesdeg.blowup import fiber_cone_ideal, rees_ideal
 from reesdeg.families import FamilySpec, j_multiplicity, make_family, specialized_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
 from reesdeg.ratmap import (
     NOT_GENERICALLY_FINITE,
+    DegreeReport,
     base_locus,
     degree_map,
     degree_report,
@@ -323,11 +325,43 @@ class TestExactDegree:
     def test_report_reuses_the_image_basis(self, monkeypatch):
         runs = count_buchberger_runs(monkeypatch)
         forms = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 2), seed=8)).forms
+        # the Jacobian certifies the image with no run; read off the Rees
+        # basis, it costs the one t-run
         image_summary(rational_map(forms))
+        assert runs == []
+        image_summary(rational_map(forms), rees=rees_ideal(list(forms)))
         alone = len(runs)
         runs.clear()
         assert degree_report(rational_map(forms)).deg_map == 4
-        assert len(runs) == alone
+        assert len(runs) == alone == 1
+
+    def test_report_reads_the_image_once(self, monkeypatch):
+        # degree_map gets the report's image summary instead of its own
+        calls = []
+        inner = ratmap._fiber_cone_summary
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(ratmap, "_fiber_cone_summary", spy)
+        forms = make_family(FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=8)).forms
+        assert degree_report(rational_map(forms)).deg_map == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
+    def test_independent_forms_with_s_below_r_make_no_run(self, prime, monkeypatch):
+        runs = count_buchberger_runs(monkeypatch)
+        field = FieldSpec(prime)
+        spec = mkmap(("x0", "x1", "x2", "x3"), ["x0^2 + x3^2", "x1*x2", "x2^2"], field)
+        rep = degree_report(spec)
+        assert runs == []
+        assert rep == DegreeReport(NOT_GENERICALLY_FINITE, 1, 2, 3, None)
+        assert rep == degree_report(spec, rees=rees_ideal(list(spec.forms)))
+        # s = r still needs d_r: one run
+        runs.clear()
+        assert degree_report(mkmap(("x0", "x1"), ["x0^2", "x1^2"], field)).deg_map == 2
+        assert len(runs) == 1
 
 
 class TestDegreeReport:

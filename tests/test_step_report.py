@@ -1,6 +1,7 @@
 """The step report counts the work of one command line, leaves the
-engine as it found it, fails on a wrong answer, and with --times adds
-each command's wall time after a warm-up."""
+engine as it found it, fails on a wrong answer, with --times adds
+each command's wall time after a warm-up, and with --labels adds a row
+per operation label."""
 
 import reesdeg.groebner as gb
 import reesdeg.ratmap as ratmap
@@ -82,3 +83,24 @@ def test_times_run_a_warm_up_first(monkeypatch):
     # one warm-up operation per command, none of them counted
     assert sorted(op.argv[0] for op in warmed) == sorted(table)
     assert all(row["seconds"] > 0 for row in table.values())
+
+
+def test_labels_add_a_row_per_operation_label(capsys):
+    argv = ["--seed", "1", "--rounds", "1", "--workload", "rational_q"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--labels"]) == 0
+    labelled = capsys.readouterr().out.splitlines()
+    # the plain lines, in order, each command's label rows below its row
+    assert [line for line in labelled if not line.startswith("    ")] == plain
+    assert len(labelled) > len(plain)
+    table, _ = workload_counts("rational_q", 1, 1, labels=True)
+    commands = [key for key in table if " " not in key]
+    assert "image hb11" in table and "conditions hb12" in table
+    for command in commands:
+        rows = [row for key, row in table.items() if key.startswith(command + " ")]
+        assert rows
+        # the label rows add up to their command's row
+        assert {col: sum(r[col] for r in rows) for col in table[command]} == table[command]
+        at = labelled.index(next(line for line in labelled if line.split()[0] == command))
+        assert labelled[at + 1].startswith("    " + command + " ")
