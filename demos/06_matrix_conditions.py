@@ -26,7 +26,7 @@ def matrix(rows):
     )
 
 
-# determinants are exact: the top minor of a memoized Laplace chain
+# determinants are exact: the top minor of a memoized first-row chain
 M = matrix([["x", "y"], ["y", "z"]])
 print("det =", determinant(M.entries))
 

@@ -404,7 +404,10 @@ def jacobian_independent(forms):
     of the fixed `_jacobian_points`, which proves the forms algebraically
     independent (see the module docstring); False when no point does, and
     at once when there are more forms than variables or the ring has
-    parameters, which proves nothing.
+    parameters, which proves nothing.  When the forms together contain
+    fewer distinct variables than there are forms, the Jacobian has no
+    more nonzero columns than that, so it is False before any point is
+    tried.
 
     The forms are checked by `_form_degree` first.  The rank is taken
     modulo p over F_p, and over Q modulo `_JACOBIAN_PRIME` after each
@@ -425,6 +428,8 @@ def jacobian_independent(forms):
          for m, c in _integral(g.terms, p)[0].items()]
         for g in forms
     ]
+    if len({i for form in terms for _, support in form for i, _ in support}) < len(forms):
+        return False
     budget = _budget()
     for point in _jacobian_points(n):
         rows = []

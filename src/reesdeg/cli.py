@@ -15,8 +15,8 @@ failed internal check (AssertionError) is not caught and exits 1;
 does not read them.  A --points value must name at least one point of
 integer coordinates; parameter points over F_p are reduced mod p before
 they are used and echoed.  One step budget covers every Groebner
-computation of the command, the products of its minor chain and of
-I^n, and the Jacobian rank test of image, fiber-cone and degree; its
+computation of the command, the products of the chain behind its
+minors and sub-Pfaffians and of I^n, and the Jacobian rank test of image, fiber-cone and degree; its
 default, DEFAULT_BUDGET steps, can be set through the
 REESDEG_BUDGET environment variable and overridden per run with
 --budget.

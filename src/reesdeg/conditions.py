@@ -9,40 +9,43 @@ i below the number of rows); F_m asks ht Fitt_i >= m + i for every
 i >= 1.  Certificates record one row per index so a failure names the
 offending minor size.
 
-Minors come from one Laplace chain (as Macaulay2's `minors(...,
-Strategy => Cofactor)`): the k-minor on rows R and columns C expands
-along R's first row into k products with (k-1)-minors on R[1:], read
-from a table keyed by (rows, cols).  A k-minor thus costs at most k
-products, not k!.  The table and the Fitting ideal handles live on the
-PresentationMatrix itself, outside its dataclass fields, so G_m and F_m
-on one matrix share every minor and every Groebner basis.  A
-determinant is the top minor of the same chain over a fresh table.
+Minors and sub-Pfaffians come from one first-row chain.  The Pfaffian
+of an alternating matrix on an index tuple expands along its first row
+into at most len - 1 products with Pfaffians on the tuple less its
+first index and one other, memoized by index tuple, so every size
+shares the smaller sizes.  Minors are sub-Pfaffians too: for
+N = [[0, M], [-M^T, 0]], the sub-Pfaffian on R + (nrows + C), with
+|R| = |C| = k, is (-1)^(k(k-1)/2) det M_{R,C}.  On such a balanced
+tuple the head of the expansion is row R[0] of M: its entries against
+R[1:] lie in the zero block and cost no product, and the others are M's
+own, so a k-minor costs at most k products, as Laplace expansion along
+a row does (Macaulay2's `minors(..., Strategy => Cofactor)`).  The
+chain reads only rows of M, each behind nrows empty entries, so -M^T is
+never built.  A determinant is the top minor.
 
 An alternating matrix (square, zero diagonal, M[j][i] = -M[i][j],
 tested exactly) has even rank, so its k-minors vanish exactly where its
 2 ceil(k/2)-sub-Pfaffians do, and the two ideals have one height
 (Buchsbaum-Eisenbud, "Algebra structures for finite free resolutions",
 Amer. J. Math. 1977).  G_m and F_m read the heights of such a matrix off
-its sub-Pfaffians and expand no minor.  These come from a first-row
-chain of the same kind: the Pfaffian on an index tuple expands into at
-most len - 1 products with Pfaffians on the tuple less its first index
-and one other, memoized by index tuple in a table local to one
-certificate, so every size shares the smaller sizes.  Their ideals are
-kept on the matrix by Pfaffian size, so minor sizes 2j - 1 and 2j, and
-G_m and F_m, share one handle and one basis.  Each product of either
-chain costs one step of the step budget.  `fitting_ideal` and `minors`
-keep the minor route.
+its sub-Pfaffians and expand no minor; `fitting_ideal` and `minors`
+keep the minor route, the oracle of this one.
 
-Both chains run on the entries' own terms, packed monomials of the
-ring (see `ring`), where `+` multiplies two monomials, and a minor's or
+A matrix's heights ht Fitt_1 .. ht Fitt_{nrows-1} come from one pass,
+which G_m and F_m share: the first of them computes every height and
+keeps the tuple on the matrix.  The chain's memo and the ideals live as
+long as the pass, so minor sizes 2j - 1 and 2j of an alternating matrix
+share one ideal and one basis.  Each product of the chain costs one
+step of the step budget.
+
+The chain runs on the entries' own terms, packed monomials of the ring
+(see `ring`), where `+` multiplies two monomials, and a minor's or
 Pfaffian's term dict becomes a `Poly` as it is.  A Fitting ideal hands
 its minors to the Groebner engine without conversion, and its height is
-read off the packed lead monomials of their basis.  A minor leaves the
-table once it is handed out: the Fitting ideals ask for each size once,
-largest first, and only a larger minor reads a smaller one.  Every
-field of an entry and of a memoized minor is below `EXP_BOUND`, so a
-product never spills into the next field; a minor whose degree reaches
-the bound sets the degree field's guard bit and raises `RingError`.
+read off the packed lead monomials of their basis.  Every field of an
+entry and of a memoized minor is below `EXP_BOUND`, so a product never
+spills into the next field; a minor whose degree reaches the bound sets
+the degree field's guard bit and raises `RingError`.
 """
 
 import math
@@ -75,13 +78,9 @@ class PresentationMatrix:
                 if not isinstance(e, Poly) or e.ctx != self.ctx:
                     raise RingError("matrix entry from a different ring")
         object.__setattr__(self, "entries", rows)
-        # memo tables outside the dataclass fields, so eq and hash ignore
-        # them: packed minors keyed by (rows, cols) until returned,
-        # Fitting ideals by minor size, and the ideals of sub-Pfaffians
-        # of an alternating matrix by Pfaffian size
-        object.__setattr__(self, "_minors", {})
-        object.__setattr__(self, "_fitting", {})
-        object.__setattr__(self, "_pfaffians", {})
+        # ht Fitt_1 .. ht Fitt_{nrows-1} once G_m or F_m has run; outside
+        # the dataclass fields, so eq and hash ignore it
+        object.__setattr__(self, "_heights", None)
 
     @property
     def nrows(self):
@@ -118,35 +117,14 @@ def _expansion(products, p):
     return got
 
 
-def _minor(entries, memo, rows, cols, p):
-    """Packed minor on row and column index tuples by Laplace expansion
-    along its first row: sum over j of (-1)^j M[rows[0]][cols[j]] times
-    the memoized minor on (rows[1:], cols without cols[j]).  `entries`
-    are packed term dicts and p is the characteristic.  Zero entries and
-    zero sub-minors cost no product."""
-    if len(rows) == 1:
-        return entries[rows[0]][cols[0]]
-    key = (rows, cols)
-    got = memo.get(key)
-    if got is None:
-        head, rest = entries[rows[0]], rows[1:]
-        products = []
-        for j, c in enumerate(cols):
-            if head[c]:
-                sub = _minor(entries, memo, rest, cols[:j] + cols[j + 1 :], p)
-                if sub:
-                    products.append((j % 2, head[c], sub))
-        got = memo[key] = _expansion(products, p)
-    return got
-
-
 def _pfaffian(entries, memo, idx, p):
     """Packed Pfaffian of the principal submatrix on the index tuple idx,
-    of even length at least 2, of an alternating matrix, by expansion
-    along its first row: sum over j >= 1 of (-1)^(j+1) M[idx[0]][idx[j]]
-    times the memoized Pfaffian on idx without idx[0] and idx[j].  The
-    memo is keyed by index tuple, so the sub-Pfaffians of every size
-    below len(idx) are left in it for later calls."""
+    of even length at least 2, of an alternating matrix N, by expansion
+    along its first row: sum over j >= 1 of (-1)^(j+1) N[idx[0]][idx[j]]
+    times the memoized Pfaffian on idx without idx[0] and idx[j].
+    `entries` holds N's rows as packed term dicts; only the rows that idx
+    and its sub-tuples start with are read, so the others may be left
+    out.  Zero entries and zero sub-Pfaffians cost no product."""
     if len(idx) == 2:
         return entries[idx[0]][idx[1]]
     got = memo.get(idx)
@@ -162,6 +140,24 @@ def _pfaffian(entries, memo, idx, p):
     return got
 
 
+def _chain(M, size, memo, minor):
+    """The size x size minors of M when `minor`, row subsets then column
+    subsets in lexicographic order, each the sub-Pfaffian of
+    [[0, M], [-M^T, 0]] on its balanced tuple times (-1)^(size(size-1)/2);
+    else the size x size sub-Pfaffians of the alternating M, principal
+    index subsets in lexicographic order.  Polynomials, expanded through
+    `memo`."""
+    n, p = M.nrows, M.ctx.field.characteristic
+    pad = [{}] * n if minor else []
+    entries = [pad + [e.terms for e in row] for row in M.entries]
+    tuples = combinations(range(n), size)
+    if minor:
+        cols = range(n, n + M.ncols)
+        tuples = [rows + c for rows in tuples for c in combinations(cols, size)]
+    got = [Poly(M.ctx, _pfaffian(entries, memo, idx, p), _clean=True) for idx in tuples]
+    return [-g for g in got] if minor and size * (size - 1) // 2 % 2 else got
+
+
 def is_alternating(M):
     """True when M is square with a zero diagonal and M[j][i] = -M[i][j]."""
     rows = M.entries
@@ -173,22 +169,15 @@ def is_alternating(M):
     )
 
 
-def pfaffians(M, size, memo=None):
+def pfaffians(M, size):
     """All size x size sub-Pfaffians of the alternating matrix M, for
     even size in 2..nrows, as polynomials, principal index subsets in
-    lexicographic order.  `memo` keeps the packed sub-Pfaffians of the
-    chain between calls; the caller checks that M is alternating."""
-    entries = [[e.terms for e in row] for row in M.entries]
-    p = M.ctx.field.characteristic
-    memo = {} if memo is None else memo
-    return [
-        Poly(M.ctx, _pfaffian(entries, memo, idx, p), _clean=True)
-        for idx in combinations(range(M.nrows), size)
-    ]
+    lexicographic order; the caller checks that M is alternating."""
+    return _chain(M, size, {}, False)
 
 
 def determinant(rows):
-    """Top minor of the Laplace chain of a square matrix."""
+    """Top minor of the chain of a square matrix."""
     rows = [list(r) for r in rows]
     if not rows or len(rows) != len(rows[0]):
         raise RingError("determinant of a non-square matrix")
@@ -197,35 +186,18 @@ def determinant(rows):
 
 def minors(M, size):
     """All size x size minors as polynomials (possibly with repeats), row
-    subsets then column subsets in lexicographic order.  They come from
-    the matrix's own table and then leave it, so with sizes asked for
-    largest first, as the Fitting ideals do, each minor of M is expanded
-    once.  The 1-minors are the entries themselves."""
+    subsets then column subsets in lexicographic order; none past
+    min(nrows, ncols)."""
     if size < 1:
         raise RingError("minor size must be positive")
-    if size == 1:
-        return [e for row in M.entries for e in row]
-    entries = [[e.terms for e in row] for row in M.entries]
-    p = M.ctx.field.characteristic
-    memo = M._minors
-    got = []
-    for rows in combinations(range(M.nrows), size):
-        for cols in combinations(range(M.ncols), size):
-            got.append(Poly(M.ctx, _minor(entries, memo, rows, cols, p), _clean=True))
-            memo.pop((rows, cols), None)
-    return got
+    return _chain(M, size, {}, True)
 
 
 def fitting_ideal(M, i):
-    """Fitt_i of the cokernel: ideal of minors of size (nrows - i).  The
-    handle is kept on M, so every call for the same ideal returns the
-    same handle and shares its Groebner bases."""
-    size = min(max(M.nrows - i, 0), min(M.nrows, M.ncols) + 1)
-    got = M._fitting.get(size)
-    if got is None:
-        gens = [Poly.constant(M.ctx, 1)] if size == 0 else minors(M, size)
-        got = M._fitting[size] = IdealHandle(M.ctx, gens)
-    return got
+    """Fitt_i of the cokernel: ideal of minors of size (nrows - i), the
+    unit ideal for i >= nrows and the zero ideal past the column count."""
+    size = M.nrows - i
+    return IdealHandle(M.ctx, [Poly.constant(M.ctx, 1)] if size < 1 else minors(M, size))
 
 
 def height(I):
@@ -237,19 +209,9 @@ def height(I):
     return I.ctx.nvars - summ.dim
 
 
-def _pfaffian_ideal(M, size, memo):
-    """Ideal of the size x size sub-Pfaffians of the alternating matrix
-    M, for even size in 2..nrows, with the chain's sub-Pfaffians kept in
-    `memo`.  The handle is kept on M by size, so the minor sizes 2j - 1
-    and 2j, and G_m and F_m, share it and its Groebner bases."""
-    got = M._pfaffians.get(size)
-    if got is None:
-        got = M._pfaffians[size] = IdealHandle(M.ctx, pfaffians(M, size, memo))
-    return got
-
-
-def _fitting_heights(M, top):
-    """ht Fitt_i for i = 1 .. top - 1, in order.
+def _fitting_heights(M):
+    """(ht Fitt_1, .., ht Fitt_{nrows-1}), computed on the first call
+    and kept on M.
 
     For an alternating M, index i reads the ideal of sub-Pfaffians of
     size 2 ceil((nrows - i) / 2), which has the height of the minors'.
@@ -262,26 +224,27 @@ def _fitting_heights(M, top):
     nonzero minor and sub-Pfaffian, and those indices need not even
     expand them.
     """
+    if M._heights is not None:
+        return M._heights
     n = M.ctx.nvars
     # every monomial of every entry; the constant monomial packs to 0
     mons = {m for row in M.entries for e in row for m in e.terms}
     forms = 0 not in mons and _homogeneous([mons])
-    memo = {} if is_alternating(M) else None
+    minor = not is_alternating(M)
+    memo, ideals = {}, {}
 
     def ideal_of(i):
-        if memo is None:
-            return fitting_ideal(M, i)
-        return _pfaffian_ideal(M, (M.nrows - i + 1) // 2 * 2, memo)
+        size = M.nrows - i if minor else (M.nrows - i + 1) // 2 * 2
+        if size not in ideals:
+            ideals[size] = IdealHandle(M.ctx, _chain(M, size, memo, minor))
+        return ideals[size]
 
+    heights = []
     ht = 0
-    for i in range(1, top):
+    for i in range(1, M.nrows):
         if ht < n:
             ht = height(ideal_of(i))
-        elif forms:
-            # no minor is expanded past here, so the smaller minors the
-            # chain left in the table would never leave it
-            M._minors.clear()
-        else:
+        elif not forms:
             I = ideal_of(i)
             seeds = [g.terms for g in I.gens]
             # a homogeneous generator with a constant term is a constant,
@@ -290,7 +253,9 @@ def _fitting_heights(M, top):
                 ht = math.inf if any(0 in t for t in seeds) else n
             else:
                 ht = height(I)
-        yield ht
+        heights.append(ht)
+    object.__setattr__(M, "_heights", tuple(heights))
+    return M._heights
 
 
 @dataclass(frozen=True)
@@ -308,7 +273,7 @@ def _certificate(name, M, top, offset, holds):
     with offset + i as each row's threshold."""
     rows = tuple(
         (i, M.nrows - i, ht, offset + i, holds(ht, offset + i))
-        for i, ht in enumerate(_fitting_heights(M, top), 1)
+        for i, ht in enumerate(_fitting_heights(M)[: top - 1], 1)
     )
     return ConditionCertificate(name, all(row[4] for row in rows), rows)
 
@@ -316,7 +281,8 @@ def _certificate(name, M, top, offset, holds):
 def check_Gm(M, m):
     """G_m: ht Fitt_i > i for all 1 <= i < m (m = inf tests every
     index).  Fitt_i is the unit ideal for i >= nrows, so the table stops
-    there, and G_inf is G_nrows."""
+    there, and G_inf is G_nrows.  The first G_m or F_m on M computes the
+    height of every index below nrows, whatever m is."""
     if m != math.inf and (not isinstance(m, int) or m < 1):
         raise RingError("G_m level must be a positive integer or inf")
     top = min(m, M.nrows)

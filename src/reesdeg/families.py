@@ -156,8 +156,8 @@ def dense_form(ctx, degree, rng, nx=None):
 def signed_maximal_minors(M):
     """Map coordinates from an (r+1) x r matrix: g_i is (-1)^i times the
     minor dropping row i.  The signs satisfy M^T g = 0, which is checked.
-    The minors come from the matrix's own table, which lists them
-    dropping row r, r-1, ..., 0."""
+    The minors come from one call of `conditions.minors`, which lists
+    them dropping row r, r-1, ..., 0, so they share their sub-minors."""
     if M.nrows != M.ncols + 1:
         raise RingError("maximal minors need an (r+1) x r matrix")
     forms = [d if i % 2 == 0 else -d for i, d in enumerate(reversed(minors(M, M.ncols)))]

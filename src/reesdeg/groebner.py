@@ -155,8 +155,8 @@ def step_budget(limit):
     """Charge every computation inside the block against one budget of
     `limit` steps: reductions, reduced S-pairs, pairs and rows examined by
     pair updates, row operations and rows scanned in seed blocks, monomial
-    divisibility tests, the products of the minor and sub-Pfaffian
-    chains of `conditions` and of the power loop in
+    divisibility tests, the products of the chain behind the minors and
+    sub-Pfaffians of `conditions` and of the power loop in
     `sfib_hilbert_function`, and the form terms evaluated and row
     operations of `blowup.jacobian_independent`."""
     if limit < 1:

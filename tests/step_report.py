@@ -4,8 +4,8 @@ workloads, per command.
 Runs rounds 0..N-1 of each workload in perfbench/workloads.py at one
 seed, in-process, and prints for every command the budget steps the
 operations charged, the Buchberger runs, the `_reduce` calls, the rows
-sent to `_reduce_tails` and the failed operations, with a total per
-workload.  The counts do not depend on the machine or its load, so they
+sent to `_reduce_tails`, the products of the minor and sub-Pfaffian
+chain (`chain`) and the failed operations, with a total per workload.  The counts do not depend on the machine or its load, so they
 compare two trees where wall time on a shared host cannot:
 
     python3 tests/step_report.py --seed 7 --rounds 3
@@ -28,8 +28,8 @@ perfbench/expected.json do too.  Each failure is printed, and the
 script exits 1 when there is one.
 
 Only the standard library is needed.  The workload module is imported
-and used as it is; the counters wrap functions of reesdeg.groebner for
-the length of the run.
+and used as it is; the counters wrap functions of reesdeg.groebner and
+reesdeg.conditions for the length of the run.
 """
 
 import argparse
@@ -45,23 +45,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import reesdeg.cli as cli  # noqa: E402
+import reesdeg.conditions as conditions  # noqa: E402
 import reesdeg.groebner as gb  # noqa: E402
 from workloads import WORKLOADS, Workload, check_answer, load_expected  # noqa: E402
 
 RECORDED_SEED = 1  # the seed whose answers perfbench/expected.json holds
 
-COLUMNS = ("steps", "runs", "reduce", "tails_rows", "failed")
+COLUMNS = ("steps", "runs", "reduce", "tails_rows", "chain", "failed")
 
 
 @contextlib.contextmanager
 def counting():
     """Wrap the engine so that `counts` (yielded) accumulates runs,
-    `_reduce` calls and tails rows; `budgets` keeps every step budget
-    made, whose spent steps are read afterwards."""
+    `_reduce` calls, tails rows and chain products; `budgets` keeps every
+    step budget made, whose spent steps are read afterwards."""
     counts = defaultdict(int)
     budgets = []
     names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails")
     saved = {name: getattr(gb, name) for name in names}
+    expansion = conditions._expansion
 
     class Budget(saved["_Budget"]):
         __slots__ = ()
@@ -82,13 +84,19 @@ def counting():
         counts["tails_rows"] += len(basis)
         return saved["_reduce_tails"](basis, *args)
 
+    def counted_expansion(products, p):
+        counts["chain"] += len(products)
+        return expansion(products, p)
+
     gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails = (
         Budget, buchberger, reduce, reduce_tails)
+    conditions._expansion = counted_expansion
     try:
         yield counts, budgets
     finally:
         for name, fn in saved.items():
             setattr(gb, name, fn)
+        conditions._expansion = expansion
 
 
 def run_op(argv, out=None):

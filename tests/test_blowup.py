@@ -309,6 +309,16 @@ class TestJacobianCertificate:
             _, forms = forms_of(names, texts, field)
             assert jacobian_independent(forms) is independent, texts
 
+    def test_fewer_variables_than_forms_charge_nothing(self, monkeypatch):
+        # no form contains x2, so the Jacobian's x2 column is zero and its
+        # rank is at most 2 < 3: no point is tried, no form term charged
+        monkeypatch.setattr(blowup, "_jacobian_points", lambda n: pytest.fail("a point was tried"))
+        _, forms = forms_of(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2"], FieldSpec(32003))
+        with gb_mod.step_budget(10):
+            assert not jacobian_independent(forms)
+            budget = gb_mod._budget()
+            assert budget.left == budget.limit
+
     def test_pth_powers_are_left_to_the_rees_basis(self):
         # x0^7, x1^7 are independent, but over F_7 their Jacobian is zero
         _, forms = forms_of(("x0", "x1", "x2"), ["x0^7", "x1^7"], FieldSpec(7))

@@ -45,6 +45,16 @@ def submatrix(M, rows, cols):
     return [[M.entries[i][j] for j in cols] for i in rows]
 
 
+def buchberger_runs(monkeypatch):
+    """Patch the Buchberger core to log the seed count of each run."""
+    runs = []
+    buchberger = groebner._buchberger
+    monkeypatch.setattr(
+        groebner, "_buchberger", lambda seeds, *args: runs.append(len(seeds)) or buchberger(seeds, *args)
+    )
+    return runs
+
+
 def permanent_free_det(entries):
     """Permutation-expansion determinant: an independent oracle for
     small matrices."""
@@ -190,6 +200,30 @@ class TestMinorChain:
                     ]
                     assert minors(M, k) == expect
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), prime=st.sampled_from([2, 7, 32003, 0]))
+    def test_signed_sub_pfaffians_are_the_leibniz_minors(self, seed, prime):
+        # each minor is a sub-Pfaffian of [[0, M], [-M^T, 0]] with its sign
+        # undone; zero entries and zero rows are skipped by the chain.  The
+        # shape and size come from the seed, uniform up to 6x6.
+        rng = random.Random(seed)
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        ctx = RingCtx(("x", "y"), FieldSpec(prime))
+        entries = [
+            [random_poly(ctx, rng, 1, 2) if rng.random() < 0.7 else Poly.zero(ctx) for _ in range(c)]
+            for _ in range(r)
+        ]
+        if rng.random() < 0.3:
+            entries[rng.randrange(r)] = [Poly.zero(ctx)] * c
+        M = PresentationMatrix(ctx, entries)
+        k = rng.randint(1, min(r, c))
+        expect = [
+            permanent_free_det(submatrix(M, rows, cols))
+            for rows in itertools.combinations(range(r), k)
+            for cols in itertools.combinations(range(c), k)
+        ]
+        assert minors(M, k) == expect
+
     def test_minor_size_must_be_positive(self):
         ctx, M = mat(("x",), [["x", "1"], ["0", "x"]])
         with pytest.raises(RingError):
@@ -199,8 +233,9 @@ class TestMinorChain:
         ctx, M = mat(("x", "y"), [["x", "y"], ["y", "x"], ["x", "0"]])
         assert minors(M, 1) == [e for row in M.entries for e in row]
         first = minors(M, 2)
-        # a returned minor leaves the table; asked again, it is expanded again
-        assert not M._minors
+        # the chain's memo lives for one call: the matrix keeps no minor,
+        # and a minor asked for again is expanded again
+        assert vars(M) == {"ctx": ctx, "entries": M.entries, "_heights": None}
         assert minors(M, 2) == first
 
     def test_memo_outside_eq_and_hash(self):
@@ -209,17 +244,24 @@ class TestMinorChain:
         minors(M, 2)
         assert M == N and hash(M) == hash(N)
 
-    def test_fitting_handle_is_shared(self):
+    def test_fitting_handle_is_shared(self, monkeypatch):
+        # M keeps no handle: each call builds one with the same generators,
+        # and G_m and F_m share M's heights instead of its bases
         ctx, M = mat(("x", "y"), [["x", "y"], ["y", "x"], ["x", "0"]])
         for i in (-1, 0, 1, 2, 3, 7):
-            assert fitting_ideal(M, i) is fitting_ideal(M, i)
-        assert fitting_ideal(M, 3) is fitting_ideal(M, 7)
+            assert fitting_ideal(M, i).gens == fitting_ideal(M, i).gens
+        assert fitting_ideal(M, 3).gens == fitting_ideal(M, 7).gens == (Poly.constant(ctx, 1),)
         assert fitting_ideal(M, 0).gens == ()
+        runs = buchberger_runs(monkeypatch)
+        check_Gm(M, 2)
+        taken = len(runs)
+        check_Fm(M, 0)
+        assert taken and len(runs) == taken
 
 
 class TestSharedMaximalMinors:
-    """signed_maximal_minors reads every maximal minor off the matrix's
-    one table; each must match the permutation oracle on M without row i."""
+    """signed_maximal_minors reads every maximal minor off one chain;
+    each must match the permutation oracle on M without row i."""
 
     @pytest.mark.parametrize("char", [0, 32003])
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -253,22 +295,17 @@ class TestConditionCounts:
     def test_products_and_bases(self, monkeypatch):
         M = linear_6x5()
         products = [0]
-        runs = []
-        minor = conditions._minor
-        buchberger = groebner._buchberger
+        pfaffian = conditions._pfaffian
 
-        def counted_minor(entries, memo, rows, cols, p):
-            # a k-minor not in the table is expanded: k products at most
-            if len(rows) > 1 and (rows, cols) not in memo:
-                products[0] += len(rows)
-            return minor(entries, memo, rows, cols, p)
+        def counted_pfaffian(entries, memo, idx, p):
+            # a k-minor's balanced tuple, of length 2k, not in the memo is
+            # expanded: k products at most
+            if len(idx) > 2 and idx not in memo:
+                products[0] += len(idx) // 2
+            return pfaffian(entries, memo, idx, p)
 
-        def counted_buchberger(seeds, *args):
-            runs.append(len(seeds))
-            return buchberger(seeds, *args)
-
-        monkeypatch.setattr(conditions, "_minor", counted_minor)
-        monkeypatch.setattr(groebner, "_buchberger", counted_buchberger)
+        monkeypatch.setattr(conditions, "_pfaffian", counted_pfaffian)
+        runs = buchberger_runs(monkeypatch)
         check_Gm(M, 4)
         check_Fm(M, 0)
         bound = sum(
@@ -386,28 +423,34 @@ class TestMonotoneChain:
     the minors without a Groebner basis; they must be the heights a
     basis gives."""
 
-    def chain_and_direct(self, M):
+    def chain_and_direct(self, M, monkeypatch):
+        """(heights of the chain, seed counts of its Buchberger runs,
+        heights off a basis of each Fitting ideal)"""
+        runs = buchberger_runs(monkeypatch)
         chain = [row[2] for row in check_Fm(M, 0).table]
-        bases = [bool(fitting_ideal(M, i).gb_cache) for i in range(1, M.nrows)]
+        bases = list(runs)
         direct = [height(fitting_ideal(M, i)) for i in range(1, M.nrows)]
         return chain, bases, direct
 
-    def test_linear_6x5(self):
-        chain, bases, direct = self.chain_and_direct(linear_6x5())
+    def test_linear_6x5(self, monkeypatch):
+        chain, bases, direct = self.chain_and_direct(linear_6x5(), monkeypatch)
         assert chain == direct == [2, 4, 4, 4, 4]
-        assert bases == [True, True, False, False, False]
+        # runs for Fitt_1 and Fitt_2 only, told apart by generator count
+        assert bases == [6, 75]
 
     def test_forms_of_one_degree_expand_no_minor_past_height_nvars(self, monkeypatch):
         # Fitt_2 of linear_6x5 already has height 4 = nvars, so the 3-,
         # 2- and 1-minors are never expanded
         M = linear_6x5()
         sizes = []
-        inner = conditions.minors
-        monkeypatch.setattr(conditions, "minors", lambda M, k: sizes.append(k) or inner(M, k))
+        inner = conditions._chain
+        monkeypatch.setattr(
+            conditions, "_chain", lambda M, k, *args: sizes.append(k) or inner(M, k, *args)
+        )
         G, F = check_Gm(M, 4).table, check_Fm(M, 0).table
         assert sizes == [5, 4]
-        # and no smaller minor is left behind in the table
-        assert M._minors == {}
+        # and the matrix keeps its heights, no minor
+        assert vars(M).keys() == {"ctx", "entries", "_heights"}
         assert G == ((1, 5, 2, 1, True), (2, 4, 4, 2, True), (3, 3, 4, 3, True))
         assert F == G + ((4, 2, 4, 4, True), (5, 1, 4, 5, False))
 
@@ -418,17 +461,26 @@ class TestMonotoneChain:
         assert [row[2] for row in check_Gm(M, math.inf).table] == [2, math.inf]
         assert [row[2] for row in check_Fm(M, 0).table] == [2, math.inf]
 
-    def test_constant_minor_is_the_unit_ideal(self):
+    def test_constant_minor_is_the_unit_ideal(self, monkeypatch):
         _, M = mat(("x", "y"), [["x", "0"], ["0", "y"], ["1", "1"]])
-        chain, bases, direct = self.chain_and_direct(M)
+        chain, bases, direct = self.chain_and_direct(M, monkeypatch)
         assert chain == direct == [2, math.inf]
-        assert bases == [True, False]
+        # a run for the 3 nonzero 2-minors; the entries need none
+        assert bases == [3]
 
-    def test_inhomogeneous_minors_take_a_basis(self):
+    def test_inhomogeneous_minors_take_a_basis(self, monkeypatch):
         _, M = mat(("x",), [["x + 1", "x"], ["x + 1", "x"], ["x", "0"]])
-        chain, bases, direct = self.chain_and_direct(M)
+        chain, bases, direct = self.chain_and_direct(M, monkeypatch)
         assert chain == direct == [1, math.inf]
-        assert bases == [True, True]
+        # the 2 nonzero 2-minors, then the 5 nonzero entries
+        assert bases == [2, 5]
+
+    def test_a_short_G_m_keeps_only_the_heights(self):
+        # G_2 stops its table at index 1 but computes every height; the
+        # matrix then holds its fields and the heights, no minor
+        M = linear_6x5()
+        assert check_Gm(M, 2).table == ((1, 5, 2, 1, True),)
+        assert vars(M) == {"ctx": M.ctx, "entries": M.entries, "_heights": (2, 4, 4, 4, 4)}
 
 
 DEJONQ_M2 = [
@@ -615,6 +667,53 @@ def outcome(f):
         return type(exc)
 
 
+class TestMinorRoute:
+    """On a matrix that is not alternating, G_inf and F_0 must read the
+    heights of the ideals of the Leibniz minors, an oracle that shares no
+    code with the chain."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        prime=st.sampled_from([2, 7, 32003, 0]),
+        kind=st.sampled_from(["forms", "graded"]),
+    )
+    def test_heights_match_the_leibniz_minors(self, seed, prime, kind):
+        # "forms": every entry a form of one degree 1 or 2; "graded":
+        # entry (i, j) of degree u_i + v_j for u_i, v_j in {0, 1}, so
+        # constants, linear and quadric entries mix and every minor is
+        # still a form.  A quarter of the entries are zero.  The shape
+        # comes from the seed, kept small over Q, where the oracle's
+        # bases grow slowest.
+        rng = random.Random(seed)
+        r, c = rng.randint(2, 4 if prime == 0 else 5), rng.randint(1, 4)
+        nvars = rng.randint(2, 3)
+        ctx = RingCtx(tuple("x%d" % i for i in range(nvars)), FieldSpec(prime))
+        u = [rng.randint(0, 1) for _ in range(r)]
+        v = [rng.randint(0, 1) for _ in range(c)]
+        d = rng.randint(1, 2)
+        entries = [
+            [
+                random_form(ctx, rng, d if kind == "forms" else u[i] + v[j])
+                if rng.random() < 0.75 else Poly.zero(ctx)
+                for j in range(c)
+            ]
+            for i in range(r)
+        ]
+        M = PresentationMatrix(ctx, entries)
+        heights = []
+        for k in range(r - 1, 0, -1):
+            gens = [
+                permanent_free_det(submatrix(M, rows, cols))
+                for rows in itertools.combinations(range(r), k)
+                for cols in itertools.combinations(range(c), k)
+            ]
+            heights.append(height(IdealHandle(ctx, gens)))
+        G = tuple((i, r - i, h, i, h > i) for i, h in enumerate(heights, 1))
+        F = tuple((i, r - i, h, i, h >= i) for i, h in enumerate(heights, 1))
+        assert (check_Gm(M, math.inf).table, check_Fm(M, 0).table) == (G, F)
+
+
 class TestPfaffianRoute:
     """On an alternating matrix, G_m and F_m read each height off the
     ideal of 2 ceil(k/2)-sub-Pfaffians in place of the k-minors; the
@@ -647,35 +746,43 @@ class TestPfaffianRoute:
         assert got == outcome(oracle)
 
     def test_alternating_matrix_expands_no_minor(self, monkeypatch):
-        called = []
-        minor = conditions._minor
-        monkeypatch.setattr(conditions, "_minor", lambda *args: called.append(1) or minor(*args))
+        # a minor's balanced tuple holds an index past the rows
+        balanced = []
+        pfaffian = conditions._pfaffian
+
+        def spy(entries, memo, idx, p):
+            balanced.append(max(idx) >= len(entries))
+            return pfaffian(entries, memo, idx, p)
+
+        monkeypatch.setattr(conditions, "_pfaffian", spy)
         fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))
         M = PresentationMatrix(fam.ctx, fam.matrix.entries)
         check_Gm(M, 5)
         check_Fm(M, 0)
-        assert called == [] and M._minors == {} and M._fitting == {}
+        assert balanced and not any(balanced)
+        assert vars(M).keys() == {"ctx", "entries", "_heights"}
         # one entry's sign flipped: square, zero diagonal, not alternating
         rows = [list(row) for row in M.entries]
         rows[0][1] = -rows[0][1]
+        del balanced[:]
         check_Gm(PresentationMatrix(M.ctx, rows), 5)
-        assert called
+        assert all(balanced)
 
     def test_minor_sizes_share_a_pfaffian_ideal(self, monkeypatch):
         # minor sizes 4 and 3 read the 4-Pfaffians, sizes 2 and 1 the
-        # entries; G_5 and F_0 make one basis of each, and the early stop
-        # at height nvars leaves the entries' handle without one
+        # entries; the one pass behind G_5 and F_0 makes one handle and
+        # one basis of each
         fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))
         M = PresentationMatrix(fam.ctx, fam.matrix.entries)
-        runs = []
-        buchberger = groebner._buchberger
+        handles = []
+        handle = conditions.IdealHandle
         monkeypatch.setattr(
-            groebner, "_buchberger", lambda seeds, *args: runs.append(len(seeds)) or buchberger(seeds, *args)
+            conditions, "IdealHandle", lambda ctx, gens: handles.append(gens) or handle(ctx, gens)
         )
+        runs = buchberger_runs(monkeypatch)
         G, F = check_Gm(M, 5).table, check_Fm(M, 0).table
         assert G == F == TestGoldenCertificates.PFAFFIAN
-        assert sorted(M._pfaffians) == [2, 4]
-        assert M._pfaffians[4].gens == tuple(pfaffians(M, 4))
+        assert handles == [pfaffians(M, 4), pfaffians(M, 2)]
         assert runs == [5, 10]
 
     def test_pfaffians_of_a_handmade_matrix(self):

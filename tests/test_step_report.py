@@ -1,10 +1,12 @@
-"""The step report counts the work of one command line, leaves the
-engine as it found it, fails on a wrong answer, with --times adds
-each command's wall time after a warm-up, and with --labels adds a row
-per operation label."""
+"""The step report counts the work of one command line, chain products
+included, leaves the engine as it found it, fails on a wrong answer,
+with --times adds each command's wall time after a warm-up, and with
+--labels adds a row per operation label."""
 
+import reesdeg.conditions as conditions
 import reesdeg.groebner as gb
 import reesdeg.ratmap as ratmap
+from reesdeg.ring import FieldSpec, RingCtx, parse_poly
 from step_report import main, run_op, workload_counts
 from workloads import Workload
 
@@ -24,6 +26,24 @@ def test_counts_one_listing():
     # leads are free of x, and the listing reduces their tails
     assert counts["runs"] == 1 and counts["tails_rows"] == 7
     assert (gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails) == engine
+
+
+def test_chain_counts_the_minor_products(tmp_path):
+    expansion = conditions._expansion
+    ctx = RingCtx(("x0", "x1", "x2"), FieldSpec(32003))
+    rows = [["x0", "x1"], ["x1", "x2"], ["x2", "x0 + x1"]]
+    M = conditions.PresentationMatrix(ctx, [[parse_poly(e, ctx) for e in row] for row in rows])
+    path = tmp_path / "m.txt"
+    path.write_text(conditions.serialize_matrix(M))
+    rc, counts = run_op(["conditions", "--matrix", str(path)])
+    # the three 2-minors take two products each, one step apiece; the
+    # entries are the 1-minors and take none
+    assert rc == 0 and counts["chain"] == 6 and counts["steps"] > 6
+    rc, counts = run_op(["rees", "--map", "x0^2, x1^2"])
+    assert rc == 0 and counts["chain"] == 0
+    assert conditions._expansion is expansion
+    table, _ = workload_counts("rational_q", 1, 1)
+    assert table["conditions"]["chain"] > 0 and table["degree"]["chain"] == 0
 
 
 def test_wrong_answers_fail(monkeypatch, capsys):
