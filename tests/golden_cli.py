@@ -18,11 +18,12 @@ Q, the linear 5x5 Pfaffian family matrix over F_32003 and over Q, and a
 6x6 alternating matrix of linear forms in 7 variables over F_7 with
 zero entries off the diagonal.  The forms of RING_MAPS run over both
 fields in the ring named beside them: the sub-Pfaffians of that Q
-matrix, a dominant map onto P^4; three quadrics in x0, x1 of P^2,
-which are algebraically dependent; and two squares of P^2, which are
-independent forms with s < r.  Between them they pin `image`,
-`fiber-cone` and `degree` on dominant, dependent and not generically
-finite maps.
+matrix, a birational map onto P^4; three quadrics in x0, x1 of P^2,
+which are algebraically dependent; two squares of P^2, which are
+independent forms with s < r; the standard Cremona map of P^2; and the
+three squares of P^2, a map of degree 4 with no linear syzygy.  Between
+them they pin `image`, `fiber-cone`, `degree` and `jmult` on
+birational, dependent, finite and not generically finite maps.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -71,10 +72,14 @@ RING_MAPS = {
         " - 28*x1*x4 - 20*x2*x4 + 24*x3*x4 - 19*x4^2, 82*x0^2 + 89*x0*x1 + 73*x1^2"
         " + 2*x0*x2 + 46*x1*x2 - 14*x2^2 + 130*x0*x3 + 139*x1*x3 + 52*x2*x3 + 64*x3^2"
         " + 113*x0*x4 + 158*x1*x4 + 83*x2*x4 + 116*x3*x4 + 43*x4^2",
-        ("image", "fiber-cone"),
+        ("image", "fiber-cone", "degree", "jmult"),
     ),
     "conic3": ("x0 x1 x2", "x0^2, x0*x1, x1^2", ("image", "fiber-cone")),
     "squares3": ("x0 x1 x2", "x0^2, x1^2", ("degree", "jmult", "image")),
+    # the standard Cremona map of P^2, birational
+    "cremona3": ("x0 x1 x2", "x1*x2, x0*x2, x0*x1", ("degree", "jmult")),
+    # three squares of P^2, of degree 4 and with no linear syzygy
+    "diag3": ("x0 x1 x2", "x0^2, x1^2, x2^2", ("degree", "jmult")),
 }
 # input matrices of `conditions`, under tests/golden/cli
 MATRICES = ("matrix_q", "pfaffian5_p32003", "pfaffian5_q", "alternating6_p7")
