@@ -41,6 +41,17 @@ maximal minor at one point is a nonzero polynomial, so full rank there
 proves full rank over k(x).  The test is one-sided: forms it does not
 certify take the Rees route, and no answer depends on the points.
 
+For r+1 forms of P^r, `jacobian_dual_birational` certifies the map
+birational (see `ratmap`) from the weak Jacobian dual psi, read off the
+linear syzygies of the forms.  These are the exact kernel of the
+coefficient matrix of the products x_k*g_i of degree d+1: elimination
+mod p over F_p, and fraction-free on integers over Q, so no Groebner
+basis is built.  psi is then evaluated at the image point g(p) of each
+fixed point p in turn, and rank r there, modulo p or modulo the same
+prime over Q, is the certificate: a nonzero r-minor mod that prime is a
+nonzero integer.  Forms with fewer than r linear syzygies are dropped
+after the one elimination.
+
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
 substitution into the generic basis, and the comparison against the
@@ -54,7 +65,7 @@ ideal (`certified_rees`, after Kalkbrener), so no basis is built there.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 from .groebner import (
     IdealHandle,
@@ -380,11 +391,16 @@ def _jacobian_points(n):
     return tuple(tuple(primes[k * n : (k + 1) * n]) for k in range(_JACOBIAN_POINTS))
 
 
-def _full_row_rank(rows, P, budget):
-    """True when `rows`, lists of residues mod the prime P, are linearly
-    independent mod P; each row operation costs one budget step."""
+def _has_rank(rows, need, P, budget):
+    """True when `rows`, lists of residues mod the prime P, have rank at
+    least `need` mod P.  It stops at False as soon as more than
+    len(rows) - need rows have reduced to zero, and at True as soon as
+    `need` pivots are found; each row operation costs one budget step."""
     pivots = []
+    spare = len(rows) - need
     for row in rows:
+        if len(pivots) >= need:
+            break
         for col, piv in pivots:
             c = row[col]
             if c:
@@ -392,11 +408,14 @@ def _full_row_rank(rows, P, budget):
                 row = [(a - c * b) % P for a, b in zip(row, piv)]
         col = next((i for i, a in enumerate(row) if a), None)
         if col is None:
-            return False
+            spare -= 1
+            if spare < 0:
+                return False
+            continue
         _charge(budget)
         inv = pow(row[col], -1, P)
         pivots.append((col, [a * inv % P for a in row]))
-    return True
+    return len(pivots) >= need
 
 
 def jacobian_independent(forms):
@@ -445,7 +464,112 @@ def jacobian_independent(forms):
                             d = d * v % P
                     row[j] = (row[j] + d) % P
             rows.append(row)
-        if _full_row_rank(rows, P, budget):
+        if _has_rank(rows, len(rows), P, budget):
+            return True
+    return False
+
+
+def _linear_syzygies(ctx, forms, need, budget):
+    """A basis of the linear syzygies of `forms`, packed term dicts in
+    `ctx` with integer coefficients over Q, or None when it has fewer
+    than `need` elements.  A syzygy is a list whose entry k*(s+1) + i is
+    a_ki, the coefficient of x_k in the coefficient of g_i.
+
+    Row j of the matrix [A | 1] holds the coefficients of the j-th
+    product x_k*g_i, monomials in decreasing order, then the unit
+    vector e_j.  Each row is reduced against the earlier pivot rows, so
+    the rows whose A part reaches zero carry a basis of the kernel.
+    Over F_p pivots are made monic mod p; over Q the elimination is
+    fraction-free and each row is divided by its content.  Each product
+    costs one budget step per term, and each row operation one step;
+    once more than n(s+1) - need rows have a pivot, the kernel is too
+    small and the elimination stops.
+    """
+    p = ctx.field.characteristic
+    products = [{m + unit: c for m, c in g.items()} for unit in ctx.packing.units for g in forms]
+    cols = {m: j for j, m in enumerate(sorted({m for t in products for m in t}, reverse=True))}
+    width, n = len(cols), len(products)
+    spare = n - need
+    pivots = []
+    syzygies = []
+    for j, terms in enumerate(products):
+        row = [0] * (width + n)
+        row[width + j] = 1
+        for m, c in terms.items():
+            row[cols[m]] = c
+        ops = 0
+        for col, piv in pivots:
+            b = row[col]
+            if b:
+                ops += 1
+                if p:
+                    row = [(x - b * y) % p for x, y in zip(row, piv)]
+                else:
+                    a = piv[col]
+                    row = [a * x - b * y for x, y in zip(row, piv)]
+                    c = gcd(*row)
+                    if c > 1:
+                        row = [x // c for x in row]
+        _charge(budget, len(terms) + ops)
+        col = next(i for i, x in enumerate(row) if x)
+        if col >= width:
+            syzygies.append(row[width:])
+        elif len(pivots) == spare:
+            return None
+        else:
+            if p:
+                inv = pow(row[col], -1, p)
+                row = [x * inv % p for x in row]
+            pivots.append((col, row))
+    return syzygies
+
+
+def jacobian_dual_birational(forms):
+    """True when the weak Jacobian dual psi of `forms`, r+1 forms of
+    P^r read off their linear syzygies, has rank r at g(p) for one of
+    the fixed `_jacobian_points` p, which proves the map birational onto
+    P^r (see the module docstring); False when no point does, at once
+    when the forms are not as many as the variables or the ring has
+    parameters, and after one elimination when the forms have fewer
+    than r linear syzygies.  No Groebner basis is computed.
+
+    The forms are checked by `_form_degree` first.  Over Q they are
+    scaled to integers, which changes neither their syzygies, up to
+    scale, nor the point g(p), and psi(g(p)) is ranked modulo
+    `_JACOBIAN_PRIME`.  Each form term evaluated and each row operation
+    costs one budget step.
+    """
+    _form_degree(forms)
+    ctx = forms[0].ctx
+    r = ctx.nvars - 1
+    if ctx.n_params or len(forms) != r + 1:
+        return False
+    p = ctx.field.characteristic
+    forms = [_integral(g.terms, p)[0] for g in forms]
+    budget = _budget()
+    syzygies = _linear_syzygies(ctx, forms, r, budget)
+    if syzygies is None:
+        return False
+    P = p or _JACOBIAN_PRIME
+    unpack = ctx.packing.unpack
+    terms = [[(c, unpack(m)) for m, c in g.items()] for g in forms]
+    for point in _jacobian_points(r + 1):
+        values = []
+        for form in terms:
+            v = 0
+            for c, exps in form:
+                _charge(budget)
+                for x, e in zip(point, exps):
+                    if e:
+                        c = c * pow(x, e, P) % P
+                v += c
+            values.append(v % P)
+        rows = [
+            [sum(a * v for a, v in zip(syz[k * (r + 1) : (k + 1) * (r + 1)], values)) % P
+             for k in range(r + 1)]
+            for syz in syzygies
+        ]
+        if _has_rank(rows, r, P, budget):
             return True
     return False
 

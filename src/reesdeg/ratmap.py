@@ -29,12 +29,29 @@ J, so each dF/dy_i = 0 by minimality: F is constant in characteristic
 So the g_i are algebraically independent, Y is all of P^s, and for
 s < r the map is not generically finite.  Forms the check does not
 certify, dependent or not, take the Rees route.
+
+A map with s = r is certified birational from its linear syzygies,
+with no basis either (`blowup.jacobian_dual_birational`).  A syzygy
+sum_i a_i g_i = 0 with a_i = sum_k a_ki x_k is the Rees element
+sum_k x_k psi_k(y) of bidegree (1, 1), where psi_k = sum_i a_ki y_i,
+and the rows psi of a basis of these syzygies form the weak Jacobian
+dual.  As psi(g(x)) x = 0, it has rank at most r over k[y]/P, which is
+k[g] inside k[x], so its rank there is that of psi(g(x)) over k(x).
+Rank r at one image point g(p) gives an r-minor of psi that is not in
+P.  Then the full Jacobian dual, read off every Rees element of
+x-degree 1, has rank r too, and F is birational onto its image
+(Doria-Hassanzadeh-Simis, "A characteristic-free criterion of
+birationality", Adv. Math. 2012, Th. 2.18; in characteristic 0,
+Russo-Simis, "On birational maps and Jacobian matrices", Compositio
+Math. 2001).  Its image has dimension r, so it is all of P^r: deg F =
+deg Y = 1 and d_r = 1.  The test is one-sided: a map it does not
+certify takes the Rees route.
 """
 
 from dataclasses import dataclass
 from math import comb
 
-from .blowup import _fiber_cone_summary, _form_degree, rees_ideal
+from .blowup import _fiber_cone_summary, _form_degree, jacobian_dual_birational, rees_ideal
 from .groebner import IdealHandle, saturate
 from .hilbert import dim_degree, lead_ideal, weighted_numerator
 from .ring import Poly, RingError, format_poly, format_ring_header, parse_poly, parse_ring_header
@@ -113,12 +130,17 @@ def base_locus(spec):
     return sat, ctx.nvars - ring_dim
 
 
-def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, rees=None, image=None):
+def degree_map(
+    spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, rees=None, image=None, certified=False
+):
     """Degree of the map onto its image, d_r / deg Y from the class of
     the graph.  Returns (value or marker, log); the log is empty, since
     the answer is exact.  `rees`, the Rees ideal of the forms, may be
     passed in to share its basis, and `image`, the `image_summary` read
-    off it, to share that.
+    off it, to share that.  A map that `blowup.jacobian_dual_birational`
+    certifies has degree 1 from no basis: `certified` says the caller
+    has checked it, and with neither it nor `rees` given the check runs
+    here first.
 
     `trials` and `seed` are validated and otherwise unused, and the log
     stays in the result, because the span tracer in perfbench/tracer.py
@@ -126,6 +148,8 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, rees=None, image=
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
+    if certified or (rees is None and jacobian_dual_birational(list(spec.forms))):
+        return 1, ()
     if rees is None:
         rees = rees_ideal(list(spec.forms))
     img = image_summary(spec, rees=rees) if image is None else image
@@ -160,12 +184,22 @@ def degree_report(spec, rees=None):
     """The DegreeReport of a map; `rees`, the Rees ideal of its forms,
     may be passed in, and only the leads of its basis are read.
 
-    With s < r the image has dimension at most s < r, so the map is not
-    generically finite and the report needs no d_r: with no `rees`
-    given, it reads the image through `image_summary`, from no basis
-    when the Jacobian certifies the forms.  For s >= r the report needs
-    d_r, and so the Rees basis, whatever the Jacobian says.
+    With no `rees` given, two theorems answer from no basis.  With
+    s < r the image has dimension at most s < r, so the map is not
+    generically finite and the report needs no d_r: it reads the image
+    through `image_summary`, from no basis when the Jacobian certifies
+    the forms.  With s = r, a map that `blowup.jacobian_dual_birational`
+    certifies is birational onto P^r by the Jacobian dual criterion
+    (Doria-Hassanzadeh-Simis, Adv. Math. 2012, Th. 2.18; Russo-Simis,
+    Compositio Math. 2001): its rank r at an image point puts an r-minor
+    of psi outside P, the image then has dimension r, and so it is all
+    of P^r.  The report is deg F = 1, deg Y = 1, dim Y = r, spread r+1
+    and d_r = 1.  Every other map needs d_r, and so the Rees basis.
     """
+    if rees is None and jacobian_dual_birational(list(spec.forms)):
+        # the degree goes through the module attribute, as below
+        value, _ = degree_map(spec, certified=True)
+        return DegreeReport(value, 1, spec.r, spec.r + 1, value)
     if rees is None and spec.s >= spec.r:
         rees = rees_ideal(list(spec.forms))
     img = image_summary(spec, rees=rees)

@@ -12,6 +12,7 @@ import pytest
 from conftest import count_buchberger_runs
 import reesdeg.families as families
 import reesdeg.groebner as gb_mod
+import reesdeg.ratmap as ratmap
 import reesdeg.ring as ring
 from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, _load_family, build_parser, main
 from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
@@ -81,6 +82,27 @@ class TestDegree:
         code, out = run(capsys, ["degree", "--map", str(path)])
         assert code == 0
         assert json.loads(out)["deg_map"] == 2
+
+    def test_certified_degree_comes_through_degree_map(self, capsys, monkeypatch):
+        # perfbench/selftest.py injects a wrong degree by wrapping the
+        # module attribute degree_map on a Hilbert-Burch (1,1) map, which
+        # the Jacobian dual certifies: the wrapped value must reach the
+        # output, once
+        forms = families.make_family(
+            families.FamilySpec("hilbert_burch", r=2, mu=(1, 1), seed=4)
+        ).forms
+        argv = ["degree", "--map", ", ".join(ring.format_poly(g) for g in forms)]
+        runs = count_buchberger_runs(monkeypatch)
+        _, right = run(capsys, argv)
+        assert runs == [] and json.loads(right)["deg_map"] == 1
+        real = ratmap.degree_map
+        monkeypatch.setattr(
+            ratmap, "degree_map", lambda *a, **k: (lambda v, log: (v + 1, log))(*real(*a, **k))
+        )
+        _, wrong = run(capsys, argv)
+        payload = json.loads(wrong)
+        assert (payload["deg_map"], payload["sfib_multiplicity"]) == (2, 2)
+        assert wrong != right
 
 
 class TestImageAndBlowup:

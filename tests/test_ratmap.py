@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reesdeg.blowup as blowup_mod
 import reesdeg.ratmap as ratmap
 from conftest import count_buchberger_runs, nonzero_random_form, record_shortcut
 from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
 from generic_fiber import generic_fiber_degree
-from reesdeg.blowup import fiber_cone_ideal, rees_ideal
+from reesdeg.blowup import fiber_cone_ideal, jacobian_dual_birational, rees_ideal
 from reesdeg.families import FamilySpec, j_multiplicity, make_family, specialized_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
 from reesdeg.ratmap import (
@@ -358,7 +358,7 @@ class TestExactDegree:
         assert runs == []
         assert rep == DegreeReport(NOT_GENERICALLY_FINITE, 1, 2, 3, None)
         assert rep == degree_report(spec, rees=rees_ideal(list(spec.forms)))
-        # s = r still needs d_r: one run
+        # s = r with no linear syzygy still needs d_r: one run
         runs.clear()
         assert degree_report(mkmap(("x0", "x1"), ["x0^2", "x1^2"], field)).deg_map == 2
         assert len(runs) == 1
@@ -396,7 +396,8 @@ class TestDegreeReport:
 
     def test_one_basis_per_map(self, monkeypatch):
         # the image and the degree are both read off the Rees basis: one
-        # Buchberger run per map, and no fiber cone ideal is built
+        # Buchberger run per map, and no fiber cone ideal is built; the
+        # Pfaffian map is certified birational and makes none
         def forbidden(*args, **kwargs):
             raise AssertionError("fiber_cone_ideal called")
 
@@ -404,16 +405,16 @@ class TestDegreeReport:
         runs = count_buchberger_runs(monkeypatch)
         pfaffian = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3, prime=0)).forms
         specs = [
-            mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2", "x2^2"]),
-            mkmap(("x0", "x1"), ["x0^2", "x1^2"], QQ),
-            mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2"]),
-            rational_map(pfaffian),
+            (mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2", "x2^2"]), 1),
+            (mkmap(("x0", "x1"), ["x0^2", "x1^2"], QQ), 1),
+            (mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2"]), 1),
+            (rational_map(pfaffian), 0),
         ]
-        for spec in specs:
+        for spec, want in specs:
             for answer in (degree_report, j_multiplicity):
                 runs.clear()
                 answer(spec)
-                assert len(runs) == 1
+                assert len(runs) == want
 
 
 def _maps_by_name():
@@ -501,6 +502,108 @@ class TestProjectiveDegrees:
         else:
             assert degrees[-1] == oracle * image.degree
             assert degree_report(spec).sfib_multiplicity == degrees[-1]
+
+
+# the shapes the birationality certificate is checked on: Hilbert-Burch
+# maps of the named column degrees, linear 5x5 Pfaffians, sparse
+# quadrics of P^2, three forms of P^2 with a common linear factor, the
+# dependent conic map of P^2, and one form on P^0
+ORACLE_SHAPES = ("hb11", "hb12", "hb111", "hb112", "pf", "sparse", "factor", "dependent", "point")
+
+
+def _oracle_map(shape, prime, seed):
+    """A map of the named shape over F_prime, or over Q at prime 0, drawn
+    at `seed`; a draw that is no map fails with a RingError."""
+    field = FieldSpec(prime)
+    rng = random.Random(seed)
+    if shape.startswith("hb"):
+        mu = tuple(int(c) for c in shape[2:])
+        return rational_map(
+            make_family(FamilySpec("hilbert_burch", r=len(mu), mu=mu, seed=seed, prime=prime)).forms
+        )
+    if shape == "pf":
+        return rational_map(
+            make_family(FamilySpec("pfaffian", r=4, D=1, seed=seed, prime=prime)).forms
+        )
+    if shape == "dependent":
+        return mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2"], field)
+    if shape == "point":
+        ctx = RingCtx(("x0",), field)
+        return rational_map([nonzero_random_form(ctx, rng, rng.randint(1, 3))])
+    ctx = RingCtx(("x0", "x1", "x2"), field)
+    if shape == "sparse":
+        return rational_map([nonzero_random_form(ctx, rng, 2, density=0.4) for _ in range(3)])
+    factor = nonzero_random_form(ctx, rng, 1)
+    return rational_map([factor * nonzero_random_form(ctx, rng, 1) for _ in range(3)])
+
+
+class TestBirationalCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(ORACLE_SHAPES),
+        prime=st.sampled_from([2, 7, 32003, 0]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(shape="dependent", prime=32003, seed=0)
+    @example(shape="dependent", prime=0, seed=0)
+    @example(shape="hb12", prime=32003, seed=4)
+    @example(shape="hb12", prime=0, seed=4)
+    def test_certified_report_is_the_rees_report(self, shape, prime, seed):
+        try:
+            spec = _oracle_map(shape, prime, seed)
+        except RingError:
+            assume(False)
+        forms = list(spec.forms)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = count_buchberger_runs(mp)
+            certified = jacobian_dual_birational(forms)
+            rep = degree_report(spec)
+        if certified:
+            assert runs == []
+            assert rep == DegreeReport(1, 1, spec.r, spec.r + 1, 1)
+        assert rep == degree_report(spec, rees=rees_ideal(forms))
+
+    @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
+    def test_known_maps(self, prime):
+        field = FieldSpec(prime)
+        birational = [
+            mkmap(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"], field),
+            mkmap(("x0", "x1", "x2", "x3"), ["x0", "x1", "x2", "x3"], field),
+            _oracle_map("hb11", prime, 4),
+            _oracle_map("pf", prime, 3),
+        ]
+        # three squares (degree 4, no linear syzygy), a Hilbert-Burch map
+        # of degree 2 with one linear syzygy, and the dependent conic map,
+        # whose two linear syzygies have rank 1 at every image point
+        others = [
+            mkmap(("x0", "x1", "x2"), ["x0^2", "x1^2", "x2^2"], field),
+            _oracle_map("hb12", prime, 4),
+            _oracle_map("dependent", prime, 0),
+        ]
+        assert [jacobian_dual_birational(list(s.forms)) for s in birational] == [True] * 4
+        assert [jacobian_dual_birational(list(s.forms)) for s in others] == [False] * 3
+        # s != r proves nothing
+        assert not jacobian_dual_birational([parse_poly("x0", RingCtx(("x0", "x1"), field))])
+
+    @pytest.mark.parametrize("prime", [32003, 0], ids=["F_32003", "QQ"])
+    def test_degree_map_and_is_birational_make_no_run(self, prime, monkeypatch):
+        runs = count_buchberger_runs(monkeypatch)
+        cremona = mkmap(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"], FieldSpec(prime))
+        for spec in (cremona, _oracle_map("pf", prime, 3)):
+            assert degree_map(spec) == (1, ())
+            assert is_birational(spec)
+            assert j_multiplicity(spec) == spec.degree
+        assert runs == []
+
+    def test_report_checks_the_certificate_once(self, monkeypatch):
+        # the report asks once and hands the verdict to degree_map
+        calls = []
+        inner = ratmap.jacobian_dual_birational
+        monkeypatch.setattr(
+            ratmap, "jacobian_dual_birational", lambda forms: calls.append(1) or inner(forms)
+        )
+        assert degree_report(_oracle_map("hb11", 32003, 4)).deg_map == 1
+        assert calls == [1]
 
 
 class TestSerialization:
