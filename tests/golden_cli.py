@@ -21,9 +21,14 @@ fields in the ring named beside them: the sub-Pfaffians of that Q
 matrix, a birational map onto P^4; three quadrics in x0, x1 of P^2,
 which are algebraically dependent; two squares of P^2, which are
 independent forms with s < r; the standard Cremona map of P^2; and the
-three squares of P^2, a map of degree 4 with no linear syzygy.  Between
-them they pin `image`, `fiber-cone`, `degree` and `jmult` on
-birational, dependent, finite and not generically finite maps.
+three squares of P^2, a map of degree 4 with no linear syzygy; and two
+Hilbert-Burch maps of P^2, the 2-minors of a 3x2 matrix whose columns
+have degrees (1, 1), a birational map, and (1, 2), a map of degree 2.
+Between them they pin `image`, `fiber-cone`, `degree` and `jmult` on
+birational, dependent, finite and not generically finite maps, and
+`sfib-hf` at n = 0..3 on the three birational maps that the Jacobian
+dual certifies (the Pfaffian, Cremona and (1, 1) maps) and on the
+(1, 2) map, which it does not.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -72,15 +77,31 @@ RING_MAPS = {
         " - 28*x1*x4 - 20*x2*x4 + 24*x3*x4 - 19*x4^2, 82*x0^2 + 89*x0*x1 + 73*x1^2"
         " + 2*x0*x2 + 46*x1*x2 - 14*x2^2 + 130*x0*x3 + 139*x1*x3 + 52*x2*x3 + 64*x3^2"
         " + 113*x0*x4 + 158*x1*x4 + 83*x2*x4 + 116*x3*x4 + 43*x4^2",
-        ("image", "fiber-cone", "degree", "jmult"),
+        ("image", "fiber-cone", "degree", "jmult", "sfib-hf"),
     ),
     "conic3": ("x0 x1 x2", "x0^2, x0*x1, x1^2", ("image", "fiber-cone")),
     "squares3": ("x0 x1 x2", "x0^2, x1^2", ("degree", "jmult", "image")),
     # the standard Cremona map of P^2, birational
-    "cremona3": ("x0 x1 x2", "x1*x2, x0*x2, x0*x1", ("degree", "jmult")),
+    "cremona3": ("x0 x1 x2", "x1*x2, x0*x2, x0*x1", ("degree", "jmult", "sfib-hf")),
+    # the 2-minors of a 3x2 matrix with linear columns, birational
+    "hb11": (
+        "x0 x1 x2",
+        "3*x1^2 - x0*x2 + 5/2*x1*x2, -3*x0*x1 - 1/2*x0*x2 + x2^2, x0^2 - 2*x0*x1 - x1*x2",
+        ("sfib-hf",),
+    ),
+    # the 2-minors of a 3x2 matrix with a linear and a quadric column,
+    # a map of degree 2 with one linear syzygy
+    "hb12": (
+        "x0 x1 x2",
+        "x0^2*x1 - 1/2*x0*x1*x2 - 3*x1^2*x2 + x2^3, -x0^3 + 3*x0*x1*x2 + x1^2*x2,"
+        " 1/2*x0^2*x1 - x1^3 - x0*x2^2",
+        ("sfib-hf",),
+    ),
     # three squares of P^2, of degree 4 and with no linear syzygy
     "diag3": ("x0 x1 x2", "x0^2, x1^2, x2^2", ("degree", "jmult")),
 }
+# the powers n at which `sfib-hf` runs on the maps of RING_MAPS
+SFIB_POINTS = ["--points", "0,1,2,3"]
 # input matrices of `conditions`, under tests/golden/cli
 MATRICES = ("matrix_q", "pfaffian5_p32003", "pfaffian5_q", "alternating6_p7")
 SWEEP = ["sweep", "--family", "dejonquieres", "--m", "2", "--points", "0,1,2"]
@@ -109,6 +130,8 @@ def _cases():
                 ring = "%s over %s" % (names, prime)
                 for command in commands:
                     argv = [command, "--map", forms, "--ring", ring, "--format", fmt]
+                    if command == "sfib-hf":
+                        argv += SFIB_POINTS
                     out["%s-%s%s.%s" % (command, name, suffix, ext)] = argv
             argv = SWEEP + ["--prime", prime, "--format", fmt]
             out["sweep-dejonquieres%s.%s" % (suffix, ext)] = argv
