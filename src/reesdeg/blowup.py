@@ -50,7 +50,22 @@ basis is built.  psi is then evaluated at the image point g(p) of each
 fixed point p in turn, and rank r there, modulo p or modulo the same
 prime over Q, is the certificate: a nonzero r-minor mod that prime is a
 nonzero integer.  Forms with fewer than r linear syzygies are dropped
-after the one elimination.
+after the one elimination.  Both Jacobian rules read the same fixed
+points, whose coordinates are the first primes; over a small F_p that
+has one of them 0 mod p, points drawn without p follow.
+
+A map that `jacobian_dual_birational` certifies also has a known
+saturated fiber cone F~(I) = (+)_n [(I^n)^sat]_{nd}, whose multiplicity
+is deg F * deg Y (Buse, Cid-Ruiz and D'Andrea, "Degree and
+birationality of multi-graded rational maps", Proc. LMS 2020).  Its
+image is all of P^r, so its fiber cone F(I) is k[y_0..y_r], which is
+normal, and the graph Gamma -> P^r is proper and birational.  By
+Zariski's Main Theorem, [(I^n)^sat]_{nd} then embeds in
+H^0(Gamma, O_Gamma(0, n)) = k[y]_n, which is already F(I)_n, the span of
+the products of n forms.  So F~ = F, and `sfib_hilbert_function` reads
+C(n+r, r) at n with no product of I^n formed and no basis built
+(certificate: Doria, Hassanzadeh and Simis, Adv. Math. 2012).  Every
+other map forms I^n and saturates it by the irrelevant ideal.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
@@ -255,10 +270,21 @@ def blowup_presentation(forms):
     return BlowupPresentation(rees.ctx, d, rees, fib, _gr_ideal(rees, forms), spread)
 
 
-def sfib_hilbert_function(forms, n):
+def sfib_hilbert_function(forms, n, certified=None):
     """Value of the saturated fiber cone Hilbert function at n: the
-    dimension of the degree n*d piece of the saturation of I^n.  Each
-    product forming I^n costs one step of the step budget."""
+    dimension of the degree n*d piece of the saturation of I^n.
+
+    Forms that `jacobian_dual_birational` certifies take the value
+    C(n+r, r) from no product and no basis: their map is birational onto
+    P^r (Doria-Hassanzadeh-Simis, Adv. Math. 2012), so F(I) = k[y_0..y_r]
+    is normal, and by Zariski's Main Theorem [(I^n)^sat]_{nd} embeds in
+    H^0(Gamma, O_Gamma(0, n)) = F(I)_n.  The saturated fiber cone, of
+    multiplicity deg F * deg Y (Buse-Cid-Ruiz-D'Andrea, Proc. LMS 2020),
+    is then F(I) itself (see the module docstring).  `certified` is the
+    rule's verdict when the caller has read it; with None the rule runs
+    here, for n >= 1 once the forms are checked.  Every other map forms
+    I^n, each product costing one step of the step budget, and saturates
+    it by the irrelevant ideal."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     forms = list(forms)
@@ -269,6 +295,10 @@ def sfib_hilbert_function(forms, n):
     if n == 0:
         return 1
     nx = ctx.nvars
+    if certified is None:
+        certified = jacobian_dual_birational(forms)
+    if certified:
+        return comb(n + nx - 1, n)
     budget = _budget()
     power = {}
     for combo in combinations_with_replacement(range(len(forms)), n):
@@ -374,21 +404,40 @@ def certified_rees(generic, coeffs, point):
 # the prime modulo which `jacobian_independent` ranks the Jacobian of
 # forms over Q: the largest prime below MAX_PRIME
 _JACOBIAN_PRIME = 2_147_483_629
-# how many fixed points `jacobian_independent` tries
+# how many fixed points one draw of primes makes
 _JACOBIAN_POINTS = 3
 
 
-@lru_cache(maxsize=None)
-def _jacobian_points(n):
-    """The fixed points of n integer coordinates at which the Jacobian
-    is ranked: point k holds the primes numbered k*n+1 to (k+1)*n."""
+def _prime_draw(n, skip):
+    """_JACOBIAN_POINTS points of n coordinates: point k holds the primes
+    other than `skip` numbered k*n+1 to (k+1)*n."""
     primes = []
     q = 1
     while len(primes) < _JACOBIAN_POINTS * n:
         q += 1
-        if _is_prime(q):
+        if q != skip and _is_prime(q):
             primes.append(q)
     return tuple(tuple(primes[k * n : (k + 1) * n]) for k in range(_JACOBIAN_POINTS))
+
+
+@lru_cache(maxsize=None)
+def _jacobian_points(n, p):
+    """The fixed points of n integer coordinates at which both Jacobian
+    rules rank over a field of characteristic p: the draw of the first
+    3n primes, then, when p is one of them, the draw with p left out,
+    whose coordinates are nonzero mod p.  Over F_p a point equal mod p
+    to an earlier one is dropped.  Over Q, and over F_p for p above the
+    primes drawn, the points are those of the first draw alone.  More
+    points only add certificates: neither draw alone certifies all that
+    the two do (over F_7 a Pfaffian needs the second; over F_2 the second
+    is all (1, ..., 1) and maps with a common factor need the first)."""
+    draws = _prime_draw(n, 0)
+    if any(p in point for point in draws):
+        draws += _prime_draw(n, p)
+    points = {}
+    for point in draws:
+        points.setdefault(tuple(c % p for c in point) if p else point, point)
+    return tuple(points.values())
 
 
 def _has_rank(rows, need, P, budget):
@@ -450,7 +499,7 @@ def jacobian_independent(forms):
     if len({i for form in terms for _, support in form for i, _ in support}) < len(forms):
         return False
     budget = _budget()
-    for point in _jacobian_points(n):
+    for point in _jacobian_points(n, p):
         rows = []
         for form in terms:
             row = [0] * n
@@ -553,7 +602,7 @@ def jacobian_dual_birational(forms):
     P = p or _JACOBIAN_PRIME
     unpack = ctx.packing.unpack
     terms = [[(c, unpack(m)) for m, c in g.items()] for g in forms]
-    for point in _jacobian_points(r + 1):
+    for point in _jacobian_points(r + 1, p):
         values = []
         for form in terms:
             v = 0

@@ -16,7 +16,9 @@ does not read them.  A --points value must name at least one point of
 integer coordinates; parameter points over F_p are reduced mod p before
 they are used and echoed.  One step budget covers every Groebner
 computation of the command, the products of the chain behind its
-minors and sub-Pfaffians and of I^n, and the Jacobian rank test of image, fiber-cone and degree; its
+minors and sub-Pfaffians and of I^n, the Jacobian rank test of image,
+fiber-cone and degree, and the Jacobian dual test of degree, jmult and
+sfib-hf, which sfib-hf reads once for all its points; its
 default, DEFAULT_BUDGET steps, can be set through the
 REESDEG_BUDGET environment variable and overridden per run with
 --budget.
@@ -34,6 +36,7 @@ from .blowup import (
     _form_degree,
     fiber_cone_ideal,
     gr_dimension_at,
+    jacobian_dual_birational,
     rees_ideal,
     sfib_hilbert_function,
 )
@@ -261,10 +264,11 @@ def cmd_fiber_cone(args):
 def cmd_sfib_hf(args):
     spec = _load_map(args)
     points = _parse_points(args.points, "0,1,2,3,4,5")
-    values = [
-        {"n": pt[0], "value": sfib_hilbert_function(list(spec.forms), pt[0])}
-        for pt in points
-    ]
+    forms = list(spec.forms)
+    # the Jacobian dual rule is read once for every point, and not at all
+    # when a negative power fails
+    certified = all(n >= 0 for (n,) in points) and jacobian_dual_birational(forms)
+    values = [{"n": n, "value": sfib_hilbert_function(forms, n, certified)} for (n,) in points]
     payload = _envelope(args, "sfib-hf", ctx=spec.ctx, values=values)
     text = ["n=%d: %d" % (v["n"], v["value"]) for v in values]
     _emit(args, payload, text)

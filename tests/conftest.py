@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
 
 import reesdeg.groebner as gb_mod
-from reesdeg.ring import FieldSpec, Poly, RingCtx, monomials_of_degree
+from reesdeg.families import FamilySpec, make_family
+from reesdeg.ratmap import rational_map
+from reesdeg.ring import FieldSpec, Poly, RingCtx, monomials_of_degree, parse_poly
 
 # filled by tests/test_acceptance.py; one line per acceptance criterion
 ACCEPTANCE_RESULTS = []
@@ -105,3 +108,37 @@ def record_shortcut(monkeypatch):
 
     monkeypatch.setattr(gb_mod, "_saturate_by_variables", recording)
     return taken
+
+
+# the shapes the birationality certificate is checked on: Hilbert-Burch
+# maps of the named column degrees, linear 5x5 Pfaffians, sparse
+# quadrics of P^2, three forms of P^2 with a common linear factor, the
+# dependent conic map of P^2, and one form on P^0
+ORACLE_SHAPES = ("hb11", "hb12", "hb111", "hb112", "pf", "sparse", "factor", "dependent", "point")
+
+
+def oracle_map(shape, prime, seed):
+    """A map of the named shape over F_prime, or over Q at prime 0, drawn
+    at `seed`; a draw that is no map fails with a RingError."""
+    field = FieldSpec(prime)
+    rng = random.Random(seed)
+    if shape.startswith("hb"):
+        mu = tuple(int(c) for c in shape[2:])
+        return rational_map(
+            make_family(FamilySpec("hilbert_burch", r=len(mu), mu=mu, seed=seed, prime=prime)).forms
+        )
+    if shape == "pf":
+        return rational_map(
+            make_family(FamilySpec("pfaffian", r=4, D=1, seed=seed, prime=prime)).forms
+        )
+    if shape == "dependent":
+        ctx = RingCtx(("x0", "x1", "x2"), field)
+        return rational_map([parse_poly(t, ctx) for t in ("x0^2", "x0*x1", "x1^2")])
+    if shape == "point":
+        ctx = RingCtx(("x0",), field)
+        return rational_map([nonzero_random_form(ctx, rng, rng.randint(1, 3))])
+    ctx = RingCtx(("x0", "x1", "x2"), field)
+    if shape == "sparse":
+        return rational_map([nonzero_random_form(ctx, rng, 2, density=0.4) for _ in range(3)])
+    factor = nonzero_random_form(ctx, rng, 1)
+    return rational_map([factor * nonzero_random_form(ctx, rng, 1) for _ in range(3)])

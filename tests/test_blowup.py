@@ -2,10 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import count_buchberger_runs, in_order, nonzero_random_form, rand_coeff
+from conftest import (
+    ORACLE_SHAPES,
+    count_buchberger_runs,
+    in_order,
+    nonzero_random_form,
+    oracle_map,
+    rand_coeff,
+)
 from gr_oracle import gr_dimension
+from sfib_oracle import saturated_power_dim
 import reesdeg.blowup as blowup
 from reesdeg.blowup import (
     analytic_spread,
@@ -15,6 +23,7 @@ from reesdeg.blowup import (
     fiber_cone_ideal,
     gr_dimension_at,
     graph_ideal,
+    jacobian_dual_birational,
     jacobian_independent,
     rees_ideal,
     sfib_hilbert_function,
@@ -312,7 +321,9 @@ class TestJacobianCertificate:
     def test_fewer_variables_than_forms_charge_nothing(self, monkeypatch):
         # no form contains x2, so the Jacobian's x2 column is zero and its
         # rank is at most 2 < 3: no point is tried, no form term charged
-        monkeypatch.setattr(blowup, "_jacobian_points", lambda n: pytest.fail("a point was tried"))
+        monkeypatch.setattr(
+            blowup, "_jacobian_points", lambda n, p: pytest.fail("a point was tried")
+        )
         _, forms = forms_of(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2"], FieldSpec(32003))
         with gb_mod.step_budget(10):
             assert not jacobian_independent(forms)
@@ -329,10 +340,43 @@ class TestJacobianCertificate:
         _, forms = forms_of(("x", "y", "a"), ["a*x^2", "y^2"], n_params=1)
         assert not jacobian_independent(forms)
 
+    def test_points_are_the_first_primes_over_q_and_large_p(self):
+        # over Q and F_32003 the points are those the rules always read,
+        # so no certificate there changes
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+        for n in range(1, 7):
+            want = tuple(tuple(primes[k * n : (k + 1) * n]) for k in range(3))
+            assert blowup._jacobian_points(n, 0) == want
+            assert blowup._jacobian_points(n, 32003) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_small_fields_add_points_free_of_p(self, p):
+        # the first draw is kept, up to points equal mod p, and some
+        # point has no coordinate 0 mod p; over F_2 that point is (1, 1, 1)
+        for n in range(1, 7):
+            points = blowup._jacobian_points(n, p)
+            residues = [tuple(c % p for c in pt) for pt in points]
+            assert len(set(residues)) == len(residues)
+            first = {tuple(c % p for c in pt) for pt in blowup._jacobian_points(n, 0)}
+            assert first <= set(residues)
+            assert any(all(residue) for residue in residues)
+        assert blowup._jacobian_points(3, 2) == ((2, 3, 5), (7, 11, 13))
+
+    def test_pfaffian_over_f7_is_certified(self, monkeypatch):
+        # the first draw has the coordinate 7, and ranks this birational
+        # Pfaffian too low at all three points; a point drawn without 7
+        # certifies it
+        family = FamilySpec("pfaffian", r=4, D=1, seed=373243, prime=7)
+        spec = rational_map(make_family(family).forms)
+        assert jacobian_dual_birational(list(spec.forms))
+        runs = count_buchberger_runs(monkeypatch)
+        assert degree_report(spec).deg_map == 1
+        assert runs == []
+
     def test_a_point_rank_drop_is_not_an_answer(self, monkeypatch):
         # at points with x1 = 0 the Jacobian of the independent forms
         # x0*x1, x1*x2 has rank 1: they take the Rees route
-        monkeypatch.setattr(blowup, "_jacobian_points", lambda n: ((1, 0, 2),) * 3)
+        monkeypatch.setattr(blowup, "_jacobian_points", lambda n, p: ((1, 0, 2),) * 3)
         _, forms = forms_of(("x0", "x1", "x2"), ["x0*x1", "x1*x2"])
         assert not jacobian_independent(forms)
         runs = count_buchberger_runs(monkeypatch)
@@ -371,6 +415,39 @@ class TestSaturatedFiberHF:
             del runs[:]
             assert sfib_hilbert_function(forms, n) == value
             assert len(runs) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(ORACLE_SHAPES),
+        prime=st.sampled_from([2, 7, 32003, 0]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(shape="hb12", prime=32003, seed=4)
+    @example(shape="hb12", prime=0, seed=4)
+    @example(shape="pf", prime=7, seed=373243)
+    @example(shape="pf", prime=0, seed=3)
+    def test_certified_values_match_the_oracle(self, shape, prime, seed):
+        # wherever the Jacobian dual certifies the map, the values are
+        # those of I^n saturated, read off no basis; the (1, 2) examples
+        # are s = r maps it does not certify, whose values differ from
+        # C(n+r, r) at n = 2
+        try:
+            forms = list(oracle_map(shape, prime, seed).forms)
+        except RingError:
+            assume(False)
+        certified = jacobian_dual_birational(forms)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = count_buchberger_runs(mp)
+            values = [sfib_hilbert_function(forms, n) for n in range(4)]
+        if certified:
+            assert runs == []
+        assert values == [saturated_power_dim(forms, n) for n in range(4)]
+
+    def test_a_verdict_passed_in_is_not_checked_again(self, monkeypatch):
+        monkeypatch.setattr(blowup, "jacobian_dual_birational", lambda forms: pytest.fail("ran"))
+        _, forms = forms_of(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"])
+        assert sfib_hilbert_function(forms, 2, True) == 6
+        assert sfib_hilbert_function(forms, 2, False) == 6
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_pfaffian_values(self, seed):

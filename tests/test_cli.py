@@ -10,6 +10,8 @@ import time
 import pytest
 
 from conftest import count_buchberger_runs
+import reesdeg.blowup as blowup
+import reesdeg.cli as cli
 import reesdeg.families as families
 import reesdeg.groebner as gb_mod
 import reesdeg.ratmap as ratmap
@@ -155,6 +157,75 @@ class TestImageAndBlowup:
         assert code == 0
         values = [row["value"] for row in json.loads(out)["values"]]
         assert values == [1, 3, 5, 7]
+
+
+class TestSaturatedFiber:
+    """sfib-hf reads the Jacobian dual rule once per command; a map it
+    certifies takes C(n+r, r) at every point from no basis, and bad
+    input fails as it always has, certified or not."""
+
+    MAPS = {
+        "cremona": "x1*x2, x0*x2, x0*x1",
+        "hb12": "x0^2*x1 - 1/2*x0*x1*x2 - 3*x1^2*x2 + x2^3, -x0^3 + 3*x0*x1*x2 + x1^2*x2,"
+        " 1/2*x0^2*x1 - x1^3 - x0*x2^2",
+    }
+
+    def spy(self, monkeypatch):
+        """Log the rule's verdicts, wherever sfib-hf reads it."""
+        calls = []
+        inner = blowup.jacobian_dual_birational
+
+        def rule(forms):
+            calls.append(inner(forms))
+            return calls[-1]
+
+        monkeypatch.setattr(blowup, "jacobian_dual_birational", rule)
+        monkeypatch.setattr(cli, "jacobian_dual_birational", rule)
+        return calls
+
+    @pytest.mark.parametrize(
+        "name, certified, values", [("cremona", True, [3, 6, 10]), ("hb12", False, [3, 7, 13])]
+    )
+    def test_rule_is_read_once(self, capsys, monkeypatch, name, certified, values):
+        calls = self.spy(monkeypatch)
+        runs = count_buchberger_runs(monkeypatch)
+        code, out = run(capsys, ["sfib-hf", "--map", self.MAPS[name], "--points", "1,2,3"])
+        assert code == 0
+        assert [v["value"] for v in json.loads(out)["values"]] == values
+        assert calls == [certified]
+        # one saturation per power on the map the rule does not certify
+        assert len(runs) == (0 if certified else 3)
+
+    def error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        return captured.err
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    @pytest.mark.parametrize("points", ["-1", "1,-1", "-1,2"])
+    def test_negative_power_is_two(self, capsys, monkeypatch, name, points):
+        calls = self.spy(monkeypatch)
+        argv = ["sfib-hf", "--map", self.MAPS[name], "--points=" + points]
+        assert self.error(capsys, argv) == "error: power must be nonnegative\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_parametric_map_is_two(self, capsys, monkeypatch, name):
+        calls = self.spy(monkeypatch)
+        ring = "x0 x1 x2 params a over 32003"
+        forms = "a*" + self.MAPS[name]
+        err = self.error(capsys, ["sfib-hf", "--map", forms, "--ring", ring, "--points", "1"])
+        assert err == "error: rational maps take parameter-free forms\n"
+        assert calls == []
+
+    @pytest.mark.parametrize("name, degree", [("cremona", 2), ("hb12", 3)])
+    def test_mixed_degree_map_is_two(self, capsys, monkeypatch, name, degree):
+        calls = self.spy(monkeypatch)
+        forms = self.MAPS[name] + ", x0^4"
+        err = self.error(capsys, ["sfib-hf", "--map", forms, "--points", "1"])
+        assert err == "error: forms have mixed degrees %d and 4\n" % degree
+        assert calls == []
 
 
 class TestConditions:

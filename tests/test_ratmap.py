@@ -5,7 +5,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import reesdeg.blowup as blowup_mod
 import reesdeg.ratmap as ratmap
-from conftest import count_buchberger_runs, nonzero_random_form, record_shortcut
+from conftest import (
+    ORACLE_SHAPES,
+    count_buchberger_runs,
+    nonzero_random_form,
+    oracle_map,
+    record_shortcut,
+)
 from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
 from generic_fiber import generic_fiber_degree
 from reesdeg.blowup import fiber_cone_ideal, jacobian_dual_birational, rees_ideal
@@ -504,39 +510,6 @@ class TestProjectiveDegrees:
             assert degree_report(spec).sfib_multiplicity == degrees[-1]
 
 
-# the shapes the birationality certificate is checked on: Hilbert-Burch
-# maps of the named column degrees, linear 5x5 Pfaffians, sparse
-# quadrics of P^2, three forms of P^2 with a common linear factor, the
-# dependent conic map of P^2, and one form on P^0
-ORACLE_SHAPES = ("hb11", "hb12", "hb111", "hb112", "pf", "sparse", "factor", "dependent", "point")
-
-
-def _oracle_map(shape, prime, seed):
-    """A map of the named shape over F_prime, or over Q at prime 0, drawn
-    at `seed`; a draw that is no map fails with a RingError."""
-    field = FieldSpec(prime)
-    rng = random.Random(seed)
-    if shape.startswith("hb"):
-        mu = tuple(int(c) for c in shape[2:])
-        return rational_map(
-            make_family(FamilySpec("hilbert_burch", r=len(mu), mu=mu, seed=seed, prime=prime)).forms
-        )
-    if shape == "pf":
-        return rational_map(
-            make_family(FamilySpec("pfaffian", r=4, D=1, seed=seed, prime=prime)).forms
-        )
-    if shape == "dependent":
-        return mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2"], field)
-    if shape == "point":
-        ctx = RingCtx(("x0",), field)
-        return rational_map([nonzero_random_form(ctx, rng, rng.randint(1, 3))])
-    ctx = RingCtx(("x0", "x1", "x2"), field)
-    if shape == "sparse":
-        return rational_map([nonzero_random_form(ctx, rng, 2, density=0.4) for _ in range(3)])
-    factor = nonzero_random_form(ctx, rng, 1)
-    return rational_map([factor * nonzero_random_form(ctx, rng, 1) for _ in range(3)])
-
-
 class TestBirationalCertificate:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -550,7 +523,7 @@ class TestBirationalCertificate:
     @example(shape="hb12", prime=0, seed=4)
     def test_certified_report_is_the_rees_report(self, shape, prime, seed):
         try:
-            spec = _oracle_map(shape, prime, seed)
+            spec = oracle_map(shape, prime, seed)
         except RingError:
             assume(False)
         forms = list(spec.forms)
@@ -569,16 +542,16 @@ class TestBirationalCertificate:
         birational = [
             mkmap(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"], field),
             mkmap(("x0", "x1", "x2", "x3"), ["x0", "x1", "x2", "x3"], field),
-            _oracle_map("hb11", prime, 4),
-            _oracle_map("pf", prime, 3),
+            oracle_map("hb11", prime, 4),
+            oracle_map("pf", prime, 3),
         ]
         # three squares (degree 4, no linear syzygy), a Hilbert-Burch map
         # of degree 2 with one linear syzygy, and the dependent conic map,
         # whose two linear syzygies have rank 1 at every image point
         others = [
             mkmap(("x0", "x1", "x2"), ["x0^2", "x1^2", "x2^2"], field),
-            _oracle_map("hb12", prime, 4),
-            _oracle_map("dependent", prime, 0),
+            oracle_map("hb12", prime, 4),
+            oracle_map("dependent", prime, 0),
         ]
         assert [jacobian_dual_birational(list(s.forms)) for s in birational] == [True] * 4
         assert [jacobian_dual_birational(list(s.forms)) for s in others] == [False] * 3
@@ -589,7 +562,7 @@ class TestBirationalCertificate:
     def test_degree_map_and_is_birational_make_no_run(self, prime, monkeypatch):
         runs = count_buchberger_runs(monkeypatch)
         cremona = mkmap(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"], FieldSpec(prime))
-        for spec in (cremona, _oracle_map("pf", prime, 3)):
+        for spec in (cremona, oracle_map("pf", prime, 3)):
             assert degree_map(spec) == (1, ())
             assert is_birational(spec)
             assert j_multiplicity(spec) == spec.degree
@@ -602,7 +575,7 @@ class TestBirationalCertificate:
         monkeypatch.setattr(
             ratmap, "jacobian_dual_birational", lambda forms: calls.append(1) or inner(forms)
         )
-        assert degree_report(_oracle_map("hb11", 32003, 4)).deg_map == 1
+        assert degree_report(oracle_map("hb11", 32003, 4)).deg_map == 1
         assert calls == [1]
 
 
