@@ -14,9 +14,11 @@ failed internal check (AssertionError) is not caught and exits 1;
 --points or --m on gr-dim with a map are usage errors, since the input
 does not read them.  A --points value must name at least one point of
 integer coordinates; parameter points over F_p are reduced mod p before
-they are used and echoed.  One step budget covers every Groebner
+they are used and echoed.  A flag's value may start with a minus sign,
+as in `--points -1,2`.  One step budget covers every Groebner
 computation of the command, the products of the chain behind its
-minors and sub-Pfaffians and of I^n, the Jacobian rank test of image,
+minors and sub-Pfaffians and the row operations of the block they
+stream into, the products of I^n, the Jacobian rank test of image,
 fiber-cone and degree, and the Jacobian dual test of degree, jmult and
 sfib-hf, which sfib-hf reads once for all its points; its
 default, DEFAULT_BUDGET steps, can be set through the
@@ -425,7 +427,22 @@ def build_parser(env_budget=None):
     return parser
 
 
+def _glue_negative_values(argv):
+    """argv with each flag of FLAGS that is followed by a value starting
+    with '-' and a digit joined to it as `flag=value`: argparse reads
+    such a value as a flag of its own unless it is a plain number, so
+    `--points -1,2` would lack its value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in FLAGS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
+    argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
     args = build_parser(os.environ.get("REESDEG_BUDGET") or None).parse_args(argv)
     try:
         with step_budget(args.budget):

@@ -38,23 +38,41 @@ long as the pass, so minor sizes 2j - 1 and 2j of an alternating matrix
 share one ideal and one basis.  Each product of the chain costs one
 step of the step budget.
 
+A height is read off a span when it can be: if the forms of degree t in
+an ideal I span S_t, then m^t lies in I and ht I = nvars.  When every
+nonzero entry is a form of one positive degree e, in a ring with no
+parameters, every nonzero k-minor is a form of degree k*e and every
+nonzero 2j-sub-Pfaffian one of degree j*e.  The pass then streams the
+forms of an index lazily out of the chain into one Gauss-Jordan block,
+the engine's `_gauss_jordan`, which stops once it holds C(nvars-1+t, t)
+pivots: the index has height nvars, and no Buchberger run is made.  A
+stream that does not span hands its echelon rows, which generate the
+same ideal, to the run.  The stream reads its index tuples in reverse
+lexicographic order, later rows first: the chain expands along the
+first index, so the memo the previous index left holds the tuples that
+come first, and they cost no product.  `minors`, `pfaffians` and
+`fitting_ideal` keep the lexicographic order, and so do the heights of
+every other matrix, whose ideals take the run with all their forms.
+
 The chain runs on the entries' own terms, packed monomials of the ring
 (see `ring`), where `+` multiplies two monomials, and a minor's or
 Pfaffian's term dict becomes a `Poly` as it is.  A Fitting ideal hands
 its minors to the Groebner engine without conversion, and its height is
-read off the packed lead monomials of their basis.  Every field of an
-entry and of a memoized minor is below `EXP_BOUND`, so a product never
-spills into the next field; a minor whose degree reaches the bound sets
-the degree field's guard bit and raises `RingError`.
+read off the packed lead monomials of their basis: dim S/I = dim S/in(I)
+for every monomial order, so the ideal need not be homogeneous.  Every
+field of an entry and of a memoized minor is below `EXP_BOUND`, so a
+product never spills into the next field; a minor whose degree reaches
+the bound sets the degree field's guard bit and raises `RingError`.
 """
 
 import math
 import operator
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .groebner import IdealHandle, _budget, _charge, _homogeneous
-from .hilbert import dim_degree
+from .groebner import IdealHandle, _budget, _charge, _gauss_jordan, _homogeneous, _integral
+from .hilbert import lead_ideal, monomial_dim_degree
 from .ring import EXP_BOUND, Poly, RingError, _overflow
 from .ring import format_poly, format_ring_header, parse_poly, parse_ring_header
 
@@ -140,22 +158,31 @@ def _pfaffian(entries, memo, idx, p):
     return got
 
 
-def _chain(M, size, memo, minor):
+def _chain(M, size, memo, minor, reverse=False):
     """The size x size minors of M when `minor`, row subsets then column
     subsets in lexicographic order, each the sub-Pfaffian of
     [[0, M], [-M^T, 0]] on its balanced tuple times (-1)^(size(size-1)/2);
     else the size x size sub-Pfaffians of the alternating M, principal
-    index subsets in lexicographic order.  Polynomials, expanded through
-    `memo`."""
+    index subsets in lexicographic order.  With `reverse`, the same
+    tuples in the reverse order.  A lazy iterator of packed term dicts,
+    each expanded through `memo` when it is read."""
     n, p = M.nrows, M.ctx.field.characteristic
     pad = [{}] * n if minor else []
     entries = [pad + [e.terms for e in row] for row in M.entries]
-    tuples = combinations(range(n), size)
+    tuples = list(combinations(range(n), size))
     if minor:
-        cols = range(n, n + M.ncols)
-        tuples = [rows + c for rows in tuples for c in combinations(cols, size)]
-    got = [Poly(M.ctx, _pfaffian(entries, memo, idx, p), _clean=True) for idx in tuples]
-    return [-g for g in got] if minor and size * (size - 1) // 2 % 2 else got
+        cols = list(combinations(range(n, n + M.ncols), size))
+        tuples = [rows + c for rows in tuples for c in cols]
+    negate = minor and size * (size - 1) // 2 % 2
+    for idx in reversed(tuples) if reverse else tuples:
+        got = _pfaffian(entries, memo, idx, p)
+        # coefficients over F_p lie in [1, p)
+        yield {m: p - c if p else -c for m, c in got.items()} if negate else got
+
+
+def _polys(ctx, forms):
+    """The packed term dicts `forms` as polynomials of ctx."""
+    return [Poly(ctx, t, _clean=True) for t in forms]
 
 
 def is_alternating(M):
@@ -173,7 +200,7 @@ def pfaffians(M, size):
     """All size x size sub-Pfaffians of the alternating matrix M, for
     even size in 2..nrows, as polynomials, principal index subsets in
     lexicographic order; the caller checks that M is alternating."""
-    return _chain(M, size, {}, False)
+    return _polys(M.ctx, _chain(M, size, {}, False))
 
 
 def determinant(rows):
@@ -190,7 +217,7 @@ def minors(M, size):
     min(nrows, ncols)."""
     if size < 1:
         raise RingError("minor size must be positive")
-    return _chain(M, size, {}, True)
+    return _polys(M.ctx, _chain(M, size, {}, True))
 
 
 def fitting_ideal(M, i):
@@ -201,9 +228,13 @@ def fitting_ideal(M, i):
 
 
 def height(I):
-    """Codimension of a homogeneous ideal: nvars - dim, inf for the unit
-    ideal, 0 for the zero ideal."""
-    summ = dim_degree(I)
+    """Codimension of an ideal of a ring with no parameters:
+    nvars - dim S/I, inf for the unit ideal, 0 for the zero ideal.
+    dim S/I = dim S/in(I) for every monomial order, so the height is read
+    off the leads of a basis, and I need not be homogeneous."""
+    if I.ctx.n_params:
+        raise RingError("dimension computations need all variables in degree 1")
+    summ = monomial_dim_degree(lead_ideal(I), I.ctx.nvars)
     if summ.dim is None:
         return math.inf
     return I.ctx.nvars - summ.dim
@@ -219,40 +250,67 @@ def _fitting_heights(M):
     Fitt_i lies in Fitt_{i+1}, so once one index reaches height nvars
     every later one has height nvars or is the unit ideal.  Homogeneous
     generators generate the unit ideal exactly when one is a nonzero
-    constant, so those indices need no Groebner basis.  When every
-    nonzero entry of M is a form of one positive degree, so is every
-    nonzero minor and sub-Pfaffian, and those indices need not even
-    expand them.
+    constant, so those indices need no Groebner basis.
+
+    When every nonzero entry of M is a form of one positive degree e, in
+    a ring with no parameters, so is every nonzero k-minor, of degree
+    t = k*e, and every nonzero 2j-sub-Pfaffian, of degree t = j*e.  If
+    the forms of degree t in an ideal span S_t, then m^t lies in it and
+    its height is nvars.  So each index streams its forms into one
+    Gauss-Jordan block, which stops once it holds C(nvars - 1 + t, t)
+    pivots: then the index has height nvars, and no Buchberger run is
+    made.  Otherwise the echelon rows, which generate the same ideal,
+    take the run.  The stream reads the index tuples in reverse
+    lexicographic order, later rows first: the chain expands along the
+    first index, so the tuples the previous index left in the memo come
+    first and cost no product.  Later indices need not even expand
+    their forms.
     """
     if M._heights is not None:
         return M._heights
-    n = M.ctx.nvars
+    ctx = M.ctx
+    n, p = ctx.nvars, ctx.field.characteristic
     # every monomial of every entry; the constant monomial packs to 0
     mons = {m for row in M.entries for e in row for m in e.terms}
     forms = 0 not in mons and _homogeneous([mons])
+    stream = forms and not ctx.n_params
+    degree = sum(ctx.packing.unpack(next(iter(mons)))) if mons else 0
     minor = not is_alternating(M)
-    memo, ideals = {}, {}
+    memo, ideals, found = {}, {}, {}
 
-    def ideal_of(i):
-        size = M.nrows - i if minor else (M.nrows - i + 1) // 2 * 2
+    def ideal_of(size):
         if size not in ideals:
-            ideals[size] = IdealHandle(M.ctx, _chain(M, size, memo, minor))
+            ideals[size] = IdealHandle(ctx, _polys(ctx, _chain(M, size, memo, minor)))
         return ideals[size]
+
+    def height_of(size):
+        if size not in found:
+            if stream:
+                t = degree * (size if minor else size // 2)
+                span = comb(n - 1 + t, t)
+                rows = _gauss_jordan(
+                    (_integral(f, p)[0] for f in _chain(M, size, memo, minor, True)),
+                    p, _budget(), span,
+                )
+                found[size] = n if len(rows) == span else height(IdealHandle(ctx, _polys(ctx, rows)))
+            else:
+                found[size] = height(ideal_of(size))
+        return found[size]
 
     heights = []
     ht = 0
     for i in range(1, M.nrows):
+        size = M.nrows - i if minor else (M.nrows - i + 1) // 2 * 2
         if ht < n:
-            ht = height(ideal_of(i))
+            ht = height_of(size)
         elif not forms:
-            I = ideal_of(i)
-            seeds = [g.terms for g in I.gens]
+            seeds = [g.terms for g in ideal_of(size).gens]
             # a homogeneous generator with a constant term is a constant,
             # and the constant monomial packs to 0
             if _homogeneous(seeds):
                 ht = math.inf if any(0 in t for t in seeds) else n
             else:
-                ht = height(I)
+                ht = height_of(size)
         heights.append(ht)
     object.__setattr__(M, "_heights", tuple(heights))
     return M._heights

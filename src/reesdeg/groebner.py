@@ -154,8 +154,9 @@ _ACTIVE_BUDGET = ContextVar("step_budget", default=None)
 def step_budget(limit):
     """Charge every computation inside the block against one budget of
     `limit` steps: reductions, reduced S-pairs, pairs and rows examined by
-    pair updates, row operations and rows scanned in seed blocks, monomial
-    divisibility tests, the products of the chain behind the minors and
+    pair updates, row operations and rows scanned in seed blocks and in
+    the block `conditions` streams its forms into, monomial divisibility
+    tests, the products of the chain behind the minors and
     sub-Pfaffians of `conditions` and of the power loop in
     `sfib_hilbert_function`, and the form terms evaluated and row
     operations of `blowup.jacobian_independent`."""
@@ -318,7 +319,7 @@ def _spoly(ti, ui, tj, uj, p):
     return s
 
 
-def _gauss_jordan(block, p, budget):
+def _gauss_jordan(block, p, budget, stop=None):
     """The reduced row echelon form of packed term dicts, such as the
     seeds of one degree: normalized rows sorted by lead, with distinct
     leads and no lead of one in the tail of another.  Each row entering
@@ -326,7 +327,12 @@ def _gauss_jordan(block, p, budget):
     cancelling one brings in no other, since those rows are already
     reduced.  A row left over then has its lead cleared from the rows
     before it.  Each row operation costs one step of `budget`, and so
-    does each row scanned for a new lead below the largest lead so far."""
+    does each row scanned for a new lead below the largest lead so far.
+
+    `block` is read one row at a time, so it may be a lazy iterator.
+    With `stop`, no further row is read once `stop` rows hold pivots:
+    when `stop` is the dimension of the space the rows lie in, such as
+    the forms of one degree, they span it there."""
     pivots = {}
     top = -1
     for t in block:
@@ -348,6 +354,8 @@ def _gauss_jordan(block, p, budget):
         else:
             top = lead
         pivots[lead] = t
+        if len(pivots) == stop:
+            break
     return sorted(pivots.values(), key=max)
 
 

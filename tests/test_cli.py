@@ -422,6 +422,18 @@ class TestPoints:
         err = self.error(capsys, self.COMMANDS[command] + ["--points", "1/2", "--prime", "0"])
         assert err == "error: --points coordinates must be integers, got '1/2'\n"
 
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_value_with_a_leading_minus(self, capsys, command):
+        # argparse reads "-1,2" after a flag as a flag of its own; the
+        # command line glues it to --points, as the = spelling does
+        argv = self.COMMANDS[command]
+        glued = main(argv + ["--points=-1,2"]), capsys.readouterr()
+        spaced = main(argv + ["--points", "-1,2"]), capsys.readouterr()
+        assert spaced == glued
+        # a negative power is an error of sfib-hf's own, not a usage line
+        assert glued[0] == (2 if command == "sfib-hf" else 0)
+        assert "usage" not in glued[1].err
+
     def test_sweep_reduces_points_mod_p(self, capsys):
         argv = ["sweep", "--family", "dejonquieres", "--format", "csv"]
         code, out = run(capsys, argv + ["--points", "32003,32004,-32002"])

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_form, random_poly
+from conftest import rand_coeff, random_form, random_poly
 from reesdeg.conditions import (
     PresentationMatrix,
     check_Fm,
@@ -20,7 +20,7 @@ from reesdeg.conditions import (
 )
 from reesdeg import conditions, groebner
 from reesdeg.families import FamilySpec, dense_form, make_family, signed_maximal_minors
-from reesdeg.groebner import IdealHandle, groebner_basis, ideal, saturate
+from reesdeg.groebner import IdealHandle, groebner_basis, ideal, ideal_equal, saturate
 from reesdeg.cli import main
 from reesdeg.ring import (
     EXP_BOUND,
@@ -53,6 +53,26 @@ def buchberger_runs(monkeypatch):
         groebner, "_buchberger", lambda seeds, *args: runs.append(len(seeds)) or buchberger(seeds, *args)
     )
     return runs
+
+
+def echelon_passes(monkeypatch):
+    """Patch the Gauss-Jordan kernel that `conditions` streams its forms
+    into to log (stop, rows returned, steps spent before the pass, steps
+    spent after it, the forms it read) of each pass."""
+    passes = []
+    gauss_jordan = conditions._gauss_jordan
+
+    def spy(block, p, budget, stop=None):
+        before = budget.limit - budget.left
+        rows, read = [], []
+        try:
+            rows = gauss_jordan((read.append(t) or t for t in block), p, budget, stop)
+            return rows
+        finally:
+            passes.append((stop, len(rows), before, budget.limit - budget.left, read))
+
+    monkeypatch.setattr(conditions, "_gauss_jordan", spy)
+    return passes
 
 
 def permanent_free_det(entries):
@@ -252,11 +272,13 @@ class TestMinorChain:
             assert fitting_ideal(M, i).gens == fitting_ideal(M, i).gens
         assert fitting_ideal(M, 3).gens == fitting_ideal(M, 7).gens == (Poly.constant(ctx, 1),)
         assert fitting_ideal(M, 0).gens == ()
-        runs = buchberger_runs(monkeypatch)
+        # the three quadric 2-minors span S_2, so Fitt_1 takes one echelon
+        # pass and no run, and Fitt_2 none at all
+        runs, passes = buchberger_runs(monkeypatch), echelon_passes(monkeypatch)
         check_Gm(M, 2)
-        taken = len(runs)
+        taken = (len(passes), len(runs))
         check_Fm(M, 0)
-        assert taken and len(runs) == taken
+        assert taken == (1, 0) and (len(passes), len(runs)) == taken
 
 
 class TestSharedMaximalMinors:
@@ -312,18 +334,26 @@ class TestConditionCounts:
             k * math.comb(6, k) * math.comb(5, k) for k in range(2, 6)
         )
         assert bound == 1230
-        assert 0 < products[0] <= bound
-        # one run each for Fitt_1 and Fitt_2, told apart by generator
-        # count; Fitt_2 has height 4 = nvars, so Fitt_3..Fitt_5 need none
+        # Fitt_1's six 5-minors leave in the memo the 25 4-minors on rows
+        # 1..5 and the 3- and 2-minors below them: 6*5 + 25*4 + 40*3 +
+        # 30*2 = 310 products.  Fitt_2 streams its 4-minors later rows
+        # first, so those 25 come first; the next 10, on rows {0, 3, 4, 5}
+        # and {0, 2, 4, 5}, read memoized 3-minors, and the 35 span S_4
+        assert products[0] == 310 + 10 * 4
+        assert products[0] < bound
+        # one run, for Fitt_1, whose 6 minors do not span S_5; Fitt_2 has
+        # height 4 = nvars off its span, so Fitt_2..Fitt_5 need none
         sizes = [len(fitting_ideal(M, i).gens) for i in range(1, 6)]
         assert sizes == [6, 75, 200, 150, 30]
-        assert runs == sizes[:2]
+        assert runs == sizes[:1]
 
 
 class TestSeedBlock:
     """The 75 quartic 4-minors of linear_6x5 span all 35 quartics in four
     variables.  They enter Fitt_2's Buchberger run as one Gauss-Jordan
-    block, which leaves 35 monomials and no S-polynomial to build."""
+    block, which leaves 35 monomials and no S-polynomial to build; G_m
+    and F_m stream them into one such block that stops at the 35th pivot
+    and make no run."""
 
     def test_fitt2_is_every_quartic_monomial(self, monkeypatch):
         M = linear_6x5()
@@ -352,31 +382,23 @@ class TestSeedBlock:
         assert any(entry.name == "_gauss_jordan" for entry in exc.traceback)
 
     def test_conditions_budget_runs_out_in_the_block(self, monkeypatch, tmp_path, capsys):
+        # the streamed block of Fitt_2 charges the products that expand
+        # its minors and its row operations; a budget one step short of
+        # its end runs out inside it
         path = tmp_path / "m65.txt"
         path.write_text(serialize_matrix(linear_6x5()))
         argv = ["conditions", "--matrix", str(path)]
-        blocks = []
-        ops = []
-        gauss_jordan = groebner._gauss_jordan
-        cancel = groebner._cancel
-
-        def spy(block, p, budget):
-            # (rows, steps spent before the block, row operations in it)
-            spent, before = budget.limit - budget.left, len(ops)
-            try:
-                return gauss_jordan(block, p, budget)
-            finally:
-                blocks.append((len(block), spent, len(ops) - before))
-
-        monkeypatch.setattr(groebner, "_gauss_jordan", spy)
-        monkeypatch.setattr(groebner, "_cancel", lambda *args: ops.append(1) or cancel(*args))
+        passes = echelon_passes(monkeypatch)
+        runs = buchberger_runs(monkeypatch)
         assert main(argv) == 0
-        [(spent, n)] = [(spent, n) for rows, spent, n in blocks if rows == 75]
-        del blocks[:]
+        assert runs == [6]
+        [(before, after)] = [(b, a) for stop, rows, b, a, _ in passes if (stop, rows) == (35, 35)]
+        assert after > before
+        del passes[:]
         capsys.readouterr()
-        assert main(argv + ["--budget", str(spent + n - 1)]) == 3
+        assert main(argv + ["--budget", str(after - 1)]) == 3
         assert capsys.readouterr().out == ""
-        assert blocks[-1][:2] == (75, spent)
+        assert [(stop, b) for stop, _, b, _, _ in passes[-1:]] == [(35, before)]
 
 
 class TestGoldenCertificates:
@@ -417,6 +439,14 @@ class TestHeight:
         assert height(ideal(ctx, [])) == 0
         assert height(ideal(ctx, [Poly.constant(ctx, 1)])) == math.inf
 
+    def test_inhomogeneous_ideals(self):
+        # dim S/I = dim S/in(I) for any ideal, homogeneous or not
+        ctx = RingCtx(("x", "y", "z"), QQ)
+        assert height(ideal(ctx, [parse_poly(t, ctx) for t in ("x - 1", "y")])) == 2
+        assert height(ideal(ctx, [parse_poly("x*y - 1", ctx)])) == 1
+        assert height(ideal(ctx, [parse_poly(t, ctx) for t in ("x + 1", "x")])) == math.inf
+        assert height(ideal(ctx, [parse_poly(t, ctx) for t in ("x^2 + y", "x*z - 1")])) == 2
+
 
 class TestMonotoneChain:
     """Past the first Fitting index of height nvars, heights are read off
@@ -435,8 +465,9 @@ class TestMonotoneChain:
     def test_linear_6x5(self, monkeypatch):
         chain, bases, direct = self.chain_and_direct(linear_6x5(), monkeypatch)
         assert chain == direct == [2, 4, 4, 4, 4]
-        # runs for Fitt_1 and Fitt_2 only, told apart by generator count
-        assert bases == [6, 75]
+        # a run for Fitt_1 only, on its 6 echelon rows: Fitt_2's minors
+        # span S_4, so its height 4 takes none
+        assert bases == [6]
 
     def test_forms_of_one_degree_expand_no_minor_past_height_nvars(self, monkeypatch):
         # Fitt_2 of linear_6x5 already has height 4 = nvars, so the 3-,
@@ -714,6 +745,93 @@ class TestMinorRoute:
         assert (check_Gm(M, math.inf).table, check_Fm(M, 0).table) == (G, F)
 
 
+def random_forms_matrix(ctx, rng, r, c, d, kind):
+    """A random r x c matrix whose nonzero entries are forms of degree d,
+    of one of four kinds: "dense", a tenth of the entries zero;
+    "sparse", most entries zero; "lowrank", a sum of one or two products
+    a b^T of a column of forms and a row of constants, so of rank at most
+    2; "fewvars", forms free of the last variable, so no Fitting ideal
+    has height nvars, and the entries may span all of S_1 but one
+    dimension."""
+    n = ctx.nvars
+
+    def form():
+        if kind == "fewvars":
+            mons = monomials_of_degree(n - 1, d)
+            return Poly(ctx, {m + (0,): rand_coeff(ctx, rng) for m in mons if rng.random() < 0.7})
+        return random_form(ctx, rng, d)
+
+    zero = Poly.zero(ctx)
+    if kind == "lowrank":
+        rows = [[zero] * c for _ in range(r)]
+        for _ in range(rng.randint(1, 2)):
+            a = [form() for _ in range(r)]
+            b = [Poly.constant(ctx, rand_coeff(ctx, rng)) for _ in range(c)]
+            rows = [[rows[i][j] + a[i] * b[j] for j in range(c)] for i in range(r)]
+        return PresentationMatrix(ctx, rows)
+    empty = 0.6 if kind == "sparse" else 0.1
+    return PresentationMatrix(
+        ctx, [[form() if rng.random() >= empty else zero for _ in range(c)] for _ in range(r)]
+    )
+
+
+class TestSpanningStream:
+    """A matrix of forms of one degree streams the forms of each Fitting
+    index into one Gauss-Jordan pass, which stops once they span S_t;
+    the index then has height nvars and takes no run.  The heights must
+    be those of the Fitting ideals' own bases."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        prime=st.sampled_from([2, 7, 32003, 0]),
+        kind=st.sampled_from(["dense", "sparse", "lowrank", "fewvars"]),
+    )
+    def test_heights_match_the_fitting_ideals(self, seed, prime, kind):
+        # shapes 3x2 to 6x5 in 2 to 5 variables; quadric entries only up
+        # to two columns, where the minors' bases stay small
+        rng = random.Random(seed)
+        r = rng.randint(3, 6)
+        c = rng.randint(2, r - 1)
+        n = rng.randint(2, 5)
+        d = rng.randint(1, 2) if c <= 2 else 1
+        ctx = RingCtx(tuple("x%d" % i for i in range(n)), FieldSpec(prime))
+        M = random_forms_matrix(ctx, rng, r, c, d, kind)
+        with pytest.MonkeyPatch.context() as patch:
+            passes = echelon_passes(patch)
+            tables = check_Gm(M, math.inf).table, check_Fm(M, 0).table
+        heights = [height(fitting_ideal(M, i)) for i in range(1, r)]
+        G = tuple((i, r - i, h, i, h > i) for i, h in enumerate(heights, 1))
+        F = tuple((i, r - i, h, i, h >= i) for i, h in enumerate(heights, 1))
+        assert tables == (G, F)
+        # each pass that read a nonzero form stops at dim S_t pivots, t
+        # the degree of its forms, and exactly there: the last form it
+        # read made the last pivot
+        for stop, rows, _, _, read in passes:
+            nonzero = [f for f in read if f]
+            if not nonzero:
+                continue
+            t = sum(ctx.packing.unpack(max(nonzero[0])))
+            assert stop == math.comb(n - 1 + t, t)
+            if rows == stop:
+                fresh = groebner._Budget(10**6)
+                forms = [groebner._integral(f, prime)[0] for f in read]
+                assert len(groebner._gauss_jordan(forms[:-1], prime, fresh)) == stop - 1
+            else:
+                assert rows < stop
+
+    def test_stream_stops_at_the_spanning_pivot(self, monkeypatch):
+        # Fitt_1 reads all six quintic 5-minors, which cannot span S_5
+        # (dimension 56); Fitt_2 stops at the 35th quartic 4-minor, whose
+        # 35 pivots fill S_4, and reads no 36th
+        passes = echelon_passes(monkeypatch)
+        check_Gm(linear_6x5(), 4)
+        assert [(stop, rows, len(read)) for stop, rows, _, _, read in passes] == [
+            (56, 6, 6),
+            (35, 35, 35),
+        ]
+
+
 class TestPfaffianRoute:
     """On an alternating matrix, G_m and F_m read each height off the
     ideal of 2 ceil(k/2)-sub-Pfaffians in place of the k-minors; the
@@ -745,6 +863,23 @@ class TestPfaffianRoute:
 
         assert got == outcome(oracle)
 
+    def test_inhomogeneous_pfaffians_take_a_height(self, tmp_path, capsys):
+        # a draw of the test above, seed 260195 over F_32003 of kind
+        # "mixed" at n = 5 in 3 variables: its 4-Pfaffians are not
+        # homogeneous, though its 4- and 3-minors are.  The height is read
+        # off the leads of a basis, so the route answers what the minor
+        # oracle answers, and `conditions` exits 0, not 2
+        ctx = RingCtx(("x0", "x1", "x2"), FieldSpec(32003))
+        M = random_alternating(ctx, random.Random(260195), 5, "mixed")
+        assert not groebner._homogeneous([g.terms for g in pfaffians(M, 4)])
+        N = PresentationMatrix(ctx, M.entries)
+        assert [height(fitting_ideal(N, i)) for i in range(1, 5)] == [3, 3, 3, 3]
+        assert [row[2] for row in check_Fm(M, 0).table] == [3, 3, 3, 3]
+        path = tmp_path / "mixed.txt"
+        path.write_text(serialize_matrix(M))
+        assert main(["conditions", "--matrix", str(path), "--format", "text"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_alternating_matrix_expands_no_minor(self, monkeypatch):
         # a minor's balanced tuple holds an index past the rows
         balanced = []
@@ -770,8 +905,10 @@ class TestPfaffianRoute:
 
     def test_minor_sizes_share_a_pfaffian_ideal(self, monkeypatch):
         # minor sizes 4 and 3 read the 4-Pfaffians, sizes 2 and 1 the
-        # entries; the one pass behind G_5 and F_0 makes one handle and
-        # one basis of each
+        # entries; the one pass behind G_5 and F_0 makes one echelon pass
+        # of each.  The 5 quadric 4-Pfaffians do not span S_2: their
+        # echelon rows, which generate their ideal, take one handle and
+        # one basis.  The linear entries span S_1 and take neither.
         fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))
         M = PresentationMatrix(fam.ctx, fam.matrix.entries)
         handles = []
@@ -779,11 +916,13 @@ class TestPfaffianRoute:
         monkeypatch.setattr(
             conditions, "IdealHandle", lambda ctx, gens: handles.append(gens) or handle(ctx, gens)
         )
-        runs = buchberger_runs(monkeypatch)
+        runs, passes = buchberger_runs(monkeypatch), echelon_passes(monkeypatch)
         G, F = check_Gm(M, 5).table, check_Fm(M, 0).table
         assert G == F == TestGoldenCertificates.PFAFFIAN
-        assert handles == [pfaffians(M, 4), pfaffians(M, 2)]
-        assert runs == [5, 10]
+        assert [(stop, rows) for stop, rows, *_ in passes] == [(15, 5), (5, 5)]
+        assert runs == [5]
+        [gens] = handles
+        assert ideal_equal(handle(M.ctx, gens), handle(M.ctx, pfaffians(M, 4)))
 
     def test_pfaffians_of_a_handmade_matrix(self):
         ctx, M = mat(

@@ -730,10 +730,12 @@ GOLDEN_STEPS = {
 # The same triples for the Fitting ideal runs of check_Gm(matrix, m), one
 # per ideal whose height takes a basis.  Hilbert-Burch seeds are minors,
 # most of them linearly dependent, so these runs pin the seed block above
-# all.  The Pfaffian matrix is alternating, so its runs are of the ideals
-# of 4- and 2-sub-Pfaffians, one per pair of minor sizes.
+# all.  The Pfaffian matrix is alternating, so its heights are those of
+# the ideals of 4- and 2-sub-Pfaffians, one per pair of minor sizes.  Its
+# entries are linear forms that span S_1, so only the 4-Pfaffians take a
+# run, on the echelon rows of their streamed block.
 GOLDEN_FITTING_STEPS = {
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), 5, [(170, 6, 71), (55, 5, 5)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), 5, [(140, 6, 71)]),
     "hb12": (FamilySpec("hilbert_burch", r=2, mu=(1, 2)), 3, [(36, 4, 32), (27, 3, 3)]),
     "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), 3, [(36, 4, 32), (27, 3, 3)]),
 }

@@ -126,7 +126,10 @@ PRIVATE_IMPORTS = {
         "ring": {"_is_prime", "_minimal_packed"},
     },
     "cli": {"blowup": {"_form_degree"}},
-    "conditions": {"groebner": {"_budget", "_charge", "_homogeneous"}, "ring": {"_overflow"}},
+    "conditions": {
+        "groebner": {"_budget", "_charge", "_gauss_jordan", "_homogeneous", "_integral"},
+        "ring": {"_overflow"},
+    },
     "groebner": {
         "hilbert": {"_order_at_one"},
         "ring": {"_MASK", "_WIDTH", "_block_sizes", "_minimal_packed", "_overflow"},
