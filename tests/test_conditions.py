@@ -788,13 +788,15 @@ class TestSpanningStream:
         kind=st.sampled_from(["dense", "sparse", "lowrank", "fewvars"]),
     )
     def test_heights_match_the_fitting_ideals(self, seed, prime, kind):
-        # shapes 3x2 to 6x5 in 2 to 5 variables; quadric entries only up
-        # to two columns, where the minors' bases stay small
+        # shapes 3x2 to 6x5 in 2 to 5 variables.  Quadric entries only up
+        # to two columns, and over Q in at most 4 variables: there a basis
+        # of quartic 2-minors in 5 variables, the route's or the oracle's,
+        # can take from seconds to minutes of coefficient growth
         rng = random.Random(seed)
         r = rng.randint(3, 6)
         c = rng.randint(2, r - 1)
         n = rng.randint(2, 5)
-        d = rng.randint(1, 2) if c <= 2 else 1
+        d = rng.randint(1, 2) if c <= 2 and (prime or n <= 4) else 1
         ctx = RingCtx(tuple("x%d" % i for i in range(n)), FieldSpec(prime))
         M = random_forms_matrix(ctx, rng, r, c, d, kind)
         with pytest.MonkeyPatch.context() as patch:
