@@ -36,21 +36,19 @@ criterion in characteristic 0; this direction holds over any perfect
 field, F_p included, though there the converse fails (Pandey, Saxena
 and Sinhababu, "Algebraic independence over positive characteristic",
 Computational Complexity 2018).  The rank is taken at fixed integer
-points, modulo p over F_p and modulo one fixed prime over Q: a nonzero
-maximal minor at one point is a nonzero polynomial, so full rank there
-proves full rank over k(x).  The test is one-sided: forms it does not
-certify take the Rees route, and no answer depends on the points.
+points: a nonzero maximal minor at one point is a nonzero polynomial,
+so full rank there proves full rank over k(x).  The test is one-sided:
+forms it does not certify take the Rees route, and no answer depends
+on the points.
 
 For r+1 forms of P^r, `jacobian_dual_birational` certifies the map
-birational (see `ratmap`) from the weak Jacobian dual psi, read off the
-linear syzygies of the forms.  These are the exact kernel of the
-coefficient matrix of the products x_k*g_i of degree d+1: elimination
-mod p over F_p, and fraction-free on integers over Q, so no Groebner
-basis is built.  psi is then evaluated at the image point g(p) of each
-fixed point p in turn, and rank r there, modulo p or modulo the same
-prime over Q, is the certificate: a nonzero r-minor mod that prime is a
-nonzero integer.  Forms with fewer than r linear syzygies are dropped
-after the one elimination.  Both Jacobian rules read the same fixed
+birational (see `ratmap`) when the weak Jacobian dual psi, read off the
+linear syzygies of the forms, has rank r at the image point g(p) of one
+fixed point p.  Forms with fewer than r linear syzygies are dropped
+after the one elimination that finds them.  Both rules take ranks and
+that kernel with the engine's echelon form, `groebner._gauss_jordan`:
+mod p over F_p and fraction-free on integers over Q, so ranks over Q
+are exact and no Groebner basis is built.  Both read the same fixed
 points, whose coordinates are the first primes; over a small F_p that
 has one of them 0 mod p, points drawn without p follow.
 
@@ -80,7 +78,7 @@ ideal (`certified_rees`, after Kalkbrener), so no basis is built there.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import comb, lcm, prod
 
 from .groebner import (
     IdealHandle,
@@ -88,6 +86,7 @@ from .groebner import (
     _basis_ideal,
     _budget,
     _charge,
+    _gauss_jordan,
     _integral,
     _normalize,
     _with_aux_var,
@@ -401,9 +400,6 @@ def certified_rees(generic, coeffs, point):
     return _basis_ideal(spec.ctx, [rows[i] for i in keep])
 
 
-# the prime modulo which `jacobian_independent` ranks the Jacobian of
-# forms over Q: the largest prime below MAX_PRIME
-_JACOBIAN_PRIME = 2_147_483_629
 # how many fixed points one draw of primes makes
 _JACOBIAN_POINTS = 3
 
@@ -440,47 +436,55 @@ def _jacobian_points(n, p):
     return tuple(points.values())
 
 
-def _has_rank(rows, need, P, budget):
-    """True when `rows`, lists of residues mod the prime P, have rank at
-    least `need` mod P.  It stops at False as soon as more than
-    len(rows) - need rows have reduced to zero, and at True as soon as
-    `need` pivots are found; each row operation costs one budget step."""
-    pivots = []
-    spare = len(rows) - need
-    for row in rows:
-        if len(pivots) >= need:
-            break
-        for col, piv in pivots:
-            c = row[col]
-            if c:
-                _charge(budget)
-                row = [(a - c * b) % P for a, b in zip(row, piv)]
-        col = next((i for i, a in enumerate(row) if a), None)
-        if col is None:
-            spare -= 1
-            if spare < 0:
-                return False
-            continue
-        _charge(budget)
-        inv = pow(row[col], -1, P)
-        pivots.append((col, [a * inv % P for a in row]))
-    return len(pivots) >= need
+def _field_row(row, p):
+    """The integer row {column: entry} as a row over the field of
+    characteristic p: entries mod p over F_p, zero entries dropped."""
+    return {j: w for j, v in row.items() if (w := v % p if p else v)}
+
+
+def _support(ctx, g):
+    """Per term of the packed integer term dict g: (coefficient,
+    [(variable, exponent)] over the nonzero exponents)."""
+    unpack = ctx.packing.unpack
+    return [(c, [(i, e) for i, e in enumerate(unpack(m)) if e]) for m, c in g.items()]
+
+
+def _evaluated(supports, point, p, budget):
+    """(values, gradient rows) at an integer point of the forms whose
+    `_support`s are given, over the field of characteristic p, each form
+    term evaluated costing one budget step.  Integer arithmetic is exact,
+    so a coordinate 0, or 0 mod p, needs no care: a term t of exponent e
+    in x has derivative e*t/x, and at x = 0 only e = 1 leaves one."""
+    values, rows = [], []
+    for form in supports:
+        value, grad = 0, {}
+        for c, support in form:
+            _charge(budget)
+            t = c * prod(point[i] ** e for i, e in support)
+            value += t
+            for i, e in support:
+                x = point[i]
+                if x:
+                    grad[i] = grad.get(i, 0) + e * t // x
+                elif e == 1:
+                    grad[i] = grad.get(i, 0) + c * prod(point[h] ** f for h, f in support if h != i)
+        values.append(value % p if p else value)
+        rows.append(_field_row(grad, p))
+    return values, rows
 
 
 def jacobian_independent(forms):
     """True when the Jacobian matrix of `forms` has full row rank at one
     of the fixed `_jacobian_points`, which proves the forms algebraically
-    independent (see the module docstring); False when no point does, and
-    at once when there are more forms than variables or the ring has
-    parameters, which proves nothing.  When the forms together contain
-    fewer distinct variables than there are forms, the Jacobian has no
-    more nonzero columns than that, so it is False before any point is
-    tried.
+    independent (see the module docstring); False when no point does,
+    and before any point when the ring has parameters or the forms are
+    more than the variables they contain, so that the Jacobian has fewer
+    nonzero columns than rows.
 
-    The forms are checked by `_form_degree` first.  The rank is taken
-    modulo p over F_p, and over Q modulo `_JACOBIAN_PRIME` after each
-    form is scaled to integer coefficients, which changes no rank.  Each
-    form term evaluated and each row operation costs one budget step.
+    The forms are checked by `_form_degree` first, and over Q scaled to
+    integers.  The rank is the pivot count of `_gauss_jordan` on the
+    gradients, stopped once every row has a pivot.  Each form term
+    evaluated and each row operation costs one budget step.
     """
     _form_degree(forms)
     ctx = forms[0].ctx
@@ -488,105 +492,60 @@ def jacobian_independent(forms):
     if ctx.n_params or len(forms) > n:
         return False
     p = ctx.field.characteristic
-    P = p or _JACOBIAN_PRIME
-    unpack = ctx.packing.unpack
-    # per form, per term: (coefficient mod P, [(variable, exponent)])
-    terms = [
-        [(c % P, [(i, e) for i, e in enumerate(unpack(m)) if e])
-         for m, c in _integral(g.terms, p)[0].items()]
-        for g in forms
-    ]
-    if len({i for form in terms for _, support in form for i, _ in support}) < len(forms):
+    supports = [_support(ctx, _integral(g.terms, p)[0]) for g in forms]
+    if len({i for form in supports for _, support in form for i, _ in support}) < len(forms):
         return False
     budget = _budget()
     for point in _jacobian_points(n, p):
-        rows = []
-        for form in terms:
-            row = [0] * n
-            for c, support in form:
-                _charge(budget)
-                powers = [pow(point[i], e, P) for i, e in support]
-                for k, (j, e) in enumerate(support):
-                    d = c * e * pow(point[j], e - 1, P)
-                    for h, v in enumerate(powers):
-                        if h != k:
-                            d = d * v % P
-                    row[j] = (row[j] + d) % P
-            rows.append(row)
-        if _has_rank(rows, len(rows), P, budget):
+        _, rows = _evaluated(supports, point, p, budget)
+        if len(_gauss_jordan(rows, p, budget, stop=len(rows))) == len(rows):
             return True
     return False
 
 
-def _linear_syzygies(ctx, forms, need, budget):
-    """A basis of the linear syzygies of `forms`, packed term dicts in
-    `ctx` with integer coefficients over Q, or None when it has fewer
-    than `need` elements.  A syzygy is a list whose entry k*(s+1) + i is
-    a_ki, the coefficient of x_k in the coefficient of g_i.
-
-    Row j of the matrix [A | 1] holds the coefficients of the j-th
-    product x_k*g_i, monomials in decreasing order, then the unit
-    vector e_j.  Each row is reduced against the earlier pivot rows, so
-    the rows whose A part reaches zero carry a basis of the kernel.
-    Over F_p pivots are made monic mod p; over Q the elimination is
-    fraction-free and each row is divided by its content.  Each product
-    costs one budget step per term, and each row operation one step;
-    once more than n(s+1) - need rows have a pivot, the kernel is too
-    small and the elimination stops.
-    """
-    p = ctx.field.characteristic
-    products = [{m + unit: c for m, c in g.items()} for unit in ctx.packing.units for g in forms]
-    cols = {m: j for j, m in enumerate(sorted({m for t in products for m in t}, reverse=True))}
-    width, n = len(cols), len(products)
-    spare = n - need
-    pivots = []
-    syzygies = []
-    for j, terms in enumerate(products):
-        row = [0] * (width + n)
-        row[width + j] = 1
-        for m, c in terms.items():
-            row[cols[m]] = c
-        ops = 0
-        for col, piv in pivots:
-            b = row[col]
-            if b:
-                ops += 1
-                if p:
-                    row = [(x - b * y) % p for x, y in zip(row, piv)]
-                else:
-                    a = piv[col]
-                    row = [a * x - b * y for x, y in zip(row, piv)]
-                    c = gcd(*row)
-                    if c > 1:
-                        row = [x // c for x in row]
-        _charge(budget, len(terms) + ops)
-        col = next(i for i, x in enumerate(row) if x)
-        if col >= width:
-            syzygies.append(row[width:])
-        elif len(pivots) == spare:
-            return None
-        else:
-            if p:
-                inv = pow(row[col], -1, p)
-                row = [x * inv % p for x in row]
-            pivots.append((col, row))
-    return syzygies
+def _syzygies(ctx, forms, p, budget):
+    """A basis of the linear syzygies of the r+1 packed integer term
+    dicts `forms` of P^r, or None when it has fewer than r elements.
+    Syzygy entry j = k*(r+1) + i is a_ki, the coefficient of x_k in that
+    of g_i.  `_gauss_jordan` reduces the rows that give each monomial of
+    degree d+1 its coefficients in the products x_k*g_i, and stops at
+    n-r+1 pivots, n = (r+1)^2, leaving fewer than r syzygies.  Else each
+    column f without a pivot spans the kernel with a_f = L and
+    a_j = -row[f]*L/row[j] for the row with its pivot at j, L the lcm of
+    the pivots over Q and 1 over F_p.  Each product term formed costs one
+    budget step."""
+    r = len(forms) - 1
+    n = (r + 1) ** 2
+    by_monomial = {}
+    for k, unit in enumerate(ctx.packing.units):
+        for i, g in enumerate(forms):
+            _charge(budget, len(g))
+            for m, c in g.items():
+                by_monomial.setdefault(m + unit, {})[k * (r + 1) + i] = c
+    rows = sorted(by_monomial.values(), key=max)
+    pivots = {max(row): row for row in _gauss_jordan(rows, p, budget, stop=n - r + 1)}
+    if len(pivots) > n - r:
+        return None
+    scale = lcm(*(row[j] for j, row in pivots.items()))
+    return [
+        {f: scale} | {j: -row[f] * scale // row[j] for j, row in pivots.items() if f in row}
+        for f in range(n)
+        if f not in pivots
+    ]
 
 
 def jacobian_dual_birational(forms):
     """True when the weak Jacobian dual psi of `forms`, r+1 forms of
-    P^r read off their linear syzygies, has rank r at g(p) for one of
-    the fixed `_jacobian_points` p, which proves the map birational onto
-    P^r (see the module docstring); False when no point does, at once
-    when the forms are not as many as the variables or the ring has
-    parameters, and after one elimination when the forms have fewer
-    than r linear syzygies.  No Groebner basis is computed.
+    P^r read off their linear syzygies (`_syzygies`), has rank r at g(p)
+    for one of the fixed `_jacobian_points` p, which proves the map
+    birational onto P^r (see the module docstring); False when no point
+    does, and at once when the forms are not as many as the variables,
+    the ring has parameters, or there are fewer than r syzygies.
 
-    The forms are checked by `_form_degree` first.  Over Q they are
-    scaled to integers, which changes neither their syzygies, up to
-    scale, nor the point g(p), and psi(g(p)) is ranked modulo
-    `_JACOBIAN_PRIME`.  Each form term evaluated and each row operation
-    costs one budget step.
+    The forms are checked by `_form_degree` first, and over Q scaled to
+    integers.  psi(g(p)) is ranked by `_gauss_jordan`, stopped at r
+    pivots.  Each product term formed, each form term evaluated and each
+    row operation costs one budget step.
     """
     _form_degree(forms)
     ctx = forms[0].ctx
@@ -596,29 +555,18 @@ def jacobian_dual_birational(forms):
     p = ctx.field.characteristic
     forms = [_integral(g.terms, p)[0] for g in forms]
     budget = _budget()
-    syzygies = _linear_syzygies(ctx, forms, r, budget)
+    syzygies = _syzygies(ctx, forms, p, budget)
     if syzygies is None:
         return False
-    P = p or _JACOBIAN_PRIME
-    unpack = ctx.packing.unpack
-    terms = [[(c, unpack(m)) for m, c in g.items()] for g in forms]
+    supports = [_support(ctx, g) for g in forms]
     for point in _jacobian_points(r + 1, p):
-        values = []
-        for form in terms:
-            v = 0
-            for c, exps in form:
-                _charge(budget)
-                for x, e in zip(point, exps):
-                    if e:
-                        c = c * pow(x, e, P) % P
-                v += c
-            values.append(v % P)
+        values, _ = _evaluated(supports, point, p, budget)
         rows = [
-            [sum(a * v for a, v in zip(syz[k * (r + 1) : (k + 1) * (r + 1)], values)) % P
-             for k in range(r + 1)]
+            _field_row({k: sum(syz.get(k * (r + 1) + i, 0) * v for i, v in enumerate(values))
+                        for k in range(r + 1)}, p)
             for syz in syzygies
         ]
-        if _has_rank(rows, r, P, budget):
+        if len(_gauss_jordan(rows, p, budget, stop=r)) == r:
             return True
     return False
 

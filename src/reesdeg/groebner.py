@@ -158,8 +158,9 @@ def step_budget(limit):
     the block `conditions` streams its forms into, monomial divisibility
     tests, the products of the chain behind the minors and
     sub-Pfaffians of `conditions` and of the power loop in
-    `sfib_hilbert_function`, and the form terms evaluated and row
-    operations of `blowup.jacobian_independent`."""
+    `sfib_hilbert_function`, and the product terms formed, form terms
+    evaluated and row operations of `blowup.jacobian_independent` and
+    `blowup.jacobian_dual_birational`."""
     if limit < 1:
         raise ValueError("budget must be at least 1, got %d" % limit)
     token = _ACTIVE_BUDGET.set(_Budget(limit))
@@ -332,7 +333,10 @@ def _gauss_jordan(block, p, budget, stop=None):
     `block` is read one row at a time, so it may be a lazy iterator.
     With `stop`, no further row is read once `stop` rows hold pivots:
     when `stop` is the dimension of the space the rows lie in, such as
-    the forms of one degree, they span it there."""
+    the forms of one degree, they span it there.  Besides `_buchberger`'s
+    seed blocks and the spanning stream of `conditions`, the Jacobian
+    rules of `blowup` rank their matrices and take their linear syzygies
+    here, on rows keyed by column index."""
     pivots = {}
     top = -1
     for t in block:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from reesdeg.groebner import (
     parse_ideal,
     serialize_ideal,
 )
+from reesdeg.hilbert import hilbert_function
 from reesdeg.ratmap import degree_report, image_summary, rational_map
 from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, monomials_of_degree, parse_poly
 
@@ -381,6 +383,46 @@ class TestJacobianCertificate:
         assert not jacobian_independent(forms)
         runs = count_buchberger_runs(monkeypatch)
         assert groebner_basis(fiber_cone_ideal(forms)) == [] and len(runs) == 1
+
+
+class TestLinearSyzygies:
+    """The kernel `jacobian_dual_birational` reads psi off: its vectors
+    are syzygies, and there are as many as the Hilbert function of the
+    forms' ideal, from a Buchberger run, leaves room for."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from(ORACLE_SHAPES),
+        prime=st.sampled_from([2, 7, 32003, 0]),
+        seed=st.integers(0, 10**6),
+    )
+    @example(shape="pf", prime=0, seed=3)
+    @example(shape="hb11", prime=7, seed=4)
+    @example(shape="dependent", prime=2, seed=0)
+    def test_kernel_matches_the_hilbert_function(self, shape, prime, seed):
+        try:
+            spec = oracle_map(shape, prime, seed)
+        except RingError:
+            assume(False)
+        ctx, forms = spec.ctx, list(spec.forms)
+        r = len(forms) - 1
+        p = ctx.field.characteristic
+        # over Q the kernel is taken on g_i scaled to integers by scales[i]
+        integral, scales = zip(*(gb_mod._integral(g.terms, p) for g in forms))
+        syzygies = blowup._syzygies(ctx, list(integral), p, gb_mod._budget())
+        d = forms[0].bidegree(ctx.nvars)[0]
+        span = math.comb(d + 1 + r, r) - hilbert_function(IdealHandle(ctx, forms), d + 1)
+        kernel = (r + 1) ** 2 - span
+        if syzygies is None:
+            assert kernel < r
+            return
+        assert len(syzygies) == kernel >= r
+        for syz in syzygies:
+            total = Poly.zero(ctx)
+            for j, a in syz.items():
+                k, i = divmod(j, r + 1)
+                total = total + Poly.var(ctx, k) * forms[i] * (a * scales[i])
+            assert not total, syz
 
 
 class TestSaturatedFiberHF:

@@ -16,6 +16,7 @@ import reesdeg.families as families
 import reesdeg.groebner as gb_mod
 import reesdeg.ratmap as ratmap
 import reesdeg.ring as ring
+from reesdeg.blowup import rees_ideal
 from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, _load_family, build_parser, main
 from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
 
@@ -916,18 +917,69 @@ class TestFlagTable:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: %s\n" % message
 
-    @pytest.mark.parametrize("command", ["fiber-cone", "image", "degree"])
-    def test_budget_bounds_the_jacobian(self, capsys, monkeypatch, command):
-        # x0^2, x1^2 in P^2: two terms and two row operations certify the
-        # forms, one more step than the budget
+    @pytest.mark.parametrize(
+        "command, forms, steps",
+        [
+            ("fiber-cone", "x0^2, x1^2", 2),
+            ("image", "x0^2, x1^2", 2),
+            ("degree", "x0^2, x1^2", 2),
+            ("degree", "x1*x2, x0*x2, x0*x1", 14),
+        ],
+        ids=["fiber-cone", "image", "degree", "degree-cremona"],
+    )
+    def test_budget_bounds_the_jacobian(self, capsys, monkeypatch, command, forms, steps):
+        # x0^2, x1^2 in P^2: two terms evaluated certify the forms, whose
+        # gradient rows (4*x0, 0, 0), (0, 6*x1, 0) at the first point are
+        # already echelon.  The Cremona map: nine product terms, an
+        # echelon form of no row operation, three terms evaluated and two
+        # steps of ranking psi.  One step fewer fails.
         runs = count_buchberger_runs(monkeypatch)
-        argv = [command, "--map", "x0^2, x1^2", "--ring", "x0 x1 x2 over 32003"]
-        code = main(argv + ["--budget", "3"])
+        argv = [command, "--map", forms, "--ring", "x0 x1 x2 over 32003"]
+        code = main(argv + ["--budget", str(steps - 1)])
         captured = capsys.readouterr()
         assert (code, captured.out, runs) == (3, "", [])
-        assert captured.err == "error: computation exceeded its budget of 3 steps\n"
-        code, out = run(capsys, argv + ["--budget", "4"])
+        assert captured.err == "error: computation exceeded its budget of %d steps\n" % (steps - 1)
+        code, out = run(capsys, argv + ["--budget", str(steps)])
         assert (code, runs) == (0, [])
+
+
+class TestExactRankOverQ:
+    """Over Q both Jacobian rules rank on integers, so a coefficient that
+    is 0 modulo some large prime changes no verdict."""
+
+    P = 2147483629  # a prime just below 2^31
+    CREMONA = ["x1*x2, %d*x0*x2, x0*x1" % P, "%d*x1*x2 + x0*x2, x0*x2, x0*x1" % P]
+    RING = "x0 x1 x2 over 0"
+
+    def test_the_rules_certify(self):
+        ctx = cli._ring_from_text(self.RING)
+        squares = [ring.parse_poly(t, ctx) for t in ("x0^2", "%d*x1^2" % self.P)]
+        assert blowup.jacobian_independent(squares) is True
+        for text in self.CREMONA:
+            forms = [ring.parse_poly(t, ctx) for t in text.split(",")]
+            assert blowup.jacobian_dual_birational(forms) is True, text
+
+    @pytest.mark.parametrize("forms", CREMONA, ids=["scaled", "sum"])
+    def test_cremona_degree_makes_no_run(self, capsys, monkeypatch, forms):
+        runs = count_buchberger_runs(monkeypatch)
+        code, out = run(capsys, ["degree", "--map", forms, "--ring", self.RING])
+        assert (code, runs, json.loads(out)["deg_map"]) == (0, [], 1)
+
+    @pytest.mark.parametrize("command", ["degree", "fiber-cone"])
+    @pytest.mark.parametrize(
+        "forms", ["x0^2, %d*x1^2" % P] + CREMONA, ids=["squares", "scaled", "sum"]
+    )
+    def test_bytes_are_those_of_the_rees_route(self, capsys, monkeypatch, command, forms):
+        argv = [command, "--map", forms, "--ring", self.RING]
+        certified = run(capsys, argv)
+        report, fiber = cli.degree_report, cli.fiber_cone_ideal
+        monkeypatch.setattr(
+            cli, "degree_report", lambda spec: report(spec, rees=rees_ideal(list(spec.forms)))
+        )
+        monkeypatch.setattr(
+            cli, "fiber_cone_ideal", lambda forms: fiber(forms, rees=rees_ideal(forms))
+        )
+        assert run(capsys, argv) == certified
 
 
 def load_workloads():

@@ -120,8 +120,8 @@ def test_private_imports_are_found():
 PRIVATE_IMPORTS = {
     "blowup": {
         "groebner": {
-            "_basis", "_basis_ideal", "_budget", "_charge", "_integral", "_normalize",
-            "_with_aux_var",
+            "_basis", "_basis_ideal", "_budget", "_charge", "_gauss_jordan", "_integral",
+            "_normalize", "_with_aux_var",
         },
         "ring": {"_is_prime", "_minimal_packed"},
     },
