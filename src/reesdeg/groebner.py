@@ -22,8 +22,12 @@ others, as most minors of a Fitting ideal are, thus vanishes in the
 block instead of costing a reduction of its own.  Pairs are formed only
 once every block is in, and when the blocks leave only monomials they
 are the basis.  Seeds that are not homogeneous enter one at a time
-after the blocks, each reduced against the basis so far, and S-pairs
-are reduced by `_reduce` alone.
+after the blocks, and S-pairs after them, each top-reduced against the
+basis so far by `_reduce` alone: the reduction stops at the first
+monomial that no lead divides, and the terms below it enter the new row
+as they stand.  Buchberger's criterion and the pair updates read only
+that lead, so the run finds the same leads as with full reduction
+(Becker-Weispfenning, "Groebner Bases", 1993, ch. 5).
 
 A basis of an ideal whose Hilbert series is known is Hilbert-driven
 (Traverso, "Hilbert functions and the Buchberger algorithm", JSC 1996).
@@ -71,7 +75,11 @@ and normal forms, saturation exponents, eliminations and the
 Bayer-Stillman strip are the same from any Groebner basis.  Tails are
 reduced in one place, `groebner_basis` (which `ideal_equal` calls): it
 reduces the cached basis and caches the result in its place, and a
-pass over a basis already reduced makes no reduction step.
+pass over a basis already reduced makes no reduction step.  Every other
+reduction reads a whole polynomial and so reduces fully: the seed
+block's pre-reduction, whose Gauss-Jordan combinations must expose no
+lead that a lower row divides, normal forms, saturation exponents and
+the check of Buchberger's criterion.
 
 Terms stay packed from end to end.  A handle's generators are `Poly`
 objects whose terms are the engine's seeds as they are, `hilbert` reads
@@ -183,8 +191,9 @@ def _charge(budget, n=1):
         raise BudgetExceeded(budget.limit)
 
 
-def _reduce(work, rows, guard, p, budget, sugar=-1):
-    """Fully reduce the packed term dict `work` against normalized rows.
+def _reduce(work, rows, guard, p, budget, sugar=-1, _top=False):
+    """Reduce the packed term dict `work` against normalized rows: fully,
+    or with `_top` only until its lead is one that no row divides.
 
     Rows are (lead, tail terms, sugar, lead coefficient); the first row
     whose lead divides a monomial reduces it, fraction-free over Q (see
@@ -197,6 +206,10 @@ def _reduce(work, rows, guard, p, budget, sugar=-1):
     reduce hold unreduced integer sums: over F_p a coefficient is taken
     mod p when its monomial comes off the heap, and a coefficient that is
     0 there is skipped, so the remainder's coefficients lie in [1, p).
+    A top-reduced remainder is its first irreducible term followed by the
+    terms still to reduce as they stand, each taken mod p over F_p and
+    dropped where it is 0; over Q they were scaled along with it.  That
+    is all `_buchberger` needs of an S-polynomial: the lead it adds.
     """
     rem = {}
     scale = 1
@@ -215,6 +228,13 @@ def _reduce(work, rows, guard, p, budget, sugar=-1):
                 break
         else:
             rem[m] = c
+            if _top:
+                for k, v in work.items():
+                    if p:
+                        v %= p
+                    if v:
+                        rem[k] = v
+                return rem, sugar, scale
             continue
         budget.left -= 1
         if budget.left < 0:
@@ -381,8 +401,11 @@ def _degree_in(pk, grading):
 
 def _buchberger(seeds, pk, fld, budget, hilbert=None):
     """Minimal Groebner basis of the packed seed term dicts: normalized,
-    packed, sorted by lead, and with each tail as the reduction that made
-    its row left it (`groebner_basis` interreduces tails).
+    packed and sorted by lead.  A row of a seed block is in reduced
+    echelon form with the rows of its degree; a row from an
+    inhomogeneous seed or an S-pair is top-reduced, its tail left as the
+    reduction steps that fixed its lead made it (`groebner_basis`
+    interreduces tails).
 
     `hilbert`, when given, is the pair (grading, sparse numerator) of
     the Hilbert series of S/I.  Pairs of a degree whose Hilbert function
@@ -495,7 +518,7 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
     for t in rest:
         basis_rows = [rows[g] for g in G]
         sug = max(m & _MASK for m in t)
-        rem, sug, _ = _reduce(dict(t), basis_rows, guard, p, budget, sugar=sug)
+        rem, sug, _ = _reduce(dict(t), basis_rows, guard, p, budget, sugar=sug, _top=True)
         if not add(rem, sug):
             return unit
 
@@ -525,7 +548,7 @@ def _buchberger(seeds, pk, fld, budget, hilbert=None):
         si = rows[i][2] + deg(u)
         sj = rows[j][2] + deg(v)
         basis_rows = [rows[g] for g in G]
-        rem, sug, _ = _reduce(s, basis_rows, guard, p, budget, sugar=max(si, sj))
+        rem, sug, _ = _reduce(s, basis_rows, guard, p, budget, sugar=max(si, sj), _top=True)
         if not add(rem, sug):
             return unit
 

@@ -3,10 +3,13 @@ workloads, per command.
 
 Runs rounds 0..N-1 of each workload in perfbench/workloads.py at one
 seed, in-process, and prints for every command the budget steps the
-operations charged, the Buchberger runs, the `_reduce` calls, the rows
-sent to `_reduce_tails`, the products of the minor and sub-Pfaffian
-chain (`chain`) and the failed operations, with a total per workload.  The counts do not depend on the machine or its load, so they
-compare two trees where wall time on a shared host cannot:
+operations charged, the Buchberger runs, the `_reduce` calls, those of
+them that returned an empty remainder (`zero`: reductions whose work
+only showed that a polynomial was already in the ideal), the rows sent
+to `_reduce_tails`, the products of the minor and sub-Pfaffian chain
+(`chain`) and the failed operations, with a total per workload.  The
+counts do not depend on the machine or its load, so they compare two
+trees where wall time on a shared host cannot:
 
     python3 tests/step_report.py --seed 7 --rounds 3
     python3 tests/step_report.py --workload eliminate_fp
@@ -51,14 +54,15 @@ from workloads import WORKLOADS, Workload, check_answer, load_expected  # noqa: 
 
 RECORDED_SEED = 1  # the seed whose answers perfbench/expected.json holds
 
-COLUMNS = ("steps", "runs", "reduce", "tails_rows", "chain", "failed")
+COLUMNS = ("steps", "runs", "reduce", "zero", "tails_rows", "chain", "failed")
 
 
 @contextlib.contextmanager
 def counting():
     """Wrap the engine so that `counts` (yielded) accumulates runs,
-    `_reduce` calls, tails rows and chain products; `budgets` keeps every
-    step budget made, whose spent steps are read afterwards."""
+    `_reduce` calls and empty remainders, tails rows and chain products;
+    `budgets` keeps every step budget made, whose spent steps are read
+    afterwards."""
     counts = defaultdict(int)
     budgets = []
     names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails")
@@ -78,7 +82,9 @@ def counting():
 
     def reduce(*args, **kwargs):
         counts["reduce"] += 1
-        return saved["_reduce"](*args, **kwargs)
+        out = saved["_reduce"](*args, **kwargs)
+        counts["zero"] += not out[0]
+        return out
 
     def reduce_tails(basis, *args):
         counts["tails_rows"] += len(basis)

@@ -710,9 +710,12 @@ def record_runs(monkeypatch):
 # (steps charged, basis size, total terms) of every Buchberger run made by
 # rees_ideal and then fiber_cone_ideal: the one run of rees_ideal, since
 # the fiber cone basis is the x-free part of the Rees basis.  A run
-# returns a minimal basis whose tails are not interreduced, so term
-# counts are of that basis and steps include no tails pass.  Steps count
-# reductions, reduced S-pairs, the pairs and basis rows each
+# returns a minimal basis whose tails are not interreduced: an S-pair
+# remainder is top-reduced, its tail left as the S-polynomial and the
+# reduction steps that fixed its lead made it.  So term counts are of
+# that basis, steps include no tails pass, and the basis size, the
+# number of leads, is the same as with fully reduced remainders.  Steps
+# count reductions, reduced S-pairs, the pairs and basis rows each
 # Gebauer-Moeller update examines, and the row operations and rows
 # scanned of the Gauss-Jordan block that each degree of homogeneous seeds
 # enters as.  The run, the t-elimination of the graph ideal, drops the
@@ -720,11 +723,11 @@ def record_runs(monkeypatch):
 # here is a change of algorithm, not of speed.  The de Jonquieres family
 # is specialized at a nonzero parameter value drawn from its seed.
 GOLDEN_STEPS = {
-    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(225, 13, 360)]),
-    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(345, 16, 689)]),
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1198, 22, 830)]),
-    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(94, 10, 60)]),
-    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(115, 9, 145)]),
+    "hb22": (FamilySpec("hilbert_burch", r=2, mu=(2, 2)), [(188, 13, 377)]),
+    "hb23": (FamilySpec("hilbert_burch", r=2, mu=(2, 3)), [(280, 16, 729)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), [(1124, 22, 806)]),
+    "dejonquieres2": (FamilySpec("dejonquieres", m=2), [(87, 10, 62)]),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), [(103, 9, 148)]),
 }
 
 # The same triples for the Fitting ideal runs of check_Gm(matrix, m), one
@@ -735,9 +738,9 @@ GOLDEN_STEPS = {
 # entries are linear forms that span S_1, so only the 4-Pfaffians take a
 # run, on the echelon rows of their streamed block.
 GOLDEN_FITTING_STEPS = {
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), 5, [(140, 6, 71)]),
-    "hb12": (FamilySpec("hilbert_burch", r=2, mu=(1, 2)), 3, [(36, 4, 32), (27, 3, 3)]),
-    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), 3, [(36, 4, 32), (27, 3, 3)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), 5, [(147, 6, 72)]),
+    "hb12": (FamilySpec("hilbert_burch", r=2, mu=(1, 2)), 3, [(35, 4, 34), (27, 3, 3)]),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), 3, [(35, 4, 34), (27, 3, 3)]),
 }
 
 
@@ -1529,3 +1532,55 @@ class TestLazyTails:
         elim = eliminate(J, 1)
         with pytest.raises(AssertionError, match="not reduced"):
             groebner_basis(elim)
+
+
+@st.composite
+def top_reduction_cases(draw):
+    """(ideal, polynomials to reduce modulo it) over F_2, F_7, F_32003 or
+    Q, of one of three kinds: 2-3 forms of degree 1-3 in a grevlex ring,
+    the same in a ring of two blocks, or 2-3 polynomials of degree at
+    most 2 together with the Rabinowitsch seed 1 - t*g in the ring that
+    `_with_aux_var` adjoins t to.  Each polynomial has 1-4 terms."""
+    field = draw(st.sampled_from([FieldSpec(2), FieldSpec(7), FP, QQ]))
+    kind = draw(st.sampled_from(["homogeneous", "blocks", "rabinowitsch"]))
+    order = ("blocks", (1, 2)) if kind == "blocks" else "grevlex"
+    ctx = RingCtx(("x0", "x1", "x2"), field, order=order)
+    p = field.characteristic
+    coeff = st.integers(1, p - 1) if p else st.integers(-9, 9).filter(bool)
+
+    def poly(ctx, degrees):
+        mons = [m for d in degrees for m in monomials_of_degree(ctx.nvars, d)]
+        chosen = draw(st.lists(st.sampled_from(mons), min_size=1, max_size=4, unique=True))
+        return Poly(ctx, {m: draw(coeff) for m in chosen})
+
+    if kind == "rabinowitsch":
+        gens = [poly(ctx, range(3)) for _ in range(draw(st.integers(2, 3)))]
+        aux, t, lift = _with_aux_var(ctx)
+        g = poly(ctx, range(1, 3))
+        gens = [lift(f) for f in gens] + [Poly.constant(aux, 1) - t * lift(g)]
+        ctx = aux
+    else:
+        gens = [poly(ctx, [draw(st.integers(1, 3))]) for _ in range(draw(st.integers(2, 3)))]
+    fs = [poly(ctx, range(4)) for _ in range(3)]
+    return ideal(ctx, gens), fs
+
+
+class TestTopReduction:
+    """`_buchberger` top-reduces S-pair remainders and inhomogeneous
+    seeds: the rows it adds keep tails that may reduce, and the basis is
+    still a Groebner basis with the reduced basis's leads."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(top_reduction_cases())
+    def test_top_reduced_basis_has_the_reduced_leads(self, case):
+        I, fs = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            pk, basis = gb_mod._basis(I)
+            # the cached basis, before any tails pass
+            assert _spair_closure_ok(basis, I.ctx)
+            leads = [g.lm() for g in groebner_basis(I)]
+            assert leads == [pk.unpack(max(t)) for t in basis]
+            for f in fs:
+                for m in normal_form(f, I).terms:
+                    assert not any(monomial_divides(lead, pk.unpack(m)) for lead in leads)

@@ -1,13 +1,13 @@
 """The step report counts the work of one command line, chain products
-included, leaves the engine as it found it, fails on a wrong answer,
-with --times adds each command's wall time after a warm-up, and with
---labels adds a row per operation label."""
+and empty remainders included, leaves the engine as it found it, fails
+on a wrong answer, with --times adds each command's wall time after a
+warm-up, and with --labels adds a row per operation label."""
 
 import reesdeg.conditions as conditions
 import reesdeg.groebner as gb
 import reesdeg.ratmap as ratmap
 from reesdeg.ring import FieldSpec, RingCtx, parse_poly
-from step_report import main, run_op, workload_counts
+from step_report import counting, main, run_op, workload_counts
 from workloads import Workload
 
 
@@ -44,6 +44,23 @@ def test_chain_counts_the_minor_products(tmp_path):
     assert conditions._expansion is expansion
     table, _ = workload_counts("rational_q", 1, 1)
     assert table["conditions"]["chain"] > 0 and table["degree"]["chain"] == 0
+
+
+def test_zero_counts_the_empty_remainders(capsys):
+    ctx = RingCtx(("x", "y"), FieldSpec(32003))
+    I = gb.ideal(ctx, [parse_poly("x^2 - y^2", ctx)])
+    with counting() as (counts, _):
+        # x^3 - x*y^2 lies in I; x^3 leaves x*y^2
+        assert not gb.normal_form(parse_poly("x^3 - x*y^2", ctx), I)
+        assert gb.normal_form(parse_poly("x^3", ctx), I)
+    # one generator makes no S-pair, so both calls are the normal forms
+    assert counts["reduce"] == 2 and counts["zero"] == 1
+    table, _ = workload_counts("rational_q", 1, 1)
+    assert all(row["zero"] <= row["reduce"] for row in table.values())
+    assert table["gr-dim"]["zero"] > 0
+    assert main(["--seed", "1", "--rounds", "1", "--workload", "rational_q"]) == 0
+    header = capsys.readouterr().out.splitlines()[1].split()
+    assert header[header.index("reduce") + 1] == "zero"
 
 
 def test_wrong_answers_fail(monkeypatch, capsys):
