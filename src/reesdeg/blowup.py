@@ -11,9 +11,11 @@ adjoined by the engine's one auxiliary-variable helper,
 intersections and saturations, which lands in the ambient ring itself.
 The associated graded ideal adds the forms back in.  As dim gr_I(S) = dim S
 for every proper ideal I (Matsumura, Commutative Ring Theory, Th. 15.7),
-only a family's uncertified points still build a gr basis.  Every entry point
-checks its forms through `_form_degree`: nonzero, of one ring, of one
-positive degree.
+only a family's uncertified points still build a gr basis.  These are the
+constructions: each takes every input it reads, and `ratmap.RationalMapSpec`,
+the map context, decides which of them runs and holds what they return.
+Every entry point checks its forms through `_form_degree`: nonzero, of one
+ring, of one positive degree.
 
 The fiber cone ideal R cap k[y (, params)] is read off the Rees basis.
 Every seed, S-polynomial and row operation of the engine keeps that basis
@@ -52,18 +54,9 @@ are exact and no Groebner basis is built.  Both read the same fixed
 points, whose coordinates are the first primes; over a small F_p that
 has one of them 0 mod p, points drawn without p follow.
 
-A map that `jacobian_dual_birational` certifies also has a known
-saturated fiber cone F~(I) = (+)_n [(I^n)^sat]_{nd}, whose multiplicity
-is deg F * deg Y (Buse, Cid-Ruiz and D'Andrea, "Degree and
-birationality of multi-graded rational maps", Proc. LMS 2020).  Its
-image is all of P^r, so its fiber cone F(I) is k[y_0..y_r], which is
-normal, and the graph Gamma -> P^r is proper and birational.  By
-Zariski's Main Theorem, [(I^n)^sat]_{nd} then embeds in
-H^0(Gamma, O_Gamma(0, n)) = k[y]_n, which is already F(I)_n, the span of
-the products of n forms.  So F~ = F, and `sfib_hilbert_function` reads
-C(n+r, r) at n with no product of I^n formed and no basis built
-(certificate: Doria, Hassanzadeh and Simis, Adv. Math. 2012).  Every
-other map forms I^n and saturates it by the irrelevant ideal.
+A map the context certifies birational has a known saturated fiber cone
+(see `ratmap`); `saturated_fiber_dim` is the route of every other map:
+it forms I^n and saturates it by the irrelevant ideal.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
@@ -96,7 +89,7 @@ from .groebner import (
     saturate,
     seed_hilbert_series,
 )
-from .hilbert import dim_degree, hilbert_function, monomial_dim_degree
+from .hilbert import dim_degree, hilbert_function
 from .ring import Poly, RingCtx, RingError, _is_prime, _minimal_packed, fresh_names
 
 
@@ -189,18 +182,18 @@ def _x_free_rows(rees, nx):
     return pk, [t for t in basis if not any(pk.unpack(max(t))[:nx])]
 
 
-def fiber_cone_ideal(forms, rees=None):
+def _x_free_leads(rees, nx):
+    """The y-exponents of the leads of `_x_free_rows`: the leads of the
+    fiber cone ideal of a parameter-free Rees ideal."""
+    pk, rows = _x_free_rows(rees, nx)
+    return [pk.unpack(max(t))[nx:] for t in rows]
+
+
+def fiber_cone_ideal(forms, rees):
     """Defining ideal of the fiber cone in k[y (, params)], under the
-    order the Rees ring's induces, with the x-free Rees rows as basis.
-    With no `rees` given, forms that `jacobian_independent` certifies get
-    the zero ideal of the y-ring `blowup_ambient` names, under grevlex,
-    from no basis."""
-    if rees is None:
-        if jacobian_independent(forms):
-            ctx = forms[0].ctx
-            names = blowup_ambient(ctx, len(forms) - 1).var_names[ctx.nvars :]
-            return _basis_ideal(RingCtx(names, ctx.field, "grevlex"), [])
-        rees = rees_ideal(forms)
+    order the Rees ring's induces, with the x-free rows of the basis of
+    `rees`, the Rees ideal of `forms`, as basis."""
+    _form_degree(forms)
     nx, np = _split_ctx(forms[0].ctx)
     ctx = rees.ctx
     order = "grevlex" if not np else ("blocks", (ctx.nvars - nx - np, np))
@@ -209,26 +202,13 @@ def fiber_cone_ideal(forms, rees=None):
     return _basis_ideal(sub, [{sub.key(pk.unpack(m)[nx:]): c for m, c in t.items()} for t in rows])
 
 
-def _fiber_cone_summary(forms, rees=None):
-    """HilbertSummary of the fiber cone of parameter-free forms, read off
-    the leads of the x-free part of the Rees basis, or, with no `rees`
-    given and forms that `jacobian_independent` certifies, that of the
-    polynomial ring k[y_0..y_s]."""
+def _free_fiber_cone(forms):
+    """The fiber cone ideal of forms that `jacobian_independent`
+    certifies: the zero ideal of the y-ring `blowup_ambient` names, under
+    grevlex, from no basis."""
     ctx = forms[0].ctx
-    if ctx.n_params:
-        raise RingError("analytic spread needs specialized (parameter-free) forms")
-    if rees is None:
-        if jacobian_independent(forms):
-            return monomial_dim_degree([], len(forms))
-        rees = rees_ideal(forms)
-    nx = ctx.nvars
-    pk, rows = _x_free_rows(rees, nx)
-    return monomial_dim_degree([pk.unpack(max(t))[nx:] for t in rows], len(forms))
-
-
-def analytic_spread(forms, rees=None):
-    """Krull dimension of the fiber cone."""
-    return _fiber_cone_summary(list(forms), rees).dim
+    names = blowup_ambient(ctx, len(forms) - 1).var_names[ctx.nvars :]
+    return _basis_ideal(RingCtx(names, ctx.field, "grevlex"), [])
 
 
 def embed_in_blowup(forms, xy):
@@ -269,35 +249,16 @@ def blowup_presentation(forms):
     return BlowupPresentation(rees.ctx, d, rees, fib, _gr_ideal(rees, forms), spread)
 
 
-def sfib_hilbert_function(forms, n, certified=None):
-    """Value of the saturated fiber cone Hilbert function at n: the
-    dimension of the degree n*d piece of the saturation of I^n.
-
-    Forms that `jacobian_dual_birational` certifies take the value
-    C(n+r, r) from no product and no basis: their map is birational onto
-    P^r (Doria-Hassanzadeh-Simis, Adv. Math. 2012), so F(I) = k[y_0..y_r]
-    is normal, and by Zariski's Main Theorem [(I^n)^sat]_{nd} embeds in
-    H^0(Gamma, O_Gamma(0, n)) = F(I)_n.  The saturated fiber cone, of
-    multiplicity deg F * deg Y (Buse-Cid-Ruiz-D'Andrea, Proc. LMS 2020),
-    is then F(I) itself (see the module docstring).  `certified` is the
-    rule's verdict when the caller has read it; with None the rule runs
-    here, for n >= 1 once the forms are checked.  Every other map forms
-    I^n, each product costing one step of the step budget, and saturates
-    it by the irrelevant ideal."""
-    if n < 0:
-        raise ValueError("power must be nonnegative")
+def saturated_fiber_dim(forms, n):
+    """dim [(I^n)^sat]_{nd} for n >= 1: the value at n of the saturated
+    fiber cone Hilbert function, by forming I^n, each product costing one
+    step of the step budget, and saturating it by the irrelevant ideal."""
     forms = list(forms)
     d = _form_degree(forms)
     ctx = forms[0].ctx
     if ctx.n_params:
         raise RingError("saturated fiber needs specialized (parameter-free) forms")
-    if n == 0:
-        return 1
     nx = ctx.nvars
-    if certified is None:
-        certified = jacobian_dual_birational(forms)
-    if certified:
-        return comb(n + nx - 1, n)
     budget = _budget()
     power = {}
     for combo in combinations_with_replacement(range(len(forms)), n):
@@ -581,42 +542,9 @@ class SpecializationResult:
     witness: object
 
 
-def _specialized(forms, point, generic, special=None):
-    """(specialized forms, specialized generic Rees ideal) at `point`;
-    the generic Rees ideal is computed when `generic` is None, and the
-    forms are specialized when `special` is None, which rejects a point
-    that kills one of them."""
-    if generic is None:
-        generic = rees_ideal(forms)
-    if special is None:
-        special = specialize_forms(forms, point)
-    return special, specialize_rees(generic, point)
-
-
-def gr_dimension_at(forms, point, generic=None, special=None):
-    """Dimension of the special fiber of the associated graded ring.
-
-    Parameter-free forms take the empty point and give dim S, the number
-    of variables, from no basis, and `generic` is ignored.  Forms in a
-    parameter ring read gr off spec(generic Rees) + (forms) at `point`
-    from its basis; the generic Rees ideal and `special`, the forms
-    specialized there, may be passed in to amortize them.  At a point
-    that `certified_rees` accepts, spec(generic Rees) is the special
-    member's own Rees ideal, so the answer is again dim S of the
-    coordinates, which `families.Family.gr_dimension` reads without
-    calling this.  A point killing a form fails.
-    """
-    if forms[0].ctx.n_params:
-        forms, rees = _specialized(forms, point, generic, special)
-        return dim_degree(_gr_ideal(rees, forms)).dim
-    if tuple(point):
-        raise RingError("parameter-free family takes an empty point")
-    _form_degree(forms)
-    return forms[0].ctx.nvars
-
-
-def specialization_compare(forms, point, generic=None):
-    """Does blowing up commute with this specialization?
+def specialization_compare(forms, point, generic):
+    """Does blowing up commute with this specialization?  `generic` is
+    the Rees ideal of the parametric `forms`.
 
     The specialized generic Rees ideal always sits inside the Rees ideal
     of the specialized forms; equality means the blowup of the special
@@ -624,7 +552,8 @@ def specialization_compare(forms, point, generic=None):
     by the first element of the reduced basis of the special Rees ideal
     that does not reduce to zero against the specialized generic one.
     """
-    special, spec = _specialized(forms, point, generic)
+    special = specialize_forms(forms, point)
+    spec = specialize_rees(generic, point)
     ny = spec.ctx.nvars - (forms[0].ctx.nvars - forms[0].ctx.n_params)
     direct = rees_ideal(special, y_names=spec.ctx.var_names[-ny:])
     if direct.ctx != spec.ctx:

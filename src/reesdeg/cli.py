@@ -20,10 +20,11 @@ computation of the command, the products of the chain behind its
 minors and sub-Pfaffians and the row operations of the block they
 stream into, the products of I^n, the Jacobian rank test of image,
 fiber-cone and degree, and the Jacobian dual test of degree, jmult and
-sfib-hf, which sfib-hf reads once for all its points; its
-default, DEFAULT_BUDGET steps, can be set through the
-REESDEG_BUDGET environment variable and overridden per run with
---budget.
+sfib-hf.  Each map command reads its map's facts off one context
+(`ratmap.RationalMapSpec`), which computes each fact once, so sfib-hf
+reads the Jacobian dual verdict once for all its points.  The budget's
+default, DEFAULT_BUDGET steps, can be set through the REESDEG_BUDGET
+environment variable and overridden per run with --budget.
 """
 
 import argparse
@@ -34,23 +35,17 @@ import re
 import sys
 from functools import lru_cache
 
-from .blowup import (
-    _form_degree,
-    fiber_cone_ideal,
-    gr_dimension_at,
-    jacobian_dual_birational,
-    rees_ideal,
-    sfib_hilbert_function,
-)
+from .blowup import _form_degree
 from .conditions import check_Fm, check_Gm, parse_matrix_file
 from .families import Family, FamilySpec, j_multiplicity, make_family, specialization_sweep
-from .groebner import DEFAULT_BUDGET, BudgetExceeded, groebner_basis, parse_ideal, step_budget
+from .groebner import DEFAULT_BUDGET, BudgetExceeded, groebner_basis, parse_generators, step_budget
 from .hilbert import dim_degree
 from .ratmap import (
     DEFAULT_SEED,
     degree_report,
     parse_map_file,
     rational_map,
+    sfib_hilbert_function,
 )
 from .ring import (
     DEFAULT_PRIME,
@@ -121,12 +116,13 @@ def _load_family(args):
         if args.m is not None:
             raise RingError("--m does not apply to a family file")
         with open(name) as fh:
-            handle = parse_ideal(fh.read())
-        if handle.ctx.n_params == 0:
+            ctx, forms = parse_generators(fh.read())
+        if ctx.n_params == 0:
             raise RingError("family file must declare params in its ring header")
-        ctx = _fixed_field(args, handle.ctx, "the family file's ring")
+        _fixed_field(args, ctx, "the family file's ring")
         spec = FamilySpec("file", prime=ctx.field.characteristic)
-        return Family(spec, ctx, None, tuple(handle.gens), _form_degree(handle.gens))
+        # a zero form is rejected here, as in a map
+        return Family(spec, ctx, None, tuple(forms), _form_degree(forms))
     if name == "dejonquieres":
         spec = FamilySpec("dejonquieres", m=2 if args.m is None else args.m, prime=_prime(args))
         return make_family(spec)
@@ -246,7 +242,7 @@ def cmd_degree(args):
 
 def cmd_image(args):
     spec = _load_map(args)
-    fib = fiber_cone_ideal(list(spec.forms))
+    fib = spec.fiber
     summ = dim_degree(fib)
     _emit_ideal(
         args, "image", spec.ctx, fib, dim_image=summ.proj_dim_of_scheme, deg_image=summ.degree
@@ -255,22 +251,21 @@ def cmd_image(args):
 
 def cmd_rees(args):
     spec = _load_map(args)
-    _emit_ideal(args, "rees", spec.ctx, rees_ideal(list(spec.forms)))
+    _emit_ideal(args, "rees", spec.ctx, spec.rees)
 
 
 def cmd_fiber_cone(args):
     spec = _load_map(args)
-    _emit_ideal(args, "fiber-cone", spec.ctx, fiber_cone_ideal(list(spec.forms)))
+    _emit_ideal(args, "fiber-cone", spec.ctx, spec.fiber)
 
 
 def cmd_sfib_hf(args):
     spec = _load_map(args)
     points = _parse_points(args.points, "0,1,2,3,4,5")
-    forms = list(spec.forms)
-    # the Jacobian dual rule is read once for every point, and not at all
-    # when a negative power fails
-    certified = all(n >= 0 for (n,) in points) and jacobian_dual_birational(forms)
-    values = [{"n": n, "value": sfib_hilbert_function(forms, n, certified)} for (n,) in points]
+    # every power is checked before the first value is read
+    if any(n < 0 for (n,) in points):
+        raise ValueError("power must be nonnegative")
+    values = [{"n": n, "value": sfib_hilbert_function(spec, n)} for (n,) in points]
     payload = _envelope(args, "sfib-hf", ctx=spec.ctx, values=values)
     text = ["n=%d: %d" % (v["n"], v["value"]) for v in values]
     _emit(args, payload, text)
@@ -344,7 +339,8 @@ def cmd_gr_dim(args):
                 raise RingError("%s does not apply to --map, only to --family" % flag)
         spec = _load_map(args)
         used_ctx = spec.ctx
-        rows = [{"point": [], "gr_dim": gr_dimension_at(list(spec.forms), ())}]
+        # dim gr_I(S) = dim S (Matsumura, Th. 15.7), from no basis
+        rows = [{"point": [], "gr_dim": spec.r + 1}]
     payload = _envelope(args, "gr-dim", ctx=used_ctx, rows=rows)
     text = [
         "%s: %s" % (":".join(str(v) for v in r["point"]) or "-", r["gr_dim"])

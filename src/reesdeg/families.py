@@ -13,21 +13,27 @@ Hilbert-Burch and Pfaffian instances draw every coefficient uniformly
 from the nonzero field elements, seeded; eliminating over the full
 generic coefficient ring is out of desk-scale reach.  The de Jonquieres
 instance keeps its parameter in the ring.
+
+A parametric family gives each point a member context (`Family.member`),
+which at a point the generic graph basis certifies already holds its
+Rees ideal, so no basis is built and no Jacobian rule runs for it.
 """
 
 import random
 from dataclasses import dataclass, field
 
 from .blowup import (
+    _gr_ideal,
     certified_rees,
     certifies,
-    gr_dimension_at,
     graph_ideal,
     leading_coefficients,
     specialize_forms,
+    specialize_rees,
 )
 from .conditions import PresentationMatrix, check_Gm, is_alternating, minors, pfaffians
 from .groebner import eliminate
+from .hilbert import dim_degree
 from .ratmap import DEFAULT_SEED, degree_report, rational_map
 from .ring import (
     DEFAULT_PRIME,
@@ -88,9 +94,9 @@ class Family:
     first use, the generic graph ideal with its basis, the generic Rees
     ideal eliminated from it, and the leading coefficients of that basis
     in the parameters.  A point where none of them vanishes is certified:
-    its member's Rees ideal is the generic one specialized, with its
-    basis read off the generic basis, and no basis is built for it
-    (`blowup.certified_rees`).  Every other point takes the full route.
+    its member's context holds the specialized generic Rees basis, and no
+    basis is built for it (`member`).  Every other point takes the full
+    route.
     """
 
     spec: FamilySpec
@@ -126,20 +132,29 @@ class Family:
         off the generic one, when the point is certified; else None."""
         return certified_rees(self.generic_rees(), self.lead_coefficients(), point)
 
-    def gr_dimension(self, point, special=None):
-        """Dimension of the special fiber of gr at `point`; `special`, the
-        forms specialized there, may be passed in.  At a certified point
-        the member's Rees ideal is spec(generic Rees), so this is r + 1,
-        as for any map (`blowup.gr_dimension_at`), from no basis; a point
-        that is not certified goes to `gr_dimension_at`, and one that
-        kills a form fails in `specialize_forms`.
-        """
-        forms = list(self.forms)
-        if special is None:
-            special = specialize_forms(forms, point)
+    def member(self, point):
+        """The map context of the member at `point`.  At a certified point
+        it holds its Rees ideal, read off the generic basis, so no
+        Jacobian rule runs.  A point that kills a form fails."""
+        spec = rational_map(specialize_forms(list(self.forms), point))
+        rees = self.special_rees(point)
+        if rees is not None:
+            spec.hold_rees(rees)
+        return spec
+
+    def gr_dimension(self, point):
+        """Dimension of the special fiber of gr at `point`, read off
+        spec(generic Rees) + (forms).  At a certified point that is the
+        member's own Rees ideal, so this is r + 1, as for any map, from no
+        basis.  A point that kills a form fails."""
+        return self._gr_dimension(point, specialize_forms(list(self.forms), point))
+
+    def _gr_dimension(self, point, special):
+        """`gr_dimension` at `point`, given the forms specialized there."""
         if certifies(self.lead_coefficients(), point):
             return self.ctx.nvars - self.ctx.n_params
-        return gr_dimension_at(forms, point, generic=self.generic_rees(), special=special)
+        rees = specialize_rees(self.generic_rees(), point)
+        return dim_degree(_gr_ideal(rees, special)).dim
 
 
 def dense_form(ctx, degree, rng, nx=None):
@@ -248,19 +263,22 @@ def make_family(spec):
     return Family(spec, ctx, M, tuple(forms), m + 1)
 
 
+def _specialized_matrix(fam, sub, point):
+    """The presentation matrix of `fam` at `point`, in the ring `sub`;
+    None for a family without one."""
+    if fam.matrix is None:
+        return None
+    entries = [[e.substitute_tail(sub, point) for e in row] for row in fam.matrix.entries]
+    return PresentationMatrix(sub, entries)
+
+
 def specialized_family(fam, point):
     """Substitute parameter values into a parametric family."""
     if not fam.parametric:
         raise RingError("family carries no parameters")
     special = specialize_forms(list(fam.forms), point)
     sub = special[0].ctx
-    matrix = None
-    if fam.matrix is not None:
-        entries = [
-            [e.substitute_tail(sub, point) for e in row] for row in fam.matrix.entries
-        ]
-        matrix = PresentationMatrix(sub, entries)
-    return Family(fam.spec, sub, matrix, tuple(special), fam.degree)
+    return Family(fam.spec, sub, _specialized_matrix(fam, sub, point), tuple(special), fam.degree)
 
 
 @dataclass(frozen=True)
@@ -282,13 +300,14 @@ def specialization_sweep(fam, points):
     Each row records the map degree and image degree of the special
     member, the special fiber dimension of gr, and whether the
     specialized matrix satisfies G_{r+1}.  At a point the family
-    certifies, the degrees are read off the specialized generic Rees
-    basis and the gr dimension is r + 1, so no basis is built; at any
-    other point the member gets its own Rees basis and gr basis
-    (`Family.special_rees`, `Family.gr_dimension`).  A point whose member
-    is malformed (a RingError) gets a row with the message in the status
-    column, such as "parameter point kills generator i", the message of
-    `gr-dim --family` there; a failed internal check propagates.
+    certifies, the member's context holds the specialized generic Rees
+    basis, off which the degrees are read, and the gr dimension is r + 1,
+    so no basis is built; at any other point the member gets its own Rees
+    basis and gr basis (`Family.member`, `Family.gr_dimension`).  A point
+    whose member is malformed (a RingError) gets a row with the message
+    in the status column, such as "parameter point kills generator i",
+    the message of `gr-dim --family` there; a failed internal check
+    propagates.
     """
     if not fam.parametric:
         raise RingError("sweep needs a parametric family")
@@ -299,13 +318,11 @@ def specialization_sweep(fam, points):
     for point in points:
         point = tuple(point) if isinstance(point, (tuple, list)) else (point,)
         try:
-            sp = specialized_family(fam, point)
-            spec = rational_map(sp.forms)
-            rep = degree_report(spec, rees=fam.special_rees(point))
-            gdim = fam.gr_dimension(point, special=list(sp.forms))
-            verdict = None
-            if sp.matrix is not None:
-                verdict = check_Gm(sp.matrix, r + 1).verdict
+            member = fam.member(point)
+            rep = degree_report(member)
+            gdim = fam._gr_dimension(point, member.forms)
+            matrix = _specialized_matrix(fam, member.ctx, point)
+            verdict = None if matrix is None else check_Gm(matrix, r + 1).verdict
             rows.append(
                 SweepRow(point, rep.deg_map, rep.deg_image, gdim, verdict, "ok")
             )

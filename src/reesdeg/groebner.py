@@ -941,11 +941,17 @@ def serialize_ideal(I):
     return "\n".join(lines) + "\n"
 
 
-def parse_ideal(text):
-    """Inverse of serialize_ideal; blank lines and # comments are skipped."""
+def parse_generators(text):
+    """(ring, generators) of an ideal file, zero generators kept; blank
+    lines and # comments are skipped."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise RingError("empty ideal file")
     ctx = parse_ring_header(lines[0])
-    return IdealHandle(ctx, [parse_poly(ln, ctx) for ln in lines[1:]])
+    return ctx, [parse_poly(ln, ctx) for ln in lines[1:]]
+
+
+def parse_ideal(text):
+    """Inverse of serialize_ideal."""
+    return IdealHandle(*parse_generators(text))

@@ -20,15 +20,10 @@ Ch. 8).  So deg F is d_r / deg Y when Y has dimension r; otherwise F is
 not generically finite.  No Groebner basis beyond the Rees basis is
 computed, and the answer does not depend on any seed.
 
-The image needs no basis at all when the Jacobian matrix J of g_0..g_s
-has full row rank s+1 over k(x), which `blowup.jacobian_independent`
-checks at fixed points.  A least-degree relation F(g) = 0 would then
-have each (dF/dy_i)(g) = 0, as their vector lies in the left kernel of
-J, so each dF/dy_i = 0 by minimality: F is constant in characteristic
-0, and F = G^p with G(g) = 0 of smaller degree in characteristic p.
-So the g_i are algebraically independent, Y is all of P^s, and for
-s < r the map is not generically finite.  Forms the check does not
-certify, dependent or not, take the Rees route.
+The image needs no basis at all when `blowup.jacobian_independent`
+certifies the forms algebraically independent from their Jacobian (see
+there): Y is then all of P^s, and for s < r the map is not generically
+finite.  Forms the check does not certify take the Rees route.
 
 A map with s = r is certified birational from its linear syzygies,
 with no basis either (`blowup.jacobian_dual_birational`).  A syzygy
@@ -44,16 +39,36 @@ x-degree 1, has rank r too, and F is birational onto its image
 birationality", Adv. Math. 2012, Th. 2.18; in characteristic 0,
 Russo-Simis, "On birational maps and Jacobian matrices", Compositio
 Math. 2001).  Its image has dimension r, so it is all of P^r: deg F =
-deg Y = 1 and d_r = 1.  The test is one-sided: a map it does not
-certify takes the Rees route.
+deg Y = 1 and d_r = 1.  F(I) = k[y_0..y_r] is then normal and the graph
+Gamma -> P^r is proper and birational, so by Zariski's Main Theorem
+[(I^n)^sat]_{nd} embeds in H^0(Gamma, O_Gamma(0, n)) = k[y]_n = F(I)_n:
+the saturated fiber cone (Buse-Cid-Ruiz-D'Andrea, Proc. LMS 2020) is
+F(I), of Hilbert function C(n+r, r).  The test is one-sided: a map it
+does not certify takes the Rees route.
+
+A `RationalMapSpec` is the map's context: it computes each fact above
+once, on first read.  One rule picks the route (`certified`): a
+certificate stands in only for a Rees basis the context does not hold
+yet, and a context that holds one, such as a certified family point's
+member (`families.Family.member`), reads every answer off it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
-from .blowup import _fiber_cone_summary, _form_degree, jacobian_dual_birational, rees_ideal
+from .blowup import (
+    _form_degree,
+    _free_fiber_cone,
+    _x_free_leads,
+    fiber_cone_ideal,
+    jacobian_dual_birational,
+    jacobian_independent,
+    rees_ideal,
+    saturated_fiber_dim,
+)
 from .groebner import IdealHandle, saturate
-from .hilbert import dim_degree, lead_ideal, weighted_numerator
+from .hilbert import dim_degree, lead_ideal, monomial_dim_degree, weighted_numerator
 from .ring import Poly, RingError, format_poly, format_ring_header, parse_poly, parse_ring_header
 
 NOT_GENERICALLY_FINITE = "not-generically-finite"
@@ -64,7 +79,10 @@ DEFAULT_SEED = 17
 
 @dataclass(frozen=True)
 class RationalMapSpec:
-    """Validated map data: forms of common degree d from P^r to P^s."""
+    """The context of a map: forms of common degree d from P^r to P^s,
+    validated once by `rational_map`.  Its facts are computed on first
+    read and kept outside the dataclass fields, so eq and hash do not
+    see them."""
 
     forms: tuple
     r: int
@@ -74,6 +92,49 @@ class RationalMapSpec:
     @property
     def ctx(self):
         return self.forms[0].ctx
+
+    @cached_property
+    def rees(self):
+        """The Rees ideal, with its basis cached in the ring order."""
+        return rees_ideal(list(self.forms))
+
+    @cached_property
+    def independent(self):
+        """The verdict of `blowup.jacobian_independent`."""
+        return jacobian_independent(list(self.forms))
+
+    @cached_property
+    def birational(self):
+        """The verdict of `blowup.jacobian_dual_birational`."""
+        return jacobian_dual_birational(list(self.forms))
+
+    def hold_rees(self, rees):
+        """Hold `rees`, the Rees ideal of the forms with its basis, built
+        elsewhere, as a family does for a certified point."""
+        vars(self)["rees"] = rees
+
+    def certified(self, rule):
+        """The route rule: True when the Jacobian `rule`, "independent"
+        or "birational", certifies the map and the context holds no Rees
+        ideal yet.  A context that holds one reads no rule."""
+        return "rees" not in vars(self) and getattr(self, rule)
+
+    @cached_property
+    def fiber(self):
+        """The fiber cone ideal: zero from no basis when the forms are
+        certified independent, else read off the Rees basis."""
+        if self.certified("independent"):
+            return _free_fiber_cone(list(self.forms))
+        return fiber_cone_ideal(list(self.forms), self.rees)
+
+    @cached_property
+    def image(self):
+        """Hilbert data of the image: that of P^s when the forms are
+        certified independent, else read off the leads of the Rees basis
+        that are free of x."""
+        if self.certified("independent"):
+            return monomial_dim_degree([], self.s + 1)
+        return monomial_dim_degree(_x_free_leads(self.rees, self.r + 1), self.s + 1)
 
 
 def rational_map(forms):
@@ -86,30 +147,18 @@ def rational_map(forms):
     return RationalMapSpec(forms, ctx.nvars - 1, len(forms) - 1, _form_degree(forms))
 
 
-def image_summary(spec, rees=None):
-    """Hilbert data of the image, read off the leads of the Rees basis
-    that are free of x; `rees`, the Rees ideal of the forms, may be
-    passed in to share its basis.  With no `rees`, forms whose Jacobian
-    certifies their independence have all of P^s as image, read off no
-    basis (`blowup.jacobian_independent`)."""
-    return _fiber_cone_summary(list(spec.forms), rees)
-
-
-def projective_degrees(spec, rees=None):
+def projective_degrees(spec):
     """(d_0, ..., d_r): d_i is the coefficient of u^i v^(s-i) in
     K(1-u, 1-v), the class of the graph of the map in P^r x P^s, where
-    K(u, v) is the bigraded numerator of S/in(R) for the Rees ideal R
-    (passed in as `rees` to share its basis).  d_0 = 1 and
-    d_r = deg F * deg Y.
+    K(u, v) is the bigraded numerator of S/in(R) for the Rees ideal R of
+    the context.  d_0 = 1 and d_r = deg F * deg Y.
 
     K comes from the weighted numerator with x of weight 1 and y of
     weight W, one more than the x-degree of the lcm of the leads: no
     term of K has a larger x-degree, so z^(a + W*b) is u^a v^b.
     """
-    if rees is None:
-        rees = rees_ideal(list(spec.forms))
     nx, s = spec.r + 1, spec.s
-    leads = lead_ideal(rees)
+    leads = lead_ideal(spec.rees)
     w = 1 + sum(max((m[i] for m in leads), default=0) for i in range(nx))
     numer = weighted_numerator(leads, (1,) * nx + (w,) * (s + 1))
     degrees = [
@@ -130,17 +179,11 @@ def base_locus(spec):
     return sat, ctx.nvars - ring_dim
 
 
-def degree_map(
-    spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED, rees=None, image=None, certified=False
-):
+def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """Degree of the map onto its image, d_r / deg Y from the class of
-    the graph.  Returns (value or marker, log); the log is empty, since
-    the answer is exact.  `rees`, the Rees ideal of the forms, may be
-    passed in to share its basis, and `image`, the `image_summary` read
-    off it, to share that.  A map that `blowup.jacobian_dual_birational`
-    certifies has degree 1 from no basis: `certified` says the caller
-    has checked it, and with neither it nor `rees` given the check runs
-    here first.
+    the graph, or 1 from no basis when the Jacobian dual rule certifies
+    the map.  Returns (value or marker, log); the log is empty, since
+    the answer is exact.
 
     `trials` and `seed` are validated and otherwise unused, and the log
     stays in the result, because the span tracer in perfbench/tracer.py
@@ -148,14 +191,13 @@ def degree_map(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
-    if certified or (rees is None and jacobian_dual_birational(list(spec.forms))):
+    if spec.certified("birational"):
         return 1, ()
-    if rees is None:
-        rees = rees_ideal(list(spec.forms))
-    img = image_summary(spec, rees=rees) if image is None else image
+    spec.rees  # d_r needs the Rees basis, and the image is then read off it
+    img = spec.image
     if img.proj_dim_of_scheme != spec.r:
         return NOT_GENERICALLY_FINITE, ()
-    top = projective_degrees(spec, rees)[-1]
+    top = projective_degrees(spec)[-1]
     value, rest = divmod(top, img.degree)
     if rest or value < 1:
         raise AssertionError("d_r = %d is no positive multiple of deg Y = %d" % (top, img.degree))
@@ -180,36 +222,44 @@ class DegreeReport:
     sfib_multiplicity: object
 
 
-def degree_report(spec, rees=None):
-    """The DegreeReport of a map; `rees`, the Rees ideal of its forms,
-    may be passed in, and only the leads of its basis are read.
+def degree_report(spec):
+    """The DegreeReport of a map, read off its context.
 
-    With no `rees` given, two theorems answer from no basis.  With
-    s < r the image has dimension at most s < r, so the map is not
-    generically finite and the report needs no d_r: it reads the image
-    through `image_summary`, from no basis when the Jacobian certifies
-    the forms.  With s = r, a map that `blowup.jacobian_dual_birational`
-    certifies is birational onto P^r by the Jacobian dual criterion
-    (Doria-Hassanzadeh-Simis, Adv. Math. 2012, Th. 2.18; Russo-Simis,
-    Compositio Math. 2001): its rank r at an image point puts an r-minor
-    of psi outside P, the image then has dimension r, and so it is all
-    of P^r.  The report is deg F = 1, deg Y = 1, dim Y = r, spread r+1
-    and d_r = 1.  Every other map needs d_r, and so the Rees basis.
+    A map that the Jacobian dual rule certifies is birational onto P^r:
+    deg F = 1, deg Y = 1, dim Y = r, spread r+1 and d_r = 1.  With s < r
+    the map is not generically finite, and the report needs only the
+    image, from no basis when the forms are certified independent.  Every
+    other map needs d_r, and so the Rees basis.
     """
-    if rees is None and jacobian_dual_birational(list(spec.forms)):
+    if spec.certified("birational"):
         # the degree goes through the module attribute, as below
-        value, _ = degree_map(spec, certified=True)
+        value, _ = degree_map(spec)
         return DegreeReport(value, 1, spec.r, spec.r + 1, value)
-    if rees is None and spec.s >= spec.r:
-        rees = rees_ideal(list(spec.forms))
-    img = image_summary(spec, rees=rees)
+    if spec.s >= spec.r:
+        spec.rees  # d_r needs the Rees basis, and the image is then read off it
+    img = spec.image
     dim_image = img.proj_dim_of_scheme
     if dim_image < spec.r:
         return DegreeReport(NOT_GENERICALLY_FINITE, img.degree, dim_image, img.dim, None)
     # through the module attribute, which perfbench's self-test replaces
     # to inject a wrong degree; d_r = deg F * deg Y, as degree_map asserts
-    value, _ = degree_map(spec, rees=rees, image=img)
+    value, _ = degree_map(spec)
     return DegreeReport(value, img.degree, dim_image, img.dim, value * img.degree)
+
+
+def sfib_hilbert_function(spec, n):
+    """Value of the saturated fiber cone Hilbert function at n: the
+    dimension of the degree n*d piece of the saturation of I^n.  A map
+    the Jacobian dual rule certifies takes C(n+r, r) from no product and
+    no basis (see the module docstring); every other map takes
+    `blowup.saturated_fiber_dim`."""
+    if n < 0:
+        raise ValueError("power must be nonnegative")
+    if n == 0:
+        return 1
+    if spec.certified("birational"):
+        return comb(n + spec.r, n)
+    return saturated_fiber_dim(list(spec.forms), n)
 
 
 def serialize_map(spec):

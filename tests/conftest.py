@@ -117,6 +117,14 @@ def record_shortcut(monkeypatch):
 ORACLE_SHAPES = ("hb11", "hb12", "hb111", "hb112", "pf", "sparse", "factor", "dependent", "point")
 
 
+def rees_route(forms):
+    """The context of the map of `forms` once it holds its Rees ideal,
+    so that no Jacobian certificate stands in for it."""
+    spec = rational_map(forms)
+    spec.rees
+    return spec
+
+
 def oracle_map(shape, prime, seed):
     """A map of the named shape over F_prime, or over Q at prime 0, drawn
     at `seed`; a draw that is no map fails with a RingError."""

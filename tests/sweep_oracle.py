@@ -5,15 +5,22 @@ basis instead.
 
 Here every point gets the special member's own Rees basis, through
 `degree_report`, and its own gr basis, read off spec(generic Rees) +
-(forms) by `gr_dimension_at`, whatever the leading coefficients of the
-generic graph basis do there.
+(forms), whatever the leading coefficients of the generic graph basis
+do there.
 """
 
-from reesdeg.blowup import gr_dimension_at
+from reesdeg.blowup import _gr_ideal, specialize_rees
 from reesdeg.conditions import check_Gm
 from reesdeg.families import SweepRow, specialized_family
+from reesdeg.hilbert import dim_degree
 from reesdeg.ratmap import degree_report, rational_map
 from reesdeg.ring import RingError
+
+
+def gr_dimension(generic, special, point):
+    """dim of spec(generic Rees) + (special forms) at `point`, from the
+    basis of that ideal."""
+    return dim_degree(_gr_ideal(specialize_rees(generic, point), special)).dim
 
 
 def sweep_rows(fam, points):
@@ -27,9 +34,7 @@ def sweep_rows(fam, points):
         try:
             sp = specialized_family(fam, point)
             rep = degree_report(rational_map(sp.forms))
-            gdim = gr_dimension_at(
-                list(fam.forms), point, generic=generic, special=list(sp.forms)
-            )
+            gdim = gr_dimension(generic, list(sp.forms), point)
             verdict = None
             if sp.matrix is not None:
                 verdict = check_Gm(sp.matrix, r + 1).verdict
@@ -41,9 +46,9 @@ def sweep_rows(fam, points):
 
 def gr_dim_rows(fam, points):
     """The rows `gr-dim --family` prints for the parsed points, each from
-    its gr basis."""
+    its gr basis; a point that kills a form fails."""
     generic = fam.generic_rees()
     return [
-        {"point": list(pt), "gr_dim": gr_dimension_at(list(fam.forms), pt, generic=generic)}
+        {"point": list(pt), "gr_dim": gr_dimension(generic, specialized_family(fam, pt).forms, pt)}
         for pt in points
     ]

@@ -12,28 +12,28 @@ from conftest import (
     nonzero_random_form,
     oracle_map,
     rand_coeff,
+    rees_route,
 )
 from gr_oracle import gr_dimension
 from sfib_oracle import saturated_power_dim
 import reesdeg.blowup as blowup
 from reesdeg.blowup import (
-    analytic_spread,
     blowup_ambient,
     blowup_presentation,
     embed_in_blowup,
     fiber_cone_ideal,
-    gr_dimension_at,
     graph_ideal,
     jacobian_dual_birational,
     jacobian_independent,
     rees_ideal,
-    sfib_hilbert_function,
     specialization_compare,
     specialize_forms,
     specialize_rees,
 )
 import reesdeg.groebner as gb_mod
-from reesdeg.families import FamilySpec, make_family
+import reesdeg.ratmap as ratmap
+from reesdeg.cli import main
+from reesdeg.families import Family, FamilySpec, make_family
 from reesdeg.groebner import (
     IdealHandle,
     eliminate,
@@ -44,7 +44,7 @@ from reesdeg.groebner import (
     serialize_ideal,
 )
 from reesdeg.hilbert import hilbert_function
-from reesdeg.ratmap import degree_report, image_summary, rational_map
+from reesdeg.ratmap import degree_report, rational_map, sfib_hilbert_function
 from reesdeg.ring import FieldSpec, Poly, RingCtx, RingError, monomials_of_degree, parse_poly
 
 QQ = FieldSpec(0)
@@ -144,17 +144,18 @@ class TestReesIdeal:
 class TestFiberCone:
     def test_conic_fiber(self):
         _, forms = forms_of(("x0", "x1"), ["x0^2", "x0*x1", "x1^2"])
-        F = fiber_cone_ideal(forms)
+        F = fiber_cone_ideal(forms, rees_ideal(forms))
         assert [str(g) for g in groebner_basis(F)] == ["y1^2 - y0*y2"]
-        assert analytic_spread(forms) == 2
+        # the analytic spread is the dimension of the fiber cone
+        assert rational_map(forms).image.dim == 2
 
     def test_linear_system_spread(self):
         _, forms = forms_of(("x0", "x1", "x2"), ["x0", "x1", "x2"])
-        assert analytic_spread(forms) == 3
+        assert rational_map(forms).image.dim == 3
 
     def test_spread_of_principal(self):
         _, forms = forms_of(("x0", "x1"), ["x0*x1"])
-        assert analytic_spread(forms) == 1
+        assert rational_map(forms).image.dim == 1
 
     def test_presentation_bundle(self):
         _, forms = forms_of(("x0", "x1"), ["x0^2", "x0*x1", "x1^2"])
@@ -234,7 +235,7 @@ class TestFiberConeOracle:
         forms = random_forms(ctx, rng, nforms, deg, factor and deg > 1, base)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gb_mod, "VERIFY_BASES", True)
-            fiber = fiber_cone_ideal(forms)
+            fiber = rational_map(forms).fiber
             oracle = eliminate(in_order(rees_ideal(forms), ("block", nvars)), nvars)
             assert fiber.ctx == oracle.ctx
             assert groebner_basis(fiber) == groebner_basis(oracle)
@@ -292,16 +293,16 @@ class TestJacobianCertificate:
                 nonzero_random_form(sub, rng, deg, 0.5, small_fraction).map_vars(ctx, range(nvars))
                 for _ in range(nforms)
             ]
-        rees = rees_ideal(forms)
-        oracle = fiber_cone_ideal(forms, rees=rees)
-        fiber = fiber_cone_ideal(forms)
+        held = rees_route(forms)
+        oracle = held.fiber
+        spec = rational_map(forms)
+        fiber = spec.fiber
         assert fiber.ctx == oracle.ctx
         assert groebner_basis(fiber) == groebner_basis(oracle)
         if jacobian_independent(forms):
             assert groebner_basis(oracle) == []
-        spec = rational_map(forms)
-        assert image_summary(spec) == image_summary(spec, rees=rees)
-        assert degree_report(spec) == degree_report(spec, rees=rees)
+        assert spec.image == held.image
+        assert degree_report(rational_map(forms)) == degree_report(held)
 
     @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
     def test_what_it_certifies(self, prime):
@@ -336,7 +337,7 @@ class TestJacobianCertificate:
         # x0^7, x1^7 are independent, but over F_7 their Jacobian is zero
         _, forms = forms_of(("x0", "x1", "x2"), ["x0^7", "x1^7"], FieldSpec(7))
         assert not jacobian_independent(forms)
-        assert groebner_basis(fiber_cone_ideal(forms)) == []
+        assert groebner_basis(rational_map(forms).fiber) == []
 
     def test_parameters_are_left_to_the_rees_basis(self):
         _, forms = forms_of(("x", "y", "a"), ["a*x^2", "y^2"], n_params=1)
@@ -382,7 +383,7 @@ class TestJacobianCertificate:
         _, forms = forms_of(("x0", "x1", "x2"), ["x0*x1", "x1*x2"])
         assert not jacobian_independent(forms)
         runs = count_buchberger_runs(monkeypatch)
-        assert groebner_basis(fiber_cone_ideal(forms)) == [] and len(runs) == 1
+        assert groebner_basis(rational_map(forms).fiber) == [] and len(runs) == 1
 
 
 class TestLinearSyzygies:
@@ -428,34 +429,38 @@ class TestLinearSyzygies:
 class TestSaturatedFiberHF:
     def test_linear_pair_values(self):
         _, forms = forms_of(("x0", "x1"), ["x0", "x1"])
-        assert [sfib_hilbert_function(forms, n) for n in range(4)] == [1, 2, 3, 4]
+        spec = rational_map(forms)
+        assert [sfib_hilbert_function(spec, n) for n in range(4)] == [1, 2, 3, 4]
 
     def test_squares_values(self):
         _, forms = forms_of(("x0", "x1"), ["x0^2", "x1^2"])
-        assert [sfib_hilbert_function(forms, n) for n in range(4)] == [1, 3, 5, 7]
+        spec = rational_map(forms)
+        assert [sfib_hilbert_function(spec, n) for n in range(4)] == [1, 3, 5, 7]
 
     def test_power_zero_checks_its_forms(self):
-        # n = 0 rejects what n >= 1 rejects
+        # n = 0 rejects what n >= 1 rejects: the map context checks the
+        # forms before any power is read, and so does the saturation route
         ctx = RingCtx(("x0", "x1"), QQ)
         _, params = forms_of(("x", "y", "a"), ["a*x^2", "y^2"], n_params=1)
         for forms in ([Poly.zero(ctx)], params):
-            for n in (0, 1):
-                with pytest.raises(RingError):
-                    sfib_hilbert_function(forms, n)
+            with pytest.raises(RingError):
+                rational_map(forms)
+            with pytest.raises(RingError):
+                blowup.saturated_fiber_dim(forms, 1)
 
     def test_negative_rejected(self):
         _, forms = forms_of(("x0", "x1"), ["x0", "x1"])
         with pytest.raises(ValueError):
-            sfib_hilbert_function(forms, -1)
+            sfib_hilbert_function(rational_map(forms), -1)
 
     def test_one_basis_per_power(self, monkeypatch):
         # saturating I^n by the irrelevant ideal reuses the basis of I^n
         spec = FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=5)
-        forms = list(make_family(spec).forms)
+        spec = rational_map(make_family(spec).forms)
         runs = count_buchberger_runs(monkeypatch)
         for n, value in ((1, 3), (2, 7), (3, 13)):
             del runs[:]
-            assert sfib_hilbert_function(forms, n) == value
+            assert sfib_hilbert_function(spec, n) == value
             assert len(runs) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -474,27 +479,37 @@ class TestSaturatedFiberHF:
         # are s = r maps it does not certify, whose values differ from
         # C(n+r, r) at n = 2
         try:
-            forms = list(oracle_map(shape, prime, seed).forms)
+            spec = oracle_map(shape, prime, seed)
         except RingError:
             assume(False)
+        forms = list(spec.forms)
         certified = jacobian_dual_birational(forms)
         with pytest.MonkeyPatch.context() as mp:
             runs = count_buchberger_runs(mp)
-            values = [sfib_hilbert_function(forms, n) for n in range(4)]
+            values = [sfib_hilbert_function(spec, n) for n in range(4)]
         if certified:
             assert runs == []
         assert values == [saturated_power_dim(forms, n) for n in range(4)]
 
     def test_a_verdict_passed_in_is_not_checked_again(self, monkeypatch):
-        monkeypatch.setattr(blowup, "jacobian_dual_birational", lambda forms: pytest.fail("ran"))
+        # the context reads the rule once for every power, and a context
+        # that holds its Rees ideal reads it not at all
+        calls = []
+        inner = ratmap.jacobian_dual_birational
+        monkeypatch.setattr(
+            ratmap, "jacobian_dual_birational", lambda forms: calls.append(1) or inner(forms)
+        )
         _, forms = forms_of(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"])
-        assert sfib_hilbert_function(forms, 2, True) == 6
-        assert sfib_hilbert_function(forms, 2, False) == 6
+        spec = rational_map(forms)
+        assert [sfib_hilbert_function(spec, n) for n in (1, 2, 3)] == [3, 6, 10]
+        assert calls == [1]
+        assert sfib_hilbert_function(rees_route(forms), 2) == 6
+        assert calls == [1]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_pfaffian_values(self, seed):
-        forms = list(make_family(FamilySpec("pfaffian", r=4, D=1, seed=seed)).forms)
-        assert [sfib_hilbert_function(forms, n) for n in (1, 2, 3)] == [5, 15, 35]
+        spec = rational_map(make_family(FamilySpec("pfaffian", r=4, D=1, seed=seed)).forms)
+        assert [sfib_hilbert_function(spec, n) for n in (1, 2, 3)] == [5, 15, 35]
 
 
 class TestSpecialization:
@@ -510,9 +525,11 @@ class TestSpecialization:
     def test_point_killing_generator_rejected(self):
         ctx, fam = forms_of(("x", "y", "a"), ["x^2", "a*x*y", "y^2"], n_params=1)
         with pytest.raises(RingError):
-            specialization_compare(fam, (0,))
-        with pytest.raises(RingError):
-            gr_dimension_at(fam, (0,))
+            specialization_compare(fam, (0,), rees_ideal(fam))
+        family = Family(FamilySpec("file"), ctx, None, tuple(fam), 2)
+        for read in (family.gr_dimension, family.member):
+            with pytest.raises(RingError, match="kills generator 1"):
+                read((0,))
 
     def test_wrong_point_length(self):
         ctx, fam = forms_of(("x", "y", "a"), self.FAMILY, n_params=1)
@@ -540,16 +557,18 @@ class TestSpecialization:
 
     def test_coordinate_change_family_is_isomorphism(self):
         ctx, fam = forms_of(("x", "y", "a"), self.FAMILY, n_params=1)
+        generic = rees_ideal(fam)
         for a in (0, 1, 5):
-            result = specialization_compare(fam, (a,))
+            result = specialization_compare(fam, (a,), generic)
             assert result.kind == "isomorphism"
             assert result.witness is None
 
-    def test_param_free_family_takes_empty_point(self):
-        _, forms = forms_of(("x0", "x1"), ["x0", "x1"])
-        assert gr_dimension_at(forms, ()) == 2
-        with pytest.raises(RingError):
-            gr_dimension_at(forms, (1,))
+    def test_param_free_family_takes_empty_point(self, capsys):
+        # a map's gr dimension has the empty point and takes no other
+        assert main(["gr-dim", "--map", "x0, x1", "--prime", "0", "--format", "text"]) == 0
+        assert capsys.readouterr().out == "-: 2\n"
+        assert main(["gr-dim", "--map", "x0, x1", "--points", "1"]) == 2
+        assert "does not apply" in capsys.readouterr().err
 
 
 class TestGrDimension:
@@ -579,7 +598,7 @@ class TestGrDimension:
         for _ in range(nforms):
             g = nonzero_random_form(sub, rng, deg - 1 if factor else deg)
             forms.append((h * g if factor else g).map_vars(ctx, keep))
-        assert gr_dimension_at(forms, ()) == gr_dimension(forms) == nvars
+        assert rational_map(forms).r + 1 == gr_dimension(forms) == nvars
 
 
 # every entry point that takes forms, called on a list of them
@@ -587,9 +606,11 @@ FORM_ENTRY_POINTS = {
     "rational_map": rational_map,
     "graph_ideal": graph_ideal,
     "rees_ideal": rees_ideal,
-    "fiber_cone_ideal": fiber_cone_ideal,
-    "gr_dimension_at": lambda forms: gr_dimension_at(forms, ()),
-    "sfib_hilbert_function": lambda forms: sfib_hilbert_function(forms, 1),
+    # with the Rees ideal of the first form alone, which is well formed
+    "fiber_cone_ideal": lambda forms: fiber_cone_ideal(forms, rees_ideal(forms[:1])),
+    # through the map context it reads
+    "sfib_hilbert_function": lambda forms: sfib_hilbert_function(rational_map(forms), 1),
+    "saturated_fiber_dim": lambda forms: blowup.saturated_fiber_dim(forms, 1),
     "blowup_presentation": blowup_presentation,
 }
 

@@ -9,14 +9,13 @@ import time
 
 import pytest
 
-from conftest import count_buchberger_runs
+from conftest import count_buchberger_runs, rees_route
 import reesdeg.blowup as blowup
 import reesdeg.cli as cli
 import reesdeg.families as families
 import reesdeg.groebner as gb_mod
 import reesdeg.ratmap as ratmap
 import reesdeg.ring as ring
-from reesdeg.blowup import rees_ideal
 from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, _load_family, build_parser, main
 from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
 
@@ -172,7 +171,7 @@ class TestSaturatedFiber:
     }
 
     def spy(self, monkeypatch):
-        """Log the rule's verdicts, wherever sfib-hf reads it."""
+        """Log the rule's verdicts, which the map context reads."""
         calls = []
         inner = blowup.jacobian_dual_birational
 
@@ -180,8 +179,7 @@ class TestSaturatedFiber:
             calls.append(inner(forms))
             return calls[-1]
 
-        monkeypatch.setattr(blowup, "jacobian_dual_birational", rule)
-        monkeypatch.setattr(cli, "jacobian_dual_birational", rule)
+        monkeypatch.setattr(ratmap, "jacobian_dual_birational", rule)
         return calls
 
     @pytest.mark.parametrize(
@@ -227,6 +225,85 @@ class TestSaturatedFiber:
         err = self.error(capsys, ["sfib-hf", "--map", forms, "--points", "1"])
         assert err == "error: forms have mixed degrees %d and 4\n" % degree
         assert calls == []
+
+
+# the functions behind the facts a map context holds
+FACTS = ("rees_ideal", "jacobian_independent", "jacobian_dual_birational")
+
+
+def spy_facts(monkeypatch):
+    """Log (fact, forms) for each fact computed, in every reesdeg module
+    that binds the function behind it."""
+    log = []
+    for name in FACTS:
+        inner = getattr(blowup, name)
+
+        def spy(forms, *args, name=name, inner=inner, **kwargs):
+            log.append((name, tuple(str(g) for g in forms)))
+            return inner(forms, *args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("reesdeg")]:
+            if getattr(mod, name, None) is inner:
+                monkeypatch.setattr(mod, name, spy)
+    return log
+
+
+class TestMapContext:
+    """A command computes each fact of its map at most once, and checks
+    its input before any fact."""
+
+    MAPS = {
+        **TestSaturatedFiber.MAPS,
+        "conic": "x0^2, x0*x1, x1^2",
+        "squares": "x0^2, x1^2",
+        "quad4": "x0*x1, x2*x3, x0*x2, x1*x3",
+    }
+    COMMANDS = {
+        "degree": [],
+        "jmult": [],
+        "image": [],
+        "fiber-cone": [],
+        "rees": [],
+        "sfib-hf": ["--points", "1,2,3"],
+        "gr-dim": [],
+    }
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_each_fact_once_per_map(self, capsys, monkeypatch, command, name):
+        log = spy_facts(monkeypatch)
+        ring = "x0 x1 x2 x3 over 0" if name == "quad4" else "x0 x1 x2 over 0"
+        argv = [command, "--map", self.MAPS[name], "--ring", ring] + self.COMMANDS[command]
+        code, _ = run(capsys, argv)
+        assert code == 0
+        assert len(log) == len(set(log)), log
+
+    def test_sweep_reads_rees_once_per_uncertified_point(self, capsys, monkeypatch):
+        # a = 0 is the one point of the three that the family does not
+        # certify: its member alone reads its own Rees ideal and rules
+        log = spy_facts(monkeypatch)
+        code, _ = run(capsys, ["sweep", "--family", "dejonquieres", "--points", "0,1,2"])
+        assert code == 0
+        assert len(log) == len(set(log))
+        assert [fact for fact, _ in log].count("rees_ideal") == 1
+        assert len({forms for _, forms in log}) == 1
+
+    BAD = {
+        "parametric": (["--ring", "x0 x1 x2 params a over 32003"], "a*x1*x2, x0*x2, x0*x1",
+                       "rational maps take parameter-free forms"),
+        "mixed": ([], "x1*x2, x0*x2, x0*x1, x0^4", "forms have mixed degrees 2 and 4"),
+        "zero": ([], "x1*x2, 0, x0*x1", "zero form in the generating set"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_bad_map_fails_before_any_fact(self, capsys, monkeypatch, command, case):
+        log = spy_facts(monkeypatch)
+        ring, forms, message = self.BAD[case]
+        code = main([command, "--map", forms] + ring + self.COMMANDS[command])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: %s\n" % message)
+        assert log == []
 
 
 class TestConditions:
@@ -314,7 +391,8 @@ class TestSweep:
         def broken(*args, **kwargs):
             raise AssertionError("internal check failed")
 
-        monkeypatch.setattr(families, "gr_dimension_at", broken)
+        # the gr dimension of the uncertified point 0 is read off a basis
+        monkeypatch.setattr(families, "dim_degree", broken)
         with pytest.raises(AssertionError, match="internal check failed"):
             main(["sweep", "--family", "dejonquieres", "--points", "0,1"])
 
@@ -328,6 +406,18 @@ class TestSweep:
         assert rows[0]["status"] == "error: parameter point kills generator 0"
         assert rows[1]["status"] == "ok"
         assert (rows[1]["deg_map"], rows[1]["deg_image"]) == (1, 2)
+
+    @pytest.mark.parametrize("command", ["sweep", "gr-dim"])
+    @pytest.mark.parametrize("zero", ["0", "x*y - x*y"], ids=["zero", "cancels"])
+    def test_zero_form_in_family_file_is_two(self, capsys, tmp_path, command, zero):
+        # as through --map: a family with the zero form dropped is another
+        # family, whose rows would shift every "kills generator i"
+        path = tmp_path / "family.txt"
+        path.write_text("ring x y params a over 32003\nx^2\n%s\na*y^2 + x*y\n" % zero)
+        code = main([command, "--family", str(path), "--points", "0,1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: zero form in the generating set\n"
 
     # what fixes the field besides --prime: family.txt over F_32003,
     # --ring over F_7, or map.txt over F_7
@@ -972,13 +1062,10 @@ class TestExactRankOverQ:
     def test_bytes_are_those_of_the_rees_route(self, capsys, monkeypatch, command, forms):
         argv = [command, "--map", forms, "--ring", self.RING]
         certified = run(capsys, argv)
-        report, fiber = cli.degree_report, cli.fiber_cone_ideal
-        monkeypatch.setattr(
-            cli, "degree_report", lambda spec: report(spec, rees=rees_ideal(list(spec.forms)))
-        )
-        monkeypatch.setattr(
-            cli, "fiber_cone_ideal", lambda forms: fiber(forms, rees=rees_ideal(forms))
-        )
+        # the same command on a context that holds its Rees ideal first,
+        # so that no certificate stands in for it
+        load = cli._load_map
+        monkeypatch.setattr(cli, "_load_map", lambda args: rees_route(load(args).forms))
         assert run(capsys, argv) == certified
 
 

@@ -7,7 +7,7 @@ import pfaffian_oracle
 import reesdeg.groebner as gb_mod
 import sweep_oracle
 from conftest import count_buchberger_runs, random_form
-from reesdeg import blowup, families
+from reesdeg import blowup, families, ratmap
 from reesdeg.blowup import specialization_compare
 from reesdeg.cli import main
 from reesdeg.conditions import PresentationMatrix, check_Gm, determinant
@@ -220,9 +220,9 @@ class TestDeJonquieres:
 
     def test_specialization_kind_jump(self):
         fam = make_family(FamilySpec("dejonquieres", m=2))
-        iso = specialization_compare(list(fam.forms), (1,))
+        iso = specialization_compare(list(fam.forms), (1,), fam.generic_rees())
         assert iso.kind == "isomorphism"
-        drop = specialization_compare(list(fam.forms), (0,))
+        drop = specialization_compare(list(fam.forms), (0,), fam.generic_rees())
         assert drop.kind == "proper_kernel"
         assert str(drop.witness) == "z*y0^2 + y*y0*y1 + z*y1^2 + z*y1*y2"
 
@@ -346,7 +346,7 @@ class TestCertifiedSweep:
         # the member's own Rees basis and its gr basis
         assert len(runs) == 2
         assert [(r.deg_map, r.gr_dim) for r in rows] == [(1, 4)]
-        drop = specialization_compare(list(fam.forms), (0,))
+        drop = specialization_compare(list(fam.forms), (0,), fam.generic_rees())
         assert str(drop.witness) == "z*y0^2 + y*y0*y1 + z*y1^2 + z*y1*y2"
 
 
@@ -375,6 +375,7 @@ class TestJMultiplicity:
             raise AssertionError("fiber_cone_ideal called")
 
         monkeypatch.setattr(blowup, "fiber_cone_ideal", forbidden)
+        monkeypatch.setattr(ratmap, "fiber_cone_ideal", forbidden)
         runs = count_buchberger_runs(monkeypatch)
         ctx = RingCtx(("x", "y"), FP)
         spec = rational_map([parse_poly("x^2", ctx), parse_poly("y^2", ctx)])

@@ -19,13 +19,7 @@ from conftest import (
     small_ctx,
 )
 from reference_poly import monomial_div, monomial_mul
-from reesdeg.blowup import (
-    fiber_cone_ideal,
-    gr_dimension_at,
-    graph_ideal,
-    rees_ideal,
-    sfib_hilbert_function,
-)
+from reesdeg.blowup import fiber_cone_ideal, graph_ideal, rees_ideal
 from reesdeg.cli import main
 from reesdeg.conditions import (
     PresentationMatrix,
@@ -59,7 +53,13 @@ from reesdeg.groebner import (
     step_budget,
 )
 from reesdeg.hilbert import dim_degree, lead_ideal, weighted_numerator
-from reesdeg.ratmap import base_locus, parse_map_file, rational_map, serialize_map
+from reesdeg.ratmap import (
+    base_locus,
+    parse_map_file,
+    rational_map,
+    serialize_map,
+    sfib_hilbert_function,
+)
 from reesdeg.ring import (
     FieldSpec,
     Poly,
@@ -1240,7 +1240,7 @@ class TestEngineCoefficientCounts:
         counts["parse_map_file"], spec = count(lambda: parse_map_file(map_text))
         forms = list(spec.forms)
         counts["graph_ideal"], _ = count(lambda: graph_ideal(forms))
-        counts["sfib_hilbert_function"], value = count(lambda: sfib_hilbert_function(forms, 3))
+        counts["sfib_hilbert_function"], value = count(lambda: sfib_hilbert_function(spec, 3))
         counts["parse_matrix_file"], M = count(lambda: parse_matrix_file(matrix_text))
         counts["check_Gm"], cert = count(lambda: check_Gm(M, 3))
         assert counts == dict.fromkeys(counts, 0)
@@ -1461,9 +1461,10 @@ class TestLazyTails:
     def test_lead_readers_reduce_no_tails(self, monkeypatch, capsys):
         pf = make_family(FamilySpec("pfaffian", r=4, D=1))
         hb = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 2)))
-        # a map's gr dimension needs no basis, a family point's reads one
+        # a map's gr dimension needs no basis, an uncertified family
+        # point's reads one
         dj = make_family(FamilySpec("dejonquieres", m=2))
-        generic = dj.generic_rees()
+        dj.generic_rees()
         rows = record_tails(monkeypatch)
         # seeds of two degrees: the cubic's row enters before the cubic
         # S-pair rows, and the minimal grevlex basis keeps tails to reduce
@@ -1471,7 +1472,7 @@ class TestLazyTails:
         dim_degree(I)
         check_Gm(pf.matrix, 5)
         check_Gm(hb.matrix, 3)
-        assert gr_dimension_at(list(dj.forms), (1,), generic=generic) == 3
+        assert dj.gr_dimension((0,)) == 4
         base_locus(rational_map(list(hb.forms)))
         # a map whose Rees rows keep tails that reduce
         quad5 = "x0^2, x1^2, x2^2, x0*x1 - x1*x2, x0*x2 + x1*x2"

@@ -126,6 +126,7 @@ PRIVATE_IMPORTS = {
         "ring": {"_is_prime", "_minimal_packed"},
     },
     "cli": {"blowup": {"_form_degree"}},
+    "families": {"blowup": {"_gr_ideal"}},
     "conditions": {
         "groebner": {"_budget", "_charge", "_gauss_jordan", "_homogeneous", "_integral"},
         "ring": {"_overflow"},
@@ -135,7 +136,7 @@ PRIVATE_IMPORTS = {
         "ring": {"_MASK", "_WIDTH", "_block_sizes", "_minimal_packed", "_overflow"},
     },
     "hilbert": {"groebner": {"_basis", "_homogeneous"}, "ring": {"_minimal_packed"}},
-    "ratmap": {"blowup": {"_fiber_cone_summary", "_form_degree"}},
+    "ratmap": {"blowup": {"_form_degree", "_free_fiber_cone", "_x_free_leads"}},
 }
 
 
@@ -145,3 +146,45 @@ def test_private_imports_are_pinned():
         for path in (ROOT / "src" / "reesdeg").glob("*.py")
     }
     assert private_imports(trees) == PRIVATE_IMPORTS
+
+
+# Facts about a map that its context (`ratmap.RationalMapSpec`) holds: a
+# function takes them from the context, not as an optional argument.
+FACT_PARAMETERS = {"rees", "image", "certified", "generic", "special"}
+
+
+def optional_fact_parameters(tree):
+    """`function:parameter` for each parameter named in FACT_PARAMETERS
+    that has a default, in every function and method of the module."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += ["%s:%s" % (fn.name, a.arg) for a in defaulted if a.arg in FACT_PARAMETERS]
+    return found
+
+
+def test_optional_fact_parameters_are_found():
+    tree = ast.parse(
+        "def f(spec, rees, image=None, *, special=None, generic):\n"
+        "    def g(certified=False, trials=3):\n"
+        "        pass\n"
+        "class C:\n"
+        "    def m(self, x, rees=None):\n"
+        "        pass\n"
+    )
+    assert sorted(optional_fact_parameters(tree)) == [
+        "f:image", "f:special", "g:certified", "m:rees"
+    ]
+
+
+def test_no_optional_fact_parameters():
+    found = {}
+    for path in sorted((ROOT / "src" / "reesdeg").glob("*.py")):
+        names = optional_fact_parameters(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            found[path.stem] = names
+    assert found == {}

@@ -11,10 +11,11 @@ from conftest import (
     nonzero_random_form,
     oracle_map,
     record_shortcut,
+    rees_route,
 )
 from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
 from generic_fiber import generic_fiber_degree
-from reesdeg.blowup import fiber_cone_ideal, jacobian_dual_birational, rees_ideal
+from reesdeg.blowup import jacobian_dual_birational
 from reesdeg.families import FamilySpec, j_multiplicity, make_family, specialized_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
 from reesdeg.ratmap import (
@@ -23,7 +24,6 @@ from reesdeg.ratmap import (
     base_locus,
     degree_map,
     degree_report,
-    image_summary,
     is_birational,
     parse_map_file,
     projective_degrees,
@@ -81,26 +81,26 @@ class TestValidation:
 class TestImage:
     def test_identity_has_zero_image_ideal(self):
         spec = mkmap(("x0", "x1"), ["x0", "x1"])
-        assert groebner_basis(fiber_cone_ideal(list(spec.forms))) == []
-        s = image_summary(spec)
+        assert groebner_basis(spec.fiber) == []
+        s = spec.image
         assert s.proj_dim_of_scheme == 1
 
     def test_conic_image(self):
         spec = mkmap(("x0", "x1"), ["x0^2", "x0*x1", "x1^2"])
-        I = fiber_cone_ideal(list(spec.forms))
+        I = spec.fiber
         basis = groebner_basis(I)
         assert basis == [parse_poly("y1^2 - y0*y2", I.ctx)]
-        s = image_summary(spec)
+        s = spec.image
         assert (s.proj_dim_of_scheme, s.degree) == (1, 2)
 
     def test_cremona_is_dominant(self):
         spec = mkmap(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"])
-        assert groebner_basis(fiber_cone_ideal(list(spec.forms))) == []
-        assert image_summary(spec).proj_dim_of_scheme == spec.r
+        assert groebner_basis(spec.fiber) == []
+        assert spec.image.proj_dim_of_scheme == spec.r
 
     def test_collapsed_map_not_finite(self):
         spec = mkmap(("x0", "x1"), ["x0^2", "x0^2 + x0^2"])
-        assert image_summary(spec).proj_dim_of_scheme != spec.r
+        assert spec.image.proj_dim_of_scheme != spec.r
 
 
 class TestBaseLocus:
@@ -333,24 +333,24 @@ class TestExactDegree:
         forms = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 2), seed=8)).forms
         # the Jacobian certifies the image with no run; read off the Rees
         # basis, it costs the one t-run
-        image_summary(rational_map(forms))
+        rational_map(forms).image
         assert runs == []
-        image_summary(rational_map(forms), rees=rees_ideal(list(forms)))
+        rees_route(forms).image
         alone = len(runs)
         runs.clear()
         assert degree_report(rational_map(forms)).deg_map == 4
         assert len(runs) == alone == 1
 
     def test_report_reads_the_image_once(self, monkeypatch):
-        # degree_map gets the report's image summary instead of its own
+        # degree_map reads the image the report read, off the context
         calls = []
-        inner = ratmap._fiber_cone_summary
+        inner = ratmap._x_free_leads
 
         def spy(*args, **kwargs):
             calls.append(1)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(ratmap, "_fiber_cone_summary", spy)
+        monkeypatch.setattr(ratmap, "_x_free_leads", spy)
         forms = make_family(FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=8)).forms
         assert degree_report(rational_map(forms)).deg_map == 2
         assert len(calls) == 1
@@ -363,7 +363,7 @@ class TestExactDegree:
         rep = degree_report(spec)
         assert runs == []
         assert rep == DegreeReport(NOT_GENERICALLY_FINITE, 1, 2, 3, None)
-        assert rep == degree_report(spec, rees=rees_ideal(list(spec.forms)))
+        assert rep == degree_report(rees_route(spec.forms))
         # s = r with no linear syzygy still needs d_r: one run
         runs.clear()
         assert degree_report(mkmap(("x0", "x1"), ["x0^2", "x1^2"], field)).deg_map == 2
@@ -408,6 +408,7 @@ class TestDegreeReport:
             raise AssertionError("fiber_cone_ideal called")
 
         monkeypatch.setattr(blowup_mod, "fiber_cone_ideal", forbidden)
+        monkeypatch.setattr(ratmap, "fiber_cone_ideal", forbidden)
         runs = count_buchberger_runs(monkeypatch)
         pfaffian = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3, prime=0)).forms
         specs = [
@@ -419,7 +420,8 @@ class TestDegreeReport:
         for spec, want in specs:
             for answer in (degree_report, j_multiplicity):
                 runs.clear()
-                answer(spec)
+                # a fresh context each, as one holds its Rees basis
+                answer(rational_map(spec.forms))
                 assert len(runs) == want
 
 
@@ -499,8 +501,8 @@ class TestProjectiveDegrees:
         spec = rational_map(forms)
         degrees = projective_degrees(spec)
         assert len(degrees) == nvars and degrees[0] == 1
-        image = dim_degree(fiber_cone_ideal(list(forms)))
-        assert image == image_summary(spec)
+        image = dim_degree(rational_map(forms).fiber)
+        assert image == rational_map(forms).image
         oracle = generic_fiber_degree(spec)
         assert degree_map(spec) == (oracle, ())
         if oracle == NOT_GENERICALLY_FINITE:
@@ -534,7 +536,7 @@ class TestBirationalCertificate:
         if certified:
             assert runs == []
             assert rep == DegreeReport(1, 1, spec.r, spec.r + 1, 1)
-        assert rep == degree_report(spec, rees=rees_ideal(forms))
+        assert rep == degree_report(rees_route(forms))
 
     @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
     def test_known_maps(self, prime):
