@@ -176,17 +176,17 @@ def rees_ideal(forms, y_names=None):
 
 
 def _x_free_rows(rees, nx):
-    """(packing, rows of the minimal Rees basis whose leads are free of
-    the first nx variables, x): a minimal basis of the fiber cone ideal."""
-    pk, basis = _basis(rees)
-    return pk, [t for t in basis if not any(pk.unpack(max(t))[:nx])]
+    """The rows of the minimal Rees basis whose leads are free of the
+    first nx variables, x: a minimal basis of the fiber cone ideal."""
+    unpack = rees.ctx.packing.unpack
+    return [t for t in _basis(rees) if not any(unpack(max(t))[:nx])]
 
 
 def _x_free_leads(rees, nx):
     """The y-exponents of the leads of `_x_free_rows`: the leads of the
     fiber cone ideal of a parameter-free Rees ideal."""
-    pk, rows = _x_free_rows(rees, nx)
-    return [pk.unpack(max(t))[nx:] for t in rows]
+    unpack = rees.ctx.packing.unpack
+    return [unpack(max(t))[nx:] for t in _x_free_rows(rees, nx)]
 
 
 def fiber_cone_ideal(forms, rees):
@@ -198,8 +198,9 @@ def fiber_cone_ideal(forms, rees):
     ctx = rees.ctx
     order = "grevlex" if not np else ("blocks", (ctx.nvars - nx - np, np))
     sub = RingCtx(ctx.var_names[nx:], ctx.field, order, n_params=np)
-    pk, rows = _x_free_rows(rees, nx)
-    return _basis_ideal(sub, [{sub.key(pk.unpack(m)[nx:]): c for m, c in t.items()} for t in rows])
+    unpack = ctx.packing.unpack
+    rows = _x_free_rows(rees, nx)
+    return _basis_ideal(sub, [{sub.key(unpack(m)[nx:]): c for m, c in t.items()} for t in rows])
 
 
 def _free_fiber_cone(forms):
@@ -316,13 +317,13 @@ def leading_coefficients(graph):
     k = ctx.nvars - ctx.n_params
     params = RingCtx(ctx.var_names[k:], ctx.field)
     p = ctx.field.characteristic
-    pk, basis = _basis(graph)
+    unpack = ctx.packing.unpack
     coeffs = {}
-    for t in basis:
-        head = pk.unpack(max(t))[:k]
+    for t in _basis(graph):
+        head = unpack(max(t))[:k]
         lc = {}
         for m, c in t.items():
-            e = pk.unpack(m)
+            e = unpack(m)
             if e[:k] == head:
                 lc[params.key(e[k:])] = c
         if max(lc):

@@ -424,13 +424,14 @@ def build_parser(env_budget=None):
 
 
 def _glue_negative_values(argv):
-    """argv with each flag of FLAGS that is followed by a value starting
-    with '-' and a digit joined to it as `flag=value`: argparse reads
-    such a value as a flag of its own unless it is a plain number, so
-    `--points -1,2` would lack its value."""
+    """argv with each flag of FLAGS followed by a value that starts with
+    '-' and names no flag (of FLAGS, alone or with `=`, or -h, --help)
+    joined to it as `flag=value`: argparse reads such a value as a flag of
+    its own unless it is a number, so `--map -x0^2,x1^2` would lack its value."""
+    flags = {*FLAGS, "-h", "--help"}
     out = []
     for arg in argv:
-        if out and out[-1] in FLAGS and re.match(r"-\d", arg):
+        if out and out[-1] in FLAGS and arg[:1] == "-" and arg.split("=", 1)[0] not in flags:
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -78,8 +78,7 @@ reduces the cached basis and caches the result in its place, and a
 pass over a basis already reduced makes no reduction step.  Every other
 reduction reads a whole polynomial and so reduces fully: the seed
 block's pre-reduction, whose Gauss-Jordan combinations must expose no
-lead that a lower row divides, normal forms, saturation exponents and
-the check of Buchberger's criterion.
+lead that a lower row divides, normal forms and saturation exponents.
 
 Terms stay packed from end to end.  A handle's generators are `Poly`
 objects whose terms are the engine's seeds as they are, `hilbert` reads
@@ -132,10 +131,6 @@ from .ring import (
 )
 
 DEFAULT_BUDGET = 1_000_000
-
-# flipped on by the test suite: re-checks the Buchberger criterion on
-# every basis before it is cached
-VERIFY_BASES = False
 
 
 class BudgetExceeded(RuntimeError):
@@ -573,34 +568,15 @@ def _reduce_tails(basis, guard, p, budget):
     return out
 
 
-def _spair_closure_ok(basis, ctx):
-    """Buchberger criterion: every S-polynomial reduces to zero in the
-    ring order, for packed term dicts in the ring's packing."""
-    check = _Budget(10 * DEFAULT_BUDGET)
-    pk = ctx.packing
-    p = ctx.field.characteristic
-    packed = [_integral(t, p)[0] for t in basis]
-    rows = [_row(t, 0) for t in packed]
-    exps = [pk.unpack(row[0]) for row in rows]
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            lcm = pk.pack([x if x > y else y for x, y in zip(exps[i], exps[j])])
-            s = _spoly(packed[i], lcm - rows[i][0], packed[j], lcm - rows[j][0], p)
-            rem, _, _ = _reduce(s, rows, pk.guard, p, check)
-            if rem:
-                return False
-    return True
-
-
 class IdealHandle:
     """An ideal in a fixed ring with a cached Groebner basis in the
     ring's order.
 
     `gens` are `Poly` objects of the ring.  `gb_cache` maps the ring's
-    order to (the ring's packing, minimal basis as normalized packed term
-    dicts sorted by lead) once a basis is computed, and holds nothing
-    else.  A cached basis may also be reduced, once `groebner_basis` has
-    read it, but nothing inside the engine relies on that.
+    order to the minimal basis (normalized packed term dicts in the
+    ring's packing, sorted by lead) once one is computed, and holds
+    nothing else; `groebner_basis` may have reduced it, but nothing
+    inside the engine relies on that.
     """
 
     __slots__ = ("ctx", "gens", "gb_cache", "_sat", "_series")
@@ -644,24 +620,9 @@ def _basis_ideal(ctx, basis):
     """The ideal generated by `basis`, a minimal Groebner basis in the
     ring order as normalized packed term dicts in the ring's packing,
     sorted by lead, with that basis cached."""
-    if VERIFY_BASES and not (
-        len(_minimal_packed([max(t) for t in basis], ctx.packing.guard)) == len(basis)
-        and _spair_closure_ok(basis, ctx)
-    ):
-        raise AssertionError("basis handed to _basis_ideal is not a minimal Groebner basis")
     out = IdealHandle(ctx, [Poly(ctx, _divided(t, t[max(t)]), _clean=True) for t in basis])
-    out.gb_cache[ctx.order] = (ctx.packing, tuple(basis))
+    out.gb_cache[ctx.order] = tuple(basis)
     return out
-
-
-def _is_reduced(basis, guard):
-    """True when no monomial of the packed term dicts `basis`, other than
-    a lead itself, is divisible by a lead of `basis`."""
-    leads = [max(t) for t in basis]
-    return not any(
-        not (m - lead) & guard and (m, lead) != (own, own)
-        for t, own in zip(basis, leads) for m in t for lead in leads
-    )
 
 
 def _homogeneous(polys):
@@ -671,10 +632,10 @@ def _homogeneous(polys):
 
 
 def _basis(I):
-    """(packing, minimal Groebner basis of I in the ring order as
-    normalized packed term dicts sorted by lead), cached in `I.gb_cache`;
-    driven by the Hilbert series stated with `seed_hilbert_series`, if
-    any."""
+    """The minimal Groebner basis of I in the ring order, as normalized
+    term dicts in the ring's packing sorted by lead, cached in
+    `I.gb_cache`; driven by the Hilbert series stated with
+    `seed_hilbert_series`, if any."""
     ctx = I.ctx
     got = I.gb_cache.get(ctx.order)
     if got is not None:
@@ -682,9 +643,7 @@ def _basis(I):
     p = ctx.field.characteristic
     seeds = [_integral(g.terms, p)[0] for g in I.gens]
     basis = _buchberger(seeds, ctx.packing, ctx.field, _budget(), I._series)
-    if VERIFY_BASES and not _spair_closure_ok(basis, ctx):
-        raise AssertionError("computed basis fails the Buchberger criterion")
-    I.gb_cache[ctx.order] = (ctx.packing, tuple(basis))
+    I.gb_cache[ctx.order] = tuple(basis)
     return I.gb_cache[ctx.order]
 
 
@@ -696,12 +655,9 @@ def groebner_basis(I):
     the cached basis and caches the result in its place, so a second
     call makes no reduction step and returns the same list.
     """
-    pk, basis = _basis(I)
     ctx = I.ctx
-    basis = tuple(_reduce_tails(basis, pk.guard, ctx.field.characteristic, _budget()))
-    I.gb_cache[ctx.order] = (pk, basis)
-    if VERIFY_BASES and not _is_reduced(basis, pk.guard):
-        raise AssertionError("basis leaving groebner_basis is not reduced")
+    basis = tuple(_reduce_tails(_basis(I), ctx.packing.guard, ctx.field.characteristic, _budget()))
+    I.gb_cache[ctx.order] = basis
     return [Poly(ctx, _divided(t, t[max(t)]), _clean=True) for t in basis]
 
 
@@ -722,13 +678,13 @@ def normal_form(f, I):
     same: the canonical coset representative in the ring order."""
     if f.ctx != I.ctx:
         raise RingError("polynomial and ideal live in different rings")
-    pk, basis = _basis(I)
+    basis = _basis(I)
     if not basis:
         return f
     p = I.ctx.field.characteristic
     rows = [_row(t, 0) for t in basis]
     work, d = _integral(dict(f.terms), p)
-    rem, _, scale = _reduce(work, rows, pk.guard, p, _budget())
+    rem, _, scale = _reduce(work, rows, I.ctx.packing.guard, p, _budget())
     # rem is scale * d * NF(f)
     return Poly(I.ctx, _divided(rem, scale * d), _clean=True)
 
@@ -775,7 +731,7 @@ def eliminate(I, k):
             "eliminating the first %d variables needs leading blocks that hold exactly "
             "them; the ring's blocks are %r" % (k, sizes)
         )
-    pk, basis = _basis(I)
+    basis = _basis(I)
     # the blocks after those of the first k variables
     sub_order = ("blocks", sizes[ends.index(k) + 1 :])
     sub_ctx = RingCtx(ctx.var_names[k:], ctx.field, sub_order, n_params=min(ctx.n_params, n - k))
@@ -831,13 +787,12 @@ def _sat_exponent(I, S, J_gens):
     """
     ctx = I.ctx
     p = ctx.field.characteristic
-    pk, basis = _basis(I)
-    rows = [_row(t, 0) for t in basis]
+    rows = [_row(t, 0) for t in _basis(I)]
     b = _budget()
     cur = [_integral(g.terms, p)[0] for g in S.gens]
     k = 0
     while True:
-        rems = (_reduce(dict(t), rows, pk.guard, p, b)[0] for t in cur)
+        rems = (_reduce(dict(t), rows, ctx.packing.guard, p, b)[0] for t in cur)
         cur = _gauss_jordan([r for r in rems if r], p, b)
         if not cur:
             return k
@@ -890,7 +845,7 @@ def _saturate_by_variables(I):
     ctx = I.ctx
     if not _homogeneous(g.terms for g in I.gens):
         return None
-    pk, gb = _basis(I)
+    pk, gb = ctx.packing, _basis(I)
     shift, unit = pk.shifts[-1], pk.units[-1]
     stripped = []
     for t in gb:

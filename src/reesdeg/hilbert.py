@@ -164,14 +164,15 @@ def _standard_leads(I):
     the only variables not of degree 1."""
     if I.ctx.n_params:
         raise RingError("dimension computations need all variables in degree 1")
-    pk, basis = _basis(I)
+    basis = _basis(I)
     if not _homogeneous(basis):
         # inhomogeneous generators can leave inhomogeneous tails in a
         # minimal basis of a homogeneous ideal; its reduced basis has none
         for g in groebner_basis(I):
             if not _homogeneous([g.terms]):
                 raise RingError("ideal is not homogeneous: %s" % g)
-    return [pk.unpack(max(t)) for t in basis]
+    unpack = I.ctx.packing.unpack
+    return [unpack(max(t)) for t in basis]
 
 
 def lead_ideal(I):
@@ -179,8 +180,8 @@ def lead_ideal(I):
     sorted by (degree, exponents): the leads of a minimal Groebner basis,
     which are those of the reduced one.  For another order, build I in a
     ring with that order."""
-    pk, basis = _basis(I)
-    return sorted((pk.unpack(max(t)) for t in basis), key=_by_degree)
+    unpack = I.ctx.packing.unpack
+    return sorted((unpack(max(t)) for t in _basis(I)), key=_by_degree)
 
 
 @dataclass(frozen=True)

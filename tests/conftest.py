@@ -1,6 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
+import pytest
+
+import certificate
 import reesdeg.groebner as gb_mod
 from reesdeg.families import FamilySpec, make_family
 from reesdeg.ratmap import rational_map
@@ -93,6 +97,53 @@ def count_buchberger_runs(monkeypatch):
 
     monkeypatch.setattr(gb_mod, "_buchberger", counting)
     return runs
+
+
+def certify_bases(monkeypatch):
+    """Patch the engine so that every basis it computes, caches or
+    reduces passes `certificate`: each `_buchberger` run's as a minimal
+    Groebner basis of its seeds, each basis handed to `_basis_ideal` (in
+    every reesdeg module that binds it) as a minimal Groebner basis, and
+    each `_reduce_tails` pass's as the reduced basis of its input.
+    Returns the log of (kind, sorted leads) of the bases checked, kind
+    "computed", "given" or "reduced".  A run whose seeds and basis match
+    an earlier one's is not checked again."""
+    log = []
+    computed, given, reduced = gb_mod._buchberger, gb_mod._basis_ideal, gb_mod._reduce_tails
+    passed = set()
+
+    def buchberger(seeds, pk, fld, budget, hilbert=None):
+        basis = computed(seeds, pk, fld, budget, hilbert)
+        key = (pk, fld, len(basis)) + tuple(tuple(sorted(t.items())) for t in basis + seeds)
+        if key not in passed:
+            certificate.certify(basis, pk, fld.characteristic, seeds)
+            passed.add(key)
+        log.append(("computed", sorted(max(t) for t in basis)))
+        return basis
+
+    def basis_ideal(ctx, basis):
+        certificate.certify(basis, ctx.packing, ctx.field.characteristic)
+        log.append(("given", sorted(max(t) for t in basis)))
+        return given(ctx, basis)
+
+    def reduce_tails(basis, guard, p, budget):
+        out = reduced(basis, guard, p, budget)
+        certificate.certify_reduction(out, basis, guard, p)
+        log.append(("reduced", sorted(max(t) for t in out)))
+        return out
+
+    monkeypatch.setattr(gb_mod, "_buchberger", buchberger)
+    monkeypatch.setattr(gb_mod, "_reduce_tails", reduce_tails)
+    for module in [m for name, m in sys.modules.items() if name.startswith("reesdeg")]:
+        if getattr(module, "_basis_ideal", None) is given:
+            monkeypatch.setattr(module, "_basis_ideal", basis_ideal)
+    return log
+
+
+@pytest.fixture
+def verified_bases(monkeypatch):
+    """`certify_bases` for the whole test; its log."""
+    return certify_bases(monkeypatch)
 
 
 def record_shortcut(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     ORACLE_SHAPES,
+    certify_bases,
     count_buchberger_runs,
     in_order,
     nonzero_random_form,
@@ -234,15 +235,14 @@ class TestFiberConeOracle:
         ctx = RingCtx(tuple("x%d" % i for i in range(nvars)), FieldSpec(prime))
         forms = random_forms(ctx, rng, nforms, deg, factor and deg > 1, base)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            certify_bases(mp)
             fiber = rational_map(forms).fiber
             oracle = eliminate(in_order(rees_ideal(forms), ("block", nvars)), nvars)
             assert fiber.ctx == oracle.ctx
             assert groebner_basis(fiber) == groebner_basis(oracle)
 
     @pytest.mark.parametrize("name", list(PARAMETRIC_FIBER_CASES))
-    def test_parametric_fiber_cone_is_the_elimination_ideal(self, name, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_parametric_fiber_cone_is_the_elimination_ideal(self, name, verified_bases):
         forms = PARAMETRIC_FIBER_CASES[name]
         rees = rees_ideal(forms)
         fiber = fiber_cone_ideal(forms, rees=rees)

@@ -1032,6 +1032,20 @@ class TestFlagTable:
         code, out = run(capsys, argv + ["--budget", str(steps)])
         assert (code, runs) == (0, [])
 
+    @pytest.mark.parametrize("command", MAP_COMMANDS)
+    def test_map_with_a_leading_minus(self, capsys, command):
+        # a form may start with a minus sign, not only a number
+        glued = main([command, "--map=-x0^2,x1^2"]), capsys.readouterr()
+        spaced = main([command, "--map", "-x0^2,x1^2"]), capsys.readouterr()
+        assert spaced == glued and glued[0] == 0
+
+    @pytest.mark.parametrize("flag", ["--ring", "--ring=x0 x1", "-h"])
+    def test_a_flag_is_never_a_value(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["degree", "--map", flag, "x0 x1"])
+        assert exc.value.code == 2
+        assert "argument --map: expected one argument" in capsys.readouterr().err
+
 
 class TestExactRankOverQ:
     """Over Q both Jacobian rules rank on integers, so a coefficient that

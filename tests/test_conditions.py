@@ -363,7 +363,7 @@ class TestSeedBlock:
         spoly = groebner._spoly
         monkeypatch.setattr(groebner, "_spoly", lambda *args: built.append(1) or spoly(*args))
         assert height(I) == 4
-        _, basis = I.gb_cache[M.ctx.order]
+        basis = I.gb_cache[M.ctx.order]
         assert [len(t) for t in basis] == [1] * 35
         assert {max(t) for t in basis} == {M.ctx.key(m) for m in monomials_of_degree(4, 4)}
         assert built == []
@@ -614,8 +614,7 @@ class TestPackedSeeds:
         return out + [make_family(FamilySpec("pfaffian", r=4, D=1, seed=3, prime=prime)).matrix]
 
     @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
-    def test_packed_and_poly_seeds_agree(self, prime, monkeypatch):
-        monkeypatch.setattr(groebner, "VERIFY_BASES", True)
+    def test_packed_and_poly_seeds_agree(self, prime, verified_bases):
         for M in self.matrices(prime):
             heights = []
             for i in range(1, M.nrows):
@@ -630,34 +629,26 @@ class TestPackedSeeds:
             assert check_Gm(M, math.inf).table == G
             assert check_Fm(M, 0).table == F
 
-    def test_verify_checks_packed_bases(self, monkeypatch):
-        # the bases the packed path makes go through the Buchberger
-        # criterion: a Fitting ideal's, and the stripped basis of the
-        # saturation by the variables
-        monkeypatch.setattr(groebner, "VERIFY_BASES", True)
-        checked = []
-        closure = groebner._spair_closure_ok
-
-        def spy(basis, ctx):
-            checked.append(sorted(max(t) for t in basis))
-            return closure(basis, ctx)
-
-        monkeypatch.setattr(groebner, "_spair_closure_ok", spy)
+    def test_verify_checks_packed_bases(self, verified_bases):
+        # the bases the packed path makes pass the certificate: a Fitting
+        # ideal's, and the stripped basis of the saturation by the
+        # variables
         M = self.matrices(32003)[0]
         I = fitting_ideal(M, 1)
         height(I)
         leads = sorted(M.ctx.key(g.lm()) for g in groebner_basis(I))
-        assert checked == [leads]
+        assert verified_bases == [("computed", leads), ("reduced", leads)]
         ctx = M.ctx
         # (x0) cut with the square of the irrelevant ideal
         J = ideal(ctx, [parse_poly("x0*x%d" % j, ctx) for j in range(4)])
         maxi = ideal(ctx, [Poly.var(ctx, j) for j in range(4)])
-        del checked[:]
+        del verified_bases[:]
         S = saturate(J, maxi)
         # J's own basis, then the stripped one
+        x0 = [ctx.key((1, 0, 0, 0))]
         assert [str(g) for g in groebner_basis(S)] == ["x0"]
-        assert checked[0] == sorted(ctx.key(g.lm()) for g in groebner_basis(J))
-        assert checked[1:] == [[ctx.key((1, 0, 0, 0))]]
+        assert verified_bases[0] == ("computed", sorted(ctx.key(g.lm()) for g in groebner_basis(J)))
+        assert verified_bases[1:3] == [("given", x0), ("reduced", x0)]
 
 
 def random_alternating(ctx, rng, n, kind):

@@ -12,38 +12,49 @@ link them, all run in-process through `cli.main`:
   at n = 0..4 are sfib_multiplicity = deg F * deg Y, the multiplicity of
   the saturated fiber cone (Buse, Cid-Ruiz and D'Andrea, Proc. LMS 2020).
   The law is asymptotic; on the shapes drawn here the differences are
-  constant from n = 0 on.
+  constant from n = 0 on;
+- a `sweep` row's deg_map and deg_image are those `degree` gives on the
+  member's forms, at points the family certifies, where the sweep reads
+  them off the specialized generic Rees basis, and at a = 0, where it
+  builds the member's own.
 
 A wrong certificate in one route breaks one of these links: an
 independence rule that certifies dependent forms gives `image` a
 dimension that `degree` does not have, and a saturated fiber rule that
-answers C(n+r, r) for a map of degree above 1 breaks the sfib law.
+answers C(n+r, r) for a map of degree above 1 breaks the sfib law, and
+a certified Rees basis that misses a row breaks the sweep's link.
 """
 
 import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import ORACLE_SHAPES, oracle_map
+from reesdeg.blowup import certifies, specialize_forms
 from reesdeg.cli import main
-from reesdeg.families import ELL_NOT_MAXIMAL
+from reesdeg.families import ELL_NOT_MAXIMAL, FamilySpec, make_family
 from reesdeg.groebner import parse_ideal
 from reesdeg.hilbert import dim_degree
 from reesdeg.ring import RingError, format_poly, format_ring_header
 
 
-def run(command, spec, *extra):
-    """The JSON payload of `command` on the map `spec`."""
-    # glued to its flag, as a form may start with a minus sign
-    argv = [command, "--map=" + ", ".join(format_poly(g) for g in spec.forms)]
-    argv += ["--ring", format_ring_header(spec.ctx)] + list(extra)
+def payload(argv):
+    """The JSON payload of the command line `argv`."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code == 0, argv
     return json.loads(out.getvalue())
+
+
+def run(command, forms, *extra):
+    """The JSON payload of `command` on the map of `forms`."""
+    # glued to its flag, as a form may start with a minus sign
+    argv = [command, "--map=" + ", ".join(format_poly(g) for g in forms)]
+    return payload(argv + ["--ring", format_ring_header(forms[0].ctx)] + list(extra))
 
 
 def image_of(payload):
@@ -69,22 +80,39 @@ def test_commands_agree(shape, prime, seed):
         spec = oracle_map(shape, prime, seed)
     except RingError:
         assume(False)
-    degree = run("degree", spec)
-    image = run("image", spec)
+    degree = run("degree", spec.forms)
+    image = run("image", spec.forms)
     want = (degree["dim_image"], degree["deg_image"])
     assert (image["dim_image"], image["deg_image"]) == want
     assert image_of(image) == want
-    assert image_of(run("fiber-cone", spec)) == want
+    assert image_of(run("fiber-cone", spec.forms)) == want
 
-    jmult = run("jmult", spec)["j_multiplicity"]
+    jmult = run("jmult", spec.forms)["j_multiplicity"]
     if degree["analytic_spread"] == spec.r + 1:
         assert jmult == spec.degree * degree["sfib_multiplicity"]
     else:
         assert jmult == ELL_NOT_MAXIMAL
 
-    assert run("gr-dim", spec)["rows"] == [{"point": [], "gr_dim": spec.r + 1}]
+    assert run("gr-dim", spec.forms)["rows"] == [{"point": [], "gr_dim": spec.r + 1}]
 
     if spec.r == 2 and isinstance(degree["deg_map"], int):
-        values = [v["value"] for v in run("sfib-hf", spec, "--points", "0,1,2,3,4")["values"]]
+        values = [v["value"] for v in run("sfib-hf", spec.forms, "--points", "0,1,2,3,4")["values"]]
         second = [c - 2 * b + a for a, b, c in zip(values, values[1:], values[2:])]
         assert second == [degree["sfib_multiplicity"]] * 3
+
+
+@pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_sweep_rows_are_the_degrees_of_their_members(m, prime):
+    fam = make_family(FamilySpec("dejonquieres", m=m, prime=prime))
+    points = [0, 1, 2, 5, -3]
+    # the degree drops to 1 at a = 0 alone, and the family certifies the rest
+    certified = [a for a in points if certifies(fam.lead_coefficients(), (a,))]
+    assert certified == points[1:]
+    argv = ["sweep", "--family", "dejonquieres", "--m", str(m), "--prime", str(prime)]
+    rows = payload(argv + ["--points", ",".join(map(str, points))])["rows"]
+    assert [row["point"] for row in rows] == [[a % prime if prime else a] for a in points]
+    for a, row in zip(points, rows):
+        degree = run("degree", specialize_forms(list(fam.forms), (a,)))
+        assert (row["deg_map"], row["deg_image"]) == (degree["deg_map"], degree["deg_image"])
+    assert [row["deg_map"] for row in rows] == [1] + [m] * 4

@@ -4,8 +4,8 @@ import random
 import pytest
 
 import pfaffian_oracle
-import reesdeg.groebner as gb_mod
 import sweep_oracle
+import certificate
 from conftest import count_buchberger_runs, random_form
 from reesdeg import blowup, families, ratmap
 from reesdeg.blowup import specialization_compare
@@ -273,10 +273,15 @@ class TestCertifiedSweep:
     def test_every_point_of_f7(self, m):
         self.same_rows(make_family(FamilySpec("dejonquieres", m=m, prime=7)), list(range(7)))
 
-    def test_every_point_of_f101(self, monkeypatch):
-        # every certified basis passes the minimality and S-pair checks
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
-        self.same_rows(make_family(FamilySpec("dejonquieres", m=2, prime=101)), list(range(101)))
+    def test_every_point_of_f101(self, verified_bases):
+        # every certified basis passes the certificate, and its rows
+        # vanish under y -> g
+        fam = make_family(FamilySpec("dejonquieres", m=2, prime=101))
+        self.same_rows(fam, list(range(101)))
+        certified = [(a,) for a in range(101) if fam.special_rees((a,)) is not None]
+        assert len(certified) == 100
+        for pt in certified:
+            certificate.certify_rees(fam.member(pt).forms, fam.special_rees(pt))
 
     @pytest.mark.parametrize("prime", [32003, 0], ids=["F_32003", "QQ"])
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -297,10 +302,9 @@ class TestCertifiedSweep:
         assert any(fam.special_rees(pt) is not None for pt in points)
 
     @pytest.mark.parametrize("prime", [7, 0], ids=["F_7", "QQ"])
-    def test_leads_that_meet_are_minimalized(self, prime, monkeypatch):
+    def test_leads_that_meet_are_minimalized(self, prime, verified_bases):
         # generic leads a*m and m*m' both lie in the basis; at a != 0 the
         # second is redundant, and the certified basis leaves it out
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
         ctx = RingCtx(("x", "y", "z", "a"), FieldSpec(prime), n_params=1)
         texts = ("y*z*a + 4*x^2", "x^2*a + 5*z^2", "6*z^2*a + 6*x^2 + 3*x*z + 2*y*z")
         forms = tuple(parse_poly(t, ctx) for t in texts)
@@ -312,6 +316,8 @@ class TestCertifiedSweep:
             len(fam.special_rees(pt).gens) < len(blowup.specialize_rees(generic, pt).gens)
             for pt in certified
         )
+        for pt in certified:
+            certificate.certify_rees(fam.member(pt).forms, fam.special_rees(pt))
 
     def test_dejonquieres_leading_coefficients(self):
         # the candidates for a drop are the roots of a, ..., a^(2m-2): a = 0

@@ -5,9 +5,11 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import certificate
 import reesdeg.groebner as gb_mod
 from colon_oracle import colon, colon_chain_saturate, colon_ideal
 from conftest import (
+    certify_bases,
     count_buchberger_runs,
     in_order,
     nonzero_random_form,
@@ -36,7 +38,6 @@ from reesdeg.groebner import (
     BudgetExceeded,
     IdealHandle,
     _degree_in,
-    _spair_closure_ok,
     _spoly,
     _with_aux_var,
     eliminate,
@@ -355,8 +356,7 @@ class TestSaturateByVariables:
     @pytest.mark.parametrize(
         "field", [FP, QQ, FieldSpec(7)], ids=["F_32003", "QQ", "F_7"]
     )
-    def test_matches_colon_chain(self, field, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_matches_colon_chain(self, field, verified_bases, monkeypatch):
         taken = record_shortcut(monkeypatch)
         rng = random.Random(2207 + field.characteristic)
         cases = [(random_irrelevant_case(rng, field, i % 2), i % 2) for i in range(16)]
@@ -453,14 +453,15 @@ class TestClosureProperty:
             gens = [random_poly(ctx, rng, 3, 3) for _ in range(rng.randint(1, 3))]
             I = ideal(ctx, [g for g in gens if g])
             basis = groebner_basis(I)
-            assert _spair_closure_ok([g.terms for g in basis], ctx)
+            p, gens = ctx.field.characteristic, [g.terms for g in I.gens]
+            certificate.certify([g.terms for g in basis], ctx.packing, p, gens)
             assert_reduced(basis, ctx)
 
-    def test_verify_flag_active(self, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
-        _, I = mk(("x", "y", "z"), ["x^2 - y*z", "x*y - z^2"])
-        basis = groebner_basis(I)
-        assert basis
+    def test_verified_bases_are_logged(self, verified_bases):
+        ctx, I = mk(("x", "y", "z"), ["x^2 - y*z", "x*y - z^2"])
+        leads = sorted(ctx.key(g.lm()) for g in groebner_basis(I))
+        assert len(leads) == 3
+        assert verified_bases == [("computed", leads), ("reduced", leads)]
 
 
 class TestSerialization:
@@ -618,8 +619,7 @@ def assert_standard_packed(I):
     assert pk is _packing(I.ctx.order, I.ctx.nvars)
     assert set(I.gb_cache) <= {I.ctx.order}
     dicts = [g.terms for g in I.gens]
-    for cached, basis in I.gb_cache.values():
-        assert cached is pk
+    for basis in I.gb_cache.values():
         dicts += basis
     for t in dicts:
         for m in t:
@@ -642,7 +642,7 @@ class TestOnePacking:
         monkeypatch.setattr(_Packing, "pack", lambda pk, mon: packed.append(mon) or pack(pk, mon))
         # one generator forms no pair, so no lcm is packed either
         assert [str(g) for g in groebner_basis(I)] == ["x^2 + y*z"]
-        assert I.gb_cache[ctx.order][0] is ctx.packing
+        assert I.gb_cache == {ctx.order: (I.gens[0].terms,)}
         assert packed == []
 
     @pytest.mark.parametrize("field", [FP, QQ], ids=["F_32003", "QQ"])
@@ -857,8 +857,7 @@ class TestHilbertDriven:
     @pytest.mark.parametrize(
         "field", [FP, FieldSpec(7), QQ], ids=["F_32003", "F_7", "QQ"]
     )
-    def test_same_reduced_bases(self, field, order, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_same_reduced_bases(self, field, order, verified_bases, monkeypatch):
         runs = record_runs(monkeypatch)
         rng = random.Random(1996 + field.characteristic + len(order))
         plain_steps = driven_steps = 0
@@ -888,8 +887,7 @@ class TestHilbertDriven:
     @pytest.mark.parametrize(
         "field", [FP, FieldSpec(7), QQ], ids=["F_32003", "F_7", "QQ"]
     )
-    def test_eliminate_runs_driven(self, field, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_eliminate_runs_driven(self, field, verified_bases, monkeypatch):
         runs = record_runs(monkeypatch)
         rng = random.Random(1997 + field.characteristic)
         p = field.characteristic
@@ -965,8 +963,7 @@ class TestGraphSeries:
     @pytest.mark.parametrize(
         "field", [FP, FieldSpec(7), QQ], ids=["F_32003", "F_7", "QQ"]
     )
-    def test_same_reduced_bases(self, field, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_same_reduced_bases(self, field, verified_bases, monkeypatch):
         runs = record_runs(monkeypatch)
         rng = random.Random(1301 + field.characteristic)
         plain_steps = driven_steps = 0
@@ -1038,8 +1035,7 @@ class TestRationalExactness:
     the exact one over Q."""
 
     @pytest.mark.parametrize("order", ["grevlex", "lex", "block"])
-    def test_scaled_generators_give_the_same_basis(self, order, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_scaled_generators_give_the_same_basis(self, order, verified_bases):
         rng = random.Random(2003)
         orders = {"block": lambda n: ("blocks", (1, n - 1))}
         for _ in range(15):
@@ -1049,8 +1045,7 @@ class TestRationalExactness:
             assert groebner_basis(ideal(ctx, scaled)) == basis
             assert_reduced(basis, ctx)
 
-    def test_normal_form_is_exact(self, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_normal_form_is_exact(self, verified_bases):
         rng = random.Random(2011)
         for _ in range(15):
             ctx, gens = rational_ideal(rng)
@@ -1072,8 +1067,7 @@ class TestRationalExactness:
         assert normal_form(parse_poly("x", ctx), I) == parse_poly("3/2*y", ctx)
         assert normal_form(parse_poly("x^2 + 1/3", ctx), I) == parse_poly("9/4*y^2 + 1/3", ctx)
 
-    def test_sat_exponent_matches_colon_chain(self, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_sat_exponent_matches_colon_chain(self, verified_bases):
         rng = random.Random(2017)
         exponents = set()
         for _ in range(12):
@@ -1165,7 +1159,7 @@ class TestDelayedModP:
     def test_remainders_match_eager_reduction(self, case):
         I, f = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            certify_bases(mp)
             nf = normal_form(f, I)
             assert nf == eager_remainder(f, groebner_basis(I))
         assert all(0 < c < 7 for c in nf.terms.values())
@@ -1203,7 +1197,7 @@ class TestEngineCoefficientCounts:
         monkeypatch.setattr(gb_mod, "_basis", tracked)
         fiber_cone_ideal(forms, rees=rees_ideal(forms))
         # the t-run alone: the fiber cone is read off the Rees basis
-        assert [len(b[1]) for b in bases] == [16]
+        assert [len(b) for b in bases] == [16]
         assert ops[0] == 0
         # the counters see Fraction arithmetic inside _basis
         inside[0] = True
@@ -1374,7 +1368,7 @@ class TestSeedBlock:
     def test_planted_combinations_change_no_basis(self, case):
         ctx, gens, mixed = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            certify_bases(mp)
             assert groebner_basis(ideal(ctx, mixed)) == groebner_basis(ideal(ctx, gens))
 
 
@@ -1408,11 +1402,11 @@ class TestLazyTails:
         ctx = I.ctx
         k = data.draw(st.integers(1, ctx.nvars - 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            certify_bases(mp)
             elim = eliminate(in_order(I, ("block", k)), k)
             # the generators are the kept rows of the minimal block basis
-            pk, kept = elim.gb_cache[elim.ctx.order]
-            assert [g.lm() for g in elim.gens] == [pk.unpack(max(t)) for t in kept]
+            kept = elim.gb_cache[elim.ctx.order]
+            assert [g.lm() for g in elim.gens] == [elim.ctx.packing.unpack(max(t)) for t in kept]
             got = [by_exponents(g) for g in groebner_basis(elim)]
             full = groebner_basis(in_order(I, ("block", k)))
         free = [by_exponents(g) for g in full]
@@ -1424,7 +1418,7 @@ class TestLazyTails:
     def test_reduced_basis_after_lead_readers(self, I):
         ctx = I.ctx
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gb_mod, "VERIFY_BASES", True)
+            certify_bases(mp)
             summary = dim_degree(I)
             lex_I = in_order(I, "lex")
             leads = lead_ideal(lex_I)
@@ -1435,8 +1429,7 @@ class TestLazyTails:
         assert dim_degree(ideal(ctx, I.gens)) == summary
 
     @pytest.mark.parametrize("field", [FieldSpec(7), FP, QQ], ids=["F_7", "F_32003", "QQ"])
-    def test_results_reduce_to_the_basis_of_their_generators(self, field, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
+    def test_results_reduce_to_the_basis_of_their_generators(self, field, verified_bases):
         texts = ["x0*x2 + x1*x2 + x2^2", "2*x0^2 + x1^2 + x1*x2", "x0^2 - x0*x1 - x0*x2"]
         ctx, J = mk(("x0", "x1", "x2"), texts, field=field)
         x0, x1 = Poly.var(ctx, 0), Poly.var(ctx, 1)
@@ -1449,8 +1442,7 @@ class TestLazyTails:
             saturate(ideal(ctx, [x1 * g for g in J.gens]), ideal(ctx, [x1])),
         ]
         for R in results:
-            pk, basis = R.gb_cache[R.ctx.order]
-            assert not gb_mod._is_reduced(basis, pk.guard)
+            assert not certificate.is_reduced(R.gb_cache[R.ctx.order], R.ctx.packing.guard)
         rng = random.Random(5003 + field.characteristic)
         for _ in range(4):
             I, K = random_saturation_case(rng, field)
@@ -1481,8 +1473,7 @@ class TestLazyTails:
         assert main(["gr-dim", "--family", "dejonquieres", "--points", "0,2"]) == 0
         capsys.readouterr()
         assert rows == []
-        pk, basis = I.gb_cache[I.ctx.order]
-        assert not gb_mod._is_reduced(basis, pk.guard)
+        assert not certificate.is_reduced(I.gb_cache[I.ctx.order], I.ctx.packing.guard)
 
     def test_eliminate_reduces_no_tails(self, monkeypatch):
         fam = make_family(FamilySpec("pfaffian", r=4, D=1))
@@ -1491,10 +1482,10 @@ class TestLazyTails:
         rees = eliminate(graph, 1)
         fiber_cone_ideal(list(fam.forms), rees=rees)
         assert rows == []
-        _, block = graph.gb_cache[graph.ctx.order]
-        pk, kept = rees.gb_cache[rees.ctx.order]
+        block = graph.gb_cache[graph.ctx.order]
+        kept = rees.gb_cache[rees.ctx.order]
         assert len(block) > len(kept) == len(rees.gens)
-        assert not gb_mod._is_reduced(kept, pk.guard)
+        assert not certificate.is_reduced(kept, rees.ctx.packing.guard)
         groebner_basis(rees)
         assert rows == [len(rees.gens)]
 
@@ -1523,8 +1514,8 @@ class TestLazyTails:
         assert calls == []
 
     def test_verify_catches_a_missing_tails_pass(self, monkeypatch):
-        monkeypatch.setattr(gb_mod, "VERIFY_BASES", True)
         monkeypatch.setattr(gb_mod, "_reduce_tails", lambda basis, *args: sorted(basis, key=max))
+        certify_bases(monkeypatch)
         _, I = mk(("x", "y", "z"), ["x^2 - y^2 + z^2", "x*y - z^2", "y*z - x^2"], field=FP)
         with pytest.raises(AssertionError, match="not reduced"):
             groebner_basis(I)
@@ -1576,10 +1567,10 @@ class TestTopReduction:
     def test_top_reduced_basis_has_the_reduced_leads(self, case):
         I, fs = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gb_mod, "VERIFY_BASES", True)
-            pk, basis = gb_mod._basis(I)
+            certify_bases(mp)
+            pk, basis = I.ctx.packing, gb_mod._basis(I)
             # the cached basis, before any tails pass
-            assert _spair_closure_ok(basis, I.ctx)
+            certificate.certify(basis, pk, I.ctx.field.characteristic, [g.terms for g in I.gens])
             leads = [g.lm() for g in groebner_basis(I)]
             assert leads == [pk.unpack(max(t)) for t in basis]
             for f in fs:

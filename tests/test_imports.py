@@ -148,6 +148,35 @@ def test_private_imports_are_pinned():
     assert private_imports(trees) == PRIVATE_IMPORTS
 
 
+def engine_imports(tree):
+    """Names the module imports from the engine, `reesdeg.groebner`, at
+    any level of nesting: the module itself, as `import
+    reesdeg.groebner` or `from reesdeg import groebner`, or a name of it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name == "reesdeg.groebner"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "reesdeg.groebner":
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "reesdeg":
+            found += [a.name for a in node.names if a.name == "groebner"]
+    return found
+
+
+def test_engine_imports_are_found():
+    tree = ast.parse(
+        "import reesdeg.groebner as g\nfrom reesdeg import ring, groebner\n"
+        "from reesdeg.ring import Poly\ndef f():\n    from reesdeg.groebner import _spoly\n"
+    )
+    assert sorted(engine_imports(tree)) == ["_spoly", "groebner", "reesdeg.groebner"]
+
+
+def test_certificate_imports_nothing_of_the_engine():
+    # the basis certificate of the tests shares no code with what it checks
+    path = ROOT / "tests" / "certificate.py"
+    assert engine_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
 # Facts about a map that its context (`ratmap.RationalMapSpec`) holds: a
 # function takes them from the context, not as an optional argument.
 FACT_PARAMETERS = {"rees", "image", "certified", "generic", "special"}
