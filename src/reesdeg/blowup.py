@@ -47,12 +47,27 @@ For r+1 forms of P^r, `jacobian_dual_birational` certifies the map
 birational (see `ratmap`) when the weak Jacobian dual psi, read off the
 linear syzygies of the forms, has rank r at the image point g(p) of one
 fixed point p.  Forms with fewer than r linear syzygies are dropped
-after the one elimination that finds them.  Both rules take ranks and
-that kernel with the engine's echelon form, `groebner._gauss_jordan`:
-mod p over F_p and fraction-free on integers over Q, so ranks over Q
-are exact and no Groebner basis is built.  Both read the same fixed
-points, whose coordinates are the first primes; over a small F_p that
-has one of them 0 mod p, points drawn without p follow.
+after the one elimination that finds them, `linear_syzygies`, which the
+map context computes once for this rule and the next.  Both Jacobian
+rules take ranks and that kernel with the engine's echelon form,
+`groebner._gauss_jordan`: mod p over F_p and fraction-free on integers
+over Q, so ranks over Q are exact and no Groebner basis is built.  Both
+read the same fixed points, whose coordinates are the first primes;
+over a small F_p that has one of them 0 mod p, points drawn without p
+follow.
+
+For r+1 forms of P^r of degree d, `hilbert_burch_degrees` recovers a
+presentation matrix phi of their ideal by linear algebra alone: the
+syzygies of degree e = 1, 2, ..., each degree's kernel one more
+`_gauss_jordan` pass over the products u*g_i, that are independent
+modulo the multiples of the columns found so far become columns, until
+there are r, the last looked for in degree d minus the others.
+`presents_linear_type` then certifies phi: its signed maximal minors
+are c*g with one c != 0, and it satisfies G_{r+1}
+(`conditions.check_Gm`).  The column degrees mu_j give deg F =
+prod mu_j (see `ratmap`, which states the theorems and the maps it
+declines).  The test is one-sided: forms it does not certify take the
+Rees route.
 
 A map the context certifies birational has a known saturated fiber cone
 (see `ratmap`); `saturated_fiber_dim` is the route of every other map:
@@ -73,6 +88,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
 
+from .conditions import PresentationMatrix, check_Gm, minors
 from .groebner import (
     IdealHandle,
     _basis,
@@ -90,7 +106,15 @@ from .groebner import (
     seed_hilbert_series,
 )
 from .hilbert import dim_degree, hilbert_function
-from .ring import Poly, RingCtx, RingError, _is_prime, _minimal_packed, fresh_names
+from .ring import (
+    Poly,
+    RingCtx,
+    RingError,
+    _is_prime,
+    _minimal_packed,
+    fresh_names,
+    monomials_of_degree,
+)
 
 
 def _form_degree(forms):
@@ -465,62 +489,91 @@ def jacobian_independent(forms):
     return False
 
 
-def _syzygies(ctx, forms, p, budget):
-    """A basis of the linear syzygies of the r+1 packed integer term
-    dicts `forms` of P^r, or None when it has fewer than r elements.
-    Syzygy entry j = k*(r+1) + i is a_ki, the coefficient of x_k in that
-    of g_i.  `_gauss_jordan` reduces the rows that give each monomial of
-    degree d+1 its coefficients in the products x_k*g_i, and stops at
-    n-r+1 pivots, n = (r+1)^2, leaving fewer than r syzygies.  Else each
-    column f without a pivot spans the kernel with a_f = L and
+# the widest syzygy kernel the Hilbert-Burch rule builds: (r+1)*C(e+r, r)
+# columns in degree e.  On a 2-vCPU VM the rule took about 60 ms on a
+# 3 x 2 matrix of sextics (84 columns), and 1.6 s on x0^5000, x1^5000,
+# whose one column of degree 5000 is a kernel of 10 002 columns, where
+# the Rees route takes 0.01 s; a wider kernel is left to the Rees route
+_KERNEL_COLUMNS = 120
+
+
+@lru_cache(maxsize=None)
+def _monomials(ctx, e):
+    """The packed monomials of degree e of ctx, in the order of
+    `monomials_of_degree`: for e = 1 the variables, x_k at k."""
+    return tuple(ctx.key(u) for u in monomials_of_degree(ctx.nvars, e))
+
+
+def _syzygy_kernel(forms, units, p, budget, pinned=frozenset()):
+    """A basis of the syzygies of degree e of the r+1 packed integer term
+    dicts `forms`, over the field of characteristic p, whose entries at
+    the columns `pinned` are 0; `units` are the packed monomials u_k of
+    degree e (`_monomials`).  Syzygy entry j = k*(r+1) + i is a_ki, the
+    coefficient of u_k in that of g_i.  One `_gauss_jordan` pass reduces
+    the rows that give each monomial of degree d+e its coefficients in
+    the products u_k*g_i, pinned columns left out, sorted by their
+    largest column, so that no row is scanned for a pivot to clear.  Each
+    other column f without a pivot spans the kernel with a_f = L and
     a_j = -row[f]*L/row[j] for the row with its pivot at j, L the lcm of
-    the pivots over Q and 1 over F_p.  Each product term formed costs one
-    budget step."""
-    r = len(forms) - 1
-    n = (r + 1) ** 2
+    the pivots over Q and 1 over F_p; entries over F_p are reduced mod p.
+    Each product term formed costs one budget step."""
+    r1 = len(forms)
+    columns = [j for j in range(len(units) * r1) if j not in pinned]
     by_monomial = {}
-    for k, unit in enumerate(ctx.packing.units):
-        for i, g in enumerate(forms):
-            _charge(budget, len(g))
-            for m, c in g.items():
-                by_monomial.setdefault(m + unit, {})[k * (r + 1) + i] = c
+    for j in columns:
+        k, i = divmod(j, r1)
+        _charge(budget, len(forms[i]))
+        for m, c in forms[i].items():
+            by_monomial.setdefault(m + units[k], {})[j] = c
     rows = sorted(by_monomial.values(), key=max)
-    pivots = {max(row): row for row in _gauss_jordan(rows, p, budget, stop=n - r + 1)}
-    if len(pivots) > n - r:
-        return None
+    pivots = {max(row): row for row in _gauss_jordan(rows, p, budget)}
     scale = lcm(*(row[j] for j, row in pivots.items()))
     return [
-        {f: scale} | {j: -row[f] * scale // row[j] for j, row in pivots.items() if f in row}
-        for f in range(n)
+        _field_row(
+            {f: scale} | {j: -row[f] * scale // row[j] for j, row in pivots.items() if f in row}, p
+        )
+        for f in columns
         if f not in pivots
     ]
 
 
-def jacobian_dual_birational(forms):
-    """True when the weak Jacobian dual psi of `forms`, r+1 forms of
-    P^r read off their linear syzygies (`_syzygies`), has rank r at g(p)
-    for one of the fixed `_jacobian_points` p, which proves the map
-    birational onto P^r (see the module docstring); False when no point
-    does, and at once when the forms are not as many as the variables,
-    the ring has parameters, or there are fewer than r syzygies.
-
-    The forms are checked by `_form_degree` first, and over Q scaled to
-    integers.  psi(g(p)) is ranked by `_gauss_jordan`, stopped at r
-    pivots.  Each product term formed, each form term evaluated and each
-    row operation costs one budget step.
-    """
+def linear_syzygies(forms):
+    """A basis of the linear syzygies of `forms`, r+1 forms of P^r, which
+    both the Jacobian dual rule and the Hilbert-Burch rule read: the
+    degree-1 `_syzygy_kernel` of the forms scaled to integers, whose entry
+    k*(r+1) + i is a_ki, the coefficient of x_k in that of g_i.  None,
+    before any product, when the forms are not as many as the variables
+    or the ring has parameters: neither rule applies there.  The forms
+    are checked by `_form_degree` first."""
     _form_degree(forms)
     ctx = forms[0].ctx
-    r = ctx.nvars - 1
-    if ctx.n_params or len(forms) != r + 1:
-        return False
+    if ctx.n_params or len(forms) != ctx.nvars:
+        return None
     p = ctx.field.characteristic
     forms = [_integral(g.terms, p)[0] for g in forms]
-    budget = _budget()
-    syzygies = _syzygies(ctx, forms, p, budget)
-    if syzygies is None:
+    return _syzygy_kernel(forms, _monomials(ctx, 1), p, _budget())
+
+
+def jacobian_dual_birational(forms, syzygies):
+    """True when the weak Jacobian dual psi of `forms`, r+1 forms of
+    P^r, read off `syzygies`, their `linear_syzygies`, has rank r at g(p)
+    for one of the fixed `_jacobian_points` p, which proves the map
+    birational onto P^r (see the module docstring); False when no point
+    does, and at once when `syzygies` is None or holds fewer than r
+    syzygies.
+
+    The forms are those `linear_syzygies` checked, and are scaled to
+    integers over Q.  psi(g(p)) is ranked by `_gauss_jordan`, stopped at
+    r pivots.  Each form term evaluated and each row operation costs one
+    budget step.
+    """
+    r = len(forms) - 1
+    if syzygies is None or len(syzygies) < r:
         return False
-    supports = [_support(ctx, g) for g in forms]
+    ctx = forms[0].ctx
+    p = ctx.field.characteristic
+    budget = _budget()
+    supports = [_support(ctx, _integral(g.terms, p)[0]) for g in forms]
     for point in _jacobian_points(r + 1, p):
         values, _ = _evaluated(supports, point, p, budget)
         rows = [
@@ -531,6 +584,120 @@ def jacobian_dual_birational(forms):
         if len(_gauss_jordan(rows, p, budget, stop=r)) == r:
             return True
     return False
+
+
+def _common_coordinate_zero(M):
+    """True when every entry of M vanishes at one coordinate point, the
+    point whose one nonzero coordinate is x_k: then I_1(M) has a zero in
+    P^(n-1), so its height is below n, the number of variables.  An
+    entry vanishes there unless it has a term in x_k alone, or a constant
+    term, which no point kills."""
+    unpack = M.ctx.packing.unpack
+    alone = set()
+    for row in M.entries:
+        for entry in row:
+            for m in entry.terms:
+                support = [k for k, x in enumerate(unpack(m)) if x]
+                if not support:
+                    return False
+                if len(support) == 1:
+                    alone.add(support[0])
+    return len(alone) < M.ctx.nvars
+
+
+def presents_linear_type(M, forms):
+    """True when the (r+1) x r matrix M presents the ideal I of `forms`,
+    g_0..g_r, and satisfies G_{r+1}, so that I is perfect of codimension
+    2 and of linear type (see `ratmap`): its signed maximal minors, the
+    i-th (-1)^i times the minor dropping row i, as
+    `families.signed_maximal_minors` takes them, are c*g_i for one
+    constant c != 0, and `check_Gm(M, r+1)` holds, whose row i = 1 is
+    ht I >= 2.  The cheap tests come first.  When r+1 is the number of
+    variables, entries that all vanish at one coordinate point fail
+    G_{r+1} at i = r, which asks ht I_1(M) > r, since I_1(M) then has a
+    zero; such a matrix expands no minor.  A matrix whose minors are not
+    c*g computes no height."""
+    ctx = M.ctx
+    if M.nrows != len(forms) or M.ncols != M.nrows - 1:
+        raise RingError("a presentation of r+1 forms is an (r+1) x r matrix")
+    if M.nrows == ctx.nvars and _common_coordinate_zero(M):
+        return False
+    f = ctx.field
+    signed = [m if i % 2 == 0 else -m for i, m in enumerate(reversed(minors(M, M.ncols)))]
+    lead = max(forms[0].terms)
+    c = f.mul(signed[0].terms.get(lead, 0), f.inv(forms[0].terms[lead]))
+    if not c or any(m != g.scale(c) for m, g in zip(signed, forms)):
+        return False
+    return check_Gm(M, M.nrows).verdict
+
+
+def hilbert_burch_degrees(forms, syzygies):
+    """The column degrees (mu_1, ..., mu_r), weakly increasing, of a
+    presentation matrix of the ideal of `forms`, r+1 forms of P^r of
+    degree d, when `presents_linear_type` certifies the one it recovers:
+    then deg F = prod mu_j (see `ratmap`).  None otherwise, and at once
+    when `syzygies`, their `linear_syzygies`, is None or r = 0.  The
+    forms are those `linear_syzygies` checked.
+
+    The matrix is recovered by linear algebra, one column degree e =
+    1, 2, ... at a time: a basis of the syzygies of degree e modulo the
+    multiples of the columns found so far becomes columns.  With P the
+    pivot columns of the reduced echelon form of those multiples, the
+    syzygies whose entries at P are 0 are such a basis: each syzygy is
+    one of them plus a combination of multiples, and no nonzero
+    combination of multiples is 0 at P.  So they are `syzygies` for
+    e = 1, and else the `_syzygy_kernel` of degree e of the forms scaled
+    to integers with P pinned.  The last column is looked for in degree
+    d - sum(mu) alone.  The search declines once it holds more
+    than r columns, when the columns still to find cannot fit into
+    degree d, and before a kernel of more than `_KERNEL_COLUMNS`
+    columns.  Row i of the matrix is scaled back to the form g_i.  Each
+    product term formed and each row operation costs one budget step.
+    The test is one-sided: forms it does not certify take the Rees route.
+    """
+    r = len(forms) - 1
+    if syzygies is None or r < 1:
+        return None
+    ctx = forms[0].ctx
+    # the forms are those `linear_syzygies` checked: of one degree d
+    d = sum(ctx.packing.unpack(max(forms[0].terms)))
+    p = ctx.field.characteristic
+    integral, scales = zip(*(_integral(g.terms, p) for g in forms))
+    budget = _budget()
+    columns, mu = [], []
+    e = 1
+    while len(mu) < r:
+        left = r - len(mu)
+        if sum(mu) + left * e > d:
+            return None
+        if left == 1:
+            e = d - sum(mu)
+        if e > 1 and (r + 1) * comb(e + r, r) > _KERNEL_COLUMNS:
+            return None
+        units = _monomials(ctx, e)
+        offset = {u: k * (r + 1) for k, u in enumerate(units)}
+        multiples = [
+            {offset[w + m] + i: c for i, g in enumerate(col) for m, c in g.items()}
+            for col, deg in zip(columns, mu)
+            for w in _monomials(ctx, e - deg)
+        ]
+        pinned = {max(row) for row in _gauss_jordan(multiples, p, budget)}
+        new = syzygies if e == 1 else _syzygy_kernel(integral, units, p, budget, pinned)
+        if len(mu) + len(new) > r:
+            return None
+        for syz in new:
+            col = [{} for _ in forms]
+            for j, c in syz.items():
+                k, i = divmod(j, r + 1)
+                col[i][units[k]] = c
+            columns.append(col)
+        mu += [e] * len(new)
+        e += 1
+    rows = [
+        [Poly(ctx, {m: c * s for m, c in col[i].items()}, _clean=True) for col in columns]
+        for i, s in enumerate(scales)
+    ]
+    return tuple(mu) if presents_linear_type(PresentationMatrix(ctx, rows), forms) else None
 
 
 @dataclass(frozen=True)

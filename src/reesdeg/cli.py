@@ -131,18 +131,20 @@ def _load_family(args):
 
 def _parse_points(text, default, arity=1, prime=0):
     """The points of a --points value, `default` when the flag is not
-    given: comma separated, each of `arity` colon separated integers,
-    reduced mod `prime` unless it is 0.  A value naming no point is an
-    error, as is a coordinate that is no integer."""
+    given: comma separated, each of `arity` colon separated integers in
+    ASCII digits, with an optional sign, reduced mod `prime` unless it is
+    0.  A value naming no point is an error, as is a coordinate that is
+    no such integer, which int() alone would let through as "1_0" or in
+    other scripts' digits."""
     pts = []
     for part in (default if text is None else text).split(","):
         part = part.strip()
         if not part:
             continue
-        try:
-            vals = tuple(int(v) for v in part.split(":"))
-        except ValueError:
-            raise RingError("--points coordinates must be integers, got %r" % part) from None
+        coords = [v.strip() for v in part.split(":")]
+        if not all(re.fullmatch(r"[+-]?[0-9]+", v) for v in coords):
+            raise RingError("--points coordinates must be integers, got %r" % part)
+        vals = tuple(int(v) for v in coords)
         if len(vals) != arity:
             raise RingError("point %r needs %d coordinates" % (part, arity))
         pts.append(tuple(v % prime for v in vals) if prime else vals)
@@ -362,17 +364,28 @@ HANDLERS = {
 }
 
 
+def _integer(text):
+    """An int flag value: ASCII digits with an optional sign, which int()
+    alone would widen to "1_0" and other scripts' digits."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError("invalid integer %r" % text)
+    return int(text)
+
+
 # add_argument keywords of every flag
 FLAGS = {
     "--map": {"help": "comma separated forms, or a map file path"},
     "--ring": {"help": "ring header, e.g. 'x0 x1 over 32003'"},
-    "--prime": {"type": int, "help": "field characteristic, 0 for Q (default %d)" % DEFAULT_PRIME},
+    "--prime": {
+        "type": _integer,
+        "help": "field characteristic, 0 for Q (default %d)" % DEFAULT_PRIME,
+    },
     "--matrix": {"help": "matrix file path"},
     "--family": {"help": "dejonquieres, or a family file whose ring declares params"},
-    "--m": {"type": int, "help": "de Jonquieres parameter m (default 2), or condition level"},
+    "--m": {"type": _integer, "help": "de Jonquieres parameter m (default 2), or condition level"},
     "--points": {"help": "comma separated points (colon for tuples)"},
-    "--seed": {"type": int, "default": DEFAULT_SEED, "help": "echoed in the output"},
-    "--budget": {"type": int, "help": "step budget for the whole command"},
+    "--seed": {"type": _integer, "default": DEFAULT_SEED, "help": "echoed in the output"},
+    "--budget": {"type": _integer, "help": "step budget for the whole command"},
     "--format": {"choices": ("json", "text"), "default": "json"},
     "--out": {"help": "write output to a file instead of stdout"},
 }

@@ -68,12 +68,13 @@ the bound sets the degree field's guard bit and raises `RingError`.
 import math
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, islice
 from math import comb
 
 from .groebner import IdealHandle, _budget, _charge, _gauss_jordan, _homogeneous, _integral
 from .hilbert import lead_ideal, monomial_dim_degree
-from .ring import EXP_BOUND, Poly, RingError, _overflow
+from .ring import EXP_BOUND, _MASK, Poly, RingError, _overflow, monomials_of_degree
 from .ring import format_poly, format_ring_header, parse_poly, parse_ring_header
 
 
@@ -180,6 +181,19 @@ def _chain(M, size, memo, minor, reverse=False):
         yield {m: p - c if p else -c for m, c in got.items()} if negate else got
 
 
+def column_degrees(M):
+    """(mu_1, ..., mu_c) when each column j of M holds forms of one
+    positive degree mu_j, not all 0, in every variable of the ring
+    (parameters too); else None."""
+    mu = []
+    for j in range(M.ncols):
+        degrees = {m & _MASK for row in M.entries for m in row[j].terms}
+        if len(degrees) != 1 or 0 in degrees:
+            return None
+        mu.append(degrees.pop())
+    return tuple(mu)
+
+
 def _polys(ctx, forms):
     """The packed term dicts `forms` as polynomials of ctx."""
     return [Poly(ctx, t, _clean=True) for t in forms]
@@ -240,6 +254,48 @@ def height(I):
     return I.ctx.nvars - summ.dim
 
 
+@lru_cache(maxsize=None)
+def _monomial_on_line(e):
+    """The monomial of exponent tuple e on the line s*(1, ..., 1) +
+    t*(1, 2, ..., n), where x_k is s + (k+1)*t: the coefficients of
+    t^j s^(deg - j), j = 0..deg, as integers."""
+    acc = [1]
+    for k, x in enumerate(e):
+        for _ in range(x):
+            acc = [a + (k + 1) * b for a, b in zip(acc + [0], [0] + acc)]
+    return tuple(acc)
+
+
+def _on_line(ctx, terms, p):
+    """The packed integer form `terms` on the line of
+    `_monomial_on_line`, as {j: coefficient of t^j s^(deg - j)} over the
+    field of characteristic p; each term costs one budget step."""
+    unpack = ctx.packing.unpack
+    budget = _budget()
+    out = {}
+    for m, c in terms.items():
+        _charge(budget)
+        for j, a in enumerate(_monomial_on_line(unpack(m))):
+            out[j] = out.get(j, 0) + c * a
+    return {j: w for j, a in out.items() if (w := a % p if p else a)}
+
+
+def _coprime(ctx, f, g, p):
+    """True when the packed integer forms f and g, of positive degrees a
+    and b, restrict to binary forms on the line of `_on_line` whose
+    resultant is not 0: the a + b rows of their Sylvester matrix, the
+    shifts of one by the other's degree, have a + b pivots.  A common
+    factor of f and g of positive degree would restrict to a common
+    factor there, or to 0, so f and g are then coprime."""
+    a, b = (next(iter(t)) & _MASK for t in (f, g))
+    rows = [
+        {k + j: c for j, c in line.items()}
+        for line, shifts in ((_on_line(ctx, f, p), b), (_on_line(ctx, g, p), a))
+        for k in range(shifts)
+    ]
+    return len(_gauss_jordan([row for row in rows if row], p, _budget(), a + b)) == a + b
+
+
 def _fitting_heights(M):
     """(ht Fitt_1, .., ht Fitt_{nrows-1}), computed on the first call
     and kept on M.
@@ -251,6 +307,16 @@ def _fitting_heights(M):
     every later one has height nvars or is the unit ideal.  Homogeneous
     generators generate the unit ideal exactly when one is a nonzero
     constant, so those indices need no Groebner basis.
+
+    The maximal minors of a (c+1) x c matrix that are forms of positive
+    degree generate a proper ideal of height at most 2 (Eagon-Northcott,
+    "Ideals defined by matrices and a certain complex associated with
+    them", Proc. Roy. Soc. A 1962).  Two of them that are coprime form a
+    regular sequence, of height 2, so then Fitt_1 has height 2 and needs
+    no run; coprimality is read off one line (`_coprime`) for the pairs
+    of the first three minors, and the test is one-sided: minors it does
+    not certify leave Fitt_1 to the paths below.  In two variables,
+    height 2 is nvars, which the span below shows.
 
     When every nonzero entry of M is a form of one positive degree e, in
     a ring with no parameters, so is every nonzero k-minor, of degree
@@ -265,6 +331,15 @@ def _fitting_heights(M):
     first index, so the tuples the previous index left in the memo come
     first and cost no product.  Later indices need not even expand
     their forms.
+
+    A matrix that is not alternating streams the same way when each
+    column j holds forms of one positive degree mu_j, as a Hilbert-Burch
+    matrix does: a k-minor on columns C is then a form of degree
+    sum_{j in C} mu_j, at most t, the sum of the k largest mu_j, and it
+    streams as its products with the monomials that raise it to degree
+    t, each product one budget step.  Those lie in the ideal, so a span
+    of S_t proves height nvars again; a stream of several degrees that
+    does not span leaves the run to the minors themselves.
     """
     if M._heights is not None:
         return M._heights
@@ -273,26 +348,57 @@ def _fitting_heights(M):
     # every monomial of every entry; the constant monomial packs to 0
     mons = {m for row in M.entries for e in row for m in e.terms}
     forms = 0 not in mons and _homogeneous([mons])
-    stream = forms and not ctx.n_params
-    degree = sum(ctx.packing.unpack(next(iter(mons)))) if mons else 0
     minor = not is_alternating(M)
+    mu = column_degrees(M) if minor else None
+    stream = (forms or mu is not None) and not ctx.n_params
+    degree = sum(ctx.packing.unpack(next(iter(mons)))) if mons else 0
     memo, ideals, found = {}, {}, {}
+    budget = _budget()
+
+    def raised(t, size):
+        """The streamed forms of index `size`, raised to degree t."""
+        units = {}
+        for f in _chain(M, size, memo, minor, True):
+            f = _integral(f, p)[0]
+            e = t - (next(iter(f)) & _MASK) if f else 0
+            if e not in units:
+                units[e] = [ctx.key(u) for u in monomials_of_degree(n, e)]
+            for u in units[e]:
+                if e:
+                    _charge(budget)
+                yield {m + u: c for m, c in f.items()}
 
     def ideal_of(size):
         if size not in ideals:
             ideals[size] = IdealHandle(ctx, _polys(ctx, _chain(M, size, memo, minor)))
         return ideals[size]
 
+    def coprime_pair(size):
+        """True when two of the first three nonzero minors of `size` that
+        the stream reads are forms of positive degree that `_coprime`
+        certifies coprime."""
+        if ctx.n_params:
+            return False
+        first = islice(filter(None, _chain(M, size, memo, minor, True)), 3)
+        first = [_integral(f, p)[0] for f in first]
+        return all(0 not in f and _homogeneous([f]) for f in first) and any(
+            _coprime(ctx, f, g, p) for f, g in combinations(first, 2)
+        )
+
     def height_of(size):
         if size not in found:
-            if stream:
-                t = degree * (size if minor else size // 2)
+            if size == M.ncols == M.nrows - 1 and minor and n > 2 and coprime_pair(size):
+                found[size] = 2
+            elif stream:
+                t = sum(sorted(mu)[-size:]) if mu else degree * (size if minor else size // 2)
                 span = comb(n - 1 + t, t)
-                rows = _gauss_jordan(
-                    (_integral(f, p)[0] for f in _chain(M, size, memo, minor, True)),
-                    p, _budget(), span,
-                )
-                found[size] = n if len(rows) == span else height(IdealHandle(ctx, _polys(ctx, rows)))
+                rows = _gauss_jordan(raised(t, size), p, budget, span)
+                if len(rows) == span:
+                    found[size] = n
+                elif forms:
+                    found[size] = height(IdealHandle(ctx, _polys(ctx, rows)))
+                else:
+                    found[size] = height(ideal_of(size))
             else:
                 found[size] = height(ideal_of(size))
         return found[size]

@@ -46,24 +46,55 @@ the saturated fiber cone (Buse-Cid-Ruiz-D'Andrea, Proc. LMS 2020) is
 F(I), of Hilbert function C(n+r, r).  The test is one-sided: a map it
 does not certify takes the Rees route.
 
+A map with s = r whose ideal I is perfect of codimension 2 and of
+linear type has its degree from no basis too.
+`blowup.hilbert_burch_degrees` recovers an (r+1) x r matrix phi of
+column degrees mu_1..mu_r whose columns are syzygies of the forms, and
+`blowup.presents_linear_type` certifies it: the signed maximal minors
+of phi are c*g_i for one constant c != 0, and phi satisfies G_{r+1},
+whose row i = 1 is ht I >= 2.  Then three theorems give the degree:
+- Hilbert-Burch, with the Buchsbaum-Eisenbud acyclicity criterion
+  (ht I_r(phi) = ht I >= 2): 0 -> sum_j S(-d-mu_j) -> S(-d)^(r+1) -> I
+  -> 0 is exact, so phi presents I, perfect of codimension 2.
+- Herzog-Simis-Vasconcelos ("Koszul homology and blowing-up rings",
+  1983): a perfect ideal of codimension 2 is strongly Cohen-Macaulay,
+  and with G_{r+1}, which is G_inf for r+1 generators, it is of linear
+  type.  Its Rees ideal is generated by the r forms sum_i phi_ij y_i, of
+  bidegree (mu_j, 1).
+- The graph has codimension r, so those r forms are a complete
+  intersection, and the class of the graph is prod_j (mu_j u + v): d_i
+  is the elementary symmetric function e_i(mu).  d_r = prod mu_j is not
+  0, so the image is P^r, deg Y = 1 and deg F = prod mu_j.
+The rule declines, and the map takes the Rees route, when the columns
+found are more than r or their degrees cannot sum to d, when the
+entries of phi all vanish at one coordinate point (I_1(phi) then has a
+zero, and G_{r+1} fails at i = r), when the minors are not c*g with
+c != 0, and when G_{r+1} fails.  So are declined the de Jonquieres
+member at a = 0 (G_2 but not G_3), x0^2, x0*x1, x1^2 in P^2 (I_1(phi)
+= (x0, x1)) and forms with a common factor (ht I = 1).  Both s = r
+rules read one kernel, the linear syzygies, computed once per map.
+
 A `RationalMapSpec` is the map's context: it computes each fact above
 once, on first read.  One rule picks the route (`certified`): a
 certificate stands in only for a Rees basis the context does not hold
-yet, and a context that holds one, such as a certified family point's
-member (`families.Family.member`), reads every answer off it.
+yet, the Hilbert-Burch rule after the dual rule, and a context that
+holds one, such as a certified family point's member
+(`families.Family.member`), reads every answer off it.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, prod
 
 from .blowup import (
     _form_degree,
     _free_fiber_cone,
     _x_free_leads,
     fiber_cone_ideal,
+    hilbert_burch_degrees,
     jacobian_dual_birational,
     jacobian_independent,
+    linear_syzygies,
     rees_ideal,
     saturated_fiber_dim,
 )
@@ -104,19 +135,35 @@ class RationalMapSpec:
         return jacobian_independent(list(self.forms))
 
     @cached_property
+    def linear_syzygies(self):
+        """The `blowup.linear_syzygies` that both rules below read."""
+        return linear_syzygies(list(self.forms))
+
+    @cached_property
     def birational(self):
         """The verdict of `blowup.jacobian_dual_birational`."""
-        return jacobian_dual_birational(list(self.forms))
+        return jacobian_dual_birational(list(self.forms), self.linear_syzygies)
+
+    @cached_property
+    def hilbert_burch(self):
+        """The column degrees of `blowup.hilbert_burch_degrees`, or None."""
+        return hilbert_burch_degrees(list(self.forms), self.linear_syzygies)
 
     def hold_rees(self, rees):
         """Hold `rees`, the Rees ideal of the forms with its basis, built
         elsewhere, as a family does for a certified point."""
         vars(self)["rees"] = rees
 
+    def hold_hilbert_burch(self, mu):
+        """Hold `mu` as the verdict of the Hilbert-Burch rule, read off a
+        presentation matrix known elsewhere, as a family's sweep does."""
+        vars(self)["hilbert_burch"] = mu
+
     def certified(self, rule):
-        """The route rule: True when the Jacobian `rule`, "independent"
-        or "birational", certifies the map and the context holds no Rees
-        ideal yet.  A context that holds one reads no rule."""
+        """The route rule: the fact `rule`, "independent", "birational"
+        or "hilbert_burch", when it certifies the map and the context
+        holds no Rees ideal yet; else a false value.  A context that
+        holds one reads no rule."""
         return "rees" not in vars(self) and getattr(self, rule)
 
     @cached_property
@@ -181,9 +228,9 @@ def base_locus(spec):
 
 def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """Degree of the map onto its image, d_r / deg Y from the class of
-    the graph, or 1 from no basis when the Jacobian dual rule certifies
-    the map.  Returns (value or marker, log); the log is empty, since
-    the answer is exact.
+    the graph; from no basis, 1 when the Jacobian dual rule certifies the
+    map and prod mu_j when the Hilbert-Burch rule does.  Returns (value
+    or marker, log); the log is empty, since the answer is exact.
 
     `trials` and `seed` are validated and otherwise unused, and the log
     stays in the result, because the span tracer in perfbench/tracer.py
@@ -193,6 +240,9 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         raise ValueError("trials must be at least 1, got %d" % trials)
     if spec.certified("birational"):
         return 1, ()
+    mu = spec.certified("hilbert_burch")
+    if mu:
+        return prod(mu), ()
     spec.rees  # d_r needs the Rees basis, and the image is then read off it
     img = spec.image
     if img.proj_dim_of_scheme != spec.r:
@@ -225,13 +275,14 @@ class DegreeReport:
 def degree_report(spec):
     """The DegreeReport of a map, read off its context.
 
-    A map that the Jacobian dual rule certifies is birational onto P^r:
-    deg F = 1, deg Y = 1, dim Y = r, spread r+1 and d_r = 1.  With s < r
-    the map is not generically finite, and the report needs only the
-    image, from no basis when the forms are certified independent.  Every
-    other map needs d_r, and so the Rees basis.
+    A map that the Jacobian dual rule or the Hilbert-Burch rule certifies
+    is onto P^r: deg Y = 1, dim Y = r, spread r+1, and d_r = deg F, 1
+    for the one and prod mu_j for the other.  With s < r the map is not
+    generically finite, and the report needs only the image, from no
+    basis when the forms are certified independent.  Every other map
+    needs d_r, and so the Rees basis.
     """
-    if spec.certified("birational"):
+    if spec.certified("birational") or spec.certified("hilbert_burch"):
         # the degree goes through the module attribute, as below
         value, _ = degree_map(spec)
         return DegreeReport(value, 1, spec.r, spec.r + 1, value)

@@ -604,9 +604,12 @@ def poly_exact_div(f, g):
     return Poly(ctx, quot, _clean=True)
 
 
-# signs between terms, and one factor: n, n/m, x or x^e
+# signs between terms, and one factor: n, n/m, x or x^e; numerals are
+# ASCII digits, which `\d` would widen to every Unicode digit
 _SIGNS = re.compile(r"([+-][\s+-]*)")
-_FACTOR = re.compile(r"\s*(?:(\d+)\s*(?:/\s*(\d+))?|([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*(\d+))?)\s*")
+_FACTOR = re.compile(
+    r"\s*(?:([0-9]+)\s*(?:/\s*([0-9]+))?|([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*([0-9]+))?)\s*"
+)
 
 
 def parse_poly(text, ctx):
@@ -615,7 +618,8 @@ def parse_poly(text, ctx):
     The grammar: a polynomial is terms joined by runs of `+` and `-`
     (the first term may also carry a sign run); a term is factors
     joined by `*`; a factor is an integer n, a fraction n/m, a variable
-    x or a power x^e with e a nonnegative integer.  Whitespace may stand
+    x or a power x^e with e a nonnegative integer, every numeral in ASCII
+    digits.  Whitespace may stand
     between any two tokens, but nothing stands for a product: `2 x0`,
     `2x0` and `x0 x1` are errors, as is any other text.  Blank text is
     the zero polynomial.  In finite characteristic fractions are
@@ -720,10 +724,10 @@ def parse_ring_header(line):
     i += 1
     if i >= len(toks):
         raise RingError("missing characteristic in ring header: %r" % line)
-    try:
-        char = int(toks[i])
-    except ValueError:
-        raise RingError("bad characteristic %r" % toks[i]) from None
+    # int() would also read "3_2003" and non-ASCII digits
+    if not re.fullmatch(r"[0-9]+", toks[i]):
+        raise RingError("bad characteristic %r" % toks[i])
+    char = int(toks[i])
     i += 1
     order = "grevlex"
     if i < len(toks):
@@ -732,7 +736,7 @@ def parse_ring_header(line):
         tok = toks[i + 1]
         if tok in ("grevlex", "lex"):
             order = tok
-        elif re.fullmatch(r"elim:\d+", tok):
+        elif re.fullmatch(r"elim:[0-9]+", tok):
             order = ("block", int(tok[len("elim:") :]))
         else:
             raise RingError("unknown order token %r in ring header: %r" % (tok, line))

@@ -12,38 +12,50 @@ and Schweitzer, "Certifying algorithms", Computer Science Review 2011).
 Monomials are the ring's packed ints (`RingCtx.packing`), whose encoding
 `TestPackedEncoding` checks against tuple arithmetic: `+` multiplies, b
 divides a exactly when `(a - b) & guard` is 0, and an lcm is packed from
-the maximum of the unpacked exponent tuples.  Coefficients are ints mod
-p over F_p and Fractions over Q, and every basis row is made monic
-first, so a remainder is exact without multipliers.
+the maximum of the unpacked exponent tuples.  Coefficients are ints:
+mod p over F_p, where every basis row is made monic first, so a
+remainder is exact without multipliers; over Q, where every row and
+dividend is scaled to coprime integers and a remainder is fraction-free,
+a nonzero integer multiple of the remainder over Q, which is zero
+exactly when that one is.  Fraction arithmetic cost several times more.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from reesdeg.ring import Poly
 
 
 def _elements(terms, p):
     """A packed term dict with its coefficients as field elements, zeros
-    dropped."""
-    out = {m: c % p if p else Fraction(c) for m, c in terms.items()}
-    return {m: c for m, c in out.items() if c}
+    dropped, over F_p; over Q, the dict times the one positive rational
+    that makes its coefficients coprime integers."""
+    if p:
+        out = {m: c % p for m, c in terms.items()}
+        return {m: c for m, c in out.items() if c}
+    den = lcm(*(c.denominator for c in terms.values()))
+    out = {m: int(c * den) for m, c in terms.items() if c}
+    g = gcd(*out.values())
+    return {m: c // g for m, c in out.items()}
 
 
 def _monic(terms, p):
+    """The row `_elements` gives, made monic over F_p."""
     t = _elements(terms, p)
-    lc = t[max(t)]
     if p:
-        inv = pow(lc, -1, p)
+        inv = pow(t[max(t)], -1, p)
         return {m: c * inv % p for m, c in t.items()}
-    return {m: c / lc for m, c in t.items()}
+    return t
 
 
 def remainder(f, rows, guard, p):
-    """The remainder of f, a packed term dict of field elements, on
-    division by `rows`, monic packed term dicts: from the top down, each
+    """The remainder of f, a packed term dict of `_elements`, on division
+    by `rows`, `_monic` packed term dicts: from the top down, each
     monomial that the lead of a row divides is cancelled by the first
-    such row."""
+    such row.  Over Q the remainder is fraction-free: to cancel c*m by a
+    row of lead coefficient a, f and the remainder so far are multiplied
+    by a/g, g = gcd(a, c), before (c/g) times the shifted row is taken
+    off, so the result is a nonzero integer multiple of the remainder."""
     f = dict(f)
     heap = [-m for m in f]
     heapify(heap)
@@ -61,6 +73,13 @@ def remainder(f, rows, guard, p):
             rem[m] = c
             continue
         shift = m - lead
+        if not p and g[lead] != 1:
+            a = g[lead]
+            h = gcd(a, c)
+            a, c = a // h, c // h
+            if a != 1:
+                f = {k: a * v for k, v in f.items()}
+                rem = {k: a * v for k, v in rem.items()}
         for k, v in g.items():
             if k != lead:
                 k += shift
@@ -72,12 +91,20 @@ def remainder(f, rows, guard, p):
 
 
 def s_polynomial(a, b, lcm, p):
-    """(lcm / lead a) * a - (lcm / lead b) * b for monic packed term dicts."""
+    """(lcm / lead a) * a - (lcm / lead b) * b for `_monic` packed term
+    dicts over F_p; over Q, where leads need not be 1, the integer
+    multiple (B/g)*(lcm / lead a)*a - (A/g)*(lcm / lead b)*b, with A and
+    B the lead coefficients of a and b and g = gcd(A, B)."""
     ua, ub = lcm - max(a), lcm - max(b)
-    s = {m + ua: c for m, c in a.items()}
+    sa, sb = 1, 1
+    if not p:
+        A, B = a[max(a)], b[max(b)]
+        g = gcd(A, B)
+        sa, sb = B // g, A // g
+    s = {m + ua: sa * c for m, c in a.items()}
     for m, c in b.items():
         k = m + ub
-        v = s.get(k, 0) - c
+        v = s.get(k, 0) - sb * c
         s[k] = v % p if p else v
     return {m: c for m, c in s.items() if c}
 

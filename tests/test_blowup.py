@@ -24,7 +24,6 @@ from reesdeg.blowup import (
     embed_in_blowup,
     fiber_cone_ideal,
     graph_ideal,
-    jacobian_dual_birational,
     jacobian_independent,
     rees_ideal,
     specialization_compare,
@@ -371,7 +370,7 @@ class TestJacobianCertificate:
         # certifies it
         family = FamilySpec("pfaffian", r=4, D=1, seed=373243, prime=7)
         spec = rational_map(make_family(family).forms)
-        assert jacobian_dual_birational(list(spec.forms))
+        assert spec.birational
         runs = count_buchberger_runs(monkeypatch)
         assert degree_report(spec).deg_map == 1
         assert runs == []
@@ -387,9 +386,9 @@ class TestJacobianCertificate:
 
 
 class TestLinearSyzygies:
-    """The kernel `jacobian_dual_birational` reads psi off: its vectors
-    are syzygies, and there are as many as the Hilbert function of the
-    forms' ideal, from a Buchberger run, leaves room for."""
+    """The kernel the Jacobian dual and Hilbert-Burch rules read: its
+    vectors are syzygies, and there are as many as the Hilbert function
+    of the forms' ideal, from a Buchberger run, leaves room for."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -410,14 +409,10 @@ class TestLinearSyzygies:
         p = ctx.field.characteristic
         # over Q the kernel is taken on g_i scaled to integers by scales[i]
         integral, scales = zip(*(gb_mod._integral(g.terms, p) for g in forms))
-        syzygies = blowup._syzygies(ctx, list(integral), p, gb_mod._budget())
+        syzygies = blowup.linear_syzygies(forms)
         d = forms[0].bidegree(ctx.nvars)[0]
         span = math.comb(d + 1 + r, r) - hilbert_function(IdealHandle(ctx, forms), d + 1)
-        kernel = (r + 1) ** 2 - span
-        if syzygies is None:
-            assert kernel < r
-            return
-        assert len(syzygies) == kernel >= r
+        assert len(syzygies) == (r + 1) ** 2 - span
         for syz in syzygies:
             total = Poly.zero(ctx)
             for j, a in syz.items():
@@ -483,7 +478,7 @@ class TestSaturatedFiberHF:
         except RingError:
             assume(False)
         forms = list(spec.forms)
-        certified = jacobian_dual_birational(forms)
+        certified = spec.birational
         with pytest.MonkeyPatch.context() as mp:
             runs = count_buchberger_runs(mp)
             values = [sfib_hilbert_function(spec, n) for n in range(4)]
@@ -497,7 +492,7 @@ class TestSaturatedFiberHF:
         calls = []
         inner = ratmap.jacobian_dual_birational
         monkeypatch.setattr(
-            ratmap, "jacobian_dual_birational", lambda forms: calls.append(1) or inner(forms)
+            ratmap, "jacobian_dual_birational", lambda *args: calls.append(1) or inner(*args)
         )
         _, forms = forms_of(("x0", "x1", "x2"), ["x1*x2", "x0*x2", "x0*x1"])
         spec = rational_map(forms)

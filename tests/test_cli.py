@@ -175,8 +175,8 @@ class TestSaturatedFiber:
         calls = []
         inner = blowup.jacobian_dual_birational
 
-        def rule(forms):
-            calls.append(inner(forms))
+        def rule(*args):
+            calls.append(inner(*args))
             return calls[-1]
 
         monkeypatch.setattr(ratmap, "jacobian_dual_birational", rule)
@@ -550,6 +550,60 @@ class TestPoints:
         code, out = run(capsys, self.COMMANDS["sfib-hf"] + ["--points", "7", "--prime", "7"])
         assert code == 0
         assert json.loads(out)["values"] == [{"n": 7, "value": 15}]
+
+
+class TestAsciiNumerals:
+    """Numerals are ASCII digits: int() and `\\d` would also read "3_2003"
+    and the digits of other scripts, and each of these exited 0."""
+
+    INPUTS = {
+        "underscore in the characteristic": ["--map", "x^2, y^2", "--ring", "x y over 3_2003"],
+        "arabic-indic characteristic": ["--map", "x^2, y^2", "--ring", "x y over \u0667"],
+        "arabic-indic coefficient": ["--map", "\u0663*x^2, y^2", "--ring", "x y over 7"],
+        "arabic-indic exponent": ["--map", "x^\u0662, y^2", "--ring", "x y over 7"],
+        "arabic-indic block size": ["--map", "x^2, y^2", "--ring", "x y over 7 order elim:\u0661"],
+    }
+    POINTS = ["1_0", "\u0663", "1:\u0662"]
+    FLAGS = [
+        ["--prime", "3_2003"],
+        ["--prime", "\u0667"],
+        ["--budget", "\u0663"],
+        ["--seed", "1_7"],
+    ]
+
+    def two(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        return captured.err
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_map_input_is_two(self, capsys, name):
+        self.two(capsys, ["degree"] + self.INPUTS[name])
+
+    @pytest.mark.parametrize("points", POINTS)
+    def test_points_are_two(self, capsys, points):
+        err = self.two(capsys, ["sweep", "--family", "dejonquieres", "--points", points])
+        assert "--points coordinates must be integers" in err
+
+    @pytest.mark.parametrize("flag", FLAGS, ids=lambda f: " ".join(f))
+    def test_integer_flag_is_two(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["degree", "--map", "x0^2, x1^2"] + flag)
+        assert exc.value.code == 2
+        assert "invalid integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["degree", "--map", "x^2, y^2", "--ring", "x y over 7 order elim:1"],
+            ["sfib-hf", "--map", "x0^2, x1^2", "--points", " 1 , +2 "],
+            ["sweep", "--family", "dejonquieres", "--points", "-1,2", "--prime", " 7"],
+        ],
+    )
+    def test_ascii_numerals_parse(self, capsys, argv):
+        code, _ = run(capsys, argv)
+        assert code == 0
 
 
 class TestJMult:
@@ -1061,7 +1115,7 @@ class TestExactRankOverQ:
         assert blowup.jacobian_independent(squares) is True
         for text in self.CREMONA:
             forms = [ring.parse_poly(t, ctx) for t in text.split(",")]
-            assert blowup.jacobian_dual_birational(forms) is True, text
+            assert ratmap.rational_map(forms).birational is True, text
 
     @pytest.mark.parametrize("forms", CREMONA, ids=["scaled", "sum"])
     def test_cremona_degree_makes_no_run(self, capsys, monkeypatch, forms):

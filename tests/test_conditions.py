@@ -75,6 +75,23 @@ def echelon_passes(monkeypatch):
     return passes
 
 
+def sylvester_passes(monkeypatch, passes):
+    """Patch `conditions._coprime` to log the indices in `passes`, the log
+    of `echelon_passes`, of the passes it makes."""
+    made = set()
+    coprime = conditions._coprime
+
+    def spy(*args):
+        start = len(passes)
+        try:
+            return coprime(*args)
+        finally:
+            made.update(range(start, len(passes)))
+
+    monkeypatch.setattr(conditions, "_coprime", spy)
+    return made
+
+
 def permanent_free_det(entries):
     """Permutation-expansion determinant: an independent oracle for
     small matrices."""
@@ -334,18 +351,20 @@ class TestConditionCounts:
             k * math.comb(6, k) * math.comb(5, k) for k in range(2, 6)
         )
         assert bound == 1230
-        # Fitt_1's six 5-minors leave in the memo the 25 4-minors on rows
-        # 1..5 and the 3- and 2-minors below them: 6*5 + 25*4 + 40*3 +
-        # 30*2 = 310 products.  Fitt_2 streams its 4-minors later rows
-        # first, so those 25 come first; the next 10, on rows {0, 3, 4, 5}
-        # and {0, 2, 4, 5}, read memoized 3-minors, and the 35 span S_4
-        assert products[0] == 310 + 10 * 4
+        # Fitt_1's coprimality test reads the first three 5-minors of the
+        # stream, on rows 1..5, {0, 2, 3, 4, 5} and {0, 1, 3, 4, 5}, and
+        # the 10 4-, 10 3- and 10 2-minors below them: 3*5 + 10*4 + 10*3 +
+        # 10*2 = 105 products.  Fitt_2 streams its 4-minors later rows
+        # first: 10 are in the memo, and 25 more, with 30 3-minors and 20
+        # 2-minors below them, make the 35 that span S_4: 25*4 + 30*3 +
+        # 20*2 = 230 products
+        assert products[0] == 105 + 230
         assert products[0] < bound
-        # one run, for Fitt_1, whose 6 minors do not span S_5; Fitt_2 has
-        # height 4 = nvars off its span, so Fitt_2..Fitt_5 need none
+        # no run: two coprime 5-minors give Fitt_1 height 2, and Fitt_2
+        # has height 4 = nvars off its span, so Fitt_2..Fitt_5 need none
         sizes = [len(fitting_ideal(M, i).gens) for i in range(1, 6)]
         assert sizes == [6, 75, 200, 150, 30]
-        assert runs == sizes[:1]
+        assert runs == []
 
 
 class TestSeedBlock:
@@ -391,7 +410,8 @@ class TestSeedBlock:
         passes = echelon_passes(monkeypatch)
         runs = buchberger_runs(monkeypatch)
         assert main(argv) == 0
-        assert runs == [6]
+        # Fitt_1 has height 2 off two coprime minors, with no run
+        assert runs == []
         [(before, after)] = [(b, a) for stop, rows, b, a, _ in passes if (stop, rows) == (35, 35)]
         assert after > before
         del passes[:]
@@ -465,9 +485,9 @@ class TestMonotoneChain:
     def test_linear_6x5(self, monkeypatch):
         chain, bases, direct = self.chain_and_direct(linear_6x5(), monkeypatch)
         assert chain == direct == [2, 4, 4, 4, 4]
-        # a run for Fitt_1 only, on its 6 echelon rows: Fitt_2's minors
+        # no run: two of Fitt_1's minors are coprime, and Fitt_2's minors
         # span S_4, so its height 4 takes none
-        assert bases == [6]
+        assert bases == []
 
     def test_forms_of_one_degree_expand_no_minor_past_height_nvars(self, monkeypatch):
         # Fitt_2 of linear_6x5 already has height 4 = nvars, so the 3-,
@@ -792,6 +812,7 @@ class TestSpanningStream:
         M = random_forms_matrix(ctx, rng, r, c, d, kind)
         with pytest.MonkeyPatch.context() as patch:
             passes = echelon_passes(patch)
+            sylvester = sylvester_passes(patch, passes)
             tables = check_Gm(M, math.inf).table, check_Fm(M, 0).table
         heights = [height(fitting_ideal(M, i)) for i in range(1, r)]
         G = tuple((i, r - i, h, i, h > i) for i, h in enumerate(heights, 1))
@@ -799,10 +820,11 @@ class TestSpanningStream:
         assert tables == (G, F)
         # each pass that read a nonzero form stops at dim S_t pivots, t
         # the degree of its forms, and exactly there: the last form it
-        # read made the last pivot
-        for stop, rows, _, _, read in passes:
+        # read made the last pivot.  The coprimality test's Sylvester
+        # passes read no forms
+        for k, (stop, rows, _, _, read) in enumerate(passes):
             nonzero = [f for f in read if f]
-            if not nonzero:
+            if not nonzero or k in sylvester:
                 continue
             t = sum(ctx.packing.unpack(max(nonzero[0])))
             assert stop == math.comb(n - 1 + t, t)
@@ -813,14 +835,45 @@ class TestSpanningStream:
             else:
                 assert rows < stop
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        prime=st.sampled_from([2, 7, 32003, 0]),
+        degrees=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+        extra=st.integers(1, 2),
+        n=st.integers(2, 4),
+    )
+    def test_column_degrees_match_the_fitting_ideals(self, seed, prime, degrees, extra, n):
+        # column j of forms of degree mu_j, in c+1 or c+2 rows: the stream
+        # raises each minor to the top degree, and Fitt_1 of a (c+1) x c
+        # matrix may be read off two coprime minors; the heights must be
+        # those of the Fitting ideals' own bases
+        rng = random.Random(seed)
+        ctx = RingCtx(tuple("x%d" % i for i in range(n)), FieldSpec(prime))
+        r = len(degrees) + extra
+        M = PresentationMatrix(
+            ctx, [[random_form(ctx, rng, d) for d in degrees] for _ in range(r)]
+        )
+        heights = [height(fitting_ideal(M, i)) for i in range(1, r)]
+        assert [row[2] for row in check_Fm(M, 0).table] == heights
+
+    def test_lower_degrees_are_raised_before_the_span(self):
+        # the entries x, y and four quadrics in (x, y) generate (x, y), of
+        # height 2; unraised, their 2 + 4 rows would count as the 6
+        # pivots of S_2 and claim height 3
+        _, M = mat(("x", "y", "z"), [["x", "z*x"], ["y", "z*y"], ["x", "y^2"], ["y", "x^2"]])
+        heights = [height(fitting_ideal(M, i)) for i in range(1, 4)]
+        assert heights[2] == 2
+        assert [row[2] for row in check_Fm(M, 0).table] == heights
+
     def test_stream_stops_at_the_spanning_pivot(self, monkeypatch):
-        # Fitt_1 reads all six quintic 5-minors, which cannot span S_5
-        # (dimension 56); Fitt_2 stops at the 35th quartic 4-minor, whose
-        # 35 pivots fill S_4, and reads no 36th
+        # Fitt_1's pass is the Sylvester matrix of two quintic 5-minors on
+        # a line, 10 rows of full rank, so no stream; Fitt_2 stops at the
+        # 35th quartic 4-minor, whose 35 pivots fill S_4, and reads no 36th
         passes = echelon_passes(monkeypatch)
         check_Gm(linear_6x5(), 4)
         assert [(stop, rows, len(read)) for stop, rows, _, _, read in passes] == [
-            (56, 6, 6),
+            (10, 10, 10),
             (35, 35, 35),
         ]
 

@@ -342,6 +342,25 @@ class TestCertifiedSweep:
         capsys.readouterr()
         assert len(runs) == 1
 
+    @pytest.mark.parametrize("prime", [7, 32003, 0])
+    def test_matrix_hands_the_member_its_verdict(self, monkeypatch, prime):
+        # at a = 0 the specialized matrix fails G_3, and the member reads
+        # that verdict instead of recovering a matrix of its own; a bare
+        # family, with no matrix, recovers one
+        calls = []
+        inner = ratmap.hilbert_burch_degrees
+        monkeypatch.setattr(
+            ratmap, "hilbert_burch_degrees", lambda *a: calls.append(1) or inner(*a)
+        )
+        fam = make_family(FamilySpec("dejonquieres", m=2, prime=prime))
+        rows = specialization_sweep(fam, [0, 5])
+        got = [(r.deg_map, r.gr_dim, r.g_condition) for r in rows]
+        assert got == [(1, 4, False), (2, 3, True)]
+        assert calls == []
+        bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
+        assert specialization_sweep(bare, [0, 5])[0].deg_map == 1
+        assert calls == [1]
+
     def test_zero_takes_the_full_route(self, monkeypatch):
         fam = make_family(FamilySpec("dejonquieres", m=2))
         bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
@@ -349,7 +368,9 @@ class TestCertifiedSweep:
         assert bare.special_rees((0,)) is None
         runs = count_buchberger_runs(monkeypatch)
         rows = specialization_sweep(bare, [0])
-        # the member's own Rees basis and its gr basis
+        # the member's own Rees basis and its gr basis; the matrix it
+        # recovers has entries that all vanish at (0:0:1), which fails
+        # G_3 with no height computed
         assert len(runs) == 2
         assert [(r.deg_map, r.gr_dim) for r in rows] == [(1, 4)]
         drop = specialization_compare(list(fam.forms), (0,), fam.generic_rees())
@@ -393,7 +414,9 @@ class TestJMultiplicity:
         flat = rational_map([parse_poly("x^2 + y^2", ctx)])
         assert j_multiplicity(flat) == ELL_NOT_MAXIMAL
         assert runs == []
-        # a conic of P^2 needs its Rees basis, the one run
+        # a conic of P^2 needs its Rees basis, the one run: the matrix the
+        # Hilbert-Burch rule recovers has entries that all vanish at
+        # (0:0:1), so it fails G_3 with no height computed
         plane = RingCtx(("x", "y", "z"), FP)
         conic = rational_map([parse_poly(t, plane) for t in ("x^2", "x*y", "y^2")])
         assert j_multiplicity(conic) == ELL_NOT_MAXIMAL

@@ -731,16 +731,17 @@ GOLDEN_STEPS = {
 }
 
 # The same triples for the Fitting ideal runs of check_Gm(matrix, m), one
-# per ideal whose height takes a basis.  Hilbert-Burch seeds are minors,
-# most of them linearly dependent, so these runs pin the seed block above
-# all.  The Pfaffian matrix is alternating, so its heights are those of
-# the ideals of 4- and 2-sub-Pfaffians, one per pair of minor sizes.  Its
-# entries are linear forms that span S_1, so only the 4-Pfaffians take a
-# run, on the echelon rows of their streamed block.
+# per ideal whose height takes a basis.  The Pfaffian matrix is
+# alternating, so its heights are those of the ideals of 4- and
+# 2-sub-Pfaffians, one per pair of minor sizes.  Its entries are linear
+# forms that span S_1, so only the 4-Pfaffians take a run, on the echelon
+# rows of their streamed block.  A Hilbert-Burch matrix takes none: two
+# coprime maximal minors give Fitt_1 height 2, and its entries, raised to
+# the top column degree, span; the minor oracle below still runs on them.
 GOLDEN_FITTING_STEPS = {
     "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), 5, [(147, 6, 72)]),
-    "hb12": (FamilySpec("hilbert_burch", r=2, mu=(1, 2)), 3, [(35, 4, 34), (27, 3, 3)]),
-    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), 3, [(35, 4, 34), (27, 3, 3)]),
+    "hb12": (FamilySpec("hilbert_burch", r=2, mu=(1, 2)), 3, []),
+    "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), 3, []),
 }
 
 
@@ -765,6 +766,18 @@ class TestGoldenSteps:
         check_Gm(matrix, m)
         got = [(steps, len(b), sum(len(t) for t in b)) for _, steps, b in runs]
         assert got == expected
+
+    @pytest.mark.parametrize("prime", [32003, 0], ids=["hb12", "hb12-Q"])
+    def test_hilbert_burch_minor_oracle_steps_pinned(self, prime, monkeypatch):
+        # the runs the heights of its Fitting ideals take on the
+        # Hilbert-Burch matrix: its seeds are minors, most of them linearly
+        # dependent, so these runs pin the seed block above all
+        matrix = make_family(FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=prime)).matrix
+        runs = record_runs(monkeypatch)
+        for i in (1, 2):
+            height(fitting_ideal(matrix, i))
+        got = [(steps, len(b), sum(len(t) for t in b)) for _, steps, b in runs]
+        assert got == [(35, 4, 34), (27, 3, 3)]
 
     def test_pfaffian_minor_oracle_steps_pinned(self, monkeypatch):
         # the runs the minor route made on the Pfaffian matrix, whose 4-,

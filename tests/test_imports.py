@@ -129,7 +129,7 @@ PRIVATE_IMPORTS = {
     "families": {"blowup": {"_gr_ideal"}},
     "conditions": {
         "groebner": {"_budget", "_charge", "_gauss_jordan", "_homogeneous", "_integral"},
-        "ring": {"_overflow"},
+        "ring": {"_MASK", "_overflow"},
     },
     "groebner": {
         "hilbert": {"_order_at_one"},

@@ -15,7 +15,6 @@ from conftest import (
 )
 from fiber_sampling import fiber_ideal, fiber_length, sample_point, sampled_degree, trial_rng
 from generic_fiber import generic_fiber_degree
-from reesdeg.blowup import jacobian_dual_birational
 from reesdeg.families import FamilySpec, j_multiplicity, make_family, specialized_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal_equal, saturate
 from reesdeg.ratmap import (
@@ -338,11 +337,13 @@ class TestExactDegree:
         rees_route(forms).image
         alone = len(runs)
         runs.clear()
-        assert degree_report(rational_map(forms)).deg_map == 4
+        # the report reads the degree off that basis too
+        assert degree_report(rees_route(forms)).deg_map == 4
         assert len(runs) == alone == 1
 
     def test_report_reads_the_image_once(self, monkeypatch):
-        # degree_map reads the image the report read, off the context
+        # degree_map reads the image the report read, off the context of
+        # the Rees route
         calls = []
         inner = ratmap._x_free_leads
 
@@ -352,7 +353,7 @@ class TestExactDegree:
 
         monkeypatch.setattr(ratmap, "_x_free_leads", spy)
         forms = make_family(FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=8)).forms
-        assert degree_report(rational_map(forms)).deg_map == 2
+        assert degree_report(rees_route(forms)).deg_map == 2
         assert len(calls) == 1
 
     @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
@@ -364,7 +365,8 @@ class TestExactDegree:
         assert runs == []
         assert rep == DegreeReport(NOT_GENERICALLY_FINITE, 1, 2, 3, None)
         assert rep == degree_report(rees_route(spec.forms))
-        # s = r with no linear syzygy still needs d_r: one run
+        # s = r with no linear syzygy: the Hilbert-Burch rule certifies
+        # it, with the one run of its height check
         runs.clear()
         assert degree_report(mkmap(("x0", "x1"), ["x0^2", "x1^2"], field)).deg_map == 2
         assert len(runs) == 1
@@ -403,7 +405,9 @@ class TestDegreeReport:
     def test_one_basis_per_map(self, monkeypatch):
         # the image and the degree are both read off the Rees basis: one
         # Buchberger run per map, and no fiber cone ideal is built; the
-        # Pfaffian map is certified birational and makes none
+        # Pfaffian map is certified birational and makes none; the squares
+        # take the one height run of the Hilbert-Burch rule instead, and
+        # the conic of P^2 fails that rule with no height computed
         def forbidden(*args, **kwargs):
             raise AssertionError("fiber_cone_ideal called")
 
@@ -531,7 +535,7 @@ class TestBirationalCertificate:
         forms = list(spec.forms)
         with pytest.MonkeyPatch.context() as mp:
             runs = count_buchberger_runs(mp)
-            certified = jacobian_dual_birational(forms)
+            certified = spec.birational
             rep = degree_report(spec)
         if certified:
             assert runs == []
@@ -555,10 +559,10 @@ class TestBirationalCertificate:
             oracle_map("hb12", prime, 4),
             oracle_map("dependent", prime, 0),
         ]
-        assert [jacobian_dual_birational(list(s.forms)) for s in birational] == [True] * 4
-        assert [jacobian_dual_birational(list(s.forms)) for s in others] == [False] * 3
+        assert [s.birational for s in birational] == [True] * 4
+        assert [s.birational for s in others] == [False] * 3
         # s != r proves nothing
-        assert not jacobian_dual_birational([parse_poly("x0", RingCtx(("x0", "x1"), field))])
+        assert not rational_map([parse_poly("x0", RingCtx(("x0", "x1"), field))]).birational
 
     @pytest.mark.parametrize("prime", [32003, 0], ids=["F_32003", "QQ"])
     def test_degree_map_and_is_birational_make_no_run(self, prime, monkeypatch):
@@ -575,7 +579,7 @@ class TestBirationalCertificate:
         calls = []
         inner = ratmap.jacobian_dual_birational
         monkeypatch.setattr(
-            ratmap, "jacobian_dual_birational", lambda forms: calls.append(1) or inner(forms)
+            ratmap, "jacobian_dual_birational", lambda *args: calls.append(1) or inner(*args)
         )
         assert degree_report(oracle_map("hb11", 32003, 4)).deg_map == 1
         assert calls == [1]

@@ -43,7 +43,8 @@ def test_chain_counts_the_minor_products(tmp_path):
     assert rc == 0 and counts["chain"] == 0
     assert conditions._expansion is expansion
     table, _ = workload_counts("rational_q", 1, 1)
-    assert table["conditions"]["chain"] > 0 and table["degree"]["chain"] == 0
+    # degree takes minors too, in the Hilbert-Burch rule; rees takes none
+    assert table["conditions"]["chain"] > 0 and table["rees"]["chain"] == 0
 
 
 def test_zero_counts_the_empty_remainders(capsys):
