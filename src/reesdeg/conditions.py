@@ -308,15 +308,19 @@ def _fitting_heights(M):
     generators generate the unit ideal exactly when one is a nonzero
     constant, so those indices need no Groebner basis.
 
-    The maximal minors of a (c+1) x c matrix that are forms of positive
-    degree generate a proper ideal of height at most 2 (Eagon-Northcott,
-    "Ideals defined by matrices and a certain complex associated with
-    them", Proc. Roy. Soc. A 1962).  Two of them that are coprime form a
-    regular sequence, of height 2, so then Fitt_1 has height 2 and needs
-    no run; coprimality is read off one line (`_coprime`) for the pairs
-    of the first three minors, and the test is one-sided: minors it does
-    not certify leave Fitt_1 to the paths below.  In two variables,
-    height 2 is nvars, which the span below shows.
+    The nonzero maximal minors of a (c+1) x c matrix of column degrees
+    mu_j (below) are forms of degree sum mu_j > 0, so they generate a
+    proper ideal, of height at most 2 (Eagon-Northcott, "Ideals defined
+    by matrices and a certain complex associated with them", Proc. Roy.
+    Soc. A 1962).  Only such a matrix, in a ring with no parameters,
+    takes this path: a matrix with a constant entry may have a unit
+    minor past the first three, and Fitt_1 is then the unit ideal.  Two
+    minors that are coprime form a regular sequence, of height 2, so then
+    Fitt_1 has height 2 and needs no run; coprimality is read off one
+    line (`_coprime`) for the pairs of the first three minors, and the
+    test is one-sided: minors it does not certify leave Fitt_1 to the
+    paths below.  In two variables, height 2 is nvars, which the span
+    below shows.
 
     When every nonzero entry of M is a form of one positive degree e, in
     a ring with no parameters, so is every nonzero k-minor, of degree
@@ -377,17 +381,13 @@ def _fitting_heights(M):
         """True when two of the first three nonzero minors of `size` that
         the stream reads are forms of positive degree that `_coprime`
         certifies coprime."""
-        if ctx.n_params:
-            return False
         first = islice(filter(None, _chain(M, size, memo, minor, True)), 3)
         first = [_integral(f, p)[0] for f in first]
-        return all(0 not in f and _homogeneous([f]) for f in first) and any(
-            _coprime(ctx, f, g, p) for f, g in combinations(first, 2)
-        )
+        return any(_coprime(ctx, f, g, p) for f, g in combinations(first, 2))
 
     def height_of(size):
         if size not in found:
-            if size == M.ncols == M.nrows - 1 and minor and n > 2 and coprime_pair(size):
+            if size == M.ncols == M.nrows - 1 and mu and stream and n > 2 and coprime_pair(size):
                 found[size] = 2
             elif stream:
                 t = sum(sorted(mu)[-size:]) if mu else degree * (size if minor else size // 2)

@@ -28,18 +28,10 @@ from .blowup import (
     certifies,
     graph_ideal,
     leading_coefficients,
-    presents_linear_type,
     specialize_forms,
     specialize_rees,
 )
-from .conditions import (
-    PresentationMatrix,
-    check_Gm,
-    column_degrees,
-    is_alternating,
-    minors,
-    pfaffians,
-)
+from .conditions import PresentationMatrix, check_Gm, is_alternating, minors, pfaffians
 from .groebner import eliminate
 from .hilbert import dim_degree
 from .ratmap import DEFAULT_SEED, degree_report, rational_map
@@ -302,16 +294,6 @@ class SweepRow:
     status: str
 
 
-def _linear_type_degrees(M, forms):
-    """The column degrees of M, sorted, when M is an (r+1) x r matrix of
-    column degrees that `presents_linear_type` certifies for `forms`;
-    else None."""
-    mu = column_degrees(M)
-    if mu is None or M.nrows != M.ncols + 1 or not presents_linear_type(M, forms):
-        return None
-    return tuple(sorted(mu))
-
-
 def specialization_sweep(fam, points):
     """Evaluate a parametric family at the given parameter points.
 
@@ -321,11 +303,7 @@ def specialization_sweep(fam, points):
     certifies, the member's context holds the specialized generic Rees
     basis, off which the degrees are read, and the gr dimension is r + 1,
     so no basis is built; at any other point the member gets its own Rees
-    basis and gr basis (`Family.member`, `Family.gr_dimension`), unless
-    the specialized matrix, whose G_{r+1} heights the row reads anyway,
-    certifies the member by `blowup.presents_linear_type`: the member
-    then takes its column degrees as its Hilbert-Burch verdict, and None
-    when it does not, and recovers no matrix of its own.  A point
+    basis and gr basis (`Family.member`, `Family.gr_dimension`).  A point
     whose member is malformed (a RingError) gets a row with the message
     in the status column, such as "parameter point kills generator i",
     the message of `gr-dim --family` there; a failed internal check
@@ -341,12 +319,10 @@ def specialization_sweep(fam, points):
         point = tuple(point) if isinstance(point, (tuple, list)) else (point,)
         try:
             member = fam.member(point)
-            matrix = _specialized_matrix(fam, member.ctx, point)
-            verdict = None if matrix is None else check_Gm(matrix, r + 1).verdict
-            if matrix is not None and not certifies(fam.lead_coefficients(), point):
-                member.hold_hilbert_burch(_linear_type_degrees(matrix, member.forms))
             rep = degree_report(member)
             gdim = fam._gr_dimension(point, member.forms)
+            matrix = _specialized_matrix(fam, member.ctx, point)
+            verdict = None if matrix is None else check_Gm(matrix, r + 1).verdict
             rows.append(
                 SweepRow(point, rep.deg_map, rep.deg_image, gdim, verdict, "ok")
             )

@@ -154,11 +154,6 @@ class RationalMapSpec:
         elsewhere, as a family does for a certified point."""
         vars(self)["rees"] = rees
 
-    def hold_hilbert_burch(self, mu):
-        """Hold `mu` as the verdict of the Hilbert-Burch rule, read off a
-        presentation matrix known elsewhere, as a family's sweep does."""
-        vars(self)["hilbert_burch"] = mu
-
     def certified(self, rule):
         """The route rule: the fact `rule`, "independent", "birational"
         or "hilbert_burch", when it certifies the map and the context

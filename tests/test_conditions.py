@@ -857,6 +857,25 @@ class TestSpanningStream:
         heights = [height(fitting_ideal(M, i)) for i in range(1, r)]
         assert [row[2] for row in check_Fm(M, 0).table] == heights
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        prime=st.sampled_from([2, 7, 32003, 0]),
+        rows=st.lists(st.integers(0, 1), min_size=4, max_size=5),
+        n=st.integers(3, 4),
+    )
+    def test_graded_matrices_match_the_fitting_ideals(self, seed, prime, rows, n):
+        # entry (i, j) of a (c+1) x c matrix a form of degree a_i, so
+        # rows of constants: a maximal minor that drops the one row of
+        # positive degree is a constant, which may be read after three
+        # coprime forms; the heights must be those of the Fitting ideals
+        rng = random.Random(seed)
+        ctx = RingCtx(tuple("x%d" % i for i in range(n)), FieldSpec(prime))
+        c = len(rows) - 1
+        M = PresentationMatrix(ctx, [[random_form(ctx, rng, a) for _ in range(c)] for a in rows])
+        heights = [height(fitting_ideal(M, i)) for i in range(1, c + 1)]
+        assert [row[2] for row in check_Fm(M, 0).table] == heights
+
     def test_lower_degrees_are_raised_before_the_span(self):
         # the entries x, y and four quadrics in (x, y) generate (x, y), of
         # height 2; unraised, their 2 + 4 rows would count as the 6
@@ -865,6 +884,15 @@ class TestSpanningStream:
         heights = [height(fitting_ideal(M, i)) for i in range(1, 4)]
         assert heights[2] == 2
         assert [row[2] for row in check_Fm(M, 0).table] == heights
+
+    def test_unit_minor_after_three_coprime_ones(self):
+        # the first three maximal minors x, -y, z are coprime forms, but
+        # the fourth is 1, so Fitt_1 is the unit ideal, not of height 2
+        _, M = mat(("x", "y", "z"), [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["x", "y", "z"]])
+        heights = [height(fitting_ideal(M, i)) for i in range(1, 4)]
+        assert heights == [math.inf] * 3
+        assert [row[2] for row in check_Fm(M, 0).table] == heights
+        assert check_Fm(M, 2).verdict
 
     def test_stream_stops_at_the_spanning_pivot(self, monkeypatch):
         # Fitt_1's pass is the Sylvester matrix of two quintic 5-minors on

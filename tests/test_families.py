@@ -342,25 +342,6 @@ class TestCertifiedSweep:
         capsys.readouterr()
         assert len(runs) == 1
 
-    @pytest.mark.parametrize("prime", [7, 32003, 0])
-    def test_matrix_hands_the_member_its_verdict(self, monkeypatch, prime):
-        # at a = 0 the specialized matrix fails G_3, and the member reads
-        # that verdict instead of recovering a matrix of its own; a bare
-        # family, with no matrix, recovers one
-        calls = []
-        inner = ratmap.hilbert_burch_degrees
-        monkeypatch.setattr(
-            ratmap, "hilbert_burch_degrees", lambda *a: calls.append(1) or inner(*a)
-        )
-        fam = make_family(FamilySpec("dejonquieres", m=2, prime=prime))
-        rows = specialization_sweep(fam, [0, 5])
-        got = [(r.deg_map, r.gr_dim, r.g_condition) for r in rows]
-        assert got == [(1, 4, False), (2, 3, True)]
-        assert calls == []
-        bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
-        assert specialization_sweep(bare, [0, 5])[0].deg_map == 1
-        assert calls == [1]
-
     def test_zero_takes_the_full_route(self, monkeypatch):
         fam = make_family(FamilySpec("dejonquieres", m=2))
         bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
