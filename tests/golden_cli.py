@@ -28,7 +28,11 @@ Between them they pin `image`, `fiber-cone`, `degree` and `jmult` on
 birational, dependent, finite and not generically finite maps, and
 `sfib-hf` at n = 0..3 on the three birational maps that the Jacobian
 dual certifies (the Pfaffian, Cremona and (1, 1) maps) and on the
-(1, 2) map, which it does not.
+(1, 2) map, which it does not.  `sfib-hf` also runs at n = 0..4 on two
+maps whose values are not C(n+r, r): x0^3, x1^3 of P^1, whose values
+are 3n + 1, and the 2-minors of a 3x2 matrix whose columns have degrees
+(2, 3), a map of P^2 of degree 6 whose values 1, 3, 9, 22, 41 need the
+rank of a map between cohomology groups, not a binomial alone.
 
 The module needs only the standard library, so any interpreter that
 runs the package can check the recorded bytes:
@@ -99,9 +103,30 @@ RING_MAPS = {
     ),
     # three squares of P^2, of degree 4 and with no linear syzygy
     "diag3": ("x0 x1 x2", "x0^2, x1^2, x2^2", ("degree", "jmult")),
+    # a map of P^1 of degree 3
+    "cubes2": ("x0 x1", "x0^3, x1^3", ("sfib-hf",)),
+    # the 2-minors of the Hilbert-Burch family's 3x2 matrix over Q with
+    # columns of degrees (2, 3) at seed 5, a map of degree 6
+    "hb23": (
+        "x0 x1 x2",
+        "-4*x0^5 - 31*x0^4*x1 - 9*x0^3*x1^2 + 8*x0^2*x1^3 - 6*x0*x1^4 + 21*x1^5 - 37*x0^4*x2"
+        " - 114*x0^3*x1*x2 - 104*x0^2*x1^2*x2 - 74*x0*x1^3*x2 - x1^4*x2 - 85*x0^3*x2^2"
+        " - 85*x0^2*x1*x2^2 - 42*x0*x1^2*x2^2 + 44*x1^3*x2^2 + 41*x0^2*x2^3 + 14*x0*x1*x2^3"
+        " + 103*x1^2*x2^3 + 58*x0*x2^4 + 43*x1*x2^4 + 84*x2^5, 23*x0^5 + 122*x0^4*x1"
+        " + 151*x0^3*x1^2 + 79*x0^2*x1^3 + 25*x0*x1^4 - 22*x1^5 + 61*x0^4*x2 + 71*x0^3*x1*x2"
+        " + 5*x0^2*x1^2*x2 - 60*x0*x1^3*x2 - 69*x1^4*x2 - 14*x0^3*x2^2 + 35*x0^2*x1*x2^2"
+        " - 20*x0*x1^2*x2^2 - 128*x1^3*x2^2 - 43*x0^2*x2^3 - 40*x0*x1*x2^3 - 111*x1^2*x2^3"
+        " - 51*x0*x2^4 - 132*x1*x2^4 - 90*x2^5, -48*x0^5 - 86*x0^4*x1 - 130*x0^3*x1^2"
+        " - 65*x0^2*x1^3 - 37*x0*x1^4 + 9*x1^5 + 83*x0^4*x2 + 69*x0^3*x1*x2 + 114*x0^2*x1^2*x2"
+        " + 90*x0*x1^3*x2 + 49*x1^4*x2 + 37*x0^3*x2^2 + 115*x0^2*x1*x2^2 + 45*x0*x1^2*x2^2"
+        " + 104*x1^3*x2^2 + 89*x0^2*x2^3 + 90*x0*x1*x2^3 + 44*x1^2*x2^3 - 68*x0*x2^4"
+        " + 28*x1*x2^4 - 36*x2^5",
+        ("sfib-hf",),
+    ),
 }
-# the powers n at which `sfib-hf` runs on the maps of RING_MAPS
-SFIB_POINTS = ["--points", "0,1,2,3"]
+# the powers n at which `sfib-hf` runs on the maps of RING_MAPS: 0..3,
+# and 0..4 where the name is listed
+SFIB_POINTS = {"cubes2": "0,1,2,3,4", "hb23": "0,1,2,3,4"}
 # input matrices of `conditions`, under tests/golden/cli
 MATRICES = ("matrix_q", "pfaffian5_p32003", "pfaffian5_q", "alternating6_p7")
 SWEEP = ["sweep", "--family", "dejonquieres", "--m", "2", "--points", "0,1,2"]
@@ -131,7 +156,7 @@ def _cases():
                 for command in commands:
                     argv = [command, "--map", forms, "--ring", ring, "--format", fmt]
                     if command == "sfib-hf":
-                        argv += SFIB_POINTS
+                        argv += ["--points", SFIB_POINTS.get(name, "0,1,2,3")]
                     out["%s-%s%s.%s" % (command, name, suffix, ext)] = argv
             argv = SWEEP + ["--prime", prime, "--format", fmt]
             out["sweep-dejonquieres%s.%s" % (suffix, ext)] = argv
