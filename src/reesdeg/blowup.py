@@ -56,22 +56,50 @@ read the same fixed points, whose coordinates are the first primes;
 over a small F_p that has one of them 0 mod p, points drawn without p
 follow.
 
-For r+1 forms of P^r of degree d, `hilbert_burch_degrees` recovers a
-presentation matrix phi of their ideal by linear algebra alone: the
+For r+1 forms of P^r of degree d, `hilbert_burch_presentation` recovers
+a presentation matrix phi of their ideal by linear algebra alone: the
 syzygies of degree e = 1, 2, ..., each degree's kernel one more
 `_gauss_jordan` pass over the products u*g_i, that are independent
 modulo the multiples of the columns found so far become columns, until
 there are r, the last looked for in degree d minus the others.
 `presents_linear_type` then certifies phi: its signed maximal minors
 are c*g with one c != 0, and it satisfies G_{r+1}
-(`conditions.check_Gm`).  The column degrees mu_j give deg F =
-prod mu_j (see `ratmap`, which states the theorems and the maps it
-declines).  The test is one-sided: forms it does not certify take the
-Rees route.
+(`conditions.check_Gm`).  The column degrees mu_j, read back by
+`conditions.column_degrees`, give deg F = prod mu_j (see `ratmap`,
+which states the theorems and the maps it declines).  The test is
+one-sided: forms it does not certify take the Rees route.
 
-A map the context certifies birational has a known saturated fiber cone
-(see `ratmap`); `saturated_fiber_dim` is the route of every other map:
-it forms I^n and saturates it by the irrelevant ideal.
+The saturated fiber cone of a certified map needs no power of I.  A map
+the context certifies birational has F~(I) = k[y] (see `ratmap`).  A
+map whose matrix phi is certified has its Hilbert function from phi
+(`hilbert_burch_sfib`), in three steps:
+- Linear type: I is of linear type (Herzog-Simis-Vasconcelos, see
+  `ratmap`), so the Rees ideal is generated by the r forms L_j =
+  sum_i phi_ij y_i, of bidegree (mu_j, 1).
+- Complete intersection: the graph Gamma in P^r x P^r has codimension
+  r, so the L_j are a complete intersection, and O_Gamma is resolved by
+  their Koszul complex, K_k = sum over |J| = k of O(-mu_J, -k) with
+  mu_J = sum_(j in J) mu_j.  The value at n is dim H^0(Gamma,
+  O_Gamma(0, n)) = dim [(I^n)^sat]_{nd} (Buse-Cid-Ruiz-D'Andrea,
+  "Degree and birationality of multi-graded rational maps", Proc. LMS
+  2020).
+- Koszul and Kunneth: for k >= 1, mu_J >= 1 and n - k >= -r, so by
+  Kunneth K_k(0, n) has cohomology in degree r alone, H^r(P^r,
+  O(-mu_J)) (x) k[y]_(n-k), and K_0(0, n) has H^0 = k[y]_n alone.  In
+  the hypercohomology spectral sequence of K_.(0, n) only H^0(K_0) and
+  H^r(K_r) have total degree 0, and only d_1 : H^r(K_r) -> H^r(K_(r-1))
+  touches them.  With sum mu_j = d, H^0(O_Gamma(0, n)) is k[y]_n plus
+  the kernel of
+      delta_n : H^r(O(-d)) (x) k[y]_(n-r)
+                -> sum_j H^r(O(mu_j - d)) (x) k[y]_(n-r+1),
+  the product with L_j on component j.
+H^r(P^r, O(-a)) has the basis of inverse monomials x^-alpha, every
+alpha_i >= 1 and |alpha| = a, and x^gamma sends x^-alpha to
+x^(gamma-alpha), or to 0 once an exponent reaches 0.  So the value is
+C(n+r, r) + C(d-1, r)*C(n, r) - rank delta_n.  delta_n = 0 when every
+d - mu_j <= r: a (1, 2) map reads C(n+2, 2) + C(n, 2), and r = 1 gives
+d*n + 1.  `saturated_fiber_dim` is the route of every map neither rule
+certifies: it forms I^n and saturates it by the irrelevant ideal.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
@@ -88,7 +116,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
 
-from .conditions import PresentationMatrix, check_Gm, minors
+from .conditions import PresentationMatrix, check_Gm, column_degrees, minors
 from .groebner import (
     IdealHandle,
     _basis,
@@ -622,22 +650,24 @@ def presents_linear_type(M, forms):
         raise RingError("a presentation of r+1 forms is an (r+1) x r matrix")
     if M.nrows == ctx.nvars and _common_coordinate_zero(M):
         return False
-    f = ctx.field
     signed = [m if i % 2 == 0 else -m for i, m in enumerate(reversed(minors(M, M.ncols)))]
     lead = max(forms[0].terms)
-    c = f.mul(signed[0].terms.get(lead, 0), f.inv(forms[0].terms[lead]))
-    if not c or any(m != g.scale(c) for m, g in zip(signed, forms)):
+    # c = a/b, compared as b*m = a*g, which runs no Fraction arithmetic
+    a, b = signed[0].terms.get(lead, 0), forms[0].terms[lead]
+    if not a or any(m.scale(b) != g.scale(a) for m, g in zip(signed, forms)):
         return False
     return check_Gm(M, M.nrows).verdict
 
 
-def hilbert_burch_degrees(forms, syzygies):
-    """The column degrees (mu_1, ..., mu_r), weakly increasing, of a
-    presentation matrix of the ideal of `forms`, r+1 forms of P^r of
-    degree d, when `presents_linear_type` certifies the one it recovers:
-    then deg F = prod mu_j (see `ratmap`).  None otherwise, and at once
-    when `syzygies`, their `linear_syzygies`, is None or r = 0.  The
-    forms are those `linear_syzygies` checked.
+def hilbert_burch_presentation(forms, syzygies):
+    """A presentation matrix of the ideal of `forms`, r+1 forms of P^r of
+    degree d, whose column degrees mu_1, ..., mu_r are weakly increasing,
+    when `presents_linear_type` certifies the one it recovers: then deg F
+    = prod mu_j (see `ratmap`), with mu read back by
+    `conditions.column_degrees`, and `hilbert_burch_sfib` reads the
+    saturated fiber cone off it.  None otherwise, and at once when
+    `syzygies`, their `linear_syzygies`, is None or r = 0.  The forms are
+    those `linear_syzygies` checked.
 
     The matrix is recovered by linear algebra, one column degree e =
     1, 2, ... at a time: a basis of the syzygies of degree e modulo the
@@ -697,7 +727,63 @@ def hilbert_burch_degrees(forms, syzygies):
         [Poly(ctx, {m: c * s for m, c in col[i].items()}, _clean=True) for col in columns]
         for i, s in enumerate(scales)
     ]
-    return tuple(mu) if presents_linear_type(PresentationMatrix(ctx, rows), forms) else None
+    M = PresentationMatrix(ctx, rows)
+    return M if presents_linear_type(M, forms) else None
+
+
+def hilbert_burch_sfib(M, n):
+    """dim [(I^n)^sat]_{nd} for the ideal I of r+1 forms of P^r of degree
+    d that M, an (r+1) x r matrix of column degrees mu_j certified by
+    `presents_linear_type`, presents: C(n+r, r) + dim ker delta_n (see
+    the module docstring), with no power and no basis.
+
+    delta_n : H^r(O(-d)) (x) k[y]_(n-r) -> sum_j H^r(O(mu_j - d)) (x)
+    k[y]_(n-r+1) multiplies by L_j = sum_i M_ij y_i, and x^gamma sends
+    x^-alpha to x^(gamma-alpha), or to 0 once an exponent reaches 0.
+    When every d - mu_j <= r its targets are 0, and the value is
+    C(n+r, r) + C(d-1, r)*C(n, r) from no product.  Else its rank is one
+    `_gauss_jordan` pass over one row per target basis element, sorted
+    by largest column, each column j of M scaled to integers over Q.
+    Each product term and each row operation costs one budget step; the
+    product terms are charged before any is formed, so the budget bounds
+    the kernel's memory too."""
+    mu = column_degrees(M)
+    r = M.ncols
+    d = sum(mu)
+    # dim H^r(P^r, O(-d)) = C(d-1, r) and dim k[y]_(n-r) = C(n, r)
+    value = comb(n + r, r) + comb(d - 1, r) * comb(n, r)
+    if all(d - m <= r for m in mu):
+        return value
+    p = M.ctx.field.characteristic
+    unpack = M.ctx.packing.unpack
+    # the inverse monomials x^-alpha spanning H^r(P^r, O(-d))
+    top = [tuple(e + 1 for e in u) for u in monomials_of_degree(r + 1, d - r - 1)]
+    # (alpha's index, target, i, c) for each term c*x^gamma of M_ij with
+    # x^gamma*x^-alpha = x^-beta nonzero, whose target is (j, beta)
+    products = []
+    for j, m in enumerate(mu):
+        if d - m <= r:
+            # H^r(P^r, O(mu_j - d)) = 0
+            continue
+        column, _ = _integral(
+            {(i, e): c for i, row in enumerate(M.entries) for e, c in row[j].terms.items()}, p
+        )
+        for (i, e), c in column.items():
+            gamma = unpack(e)
+            for a, alpha in enumerate(top):
+                beta = tuple(x - g for x, g in zip(alpha, gamma))
+                if min(beta) >= 1:
+                    products.append((a, (j, beta), i, c))
+    budget = _budget()
+    _charge(budget, len(products) * comb(n, r))
+    ys = list(monomials_of_degree(r + 1, n - r))
+    # y_i*nu for each source monomial nu, by i
+    shifted = [[nu[:i] + (nu[i] + 1,) + nu[i + 1 :] for i in range(r + 1)] for nu in ys]
+    rows = {}
+    for a, target, i, c in products:
+        for b, by_i in enumerate(shifted):
+            rows.setdefault((target, by_i[i]), {})[a * len(ys) + b] = c
+    return value - len(_gauss_jordan(sorted(rows.values(), key=max), p, budget))
 
 
 @dataclass(frozen=True)

@@ -161,9 +161,11 @@ def step_budget(limit):
     the block `conditions` streams its forms into, monomial divisibility
     tests, the products of the chain behind the minors and
     sub-Pfaffians of `conditions` and of the power loop in
-    `sfib_hilbert_function`, and the product terms formed, form terms
-    evaluated and row operations of `blowup.jacobian_independent` and
-    `blowup.jacobian_dual_birational`."""
+    `blowup.saturated_fiber_dim`, the product terms formed, form terms
+    evaluated and row operations of `blowup.jacobian_independent`,
+    `blowup.jacobian_dual_birational` and
+    `blowup.hilbert_burch_presentation`, and the product terms and row
+    operations of `blowup.hilbert_burch_sfib`."""
     if limit < 1:
         raise ValueError("budget must be at least 1, got %d" % limit)
     token = _ACTIVE_BUDGET.set(_Budget(limit))

@@ -48,7 +48,7 @@ does not certify takes the Rees route.
 
 A map with s = r whose ideal I is perfect of codimension 2 and of
 linear type has its degree from no basis too.
-`blowup.hilbert_burch_degrees` recovers an (r+1) x r matrix phi of
+`blowup.hilbert_burch_presentation` recovers an (r+1) x r matrix phi of
 column degrees mu_1..mu_r whose columns are syzygies of the forms, and
 `blowup.presents_linear_type` certifies it: the signed maximal minors
 of phi are c*g_i for one constant c != 0, and phi satisfies G_{r+1},
@@ -74,6 +74,22 @@ member at a = 0 (G_2 but not G_3), x0^2, x0*x1, x1^2 in P^2 (I_1(phi)
 = (x0, x1)) and forms with a common factor (ht I = 1).  Both s = r
 rules read one kernel, the linear syzygies, computed once per map.
 
+The context holds the certified matrix phi itself, and the mu_j are
+read back off it (`conditions.column_degrees`).  The saturated fiber
+cone of such a map takes no power of I either
+(`blowup.hilbert_burch_sfib`), in three steps:
+- linear type: the Rees ideal is generated by the r forms
+  L_j = sum_i phi_ij y_i, as above;
+- complete intersection: so the graph Gamma in P^r x P^r is cut out by
+  the L_j, of bidegree (mu_j, 1), and [(I^n)^sat]_{nd} = H^0(Gamma,
+  O_Gamma(0, n)) (Buse-Cid-Ruiz-D'Andrea);
+- Koszul and Kunneth: the Koszul complex of the L_j resolves O_Gamma,
+  each of its terms twisted by (0, n) has cohomology in one degree, by
+  Kunneth, and H^0(O_Gamma(0, n)) is k[y]_n plus the kernel of the one
+  map d_1 between top cohomology groups that reaches total degree 0.
+The value is C(n+r, r) plus that kernel's dimension; the `blowup`
+docstring gives the map.
+
 A `RationalMapSpec` is the map's context: it computes each fact above
 once, on first read.  One rule picks the route (`certified`): a
 certificate stands in only for a Rees basis the context does not hold
@@ -91,13 +107,15 @@ from .blowup import (
     _free_fiber_cone,
     _x_free_leads,
     fiber_cone_ideal,
-    hilbert_burch_degrees,
+    hilbert_burch_presentation,
+    hilbert_burch_sfib,
     jacobian_dual_birational,
     jacobian_independent,
     linear_syzygies,
     rees_ideal,
     saturated_fiber_dim,
 )
+from .conditions import column_degrees
 from .groebner import IdealHandle, saturate
 from .hilbert import dim_degree, lead_ideal, monomial_dim_degree, weighted_numerator
 from .ring import Poly, RingError, format_poly, format_ring_header, parse_poly, parse_ring_header
@@ -146,8 +164,9 @@ class RationalMapSpec:
 
     @cached_property
     def hilbert_burch(self):
-        """The column degrees of `blowup.hilbert_burch_degrees`, or None."""
-        return hilbert_burch_degrees(list(self.forms), self.linear_syzygies)
+        """The certified presentation matrix of
+        `blowup.hilbert_burch_presentation`, or None."""
+        return hilbert_burch_presentation(list(self.forms), self.linear_syzygies)
 
     def hold_rees(self, rees):
         """Hold `rees`, the Rees ideal of the forms with its basis, built
@@ -235,9 +254,9 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         raise ValueError("trials must be at least 1, got %d" % trials)
     if spec.certified("birational"):
         return 1, ()
-    mu = spec.certified("hilbert_burch")
-    if mu:
-        return prod(mu), ()
+    M = spec.certified("hilbert_burch")
+    if M:
+        return prod(column_degrees(M)), ()
     spec.rees  # d_r needs the Rees basis, and the image is then read off it
     img = spec.image
     if img.proj_dim_of_scheme != spec.r:
@@ -297,14 +316,22 @@ def sfib_hilbert_function(spec, n):
     """Value of the saturated fiber cone Hilbert function at n: the
     dimension of the degree n*d piece of the saturation of I^n.  A map
     the Jacobian dual rule certifies takes C(n+r, r) from no product and
-    no basis (see the module docstring); every other map takes
-    `blowup.saturated_fiber_dim`."""
+    no basis (see the module docstring).  A map the Hilbert-Burch rule
+    certifies takes `blowup.hilbert_burch_sfib` of its matrix phi, also
+    from no product and no basis, by three steps: I is of linear type, so
+    the graph is the complete intersection of the r forms sum_i phi_ij
+    y_i in P^r x P^r, whose H^0(O(0, n)) is the value; their Koszul
+    complex, by Kunneth, leaves C(n+r, r) plus the kernel of one map on
+    top cohomology.  Every other map takes `blowup.saturated_fiber_dim`."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     if n == 0:
         return 1
     if spec.certified("birational"):
         return comb(n + spec.r, n)
+    M = spec.certified("hilbert_burch")
+    if M:
+        return hilbert_burch_sfib(M, n)
     return saturated_fiber_dim(list(spec.forms), n)
 
 

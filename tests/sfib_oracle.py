@@ -1,10 +1,11 @@
 """Test-only oracle for the saturated fiber cone Hilbert function.
 
-`saturated_power_dim` is the route `blowup.sfib_hilbert_function` takes
-for every map it cannot answer by theorem: form every product of I^n,
-saturate the ideal they generate by the irrelevant ideal, and count the
-degree n*d piece of the saturation.  Tests compare the answers read off
-the Jacobian dual certificate against it.
+`saturated_power_dim` is the route of `blowup.saturated_fiber_dim`,
+which `ratmap.sfib_hilbert_function` takes for every map it cannot
+answer by theorem: form every product of I^n, saturate the ideal they
+generate by the irrelevant ideal, and count the degree n*d piece of the
+saturation.  Tests compare the answers read off the Jacobian dual
+certificate and off the Hilbert-Burch matrix against it.
 """
 
 from itertools import combinations_with_replacement

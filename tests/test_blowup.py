@@ -449,13 +449,14 @@ class TestSaturatedFiberHF:
             sfib_hilbert_function(rational_map(forms), -1)
 
     def test_one_basis_per_power(self, monkeypatch):
-        # saturating I^n by the irrelevant ideal reuses the basis of I^n
-        spec = FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=5)
-        spec = rational_map(make_family(spec).forms)
+        # the saturation route, which the Hilbert-Burch rule spares this
+        # map: saturating I^n by the irrelevant ideal reuses the basis of
+        # I^n
+        forms = list(make_family(FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=5)).forms)
         runs = count_buchberger_runs(monkeypatch)
         for n, value in ((1, 3), (2, 7), (3, 13)):
             del runs[:]
-            assert sfib_hilbert_function(spec, n) == value
+            assert blowup.saturated_fiber_dim(forms, n) == value
             assert len(runs) == 1
 
     @settings(max_examples=40, deadline=None)
@@ -469,16 +470,16 @@ class TestSaturatedFiberHF:
     @example(shape="pf", prime=7, seed=373243)
     @example(shape="pf", prime=0, seed=3)
     def test_certified_values_match_the_oracle(self, shape, prime, seed):
-        # wherever the Jacobian dual certifies the map, the values are
-        # those of I^n saturated, read off no basis; the (1, 2) examples
-        # are s = r maps it does not certify, whose values differ from
-        # C(n+r, r) at n = 2
+        # wherever the Jacobian dual or the Hilbert-Burch rule certifies
+        # the map, the values are those of I^n saturated, read off no
+        # basis; the (1, 2) examples are s = r maps the dual does not
+        # certify, whose values differ from C(n+r, r) at n = 2
         try:
             spec = oracle_map(shape, prime, seed)
         except RingError:
             assume(False)
         forms = list(spec.forms)
-        certified = spec.birational
+        certified = spec.birational or spec.hilbert_burch is not None
         with pytest.MonkeyPatch.context() as mp:
             runs = count_buchberger_runs(mp)
             values = [sfib_hilbert_function(spec, n) for n in range(4)]

@@ -160,30 +160,41 @@ class TestImageAndBlowup:
 
 
 class TestSaturatedFiber:
-    """sfib-hf reads the Jacobian dual rule once per command; a map it
-    certifies takes C(n+r, r) at every point from no basis, and bad
-    input fails as it always has, certified or not."""
+    """sfib-hf reads each s = r rule once per command: a map the Jacobian
+    dual rule certifies takes C(n+r, r) at every point, and one the
+    Hilbert-Burch rule certifies reads its values off its presentation
+    matrix, both from no basis; bad input fails as it always has,
+    certified or not."""
 
     MAPS = {
         "cremona": "x1*x2, x0*x2, x0*x1",
         "hb12": "x0^2*x1 - 1/2*x0*x1*x2 - 3*x1^2*x2 + x2^3, -x0^3 + 3*x0*x1*x2 + x1^2*x2,"
         " 1/2*x0^2*x1 - x1^3 - x0*x2^2",
+        "diag3": "x0^2, x1^2, x2^2",
     }
 
     def spy(self, monkeypatch):
-        """Log the rule's verdicts, which the map context reads."""
+        """Log the verdicts of both rules, which the map context reads:
+        the dual rule's, and whether the Hilbert-Burch rule found a
+        matrix."""
         calls = []
-        inner = blowup.jacobian_dual_birational
+        for name in ("jacobian_dual_birational", "hilbert_burch_presentation"):
+            inner = getattr(blowup, name)
 
-        def rule(*args):
-            calls.append(inner(*args))
-            return calls[-1]
+            def rule(*args, name=name, inner=inner):
+                out = inner(*args)
+                calls.append((name, bool(out)))
+                return out
 
-        monkeypatch.setattr(ratmap, "jacobian_dual_birational", rule)
+            monkeypatch.setattr(ratmap, name, rule)
         return calls
 
+    # the dual rule's verdict; the Hilbert-Burch rule, read after it,
+    # certifies hb12 alone, and diag3, which neither rule certifies, makes
+    # one saturation per power
     @pytest.mark.parametrize(
-        "name, certified, values", [("cremona", True, [3, 6, 10]), ("hb12", False, [3, 7, 13])]
+        "name, certified, values",
+        [("cremona", True, [3, 6, 10]), ("hb12", False, [3, 7, 13]), ("diag3", False, [6, 15, 28])],
     )
     def test_rule_is_read_once(self, capsys, monkeypatch, name, certified, values):
         calls = self.spy(monkeypatch)
@@ -191,9 +202,9 @@ class TestSaturatedFiber:
         code, out = run(capsys, ["sfib-hf", "--map", self.MAPS[name], "--points", "1,2,3"])
         assert code == 0
         assert [v["value"] for v in json.loads(out)["values"]] == values
-        assert calls == [certified]
-        # one saturation per power on the map the rule does not certify
-        assert len(runs) == (0 if certified else 3)
+        hilbert_burch = [] if certified else [("hilbert_burch_presentation", name == "hb12")]
+        assert calls == [("jacobian_dual_birational", certified)] + hilbert_burch
+        assert len(runs) == (3 if name == "diag3" else 0)
 
     def error(self, capsys, argv):
         code = main(argv)
@@ -228,7 +239,13 @@ class TestSaturatedFiber:
 
 
 # the functions behind the facts a map context holds
-FACTS = ("rees_ideal", "jacobian_independent", "jacobian_dual_birational")
+FACTS = (
+    "rees_ideal",
+    "jacobian_independent",
+    "linear_syzygies",
+    "jacobian_dual_birational",
+    "hilbert_burch_presentation",
+)
 
 
 def spy_facts(monkeypatch):
@@ -707,6 +724,23 @@ class TestExitCodes:
         )
         assert code == 3
         assert out == ""
+        assert time.perf_counter() - start < 1.0
+
+    def test_hilbert_burch_kernel_is_charged(self, capsys):
+        # the Hilbert-Burch (2, 3) map is certified in 2 868 steps and reads
+        # n = 4 off a kernel of 36 columns in 155 more; at n = 60 its map
+        # on top cohomology has 10 620 columns, and the budget stops it
+        fam = families.make_family(families.FamilySpec("hilbert_burch", r=2, mu=(2, 3), seed=5))
+        forms = ", ".join(ring.format_poly(g) for g in fam.forms)
+        argv = ["sfib-hf", "--map", forms, "--prime", "32003", "--budget", "3100"]
+        code, out = run(capsys, argv + ["--points", "4"])
+        assert code == 0
+        assert [v["value"] for v in json.loads(out)["values"]] == [41]
+        start = time.perf_counter()
+        code = main(argv + ["--points", "60"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == "error: computation exceeded its budget of 3100 steps\n"
         assert time.perf_counter() - start < 1.0
 
     def test_budget_message_counts_steps(self, capsys, monkeypatch):

@@ -12,7 +12,11 @@ link them, all run in-process through `cli.main`:
   at n = 0..4 are sfib_multiplicity = deg F * deg Y, the multiplicity of
   the saturated fiber cone (Buse, Cid-Ruiz and D'Andrea, Proc. LMS 2020).
   The law is asymptotic; on the shapes drawn here the differences are
-  constant from n = 0 on;
+  constant from n = 0 on.  On the Hilbert-Burch maps of column degrees
+  (1, 2), (2, 2), (2, 3) and (1, 1, 2) that the Hilbert-Burch rule
+  certifies, the r-th differences at n = 3..8 are prod mu_j: a scan of
+  450 such maps (these shapes, (1, 3) and (1, 2, 2), at 25 seeds over
+  F_7, F_32003 and Q) found them constant from n = 3 on;
 - a `sweep` row's deg_map and deg_image are those `degree` gives on the
   member's forms, at points the family certifies, where the sweep reads
   them off the specialized generic Rees basis, and at a = 0, where it
@@ -20,14 +24,16 @@ link them, all run in-process through `cli.main`:
 
 A wrong certificate in one route breaks one of these links: an
 independence rule that certifies dependent forms gives `image` a
-dimension that `degree` does not have, and a saturated fiber rule that
+dimension that `degree` does not have, a saturated fiber rule that
 answers C(n+r, r) for a map of degree above 1 breaks the sfib law, and
-a certified Rees basis that misses a row breaks the sweep's link.
+so does a Hilbert-Burch kernel that drops the map on top cohomology,
+and a certified Rees basis that misses a row breaks the sweep's link.
 """
 
 import contextlib
 import io
 import json
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -35,6 +41,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import ORACLE_SHAPES, oracle_map
 from reesdeg.blowup import certifies, specialize_forms
 from reesdeg.cli import main
+from reesdeg.conditions import column_degrees
 from reesdeg.families import ELL_NOT_MAXIMAL, FamilySpec, make_family
 from reesdeg.groebner import parse_ideal
 from reesdeg.hilbert import dim_degree
@@ -99,6 +106,26 @@ def test_commands_agree(shape, prime, seed):
         values = [v["value"] for v in run("sfib-hf", spec.forms, "--points", "0,1,2,3,4")["values"]]
         second = [c - 2 * b + a for a, b, c in zip(values, values[1:], values[2:])]
         assert second == [degree["sfib_multiplicity"]] * 3
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6))
+@pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
+@pytest.mark.parametrize("shape", ["hb12", "hb22", "hb23", "hb112"])
+def test_sfib_law_on_hilbert_burch_maps(shape, prime, seed):
+    try:
+        spec = oracle_map(shape, prime, seed)
+    except RingError:
+        assume(False)
+    assume(spec.hilbert_burch is not None)
+    mu = column_degrees(spec.hilbert_burch)
+    assert mu == tuple(int(c) for c in shape[2:])
+    assert run("degree", spec.forms)["sfib_multiplicity"] == prod(mu)
+    points = ["--points", "3,4,5,6,7,8"]
+    differences = [v["value"] for v in run("sfib-hf", spec.forms, *points)["values"]]
+    for _ in range(spec.r):
+        differences = [b - a for a, b in zip(differences, differences[1:])]
+    assert differences == [prod(mu)] * (6 - spec.r)
 
 
 @pytest.mark.parametrize("prime", [7, 32003, 0], ids=["F_7", "F_32003", "QQ"])
