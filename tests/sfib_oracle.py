@@ -1,7 +1,7 @@
 """Test-only oracle for the saturated fiber cone Hilbert function.
 
 `saturated_power_dim` is the route of `blowup.saturated_fiber_dim`,
-which `ratmap.sfib_hilbert_function` takes for every map it cannot
+which `ratmap.sfib_hilbert_function` takes for every map it does not
 answer by theorem: form every product of I^n, saturate the ideal they
 generate by the irrelevant ideal, and count the degree n*d piece of the
 saturation.  Tests compare the answers read off the Jacobian dual

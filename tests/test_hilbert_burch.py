@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reesdeg.blowup as blowup
 import reesdeg.ratmap as ratmap
 from conftest import count_buchberger_runs, random_form
-from reesdeg.blowup import presents_linear_type, rees_ideal, specialize_forms
+from reesdeg.blowup import hilbert_burch_sfib, presents_linear_type, rees_ideal, specialize_forms
 from reesdeg.conditions import PresentationMatrix, check_Gm, column_degrees
 from reesdeg.families import FamilySpec, j_multiplicity, make_family, signed_maximal_minors
 from reesdeg.ratmap import (
@@ -160,9 +160,10 @@ SFIB_SHAPES = ((2,), (3,), (1, 2), (1, 3), (2, 2), (2, 3), (1, 1, 2), (1, 2, 2))
 
 
 class TestSaturatedFiber:
-    """Wherever the rule certifies a map, `sfib_hilbert_function` reads
-    C(n+r, r) + dim ker delta_n off its presentation matrix, with no
-    Buchberger run, and the values are those of I^n saturated."""
+    """Wherever the rule certifies a map, `blowup.hilbert_burch_sfib`
+    reads C(n+r, r) + dim ker delta_n off its presentation matrix, with
+    no Buchberger run, and the values are those of I^n saturated;
+    `sfib_hilbert_function` reads them for every such map of P^r, r >= 2."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -183,7 +184,10 @@ class TestSaturatedFiber:
         assume(spec.hilbert_burch is not None)
         with pytest.MonkeyPatch.context() as mp:
             runs = count_buchberger_runs(mp)
-            values = [sfib_hilbert_function(spec, n) for n in range(4)]
+            values = [hilbert_burch_sfib(spec.hilbert_burch, n) for n in range(4)]
+            # a map of P^1 keeps the saturation route
+            if spec.r > 1:
+                assert [sfib_hilbert_function(spec, n) for n in range(4)] == values
         assert runs == []
         assert values == [saturated_power_dim(forms, n) for n in range(4)]
 
