@@ -8,7 +8,7 @@ fiber cone, whose dimension is the analytic spread.  A map's context,
 `rational_map`, computes each of these once and holds it.
 """
 
-from reesdeg.blowup import blowup_presentation, fiber_cone_ideal, rees_ideal
+from reesdeg.blowup import fiber_cone_ideal, rees_ideal
 from reesdeg.groebner import groebner_basis
 from reesdeg.ratmap import rational_map, sfib_hilbert_function
 from reesdeg.ring import FieldSpec, RingCtx, parse_poly
@@ -29,10 +29,6 @@ print("fiber cone:", [str(g) for g in groebner_basis(F)])
 # the analytic spread is the Krull dimension of the image's cone,
 # which the map context reads off its own Rees basis
 print("analytic spread:", rational_map(conic).image.dim)
-
-# one call bundles ambient ring, Rees, fiber, gr, and spread
-pres = blowup_presentation(conic)
-print("presentation: degree %d forms, spread %d" % (pres.degree, pres.spread))
 
 # saturated fiber Hilbert function: for (x0^2, x1^2) it grows with
 # slope 2, the product of map degree and image degree

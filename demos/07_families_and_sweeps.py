@@ -38,8 +38,8 @@ for row in specialization_sweep(dj, [0, 1, 2]):
 # why the a=0 member is different: its Rees ideal strictly contains the
 # specialized generic one, which the family holds since the sweep, and
 # the comparison names a missing relation
-result = specialization_compare(list(dj.forms), (0,), dj.generic_rees())
+result = specialization_compare(list(dj.forms), (0,), dj.generic_rees)
 print("specialization at a=0:", result.kind)
 print("   witness:", result.witness)
-result = specialization_compare(list(dj.forms), (1,), dj.generic_rees())
+result = specialization_compare(list(dj.forms), (1,), dj.generic_rees)
 print("specialization at a=1:", result.kind)

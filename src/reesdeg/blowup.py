@@ -62,28 +62,27 @@ syzygies of degree e = 1, 2, ..., each degree's kernel one more
 `_gauss_jordan` pass over the products u*g_i, that are independent
 modulo the multiples of the columns found so far become columns, until
 there are r, the last looked for in degree d minus the others.
-`presents_linear_type` then certifies phi: its signed maximal minors
-are c*g with one c != 0, and it satisfies G_{r+1}
-(`conditions.check_Gm`).  The column degrees mu_j, read back by
-`conditions.column_degrees`, give deg F = prod mu_j (see `ratmap`,
-which states the theorems and the maps it declines).  The test is
-one-sided: forms it does not certify take the Rees route.
+`presents_linear_type` then certifies phi, and its column degrees
+mu_j, read back by `conditions.column_degrees`, give deg F = prod mu_j:
+`ratmap` states the conditions, the theorems that turn them into the
+degree, and the maps the rule declines.  The test is one-sided: forms
+it does not certify take the Rees route.
 
 The saturated fiber cone of a certified map needs no power of I.  A map
 the context certifies birational has F~(I) = k[y] (see `ratmap`).  A
 map whose matrix phi is certified has its Hilbert function from phi
 (`hilbert_burch_sfib`), in three steps:
-- Linear type: I is of linear type (Herzog-Simis-Vasconcelos, see
-  `ratmap`), so the Rees ideal is generated by the r forms L_j =
-  sum_i phi_ij y_i, of bidegree (mu_j, 1).
-- Complete intersection: the graph Gamma in P^r x P^r has codimension
-  r, so the L_j are a complete intersection, and O_Gamma is resolved by
-  their Koszul complex, K_k = sum over |J| = k of O(-mu_J, -k) with
+- Linear type and complete intersection (see `ratmap`): the r forms
+  L_j = sum_i phi_ij y_i, of bidegree (mu_j, 1), generate the Rees
+  ideal and cut out the graph Gamma in P^r x P^r as a complete
+  intersection.
+- Koszul complex: O_Gamma is resolved by the Koszul complex of the L_j,
+  K_k = sum over |J| = k of O(-mu_J, -k) with
   mu_J = sum_(j in J) mu_j.  The value at n is dim H^0(Gamma,
   O_Gamma(0, n)) = dim [(I^n)^sat]_{nd} (Buse-Cid-Ruiz-D'Andrea,
   "Degree and birationality of multi-graded rational maps", Proc. LMS
   2020).
-- Koszul and Kunneth: for k >= 1, mu_J >= 1 and n - k >= -r, so by
+- Kunneth: for k >= 1, mu_J >= 1 and n - k >= -r, so by
   Kunneth K_k(0, n) has cohomology in degree r alone, H^r(P^r,
   O(-mu_J)) (x) k[y]_(n-k), and K_0(0, n) has H^0 = k[y]_n alone.  In
   the hypercohomology spectral sequence of K_.(0, n) only H^0(K_0) and
@@ -117,7 +116,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
 
-from .conditions import PresentationMatrix, check_Gm, column_degrees, minors
+from .conditions import PresentationMatrix, check_Gm, column_degrees, signed_maximal_minors
 from .groebner import (
     IdealHandle,
     _basis,
@@ -134,7 +133,7 @@ from .groebner import (
     saturate,
     seed_hilbert_series,
 )
-from .hilbert import dim_degree, hilbert_function
+from .hilbert import hilbert_function
 from .ring import (
     Poly,
     RingCtx,
@@ -277,30 +276,6 @@ def embed_in_blowup(forms, xy):
 def _gr_ideal(rees, forms):
     """Defining ideal of the associated graded ring: rees + (forms)."""
     return IdealHandle(rees.ctx, list(rees.gens) + embed_in_blowup(forms, rees.ctx))
-
-
-@dataclass(frozen=True)
-class BlowupPresentation:
-    """Rees ideal, fiber cone ideal and associated graded ideal of a
-    parameter-free form ideal, with the analytic spread."""
-
-    ambient: RingCtx
-    degree: int
-    rees: IdealHandle
-    fiber: IdealHandle
-    gr: IdealHandle
-    spread: int
-
-
-def blowup_presentation(forms):
-    forms = list(forms)
-    d = _form_degree(forms)
-    if forms[0].ctx.n_params:
-        raise RingError("presentation needs specialized (parameter-free) forms")
-    rees = rees_ideal(forms)
-    fib = fiber_cone_ideal(forms, rees=rees)
-    spread = dim_degree(fib).dim
-    return BlowupPresentation(rees.ctx, d, rees, fib, _gr_ideal(rees, forms), spread)
 
 
 def saturated_fiber_dim(forms, n):
@@ -637,21 +612,19 @@ def _common_coordinate_zero(M):
 def presents_linear_type(M, forms):
     """True when the (r+1) x r matrix M presents the ideal I of `forms`,
     g_0..g_r, and satisfies G_{r+1}, so that I is perfect of codimension
-    2 and of linear type (see `ratmap`): its signed maximal minors, the
-    i-th (-1)^i times the minor dropping row i, as
-    `families.signed_maximal_minors` takes them, are c*g_i for one
-    constant c != 0, and `check_Gm(M, r+1)` holds, whose row i = 1 is
-    ht I >= 2.  The cheap tests come first.  When r+1 is the number of
-    variables, entries that all vanish at one coordinate point fail
-    G_{r+1} at i = r, which asks ht I_1(M) > r, since I_1(M) then has a
-    zero; such a matrix expands no minor.  A matrix whose minors are not
-    c*g computes no height."""
+    2 and of linear type (see `ratmap`): its
+    `conditions.signed_maximal_minors` are c*g_i for one constant
+    c != 0, and `check_Gm(M, r+1)` holds.  The cheap tests come first.
+    When r+1 is the number of variables, entries that all vanish at one
+    coordinate point fail G_{r+1} at i = r, which asks ht I_1(M) > r,
+    since I_1(M) then has a zero; such a matrix expands no minor.  A
+    matrix whose minors are not c*g computes no height."""
     ctx = M.ctx
     if M.nrows != len(forms) or M.ncols != M.nrows - 1:
         raise RingError("a presentation of r+1 forms is an (r+1) x r matrix")
     if M.nrows == ctx.nvars and _common_coordinate_zero(M):
         return False
-    signed = [m if i % 2 == 0 else -m for i, m in enumerate(reversed(minors(M, M.ncols)))]
+    signed = signed_maximal_minors(M)
     lead = max(forms[0].terms)
     # c = a/b, compared as b*m = a*g, which runs no Fraction arithmetic
     a, b = signed[0].terms.get(lead, 0), forms[0].terms[lead]
@@ -735,19 +708,16 @@ def hilbert_burch_presentation(forms, syzygies):
 def hilbert_burch_sfib(M, n):
     """dim [(I^n)^sat]_{nd} for the ideal I of r+1 forms of P^r of degree
     d that M, an (r+1) x r matrix of column degrees mu_j certified by
-    `presents_linear_type`, presents: C(n+r, r) + dim ker delta_n (see
-    the module docstring), with no power and no basis.
+    `presents_linear_type`, presents: C(n+r, r) + C(d-1, r)*C(n, r) -
+    rank delta_n, with delta_n the product with the L_j of the module
+    docstring, from no power and no basis.
 
-    delta_n : H^r(O(-d)) (x) k[y]_(n-r) -> sum_j H^r(O(mu_j - d)) (x)
-    k[y]_(n-r+1) multiplies by L_j = sum_i M_ij y_i, and x^gamma sends
-    x^-alpha to x^(gamma-alpha), or to 0 once an exponent reaches 0.
-    When every d - mu_j <= r its targets are 0, and the value is
-    C(n+r, r) + C(d-1, r)*C(n, r) from no product.  Else its rank is one
-    `_gauss_jordan` pass over one row per target basis element, sorted
-    by largest column, each column j of M scaled to integers over Q.
-    Each product term and each row operation costs one budget step; the
-    product terms are charged before any is formed, so the budget bounds
-    the kernel's memory too."""
+    When every d - mu_j <= r, delta_n has no target and no product is
+    formed.  Else its rank is one `_gauss_jordan` pass over one row per
+    target basis element, sorted by largest column, each column j of M
+    scaled to integers over Q.  Each product term and each row operation
+    costs one budget step; the product terms are charged before any is
+    formed, so the budget bounds the kernel's memory too."""
     mu = column_degrees(M)
     r = M.ncols
     d = sum(mu)

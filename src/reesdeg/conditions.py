@@ -32,11 +32,11 @@ its sub-Pfaffians and expand no minor; `fitting_ideal` and `minors`
 keep the minor route, the oracle of this one.
 
 A matrix's heights ht Fitt_1 .. ht Fitt_{nrows-1} come from one pass,
-which G_m and F_m share: the first of them computes every height and
-keeps the tuple on the matrix.  The chain's memo and the ideals live as
-long as the pass, so minor sizes 2j - 1 and 2j of an alternating matrix
-share one ideal and one basis.  Each product of the chain costs one
-step of the step budget.
+which G_m and F_m share: the matrix's `heights`, computed on first
+read and kept outside its dataclass fields.  The chain's memo and the
+ideals live as long as the pass, so minor sizes 2j - 1 and 2j of an
+alternating matrix share one ideal and one basis.  Each product of the
+chain costs one step of the step budget.
 
 A height is read off a span when it can be: if the forms of degree t in
 an ideal I span S_t, then m^t lies in I and ht I = nvars.  When every
@@ -68,7 +68,7 @@ the bound sets the degree field's guard bit and raises `RingError`.
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice
 from math import comb
 
@@ -97,9 +97,6 @@ class PresentationMatrix:
                 if not isinstance(e, Poly) or e.ctx != self.ctx:
                     raise RingError("matrix entry from a different ring")
         object.__setattr__(self, "entries", rows)
-        # ht Fitt_1 .. ht Fitt_{nrows-1} once G_m or F_m has run; outside
-        # the dataclass fields, so eq and hash ignore it
-        object.__setattr__(self, "_heights", None)
 
     @property
     def nrows(self):
@@ -108,6 +105,11 @@ class PresentationMatrix:
     @property
     def ncols(self):
         return len(self.entries[0])
+
+    @cached_property
+    def heights(self):
+        """(ht Fitt_1, .., ht Fitt_{nrows-1}) from one `_height_pass`."""
+        return _height_pass(self)
 
 
 def _expansion(products, p):
@@ -234,6 +236,16 @@ def minors(M, size):
     return _polys(M.ctx, _chain(M, size, {}, True))
 
 
+def signed_maximal_minors(M):
+    """Map coordinates from an (r+1) x r matrix: g_i is (-1)^i times the
+    minor dropping row i, so that M^T g = 0.  They come from one call of
+    `minors`, which lists them dropping row r, r-1, ..., 0, so they share
+    their sub-minors."""
+    if M.nrows != M.ncols + 1:
+        raise RingError("maximal minors need an (r+1) x r matrix")
+    return [d if i % 2 == 0 else -d for i, d in enumerate(reversed(minors(M, M.ncols)))]
+
+
 def fitting_ideal(M, i):
     """Fitt_i of the cokernel: ideal of minors of size (nrows - i), the
     unit ideal for i >= nrows and the zero ideal past the column count."""
@@ -296,9 +308,8 @@ def _coprime(ctx, f, g, p):
     return len(_gauss_jordan([row for row in rows if row], p, _budget(), a + b)) == a + b
 
 
-def _fitting_heights(M):
-    """(ht Fitt_1, .., ht Fitt_{nrows-1}), computed on the first call
-    and kept on M.
+def _height_pass(M):
+    """The `heights` of M, which G_m and F_m share.
 
     For an alternating M, index i reads the ideal of sub-Pfaffians of
     size 2 ceil((nrows - i) / 2), which has the height of the minors'.
@@ -345,8 +356,6 @@ def _fitting_heights(M):
     of S_t proves height nvars again; a stream of several degrees that
     does not span leaves the run to the minors themselves.
     """
-    if M._heights is not None:
-        return M._heights
     ctx = M.ctx
     n, p = ctx.nvars, ctx.field.characteristic
     # every monomial of every entry; the constant monomial packs to 0
@@ -418,8 +427,7 @@ def _fitting_heights(M):
             else:
                 ht = height_of(size)
         heights.append(ht)
-    object.__setattr__(M, "_heights", tuple(heights))
-    return M._heights
+    return tuple(heights)
 
 
 @dataclass(frozen=True)
@@ -437,7 +445,7 @@ def _certificate(name, M, top, offset, holds):
     with offset + i as each row's threshold."""
     rows = tuple(
         (i, M.nrows - i, ht, offset + i, holds(ht, offset + i))
-        for i, ht in enumerate(_fitting_heights(M)[: top - 1], 1)
+        for i, ht in enumerate(M.heights[: top - 1], 1)
     )
     return ConditionCertificate(name, all(row[4] for row in rows), rows)
 

@@ -20,7 +20,8 @@ Rees ideal, so no basis is built and no Jacobian rule runs for it.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .blowup import (
     _gr_ideal,
@@ -31,7 +32,8 @@ from .blowup import (
     specialize_forms,
     specialize_rees,
 )
-from .conditions import PresentationMatrix, check_Gm, is_alternating, minors, pfaffians
+from .conditions import PresentationMatrix, check_Gm, is_alternating, pfaffians
+from .conditions import signed_maximal_minors
 from .groebner import eliminate
 from .hilbert import dim_degree
 from .ratmap import DEFAULT_SEED, degree_report, rational_map
@@ -90,13 +92,13 @@ class Family:
     """A realized family: presentation matrix, map coordinates, degree.
 
     Parameter-free instances expose map coordinates directly.  A
-    parametric instance keeps its parameters in the ring and caches, on
-    first use, the generic graph ideal with its basis, the generic Rees
-    ideal eliminated from it, and the leading coefficients of that basis
-    in the parameters.  A point where none of them vanishes is certified:
-    its member's context holds the specialized generic Rees basis, and no
-    basis is built for it (`member`).  Every other point takes the full
-    route.
+    parametric instance keeps its parameters in the ring and computes, on
+    first read, as the map context does, the generic graph ideal with its
+    basis, the generic Rees ideal eliminated from it, and the leading
+    coefficients of that basis in the parameters.  A point where none of
+    them vanishes is certified: its member's context holds the
+    specialized generic Rees basis, and no basis is built for it
+    (`member`).  Every other point takes the full route.
     """
 
     spec: FamilySpec
@@ -104,33 +106,31 @@ class Family:
     matrix: PresentationMatrix
     forms: tuple
     degree: int
-    _graph: object = field(default=None, repr=False)
-    _generic_rees: object = field(default=None, repr=False)
-    _lead_coeffs: object = field(default=None, repr=False)
 
     @property
     def parametric(self):
         return self.ctx.n_params > 0
 
-    def generic_rees(self):
+    @cached_property
+    def graph(self):
+        """The generic graph ideal, whose basis the two facts below read."""
         if not self.parametric:
             raise RingError("generic Rees ideal needs a parametric family")
-        if self._generic_rees is None:
-            self._graph = graph_ideal(list(self.forms))
-            self._generic_rees = eliminate(self._graph, 1)
-        return self._generic_rees
+        return graph_ideal(list(self.forms))
 
+    @cached_property
+    def generic_rees(self):
+        return eliminate(self.graph, 1)
+
+    @cached_property
     def lead_coefficients(self):
         """The `blowup.leading_coefficients` of the generic graph basis."""
-        if self._lead_coeffs is None:
-            self.generic_rees()
-            self._lead_coeffs = leading_coefficients(self._graph)
-        return self._lead_coeffs
+        return leading_coefficients(self.graph)
 
     def special_rees(self, point):
         """The Rees ideal of the member at `point`, with its basis read
         off the generic one, when the point is certified; else None."""
-        return certified_rees(self.generic_rees(), self.lead_coefficients(), point)
+        return certified_rees(self.generic_rees, self.lead_coefficients, point)
 
     def member(self, point):
         """The map context of the member at `point`.  At a certified point
@@ -151,9 +151,9 @@ class Family:
 
     def _gr_dimension(self, point, special):
         """`gr_dimension` at `point`, given the forms specialized there."""
-        if certifies(self.lead_coefficients(), point):
+        if certifies(self.lead_coefficients, point):
             return self.ctx.nvars - self.ctx.n_params
-        rees = specialize_rees(self.generic_rees(), point)
+        rees = specialize_rees(self.generic_rees, point)
         return dim_degree(_gr_ideal(rees, special)).dim
 
 
@@ -166,18 +166,6 @@ def dense_form(ctx, degree, rng, nx=None):
         c = rng.randrange(1, p) if p else rng.randint(1, 12)
         terms[mon + (0,) * (ctx.nvars - nx)] = c
     return Poly(ctx, terms)
-
-
-def signed_maximal_minors(M):
-    """Map coordinates from an (r+1) x r matrix: g_i is (-1)^i times the
-    minor dropping row i.  The signs satisfy M^T g = 0, which is checked.
-    The minors come from one call of `conditions.minors`, which lists
-    them dropping row r, r-1, ..., 0, so they share their sub-minors."""
-    if M.nrows != M.ncols + 1:
-        raise RingError("maximal minors need an (r+1) x r matrix")
-    forms = [d if i % 2 == 0 else -d for i, d in enumerate(reversed(minors(M, M.ncols)))]
-    _check_syzygies(zip(*M.entries), forms, "minors")
-    return forms
 
 
 def _check_syzygies(rows, forms, what):
@@ -231,6 +219,7 @@ def make_family(spec):
         ]
         M = PresentationMatrix(ctx, entries)
         forms = signed_maximal_minors(M)
+        _check_syzygies(zip(*M.entries), forms, "minors")
         return Family(spec, ctx, M, tuple(forms), sum(spec.mu))
     if spec.kind == "pfaffian":
         n = spec.r + 1
@@ -260,6 +249,7 @@ def make_family(spec):
         ],
     )
     forms = signed_maximal_minors(M)
+    _check_syzygies(zip(*M.entries), forms, "minors")
     return Family(spec, ctx, M, tuple(forms), m + 1)
 
 
@@ -312,7 +302,7 @@ def specialization_sweep(fam, points):
     if not fam.parametric:
         raise RingError("sweep needs a parametric family")
     # forms that have no generic Rees ideal fail the sweep, not a row
-    fam.generic_rees()
+    fam.generic_rees
     r = fam.ctx.nvars - fam.ctx.n_params - 1
     rows = []
     for point in points:

@@ -76,21 +76,11 @@ rules read one kernel, the linear syzygies, computed once per map.
 
 The context holds the certified matrix phi itself, and the mu_j are
 read back off it (`conditions.column_degrees`).  The saturated fiber
-cone of such a map takes no power of I either
-(`blowup.hilbert_burch_sfib`), in three steps:
-- linear type: the Rees ideal is generated by the r forms
-  L_j = sum_i phi_ij y_i, as above;
-- complete intersection: so the graph Gamma in P^r x P^r is cut out by
-  the L_j, of bidegree (mu_j, 1), and [(I^n)^sat]_{nd} = H^0(Gamma,
-  O_Gamma(0, n)) (Buse-Cid-Ruiz-D'Andrea);
-- Koszul and Kunneth: the Koszul complex of the L_j resolves O_Gamma,
-  each of its terms twisted by (0, n) has cohomology in one degree, by
-  Kunneth, and H^0(O_Gamma(0, n)) is k[y]_n plus the kernel of the one
-  map d_1 between top cohomology groups that reaches total degree 0.
-The value is C(n+r, r) plus that kernel's dimension; the `blowup`
-docstring gives the map.  `sfib_hilbert_function` reads it for r >= 2;
-a map of P^1, whose value is d*n + 1, keeps the saturation route, which
-there costs about what the certificate alone does.
+cone of such a map takes no power of I either: `blowup.hilbert_burch_sfib`
+reads it off phi, from the Koszul complex of the graph (the `blowup`
+docstring states the argument).  `sfib_hilbert_function` reads it for
+r >= 2; a map of P^1, whose value is d*n + 1, keeps the saturation
+route, which there costs about what the certificate alone does.
 
 A `RationalMapSpec` is the map's context: it computes each fact above
 once, on first read.  One rule picks the route (`certified`): a
@@ -320,12 +310,9 @@ def sfib_hilbert_function(spec, n):
     the Jacobian dual rule certifies takes C(n+r, r) from no product and
     no basis (see the module docstring).  A map of P^r, r >= 2, that the
     Hilbert-Burch rule certifies takes `blowup.hilbert_burch_sfib` of its
-    matrix phi, also from no product and no basis, by three steps: I is
-    of linear type, so the graph is the complete intersection of the r
-    forms sum_i phi_ij y_i in P^r x P^r, whose H^0(O(0, n)) is the value;
-    their Koszul complex, by Kunneth, leaves C(n+r, r) plus the kernel of
-    one map on top cohomology.  A map of P^1 reads no Hilbert-Burch fact
-    here; it and every other map take `blowup.saturated_fiber_dim`."""
+    matrix phi, also from no product and no basis (see the `blowup`
+    docstring).  A map of P^1 reads no Hilbert-Burch fact here; it and
+    every other map take `blowup.saturated_fiber_dim`."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     if n == 0:

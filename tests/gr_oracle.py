@@ -1,6 +1,7 @@
 """The associated graded ring through its Groebner basis: a test-only
-oracle for `blowup.gr_dimension_at` on parameter-free forms, which
-answers dim S = the number of variables without computing anything.
+oracle for the r + 1 that `gr-dim --map` answers for parameter-free
+forms, dim S, the number of variables, with nothing computed;
+`test_blowup.TestGrDimension` checks that answer against this one.
 
 gr_I(S) is S[y] modulo the Rees ideal R of I = (forms) plus I itself,
 so its dimension is the Krull dimension of R + I, read off a basis in

@@ -26,7 +26,7 @@ def gr_dimension(generic, special, point):
 def sweep_rows(fam, points):
     """The rows of `specialization_sweep(fam, points)`, each point on
     the full route."""
-    generic = fam.generic_rees()
+    generic = fam.generic_rees
     r = fam.ctx.nvars - fam.ctx.n_params - 1
     rows = []
     for point in points:
@@ -47,7 +47,7 @@ def sweep_rows(fam, points):
 def gr_dim_rows(fam, points):
     """The rows `gr-dim --family` prints for the parsed points, each from
     its gr basis; a point that kills a form fails."""
-    generic = fam.generic_rees()
+    generic = fam.generic_rees
     return [
         {"point": list(pt), "gr_dim": gr_dimension(generic, specialized_family(fam, pt).forms, pt)}
         for pt in points

@@ -15,14 +15,8 @@ import certificate
 import conftest
 import sweep_oracle
 from reesdeg.blowup import specialization_compare
-from reesdeg.conditions import PresentationMatrix, check_Fm, check_Gm
-from reesdeg.families import (
-    FamilySpec,
-    j_multiplicity,
-    make_family,
-    signed_maximal_minors,
-    specialization_sweep,
-)
+from reesdeg.conditions import PresentationMatrix, check_Fm, check_Gm, signed_maximal_minors
+from reesdeg.families import FamilySpec, j_multiplicity, make_family, specialization_sweep
 from reesdeg.groebner import groebner_basis, ideal, ideal_equal, saturate
 from reesdeg.hilbert import (
     count_standard_monomials,
@@ -227,9 +221,9 @@ def test_criterion_8_specialization_kind_jump():
         rng = random.Random(88)
         for _ in range(3):
             a = rng.randrange(1, 32003)
-            result = specialization_compare(forms, (a,), fam.generic_rees())
+            result = specialization_compare(forms, (a,), fam.generic_rees)
             assert result.kind == "isomorphism"
-        special = specialization_compare(forms, (0,), fam.generic_rees())
+        special = specialization_compare(forms, (0,), fam.generic_rees)
         assert special.kind == "proper_kernel"
         assert special.witness is not None
         assert time.monotonic() - start <= 300.0

@@ -19,8 +19,8 @@ from gr_oracle import gr_dimension
 from sfib_oracle import saturated_power_dim
 import reesdeg.blowup as blowup
 from reesdeg.blowup import (
+    _gr_ideal,
     blowup_ambient,
-    blowup_presentation,
     embed_in_blowup,
     fiber_cone_ideal,
     graph_ideal,
@@ -159,15 +159,18 @@ class TestFiberCone:
 
     def test_presentation_bundle(self):
         _, forms = forms_of(("x0", "x1"), ["x0^2", "x0*x1", "x1^2"])
-        pres = blowup_presentation(forms)
-        assert pres.degree == 2
-        assert pres.spread == 2
-        assert ideal_contains(pres.gr, parse_poly("y1^2 - y0*y2", pres.ambient))
+        # the map context holds the Rees and fiber cone ideals and the
+        # spread; the gr ideal adds the forms to the Rees ideal
+        spec = rational_map(forms)
+        ambient = spec.rees.ctx
+        assert spec.degree == 2
+        assert spec.image.dim == 2
+        assert ideal_contains(_gr_ideal(spec.rees, forms), parse_poly("y1^2 - y0*y2", ambient))
         # the fiber ideal lives in the y-subring; lift it into the ambient
         nx = 2
-        for g in pres.fiber.gens:
-            lifted = g.map_vars(pres.ambient, [nx + j for j in range(3)])
-            assert ideal_contains(pres.rees, lifted)
+        for g in spec.fiber.gens:
+            lifted = g.map_vars(ambient, [nx + j for j in range(3)])
+            assert ideal_contains(spec.rees, lifted)
 
 
 def random_forms(ctx, rng, nforms, deg, factor, base):
@@ -607,7 +610,6 @@ FORM_ENTRY_POINTS = {
     # through the map context it reads
     "sfib_hilbert_function": lambda forms: sfib_hilbert_function(rational_map(forms), 1),
     "saturated_fiber_dim": lambda forms: blowup.saturated_fiber_dim(forms, 1),
-    "blowup_presentation": blowup_presentation,
 }
 
 

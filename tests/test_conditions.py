@@ -17,9 +17,10 @@ from reesdeg.conditions import (
     parse_matrix_file,
     pfaffians,
     serialize_matrix,
+    signed_maximal_minors,
 )
 from reesdeg import conditions, groebner
-from reesdeg.families import FamilySpec, dense_form, make_family, signed_maximal_minors
+from reesdeg.families import FamilySpec, dense_form, make_family
 from reesdeg.groebner import IdealHandle, groebner_basis, ideal, ideal_equal, saturate
 from reesdeg.cli import main
 from reesdeg.ring import (
@@ -272,7 +273,7 @@ class TestMinorChain:
         first = minors(M, 2)
         # the chain's memo lives for one call: the matrix keeps no minor,
         # and a minor asked for again is expanded again
-        assert vars(M) == {"ctx": ctx, "entries": M.entries, "_heights": None}
+        assert vars(M) == {"ctx": ctx, "entries": M.entries}
         assert minors(M, 2) == first
 
     def test_memo_outside_eq_and_hash(self):
@@ -501,7 +502,7 @@ class TestMonotoneChain:
         G, F = check_Gm(M, 4).table, check_Fm(M, 0).table
         assert sizes == [5, 4]
         # and the matrix keeps its heights, no minor
-        assert vars(M).keys() == {"ctx", "entries", "_heights"}
+        assert vars(M).keys() == {"ctx", "entries", "heights"}
         assert G == ((1, 5, 2, 1, True), (2, 4, 4, 2, True), (3, 3, 4, 3, True))
         assert F == G + ((4, 2, 4, 4, True), (5, 1, 4, 5, False))
 
@@ -531,7 +532,7 @@ class TestMonotoneChain:
         # matrix then holds its fields and the heights, no minor
         M = linear_6x5()
         assert check_Gm(M, 2).table == ((1, 5, 2, 1, True),)
-        assert vars(M) == {"ctx": M.ctx, "entries": M.entries, "_heights": (2, 4, 4, 4, 4)}
+        assert vars(M) == {"ctx": M.ctx, "entries": M.entries, "heights": (2, 4, 4, 4, 4)}
 
 
 DEJONQ_M2 = [
@@ -969,7 +970,7 @@ class TestPfaffianRoute:
         check_Gm(M, 5)
         check_Fm(M, 0)
         assert balanced and not any(balanced)
-        assert vars(M).keys() == {"ctx", "entries", "_heights"}
+        assert vars(M).keys() == {"ctx", "entries", "heights"}
         # one entry's sign flipped: square, zero diagonal, not alternating
         rows = [list(row) for row in M.entries]
         rows[0][1] = -rows[0][1]

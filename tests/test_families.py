@@ -7,10 +7,10 @@ import pfaffian_oracle
 import sweep_oracle
 import certificate
 from conftest import count_buchberger_runs, random_form
-from reesdeg import blowup, families, ratmap
+from reesdeg import blowup, families, groebner, ratmap
 from reesdeg.blowup import specialization_compare
 from reesdeg.cli import main
-from reesdeg.conditions import PresentationMatrix, check_Gm, determinant
+from reesdeg.conditions import PresentationMatrix, check_Gm, determinant, signed_maximal_minors
 from reesdeg.families import (
     ELL_NOT_MAXIMAL,
     Family,
@@ -19,7 +19,6 @@ from reesdeg.families import (
     j_multiplicity,
     make_family,
     pfaffian,
-    signed_maximal_minors,
     specialization_sweep,
     specialized_family,
 )
@@ -195,12 +194,30 @@ class TestDeJonquieres:
         assert [r.gr_dim for r in rows] == [4, 3]
         assert [r.g_condition for r in rows] == [False, True]
 
-    def test_sweep_reuses_generic_rees(self):
+    def test_sweep_reuses_generic_rees(self, monkeypatch):
         fam = make_family(FamilySpec("dejonquieres", m=2))
+        packings = []
+        inner = groebner._buchberger
+
+        def spy(seeds, pk, *rest):
+            packings.append(pk)
+            return inner(seeds, pk, *rest)
+
+        monkeypatch.setattr(groebner, "_buchberger", spy)
+        def facts():
+            return fam.graph, fam.generic_rees, fam.lead_coefficients
+
         specialization_sweep(fam, [1])
-        cached = fam._generic_rees
+        first = facts()
         specialization_sweep(fam, [2])
-        assert fam._generic_rees is cached
+        # a = 0 is uncertified: its gr ideal and its member's Rees ideal
+        # take their own runs, in rings without the parameter
+        assert fam.gr_dimension((0,)) == 4
+        fam.member((0,)).rees
+        assert len(packings) == 3
+        # the one run in the generic graph's ring is the generic t-run
+        assert packings.count(fam.graph.ctx.packing) == 1
+        assert all(a is b for a, b in zip(facts(), first))
 
     def test_sweep_specializes_the_forms_once_per_point(self, monkeypatch, capsys):
         calls = []
@@ -220,9 +237,9 @@ class TestDeJonquieres:
 
     def test_specialization_kind_jump(self):
         fam = make_family(FamilySpec("dejonquieres", m=2))
-        iso = specialization_compare(list(fam.forms), (1,), fam.generic_rees())
+        iso = specialization_compare(list(fam.forms), (1,), fam.generic_rees)
         assert iso.kind == "isomorphism"
-        drop = specialization_compare(list(fam.forms), (0,), fam.generic_rees())
+        drop = specialization_compare(list(fam.forms), (0,), fam.generic_rees)
         assert drop.kind == "proper_kernel"
         assert str(drop.witness) == "z*y0^2 + y*y0*y1 + z*y1^2 + z*y1*y2"
 
@@ -310,7 +327,7 @@ class TestCertifiedSweep:
         forms = tuple(parse_poly(t, ctx) for t in texts)
         fam = Family(FamilySpec("file", prime=prime), ctx, None, forms, 2)
         self.same_rows(fam, list(range(-3, 7)))
-        generic = fam.generic_rees()
+        generic = fam.generic_rees
         certified = [(a,) for a in range(1, 7) if fam.special_rees((a,)) is not None]
         assert any(
             len(fam.special_rees(pt).gens) < len(blowup.specialize_rees(generic, pt).gens)
@@ -324,7 +341,7 @@ class TestCertifiedSweep:
         for m in (2, 3, 4):
             for prime in (7, 32003, 0):
                 fam = make_family(FamilySpec("dejonquieres", m=m, prime=prime))
-                coeffs = [str(c) for c in fam.lead_coefficients()]
+                coeffs = [str(c) for c in fam.lead_coefficients]
                 assert coeffs == ["a"] + ["a^%d" % k for k in range(2, 2 * m - 1)]
 
     def test_certified_point_makes_no_run(self, monkeypatch, capsys):
@@ -345,7 +362,7 @@ class TestCertifiedSweep:
     def test_zero_takes_the_full_route(self, monkeypatch):
         fam = make_family(FamilySpec("dejonquieres", m=2))
         bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
-        bare.generic_rees()
+        bare.generic_rees
         assert bare.special_rees((0,)) is None
         runs = count_buchberger_runs(monkeypatch)
         rows = specialization_sweep(bare, [0])
@@ -354,7 +371,7 @@ class TestCertifiedSweep:
         # G_3 with no height computed
         assert len(runs) == 2
         assert [(r.deg_map, r.gr_dim) for r in rows] == [(1, 4)]
-        drop = specialization_compare(list(fam.forms), (0,), fam.generic_rees())
+        drop = specialization_compare(list(fam.forms), (0,), fam.generic_rees)
         assert str(drop.witness) == "z*y0^2 + y*y0*y1 + z*y1^2 + z*y1*y2"
 
 

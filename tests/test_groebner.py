@@ -1469,7 +1469,7 @@ class TestLazyTails:
         # a map's gr dimension needs no basis, an uncertified family
         # point's reads one
         dj = make_family(FamilySpec("dejonquieres", m=2))
-        dj.generic_rees()
+        dj.generic_rees
         rows = record_tails(monkeypatch)
         # seeds of two degrees: the cubic's row enters before the cubic
         # S-pair rows, and the minimal grevlex basis keeps tails to reduce

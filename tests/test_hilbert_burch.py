@@ -17,8 +17,8 @@ import reesdeg.blowup as blowup
 import reesdeg.ratmap as ratmap
 from conftest import count_buchberger_runs, random_form
 from reesdeg.blowup import hilbert_burch_sfib, presents_linear_type, rees_ideal, specialize_forms
-from reesdeg.conditions import PresentationMatrix, check_Gm, column_degrees
-from reesdeg.families import FamilySpec, j_multiplicity, make_family, signed_maximal_minors
+from reesdeg.conditions import PresentationMatrix, check_Gm, column_degrees, signed_maximal_minors
+from reesdeg.families import FamilySpec, j_multiplicity, make_family
 from reesdeg.ratmap import (
     DegreeReport,
     degree_report,
