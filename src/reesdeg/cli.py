@@ -15,7 +15,11 @@ failed internal check (AssertionError) is not caught and exits 1;
 does not read them.  A --points value must name at least one point of
 integer coordinates; parameter points over F_p are reduced mod p before
 they are used and echoed.  A flag's value may start with a minus sign,
-as in `--points -1,2`.  One step budget covers every Groebner
+as in `--points -1,2`.  A command line that starts with a subcommand is
+parsed by that subcommand's parser alone; any other, and one that
+leaves arguments unrecognized, goes through the full parser, so every
+usage error keeps the text and exit code the full parser gives it.
+One step budget covers every Groebner
 computation of the command, the products of the chain behind its
 minors and sub-Pfaffians and the row operations of the block they
 stream into, the products of I^n, the Jacobian rank test of image,
@@ -412,16 +416,17 @@ INPUT_FLAGS = ("--map", "--matrix", "--family")
 
 
 @lru_cache(maxsize=8)
-def build_parser(env_budget=None):
-    """The argument parser, with `env_budget`, the REESDEG_BUDGET value,
-    as the default of --budget."""
+def _parsers(env_budget):
+    """(the argument parser, {subcommand: its subparser}), with
+    `env_budget`, the REESDEG_BUDGET value, as the default of --budget."""
     parser = argparse.ArgumentParser(
         prog="reesdeg",
         description="Degrees and images of rational maps via blowup algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
     for name, flags in SUBCOMMAND_FLAGS.items():
-        p = sub.add_parser(name)
+        p = subparsers[name] = sub.add_parser(name)
         inputs = [f for f in flags if f in INPUT_FLAGS]
         one_of = p.add_mutually_exclusive_group(required=True) if len(inputs) > 1 else None
         for flag in flags + COMMON_FLAGS:
@@ -433,7 +438,17 @@ def build_parser(env_budget=None):
         # argparse runs string defaults through `type`, so a malformed
         # REESDEG_BUDGET is a usage error like a malformed --budget
         p.set_defaults(budget=env_budget or DEFAULT_BUDGET)
-    return parser
+    return parser, subparsers
+
+
+def build_parser(env_budget=None):
+    """The argument parser, with `env_budget`, the REESDEG_BUDGET value,
+    as the default of --budget."""
+    return _parsers(env_budget)[0]
+
+
+# what _glue_negative_values never reads as a flag's value
+_FLAG_WORDS = frozenset({*FLAGS, "-h", "--help"})
 
 
 def _glue_negative_values(argv):
@@ -441,19 +456,32 @@ def _glue_negative_values(argv):
     '-' and names no flag (of FLAGS, alone or with `=`, or -h, --help)
     joined to it as `flag=value`: argparse reads such a value as a flag of
     its own unless it is a number, so `--map -x0^2,x1^2` would lack its value."""
-    flags = {*FLAGS, "-h", "--help"}
     out = []
     for arg in argv:
-        if out and out[-1] in FLAGS and arg[:1] == "-" and arg.split("=", 1)[0] not in flags:
+        if out and out[-1] in FLAGS and arg[:1] == "-" and arg.split("=", 1)[0] not in _FLAG_WORDS:
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
+def _parse_args(argv):
+    """The parsed command line.  A command line that starts with a
+    subcommand goes straight to its subparser, which gives what the
+    full parser would; any other, and one that leaves arguments
+    unrecognized, goes through the full parser, whose usage line and
+    messages they need."""
+    parser, subparsers = _parsers(os.environ.get("REESDEG_BUDGET") or None)
+    if argv and argv[0] in subparsers:
+        args, rest = subparsers[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
-    argv = _glue_negative_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser(os.environ.get("REESDEG_BUDGET") or None).parse_args(argv)
+    args = _parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         with step_budget(args.budget):
             HANDLERS[args.command](args)

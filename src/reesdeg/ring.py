@@ -29,9 +29,11 @@ so is every term the Buchberger engine hands back, so `Poly` and the
 engine share monomials without conversion.
 Exponent tuples appear only at the edges: the `Poly` constructor,
 `lt`/`lm`, and the methods that read exponents (`evaluate`, `map_vars`,
-`substitute_tail`, printing, and `bidegree` of a split or parameter
-ring).  Fields of `_WIDTH` bits, least significant first, hold the
-degree, the exponents e_0..e_{n-1}, and on top the order key as n
+`substitute_tail`, and `bidegree` of a split or parameter ring).
+Parsing sums each term's packed monomial from the packing's per-variable
+units, and printing reads each exponent field off the packed int.
+Fields of `_WIDTH` bits, least significant first, hold the degree,
+the exponents e_0..e_{n-1}, and on top the order key as n
 nonnegative linear forms: per block of the order, the block's degree
 and then the prefix sums S_{hi-2}, ...,
 S_lo of its variables (grevlex is one block, lex n blocks of one
@@ -66,15 +68,29 @@ class RingError(ValueError):
 
 
 def _is_prime(p):
+    """Whether p is prime, by deterministic Miller-Rabin with bases 2, 3,
+    5 and 7, which is exact for every p below 3 215 031 751, the least
+    strong pseudoprime to all four (above MAX_PRIME, so exact on every
+    field and every prime the package draws)."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in (2, 3, 5, 7):
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -250,6 +266,10 @@ def _minimal_packed(packed, guard, charge=None):
     return out
 
 
+# a variable name
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
 @dataclass(frozen=True)
 class RingCtx:
     """A polynomial ring: names, field, monomial order, parameter count,
@@ -272,7 +292,7 @@ class RingCtx:
         if len(set(names)) != len(names):
             raise RingError("duplicate variable names in %r" % (names,))
         for nm in names:
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", nm):
+            if not _NAME.fullmatch(nm):
                 raise RingError("bad variable name %r" % nm)
         object.__setattr__(self, "var_names", names)
         if not 0 <= self.n_params <= len(names):
@@ -282,6 +302,10 @@ class RingCtx:
         # exponent tuple: larger key means larger monomial
         object.__setattr__(self, "packing", _packing(self.order, len(names)))
         object.__setattr__(self, "key", self.packing.pack)
+        # what parse_poly and format_poly read: each name's index, and
+        # each variable's exponent field as (shift, name)
+        object.__setattr__(self, "_index_of", {nm: i for i, nm in enumerate(names)})
+        object.__setattr__(self, "_exponents", tuple(zip(self.packing.shifts, names)))
 
     @property
     def nvars(self):
@@ -289,8 +313,8 @@ class RingCtx:
 
     def index(self, name):
         try:
-            return self.var_names.index(name)
-        except ValueError:
+            return self._index_of[name]
+        except KeyError:
             raise RingError("unknown variable %r" % name) from None
 
 
@@ -610,6 +634,11 @@ _SIGNS = re.compile(r"([+-][\s+-]*)")
 _FACTOR = re.compile(
     r"\s*(?:([0-9]+)\s*(?:/\s*([0-9]+))?|([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*([0-9]+))?)\s*"
 )
+# the groups of each factor text that matched _FACTOR, cleared when it
+# holds _FACTOR_MEMO entries; a text that does not match is never kept,
+# so every parse error comes from the regex
+_factors = {}
+_FACTOR_MEMO = 1024
 
 
 def parse_poly(text, ctx):
@@ -623,57 +652,82 @@ def parse_poly(text, ctx):
     between any two tokens, but nothing stands for a product: `2 x0`,
     `2x0` and `x0 x1` are errors, as is any other text.  Blank text is
     the zero polynomial.  In finite characteristic fractions are
-    resolved by modular inversion.
+    resolved by modular inversion.  Each term's packed monomial is summed
+    factor by factor from the packing's units, and its total degree is
+    checked against EXP_BOUND once the coefficient is known to be nonzero.
     """
     if not text.strip():
         return Poly.zero(ctx)
     fld = ctx.field
+    index_of, units = ctx._index_of, ctx.packing.units
+    p = fld.characteristic
     terms = {}
     pieces = _SIGNS.split("+" + text)
     for signs, term in zip(pieces[1::2], pieces[2::2]):
         coeff = -1 if signs.count("-") % 2 else 1
-        exps = [0] * ctx.nvars
+        mon = deg = 0
         for factor in term.split("*"):
-            m = _FACTOR.fullmatch(factor)
-            if m is None:
-                raise RingError("parse error at %r in %r" % (factor.strip(), text))
-            num, den, name, e = m.groups()
+            groups = _factors.get(factor)
+            if groups is None:
+                m = _FACTOR.fullmatch(factor)
+                if m is None:
+                    raise RingError("parse error at %r in %r" % (factor.strip(), text))
+                if len(_factors) >= _FACTOR_MEMO:
+                    _factors.clear()
+                groups = _factors[factor] = m.groups()
+            num, den, name, e = groups
             if name:
-                exps[ctx.index(name)] += int(e or 1)
+                i = index_of[name] if name in index_of else ctx.index(name)
+                e = int(e) if e else 1
+                mon += e * units[i]
+                deg += e
             elif den and not int(den):
                 raise RingError("zero denominator in %r" % text)
             else:
                 coeff *= Fraction(int(num), int(den)) if den else int(num)
-        c = fld.norm(coeff)
+        # an int coefficient is reduced mod p here, any other by norm
+        c = coeff % p if p and type(coeff) is int else fld.norm(coeff)
         if c:
-            mon = ctx.key(exps)
-            s = fld.add(terms.get(mon, fld.zero), c)
-            if s:
-                terms[mon] = s
-            else:
-                del terms[mon]
+            if deg >= EXP_BOUND:
+                raise _overflow()
+            if mon in terms:
+                c += terms[mon]
+                if p:
+                    c %= p
+                if not c:
+                    del terms[mon]
+                    continue
+            terms[mon] = c
     return Poly(ctx, terms, _clean=True)
 
 
 def format_poly(p):
-    """Render terms in decreasing order; parse_poly round-trips the output."""
+    """Render terms in decreasing order; parse_poly round-trips the output.
+    Each exponent is read straight off the packed monomial, and the scan
+    of a term stops once its exponents add up to its degree."""
     if not p:
         return "0"
-    fld = p.ctx.field
-    unpack = p.ctx.packing.unpack
+    one = p.ctx.field.one
+    exponents = p.ctx._exponents
     parts = []
-    for mon, c in sorted(p.terms.items(), reverse=True):
+    for mon in sorted(p.terms, reverse=True):
+        c = p.terms[mon]
         vars_part = []
-        for name, e in zip(p.ctx.var_names, unpack(mon)):
+        left = mon & _MASK
+        for shift, name in exponents:
+            if not left:
+                break
+            e = (mon >> shift) & _MASK
             if e == 1:
                 vars_part.append(name)
-            elif e > 1:
+            elif e:
                 vars_part.append("%s^%d" % (name, e))
+            left -= e
         # coefficients mod p are never negative
         neg = c < 0
         mag = -c if neg else c
         body = "*".join(vars_part)
-        if not vars_part or mag != fld.one:
+        if not vars_part or mag != one:
             body = str(mag) + ("*" + body if body else "")
         if not parts:
             parts.append(("-" if neg else "") + body)

@@ -19,8 +19,15 @@ trees where wall time on a shared host cannot:
 With --times, one warm-up operation per command runs first, on the
 workload's warm-up instances, and each command's in-process wall time,
 summed over the rounds, is printed beside the counts in ms and as a
-share of the workload's total.  Those two columns depend on the machine
-and its load; the others do not.  With --labels, each command's row is
+share of the workload's total.  Between them, `io ms` is the part of
+that time spent at the text boundary: parsing the command line
+(`argparse.ArgumentParser.parse_known_args`, which the subcommand's
+parser and the full parser both go through), loading the input
+(`cli._load_map`, `cli._load_family`, which builds a named family's
+matrix, and `parse_matrix_file`), formatting generators (`format_poly`)
+and writing the output (`cli._emit`); a call made inside another of
+them counts once.  These three columns depend on the machine and its
+load; the others do not.  With --labels, each command's row is
 followed by one row per operation label of that command, such as
 `image pf` or `conditions m65`, with the same columns.
 
@@ -105,6 +112,45 @@ def counting():
         conditions._expansion = expansion
 
 
+# the text boundary of a command: what `cli` calls to read its command
+# line and input and to write its answer
+IO_FUNCTIONS = ("_load_map", "_load_family", "parse_matrix_file", "format_poly", "_emit")
+
+
+@contextlib.contextmanager
+def io_timing():
+    """Wrap the text boundary so that `seconds` (yielded) accumulates,
+    under "io", the time spent in it, counting only the outermost call
+    when one of its functions calls another."""
+    seconds = defaultdict(float)
+    depth = [0]
+    saved = {name: getattr(cli, name) for name in IO_FUNCTIONS}
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                return fn(*args, **kwargs)
+            depth[0] += 1
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds["io"] += time.perf_counter() - start
+                depth[0] -= 1
+        return wrapper
+
+    for name, fn in saved.items():
+        setattr(cli, name, timed(fn))
+    argparse.ArgumentParser.parse_known_args = timed(parse_known_args)
+    try:
+        yield seconds
+    finally:
+        for name, fn in saved.items():
+            setattr(cli, name, fn)
+        argparse.ArgumentParser.parse_known_args = parse_known_args
+
+
 def run_op(argv, out=None):
     """(exit code, counts) of one command line run in-process; its
     standard output goes to the text stream `out` when one is given.  An
@@ -127,17 +173,21 @@ def workload_counts(name, seed, rounds, times=False, labels=False):
     first, and each row also sums the wall time of its operations in
     seconds, under "seconds".  With `labels`, the table also holds a row
     per operation label, keyed by the label, which is the command and a
-    space and the instance."""
+    space and the instance.  With `times`, each row also sums the part of
+    that time spent at the text boundary, under "io"."""
     expected = load_expected() if seed == RECORDED_SEED else {}
-    table = defaultdict(lambda: dict.fromkeys(COLUMNS + ("seconds",) * times, 0))
+    table = defaultdict(lambda: dict.fromkeys(COLUMNS + ("seconds", "io") * times, 0))
     failures = []
-    with tempfile.TemporaryDirectory() as workdir:
+    with tempfile.TemporaryDirectory() as workdir, (
+        io_timing() if times else contextlib.nullcontext(defaultdict(float))
+    ) as boundary:
         work = Workload(name, seed, workdir, rounds)
         for op in work.warm_up_ops() if times else ():
             run_op(op.argv)
         for j in range(rounds):
             for op in work.round_ops(j):
                 out = io.StringIO()
+                before = boundary["io"]
                 start = time.perf_counter()
                 rc, counts = run_op(op.argv, out)
                 seconds = time.perf_counter() - start
@@ -146,6 +196,7 @@ def workload_counts(name, seed, rounds, times=False, labels=False):
                     row = table[key]
                     if times:
                         row["seconds"] += seconds
+                        row["io"] += boundary["io"] - before
                     for col in COLUMNS[:-1]:
                         row[col] += counts[col]
                     row["failed"] += why is not None
@@ -156,22 +207,24 @@ def workload_counts(name, seed, rounds, times=False, labels=False):
 
 def format_table(name, table):
     """The table's lines; when its rows carry "seconds", each line also
-    gives that time in ms and as a share of the total.  Label rows, whose
-    keys hold a space, follow their command's row, indented further."""
+    gives that time in ms, the part of it spent at the text boundary in
+    ms, and the time as a share of the total.  Label rows, whose keys
+    hold a space, follow their command's row, indented further."""
     timed = any("seconds" in row for row in table.values())
     commands = [key for key in table if " " not in key]
     total = {col: sum(table[c][col] for c in commands) for col in COLUMNS}
     lines = ["%-24s" % name + "".join("%12s" % col for col in COLUMNS)]
     if timed:
-        total["seconds"] = sum(table[c]["seconds"] for c in commands)
-        lines[0] += "%12s%12s" % ("ms", "share")
+        for col in ("seconds", "io"):
+            total[col] = sum(table[c][col] for c in commands)
+        lines[0] += "%12s%12s%12s" % ("ms", "io ms", "share")
     keys = [k for c in commands for k in table if k == c or k.startswith(c + " ")]
     for key, row in [(k, table[k]) for k in keys] + [("total", total)]:
         line = ("    %-20s" if " " in key else "  %-22s") % key
         line += "".join("%12d" % row[col] for col in COLUMNS)
         if timed:
             share = 100 * row["seconds"] / total["seconds"] if total["seconds"] else 0.0
-            line += "%12.1f%11.1f%%" % (1000 * row["seconds"], share)
+            line += "%12.1f%12.1f%11.1f%%" % (1000 * row["seconds"], 1000 * row["io"], share)
         lines.append(line)
     return lines
 
@@ -183,7 +236,8 @@ def main(argv=None):
     parser.add_argument("--workload", choices=WORKLOADS, action="append")
     parser.add_argument(
         "--times", action="store_true",
-        help="also print each command's wall time after a warm-up, in ms and as a share",
+        help="also print each command's wall time after a warm-up, in ms, its text"
+        " boundary part in ms, and the time as a share",
     )
     parser.add_argument(
         "--labels", action="store_true",

@@ -1204,3 +1204,65 @@ class TestBenchmarkArgv:
                 assert parser.parse_args(list(op.argv)).command == op.argv[0]
                 seen += 1
         assert seen > 0
+        # the direct dispatch gives the namespace the full parser gives
+        for name in wl.WORKLOADS:
+            workload = wl.Workload(name, 1, str(tmp_path / name), 1)
+            for op in workload.round_ops(0):
+                argv = cli._glue_negative_values(list(op.argv))
+                assert vars(cli._parse_args(argv)) == vars(parser.parse_args(argv))
+
+
+# each subcommand's input, which it requires
+INPUTS = {name: ["--map", "x0^2, x1^2"] for name in SUBCOMMAND_FLAGS}
+INPUTS.update(conditions=["--matrix", "m.txt"], sweep=["--family", "dejonquieres"])
+
+
+def dispatch_cases(name):
+    """Command lines of subcommand `name` that each exercise one branch of
+    argument parsing: an error, an abbreviation, a glued value or help."""
+    given = [name] + INPUTS[name]
+    return [
+        given + ["--trials", "3"],
+        given + ["stray"],
+        given + INPUTS[name],
+        [name],
+        [name, "--seed", "1"],
+        given + ["--budget", "ten"],
+        given + ["--seed", "1.5"],
+        given + ["--format", "yaml"],
+        [name, "--ma", "x0^2, x1^2"],
+        given + ["--points", "-1,2"],
+        given + ["--points=-1,2", "--budget", "-3"],
+        [name, "-h"],
+        given + ["-h"],
+    ]
+
+
+class TestDispatchParity:
+    """`main` parses a command line that starts with a subcommand with
+    that subparser alone; exit code, output and errors stay those of the
+    full parser."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for name in SUBCOMMAND_FLAGS for argv in dispatch_cases(name)]
+        + [[], ["blowup", "--map", "x0"], ["--seed", "3", "degree", "--map", "x0^2, x1^2"],
+           ["-h"], ["degree", "--", "--map", "x0^2, x1^2"]],
+        ids=repr,
+    )
+    def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REESDEG_BUDGET", raising=False)
+        (tmp_path / "m.txt").write_text(MATRIX_A0)
+        direct = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda args: build_parser(None).parse_args(args))
+        assert direct == self.outcome(capsys, argv)

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_poly
+import parse_oracle
+import reesdeg.ring as ring
 from reference_poly import monomial_div, monomial_lcm
 from reesdeg.ring import (
+    EXP_BOUND,
+    MAX_PRIME,
     FieldSpec,
     Poly,
     RingCtx,
@@ -19,6 +23,7 @@ from reesdeg.ring import (
     parse_poly,
     parse_ring_header,
     poly_exact_div,
+    _is_prime,
 )
 
 QQ = FieldSpec(0)
@@ -64,6 +69,16 @@ class TestFieldSpec:
             FieldSpec(6)
         with pytest.raises(RingError):
             FieldSpec(2**31 - 1 + 2)
+
+    def test_primality_is_exact(self):
+        def trial_division(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        for n in list(range(200_000)) + list(range(MAX_PRIME - 2000, MAX_PRIME + 1)):
+            assert _is_prime(n) == trial_division(n), n
+        # strong pseudoprimes to base 2
+        assert not any(_is_prime(n) for n in (2047, 3277, 4033, 4681))
+        assert _is_prime(MAX_PRIME) and FieldSpec(MAX_PRIME).characteristic == MAX_PRIME
 
     def test_zero_inverse(self):
         with pytest.raises(ZeroDivisionError):
@@ -337,6 +352,105 @@ class TestParseFormat:
         ctx = ctx3()
         f = parse_poly("x2 + x0^2 + x1*x2", ctx)
         assert format_poly(f) == "x0^2 + x1*x2 + x2"
+
+
+
+@st.composite
+def parse_rings(draw):
+    """A ring of one to three coordinates and up to two parameters over
+    F_2, F_7, F_32003 or Q, in grevlex, lex or an elimination order."""
+    coords = ["x%d" % i for i in range(draw(st.integers(1, 3)))]
+    params = ["a", "b"][: draw(st.integers(0, 2))]
+    n = len(coords) + len(params)
+    orders = ["grevlex", "lex"] + [("block", k) for k in range(1, n)]
+    return RingCtx(
+        tuple(coords + params),
+        FieldSpec(draw(st.sampled_from([2, 7, 32003, 0]))),
+        draw(st.sampled_from(orders)),
+        n_params=len(params),
+    )
+
+
+# numerals, including ones that reach the exponent bound and one that
+# names no ASCII digit
+_NUMERALS = ["0", "1", "2", "3", "7", "12", "32003", "640033",
+             str(EXP_BOUND - 1), str(EXP_BOUND), str(EXP_BOUND + 1), "\u00b2", "\u0663"]
+_STRAYS = ["#", ".", "(", ")", "x0x1", "^", "*", "/", "+", "-", "2x0", "\u00e9", "\t", "\n"]
+
+
+@st.composite
+def parse_texts(draw, ctx):
+    """Polynomial text from the grammar of `parse_poly`, as tokens joined
+    by whitespace, then mutated: tokens dropped, doubled or replaced by
+    stray characters, unknown names, zero denominators."""
+    names = list(ctx.var_names) + ["y", "z9"] * draw(st.booleans())
+    numeral = st.sampled_from(_NUMERALS[:6]) | st.sampled_from(_NUMERALS)
+    factor = st.one_of(
+        numeral.map(lambda n: [n]),
+        st.tuples(numeral, numeral).map(lambda nd: [nd[0], "/", nd[1]]),
+        st.sampled_from(names).map(lambda x: [x]),
+        st.tuples(st.sampled_from(names), numeral).map(lambda xe: [xe[0], "^", xe[1]]),
+    )
+    tokens = []
+    for k in range(draw(st.integers(1, 4))):
+        signs = draw(st.lists(st.sampled_from("+-"), min_size=0 if k == 0 else 1, max_size=3))
+        tokens += signs
+        for j, f in enumerate(draw(st.lists(factor, min_size=1, max_size=4))):
+            tokens += (["*"] if j else []) + f
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens)))
+        kind = draw(st.sampled_from(["drop", "double", "stray"]))
+        if kind == "drop" and i < len(tokens):
+            del tokens[i]
+        elif kind == "double" and i < len(tokens):
+            tokens.insert(i, tokens[i])
+        elif kind == "stray":
+            tokens.insert(i, draw(st.sampled_from(_STRAYS)))
+    spaces = st.sampled_from(["", "", " ", "  ", "\t"])
+    return "".join(draw(spaces) + t for t in tokens) + draw(spaces)
+
+
+def _parse_outcome(parse, text, ctx):
+    try:
+        f = parse(text, ctx)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return f.ctx, list(f.terms.items())
+
+
+class TestParseOracle:
+    """`parse_poly` against the token-by-token parser it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_poly_or_same_error(self, data):
+        ctx = data.draw(parse_rings())
+        text = data.draw(parse_texts(ctx))
+        got = _parse_outcome(parse_poly, text, ctx)
+        assert got == _parse_outcome(parse_oracle.parse_poly, text, ctx)
+        if got[0] is ctx:
+            f = parse_poly(text, ctx)
+            assert parse_poly(format_poly(f), ctx) == f
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x0*x0^2", "x0^%d" % (EXP_BOUND - 1), "x0^%d*x1" % (EXP_BOUND - 1),
+         "0*x0^%d" % EXP_BOUND, "x0^\u00b2", "1/0*x0", "x0 + 3/0", "2 *", "* x0",
+         "x0^%d*x0" % (EXP_BOUND - 1), "32003*x1^%d" % EXP_BOUND, "3/7*x1", "1/2",
+         "x0^ 2 ^3", "y", "z*y", "-+- x1 ^ 2", "x0 - x0", "1/2*x0 + 1/2*x0"],
+    )
+    @pytest.mark.parametrize("field", [2, 7, 32003, 0])
+    def test_listed_inputs(self, text, field):
+        ctx = RingCtx(("x0", "x1"), FieldSpec(field))
+        assert _parse_outcome(parse_poly, text, ctx) == _parse_outcome(
+            parse_oracle.parse_poly, text, ctx
+        )
+
+    def test_memo_is_bounded(self):
+        ctx = ctx3()
+        for k in range(2 * ring._FACTOR_MEMO + 1):
+            assert parse_poly("%d*x0" % k, ctx) == Poly.from_mon(ctx, (1, 0, 0), k)
+        assert 0 < len(ring._factors) <= ring._FACTOR_MEMO
 
 
 class TestRingHeader:

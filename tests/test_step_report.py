@@ -1,13 +1,17 @@
 """The step report counts the work of one command line, chain products
 and empty remainders included, leaves the engine as it found it, fails
 on a wrong answer, with --times adds each command's wall time after a
-warm-up, and with --labels adds a row per operation label."""
+warm-up and the part of it spent at the text boundary, and with --labels
+adds a row per operation label."""
 
+import argparse
+
+import reesdeg.cli as cli
 import reesdeg.conditions as conditions
 import reesdeg.groebner as gb
 import reesdeg.ratmap as ratmap
 from reesdeg.ring import FieldSpec, RingCtx, parse_poly
-from step_report import counting, main, run_op, workload_counts
+from step_report import IO_FUNCTIONS, counting, main, run_op, workload_counts
 from workloads import Workload
 
 
@@ -104,6 +108,22 @@ def test_times_add_two_columns(capsys):
     assert all(s > 0 for s in shares) and abs(sum(shares) - 100) < 0.5
     assert timed[-1].split()[-1] == "100.0%"
     assert float(timed[-1].split()[-2]) > 0
+
+
+def test_times_split_off_the_text_boundary(capsys):
+    wrapped = [getattr(cli, name) for name in IO_FUNCTIONS]
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    table, _ = workload_counts("rational_q", 1, 1, times=True)
+    # every command parses its command line and writes its answer
+    assert all(0 < row["io"] < row["seconds"] for row in table.values())
+    assert [getattr(cli, name) for name in IO_FUNCTIONS] == wrapped
+    assert argparse.ArgumentParser.parse_known_args is parse_known_args
+    argv = ["--seed", "1", "--rounds", "1", "--workload", "rational_q", "--times"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-4:] == ["ms", "io", "ms", "share"]
+    total = lines[-1].split()
+    assert 0 < float(total[-2]) < float(total[-3])
 
 
 def test_times_run_a_warm_up_first(monkeypatch):
