@@ -635,8 +635,9 @@ _FACTOR = re.compile(
     r"\s*(?:([0-9]+)\s*(?:/\s*([0-9]+))?|([A-Za-z_][A-Za-z_0-9]*)\s*(?:\^\s*([0-9]+))?)\s*"
 )
 # the groups of each factor text that matched _FACTOR, cleared when it
-# holds _FACTOR_MEMO entries; a text that does not match is never kept,
-# so every parse error comes from the regex
+# holds _FACTOR_MEMO entries; factor texts such as `x0^2` recur from
+# map to map, so most lookups hit.  A text that does not match is never
+# kept, so every parse error comes from the regex
 _factors = {}
 _FACTOR_MEMO = 1024
 
@@ -659,7 +660,7 @@ def parse_poly(text, ctx):
     if not text.strip():
         return Poly.zero(ctx)
     fld = ctx.field
-    index_of, units = ctx._index_of, ctx.packing.units
+    units = ctx.packing.units
     p = fld.characteristic
     terms = {}
     pieces = _SIGNS.split("+" + text)
@@ -677,9 +678,8 @@ def parse_poly(text, ctx):
                 groups = _factors[factor] = m.groups()
             num, den, name, e = groups
             if name:
-                i = index_of[name] if name in index_of else ctx.index(name)
                 e = int(e) if e else 1
-                mon += e * units[i]
+                mon += e * units[ctx.index(name)]
                 deg += e
             elif den and not int(den):
                 raise RingError("zero denominator in %r" % text)
