@@ -406,7 +406,8 @@ def _prime_draw(n, skip):
     return tuple(tuple(primes[k * n : (k + 1) * n]) for k in range(_JACOBIAN_POINTS))
 
 
-@lru_cache(maxsize=None)
+# bounded, like every process-wide cache but the packings of `ring`
+@lru_cache(maxsize=64)
 def _jacobian_points(n, p):
     """The fixed points of n integer coordinates at which both Jacobian
     rules rank over a field of characteristic p: the draw of the first
@@ -501,7 +502,8 @@ def jacobian_independent(forms):
 _KERNEL_COLUMNS = 120
 
 
-@lru_cache(maxsize=None)
+# bounded, like every process-wide cache but the packings of `ring`
+@lru_cache(maxsize=256)
 def _monomials(ctx, e):
     """The packed monomials of degree e of ctx, in the order of
     `monomials_of_degree`: for e = 1 the variables, x_k at k."""

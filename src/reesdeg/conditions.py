@@ -33,10 +33,10 @@ keep the minor route, the oracle of this one.
 
 A matrix's heights ht Fitt_1 .. ht Fitt_{nrows-1} come from one pass,
 which G_m and F_m share: the matrix's `heights`, computed on first
-read and kept outside its dataclass fields.  The chain's memo and the
-ideals live as long as the pass, so minor sizes 2j - 1 and 2j of an
-alternating matrix share one ideal and one basis.  Each product of the
-chain costs one step of the step budget.
+read and kept outside its dataclass fields.  The chain's memo of terms
+and the ideals live as long as the pass, so minor sizes 2j - 1 and 2j
+of an alternating matrix share one ideal and one basis.  Each product
+of the chain costs one step of the step budget.
 
 A height is read off a span when it can be: if the forms of degree t in
 an ideal I span S_t, then m^t lies in I and ht I = nvars.  When every
@@ -45,30 +45,42 @@ parameters, every nonzero k-minor is a form of degree k*e and every
 nonzero 2j-sub-Pfaffian one of degree j*e.  The pass then streams the
 forms of an index lazily out of the chain into one Gauss-Jordan block,
 the engine's `_gauss_jordan`, which stops once it holds C(nvars-1+t, t)
-pivots: the index has height nvars, and no Buchberger run is made.  A
-stream that does not span hands its echelon rows, which generate the
-same ideal, to the run.  The stream reads its index tuples in reverse
-lexicographic order, later rows first: the chain expands along the
-first index, so the memo the previous index left holds the tuples that
-come first, and they cost no product.  `minors`, `pfaffians` and
+pivots: the index has height nvars, and no Buchberger run is made.
+
+The span is tested on values.  The chain takes the entries' values at
+the lattice points alpha in N^nvars with |alpha| = t (`_Lattice`), and
+its products are pointwise: mod p over F_p, mod the fixed prime
+`_VALUE_PRIME` over Q.  Taking values is linear, so value rows of full
+rank prove a span whatever the points are, and a rank mod q is at most
+the rank over Q.  For p > t, and over Q, the points are unisolvent for
+forms of degree t, so the values span exactly when the forms do (over Q
+unless q lowers a rank), and the stream reads the same forms.  An index
+whose values do not span, and every index over F_p with p <= t, streams
+its packed terms the same way; if they do not span either, the echelon
+rows, which generate the same ideal, take the run.  The stream reads
+its index tuples in reverse lexicographic order, later rows first: the
+chain expands along the first index, so the forms that come first share
+their sub-Pfaffians on the later indices.  `minors`, `pfaffians` and
 `fitting_ideal` keep the lexicographic order, and so do the heights of
 every other matrix, whose ideals take the run with all their forms.
 
-The chain runs on the entries' own terms, packed monomials of the ring
-(see `ring`), where `+` multiplies two monomials, and a minor's or
-Pfaffian's term dict becomes a `Poly` as it is.  A Fitting ideal hands
-its minors to the Groebner engine without conversion, and its height is
-read off the packed lead monomials of their basis: dim S/I = dim S/in(I)
-for every monomial order, so the ideal need not be homogeneous.  Every
-field of an entry and of a memoized minor is below `EXP_BOUND`, so a
-product never spills into the next field; a minor whose degree reaches
-the bound sets the degree field's guard bit and raises `RingError`.
+By default the chain runs on the entries' own terms, packed monomials
+of the ring (see `ring`), where `+` multiplies two monomials, and a
+minor's or Pfaffian's term dict becomes a `Poly` as it is; the height
+pass also runs it on values and, for the coprimality test of Fitt_1,
+on binary forms on a line.  A Fitting ideal hands its minors to the
+Groebner engine without conversion, and its height is read off the
+packed lead monomials of their basis: dim S/I = dim S/in(I) for every
+monomial order, so the ideal need not be homogeneous.  Every field of an
+entry and of a memoized minor is below `EXP_BOUND`, so a product never
+spills into the next field; a minor whose degree reaches the bound sets
+the degree field's guard bit and raises `RingError`.
 """
 
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, islice
 from math import comb
 
@@ -113,9 +125,11 @@ class PresentationMatrix:
 
 
 def _expansion(products, p):
-    """Packed sum of the signed products (negate, a, b) of packed term
-    dicts, one step of the step budget each.  Over F_p the products add
-    up as plain ints, reduced once."""
+    """Packed sum of the signed products (negate, a, b) of term dicts
+    whose keys add when two terms multiply: packed monomials, or the
+    powers of t of binary forms on a line (`_on_line`).  One step of the
+    step budget each.  Over F_p the products add up as plain ints,
+    reduced once."""
     acc = {}
     get = acc.get
     budget = _budget()
@@ -138,14 +152,34 @@ def _expansion(products, p):
     return got
 
 
-def _pfaffian(entries, memo, idx, p):
-    """Packed Pfaffian of the principal submatrix on the index tuple idx,
-    of even length at least 2, of an alternating matrix N, by expansion
+def _pointwise(products, q):
+    """Sum of the signed products (negate, a, b) of value lists, the
+    values of forms at the points of one `_Lattice`, point by point mod
+    q; () when every value is 0.  One step of the step budget each."""
+    budget = _budget()
+    acc = None
+    for negate, a, b in products:
+        _charge(budget)
+        if acc is None:
+            acc = [-x * y for x, y in zip(a, b)] if negate else [x * y for x, y in zip(a, b)]
+        elif negate:
+            acc = [v - x * y for v, x, y in zip(acc, a, b)]
+        else:
+            acc = [v + x * y for v, x, y in zip(acc, a, b)]
+    acc = [v % q for v in acc or ()]
+    return acc if any(acc) else ()
+
+
+def _pfaffian(entries, memo, idx, expand):
+    """Pfaffian of the principal submatrix on the index tuple idx, of
+    even length at least 2, of an alternating matrix N, by expansion
     along its first row: sum over j >= 1 of (-1)^(j+1) N[idx[0]][idx[j]]
     times the memoized Pfaffian on idx without idx[0] and idx[j].
-    `entries` holds N's rows as packed term dicts; only the rows that idx
-    and its sub-tuples start with are read, so the others may be left
-    out.  Zero entries and zero sub-Pfaffians cost no product."""
+    `entries` holds N's rows as images of its entries, and `expand` sums
+    signed products of images (`_expansion`, `_pointwise`); only the rows
+    that idx and its sub-tuples start with are read, so the others may be
+    left out.  Zero entries and zero sub-Pfaffians, false images, cost no
+    product."""
     if len(idx) == 2:
         return entries[idx[0]][idx[1]]
     got = memo.get(idx)
@@ -154,33 +188,52 @@ def _pfaffian(entries, memo, idx, p):
         products = []
         for j, c in enumerate(rest):
             if head[c]:
-                sub = _pfaffian(entries, memo, rest[:j] + rest[j + 1 :], p)
+                sub = _pfaffian(entries, memo, rest[:j] + rest[j + 1 :], expand)
                 if sub:
                     products.append((j % 2, head[c], sub))
-        got = memo[idx] = _expansion(products, p)
+        got = memo[idx] = expand(products)
     return got
 
 
-def _chain(M, size, memo, minor, reverse=False):
-    """The size x size minors of M when `minor`, row subsets then column
-    subsets in lexicographic order, each the sub-Pfaffian of
-    [[0, M], [-M^T, 0]] on its balanced tuple times (-1)^(size(size-1)/2);
-    else the size x size sub-Pfaffians of the alternating M, principal
-    index subsets in lexicographic order.  With `reverse`, the same
-    tuples in the reverse order.  A lazy iterator of packed term dicts,
-    each expanded through `memo` when it is read."""
-    n, p = M.nrows, M.ctx.field.characteristic
-    pad = [{}] * n if minor else []
-    entries = [pad + [e.terms for e in row] for row in M.entries]
-    tuples = list(combinations(range(n), size))
+def _tuples(M, size, minor):
+    """The index tuples of `_chain` in lexicographic order: balanced
+    tuples R + (nrows + C), row subsets then column subsets, when
+    `minor`; else principal index subsets."""
+    tuples = list(combinations(range(M.nrows), size))
     if minor:
-        cols = list(combinations(range(n, n + M.ncols), size))
+        cols = list(combinations(range(M.nrows, M.nrows + M.ncols), size))
         tuples = [rows + c for rows in tuples for c in cols]
-    negate = minor and size * (size - 1) // 2 % 2
+    return tuples
+
+
+def _chain(M, size, memo, minor, reverse=False, on=None):
+    """The size x size minors of M when `minor`, each up to the sign
+    (-1)^(size(size-1)/2) that `minors` restores: the sub-Pfaffian of
+    [[0, M], [-M^T, 0]] on its balanced tuple; else the size x size
+    sub-Pfaffians of the alternating M.  A lazy iterator over `_tuples`,
+    or with `reverse` over the same tuples in the reverse order, each
+    expanded through `memo` when it is read.
+
+    By default the chain runs on the entries' packed term dicts and
+    multiplies with `_expansion` at M's characteristic.  `on`, a pair
+    (entry, expand), runs the same chain on entry(e) of each entry e,
+    with expand as the sum of signed products: values at lattice points
+    (`_Lattice`, `_pointwise`) or binary forms on a line (`_on_line`).
+    Taking values or restricting to a line is a ring map, so it carries
+    each minor to the minor of the entries' images.  Such a chain serves
+    one stream, so its memo keeps only the sub-Pfaffians that later forms
+    read: each form it yields leaves the memo."""
+    keep = on is None
+    if keep:
+        on = operator.attrgetter("terms"), partial(_expansion, p=M.ctx.field.characteristic)
+    entry, expand = on
+    pad = [{}] * M.nrows if minor else []
+    entries = [pad + [entry(e) for e in row] for row in M.entries]
+    tuples = _tuples(M, size, minor)
     for idx in reversed(tuples) if reverse else tuples:
-        got = _pfaffian(entries, memo, idx, p)
-        # coefficients over F_p lie in [1, p)
-        yield {m: p - c if p else -c for m, c in got.items()} if negate else got
+        yield _pfaffian(entries, memo, idx, expand)
+        if not keep:
+            memo.pop(idx, None)
 
 
 def column_degrees(M):
@@ -233,7 +286,8 @@ def minors(M, size):
     min(nrows, ncols)."""
     if size < 1:
         raise RingError("minor size must be positive")
-    return _polys(M.ctx, _chain(M, size, {}, True))
+    got = _polys(M.ctx, _chain(M, size, {}, True))
+    return [-f for f in got] if size * (size - 1) // 2 % 2 else got
 
 
 def signed_maximal_minors(M):
@@ -266,7 +320,8 @@ def height(I):
     return I.ctx.nvars - summ.dim
 
 
-@lru_cache(maxsize=None)
+# bounded, so a long session cannot grow it without limit
+@lru_cache(maxsize=4096)
 def _monomial_on_line(e):
     """The monomial of exponent tuple e on the line s*(1, ..., 1) +
     t*(1, 2, ..., n), where x_k is s + (k+1)*t: the coefficients of
@@ -279,9 +334,9 @@ def _monomial_on_line(e):
 
 
 def _on_line(ctx, terms, p):
-    """The packed integer form `terms` on the line of
-    `_monomial_on_line`, as {j: coefficient of t^j s^(deg - j)} over the
-    field of characteristic p; each term costs one budget step."""
+    """The packed form `terms` on the line of `_monomial_on_line`, as
+    {j: coefficient of t^j s^(deg - j)} over the field of characteristic
+    p; each term costs one budget step."""
     unpack = ctx.packing.unpack
     budget = _budget()
     out = {}
@@ -292,20 +347,62 @@ def _on_line(ctx, terms, p):
     return {j: w for j, a in out.items() if (w := a % p if p else a)}
 
 
-def _coprime(ctx, f, g, p):
-    """True when the packed integer forms f and g, of positive degrees a
-    and b, restrict to binary forms on the line of `_on_line` whose
-    resultant is not 0: the a + b rows of their Sylvester matrix, the
-    shifts of one by the other's degree, have a + b pivots.  A common
-    factor of f and g of positive degree would restrict to a common
-    factor there, or to 0, so f and g are then coprime."""
-    a, b = (next(iter(t)) & _MASK for t in (f, g))
-    rows = [
-        {k + j: c for j, c in line.items()}
-        for line, shifts in ((_on_line(ctx, f, p), b), (_on_line(ctx, g, p), a))
-        for k in range(shifts)
-    ]
-    return len(_gauss_jordan([row for row in rows if row], p, _budget(), a + b)) == a + b
+def _coprime(f, g, d, p):
+    """True when the nonzero binary forms f and g of degree d > 0, integer
+    dicts {j: coefficient of t^j s^(d - j)} such as two forms on the line
+    of `_on_line`, have a resultant that is not 0: the 2d rows of their
+    Sylvester matrix, the shifts of each by 0..d-1, have 2d pivots.  A
+    common factor of two forms of positive degree would restrict to a
+    common factor there, or to 0, so the forms are then coprime."""
+    rows = [{k + j: c for j, c in form.items()} for form in (f, g) for k in range(d)]
+    return len(_gauss_jordan(rows, p, _budget(), 2 * d)) == 2 * d
+
+
+# over Q the values of a `_Lattice` are taken mod this prime: a rank mod
+# q is at most the rank over Q, so a span shown mod q is one over Q
+_VALUE_PRIME = 2**31 - 1
+
+
+class _Lattice:
+    """The lattice points alpha in N^n with |alpha| = t, for the n
+    variables of a packing, and the values of forms at them mod q.  For
+    q > t they are unisolvent for forms of degree t (Chung-Yao, SIAM J.
+    Numer. Anal. 1977): a form of degree t that vanishes at all of them
+    is 0, so taking values maps S_t isomorphically onto the value lists.
+    Called on a packed monomial, a lattice gives its values, computed on
+    first use and kept.  Make one with `_lattice`."""
+
+    __slots__ = ("points", "unpack", "q", "_known")
+
+    def __init__(self, pk, t, q):
+        self.points = tuple(monomials_of_degree(len(pk.shifts), t))
+        self.unpack, self.q, self._known = pk.unpack, q, {}
+
+    def __call__(self, m):
+        got = self._known.get(m)
+        if got is None:
+            e = self.unpack(m)
+            got = [math.prod(a**k for a, k in zip(x, e)) % self.q for x in self.points]
+            self._known[m] = got
+        return got
+
+    def values(self, terms):
+        """The values of the packed form `terms` at the points mod q, ()
+        when they are all 0; each denominator must be prime to q."""
+        q = self.q
+        acc = [0] * len(self.points)
+        for m, c in terms.items():
+            if type(c) is not int:
+                c = c.numerator * pow(c.denominator, -1, q)
+            acc = [a + c * v for a, v in zip(acc, self(m))]
+        acc = [a % q for a in acc]
+        return acc if any(acc) else ()
+
+
+# one lattice per (packing, t, q), so the matrices of a session share
+# their points and monomial values; bounded, so a long session cannot
+# grow it without limit
+_lattice = lru_cache(maxsize=64)(_Lattice)
 
 
 def _height_pass(M):
@@ -320,41 +417,41 @@ def _height_pass(M):
     constant, so those indices need no Groebner basis.
 
     The nonzero maximal minors of a (c+1) x c matrix of column degrees
-    mu_j (below) are forms of degree sum mu_j > 0, so they generate a
-    proper ideal, of height at most 2 (Eagon-Northcott, "Ideals defined
+    mu_j (below) are forms of degree d = sum mu_j > 0, so they generate
+    a proper ideal, of height at most 2 (Eagon-Northcott, "Ideals defined
     by matrices and a certain complex associated with them", Proc. Roy.
     Soc. A 1962).  Only such a matrix, in a ring with no parameters,
     takes this path: a matrix with a constant entry may have a unit
     minor past the first three, and Fitt_1 is then the unit ideal.  Two
     minors that are coprime form a regular sequence, of height 2, so then
-    Fitt_1 has height 2 and needs no run; coprimality is read off one
-    line (`_coprime`) for the pairs of the first three minors, and the
-    test is one-sided: minors it does not certify leave Fitt_1 to the
-    paths below.  In two variables, height 2 is nvars, which the span
-    below shows.
+    Fitt_1 has height 2 and needs no run.  Coprimality is read off one
+    line (`_coprime`): a minor restricted to the line is the minor of the
+    entries restricted to it, so the chain runs on those, binary forms
+    of degree mu_j, and takes the pairs of the first three minors that do
+    not vanish there.  The test is one-sided: minors it does not certify
+    leave Fitt_1 to the paths below.  In two variables, height 2 is
+    nvars, which the span below shows.
 
     When every nonzero entry of M is a form of one positive degree e, in
     a ring with no parameters, so is every nonzero k-minor, of degree
-    t = k*e, and every nonzero 2j-sub-Pfaffian, of degree t = j*e.  If
-    the forms of degree t in an ideal span S_t, then m^t lies in it and
-    its height is nvars.  So each index streams its forms into one
-    Gauss-Jordan block, which stops once it holds C(nvars - 1 + t, t)
-    pivots: then the index has height nvars, and no Buchberger run is
-    made.  Otherwise the echelon rows, which generate the same ideal,
-    take the run.  The stream reads the index tuples in reverse
-    lexicographic order, later rows first: the chain expands along the
-    first index, so the tuples the previous index left in the memo come
-    first and cost no product.  Later indices need not even expand
-    their forms.
+    t = k*e, and every nonzero 2j-sub-Pfaffian, of degree t = j*e.  Each
+    index then streams its forms into one Gauss-Jordan block that stops
+    at C(nvars - 1 + t, t) pivots, their values first and their terms
+    when the values do not span (see the module docstring); later
+    indices need not even expand their forms.  Values pay for themselves
+    through cheaper products, so an index whose forms are the entries,
+    which take none, streams its terms alone, and so does one with fewer
+    rows to stream than pivots to fill, which cannot span.
 
     A matrix that is not alternating streams the same way when each
     column j holds forms of one positive degree mu_j, as a Hilbert-Burch
     matrix does: a k-minor on columns C is then a form of degree
     sum_{j in C} mu_j, at most t, the sum of the k largest mu_j, and it
     streams as its products with the monomials that raise it to degree
-    t, each product one budget step.  Those lie in the ideal, so a span
-    of S_t proves height nvars again; a stream of several degrees that
-    does not span leaves the run to the minors themselves.
+    t, each product one budget step: values times the monomials'
+    values, or terms times the monomials.  Those lie in the ideal, so a
+    span of S_t proves height nvars again; a stream of several degrees
+    that does not span leaves the run to the minors themselves.
     """
     ctx = M.ctx
     n, p = ctx.nvars, ctx.field.characteristic
@@ -367,6 +464,12 @@ def _height_pass(M):
     degree = sum(ctx.packing.unpack(next(iter(mons)))) if mons else 0
     memo, ideals, found = {}, {}, {}
     budget = _budget()
+    # the prime of the values; 0, for no values, over Q when it divides a
+    # denominator
+    q = p or _VALUE_PRIME
+    coefficients = (c for row in M.entries for e in row for c in e.terms.values())
+    if not p and any(type(c) is not int and not c.denominator % q for c in coefficients):
+        q = 0
 
     def raised(t, size):
         """The streamed forms of index `size`, raised to degree t."""
@@ -381,18 +484,52 @@ def _height_pass(M):
                     _charge(budget)
                 yield {m + u: c for m, c in f.items()}
 
+    def values_span(t, size, span):
+        """True when the values of the streamed forms of index `size`,
+        raised to degree t, at the points of `_lattice(t)` have `span`
+        pivots mod q; False, with no value taken, when q <= t, when the
+        forms are the entries, whose terms cost no product, or when fewer
+        than `span` rows can come."""
+        if q <= t or size == (1 if minor else 2):
+            return False
+        lifts = [
+            t - sum(mu[c - M.nrows] for c in idx[size:]) if mu else 0
+            for idx in reversed(_tuples(M, size, minor))
+        ]
+        if sum(comb(n - 1 + e, e) for e in lifts) < span:
+            return False
+        lattice = _lattice(ctx.packing, t, q)
+        on = (lambda e: lattice.values(e.terms), partial(_pointwise, q=q))
+        units = {}
+
+        def rows():
+            for e, f in zip(lifts, _chain(M, size, {}, minor, True, on)):
+                if not f:
+                    continue
+                if not e:
+                    yield {i: v for i, v in enumerate(f) if v}
+                    continue
+                if e not in units:
+                    units[e] = [lattice(ctx.key(u)) for u in monomials_of_degree(n, e)]
+                for u in units[e]:
+                    _charge(budget)
+                    yield {i: w for i, (v, x) in enumerate(zip(f, u)) if (w := v * x % q)}
+
+        return len(_gauss_jordan(rows(), q, budget, span)) == span
+
     def ideal_of(size):
         if size not in ideals:
             ideals[size] = IdealHandle(ctx, _polys(ctx, _chain(M, size, memo, minor)))
         return ideals[size]
 
     def coprime_pair(size):
-        """True when two of the first three nonzero minors of `size` that
-        the stream reads are forms of positive degree that `_coprime`
-        certifies coprime."""
-        first = islice(filter(None, _chain(M, size, memo, minor, True)), 3)
+        """True when two of the first three maximal minors that the
+        stream reads and that do not vanish on the line of `_on_line`
+        restrict to binary forms that `_coprime` certifies coprime."""
+        on = (lambda e: _on_line(ctx, e.terms, p), partial(_expansion, p=p))
+        first = islice(filter(None, _chain(M, size, {}, minor, True, on)), 3)
         first = [_integral(f, p)[0] for f in first]
-        return any(_coprime(ctx, f, g, p) for f, g in combinations(first, 2))
+        return any(_coprime(f, g, sum(mu), p) for f, g in combinations(first, 2))
 
     def height_of(size):
         if size not in found:
@@ -401,8 +538,9 @@ def _height_pass(M):
             elif stream:
                 t = sum(sorted(mu)[-size:]) if mu else degree * (size if minor else size // 2)
                 span = comb(n - 1 + t, t)
-                rows = _gauss_jordan(raised(t, size), p, budget, span)
-                if len(rows) == span:
+                if values_span(t, size, span):
+                    found[size] = n
+                elif len(rows := _gauss_jordan(raised(t, size), p, budget, span)) == span:
                     found[size] = n
                 elif forms:
                     found[size] = height(IdealHandle(ctx, _polys(ctx, rows)))

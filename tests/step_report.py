@@ -7,7 +7,8 @@ operations charged, the Buchberger runs, the `_reduce` calls, those of
 them that returned an empty remainder (`zero`: reductions whose work
 only showed that a polynomial was already in the ideal), the rows sent
 to `_reduce_tails`, the products of the minor and sub-Pfaffian chain
-(`chain`) and the failed operations, with a total per workload.  The
+(`chain`: on packed terms, on values at lattice points and on a line)
+and the failed operations, with a total per workload.  The
 counts do not depend on the machine or its load, so they compare two
 trees where wall time on a shared host cannot:
 
@@ -74,7 +75,8 @@ def counting():
     budgets = []
     names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails")
     saved = {name: getattr(gb, name) for name in names}
-    expansion = conditions._expansion
+    # the chain's sums of products: on terms and on a line, on values
+    sums = {name: getattr(conditions, name) for name in ("_expansion", "_pointwise")}
 
     class Budget(saved["_Budget"]):
         __slots__ = ()
@@ -97,19 +99,23 @@ def counting():
         counts["tails_rows"] += len(basis)
         return saved["_reduce_tails"](basis, *args)
 
-    def counted_expansion(products, p):
-        counts["chain"] += len(products)
-        return expansion(products, p)
+    def counted(fn):
+        def wrapper(products, *args, **kwargs):
+            counts["chain"] += len(products)
+            return fn(products, *args, **kwargs)
+        return wrapper
 
     gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails = (
         Budget, buchberger, reduce, reduce_tails)
-    conditions._expansion = counted_expansion
+    for name, fn in sums.items():
+        setattr(conditions, name, counted(fn))
     try:
         yield counts, budgets
     finally:
         for name, fn in saved.items():
             setattr(gb, name, fn)
-        conditions._expansion = expansion
+        for name, fn in sums.items():
+            setattr(conditions, name, fn)
 
 
 # the text boundary of a command: what `cli` calls to read its command

@@ -328,21 +328,22 @@ def linear_6x5():
 
 class TestConditionCounts:
     """Deterministic work counts of G_4 then F_0 on one matrix: each
-    k-minor is expanded once, at the cost of at most k products, and
-    each Fitting ideal gets at most one Groebner basis, shared by both
-    checks."""
+    k-minor is expanded at most once on each image of the entries (the
+    line of the coprimality test, the values of one stream), at the cost
+    of at most k products, and each Fitting ideal gets at most one
+    Groebner basis, shared by both checks."""
 
     def test_products_and_bases(self, monkeypatch):
         M = linear_6x5()
         products = [0]
         pfaffian = conditions._pfaffian
 
-        def counted_pfaffian(entries, memo, idx, p):
+        def counted_pfaffian(entries, memo, idx, expand):
             # a k-minor's balanced tuple, of length 2k, not in the memo is
             # expanded: k products at most
             if len(idx) > 2 and idx not in memo:
                 products[0] += len(idx) // 2
-            return pfaffian(entries, memo, idx, p)
+            return pfaffian(entries, memo, idx, expand)
 
         monkeypatch.setattr(conditions, "_pfaffian", counted_pfaffian)
         runs = buchberger_runs(monkeypatch)
@@ -353,13 +354,14 @@ class TestConditionCounts:
         )
         assert bound == 1230
         # Fitt_1's coprimality test reads the first three 5-minors of the
-        # stream, on rows 1..5, {0, 2, 3, 4, 5} and {0, 1, 3, 4, 5}, and
-        # the 10 4-, 10 3- and 10 2-minors below them: 3*5 + 10*4 + 10*3 +
-        # 10*2 = 105 products.  Fitt_2 streams its 4-minors later rows
-        # first: 10 are in the memo, and 25 more, with 30 3-minors and 20
-        # 2-minors below them, make the 35 that span S_4: 25*4 + 30*3 +
-        # 20*2 = 230 products
-        assert products[0] == 105 + 230
+        # stream on the line, on rows 1..5, {0, 2, 3, 4, 5} and
+        # {0, 1, 3, 4, 5}, and the 10 4-, 10 3- and 10 2-minors below
+        # them: 3*5 + 10*4 + 10*3 + 10*2 = 105 products.  Fitt_2 streams
+        # the values of its 4-minors later rows first, with a memo of its
+        # own: the first 35, on 7 row sets, span S_4, with the 40 3-minors
+        # on 4 row sets and the 30 2-minors on 3 below them: 35*4 + 40*3 +
+        # 30*2 = 320 products
+        assert products[0] == 105 + 320
         assert products[0] < bound
         # no run: two coprime 5-minors give Fitt_1 height 2, and Fitt_2
         # has height 4 = nvars off its span, so Fitt_2..Fitt_5 need none
@@ -790,20 +792,24 @@ def random_forms_matrix(ctx, rng, r, c, d, kind):
 class TestSpanningStream:
     """A matrix of forms of one degree streams the forms of each Fitting
     index into one Gauss-Jordan pass, which stops once they span S_t;
-    the index then has height nvars and takes no run.  The heights must
-    be those of the Fitting ideals' own bases."""
+    the index then has height nvars and takes no run.  The pass reads
+    the forms' values at lattice points, and their terms when the values
+    do not span or when 0 < p <= t.  The heights must be those of the
+    Fitting ideals' own bases."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        prime=st.sampled_from([2, 7, 32003, 0]),
+        prime=st.sampled_from([2, 3, 5, 7, 32003, 0]),
         kind=st.sampled_from(["dense", "sparse", "lowrank", "fewvars"]),
     )
     def test_heights_match_the_fitting_ideals(self, seed, prime, kind):
         # shapes 3x2 to 6x5 in 2 to 5 variables.  Quadric entries only up
         # to two columns, and over Q in at most 4 variables: there a basis
         # of quartic 2-minors in 5 variables, the route's or the oracle's,
-        # can take from seconds to minutes of coefficient growth
+        # can take from seconds to minutes of coefficient growth.  The
+        # 4-minors of a linear matrix have t = 4: F_3 streams their terms
+        # and F_5 their values
         rng = random.Random(seed)
         r = rng.randint(3, 6)
         c = rng.randint(2, r - 1)
@@ -821,25 +827,64 @@ class TestSpanningStream:
         assert tables == (G, F)
         # each pass that read a nonzero form stops at dim S_t pivots, t
         # the degree of its forms, and exactly there: the last form it
-        # read made the last pivot.  The coprimality test's Sylvester
-        # passes read no forms
+        # read made the last pivot.  A pass of terms reads t off a form.
+        # A pass of values, whose rows are keyed by lattice point, below
+        # its stop, has one of the degrees k*d of the minors, with p > t;
+        # when it does not span, the pass of the same forms' terms comes
+        # next, of the same rank over F_p, where the points are
+        # unisolvent, and of no lower rank over Q.  The coprimality
+        # test's Sylvester passes read no forms
         for k, (stop, rows, _, _, read) in enumerate(passes):
             nonzero = [f for f in read if f]
             if not nonzero or k in sylvester:
                 continue
-            t = sum(ctx.packing.unpack(max(nonzero[0])))
-            assert stop == math.comb(n - 1 + t, t)
+            q = prime
+            if max(max(f) for f in nonzero) < stop:
+                [t] = [j * d for j in range(1, c + 1) if math.comb(n - 1 + j * d, j * d) == stop]
+                assert prime == 0 or prime > t
+                q = prime or conditions._VALUE_PRIME
+                if rows < stop:
+                    after, got = passes[k + 1][:2]
+                    assert after == stop and (got == rows if prime else got >= rows)
+            else:
+                t = sum(ctx.packing.unpack(max(nonzero[0])))
+                assert stop == math.comb(n - 1 + t, t)
             if rows == stop:
                 fresh = groebner._Budget(10**6)
-                forms = [groebner._integral(f, prime)[0] for f in read]
-                assert len(groebner._gauss_jordan(forms[:-1], prime, fresh)) == stop - 1
+                forms = [groebner._integral(f, q)[0] for f in read]
+                assert len(groebner._gauss_jordan(forms[:-1], q, fresh)) == stop - 1
             else:
                 assert rows < stop
+
+    def test_values_that_vanish_mod_q_claim_no_span(self, monkeypatch):
+        # over Q the values are taken mod one prime q, so entries whose
+        # coefficients are all multiples of q have values 0: Fitt_2's
+        # pass of values reads no row, and the terms of its 18 quadric
+        # 2-minors span S_2 instead.  Fitt_1's two coprime cubic 3-minors
+        # are read on the line, over Q itself
+        q = conditions._VALUE_PRIME
+        ctx = RingCtx(("x0", "x1", "x2"), QQ)
+        rng = random.Random(4)
+        linear = list(monomials_of_degree(3, 1))
+        M = PresentationMatrix(
+            ctx,
+            [[Poly(ctx, {m: q * rng.randint(1, 9) for m in linear}) for _ in range(3)] for _ in range(4)],
+        )
+        passes = echelon_passes(monkeypatch)
+        sylvester = sylvester_passes(monkeypatch, passes)
+        heights = [row[2] for row in check_Fm(M, 0).table]
+        assert heights == [height(fitting_ideal(M, i)) for i in range(1, 4)] == [2, 3, 3]
+        assert sylvester == {0}
+        assert [(stop, rows, len(read)) for stop, rows, _, _, read in passes] == [
+            (6, 6, 6),
+            (6, 0, 0),
+            (6, 6, 6),
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        prime=st.sampled_from([2, 7, 32003, 0]),
+        prime=st.sampled_from([2, 3, 5, 7, 32003, 0]),
         degrees=st.lists(st.integers(1, 2), min_size=1, max_size=3),
         extra=st.integers(1, 2),
         n=st.integers(2, 4),
@@ -861,7 +906,7 @@ class TestSpanningStream:
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
-        prime=st.sampled_from([2, 7, 32003, 0]),
+        prime=st.sampled_from([2, 3, 5, 7, 32003, 0]),
         rows=st.lists(st.integers(0, 1), min_size=4, max_size=5),
         n=st.integers(3, 4),
     )
@@ -877,14 +922,25 @@ class TestSpanningStream:
         heights = [height(fitting_ideal(M, i)) for i in range(1, c + 1)]
         assert [row[2] for row in check_Fm(M, 0).table] == heights
 
-    def test_lower_degrees_are_raised_before_the_span(self):
+    def test_lower_degrees_are_raised_before_the_span(self, monkeypatch):
         # the entries x, y and four quadrics in (x, y) generate (x, y), of
-        # height 2; unraised, their 2 + 4 rows would count as the 6
-        # pivots of S_2 and claim height 3
+        # height 2; unraised, their 2 + 4 rows of terms would count as the
+        # 6 pivots of S_2 and claim height 3
         _, M = mat(("x", "y", "z"), [["x", "z*x"], ["y", "z*y"], ["x", "y^2"], ["y", "x^2"]])
         heights = [height(fitting_ideal(M, i)) for i in range(1, 4)]
         assert heights[2] == 2
         assert [row[2] for row in check_Fm(M, 0).table] == heights
+        # column degrees 1, 1, 2: the 3 quadric and 6 cubic 2-minors
+        # stream their values at the 10 points of degree 3, each quadric
+        # times x, y and z, and the 12th row read fills the 10th pivot.
+        # A value list is a form's values there, so an unraised quadric q
+        # counts as q*(x + y + z)/3, in the ideal: its 9 rows could not
+        # span, and the terms would have to
+        _, M = mat(("x", "y", "z"), [["x", "y", "z^2"], ["y", "z", "x^2"], ["z", "x + y", "x*y"]])
+        passes = echelon_passes(monkeypatch)
+        assert [row[2] for row in check_Fm(M, 0).table] == [3, 3]
+        assert [height(fitting_ideal(M, i)) for i in (1, 2)] == [3, 3]
+        assert [(stop, rows, len(read)) for stop, rows, _, _, read in passes] == [(10, 10, 12)]
 
     def test_unit_minor_after_three_coprime_ones(self):
         # the first three maximal minors x, -y, z are coprime forms, but

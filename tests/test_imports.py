@@ -217,3 +217,65 @@ def test_no_optional_fact_parameters():
         if names:
             found[path.stem] = names
     assert found == {}
+
+
+def _cache_size(node):
+    """The maxsize of a `functools` cache expression, `lru_cache`,
+    `lru_cache(...)` or `cache`, as a decorator or called on a function:
+    None when unbounded or not a literal, False when node is no cache."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    if name == "cache":
+        return None
+    if name == "lru_cache":
+        return 128
+    if isinstance(node, ast.Call) and _cache_size(node.func) == 128:
+        given = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+        if not given:
+            return 128
+        size = given[0]
+        return size.value if isinstance(size, ast.Constant) and type(size.value) is int else None
+    return False
+
+
+def unbounded_caches(tree):
+    """Names of the functions, classes and bindings that a module caches
+    with no finite maxsize."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            sizes = [(node.name, _cache_size(d)) for d in node.decorator_list]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            size = _cache_size(node.value.func)
+            sizes = [(t.id, size) for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [name for name, size in sizes if size is None or size is not False and size < 1]
+    return found
+
+
+def test_unbounded_caches_are_found():
+    tree = ast.parse(
+        "@lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@functools.lru_cache(None)\ndef b(): pass\n"
+        "@cache\ndef c(): pass\n"
+        "@lru_cache(maxsize=SIZE)\ndef d(): pass\n"
+        "@lru_cache(maxsize=64)\ndef e(): pass\n"
+        "@lru_cache\ndef f(): pass\n"
+        "@dataclass(frozen=True)\nclass G: pass\n"
+        "h = lru_cache(maxsize=None)(H)\n"
+        "i = lru_cache(maxsize=8)(I)\n"
+        "j = len(J)\n"
+    )
+    assert sorted(unbounded_caches(tree)) == ["a", "b", "c", "d", "h"]
+
+
+def test_process_wide_caches_are_bounded():
+    # every cache of src/ has a finite maxsize, so a long session cannot
+    # grow it without limit, but the packings of `ring`: a packing is
+    # never rebuilt, so packings compare with `is`
+    found = {}
+    for path in sorted((ROOT / "src" / "reesdeg").rglob("*.py")):
+        names = unbounded_caches(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            found[path.stem] = names
+    assert found == {"ring": ["_packing"]}

@@ -32,20 +32,44 @@ def test_counts_one_listing():
     assert (gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails) == engine
 
 
-def test_chain_counts_the_minor_products(tmp_path):
-    expansion = conditions._expansion
+def test_chain_counts_the_minor_products(tmp_path, monkeypatch):
+    sums = (conditions._expansion, conditions._pointwise)
     ctx = RingCtx(("x0", "x1", "x2"), FieldSpec(32003))
-    rows = [["x0", "x1"], ["x1", "x2"], ["x2", "x0 + x1"]]
-    M = conditions.PresentationMatrix(ctx, [[parse_poly(e, ctx) for e in row] for row in rows])
-    path = tmp_path / "m.txt"
-    path.write_text(conditions.serialize_matrix(M))
-    rc, counts = run_op(["conditions", "--matrix", str(path)])
-    # the three 2-minors take two products each, one step apiece; the
-    # entries are the 1-minors and take none
+
+    def conditions_on(rows):
+        M = conditions.PresentationMatrix(ctx, [[parse_poly(e, ctx) for e in row] for row in rows])
+        path = tmp_path / "m.txt"
+        path.write_text(conditions.serialize_matrix(M))
+        return run_op(["conditions", "--matrix", str(path)])
+
+    rc, counts = conditions_on([["x0", "x1"], ["x1", "x2"], ["x2", "x0 + x1"]])
+    # the three 2-minors take two products each on the line of the
+    # coprimality test, one step apiece; the entries are the 1-minors
+    # and take none
     assert rc == 0 and counts["chain"] == 6 and counts["steps"] > 6
     rc, counts = run_op(["rees", "--map", "x0^2, x1^2"])
     assert rc == 0 and counts["chain"] == 0
-    assert conditions._expansion is expansion
+    assert (conditions._expansion, conditions._pointwise) == sums
+    # products on the line and on values, each seen by its own sum
+    seen = {"line": [], "values": []}
+    monkeypatch.setattr(
+        conditions, "_expansion",
+        lambda products, p: seen["line"].append(len(products)) or sums[0](products, p),
+    )
+    monkeypatch.setattr(
+        conditions, "_pointwise",
+        lambda products, q: seen["values"].append(len(products)) or sums[1](products, q),
+    )
+    rc, counts = conditions_on(
+        [["x0", "x1", "x2"], ["x1", "x2", "x0"], ["x2", "x0 + x1", "x1"], ["x0 + x2", "x1", "x0 - x2"]]
+    )
+    # Fitt_1 reads the 3-minors on rows {1, 2, 3}, {0, 2, 3} and
+    # {0, 1, 3} on the line, 3 products each, and the 6 2-minors below
+    # them on rows {2, 3} and {1, 3}, 2 each: 21.  Fitt_2 streams the
+    # values of its 2-minors, and the first 6, on the same rows, span S_2:
+    # 12 products
+    assert rc == 0 and sum(seen["line"]) == 21 and sum(seen["values"]) == 12
+    assert counts["chain"] == 21 + 12
     table, _ = workload_counts("rational_q", 1, 1)
     # degree takes minors too, in the Hilbert-Burch rule; rees takes none
     assert table["conditions"]["chain"] > 0 and table["rees"]["chain"] == 0
