@@ -62,16 +62,22 @@ syzygies of degree e = 1, 2, ..., each degree's kernel one more
 `_gauss_jordan` pass over the products u*g_i, that are independent
 modulo the multiples of the columns found so far become columns, until
 there are r, the last looked for in degree d minus the others.
-`presents_linear_type` then certifies phi, and its column degrees
-mu_j, read back by `conditions.column_degrees`, give deg F = prod mu_j:
+`presents_linear_type` then certifies phi, and its column degrees mu_j
+give deg F = prod mu_j.  For r <= 2 the search stops sooner: for two
+forms of P^1 before any kernel, and for three forms of P^2 once it
+holds its columns of least degree e, the Koszul complex certifies
+mu = (d) or (e, d - e) from two tests, two forms coprime on a line and
+an m-primary syzygy (`_koszul_degrees`), and the rest of the search,
+the kernel of degree d - e, runs only when the matrix is read.
 `ratmap` states the conditions, the theorems that turn them into the
-degree, and the maps the rule declines.  The test is one-sided: forms
-it does not certify take the Rees route.
+degree, and the maps each test declines.  The tests are one-sided:
+forms they do not certify take the search to its end, and forms it does
+not certify take the Rees route.
 
 The saturated fiber cone of a certified map needs no power of I.  A map
 the context certifies birational has F~(I) = k[y] (see `ratmap`).  A
-map whose matrix phi is certified has its Hilbert function from phi
-(`hilbert_burch_sfib`), in three steps:
+map whose column degrees mu are certified has its Hilbert function
+from them and its matrix phi (`hilbert_burch_sfib`), in three steps:
 - Linear type and complete intersection (see `ratmap`): the r forms
   L_j = sum_i phi_ij y_i, of bidegree (mu_j, 1), generate the Rees
   ideal and cut out the graph Gamma in P^r x P^r as a complete
@@ -96,10 +102,11 @@ H^r(P^r, O(-a)) has the basis of inverse monomials x^-alpha, every
 alpha_i >= 1 and |alpha| = a, and x^gamma sends x^-alpha to
 x^(gamma-alpha), or to 0 once an exponent reaches 0.  So the value is
 C(n+r, r) + C(d-1, r)*C(n, r) - rank delta_n.  delta_n = 0 when every
-d - mu_j <= r: a (1, 2) map reads C(n+2, 2) + C(n, 2), and r = 1 gives
-d*n + 1.  `saturated_fiber_dim` is the route of every map neither rule
-certifies, and of the maps of P^1 (see `ratmap.sfib_hilbert_function`):
-it forms I^n and saturates it by the irrelevant ideal.
+d - mu_j <= r, and phi is then not read: a (1, 2) map reads
+C(n+2, 2) + C(n, 2), and r = 1 gives d*n + 1.  `saturated_fiber_dim`
+is the route of every map neither rule certifies, and of the maps of
+P^1 (see `ratmap.sfib_hilbert_function`): it forms I^n and saturates
+it by the irrelevant ideal.
 
 Families with deformation parameters run the same elimination once over
 the parameter ring (parameters in a trailing block); specializing is
@@ -112,11 +119,17 @@ ideal (`certified_rees`, after Kalkbrener), so no basis is built there.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
 
-from .conditions import PresentationMatrix, check_Gm, column_degrees, signed_maximal_minors
+from .conditions import (
+    PresentationMatrix,
+    _coprime_pair,
+    _on_line,
+    check_Gm,
+    signed_maximal_minors,
+)
 from .groebner import (
     IdealHandle,
     _basis,
@@ -498,7 +511,9 @@ def jacobian_independent(forms):
 # columns in degree e.  On a 2-vCPU VM the rule took about 60 ms on a
 # 3 x 2 matrix of sextics (84 columns), and 1.6 s on x0^5000, x1^5000,
 # whose one column of degree 5000 is a kernel of 10 002 columns, where
-# the Rees route takes 0.01 s; a wider kernel is left to the Rees route
+# the Rees route takes 0.01 s; a wider kernel is left to the Rees route.
+# It bounds the 2d rows of the Koszul exit's coprimality test too, which
+# on x0^5000, x1^5000 would restrict forms of degree 5000 to a line
 _KERNEL_COLUMNS = 120
 
 
@@ -635,15 +650,110 @@ def presents_linear_type(M, forms):
     return check_Gm(M, M.nrows).verdict
 
 
+def _koszul_degrees(ctx, forms, d, p, column=None, e=None):
+    """The column degrees that the Koszul complex certifies for the
+    packed integer `forms`, r+1 forms of P^r of degree d, r <= 2 (see
+    `ratmap`): (d,) for two forms of P^1 that are coprime, and (e, d - e)
+    for three forms of P^2, two of them coprime on a line, when the
+    entries a_i of `column`, a syzygy of degree e that the search of
+    `hilbert_burch_presentation` found first, generate an ideal primary
+    to the irrelevant ideal; None otherwise.
+
+    That ideal is m-primary when the products of the a_i with the
+    monomials of degree 2e - 2 span S_{3e-2}: one `_gauss_jordan` stream,
+    stopped at C(3e, 2) pivots.  Coprimality is that of two of the forms
+    on the line of `conditions._on_line`, by `conditions._coprime`, whose
+    Sylvester block of 2d rows is declined, before any form meets the
+    line, when it is wider than `_KERNEL_COLUMNS`.  Each product term
+    formed, each form term on the line and each row operation costs one
+    budget step.  The tests are one-sided: forms they decline go on with
+    the search."""
+    if 2 * d > _KERNEL_COLUMNS:
+        return None
+    budget = _budget()
+    if column is not None:
+        units = _monomials(ctx, 2 * e - 2)
+
+        def products():
+            for a in column:
+                for u in units:
+                    _charge(budget, len(a))
+                    yield {m + u: c for m, c in a.items()}
+
+        span = comb(3 * e, 2)
+        if len(_gauss_jordan(products(), p, budget, span)) < span:
+            return None
+    restricted = [f for g in forms if (f := _on_line(ctx, g, p))]
+    if not _coprime_pair(restricted, d, p):
+        return None
+    return (d,) if column is None else (e, d - e)
+
+
+class HilbertBurch:
+    """What `hilbert_burch_presentation` certifies: the column degrees
+    `mu` of a presentation matrix of the ideal of the forms, perfect of
+    codimension 2 and of linear type, and that matrix, built on first
+    read of `matrix`; None there when building it would take a kernel
+    past `_KERNEL_COLUMNS`."""
+
+    def __init__(self, mu, build):
+        self.mu, self._build = mu, build
+
+    @cached_property
+    def matrix(self):
+        return self._build()
+
+
+def _columns(ctx, forms, syzygies, d, p):
+    """The search of `hilbert_burch_presentation` on the packed integer
+    `forms`, degree by degree: yields (columns, mu), the two lists it
+    fills in place, after each degree that adds columns, and stops, early
+    when it declines.  Column j is held as the list over i of its entries
+    {packed monomial: integer}."""
+    r = len(forms) - 1
+    columns, mu = [], []
+    e = 1
+    while len(mu) < r:
+        left = r - len(mu)
+        if sum(mu) + left * e > d:
+            return
+        if left == 1:
+            e = d - sum(mu)
+        if e > 1 and (r + 1) * comb(e + r, r) > _KERNEL_COLUMNS:
+            return
+        budget = _budget()
+        units = _monomials(ctx, e)
+        offset = {u: k * (r + 1) for k, u in enumerate(units)}
+        multiples = [
+            {offset[w + m] + i: c for i, g in enumerate(col) for m, c in g.items()}
+            for col, deg in zip(columns, mu)
+            for w in _monomials(ctx, e - deg)
+        ]
+        pinned = {max(row) for row in _gauss_jordan(multiples, p, budget)}
+        new = syzygies if e == 1 else _syzygy_kernel(forms, units, p, budget, pinned)
+        if len(mu) + len(new) > r:
+            return
+        for syz in new:
+            col = [{} for _ in forms]
+            for j, c in syz.items():
+                k, i = divmod(j, r + 1)
+                col[i][units[k]] = c
+            columns.append(col)
+        mu += [e] * len(new)
+        if new:
+            yield columns, mu
+        e += 1
+
+
 def hilbert_burch_presentation(forms, syzygies):
-    """A presentation matrix of the ideal of `forms`, r+1 forms of P^r of
+    """The `HilbertBurch` certificate of `forms`, r+1 forms of P^r of
     degree d, whose column degrees mu_1, ..., mu_r are weakly increasing,
-    when `presents_linear_type` certifies the one it recovers: then deg F
-    = prod mu_j (see `ratmap`), with mu read back by
-    `conditions.column_degrees`, and `hilbert_burch_sfib` reads the
-    saturated fiber cone off it.  None otherwise, and at once when
-    `syzygies`, their `linear_syzygies`, is None or r = 0.  The forms are
-    those `linear_syzygies` checked.
+    when the Koszul complex or `presents_linear_type` certifies the
+    presentation the search below recovers: then deg F = prod mu_j (see
+    `ratmap`), and `hilbert_burch_sfib` reads the saturated fiber cone off
+    it.  None otherwise, and at once when `syzygies`, their
+    `linear_syzygies`, is None or r = 0.  The forms are those
+    `linear_syzygies` checked.
 
     The matrix is recovered by linear algebra, one column degree e =
     1, 2, ... at a time: a basis of the syzygies of degree e modulo the
@@ -657,9 +767,16 @@ def hilbert_burch_presentation(forms, syzygies):
     d - sum(mu) alone.  The search declines once it holds more
     than r columns, when the columns still to find cannot fit into
     degree d, and before a kernel of more than `_KERNEL_COLUMNS`
-    columns.  Row i of the matrix is scaled back to the form g_i.  Each
-    product term formed and each row operation costs one budget step.
-    The test is one-sided: forms it does not certify take the Rees route.
+    columns.  Row i of the matrix is scaled back to the form g_i.
+
+    For r <= 2 the Koszul complex certifies mu first (`_koszul_degrees`):
+    for r = 1 before any kernel, and the matrix is then the Koszul column
+    (-g_1, g_0); for r = 2 as soon as the search holds its first column,
+    and the rest of the search builds the matrix on its first read.
+    Where it declines, and for r > 2, the search runs to its end and
+    `presents_linear_type` certifies the matrix it found.  Each product
+    term formed and each row operation costs one budget step.  The test
+    is one-sided: forms it does not certify take the Rees route.
     """
     r = len(forms) - 1
     if syzygies is None or r < 1:
@@ -669,64 +786,68 @@ def hilbert_burch_presentation(forms, syzygies):
     d = sum(ctx.packing.unpack(max(forms[0].terms)))
     p = ctx.field.characteristic
     integral, scales = zip(*(_integral(g.terms, p) for g in forms))
-    budget = _budget()
-    columns, mu = [], []
-    e = 1
-    while len(mu) < r:
-        left = r - len(mu)
-        if sum(mu) + left * e > d:
-            return None
-        if left == 1:
-            e = d - sum(mu)
-        if e > 1 and (r + 1) * comb(e + r, r) > _KERNEL_COLUMNS:
-            return None
-        units = _monomials(ctx, e)
-        offset = {u: k * (r + 1) for k, u in enumerate(units)}
-        multiples = [
-            {offset[w + m] + i: c for i, g in enumerate(col) for m, c in g.items()}
-            for col, deg in zip(columns, mu)
-            for w in _monomials(ctx, e - deg)
+
+    def matrix(columns):
+        rows = [
+            [Poly(ctx, {m: c * s for m, c in col[i].items()}, _clean=True) for col in columns]
+            for i, s in enumerate(scales)
         ]
-        pinned = {max(row) for row in _gauss_jordan(multiples, p, budget)}
-        new = syzygies if e == 1 else _syzygy_kernel(integral, units, p, budget, pinned)
-        if len(mu) + len(new) > r:
-            return None
-        for syz in new:
-            col = [{} for _ in forms]
-            for j, c in syz.items():
-                k, i = divmod(j, r + 1)
-                col[i][units[k]] = c
-            columns.append(col)
-        mu += [e] * len(new)
-        e += 1
-    rows = [
-        [Poly(ctx, {m: c * s for m, c in col[i].items()}, _clean=True) for col in columns]
-        for i, s in enumerate(scales)
-    ]
-    M = PresentationMatrix(ctx, rows)
-    return M if presents_linear_type(M, forms) else None
+        return PresentationMatrix(ctx, rows)
+
+    if r == 1 and (mu := _koszul_degrees(ctx, integral, d, p)):
+        return HilbertBurch(mu, lambda: PresentationMatrix(ctx, [[-forms[1]], [forms[0]]]))
+    search = _columns(ctx, integral, syzygies, d, p)
+    columns, mu = next(search, ([], []))
+    if r == 2 and columns:
+        # any syzygy of degree mu_1 serves: the sum of the columns of that
+        # degree, which their kernel puts in echelon form, has fewer zero
+        # entries than each of them
+        first = [{} for _ in forms]
+        for col in columns:
+            for a, entry in zip(first, col):
+                for m, c in entry.items():
+                    a[m] = a.get(m, 0) + c
+        koszul = _koszul_degrees(ctx, integral, d, p, [_field_row(a, p) for a in first], mu[0])
+        if koszul:
+
+            def finish():
+                for _ in search:
+                    pass
+                return matrix(columns) if len(columns) == r else None
+
+            return HilbertBurch(koszul, finish)
+    for _ in search:
+        pass
+    if len(columns) < r:
+        return None
+    M = matrix(columns)
+    return HilbertBurch(tuple(mu), lambda: M) if presents_linear_type(M, forms) else None
 
 
-def hilbert_burch_sfib(M, n):
+def hilbert_burch_sfib(hb, n):
     """dim [(I^n)^sat]_{nd} for the ideal I of r+1 forms of P^r of degree
-    d that M, an (r+1) x r matrix of column degrees mu_j certified by
-    `presents_linear_type`, presents: C(n+r, r) + C(d-1, r)*C(n, r) -
-    rank delta_n, with delta_n the product with the L_j of the module
-    docstring, from no power and no basis.
+    d that `hb`, their `HilbertBurch` certificate of column degrees mu_j,
+    presents: C(n+r, r) + C(d-1, r)*C(n, r) - rank delta_n, with delta_n
+    the product with the L_j of the module docstring, from no power and
+    no basis; None when delta_n is needed and the matrix is not built.
 
-    When every d - mu_j <= r, delta_n has no target and no product is
-    formed.  Else its rank is one `_gauss_jordan` pass over one row per
-    target basis element, sorted by largest column, each column j of M
-    scaled to integers over Q.  Each product term and each row operation
-    costs one budget step; the product terms are charged before any is
-    formed, so the budget bounds the kernel's memory too."""
-    mu = column_degrees(M)
-    r = M.ncols
+    When every d - mu_j <= r, delta_n has no target, and neither the
+    matrix nor any product is formed.  Else its rank is one
+    `_gauss_jordan` pass over one row per target basis element, sorted by
+    largest column, each column j of the matrix scaled to integers over
+    Q.  Each product term and each row operation costs one budget step;
+    the product terms are charged before any is formed, so the budget
+    bounds the kernel's memory too."""
+    mu = hb.mu
+    r = len(mu)
     d = sum(mu)
     # dim H^r(P^r, O(-d)) = C(d-1, r) and dim k[y]_(n-r) = C(n, r)
     value = comb(n + r, r) + comb(d - 1, r) * comb(n, r)
     if all(d - m <= r for m in mu):
         return value
+    M = hb.matrix
+    if M is None:
+        return None
     p = M.ctx.field.characteristic
     unpack = M.ctx.packing.unpack
     # the inverse monomials x^-alpha spanning H^r(P^r, O(-d))

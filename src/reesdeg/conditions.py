@@ -358,6 +358,13 @@ def _coprime(f, g, d, p):
     return len(_gauss_jordan(rows, p, _budget(), 2 * d)) == 2 * d
 
 
+def _coprime_pair(forms, d, p):
+    """True when `_coprime` certifies two of the nonzero binary forms
+    `forms` of degree d coprime: then the forms they restrict from
+    generate an ideal of height at least 2."""
+    return any(_coprime(f, g, d, p) for f, g in combinations(forms, 2))
+
+
 # over Q the values of a `_Lattice` are taken mod this prime: a rank mod
 # q is at most the rank over Q, so a span shown mod q is one over Q
 _VALUE_PRIME = 2**31 - 1
@@ -528,8 +535,7 @@ def _height_pass(M):
         restrict to binary forms that `_coprime` certifies coprime."""
         on = (lambda e: _on_line(ctx, e.terms, p), partial(_expansion, p=p))
         first = islice(filter(None, _chain(M, size, {}, minor, True, on)), 3)
-        first = [_integral(f, p)[0] for f in first]
-        return any(_coprime(f, g, sum(mu), p) for f, g in combinations(first, 2))
+        return _coprime_pair([_integral(f, p)[0] for f in first], sum(mu), p)
 
     def height_of(size):
         if size not in found:

@@ -74,13 +74,41 @@ member at a = 0 (G_2 but not G_3), x0^2, x0*x1, x1^2 in P^2 (I_1(phi)
 = (x0, x1)) and forms with a common factor (ht I = 1).  Both s = r
 rules read one kernel, the linear syzygies, computed once per map.
 
-The context holds the certified matrix phi itself, and the mu_j are
-read back off it (`conditions.column_degrees`).  The saturated fiber
-cone of such a map takes no power of I either: `blowup.hilbert_burch_sfib`
-reads it off phi, from the Koszul complex of the graph (the `blowup`
-docstring states the argument).  `sfib_hilbert_function` reads it for
-r >= 2; a map of P^1, whose value is d*n + 1, keeps the saturation
-route, which there costs about what the certificate alone does.
+For r <= 2 the Koszul complex certifies mu before phi is complete, and
+no minor and no height is computed (`blowup._koszul_degrees`):
+- r = 2: let a be a syzygy of degree e, the sum of the columns of
+  least degree that the search finds, whose entries a_i and their
+  multiples span S_{3e-2}.  Then (a) is m-primary, so a is a regular sequence, and the
+  Koszul complex of a is exact at H_1 (depth sensitivity: Bruns-Herzog,
+  Cohen-Macaulay Rings, Sect. 1.6).  As g.a = 0, g is a Koszul syzygy of
+  a: g = a x b for a vector b of degree d - e, so phi = [a b] has
+  maximal minors g, with c = 1.  With ht I >= 2, read off two forms
+  coprime on a line (see `conditions`), the Buchsbaum-Eisenbud
+  criterion ("What makes a complex exact?", J. Algebra 1973) makes
+  0 -> S(-d-e) + S(-2d+e) -> S(-d)^3 -> I -> 0 exact.  G_3 holds too:
+  ht Fitt_1 = ht I >= 2, and Fitt_2 = I_1(phi) holds (a), of height 3.
+  So mu = (e, d - e), and the theorems above give deg F = e*(d - e).
+- r = 1: two coprime binary forms are a regular sequence, presented by
+  their Koszul column (-g_1, g_0), with G_2 from ht I = 2: mu = (d).
+Both tests are one-sided, and where one fails the search runs to its
+end and `presents_linear_type` decides.  ht (a) = 2 is not enough:
+H_1 vanishes only at grade 3.  The de Jonquieres member at a = 0, of
+degree 1, has the linear column (x, -y, 0), of height 2, and its forms
+are coprime on the line, but it is no (1, 2) map.  The line may meet
+a base point over a small field, and the first columns may not be
+m-primary, as in [[x0, b0], [x1, b1], [0, b2]]: such maps take the
+search.
+
+The context holds the `blowup.HilbertBurch` certificate: the column
+degrees mu, which `degree_map`, `degree_report` and
+`families.j_multiplicity` read, and the matrix phi, built on its first
+read.  The saturated fiber cone of such a map takes no power of I
+either: `blowup.hilbert_burch_sfib` reads it off mu when every
+d - mu_j <= r, and else off phi, from the Koszul complex of the graph
+(the `blowup` docstring states the argument).  `sfib_hilbert_function`
+reads it for r >= 2; a map of P^1, whose value is d*n + 1, keeps the
+saturation route, which there costs about what the certificate alone
+does.
 
 A `RationalMapSpec` is the map's context: it computes each fact above
 once, on first read.  One rule picks the route (`certified`): a
@@ -107,7 +135,6 @@ from .blowup import (
     rees_ideal,
     saturated_fiber_dim,
 )
-from .conditions import column_degrees
 from .groebner import IdealHandle, saturate
 from .hilbert import dim_degree, lead_ideal, monomial_dim_degree, weighted_numerator
 from .ring import Poly, RingError, format_poly, format_ring_header, parse_poly, parse_ring_header
@@ -156,7 +183,7 @@ class RationalMapSpec:
 
     @cached_property
     def hilbert_burch(self):
-        """The certified presentation matrix of
+        """The `blowup.HilbertBurch` certificate of
         `blowup.hilbert_burch_presentation`, or None."""
         return hilbert_burch_presentation(list(self.forms), self.linear_syzygies)
 
@@ -246,9 +273,9 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
         raise ValueError("trials must be at least 1, got %d" % trials)
     if spec.certified("birational"):
         return 1, ()
-    M = spec.certified("hilbert_burch")
-    if M:
-        return prod(column_degrees(M)), ()
+    hb = spec.certified("hilbert_burch")
+    if hb:
+        return prod(hb.mu), ()
     spec.rees  # d_r needs the Rees basis, and the image is then read off it
     img = spec.image
     if img.proj_dim_of_scheme != spec.r:
@@ -311,8 +338,10 @@ def sfib_hilbert_function(spec, n):
     no basis (see the module docstring).  A map of P^r, r >= 2, that the
     Hilbert-Burch rule certifies takes `blowup.hilbert_burch_sfib` of its
     matrix phi, also from no product and no basis (see the `blowup`
-    docstring).  A map of P^1 reads no Hilbert-Burch fact here; it and
-    every other map take `blowup.saturated_fiber_dim`."""
+    docstring), or from mu alone when every d - mu_j <= r.  A map of P^1
+    reads no Hilbert-Burch fact here; it, every other map, and a
+    certified map whose matrix the search cannot build within
+    `blowup._KERNEL_COLUMNS` take `blowup.saturated_fiber_dim`."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     if n == 0:
@@ -323,10 +352,9 @@ def sfib_hilbert_function(spec, n):
     # what the certificate alone does: `sfib-hf sq` (x0^2, x1^2) is the
     # one operation of perfbench's self-test whose saturation its tracer
     # check sees (ROADMAP item 7)
-    M = spec.certified("hilbert_burch") if spec.r > 1 else None
-    if M:
-        return hilbert_burch_sfib(M, n)
-    return saturated_fiber_dim(list(spec.forms), n)
+    hb = spec.certified("hilbert_burch") if spec.r > 1 else None
+    value = hilbert_burch_sfib(hb, n) if hb else None
+    return saturated_fiber_dim(list(spec.forms), n) if value is None else value
 
 
 def serialize_map(spec):

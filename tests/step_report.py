@@ -7,8 +7,10 @@ operations charged, the Buchberger runs, the `_reduce` calls, those of
 them that returned an empty remainder (`zero`: reductions whose work
 only showed that a polynomial was already in the ideal), the rows sent
 to `_reduce_tails`, the products of the minor and sub-Pfaffian chain
-(`chain`: on packed terms, on values at lattice points and on a line)
-and the failed operations, with a total per workload.  The
+(`chain`: on packed terms, on values at lattice points and on a line),
+the maps the Koszul exit of the Hilbert-Burch rule certified (`koszul`:
+`blowup._koszul_degrees` returned column degrees) and the failed
+operations, with a total per workload.  The
 counts do not depend on the machine or its load, so they compare two
 trees where wall time on a shared host cannot:
 
@@ -39,8 +41,8 @@ perfbench/expected.json do too.  Each failure is printed, and the
 script exits 1 when there is one.
 
 Only the standard library is needed.  The workload module is imported
-and used as it is; the counters wrap functions of reesdeg.groebner and
-reesdeg.conditions for the length of the run.
+and used as it is; the counters wrap functions of reesdeg.groebner,
+reesdeg.conditions and reesdeg.blowup for the length of the run.
 """
 
 import argparse
@@ -55,6 +57,7 @@ from collections import defaultdict
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+import reesdeg.blowup as blowup  # noqa: E402
 import reesdeg.cli as cli  # noqa: E402
 import reesdeg.conditions as conditions  # noqa: E402
 import reesdeg.groebner as gb  # noqa: E402
@@ -62,21 +65,22 @@ from workloads import WORKLOADS, Workload, check_answer, load_expected  # noqa: 
 
 RECORDED_SEED = 1  # the seed whose answers perfbench/expected.json holds
 
-COLUMNS = ("steps", "runs", "reduce", "zero", "tails_rows", "chain", "failed")
+COLUMNS = ("steps", "runs", "reduce", "zero", "tails_rows", "chain", "koszul", "failed")
 
 
 @contextlib.contextmanager
 def counting():
     """Wrap the engine so that `counts` (yielded) accumulates runs,
-    `_reduce` calls and empty remainders, tails rows and chain products;
-    `budgets` keeps every step budget made, whose spent steps are read
-    afterwards."""
+    `_reduce` calls and empty remainders, tails rows, chain products and
+    Koszul certificates; `budgets` keeps every step budget made, whose
+    spent steps are read afterwards."""
     counts = defaultdict(int)
     budgets = []
     names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails")
     saved = {name: getattr(gb, name) for name in names}
     # the chain's sums of products: on terms and on a line, on values
     sums = {name: getattr(conditions, name) for name in ("_expansion", "_pointwise")}
+    koszul = blowup._koszul_degrees
 
     class Budget(saved["_Budget"]):
         __slots__ = ()
@@ -105,10 +109,16 @@ def counting():
             return fn(products, *args, **kwargs)
         return wrapper
 
+    def koszul_degrees(*args, **kwargs):
+        mu = koszul(*args, **kwargs)
+        counts["koszul"] += mu is not None
+        return mu
+
     gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails = (
         Budget, buchberger, reduce, reduce_tails)
     for name, fn in sums.items():
         setattr(conditions, name, counted(fn))
+    blowup._koszul_degrees = koszul_degrees
     try:
         yield counts, budgets
     finally:
@@ -116,6 +126,7 @@ def counting():
             setattr(gb, name, fn)
         for name, fn in sums.items():
             setattr(conditions, name, fn)
+        blowup._koszul_degrees = koszul
 
 
 # the text boundary of a command: what `cli` calls to read its command

@@ -17,6 +17,7 @@ import reesdeg.groebner as gb_mod
 import reesdeg.ratmap as ratmap
 import reesdeg.ring as ring
 from reesdeg.cli import COMMON_FLAGS, SUBCOMMAND_FLAGS, _load_family, build_parser, main
+from reesdeg.conditions import check_Gm
 from reesdeg.groebner import DEFAULT_BUDGET, EXP_BOUND
 
 MATRIX_A0 = """\
@@ -735,8 +736,9 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
 
     def test_hilbert_burch_kernel_is_charged(self, capsys):
-        # the Hilbert-Burch (2, 3) map is certified in 2 868 steps and reads
-        # n = 4 off a kernel of 36 columns in 155 more; at n = 60 its map
+        # the Hilbert-Burch (2, 3) map is certified by the Koszul exit in
+        # 1 727 steps, builds its matrix in 1 361 more and reads n = 4 off
+        # a kernel of 36 columns in 155 more; at n = 60 its map
         # on top cohomology has 10 620 columns, and its 18 product terms
         # per monomial of k[y]_58, 31 860 steps, are charged before any is
         # formed; the budget sits far from both counts
@@ -752,6 +754,29 @@ class TestExitCodes:
         assert (code, captured.out) == (3, "")
         assert captured.err == "error: computation exceeded its budget of 10000 steps\n"
         assert time.perf_counter() - start < 1.0
+
+    def test_hilbert_burch_map_fits_the_rees_budget(self, capsys):
+        # ROADMAP item 18's instance: the first G_3 draw of the (2, 3)
+        # shape from random.Random(7), drawn as perfbench's workloads draw
+        # it.  The Rees route needs 678 steps and the full search 2 871, so
+        # a budget of 2 000 once failed a map that the Rees route fits;
+        # the Koszul exit certifies it in 1 727
+        rng = random.Random(7)
+        while True:
+            spec = families.FamilySpec(
+                "hilbert_burch", r=2, mu=(2, 3), seed=rng.randrange(1 << 30), prime=32003
+            )
+            fam = families.make_family(spec)
+            if check_Gm(fam.matrix, 3).verdict:
+                break
+        forms = ", ".join(ring.format_poly(g) for g in fam.forms)
+        argv = ["degree", "--map", forms, "--prime", "32003", "--budget"]
+        code, out = run(capsys, argv + ["2000"])
+        assert code == 0 and json.loads(out)["deg_map"] == 6
+        code, out = run(capsys, argv + ["1727"])
+        assert code == 0 and json.loads(out)["deg_map"] == 6
+        code, out = run(capsys, argv + ["1726"])
+        assert (code, out) == (3, "")
 
     def test_budget_message_counts_steps(self, capsys, monkeypatch):
         # the power loop runs out before any reduction, so the message

@@ -41,7 +41,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from conftest import ORACLE_SHAPES, oracle_map
 from reesdeg.blowup import certifies, specialize_forms
 from reesdeg.cli import main
-from reesdeg.conditions import column_degrees
 from reesdeg.families import ELL_NOT_MAXIMAL, FamilySpec, make_family
 from reesdeg.groebner import parse_ideal
 from reesdeg.hilbert import dim_degree
@@ -118,7 +117,7 @@ def test_sfib_law_on_hilbert_burch_maps(shape, prime, seed):
     except RingError:
         assume(False)
     assume(spec.hilbert_burch is not None)
-    mu = column_degrees(spec.hilbert_burch)
+    mu = spec.hilbert_burch.mu
     assert mu == tuple(int(c) for c in shape[2:])
     assert run("degree", spec.forms)["sfib_multiplicity"] == prod(mu)
     points = ["--points", "3,4,5,6,7,8"]

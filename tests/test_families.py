@@ -403,8 +403,14 @@ class TestJMultiplicity:
         monkeypatch.setattr(ratmap, "fiber_cone_ideal", forbidden)
         runs = count_buchberger_runs(monkeypatch)
         ctx = RingCtx(("x", "y"), FP)
+        # two coprime forms of P^1 are certified by the Koszul exit of the
+        # Hilbert-Burch rule, with no run; x*(x^2, y^2) has a common factor
+        # and no linear syzygy, so both s = r rules decline it
         spec = rational_map([parse_poly("x^2", ctx), parse_poly("y^2", ctx)])
         assert j_multiplicity(spec) == 4
+        assert runs == []
+        spec = rational_map([parse_poly("x^3", ctx), parse_poly("x*y^2", ctx)])
+        assert j_multiplicity(spec) == 6
         assert len(runs) == 1
         runs.clear()
         # one form, s = 0 < r: its Jacobian certifies that the image is

@@ -3,11 +3,13 @@ ideal has a recovered (r+1) x r presentation matrix satisfying G_{r+1}
 has degree prod mu_j (`blowup.hilbert_burch_presentation`), and its
 saturated fiber cone is read off that matrix (`blowup.hilbert_burch_sfib`).
 Wherever the route answers, its answers are the Rees route's and the
-saturation route's; the maps it must decline take the Rees route; and
-each check of `blowup.presents_linear_type` is shown needed by a matrix
-that passes all the others."""
+saturation route's; the maps it must decline take the Rees route; the
+Koszul exit for r <= 2 certifies what it can before the search ends, and
+leaves the rest to it; and each check of `blowup.presents_linear_type`
+is shown needed by a matrix that passes all the others."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,7 +20,7 @@ import reesdeg.ratmap as ratmap
 from conftest import count_buchberger_runs, random_form
 from reesdeg.blowup import hilbert_burch_sfib, presents_linear_type, rees_ideal, specialize_forms
 from reesdeg.conditions import PresentationMatrix, check_Gm, column_degrees, signed_maximal_minors
-from reesdeg.families import FamilySpec, j_multiplicity, make_family
+from reesdeg.families import FamilySpec, dense_form, j_multiplicity, make_family
 from reesdeg.ratmap import (
     DegreeReport,
     degree_report,
@@ -136,7 +138,11 @@ class TestOracle:
         assert j_multiplicity(rational_map(forms)) == j_multiplicity(rees)
         if check_Gm(matrix, r + 1).verdict:
             assert projective_degrees(rees) == elementary(mu)
-            assert column_degrees(spec.hilbert_burch) == mu
+            hb = spec.hilbert_burch
+            assert hb.mu == mu
+            # the Koszul exit's matrix, built by the rest of the search, is
+            # one that `presents_linear_type` certifies too
+            assert column_degrees(hb.matrix) == mu and presents_linear_type(hb.matrix, forms)
             assert degree_report(spec) == DegreeReport(
                 elementary(mu)[-1], 1, r, r + 1, elementary(mu)[-1]
             )
@@ -235,6 +241,128 @@ class TestDeclined:
             assert rational_map(forms).hilbert_burch is None
             matrix = PresentationMatrix(ctx, seen.pop().entries)
             assert check_Gm(matrix, 2).verdict and not check_Gm(matrix, 3).verdict
+
+
+def spy_search(monkeypatch, ctx):
+    """Log the degree of each `_syzygy_kernel` built over ctx, under
+    "kernels", and each matrix `presents_linear_type` reads, under
+    "checked"."""
+    log = {"kernels": [], "checked": []}
+    kernel, check = blowup._syzygy_kernel, blowup.presents_linear_type
+
+    def spy(forms, units, *args):
+        log["kernels"].append(sum(ctx.packing.unpack(units[0])))
+        return kernel(forms, units, *args)
+
+    monkeypatch.setattr(blowup, "_syzygy_kernel", spy)
+    monkeypatch.setattr(
+        blowup, "presents_linear_type", lambda M, g: log["checked"].append(M) or check(M, g)
+    )
+    return log
+
+
+def coverage_matrix(prime):
+    """[[x0, b0], [x1, b1], [0, b2]] with dense quadrics b_i: it satisfies
+    G_3, and its linear column generates (x0, x1), of height 2."""
+    ctx = RingCtx(("x0", "x1", "x2"), FieldSpec(prime))
+    rng = random.Random(3)
+    b = [dense_form(ctx, 2, rng) for _ in range(3)]
+    x0, x1 = Poly.var(ctx, 0), Poly.var(ctx, 1)
+    return PresentationMatrix(ctx, [[x0, b[0]], [x1, b[1]], [Poly.zero(ctx), b[2]]])
+
+
+class TestKoszulExit:
+    """For three forms of P^2 the Koszul complex certifies mu = (e, d - e)
+    from the first syzygy the search finds, of degree e, when its entries
+    are m-primary and two of the forms are coprime on a line; for two
+    forms of P^1 coprimality alone certifies mu = (d).  The exit builds
+    no kernel past degree e and checks no matrix; where it declines, the
+    search certifies what it certified before."""
+
+    @pytest.mark.parametrize("prime", [7, 32003, 0])
+    def test_g3_draws_are_certified(self, prime, monkeypatch):
+        # the first four G_3 draws of each shape: every one is certified
+        # with the Rees route's answers, and the exit certifies at least
+        # one of each shape (sparse draws have linear columns of height 2,
+        # and over F_7 the line may meet a base point, so it declines some)
+        for mu in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3)):
+            exits = 0
+            draws = (hilbert_burch_matrix(prime, mu, seed) for seed in range(100))
+            for matrix in islice(filter(lambda M: check_Gm(M, 3).verdict, draws), 4):
+                forms = signed_maximal_minors(matrix)
+                spec = rational_map(forms)
+                with pytest.MonkeyPatch.context() as mp:
+                    log = spy_search(mp, matrix.ctx)
+                    hb = spec.hilbert_burch
+                assert hb.mu == mu
+                if not log["checked"]:
+                    exits += 1
+                    assert max(log["kernels"]) <= mu[0]
+                assert degree_report(spec) == degree_report(rees_held(forms))
+                assert j_multiplicity(rational_map(forms)) == j_multiplicity(rees_held(forms))
+            assert exits
+
+    @pytest.mark.parametrize("prime", [7, 32003, 0])
+    def test_benchmark_draws_exit(self, prime, monkeypatch):
+        # the families' dense (2, 3) draw: no kernel of degree 3 is built
+        fam = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 3), seed=5, prime=prime))
+        assert check_Gm(fam.matrix, 3).verdict
+        spec = rational_map(fam.forms)
+        log = spy_search(monkeypatch, spec.ctx)
+        assert spec.hilbert_burch.mu == (2, 3)
+        assert log == {"kernels": [1, 2], "checked": []}
+        assert degree_report(spec) == degree_report(rees_held(fam.forms))
+        # the matrix is built on its first read, by the rest of the search
+        assert presents_linear_type(spec.hilbert_burch.matrix, list(fam.forms))
+        assert log["kernels"] == [1, 2, 3]
+
+    @pytest.mark.parametrize("prime", [7, 32003, 0])
+    def test_linear_column_of_height_two_takes_the_search(self, prime, monkeypatch):
+        matrix = coverage_matrix(prime)
+        assert check_Gm(matrix, 3).verdict
+        forms = signed_maximal_minors(matrix)
+        spec = rational_map(forms)
+        log = spy_search(monkeypatch, matrix.ctx)
+        assert spec.hilbert_burch.mu == (1, 2)
+        assert len(log["checked"]) == 1
+        assert degree_report(spec) == degree_report(rees_held(forms))
+        assert degree_report(spec).deg_map == 2
+
+    @pytest.mark.parametrize("prime", FIELDS)
+    def test_coprime_binary_forms_exit_before_any_kernel(self, prime, monkeypatch):
+        ctx = RingCtx(("x0", "x1"), FieldSpec(prime))
+        forms = [parse_poly(t, ctx) for t in ("x0^3 + x1^3", "x0^2*x1")]
+        spec = rational_map(forms)
+        log = spy_search(monkeypatch, ctx)
+        assert spec.hilbert_burch.mu == (3,)
+        assert log == {"kernels": [1], "checked": []}
+        assert presents_linear_type(spec.hilbert_burch.matrix, forms)
+        assert degree_report(spec) == degree_report(rees_held(forms))
+
+    def test_matrix_past_the_cap_leaves_sfib_to_the_saturation(self):
+        # a (1, 8) map: the exit certifies mu, but the kernel of degree 8
+        # has 135 > _KERNEL_COLUMNS columns, so no matrix is built, and
+        # sfib-hf, whose delta_n is nonzero, takes the saturation route
+        matrix = hilbert_burch_matrix(32003, (1, 8), 0)
+        assert check_Gm(matrix, 3).verdict
+        forms = signed_maximal_minors(matrix)
+        spec = rational_map(forms)
+        assert spec.hilbert_burch.mu == (1, 8) and spec.hilbert_burch.matrix is None
+        assert hilbert_burch_sfib(spec.hilbert_burch, 2) is None
+        assert [sfib_hilbert_function(spec, n) for n in range(3)] == [
+            saturated_power_dim(forms, n) for n in range(3)
+        ]
+        assert degree_report(spec) == degree_report(rees_held(forms))
+
+    def test_wide_sylvester_block_is_not_built(self, monkeypatch):
+        # 2d = 122 rows: the coprimality test declines before any form
+        # meets the line, and the search declines its kernel too
+        ctx = RingCtx(("x0", "x1"), FieldSpec(32003))
+        forms = [parse_poly(t, ctx) for t in ("x0^61", "x1^61")]
+        monkeypatch.setattr(
+            blowup, "_on_line", lambda *a: pytest.fail("a form met the line")
+        )
+        assert rational_map(forms).hilbert_burch is None
 
 
 class TestCertificateChecks:

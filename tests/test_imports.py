@@ -116,9 +116,11 @@ def test_private_imports_are_found():
 # monomial packing stays inside ring, groebner, hilbert and conditions,
 # and blowup, which reads the fiber cone basis off the packed Rees basis
 # and specializes the packed generic Rees basis at a certified point:
-# a module above them that reaches into it would fail here.
+# a module above them that reaches into it would fail here.  blowup also
+# restricts forms to the line of the coprimality test of conditions.
 PRIVATE_IMPORTS = {
     "blowup": {
+        "conditions": {"_coprime_pair", "_on_line"},
         "groebner": {
             "_basis", "_basis_ideal", "_budget", "_charge", "_gauss_jordan", "_integral",
             "_normalize", "_with_aux_var",

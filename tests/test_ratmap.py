@@ -366,10 +366,10 @@ class TestExactDegree:
         assert rep == DegreeReport(NOT_GENERICALLY_FINITE, 1, 2, 3, None)
         assert rep == degree_report(rees_route(spec.forms))
         # s = r with no linear syzygy: the Hilbert-Burch rule certifies
-        # it, with the one run of its height check
+        # it from the Koszul complex of two coprime forms, with no run
         runs.clear()
         assert degree_report(mkmap(("x0", "x1"), ["x0^2", "x1^2"], field)).deg_map == 2
-        assert len(runs) == 1
+        assert runs == []
 
 
 class TestDegreeReport:
@@ -405,9 +405,9 @@ class TestDegreeReport:
     def test_one_basis_per_map(self, monkeypatch):
         # the image and the degree are both read off the Rees basis: one
         # Buchberger run per map, and no fiber cone ideal is built; the
-        # Pfaffian map is certified birational and makes none; the squares
-        # take the one height run of the Hilbert-Burch rule instead, and
-        # the conic of P^2 fails that rule with no height computed
+        # Pfaffian map is certified birational and makes none, and so are
+        # the squares, by the Koszul exit of the Hilbert-Burch rule; the
+        # conic of P^2 fails that rule with no height computed
         def forbidden(*args, **kwargs):
             raise AssertionError("fiber_cone_ideal called")
 
@@ -417,7 +417,7 @@ class TestDegreeReport:
         pfaffian = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3, prime=0)).forms
         specs = [
             (mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2", "x2^2"]), 1),
-            (mkmap(("x0", "x1"), ["x0^2", "x1^2"], QQ), 1),
+            (mkmap(("x0", "x1"), ["x0^2", "x1^2"], QQ), 0),
             (mkmap(("x0", "x1", "x2"), ["x0^2", "x0*x1", "x1^2"]), 1),
             (rational_map(pfaffian), 0),
         ]

@@ -6,6 +6,7 @@ adds a row per operation label."""
 
 import argparse
 
+import reesdeg.blowup as blowup
 import reesdeg.cli as cli
 import reesdeg.conditions as conditions
 import reesdeg.groebner as gb
@@ -71,8 +72,35 @@ def test_chain_counts_the_minor_products(tmp_path, monkeypatch):
     assert rc == 0 and sum(seen["line"]) == 21 and sum(seen["values"]) == 12
     assert counts["chain"] == 21 + 12
     table, _ = workload_counts("rational_q", 1, 1)
-    # degree takes minors too, in the Hilbert-Burch rule; rees takes none
+    # conditions takes minors, and rees takes none
     assert table["conditions"]["chain"] > 0 and table["rees"]["chain"] == 0
+
+
+def test_koszul_counts_the_maps_the_exit_certifies(capsys):
+    koszul = blowup._koszul_degrees
+    # two coprime forms of P^1, and the Cremona map, which the Jacobian
+    # dual rule certifies before the Hilbert-Burch rule is read
+    rc, counts = run_op(["degree", "--map", "x0^2, x1^2"])
+    assert rc == 0 and counts["koszul"] == 1
+    rc, counts = run_op(["degree", "--map", "x1*x2, x0*x2, x0*x1"])
+    assert rc == 0 and counts["koszul"] == 0
+    # x0^2, x0*x1, x1^2 of P^2: the linear column (x1, -x0, 0) is not
+    # m-primary, so the exit declines and the search declines too
+    rc, counts = run_op(["degree", "--map", "x0^2, x0*x1, x1^2", "--ring", "x0 x1 x2 over 32003"])
+    assert rc == 0 and counts["koszul"] == 0 and counts["runs"] == 1
+    assert blowup._koszul_degrees is koszul
+    table, _ = workload_counts("saturate_fp", 1, 1, labels=True)
+    # the exit certifies the (1, 2), (2, 2) and (2, 3) instances and x0^2,
+    # x1^2 for degree and jmult; the (1, 1) instance is certified
+    # birational first, and sfib-hf keeps the saturation route on P^1
+    for command in ("degree", "jmult"):
+        assert table[command]["koszul"] == 4
+        assert [table[command + " " + name]["koszul"] for name in ("hb11", "sq")] == [0, 1]
+    assert table["sfib-hf"]["koszul"] == table["sfib-hf hb12"]["koszul"] == 1
+    assert table["sweep"]["koszul"] == 0
+    assert main(["--seed", "1", "--rounds", "1", "--workload", "saturate_fp"]) == 0
+    header = capsys.readouterr().out.splitlines()[1].split()
+    assert header[header.index("chain") + 1] == "koszul"
 
 
 def test_zero_counts_the_empty_remainders(capsys):
