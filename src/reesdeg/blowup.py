@@ -70,9 +70,9 @@ mu = (d) or (e, d - e) from two tests, two forms coprime on a line and
 an m-primary syzygy (`_koszul_degrees`), and the rest of the search,
 the kernel of degree d - e, runs only when the matrix is read.
 `ratmap` states the conditions, the theorems that turn them into the
-degree, and the maps each test declines.  The tests are one-sided:
-forms they do not certify take the search to its end, and forms it does
-not certify take the Rees route.
+degree, and the maps each test declines.  Two forms of P^1 it declines
+take the Rees route; three forms of P^2 take the search to its end, and
+forms it does not certify take the Rees route.
 
 The saturated fiber cone of a certified map needs no power of I.  A map
 the context certifies birational has F~(I) = k[y] (see `ratmap`).  A
@@ -119,7 +119,7 @@ ideal (`certified_rees`, after Kalkbrener), so no basis is built there.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations_with_replacement
 from math import comb, lcm, prod
 
@@ -127,6 +127,8 @@ from .conditions import (
     PresentationMatrix,
     _coprime_pair,
     _on_line,
+    _raised,
+    _shifted,
     check_Gm,
     signed_maximal_minors,
 )
@@ -153,6 +155,7 @@ from .ring import (
     RingError,
     _is_prime,
     _minimal_packed,
+    _monomials,
     fresh_names,
     monomials_of_degree,
 )
@@ -517,14 +520,6 @@ def jacobian_independent(forms):
 _KERNEL_COLUMNS = 120
 
 
-# bounded, like every process-wide cache but the packings of `ring`
-@lru_cache(maxsize=256)
-def _monomials(ctx, e):
-    """The packed monomials of degree e of ctx, in the order of
-    `monomials_of_degree`: for e = 1 the variables, x_k at k."""
-    return tuple(ctx.key(u) for u in monomials_of_degree(ctx.nvars, e))
-
-
 def _syzygy_kernel(forms, units, p, budget, pinned=frozenset()):
     """A basis of the syzygies of degree e of the r+1 packed integer term
     dicts `forms`, over the field of characteristic p, whose entries at
@@ -650,43 +645,35 @@ def presents_linear_type(M, forms):
     return check_Gm(M, M.nrows).verdict
 
 
-def _koszul_degrees(ctx, forms, d, p, column=None, e=None):
-    """The column degrees that the Koszul complex certifies for the
-    packed integer `forms`, r+1 forms of P^r of degree d, r <= 2 (see
-    `ratmap`): (d,) for two forms of P^1 that are coprime, and (e, d - e)
-    for three forms of P^2, two of them coprime on a line, when the
-    entries a_i of `column`, a syzygy of degree e that the search of
-    `hilbert_burch_presentation` found first, generate an ideal primary
-    to the irrelevant ideal; None otherwise.
-
-    That ideal is m-primary when the products of the a_i with the
-    monomials of degree 2e - 2 span S_{3e-2}: one `_gauss_jordan` stream,
-    stopped at C(3e, 2) pivots.  Coprimality is that of two of the forms
-    on the line of `conditions._on_line`, by `conditions._coprime`, whose
-    Sylvester block of 2d rows is declined, before any form meets the
-    line, when it is wider than `_KERNEL_COLUMNS`.  Each product term
-    formed, each form term on the line and each row operation costs one
-    budget step.  The tests are one-sided: forms they decline go on with
-    the search."""
+def _koszul_degrees(ctx, forms, d, p, column, e):
+    """The column degrees (e, d - e)[:r] that the Koszul complex
+    certifies for the packed integer `forms`, r+1 forms of P^r of degree
+    d, r <= 2 (see `ratmap`), when the entries a_i of `column`, a syzygy
+    of degree e, generate an m-primary ideal and two of the forms are
+    coprime on the line of `conditions._on_line`; None otherwise.  For
+    r = 1 the column is the Koszul one, (-g_1, g_0) with e = d, so it is
+    m-primary exactly when the forms are coprime.  For r = 2 it is the
+    first syzygy the search of `hilbert_burch_presentation` finds, and
+    it is m-primary when the products of the a_i with the monomials of
+    degree 2e - 2 span S_{3e-2}: one `_gauss_jordan` stream of
+    `conditions._raised` rows, stopped at C(3e, 2) pivots.  The Sylvester
+    block of `conditions._coprime`, 2d rows, is declined before any form
+    meets the line when it is wider than `_KERNEL_COLUMNS`.  Each raised
+    row (`conditions._raised`), each form term on the line and each row
+    operation costs one budget step.  On P^1 the line is a change of
+    coordinates, so the test is exact; on P^2 the tests are one-sided:
+    forms they decline go on with the search."""
     if 2 * d > _KERNEL_COLUMNS:
         return None
-    budget = _budget()
-    if column is not None:
-        units = _monomials(ctx, 2 * e - 2)
-
-        def products():
-            for a in column:
-                for u in units:
-                    _charge(budget, len(a))
-                    yield {m + u: c for m, c in a.items()}
-
+    if len(forms) == 3:
         span = comb(3 * e, 2)
-        if len(_gauss_jordan(products(), p, budget, span)) < span:
+        rows = _raised(column, [2 * e - 2] * 3, partial(_monomials, ctx), _shifted)
+        if len(_gauss_jordan(rows, p, _budget(), span)) < span:
             return None
     restricted = [f for g in forms if (f := _on_line(ctx, g, p))]
     if not _coprime_pair(restricted, d, p):
         return None
-    return (d,) if column is None else (e, d - e)
+    return (e, d - e)[: len(forms) - 1]
 
 
 class HilbertBurch:
@@ -772,11 +759,12 @@ def hilbert_burch_presentation(forms, syzygies):
     For r <= 2 the Koszul complex certifies mu first (`_koszul_degrees`):
     for r = 1 before any kernel, and the matrix is then the Koszul column
     (-g_1, g_0); for r = 2 as soon as the search holds its first column,
-    and the rest of the search builds the matrix on its first read.
-    Where it declines, and for r > 2, the search runs to its end and
-    `presents_linear_type` certifies the matrix it found.  Each product
-    term formed and each row operation costs one budget step.  The test
-    is one-sided: forms it does not certify take the Rees route.
+    and the rest of the search builds the matrix on its first read.  Two
+    forms of P^1 it declines share a factor, and G_2 fails, so they take
+    no search.  Where it declines three forms, and for r > 2, the search
+    runs to its end and `presents_linear_type` certifies the matrix it
+    found.  Each product term formed and each row operation costs one
+    budget step.  Forms the rule does not certify take the Rees route.
     """
     r = len(forms) - 1
     if syzygies is None or r < 1:
@@ -794,8 +782,10 @@ def hilbert_burch_presentation(forms, syzygies):
         ]
         return PresentationMatrix(ctx, rows)
 
-    if r == 1 and (mu := _koszul_degrees(ctx, integral, d, p)):
-        return HilbertBurch(mu, lambda: PresentationMatrix(ctx, [[-forms[1]], [forms[0]]]))
+    if r == 1:
+        # the Koszul column (-g_1, g_0) up to sign: its entries generate I
+        mu = _koszul_degrees(ctx, integral, d, p, integral[::-1], d)
+        return mu and HilbertBurch(mu, lambda: PresentationMatrix(ctx, [[-forms[1]], [forms[0]]]))
     search = _columns(ctx, integral, syzygies, d, p)
     columns, mu = next(search, ([], []))
     if r == 2 and columns:

@@ -46,23 +46,29 @@ nonzero 2j-sub-Pfaffian one of degree j*e.  The pass then streams the
 forms of an index lazily out of the chain into one Gauss-Jordan block,
 the engine's `_gauss_jordan`, which stops once it holds C(nvars-1+t, t)
 pivots: the index has height nvars, and no Buchberger run is made.
+This test, the coprimality test below and the m-primary test of
+`blowup` read one kind of row, from one generator, `_raised`: a form, on
+one image, times a monomial that raises it to degree t, one budget step
+per product by a monomial of positive degree.
 
-The span is tested on values.  The chain takes the entries' values at
-the lattice points alpha in N^nvars with |alpha| = t (`_Lattice`), and
-its products are pointwise: mod p over F_p, mod the fixed prime
-`_VALUE_PRIME` over Q.  Taking values is linear, so value rows of full
-rank prove a span whatever the points are, and a rank mod q is at most
-the rank over Q.  For p > t, and over Q, the points are unisolvent for
-forms of degree t, so the values span exactly when the forms do (over Q
-unless q lowers a rank), and the stream reads the same forms.  An index
-whose values do not span, and every index over F_p with p <= t, streams
-its packed terms the same way; if they do not span either, the echelon
-rows, which generate the same ideal, take the run.  The stream reads
-its index tuples in reverse lexicographic order, later rows first: the
-chain expands along the first index, so the forms that come first share
-their sub-Pfaffians on the later indices.  `minors`, `pfaffians` and
-`fitting_ideal` keep the lexicographic order, and so do the heights of
-every other matrix, whose ideals take the run with all their forms.
+The stream picks one image per index before it reads a form: values
+when q > t and the forms are products, else packed terms.  The chain
+takes the entries' values at the lattice points alpha in N^nvars with
+|alpha| = t (`_Lattice`), and its products are pointwise, mod p over F_p
+and mod the fixed prime `_VALUE_PRIME` over Q (q = 0, for no values,
+when it divides a denominator).  Taking values is linear, so value rows
+of full rank prove a span whatever the points are, and a rank mod q is
+at most the rank over Q.  For p > t, and over Q, the points are
+unisolvent for forms of degree t, so the values span exactly when the
+forms do (over Q unless q lowers a rank).  Entries take no product to
+save and stream their terms.  An index whose forms are too few to fill
+the pivots streams nothing, and one whose stream does not span takes
+the run on its forms.  The stream reads its index tuples in reverse
+lexicographic order, later rows first: the chain expands along the
+first index, so the forms that come first share their sub-Pfaffians on
+the later indices.  `minors`, `pfaffians` and `fitting_ideal` keep the
+lexicographic order, and so do the heights of every other matrix,
+whose ideals take the run with all their forms.
 
 By default the chain runs on the entries' own terms, packed monomials
 of the ring (see `ring`), where `+` multiplies two monomials, and a
@@ -86,7 +92,7 @@ from math import comb
 
 from .groebner import IdealHandle, _budget, _charge, _gauss_jordan, _homogeneous, _integral
 from .hilbert import lead_ideal, monomial_dim_degree
-from .ring import EXP_BOUND, _MASK, Poly, RingError, _overflow, monomials_of_degree
+from .ring import EXP_BOUND, _MASK, Poly, RingError, _monomials, _overflow, monomials_of_degree
 from .ring import format_poly, format_ring_header, parse_poly, parse_ring_header
 
 
@@ -249,6 +255,25 @@ def column_degrees(M):
     return tuple(mu)
 
 
+def _shifted(f, u):
+    """f times u, for term dicts whose keys add: packed, or on a line."""
+    return {m + u: c for m, c in f.items()}
+
+
+def _raised(forms, lifts, units, times):
+    """The rows of a span test, lazily: times(f, u) for each nonzero form
+    f of `forms`, its lift e the next of `lifts`, and each image u in
+    units(e) of the monomials of degree e; one budget step each when
+    e > 0.  An image of the forms brings its own `units` and `times`."""
+    budget = _budget()
+    for f, e in zip(forms, lifts):
+        if f:
+            for u in units(e):
+                if e:
+                    _charge(budget)
+                yield times(f, u)
+
+
 def _polys(ctx, forms):
     """The packed term dicts `forms` as polynomials of ctx."""
     return [Poly(ctx, t, _clean=True) for t in forms]
@@ -351,10 +376,11 @@ def _coprime(f, g, d, p):
     """True when the nonzero binary forms f and g of degree d > 0, integer
     dicts {j: coefficient of t^j s^(d - j)} such as two forms on the line
     of `_on_line`, have a resultant that is not 0: the 2d rows of their
-    Sylvester matrix, the shifts of each by 0..d-1, have 2d pivots.  A
-    common factor of two forms of positive degree would restrict to a
-    common factor there, or to 0, so the forms are then coprime."""
-    rows = [{k + j: c for j, c in form.items()} for form in (f, g) for k in range(d)]
+    Sylvester matrix, each form raised by t^0..t^(d-1) (`_raised`), have
+    2d pivots.  A common factor of two forms of positive degree would
+    restrict to a common factor there, or to 0, so the forms are then
+    coprime."""
+    rows = _raised((f, g), (d - 1, d - 1), lambda e: range(e + 1), _shifted)
     return len(_gauss_jordan(rows, p, _budget(), 2 * d)) == 2 * d
 
 
@@ -392,6 +418,11 @@ class _Lattice:
             got = [math.prod(a**k for a, k in zip(x, e)) % self.q for x in self.points]
             self._known[m] = got
         return got
+
+    def times(self, f, u):
+        """The values f times the values u, as a row keyed by point."""
+        q = self.q
+        return {i: w for i, v in enumerate(map(operator.mul, f, u)) if (w := v % q)}
 
     def values(self, terms):
         """The values of the packed form `terms` at the points mod q, ()
@@ -443,22 +474,17 @@ def _height_pass(M):
     a ring with no parameters, so is every nonzero k-minor, of degree
     t = k*e, and every nonzero 2j-sub-Pfaffian, of degree t = j*e.  Each
     index then streams its forms into one Gauss-Jordan block that stops
-    at C(nvars - 1 + t, t) pivots, their values first and their terms
-    when the values do not span (see the module docstring); later
-    indices need not even expand their forms.  Values pay for themselves
-    through cheaper products, so an index whose forms are the entries,
-    which take none, streams its terms alone, and so does one with fewer
-    rows to stream than pivots to fill, which cannot span.
+    at C(nvars - 1 + t, t) pivots (see the module docstring); later
+    indices need not even expand their forms.
 
     A matrix that is not alternating streams the same way when each
     column j holds forms of one positive degree mu_j, as a Hilbert-Burch
     matrix does: a k-minor on columns C is then a form of degree
     sum_{j in C} mu_j, at most t, the sum of the k largest mu_j, and it
     streams as its products with the monomials that raise it to degree
-    t, each product one budget step: values times the monomials'
-    values, or terms times the monomials.  Those lie in the ideal, so a
-    span of S_t proves height nvars again; a stream of several degrees
-    that does not span leaves the run to the minors themselves.
+    t, read off its tuple.  Those lie in the ideal, so a span of S_t
+    proves height nvars again.  An index that cannot span or does not
+    takes the run on its forms.
     """
     ctx = M.ctx
     n, p = ctx.nvars, ctx.field.characteristic
@@ -478,51 +504,28 @@ def _height_pass(M):
     if not p and any(type(c) is not int and not c.denominator % q for c in coefficients):
         q = 0
 
-    def raised(t, size):
-        """The streamed forms of index `size`, raised to degree t."""
-        units = {}
-        for f in _chain(M, size, memo, minor, True):
-            f = _integral(f, p)[0]
-            e = t - (next(iter(f)) & _MASK) if f else 0
-            if e not in units:
-                units[e] = [ctx.key(u) for u in monomials_of_degree(n, e)]
-            for u in units[e]:
-                if e:
-                    _charge(budget)
-                yield {m + u: c for m, c in f.items()}
-
-    def values_span(t, size, span):
-        """True when the values of the streamed forms of index `size`,
-        raised to degree t, at the points of `_lattice(t)` have `span`
-        pivots mod q; False, with no value taken, when q <= t, when the
-        forms are the entries, whose terms cost no product, or when fewer
-        than `span` rows can come."""
-        if q <= t or size == (1 if minor else 2):
-            return False
+    def spans(size):
+        """True when the forms of index `size`, raised to the top degree
+        t, span S_t, streamed as values or as terms; False, with no form
+        read, when fewer than dim S_t rows can come."""
+        t = sum(sorted(mu)[-size:]) if mu else degree * (size if minor else size // 2)
+        span = comb(n - 1 + t, t)
         lifts = [
             t - sum(mu[c - M.nrows] for c in idx[size:]) if mu else 0
             for idx in reversed(_tuples(M, size, minor))
         ]
         if sum(comb(n - 1 + e, e) for e in lifts) < span:
             return False
-        lattice = _lattice(ctx.packing, t, q)
-        on = (lambda e: lattice.values(e.terms), partial(_pointwise, q=q))
-        units = {}
-
-        def rows():
-            for e, f in zip(lifts, _chain(M, size, {}, minor, True, on)):
-                if not f:
-                    continue
-                if not e:
-                    yield {i: v for i, v in enumerate(f) if v}
-                    continue
-                if e not in units:
-                    units[e] = [lattice(ctx.key(u)) for u in monomials_of_degree(n, e)]
-                for u in units[e]:
-                    _charge(budget)
-                    yield {i: w for i, (v, x) in enumerate(zip(f, u)) if (w := v * x % q)}
-
-        return len(_gauss_jordan(rows(), q, budget, span)) == span
+        if q > t and size > (1 if minor else 2):
+            lattice = _lattice(ctx.packing, t, q)
+            on = (lambda e: lattice.values(e.terms), partial(_pointwise, q=q))
+            images = _chain(M, size, {}, minor, True, on)
+            units, times, field = lambda e: map(lattice, _monomials(ctx, e)), lattice.times, q
+        else:
+            images = (_integral(f, p)[0] for f in _chain(M, size, memo, minor, True))
+            units, times, field = partial(_monomials, ctx), _shifted, p
+        rows = _raised(images, lifts, units, times)
+        return len(_gauss_jordan(rows, field, budget, span)) == span
 
     def ideal_of(size):
         if size not in ideals:
@@ -541,17 +544,8 @@ def _height_pass(M):
         if size not in found:
             if size == M.ncols == M.nrows - 1 and mu and stream and n > 2 and coprime_pair(size):
                 found[size] = 2
-            elif stream:
-                t = sum(sorted(mu)[-size:]) if mu else degree * (size if minor else size // 2)
-                span = comb(n - 1 + t, t)
-                if values_span(t, size, span):
-                    found[size] = n
-                elif len(rows := _gauss_jordan(raised(t, size), p, budget, span)) == span:
-                    found[size] = n
-                elif forms:
-                    found[size] = height(IdealHandle(ctx, _polys(ctx, rows)))
-                else:
-                    found[size] = height(ideal_of(size))
+            elif stream and spans(size):
+                found[size] = n
             else:
                 found[size] = height(ideal_of(size))
         return found[size]

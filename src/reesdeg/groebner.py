@@ -158,14 +158,14 @@ def step_budget(limit):
     """Charge every computation inside the block against one budget of
     `limit` steps: reductions, reduced S-pairs, pairs and rows examined by
     pair updates, row operations and rows scanned in seed blocks and in
-    the block `conditions` streams its forms into, monomial divisibility
-    tests, the products of the chain behind the minors and
-    sub-Pfaffians of `conditions` and of the power loop in
-    `blowup.saturated_fiber_dim`, the product terms formed, form terms
-    evaluated and row operations of `blowup.jacobian_independent`,
-    `blowup.jacobian_dual_birational` and
-    `blowup.hilbert_burch_presentation`, and the product terms and row
-    operations of `blowup.hilbert_burch_sfib`."""
+    span tests, monomial divisibility tests, the products of the chain
+    behind the minors and sub-Pfaffians of `conditions` and of the power
+    loop in `blowup.saturated_fiber_dim`, each row of a span test that a
+    monomial of positive degree raises (`conditions._raised`: the Fitting
+    stream, the Sylvester rows of the coprimality test, the Koszul exit's
+    m-primary span), the product terms formed, form terms evaluated and
+    row operations of the Jacobian and Hilbert-Burch rules of `blowup`,
+    and the product terms and row operations of `hilbert_burch_sfib`."""
     if limit < 1:
         raise ValueError("budget must be at least 1, got %d" % limit)
     token = _ACTIVE_BUDGET.set(_Budget(limit))

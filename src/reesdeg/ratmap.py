@@ -90,14 +90,17 @@ no minor and no height is computed (`blowup._koszul_degrees`):
   So mu = (e, d - e), and the theorems above give deg F = e*(d - e).
 - r = 1: two coprime binary forms are a regular sequence, presented by
   their Koszul column (-g_1, g_0), with G_2 from ht I = 2: mu = (d).
-Both tests are one-sided, and where one fails the search runs to its
-end and `presents_linear_type` decides.  ht (a) = 2 is not enough:
-H_1 vanishes only at grade 3.  The de Jonquieres member at a = 0, of
-degree 1, has the linear column (x, -y, 0), of height 2, and its forms
-are coprime on the line, but it is no (1, 2) map.  The line may meet
-a base point over a small field, and the first columns may not be
-m-primary, as in [[x0, b0], [x1, b1], [0, b2]]: such maps take the
-search.
+  The line is a change of coordinates of P^1, so this test is exact:
+  forms it declines share a factor, ht I = 1 and G_2 fails, so the rule
+  declines them with no search.
+For r = 2 both tests are one-sided, and where one fails the search runs
+to its end and `presents_linear_type` decides.  ht (a) = 2 is not
+enough: H_1 vanishes only at grade 3.  The de Jonquieres member at
+a = 0, of degree 1, has the linear column (x, -y, 0), of height 2, and
+its forms are coprime on the line, but it is no (1, 2) map.  The line
+may meet a base point over a small field, and the first columns may
+not be m-primary, as in [[x0, b0], [x1, b1], [0, b2]]: such maps take
+the search.
 
 The context holds the `blowup.HilbertBurch` certificate: the column
 degrees mu, which `degree_map`, `degree_report` and

@@ -333,6 +333,15 @@ def monomials_of_degree(nvars, d):
         yield tuple(e)
 
 
+# the one cache of packed monomials of one degree; bounded, like every
+# process-wide cache but the packings above
+@lru_cache(maxsize=256)
+def _monomials(ctx, e):
+    """The packed monomials of degree e of ctx, in the order of
+    `monomials_of_degree`: for e = 1 the variables, x_k at k."""
+    return tuple(ctx.key(u) for u in monomials_of_degree(ctx.nvars, e))
+
+
 def _pack_checked(ctx, mon):
     """`ctx.key` of an exponent tuple, which must have one nonnegative
     exponent per variable."""

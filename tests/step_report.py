@@ -9,8 +9,10 @@ only showed that a polynomial was already in the ideal), the rows sent
 to `_reduce_tails`, the products of the minor and sub-Pfaffian chain
 (`chain`: on packed terms, on values at lattice points and on a line),
 the maps the Koszul exit of the Hilbert-Burch rule certified (`koszul`:
-`blowup._koszul_degrees` returned column degrees) and the failed
-operations, with a total per workload.  The
+`blowup._koszul_degrees` returned column degrees), the rows of the span
+tests (`raised`: the rows `conditions._raised` yielded to the height
+pass of `conditions`, the coprimality test and the Koszul exit's
+m-primary test) and the failed operations, with a total per workload.  The
 counts do not depend on the machine or its load, so they compare two
 trees where wall time on a shared host cannot:
 
@@ -65,15 +67,15 @@ from workloads import WORKLOADS, Workload, check_answer, load_expected  # noqa: 
 
 RECORDED_SEED = 1  # the seed whose answers perfbench/expected.json holds
 
-COLUMNS = ("steps", "runs", "reduce", "zero", "tails_rows", "chain", "koszul", "failed")
+COLUMNS = ("steps", "runs", "reduce", "zero", "tails_rows", "chain", "koszul", "raised", "failed")
 
 
 @contextlib.contextmanager
 def counting():
     """Wrap the engine so that `counts` (yielded) accumulates runs,
-    `_reduce` calls and empty remainders, tails rows, chain products and
-    Koszul certificates; `budgets` keeps every step budget made, whose
-    spent steps are read afterwards."""
+    `_reduce` calls and empty remainders, tails rows, chain products,
+    Koszul certificates and span rows; `budgets` keeps every step budget
+    made, whose spent steps are read afterwards."""
     counts = defaultdict(int)
     budgets = []
     names = ("_Budget", "_buchberger", "_reduce", "_reduce_tails")
@@ -81,6 +83,8 @@ def counting():
     # the chain's sums of products: on terms and on a line, on values
     sums = {name: getattr(conditions, name) for name in ("_expansion", "_pointwise")}
     koszul = blowup._koszul_degrees
+    # bound in blowup too, by its import from conditions
+    raised = conditions._raised
 
     class Budget(saved["_Budget"]):
         __slots__ = ()
@@ -114,11 +118,17 @@ def counting():
         counts["koszul"] += mu is not None
         return mu
 
+    def raised_rows(*args):
+        for row in raised(*args):
+            counts["raised"] += 1
+            yield row
+
     gb._Budget, gb._buchberger, gb._reduce, gb._reduce_tails = (
         Budget, buchberger, reduce, reduce_tails)
     for name, fn in sums.items():
         setattr(conditions, name, counted(fn))
     blowup._koszul_degrees = koszul_degrees
+    conditions._raised = blowup._raised = raised_rows
     try:
         yield counts, budgets
     finally:
@@ -127,6 +137,7 @@ def counting():
         for name, fn in sums.items():
             setattr(conditions, name, fn)
         blowup._koszul_degrees = koszul
+        conditions._raised = blowup._raised = raised
 
 
 # the text boundary of a command: what `cli` calls to read its command

@@ -760,7 +760,7 @@ class TestExitCodes:
         # shape from random.Random(7), drawn as perfbench's workloads draw
         # it.  The Rees route needs 678 steps and the full search 2 871, so
         # a budget of 2 000 once failed a map that the Rees route fits;
-        # the Koszul exit certifies it in 1 727
+        # the Koszul exit certifies it in 1 657
         rng = random.Random(7)
         while True:
             spec = families.FamilySpec(
@@ -773,9 +773,9 @@ class TestExitCodes:
         argv = ["degree", "--map", forms, "--prime", "32003", "--budget"]
         code, out = run(capsys, argv + ["2000"])
         assert code == 0 and json.loads(out)["deg_map"] == 6
-        code, out = run(capsys, argv + ["1727"])
+        code, out = run(capsys, argv + ["1657"])
         assert code == 0 and json.loads(out)["deg_map"] == 6
-        code, out = run(capsys, argv + ["1726"])
+        code, out = run(capsys, argv + ["1656"])
         assert (code, out) == (3, "")
 
     def test_budget_message_counts_steps(self, capsys, monkeypatch):

@@ -19,10 +19,11 @@ from reesdeg.conditions import (
     serialize_matrix,
     signed_maximal_minors,
 )
-from reesdeg import conditions, groebner
+from reesdeg import blowup, conditions, groebner
 from reesdeg.families import FamilySpec, dense_form, make_family
-from reesdeg.groebner import IdealHandle, groebner_basis, ideal, ideal_equal, saturate
+from reesdeg.groebner import IdealHandle, groebner_basis, ideal, saturate
 from reesdeg.cli import main
+from reesdeg.ratmap import degree_report, rational_map
 from reesdeg.ring import (
     EXP_BOUND,
     FieldSpec,
@@ -793,8 +794,9 @@ class TestSpanningStream:
     """A matrix of forms of one degree streams the forms of each Fitting
     index into one Gauss-Jordan pass, which stops once they span S_t;
     the index then has height nvars and takes no run.  The pass reads
-    the forms' values at lattice points, and their terms when the values
-    do not span or when 0 < p <= t.  The heights must be those of the
+    one image of the forms: their values at lattice points, or their
+    terms when 0 < p <= t or the forms are the entries.  An index whose
+    pass does not span takes the run.  The heights must be those of the
     Fitting ideals' own bases."""
 
     @settings(max_examples=60, deadline=None)
@@ -829,11 +831,13 @@ class TestSpanningStream:
         # the degree of its forms, and exactly there: the last form it
         # read made the last pivot.  A pass of terms reads t off a form.
         # A pass of values, whose rows are keyed by lattice point, below
-        # its stop, has one of the degrees k*d of the minors, with p > t;
-        # when it does not span, the pass of the same forms' terms comes
-        # next, of the same rank over F_p, where the points are
-        # unisolvent, and of no lower rank over Q.  The coprimality
-        # test's Sylvester passes read no forms
+        # its stop, has one of the degrees k*d of the minors, with p > t.
+        # Each index makes one pass at most: the indices have distinct
+        # degrees t, so distinct stops, and no pass of terms follows one
+        # of values of the same index.  The coprimality test's Sylvester
+        # passes read no forms
+        stops = [stop for k, (stop, *_) in enumerate(passes) if k not in sylvester]
+        assert len(set(stops)) == len(stops)
         for k, (stop, rows, _, _, read) in enumerate(passes):
             nonzero = [f for f in read if f]
             if not nonzero or k in sylvester:
@@ -843,9 +847,6 @@ class TestSpanningStream:
                 [t] = [j * d for j in range(1, c + 1) if math.comb(n - 1 + j * d, j * d) == stop]
                 assert prime == 0 or prime > t
                 q = prime or conditions._VALUE_PRIME
-                if rows < stop:
-                    after, got = passes[k + 1][:2]
-                    assert after == stop and (got == rows if prime else got >= rows)
             else:
                 t = sum(ctx.packing.unpack(max(nonzero[0])))
                 assert stop == math.comb(n - 1 + t, t)
@@ -859,9 +860,9 @@ class TestSpanningStream:
     def test_values_that_vanish_mod_q_claim_no_span(self, monkeypatch):
         # over Q the values are taken mod one prime q, so entries whose
         # coefficients are all multiples of q have values 0: Fitt_2's
-        # pass of values reads no row, and the terms of its 18 quadric
-        # 2-minors span S_2 instead.  Fitt_1's two coprime cubic 3-minors
-        # are read on the line, over Q itself
+        # pass of values reads no row, and its 18 quadric 2-minors take
+        # the run, with no pass of their terms.  Fitt_1's two coprime
+        # cubic 3-minors are read on the line, over Q itself
         q = conditions._VALUE_PRIME
         ctx = RingCtx(("x0", "x1", "x2"), QQ)
         rng = random.Random(4)
@@ -872,13 +873,14 @@ class TestSpanningStream:
         )
         passes = echelon_passes(monkeypatch)
         sylvester = sylvester_passes(monkeypatch, passes)
+        runs = buchberger_runs(monkeypatch)
         heights = [row[2] for row in check_Fm(M, 0).table]
+        assert runs == [18]
         assert heights == [height(fitting_ideal(M, i)) for i in range(1, 4)] == [2, 3, 3]
         assert sylvester == {0}
         assert [(stop, rows, len(read)) for stop, rows, _, _, read in passes] == [
             (6, 6, 6),
             (6, 0, 0),
-            (6, 6, 6),
         ]
 
     @settings(max_examples=60, deadline=None)
@@ -962,6 +964,50 @@ class TestSpanningStream:
             (35, 35, 35),
         ]
 
+    def test_span_passes_read_raised_rows(self, monkeypatch):
+        # every stopped pass of the span tests reads the rows of the one
+        # generator `_raised`: the height pass of a linear 6x5 matrix in 4
+        # variables (the shape of the benchmark's `conditions m65`), the
+        # Koszul exit of `degree` on a (2, 2) Hilbert-Burch map, and a
+        # coprimality test
+        raised, passes = conditions._raised, []
+
+        class Raised:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def __iter__(self):
+                return iter(self.rows)
+
+        def spied(gauss_jordan):
+            def spy(block, p, budget, stop=None):
+                if stop is not None:
+                    passes.append(type(block))
+                return gauss_jordan(block, p, budget, stop)
+
+            return spy
+
+        for module in (conditions, blowup):
+            monkeypatch.setattr(module, "_raised", lambda *args: Raised(raised(*args)))
+            monkeypatch.setattr(module, "_gauss_jordan", spied(module._gauss_jordan))
+        check_Fm(linear_6x5(), 0)
+        assert passes == [Raised] * 2
+        fam = make_family(FamilySpec("hilbert_burch", r=2, mu=(2, 2)))
+        assert degree_report(rational_map(fam.forms)).deg_map == 4
+        assert passes == [Raised] * 4
+        assert conditions._coprime({0: 1}, {3: 1}, 3, 7)
+        assert passes == [Raised] * 5
+
+    def test_sylvester_rows_are_charged(self):
+        # s^d and t^d: the 2d rows of their Sylvester block have distinct
+        # leads, so no row operation is made; each row is one product of
+        # `_raised`, one step of the budget
+        d = 4
+        with groebner.step_budget(2 * d):
+            assert conditions._coprime({0: 1}, {d: 1}, d, 32003)
+        with pytest.raises(groebner.BudgetExceeded), groebner.step_budget(2 * d - 1):
+            conditions._coprime({0: 1}, {d: 1}, d, 32003)
+
 
 class TestPfaffianRoute:
     """On an alternating matrix, G_m and F_m read each height off the
@@ -1036,10 +1082,10 @@ class TestPfaffianRoute:
 
     def test_minor_sizes_share_a_pfaffian_ideal(self, monkeypatch):
         # minor sizes 4 and 3 read the 4-Pfaffians, sizes 2 and 1 the
-        # entries; the one pass behind G_5 and F_0 makes one echelon pass
-        # of each.  The 5 quadric 4-Pfaffians do not span S_2: their
-        # echelon rows, which generate their ideal, take one handle and
-        # one basis.  The linear entries span S_1 and take neither.
+        # entries; the one pass behind G_5 and F_0 reads each ideal once.
+        # The 5 quadric 4-Pfaffians cannot fill the 15 pivots of S_2, so
+        # they stream nothing and take one handle and one basis.  The
+        # linear entries span S_1 in one echelon pass and take neither.
         fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))
         M = PresentationMatrix(fam.ctx, fam.matrix.entries)
         handles = []
@@ -1050,10 +1096,10 @@ class TestPfaffianRoute:
         runs, passes = buchberger_runs(monkeypatch), echelon_passes(monkeypatch)
         G, F = check_Gm(M, 5).table, check_Fm(M, 0).table
         assert G == F == TestGoldenCertificates.PFAFFIAN
-        assert [(stop, rows) for stop, rows, *_ in passes] == [(15, 5), (5, 5)]
+        assert [(stop, rows) for stop, rows, *_ in passes] == [(5, 5)]
         assert runs == [5]
         [gens] = handles
-        assert ideal_equal(handle(M.ctx, gens), handle(M.ctx, pfaffians(M, 4)))
+        assert gens == pfaffians(M, 4)
 
     def test_pfaffians_of_a_handmade_matrix(self):
         ctx, M = mat(

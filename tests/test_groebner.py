@@ -734,12 +734,13 @@ GOLDEN_STEPS = {
 # per ideal whose height takes a basis.  The Pfaffian matrix is
 # alternating, so its heights are those of the ideals of 4- and
 # 2-sub-Pfaffians, one per pair of minor sizes.  Its entries are linear
-# forms that span S_1, so only the 4-Pfaffians take a run, on the echelon
-# rows of their streamed block.  A Hilbert-Burch matrix takes none: two
+# forms that span S_1, so only the 4-Pfaffians take a run: their 5
+# quadrics cannot fill the 15 pivots of S_2, so they stream nothing and
+# seed the run themselves.  A Hilbert-Burch matrix takes none: two
 # coprime maximal minors give Fitt_1 height 2, and its entries, raised to
 # the top column degree, span; the minor oracle below still runs on them.
 GOLDEN_FITTING_STEPS = {
-    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), 5, [(147, 6, 72)]),
+    "pfaffian5": (FamilySpec("pfaffian", r=4, D=1), 5, [(177, 6, 72)]),
     "hb12": (FamilySpec("hilbert_burch", r=2, mu=(1, 2)), 3, []),
     "hb12-Q": (FamilySpec("hilbert_burch", r=2, mu=(1, 2), prime=0), 3, []),
 }

@@ -276,8 +276,9 @@ class TestKoszulExit:
     from the first syzygy the search finds, of degree e, when its entries
     are m-primary and two of the forms are coprime on a line; for two
     forms of P^1 coprimality alone certifies mu = (d).  The exit builds
-    no kernel past degree e and checks no matrix; where it declines, the
-    search certifies what it certified before."""
+    no kernel past degree e and checks no matrix; where it declines
+    three forms, the search certifies what it certified before, and two
+    forms it declines share a factor, so no search is run."""
 
     @pytest.mark.parametrize("prime", [7, 32003, 0])
     def test_g3_draws_are_certified(self, prime, monkeypatch):
@@ -339,6 +340,21 @@ class TestKoszulExit:
         assert presents_linear_type(spec.hilbert_burch.matrix, forms)
         assert degree_report(spec) == degree_report(rees_held(forms))
 
+    @pytest.mark.parametrize("prime", FIELDS)
+    def test_binary_forms_with_a_common_factor_take_no_search(self, prime, monkeypatch):
+        # x0^2, x0*x1 share x0, so ht I = 1 and G_2 fails: on P^1 the
+        # line is a change of coordinates and the coprimality test is
+        # exact, so the kernel of degree 2 that the search would look in
+        # for its last column is never built
+        ctx = RingCtx(("x0", "x1"), FieldSpec(prime))
+        forms = [parse_poly(t, ctx) for t in ("x0^2", "x0*x1")]
+        spec = rational_map(forms)
+        log = spy_search(monkeypatch, ctx)
+        assert spec.hilbert_burch is None
+        assert log == {"kernels": [1], "checked": []}
+        assert degree_report(spec) == degree_report(rees_held(forms))
+        assert degree_report(spec).deg_map == 1
+
     def test_matrix_past_the_cap_leaves_sfib_to_the_saturation(self):
         # a (1, 8) map: the exit certifies mu, but the kernel of degree 8
         # has 135 > _KERNEL_COLUMNS columns, so no matrix is built, and
@@ -356,7 +372,7 @@ class TestKoszulExit:
 
     def test_wide_sylvester_block_is_not_built(self, monkeypatch):
         # 2d = 122 rows: the coprimality test declines before any form
-        # meets the line, and the search declines its kernel too
+        # meets the line, and so does the rule
         ctx = RingCtx(("x0", "x1"), FieldSpec(32003))
         forms = [parse_poly(t, ctx) for t in ("x0^61", "x1^61")]
         monkeypatch.setattr(

@@ -117,21 +117,23 @@ def test_private_imports_are_found():
 # and blowup, which reads the fiber cone basis off the packed Rees basis
 # and specializes the packed generic Rees basis at a certified point:
 # a module above them that reaches into it would fail here.  blowup also
-# restricts forms to the line of the coprimality test of conditions.
+# restricts forms to the line of the coprimality test of conditions, and
+# raises the entries of its m-primary span through the generator of the
+# span tests of conditions, on the packed monomials of ring.
 PRIVATE_IMPORTS = {
     "blowup": {
-        "conditions": {"_coprime_pair", "_on_line"},
+        "conditions": {"_coprime_pair", "_on_line", "_raised", "_shifted"},
         "groebner": {
             "_basis", "_basis_ideal", "_budget", "_charge", "_gauss_jordan", "_integral",
             "_normalize", "_with_aux_var",
         },
-        "ring": {"_is_prime", "_minimal_packed"},
+        "ring": {"_is_prime", "_minimal_packed", "_monomials"},
     },
     "cli": {"blowup": {"_form_degree"}},
     "families": {"blowup": {"_gr_ideal"}},
     "conditions": {
         "groebner": {"_budget", "_charge", "_gauss_jordan", "_homogeneous", "_integral"},
-        "ring": {"_MASK", "_overflow"},
+        "ring": {"_MASK", "_monomials", "_overflow"},
     },
     "groebner": {
         "hilbert": {"_order_at_one"},

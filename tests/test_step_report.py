@@ -103,6 +103,23 @@ def test_koszul_counts_the_maps_the_exit_certifies(capsys):
     assert header[header.index("chain") + 1] == "koszul"
 
 
+def test_raised_counts_the_rows_of_the_span_tests(capsys):
+    raised = conditions._raised
+    # x0^2, x1^2: the 2d = 4 rows of the Sylvester block of the exit,
+    # the two forms on the line each raised by 1 and t
+    rc, counts = run_op(["degree", "--map", "x0^2, x1^2"])
+    assert rc == 0 and counts["raised"] == 4
+    rc, counts = run_op(["rees", "--map", "x0^2, x1^2"])
+    assert rc == 0 and counts["raised"] == 0
+    assert conditions._raised is blowup._raised is raised
+    table, _ = workload_counts("eliminate_fp", 1, 1, labels=True)
+    # the height pass streams the minors of the linear 6x5 matrix
+    assert table["conditions m65"]["raised"] > 0 and table["rees"]["raised"] == 0
+    assert main(["--seed", "1", "--rounds", "1", "--workload", "eliminate_fp"]) == 0
+    header = capsys.readouterr().out.splitlines()[1].split()
+    assert header[header.index("koszul") + 1] == "raised"
+
+
 def test_zero_counts_the_empty_remainders(capsys):
     ctx = RingCtx(("x", "y"), FieldSpec(32003))
     I = gb.ideal(ctx, [parse_poly("x^2 - y^2", ctx)])
