@@ -124,6 +124,7 @@ from itertools import combinations_with_replacement
 from math import comb, lcm, prod
 
 from .conditions import (
+    _KERNEL_COLUMNS,
     PresentationMatrix,
     _coprime_pair,
     _on_line,
@@ -508,16 +509,6 @@ def jacobian_independent(forms):
         if len(_gauss_jordan(rows, p, budget, stop=len(rows))) == len(rows):
             return True
     return False
-
-
-# the widest syzygy kernel the Hilbert-Burch rule builds: (r+1)*C(e+r, r)
-# columns in degree e.  On a 2-vCPU VM the rule took about 60 ms on a
-# 3 x 2 matrix of sextics (84 columns), and 1.6 s on x0^5000, x1^5000,
-# whose one column of degree 5000 is a kernel of 10 002 columns, where
-# the Rees route takes 0.01 s; a wider kernel is left to the Rees route.
-# It bounds the 2d rows of the Koszul exit's coprimality test too, which
-# on x0^5000, x1^5000 would restrict forms of degree 5000 to a line
-_KERNEL_COLUMNS = 120
 
 
 def _syzygy_kernel(forms, units, p, budget, pinned=frozenset()):

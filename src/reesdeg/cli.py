@@ -19,16 +19,12 @@ as in `--points -1,2`.  A command line that starts with a subcommand is
 parsed by that subcommand's parser alone; any other, and one that
 leaves arguments unrecognized, goes through the full parser, so every
 usage error keeps the text and exit code the full parser gives it.
-One step budget covers every Groebner
-computation of the command, the products of the chain behind its
-minors and sub-Pfaffians and the row operations of the block they
-stream into, the products of I^n, the Jacobian rank test of image,
-fiber-cone and degree, and the Jacobian dual test of degree, jmult and
-sfib-hf.  Each map command reads its map's facts off one context
+One step budget covers the whole command; `groebner.step_budget` lists
+what costs a step.  Its default, DEFAULT_BUDGET steps, can be set
+through the REESDEG_BUDGET environment variable and overridden per run
+with --budget.  Each map command reads its map's facts off one context
 (`ratmap.RationalMapSpec`), which computes each fact once, so sfib-hf
-reads the Jacobian dual verdict once for all its points.  The budget's
-default, DEFAULT_BUDGET steps, can be set through the REESDEG_BUDGET
-environment variable and overridden per run with --budget.
+reads the Jacobian dual verdict once for all its points.
 """
 
 import argparse
@@ -43,7 +39,6 @@ from .blowup import _form_degree
 from .conditions import check_Fm, check_Gm, parse_matrix_file
 from .families import Family, FamilySpec, j_multiplicity, make_family, specialization_sweep
 from .groebner import DEFAULT_BUDGET, BudgetExceeded, groebner_basis, parse_generators, step_budget
-from .hilbert import dim_degree
 from .ratmap import (
     DEFAULT_SEED,
     degree_report,
@@ -124,9 +119,9 @@ def _load_family(args):
         if ctx.n_params == 0:
             raise RingError("family file must declare params in its ring header")
         _fixed_field(args, ctx, "the family file's ring")
-        spec = FamilySpec("file", prime=ctx.field.characteristic)
         # a zero form is rejected here, as in a map
-        return Family(spec, ctx, None, tuple(forms), _form_degree(forms))
+        _form_degree(forms)
+        return Family(ctx, None, tuple(forms))
     if name == "dejonquieres":
         spec = FamilySpec("dejonquieres", m=2 if args.m is None else args.m, prime=_prime(args))
         return make_family(spec)
@@ -163,14 +158,6 @@ def _family_points(args, fam):
     return _parse_points(args.points, "0,1", fam.ctx.n_params, fam.ctx.field.characteristic)
 
 
-def _jsonable(v):
-    if v is math.inf:
-        return "inf"
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
-
-
 def _cert_payload(cert):
     return {
         "condition": cert.condition,
@@ -179,7 +166,8 @@ def _cert_payload(cert):
             {
                 "i": i,
                 "minor_size": size,
-                "height": _jsonable(ht),
+                # JSON has no infinity
+                "height": "inf" if ht is math.inf else ht,
                 "threshold": thr,
                 "ok": ok,
             }
@@ -248,10 +236,9 @@ def cmd_degree(args):
 
 def cmd_image(args):
     spec = _load_map(args)
-    fib = spec.fiber
-    summ = dim_degree(fib)
+    img = spec.image
     _emit_ideal(
-        args, "image", spec.ctx, fib, dim_image=summ.proj_dim_of_scheme, deg_image=summ.degree
+        args, "image", spec.ctx, spec.fiber, dim_image=img.proj_dim_of_scheme, deg_image=img.degree
     )
 
 

@@ -61,14 +61,15 @@ of full rank prove a span whatever the points are, and a rank mod q is
 at most the rank over Q.  For p > t, and over Q, the points are
 unisolvent for forms of degree t, so the values span exactly when the
 forms do (over Q unless q lowers a rank).  Entries take no product to
-save and stream their terms.  An index whose forms are too few to fill
-the pivots streams nothing, and one whose stream does not span takes
-the run on its forms.  The stream reads its index tuples in reverse
-lexicographic order, later rows first: the chain expands along the
-first index, so the forms that come first share their sub-Pfaffians on
-the later indices.  `minors`, `pfaffians` and `fitting_ideal` keep the
-lexicographic order, and so do the heights of every other matrix,
-whose ideals take the run with all their forms.
+save and stream their terms.  An index streams nothing when its forms
+are too few to fill the pivots, or when one of them would be raised by
+more than `_KERNEL_COLUMNS` monomials; it then takes the run on its
+forms, as does one whose stream does not span.  The stream reads its
+index tuples in reverse lexicographic order, later rows first: the
+chain expands along the first index, so the forms that come first share
+their sub-Pfaffians on the later indices.  `minors`, `pfaffians` and
+`fitting_ideal` keep the lexicographic order, and so do the heights of
+every other matrix, whose ideals take the run with all their forms.
 
 By default the chain runs on the entries' own terms, packed monomials
 of the ring (see `ring`), where `+` multiplies two monomials, and a
@@ -92,7 +93,7 @@ from math import comb
 
 from .groebner import IdealHandle, _budget, _charge, _gauss_jordan, _homogeneous, _integral
 from .hilbert import lead_ideal, monomial_dim_degree
-from .ring import EXP_BOUND, _MASK, Poly, RingError, _monomials, _overflow, monomials_of_degree
+from .ring import _MASK, Poly, RingError, _monomials, _product_sum, monomials_of_degree
 from .ring import format_poly, format_ring_header, parse_poly, parse_ring_header
 
 
@@ -131,31 +132,12 @@ class PresentationMatrix:
 
 
 def _expansion(products, p):
-    """Packed sum of the signed products (negate, a, b) of term dicts
-    whose keys add when two terms multiply: packed monomials, or the
-    powers of t of binary forms on a line (`_on_line`).  One step of the
-    step budget each.  Over F_p the products add up as plain ints,
-    reduced once."""
-    acc = {}
-    get = acc.get
-    budget = _budget()
-    for negate, a, b in products:
-        _charge(budget)
-        for m1, c1 in a.items():
-            if negate:
-                c1 = -c1
-            for m2, c2 in b.items():
-                m = m1 + m2
-                acc[m] = get(m, 0) + c1 * c2
-    got = {}
-    for m, c in acc.items():
-        if p:
-            c %= p
-        if c:
-            if m & EXP_BOUND:
-                raise _overflow()
-            got[m] = c
-    return got
+    """`ring._product_sum` of the list of signed products (negate, a, b)
+    of term dicts whose keys add: packed monomials, or the powers of t of
+    binary forms on a line (`_on_line`).  One step of the step budget
+    each."""
+    _charge(_budget(), len(products))
+    return _product_sum(products, p)
 
 
 def _pointwise(products, q):
@@ -258,6 +240,19 @@ def column_degrees(M):
 def _shifted(f, u):
     """f times u, for term dicts whose keys add: packed, or on a line."""
     return {m + u: c for m, c in f.items()}
+
+
+# the widest linear-algebra certificate: the columns of a syzygy kernel of
+# the Hilbert-Burch rule of `blowup`, (r+1)*C(e+r, r) in degree e, the 2d
+# Sylvester rows of a coprimality test, and the monomials that raise one
+# form of a span test.  On a 2-vCPU VM the rule took about 60 ms on a
+# 3 x 2 matrix of sextics (84 columns), and 1.6 s on x0^5000, x1^5000,
+# whose one column of degree 5000 is a kernel of 10 002 columns, where
+# the Rees route takes 0.01 s.  The span test of Fitt_2 of a 3 x 2 matrix
+# of column degrees (100, 1) would raise each entry of degree 1 by 5 050
+# monomials, 13.3 M steps where the run takes 4.  A wider certificate is
+# left to the run it stands in for.
+_KERNEL_COLUMNS = 120
 
 
 def _raised(forms, lifts, units, times):
@@ -405,11 +400,13 @@ class _Lattice:
     Called on a packed monomial, a lattice gives its values, computed on
     first use and kept.  Make one with `_lattice`."""
 
-    __slots__ = ("points", "unpack", "q", "_known")
+    __slots__ = ("points", "unpack", "q", "one", "_known")
 
     def __init__(self, pk, t, q):
         self.points = tuple(monomials_of_degree(len(pk.shifts), t))
-        self.unpack, self.q, self._known = pk.unpack, q, {}
+        # the values of the constant monomial, which packs to 0
+        self.one = [1] * len(self.points)
+        self.unpack, self.q, self._known = pk.unpack, q, {0: self.one}
 
     def __call__(self, m):
         got = self._known.get(m)
@@ -420,7 +417,10 @@ class _Lattice:
         return got
 
     def times(self, f, u):
-        """The values f times the values u, as a row keyed by point."""
+        """The values f, reduced mod q, times the values u, as a row keyed
+        by point: f's own nonzero values when u is the constant's."""
+        if u is self.one:
+            return {i: v for i, v in enumerate(f) if v}
         q = self.q
         return {i: w for i, v in enumerate(map(operator.mul, f, u)) if (w := v % q)}
 
@@ -484,7 +484,8 @@ def _height_pass(M):
     streams as its products with the monomials that raise it to degree
     t, read off its tuple.  Those lie in the ideal, so a span of S_t
     proves height nvars again.  An index that cannot span or does not
-    takes the run on its forms.
+    takes the run on its forms.  A coprimality or span test that would
+    pass `_KERNEL_COLUMNS` declines before it reads a form.
     """
     ctx = M.ctx
     n, p = ctx.nvars, ctx.field.characteristic
@@ -507,14 +508,16 @@ def _height_pass(M):
     def spans(size):
         """True when the forms of index `size`, raised to the top degree
         t, span S_t, streamed as values or as terms; False, with no form
-        read, when fewer than dim S_t rows can come."""
+        read, when fewer than dim S_t rows can come or one form would be
+        raised by more than `_KERNEL_COLUMNS` monomials."""
         t = sum(sorted(mu)[-size:]) if mu else degree * (size if minor else size // 2)
         span = comb(n - 1 + t, t)
         lifts = [
             t - sum(mu[c - M.nrows] for c in idx[size:]) if mu else 0
             for idx in reversed(_tuples(M, size, minor))
         ]
-        if sum(comb(n - 1 + e, e) for e in lifts) < span:
+        widths = [comb(n - 1 + e, e) for e in lifts]
+        if sum(widths) < span or max(widths) > _KERNEL_COLUMNS:
             return False
         if q > t and size > (1 if minor else 2):
             lattice = _lattice(ctx.packing, t, q)
@@ -535,10 +538,15 @@ def _height_pass(M):
     def coprime_pair(size):
         """True when two of the first three maximal minors that the
         stream reads and that do not vanish on the line of `_on_line`
-        restrict to binary forms that `_coprime` certifies coprime."""
+        restrict to binary forms that `_coprime` certifies coprime; False,
+        with no form read, when their 2d Sylvester rows exceed
+        `_KERNEL_COLUMNS`."""
+        d = sum(mu)
+        if 2 * d > _KERNEL_COLUMNS:
+            return False
         on = (lambda e: _on_line(ctx, e.terms, p), partial(_expansion, p=p))
         first = islice(filter(None, _chain(M, size, {}, minor, True, on)), 3)
-        return _coprime_pair([_integral(f, p)[0] for f in first], sum(mu), p)
+        return _coprime_pair([_integral(f, p)[0] for f in first], d, p)
 
     def height_of(size):
         if size not in found:

@@ -43,6 +43,7 @@ from .ring import (
     Poly,
     RingCtx,
     RingError,
+    _product_sum,
     monomials_of_degree,
 )
 
@@ -53,11 +54,10 @@ ELL_NOT_MAXIMAL = "ell-not-maximal"
 class FamilySpec:
     """Recipe for one family instance.
 
-    kind: hilbert_burch | pfaffian | dejonquieres | file.  `mu` gives
-    the column degrees for hilbert_burch (weakly increasing, positive),
-    `D` the entry degree for pfaffian, `m` the de Jonquieres parameter.
-    `seed` draws the coefficients of the random kinds.  A `file` family
-    is read from a family file, so `make_family` has no recipe for it.
+    kind: hilbert_burch | pfaffian | dejonquieres.  `mu` gives the
+    column degrees for hilbert_burch (weakly increasing, positive), `D`
+    the entry degree for pfaffian, `m` the de Jonquieres parameter.
+    `seed` draws the coefficients of the random kinds.
     """
 
     kind: str
@@ -69,7 +69,7 @@ class FamilySpec:
     prime: int = DEFAULT_PRIME
 
     def __post_init__(self):
-        if self.kind not in ("hilbert_burch", "pfaffian", "dejonquieres", "file"):
+        if self.kind not in ("hilbert_burch", "pfaffian", "dejonquieres"):
             raise RingError("unknown family kind %r" % self.kind)
         if self.kind == "hilbert_burch":
             mu = tuple(self.mu)
@@ -89,7 +89,8 @@ class FamilySpec:
 
 @dataclass
 class Family:
-    """A realized family: presentation matrix, map coordinates, degree.
+    """A realized family: its ring, presentation matrix (None for a
+    family read from a file) and map coordinates.
 
     Parameter-free instances expose map coordinates directly.  A
     parametric instance keeps its parameters in the ring and computes, on
@@ -101,11 +102,9 @@ class Family:
     (`member`).  Every other point takes the full route.
     """
 
-    spec: FamilySpec
     ctx: RingCtx
     matrix: PresentationMatrix
     forms: tuple
-    degree: int
 
     @property
     def parametric(self):
@@ -171,11 +170,9 @@ def dense_form(ctx, degree, rng, nx=None):
 def _check_syzygies(rows, forms, what):
     """Each row times the column of forms vanishes; `what` names the
     forms in the error message."""
+    p = forms[0].ctx.field.characteristic
     for row in rows:
-        acc = Poly.zero(forms[0].ctx)
-        for e, g in zip(row, forms):
-            acc = acc + e * g
-        if acc:
+        if _product_sum([(False, e.terms, g.terms) for e, g in zip(row, forms)], p):
             raise AssertionError("syzygy check failed for the signed %s" % what)
 
 
@@ -220,7 +217,7 @@ def make_family(spec):
         M = PresentationMatrix(ctx, entries)
         forms = signed_maximal_minors(M)
         _check_syzygies(zip(*M.entries), forms, "minors")
-        return Family(spec, ctx, M, tuple(forms), sum(spec.mu))
+        return Family(ctx, M, tuple(forms))
     if spec.kind == "pfaffian":
         n = spec.r + 1
         ctx = _coord_ctx(n, spec.prime)
@@ -233,9 +230,7 @@ def make_family(spec):
                 entries[j][i] = -f
         M = PresentationMatrix(ctx, entries)
         forms = submaximal_pfaffians(M)
-        return Family(spec, ctx, M, tuple(forms), spec.D * (spec.r // 2))
-    if spec.kind != "dejonquieres":
-        raise RingError("family kind %r has no recipe; read it from its file" % spec.kind)
+        return Family(ctx, M, tuple(forms))
     # de Jonquieres: one parameter, fixed shape
     ctx = RingCtx(("x", "y", "z", "a"), FieldSpec(spec.prime), n_params=1)
     x, y, z, a = (Poly.var(ctx, i) for i in range(4))
@@ -250,7 +245,7 @@ def make_family(spec):
     )
     forms = signed_maximal_minors(M)
     _check_syzygies(zip(*M.entries), forms, "minors")
-    return Family(spec, ctx, M, tuple(forms), m + 1)
+    return Family(ctx, M, tuple(forms))
 
 
 def _specialized_matrix(fam, sub, point):
@@ -268,7 +263,7 @@ def specialized_family(fam, point):
         raise RingError("family carries no parameters")
     special = specialize_forms(list(fam.forms), point)
     sub = special[0].ctx
-    return Family(fam.spec, sub, _specialized_matrix(fam, sub, point), tuple(special), fam.degree)
+    return Family(sub, _specialized_matrix(fam, sub, point), tuple(special))
 
 
 @dataclass(frozen=True)

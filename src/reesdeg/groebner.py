@@ -156,16 +156,21 @@ _ACTIVE_BUDGET = ContextVar("step_budget", default=None)
 @contextmanager
 def step_budget(limit):
     """Charge every computation inside the block against one budget of
-    `limit` steps: reductions, reduced S-pairs, pairs and rows examined by
-    pair updates, row operations and rows scanned in seed blocks and in
-    span tests, monomial divisibility tests, the products of the chain
-    behind the minors and sub-Pfaffians of `conditions` and of the power
-    loop in `blowup.saturated_fiber_dim`, each row of a span test that a
-    monomial of positive degree raises (`conditions._raised`: the Fitting
-    stream, the Sylvester rows of the coprimality test, the Koszul exit's
-    m-primary span), the product terms formed, form terms evaluated and
-    row operations of the Jacobian and Hilbert-Burch rules of `blowup`,
-    and the product terms and row operations of `hilbert_burch_sfib`."""
+    `limit` steps.  This is the one full list of what costs a step:
+    - reductions, reduced S-pairs, pairs and rows examined by pair
+      updates, and monomial divisibility tests;
+    - row operations and rows scanned in seed blocks and span tests;
+    - the products of the chain behind the minors and sub-Pfaffians of
+      `conditions` (on terms, on values or on a line), and of the power
+      loop in `blowup.saturated_fiber_dim`;
+    - each row of a span test that a monomial of positive degree raises
+      (`conditions._raised`: the Fitting stream, the 2d Sylvester rows of
+      the coprimality test, the Koszul exit's m-primary span);
+    - each form term restricted to the line of a coprimality test;
+    - the product terms formed, form terms evaluated and row operations
+      of the Jacobian rank, Jacobian dual and Hilbert-Burch rules of
+      `blowup`, the Hilbert-Burch kernels among them;
+    - the product terms and row operations of `hilbert_burch_sfib`."""
     if limit < 1:
         raise ValueError("budget must be at least 1, got %d" % limit)
     token = _ACTIVE_BUDGET.set(_Budget(limit))

@@ -103,8 +103,8 @@ not be m-primary, as in [[x0, b0], [x1, b1], [0, b2]]: such maps take
 the search.
 
 The context holds the `blowup.HilbertBurch` certificate: the column
-degrees mu, which `degree_map`, `degree_report` and
-`families.j_multiplicity` read, and the matrix phi, built on its first
+degrees mu, which `degree_map` reads for `degree_report` and
+`families.j_multiplicity`, and the matrix phi, built on its first
 read.  The saturated fiber cone of such a map takes no power of I
 either: `blowup.hilbert_burch_sfib` reads it off mu when every
 d - mu_j <= r, and else off phi, from the Koszul complex of the graph
@@ -265,8 +265,9 @@ def base_locus(spec):
 def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """Degree of the map onto its image, d_r / deg Y from the class of
     the graph; from no basis, 1 when the Jacobian dual rule certifies the
-    map and prod mu_j when the Hilbert-Burch rule does.  Returns (value
-    or marker, log); the log is empty, since the answer is exact.
+    map, prod mu_j when the Hilbert-Burch rule does, and the marker when
+    s < r.  Returns (value or marker, log); the log is empty, since the
+    answer is exact.
 
     `trials` and `seed` are validated and otherwise unused, and the log
     stays in the result, because the span tracer in perfbench/tracer.py
@@ -274,6 +275,9 @@ def degree_map(spec, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     """
     if trials < 1:
         raise ValueError("trials must be at least 1, got %d" % trials)
+    if spec.s < spec.r:
+        # the image has dimension at most s
+        return NOT_GENERICALLY_FINITE, ()
     if spec.certified("birational"):
         return 1, ()
     hb = spec.certified("hilbert_burch")
@@ -309,29 +313,19 @@ class DegreeReport:
 
 
 def degree_report(spec):
-    """The DegreeReport of a map, read off its context.
-
-    A map that the Jacobian dual rule or the Hilbert-Burch rule certifies
-    is onto P^r: deg Y = 1, dim Y = r, spread r+1, and d_r = deg F, 1
-    for the one and prod mu_j for the other.  With s < r the map is not
-    generically finite, and the report needs only the image, from no
-    basis when the forms are certified independent.  Every other map
-    needs d_r, and so the Rees basis.
-    """
-    if spec.certified("birational") or spec.certified("hilbert_burch"):
-        # the degree goes through the module attribute, as below
-        value, _ = degree_map(spec)
-        return DegreeReport(value, 1, spec.r, spec.r + 1, value)
-    if spec.s >= spec.r:
-        spec.rees  # d_r needs the Rees basis, and the image is then read off it
-    img = spec.image
-    dim_image = img.proj_dim_of_scheme
-    if dim_image < spec.r:
-        return DegreeReport(NOT_GENERICALLY_FINITE, img.degree, dim_image, img.dim, None)
+    """The DegreeReport of a map from one call of `degree_map`.  A map
+    whose degree a certificate gave, with no Rees basis, is onto P^r:
+    deg Y = 1, dim Y = r, spread r+1 and d_r = deg F.  Every other map
+    reports the image of its context (`RationalMapSpec.image`)."""
     # through the module attribute, which perfbench's self-test replaces
-    # to inject a wrong degree; d_r = deg F * deg Y, as degree_map asserts
+    # to inject a wrong degree
     value, _ = degree_map(spec)
-    return DegreeReport(value, img.degree, dim_image, img.dim, value * img.degree)
+    finite = value != NOT_GENERICALLY_FINITE
+    if finite and "rees" not in vars(spec):
+        return DegreeReport(value, 1, spec.r, spec.r + 1, value)
+    img = spec.image
+    top = value * img.degree if finite else None
+    return DegreeReport(value, img.degree, img.proj_dim_of_scheme, img.dim, top)
 
 
 def sfib_hilbert_function(spec, n):
@@ -344,7 +338,7 @@ def sfib_hilbert_function(spec, n):
     docstring), or from mu alone when every d - mu_j <= r.  A map of P^1
     reads no Hilbert-Burch fact here; it, every other map, and a
     certified map whose matrix the search cannot build within
-    `blowup._KERNEL_COLUMNS` take `blowup.saturated_fiber_dim`."""
+    `conditions._KERNEL_COLUMNS` take `blowup.saturated_fiber_dim`."""
     if n < 0:
         raise ValueError("power must be nonnegative")
     if n == 0:

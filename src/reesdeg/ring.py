@@ -351,12 +351,30 @@ def _pack_checked(ctx, mon):
     return ctx.key(mon)
 
 
-def _checked_degrees(terms):
-    """`terms`, after checking that no product set the degree guard bit."""
-    for m in terms:
-        if m & EXP_BOUND:
-            raise _overflow()
-    return terms
+def _product_sum(products, p):
+    """Packed sum of the signed products (negate, a, b) of term dicts
+    whose keys add when two terms multiply: packed monomials, or the
+    powers of t of binary forms on a line.  Over F_p the products add up
+    as plain ints, and each sum is reduced once; a nonzero term whose
+    degree reaches the bound raises `RingError`."""
+    acc = {}
+    get = acc.get
+    for negate, a, b in products:
+        for m1, c1 in a.items():
+            if negate:
+                c1 = -c1
+            for m2, c2 in b.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    got = {}
+    for m, c in acc.items():
+        if p:
+            c %= p
+        if c:
+            if m & EXP_BOUND:
+                raise _overflow()
+            got[m] = c
+    return got
 
 
 class Poly:
@@ -454,22 +472,8 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        f = self.ctx.field
-        p = f.characteristic
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 + m2
-                c = c1 * c2
-                prev = out.get(m)
-                c = c if prev is None else prev + c
-                if p:
-                    c %= p
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
-        return Poly(self.ctx, _checked_degrees(out), _clean=True)
+        product = _product_sum(((False, self.terms, other.terms),), self.ctx.field.characteristic)
+        return Poly(self.ctx, product, _clean=True)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -483,13 +487,7 @@ class Poly:
 
     def mul_term(self, mon, c):
         """self times c * x^mon, for an exponent tuple mon."""
-        f = self.ctx.field
-        u = _pack_checked(self.ctx, mon)
-        c = f.norm(c)
-        if not c:
-            return Poly.zero(self.ctx)
-        out = {m + u: f.mul(v, c) for m, v in self.terms.items()}
-        return Poly(self.ctx, _checked_degrees(out), _clean=True)
+        return self * Poly.from_mon(self.ctx, mon, c)
 
     def monic(self):
         if not self.terms:

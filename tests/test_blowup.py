@@ -525,7 +525,7 @@ class TestSpecialization:
         ctx, fam = forms_of(("x", "y", "a"), ["x^2", "a*x*y", "y^2"], n_params=1)
         with pytest.raises(RingError):
             specialization_compare(fam, (0,), rees_ideal(fam))
-        family = Family(FamilySpec("file"), ctx, None, tuple(fam), 2)
+        family = Family(ctx, None, tuple(fam))
         for read in (family.gr_dimension, family.member):
             with pytest.raises(RingError, match="kills generator 1"):
                 read((0,))

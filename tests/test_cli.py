@@ -346,6 +346,19 @@ class TestConditions:
         heights = [row["height"] for row in payload["G"]["table"]]
         assert heights == [2, 2]
 
+    def test_unit_ideal_height_is_inf(self, capsys, tmp_path):
+        # the unit entry makes Fitt_1 the unit ideal, of height inf, which
+        # JSON spells as a string
+        path = tmp_path / "m.txt"
+        path.write_text("ring x0 x1 over 32003\nmatrix 2 x 1\n1\nx0\n")
+        code, out = run(capsys, ["conditions", "--matrix", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert [row["height"] for row in payload["F"]["table"]] == ["inf"]
+        assert payload["G"]["table"] == [
+            {"i": 1, "minor_size": 1, "height": "inf", "threshold": 1, "ok": True}
+        ]
+
     def test_degree_past_packed_bound_is_two(self, capsys, tmp_path):
         # Fitt_1 of a 3 x 2 matrix takes 2-minors from the chain, and the
         # first one, x0^(2e) - 1, reaches EXP_BOUND: an error, not a wrap
@@ -494,13 +507,14 @@ class TestSweep:
         assert code == 0
         assert json.loads(out)["prime"] == int(argv[1])
 
-    def test_family_file_has_its_own_kind_and_degree(self, tmp_path):
+    def test_family_file_has_its_own_ring_and_forms(self, tmp_path):
         path = tmp_path / "family.txt"
         path.write_text("ring x y z params a over 32003\na*x^3\ny^3\nx*y*z + a*z^3\n")
         fam = _load_family(build_parser().parse_args(["sweep", "--family", str(path)]))
-        assert fam.spec.kind == "file"
+        # a family file states forms, not a presentation matrix
+        assert fam.matrix is None and fam.ctx.n_params == 1
         # the parameter a does not count towards the degree
-        assert fam.degree == 3
+        assert [g.bidegree(3) for g in fam.forms] == [(3, 0)] * 3
 
     def test_gr_dim_rows(self, capsys):
         code, out = run(
@@ -1035,9 +1049,11 @@ class TestFlagTable:
         for command in ("sweep", "gr-dim"):
             args = parser.parse_args([command, "--family", "dejonquieres"])
             assert args.m is None
-            assert _load_family(args).spec.m == 2
+            m2 = families.make_family(families.FamilySpec("dejonquieres", m=2))
+            assert _load_family(args).forms == m2.forms
             args = parser.parse_args([command, "--family", "dejonquieres", "--m", "3"])
-            assert _load_family(args).spec.m == 3
+            m3 = families.make_family(families.FamilySpec("dejonquieres", m=3))
+            assert _load_family(args).forms == m3.forms
         assert parser.parse_args(["conditions", "--matrix", "m.txt"]).m is None
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -883,6 +884,24 @@ class TestSpanningStream:
             (6, 0, 0),
         ]
 
+    def test_denominator_of_q_streams_terms(self, monkeypatch):
+        # over Q a denominator that q divides has no value mod q, so the
+        # matrix takes no values and streams terms; its heights are those
+        # of the matrix with that row cleared of the denominator, a row
+        # times a unit, which takes values
+        q = conditions._VALUE_PRIME
+        rows = [["x1", "x2", "x0"], ["x2", "x0 + x1", "x1"], ["x0 + x2", "x1", "x0 - x2"]]
+        lattices = []
+        inner = conditions._lattice
+        monkeypatch.setattr(conditions, "_lattice", lambda *args: lattices.append(args) or inner(*args))
+        _, fractional = mat(("x0", "x1", "x2"), [["1/%d*x0" % q, "x1", "x2"]] + rows)
+        heights = fractional.heights
+        assert lattices == []
+        _, cleared = mat(("x0", "x1", "x2"), [["x0", "%d*x1" % q, "%d*x2" % q]] + rows)
+        assert heights == cleared.heights == (2, 3, 3)
+        assert heights == tuple(height(fitting_ideal(fractional, i)) for i in (1, 2, 3))
+        assert [args[2] for args in lattices] == [q]
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 10**6),
@@ -1007,6 +1026,25 @@ class TestSpanningStream:
             assert conditions._coprime({0: 1}, {d: 1}, d, 32003)
         with pytest.raises(groebner.BudgetExceeded), groebner.step_budget(2 * d - 1):
             conditions._coprime({0: 1}, {d: 1}, d, 32003)
+
+    @pytest.mark.parametrize("D", [100, 400])
+    def test_wide_certificates_are_left_to_the_run(self, D, tmp_path, capsys, monkeypatch):
+        # columns of degrees (D, 1): the coprimality test of Fitt_1 would
+        # rank 2(D + 1) Sylvester rows, and the span test of Fitt_2 would
+        # raise each linear entry by C(D + 1, 2) monomials, millions of
+        # steps in all.  Both exceed _KERNEL_COLUMNS and read no form, and
+        # Fitt_1 and Fitt_2 take their runs, within the default budget
+        raised = []
+        monkeypatch.setattr(conditions, "_raised", lambda *args: raised.append(args) or iter(()))
+        path = tmp_path / "m.txt"
+        path.write_text(
+            "ring x0 x1 x2 over 32003\nmatrix 3 x 2\nx0^%d, x1\nx1^%d, x2\nx2^%d + x0^%d, x0\n"
+            % (D, D, D, D)
+        )
+        assert main(["conditions", "--matrix", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["height"] for row in payload["F"]["table"]] == [2, 3]
+        assert raised == []
 
 
 class TestPfaffianRoute:

@@ -63,10 +63,10 @@ class TestFamilySpec:
             FamilySpec("elephant")
 
     def test_file_kind_has_no_recipe(self):
-        # a family file is read by the CLI; make_family must not build
-        # the de Jonquieres family in its place
-        with pytest.raises(RingError, match="no recipe"):
-            make_family(FamilySpec("file"))
+        # the CLI reads a family file straight into a `Family`, so no
+        # recipe kind stands for it
+        with pytest.raises(RingError, match="unknown family kind"):
+            FamilySpec("file")
 
 
 class TestHilbertBurch:
@@ -74,7 +74,6 @@ class TestHilbertBurch:
         fam = make_family(FamilySpec("hilbert_burch", r=2, mu=(1, 2), seed=1))
         assert fam.matrix.nrows == 3 and fam.matrix.ncols == 2
         assert len(fam.forms) == 3
-        assert fam.degree == 3
         for g in fam.forms:
             assert g.bidegree(fam.ctx.nvars) == (3, 0)
 
@@ -132,7 +131,6 @@ class TestPfaffian:
         fam = make_family(FamilySpec("pfaffian", r=4, D=1, seed=3))
         assert fam.matrix.nrows == 5
         assert len(fam.forms) == 5
-        assert fam.degree == 2
         for g in fam.forms:
             assert g.bidegree(fam.ctx.nvars) == (2, 0)
 
@@ -175,8 +173,8 @@ class TestDeJonquieres:
         fam = make_family(FamilySpec("dejonquieres", m=2))
         assert fam.parametric
         assert fam.ctx.var_names == ("x", "y", "z", "a")
-        assert fam.degree == 3
-        assert len(fam.forms) == 3
+        # the parameter a does not count towards the degree
+        assert [g.bidegree(3) for g in fam.forms] == [(3, 0)] * 3
 
     def test_random_specialized_draws_nonzero(self):
         a = random.Random(9).randrange(1, 32003)
@@ -256,7 +254,7 @@ class TestDeJonquieres:
 
     def test_matrixless_family_tolerated(self):
         fam = make_family(FamilySpec("dejonquieres", m=2))
-        bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
+        bare = Family(fam.ctx, None, fam.forms)
         rows = specialization_sweep(bare, [1])
         assert rows[0].g_condition is None
         assert rows[0].deg_map == 2
@@ -279,7 +277,7 @@ class TestCertifiedSweep:
 
     def same_rows(self, fam, points):
         # the same family with nothing cached
-        oracle = Family(fam.spec, fam.ctx, fam.matrix, fam.forms, fam.degree)
+        oracle = Family(fam.ctx, fam.matrix, fam.forms)
         assert specialization_sweep(fam, points) == sweep_oracle.sweep_rows(oracle, points)
         for pt in [(p,) if isinstance(p, int) else p for p in points]:
             # a point that kills a form fails with the same message
@@ -312,7 +310,7 @@ class TestCertifiedSweep:
         ctx = RingCtx(("x", "y", "z", "a", "b"), FieldSpec(prime), n_params=2)
         texts = ("a*x^2 + b*y^2", "x*y + a*z^2", "b*y*z + x^2 - z^2")
         forms = tuple(parse_poly(t, ctx) for t in texts)
-        fam = Family(FamilySpec("file", prime=prime), ctx, None, forms, 2)
+        fam = Family(ctx, None, forms)
         points = [(a, b) for a in range(-2, 5) for b in range(-2, 5)]
         self.same_rows(fam, points)
         assert any(fam.special_rees(pt) is None for pt in points)
@@ -325,7 +323,7 @@ class TestCertifiedSweep:
         ctx = RingCtx(("x", "y", "z", "a"), FieldSpec(prime), n_params=1)
         texts = ("y*z*a + 4*x^2", "x^2*a + 5*z^2", "6*z^2*a + 6*x^2 + 3*x*z + 2*y*z")
         forms = tuple(parse_poly(t, ctx) for t in texts)
-        fam = Family(FamilySpec("file", prime=prime), ctx, None, forms, 2)
+        fam = Family(ctx, None, forms)
         self.same_rows(fam, list(range(-3, 7)))
         generic = fam.generic_rees
         certified = [(a,) for a in range(1, 7) if fam.special_rees((a,)) is not None]
@@ -346,7 +344,7 @@ class TestCertifiedSweep:
 
     def test_certified_point_makes_no_run(self, monkeypatch, capsys):
         fam = make_family(FamilySpec("dejonquieres", m=2))
-        bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
+        bare = Family(fam.ctx, None, fam.forms)
         runs = count_buchberger_runs(monkeypatch)
         rows = specialization_sweep(bare, [5, 1])
         # the generic graph basis is the one run; no Rees or gr basis
@@ -361,7 +359,7 @@ class TestCertifiedSweep:
 
     def test_zero_takes_the_full_route(self, monkeypatch):
         fam = make_family(FamilySpec("dejonquieres", m=2))
-        bare = Family(fam.spec, fam.ctx, None, fam.forms, fam.degree)
+        bare = Family(fam.ctx, None, fam.forms)
         bare.generic_rees
         assert bare.special_rees((0,)) is None
         runs = count_buchberger_runs(monkeypatch)

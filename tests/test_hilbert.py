@@ -232,7 +232,7 @@ class TestHilbertFunction:
     def test_frozen_example(self):
         _, I = mk(("x", "y"), ["x^2", "x*y"])
         assert hilbert_function(I, 5) == 1
-        assert [hilbert_function(I, k) for k in range(4)] == [1, 2, 1, 1]
+        assert [hilbert_function(I, k) for k in range(-2, 4)] == [0, 0, 1, 2, 1, 1]
 
     def test_twisted_cubic_values(self):
         _, I = mk(

@@ -423,6 +423,18 @@ class TestCertificateChecks:
         assert presents_linear_type(M, forms) is False
         assert runs == []
 
+    def test_constant_term_is_no_coordinate_zero(self):
+        # entries that all vanish at (0:0:1) have a common coordinate
+        # zero; a constant term vanishes at no point, so the entry 1 - x0
+        # ends the scan, though no entry has a term in x2 alone
+        ctx = RingCtx(("x0", "x1", "x2"), FieldSpec(32003))
+        x0, x1, _ = (Poly.var(ctx, k) for k in range(3))
+        zero = Poly.zero(ctx)
+        vanishing = [[x1, zero], [-x0, x1], [zero, -x0]]
+        assert blowup._common_coordinate_zero(PresentationMatrix(ctx, vanishing))
+        vanishing[2][1] = Poly.constant(ctx, 1) - x0
+        assert not blowup._common_coordinate_zero(PresentationMatrix(ctx, vanishing))
+
     def test_shape_is_checked(self):
         ctx, forms = conic_of_p2(32003)
         M = PresentationMatrix(ctx, [[Poly.var(ctx, 0)]] * 3)

@@ -119,10 +119,13 @@ def test_private_imports_are_found():
 # a module above them that reaches into it would fail here.  blowup also
 # restricts forms to the line of the coprimality test of conditions, and
 # raises the entries of its m-primary span through the generator of the
-# span tests of conditions, on the packed monomials of ring.
+# span tests of conditions, on the packed monomials of ring, under the
+# one bound of conditions on linear-algebra certificates.  families sums
+# the products of its syzygy check, as Poly and the minor chain do, with
+# the one kernel of ring that multiplies term dicts.
 PRIVATE_IMPORTS = {
     "blowup": {
-        "conditions": {"_coprime_pair", "_on_line", "_raised", "_shifted"},
+        "conditions": {"_KERNEL_COLUMNS", "_coprime_pair", "_on_line", "_raised", "_shifted"},
         "groebner": {
             "_basis", "_basis_ideal", "_budget", "_charge", "_gauss_jordan", "_integral",
             "_normalize", "_with_aux_var",
@@ -130,10 +133,10 @@ PRIVATE_IMPORTS = {
         "ring": {"_is_prime", "_minimal_packed", "_monomials"},
     },
     "cli": {"blowup": {"_form_degree"}},
-    "families": {"blowup": {"_gr_ideal"}},
+    "families": {"blowup": {"_gr_ideal"}, "ring": {"_product_sum"}},
     "conditions": {
         "groebner": {"_budget", "_charge", "_gauss_jordan", "_homogeneous", "_integral"},
-        "ring": {"_MASK", "_monomials", "_overflow"},
+        "ring": {"_MASK", "_monomials", "_product_sum"},
     },
     "groebner": {
         "hilbert": {"_order_at_one"},

@@ -342,7 +342,7 @@ class TestExactDegree:
         assert len(runs) == alone == 1
 
     def test_report_reads_the_image_once(self, monkeypatch):
-        # degree_map reads the image the report read, off the context of
+        # the report reads the image degree_map read, off the context of
         # the Rees route
         calls = []
         inner = ratmap._x_free_leads
@@ -370,6 +370,16 @@ class TestExactDegree:
         runs.clear()
         assert degree_report(mkmap(("x0", "x1"), ["x0^2", "x1^2"], field)).deg_map == 2
         assert runs == []
+
+    @pytest.mark.parametrize("prime", [32003, 0], ids=["F_32003", "QQ"])
+    def test_degree_map_with_s_below_r_builds_no_rees_ideal(self, prime, monkeypatch):
+        # an image of P^2 in P^1 has dimension at most 1 < r, so neither
+        # degree_map nor is_birational needs the Rees basis
+        runs = count_buchberger_runs(monkeypatch)
+        spec = mkmap(("x0", "x1", "x2"), ["x0^2", "x1^2"], FieldSpec(prime))
+        assert degree_map(spec) == (NOT_GENERICALLY_FINITE, ())
+        assert not is_birational(spec)
+        assert runs == [] and "rees" not in vars(spec)
 
 
 class TestDegreeReport:
@@ -400,6 +410,24 @@ class TestDegreeReport:
         rep = degree_report(spec)
         assert rep.deg_map == NOT_GENERICALLY_FINITE
         assert rep.dim_image == 0
+
+    def test_report_reads_the_degree_once(self, monkeypatch):
+        # one call of degree_map on every route: the Jacobian dual rule,
+        # the Hilbert-Burch rule, s < r, a collapsed map and the Rees route
+        calls = []
+        inner = ratmap.degree_map
+        monkeypatch.setattr(ratmap, "degree_map", lambda spec: calls.append(1) or inner(spec))
+        reports = [
+            (["x1*x2", "x0*x2", "x0*x1"], DegreeReport(1, 1, 2, 3, 1)),
+            (["x0^2", "x1^2", "x2^2"], DegreeReport(4, 1, 2, 3, 4)),
+            (["x0^2", "x1^2"], DegreeReport(NOT_GENERICALLY_FINITE, 1, 1, 2, None)),
+            (["x0^2", "x0*x1", "x1^2"], DegreeReport(NOT_GENERICALLY_FINITE, 2, 1, 2, None)),
+            (["x0^2", "x0*x1", "x1^2", "x2^2"], DegreeReport(2, 2, 2, 3, 4)),
+        ]
+        for forms, want in reports:
+            calls.clear()
+            assert degree_report(mkmap(("x0", "x1", "x2"), forms)) == want
+            assert calls == [1]
 
 
     def test_one_basis_per_map(self, monkeypatch):

@@ -144,8 +144,9 @@ def test_wrong_answers_fail(monkeypatch, capsys):
     monkeypatch.setattr(ratmap, "degree_map", lambda *a, **k: (real(*a, **k)[0] + 1, ()))
     table, failures = workload_counts("saturate_fp", 1, 1)
     # every degree operation reads the degree; at seed 1 the recorded
-    # answers catch the maps that no family law covers
-    assert table["degree"]["failed"] == 7
+    # answers catch the maps that no family law covers, and `degree ngf`,
+    # whose marker takes no + 1, fails with its exception
+    assert table["degree"]["failed"] == 8
     assert len(failures) == sum(row["failed"] for row in table.values())
     assert main(["--seed", "1", "--rounds", "1", "--workload", "saturate_fp"]) == 1
     assert "FAILED saturate_fp round 0, degree" in capsys.readouterr().out
