@@ -649,19 +649,18 @@ def _koszul_degrees(ctx, forms, d, p, column, e):
     degree 2e - 2 span S_{3e-2}: one `_gauss_jordan` stream of
     `conditions._raised` rows, stopped at C(3e, 2) pivots.  The Sylvester
     block of `conditions._coprime`, 2d rows, is declined before any form
-    meets the line when it is wider than `_KERNEL_COLUMNS`.  Each raised
+    meets the line when it is wider than `_KERNEL_COLUMNS`
+    (`conditions._coprime_pair`).  Each raised
     row (`conditions._raised`), each form term on the line and each row
     operation costs one budget step.  On P^1 the line is a change of
     coordinates, so the test is exact; on P^2 the tests are one-sided:
     forms they decline go on with the search."""
-    if 2 * d > _KERNEL_COLUMNS:
-        return None
     if len(forms) == 3:
         span = comb(3 * e, 2)
         rows = _raised(column, [2 * e - 2] * 3, partial(_monomials, ctx), _shifted)
         if len(_gauss_jordan(rows, p, _budget(), span)) < span:
             return None
-    restricted = [f for g in forms if (f := _on_line(ctx, g, p))]
+    restricted = (f for g in forms if (f := _on_line(ctx, g, p)))
     if not _coprime_pair(restricted, d, p):
         return None
     return (e, d - e)[: len(forms) - 1]

@@ -382,7 +382,11 @@ def _coprime(f, g, d, p):
 def _coprime_pair(forms, d, p):
     """True when `_coprime` certifies two of the nonzero binary forms
     `forms` of degree d coprime: then the forms they restrict from
-    generate an ideal of height at least 2."""
+    generate an ideal of height at least 2.  False, with no form read
+    from the iterable `forms`, when the 2d Sylvester rows exceed
+    `_KERNEL_COLUMNS`."""
+    if 2 * d > _KERNEL_COLUMNS:
+        return False
     return any(_coprime(f, g, d, p) for f, g in combinations(forms, 2))
 
 
@@ -400,13 +404,11 @@ class _Lattice:
     Called on a packed monomial, a lattice gives its values, computed on
     first use and kept.  Make one with `_lattice`."""
 
-    __slots__ = ("points", "unpack", "q", "one", "_known")
+    __slots__ = ("points", "unpack", "q", "_known")
 
     def __init__(self, pk, t, q):
         self.points = tuple(monomials_of_degree(len(pk.shifts), t))
-        # the values of the constant monomial, which packs to 0
-        self.one = [1] * len(self.points)
-        self.unpack, self.q, self._known = pk.unpack, q, {0: self.one}
+        self.unpack, self.q, self._known = pk.unpack, q, {}
 
     def __call__(self, m):
         got = self._known.get(m)
@@ -417,10 +419,7 @@ class _Lattice:
         return got
 
     def times(self, f, u):
-        """The values f, reduced mod q, times the values u, as a row keyed
-        by point: f's own nonzero values when u is the constant's."""
-        if u is self.one:
-            return {i: v for i, v in enumerate(f) if v}
+        """The values f times the values u, as a row keyed by point."""
         q = self.q
         return {i: w for i, v in enumerate(map(operator.mul, f, u)) if (w := v % q)}
 
@@ -538,15 +537,10 @@ def _height_pass(M):
     def coprime_pair(size):
         """True when two of the first three maximal minors that the
         stream reads and that do not vanish on the line of `_on_line`
-        restrict to binary forms that `_coprime` certifies coprime; False,
-        with no form read, when their 2d Sylvester rows exceed
-        `_KERNEL_COLUMNS`."""
-        d = sum(mu)
-        if 2 * d > _KERNEL_COLUMNS:
-            return False
+        restrict to binary forms that `_coprime` certifies coprime."""
         on = (lambda e: _on_line(ctx, e.terms, p), partial(_expansion, p=p))
         first = islice(filter(None, _chain(M, size, {}, minor, True, on)), 3)
-        return _coprime_pair([_integral(f, p)[0] for f in first], d, p)
+        return _coprime_pair((_integral(f, p)[0] for f in first), sum(mu), p)
 
     def height_of(size):
         if size not in found:
