@@ -54,7 +54,8 @@ rules take ranks and that kernel with the engine's echelon form,
 over Q, so ranks over Q are exact and no Groebner basis is built.  Both
 read the same fixed points, whose coordinates are the first primes;
 over a small F_p that has one of them 0 mod p, points drawn without p
-follow.
+follow.  Both take values there from one exact integer evaluator,
+`_value_at`: the dual rule of the forms, the other of their partials.
 
 For r+1 forms of P^r of degree d, `hilbert_burch_presentation` recovers
 a presentation matrix phi of their ideal by linear algebra alone: the
@@ -121,7 +122,7 @@ ideal (`certified_rees`, after Kalkbrener), so no basis is built there.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import combinations_with_replacement
-from math import comb, lcm, prod
+from math import comb, lcm
 
 from .conditions import (
     _KERNEL_COLUMNS,
@@ -151,6 +152,7 @@ from .groebner import (
 )
 from .hilbert import hilbert_function
 from .ring import (
+    _MASK,
     Poly,
     RingCtx,
     RingError,
@@ -450,35 +452,15 @@ def _field_row(row, p):
     return {j: w for j, v in row.items() if (w := v % p if p else v)}
 
 
-def _support(ctx, g):
-    """Per term of the packed integer term dict g: (coefficient,
-    [(variable, exponent)] over the nonzero exponents)."""
-    unpack = ctx.packing.unpack
-    return [(c, [(i, e) for i, e in enumerate(unpack(m)) if e]) for m, c in g.items()]
-
-
-def _evaluated(supports, point, p, budget):
-    """(values, gradient rows) at an integer point of the forms whose
-    `_support`s are given, over the field of characteristic p, each form
-    term evaluated costing one budget step.  Integer arithmetic is exact,
-    so a coordinate 0, or 0 mod p, needs no care: a term t of exponent e
-    in x has derivative e*t/x, and at x = 0 only e = 1 leaves one."""
-    values, rows = [], []
-    for form in supports:
-        value, grad = 0, {}
-        for c, support in form:
-            _charge(budget)
-            t = c * prod(point[i] ** e for i, e in support)
-            value += t
-            for i, e in support:
-                x = point[i]
-                if x:
-                    grad[i] = grad.get(i, 0) + e * t // x
-                elif e == 1:
-                    grad[i] = grad.get(i, 0) + c * prod(point[h] ** f for h, f in support if h != i)
-        values.append(value % p if p else value)
-        rows.append(_field_row(grad, p))
-    return values, rows
+def _value_at(g, point, shifts):
+    """The packed integer term dict g at an integer point, exactly; x**0
+    is 1, so a coordinate 0, or 0 mod p, needs no care."""
+    total = 0
+    for m, c in g.items():
+        for x, s in zip(point, shifts):
+            c *= x ** (m >> s & _MASK)
+        total += c
+    return total
 
 
 def jacobian_independent(forms):
@@ -491,8 +473,9 @@ def jacobian_independent(forms):
 
     The forms are checked by `_form_degree` first, and over Q scaled to
     integers.  The rank is the pivot count of `_gauss_jordan` on the
-    gradients, stopped once every row has a pivot.  Each form term
-    evaluated and each row operation costs one budget step.
+    gradients, the partial derivatives built once and taken to the point
+    by `_value_at`, stopped once every row has a pivot.  Each form term at
+    a point tried and each row operation costs one budget step.
     """
     _form_degree(forms)
     ctx = forms[0].ctx
@@ -500,12 +483,18 @@ def jacobian_independent(forms):
     if ctx.n_params or len(forms) > n:
         return False
     p = ctx.field.characteristic
-    supports = [_support(ctx, _integral(g.terms, p)[0]) for g in forms]
-    if len({i for form in supports for _, support in form for i, _ in support}) < len(forms):
+    forms = [_integral(g.terms, p)[0] for g in forms]
+    units, shifts = ctx.packing.units, ctx.packing.shifts
+    # per form g and variable x_i, dg/dx_i: c*x^m gives c*e_i*x^(m - e_i)
+    terms = [[(m, c, ctx.packing.unpack(m)) for m, c in g.items()] for g in forms]
+    grads = [[{m - units[i]: c * e[i] for m, c, e in t if e[i]} for i in range(n)] for t in terms]
+    if sum(any(dg[i] for dg in grads) for i in range(n)) < len(forms):
         return False
     budget = _budget()
     for point in _jacobian_points(n, p):
-        _, rows = _evaluated(supports, point, p, budget)
+        _charge(budget, sum(map(len, forms)))
+        rows = [_field_row({i: _value_at(d, point, shifts) for i, d in enumerate(dg)}, p)
+                for dg in grads]
         if len(_gauss_jordan(rows, p, budget, stop=len(rows))) == len(rows):
             return True
     return False
@@ -570,19 +559,20 @@ def jacobian_dual_birational(forms, syzygies):
     syzygies.
 
     The forms are those `linear_syzygies` checked, and are scaled to
-    integers over Q.  psi(g(p)) is ranked by `_gauss_jordan`, stopped at
-    r pivots.  Each form term evaluated and each row operation costs one
-    budget step.
+    integers over Q.  g(p) comes from `_value_at`, and psi(g(p)) is
+    ranked by `_gauss_jordan`, stopped at r pivots.  Each form term at a
+    point tried and each row operation costs one budget step.
     """
     r = len(forms) - 1
     if syzygies is None or len(syzygies) < r:
         return False
     ctx = forms[0].ctx
     p = ctx.field.characteristic
+    forms = [_integral(g.terms, p)[0] for g in forms]
     budget = _budget()
-    supports = [_support(ctx, _integral(g.terms, p)[0]) for g in forms]
     for point in _jacobian_points(r + 1, p):
-        values, _ = _evaluated(supports, point, p, budget)
+        _charge(budget, sum(map(len, forms)))
+        values = [_value_at(g, point, ctx.packing.shifts) for g in forms]
         rows = [
             _field_row({k: sum(syz.get(k * (r + 1) + i, 0) * v for i, v in enumerate(values))
                         for k in range(r + 1)}, p)

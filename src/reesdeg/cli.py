@@ -20,9 +20,9 @@ parsed by that subcommand's parser alone; any other, and one that
 leaves arguments unrecognized, goes through the full parser, so every
 usage error keeps the text and exit code the full parser gives it.
 One step budget covers the whole command; `groebner.step_budget` lists
-what costs a step.  Its default, DEFAULT_BUDGET steps, can be set
-through the REESDEG_BUDGET environment variable and overridden per run
-with --budget.  Each map command reads its map's facts off one context
+what costs a step.  It is DEFAULT_BUDGET steps unless --budget, the
+one way to set it, says otherwise; no environment variable is read.
+Each map command reads its map's facts off one context
 (`ratmap.RationalMapSpec`), which computes each fact once, so sfib-hf
 reads the Jacobian dual verdict once for all its points.
 """
@@ -376,7 +376,9 @@ FLAGS = {
     "--m": {"type": _integer, "help": "de Jonquieres parameter m (default 2), or condition level"},
     "--points": {"help": "comma separated points (colon for tuples)"},
     "--seed": {"type": _integer, "default": DEFAULT_SEED, "help": "echoed in the output"},
-    "--budget": {"type": _integer, "help": "step budget for the whole command"},
+    "--budget": {
+        "type": _integer, "default": DEFAULT_BUDGET, "help": "step budget for the whole command"
+    },
     "--format": {"choices": ("json", "text"), "default": "json"},
     "--out": {"help": "write output to a file instead of stdout"},
 }
@@ -402,10 +404,9 @@ OVERRIDES = {
 INPUT_FLAGS = ("--map", "--matrix", "--family")
 
 
-@lru_cache(maxsize=8)
-def _parsers(env_budget):
-    """(the argument parser, {subcommand: its subparser}), with
-    `env_budget`, the REESDEG_BUDGET value, as the default of --budget."""
+@lru_cache(maxsize=1)
+def _parsers():
+    """(the argument parser, {subcommand: its subparser}), built once."""
     parser = argparse.ArgumentParser(
         prog="reesdeg",
         description="Degrees and images of rational maps via blowup algebras",
@@ -422,16 +423,12 @@ def _parsers(env_budget):
                 one_of.add_argument(flag, **kw)
             else:
                 p.add_argument(flag, required=flag in inputs, **kw)
-        # argparse runs string defaults through `type`, so a malformed
-        # REESDEG_BUDGET is a usage error like a malformed --budget
-        p.set_defaults(budget=env_budget or DEFAULT_BUDGET)
     return parser, subparsers
 
 
-def build_parser(env_budget=None):
-    """The argument parser, with `env_budget`, the REESDEG_BUDGET value,
-    as the default of --budget."""
-    return _parsers(env_budget)[0]
+def build_parser():
+    """The argument parser."""
+    return _parsers()[0]
 
 
 # what _glue_negative_values never reads as a flag's value
@@ -458,7 +455,7 @@ def _parse_args(argv):
     full parser would; any other, and one that leaves arguments
     unrecognized, goes through the full parser, whose usage line and
     messages they need."""
-    parser, subparsers = _parsers(os.environ.get("REESDEG_BUDGET") or None)
+    parser, subparsers = _parsers()
     if argv and argv[0] in subparsers:
         args, rest = subparsers[argv[0]].parse_known_args(argv[1:])
         if not rest:

@@ -10,9 +10,10 @@ one deformation parameter, and is the one family the parametric blowup
 route runs on.
 
 Hilbert-Burch and Pfaffian instances draw every coefficient uniformly
-from the nonzero field elements, seeded; eliminating over the full
-generic coefficient ring is out of desk-scale reach.  The de Jonquieres
-instance keeps its parameter in the ring.
+from the nonzero field elements (over F_2 and F_3 from all of them),
+seeded; eliminating over the full generic coefficient ring is out of
+desk-scale reach.  The de Jonquieres instance keeps its parameter in
+the ring.
 
 A parametric family gives each point a member context (`Family.member`),
 which at a point the generic graph basis certifies already holds its
@@ -156,15 +157,17 @@ class Family:
         return dim_degree(_gr_ideal(rees, special)).dim
 
 
-def dense_form(ctx, degree, rng, nx=None):
-    """Dense form with coefficients uniform among nonzero field values."""
+def dense_form(ctx, degree, rng):
+    """Dense form in the coordinates, its coefficients uniform among the
+    nonzero field values, or over F_2 and F_3, where those give few forms
+    (over F_2 one per degree), among all, a zero form drawn again."""
     p = ctx.field.characteristic
-    nx = ctx.nvars - ctx.n_params if nx is None else nx
-    terms = {}
-    for mon in monomials_of_degree(nx, degree):
-        c = rng.randrange(1, p) if p else rng.randint(1, 12)
-        terms[mon + (0,) * (ctx.nvars - nx)] = c
-    return Poly(ctx, terms)
+    low = 0 if p and p <= 3 else 1
+    mons = [m + (0,) * ctx.n_params for m in monomials_of_degree(ctx.nvars - ctx.n_params, degree)]
+    while True:
+        f = Poly(ctx, {mon: rng.randrange(low, p) if p else rng.randint(1, 12) for mon in mons})
+        if f:
+            return f
 
 
 def _check_syzygies(rows, forms, what):

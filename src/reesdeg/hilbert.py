@@ -191,14 +191,12 @@ class HilbertSummary:
     `dim` is the Krull dimension of the quotient ring (None for the unit
     ideal, whose quotient is zero), `proj_dim_of_scheme` is dim - 1, and
     `degree` is the normalized leading Hilbert coefficient; in dimension
-    zero it is the length of the quotient.  `series_numerator` holds the
-    (degree, coefficient) pairs of the standard-graded numerator.
+    zero it is the length of the quotient.
     """
 
     dim: object
     proj_dim_of_scheme: object
     degree: object
-    series_numerator: tuple
 
 
 def _order_at_one(numer):
@@ -216,12 +214,11 @@ def _order_at_one(numer):
 def monomial_dim_degree(mons, nvars):
     """HilbertSummary of k[x_1..x_nvars] modulo the ideal of `mons`."""
     numer = weighted_numerator(mons, (1,) * nvars)
-    pairs = tuple(sorted(numer.items()))
     if not numer:
-        return HilbertSummary(None, None, None, pairs)
+        return HilbertSummary(None, None, None)
     u, q = _order_at_one(numer)
     dim = nvars - u
-    return HilbertSummary(dim, dim - 1, q, pairs)
+    return HilbertSummary(dim, dim - 1, q)
 
 
 def dim_degree(I):

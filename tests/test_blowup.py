@@ -16,6 +16,7 @@ from conftest import (
     rees_route,
 )
 from gr_oracle import gr_dimension
+from reference_poly import RefPoly, monomial_div
 from sfib_oracle import saturated_power_dim
 import reesdeg.blowup as blowup
 from reesdeg.blowup import (
@@ -263,6 +264,132 @@ def small_fraction(ctx, rng):
     if ctx.field.characteristic:
         return rand_coeff(ctx, rng)
     return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def value_at(terms, point):
+    """The tuple-keyed `terms` at an integer point, as a Fraction."""
+    total = Fraction(0)
+    for m, c in terms.items():
+        total += c * math.prod(Fraction(x) ** e for x, e in zip(point, m))
+    return total
+
+
+def partial(ref, i):
+    """The partial derivative in x_i of the reference polynomial `ref`,
+    formed on exponent tuples."""
+    unit = tuple(int(j == i) for j in range(ref.ctx.nvars))
+    return {monomial_div(m, unit): c * m[i] for m, c in ref.terms.items() if m[i]}
+
+
+def field_rank(rows, p):
+    """The rank of a matrix of Fractions over Q, or of its entries mod p
+    over F_p, by plain elimination."""
+    rows = [[int(v) % p if p else v for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(rank, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inverse = pow(top[col], -1, p) if p else 1 / top[col]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][col] * inverse
+            rows[k] = [(a - f * b) % p if p else a - f * b for a, b in zip(rows[k], top)]
+        rank += 1
+    return rank
+
+
+@st.composite
+def jacobian_cases(draw):
+    """(forms, points): forms of one degree over F_2, F_7, F_32003 or Q,
+    the pure powers x_i^p frequent among their terms over F_2 and F_7,
+    and either None, for the fixed `_jacobian_points`, or drawn points,
+    some of their coordinates 0 or p."""
+    p = draw(st.sampled_from([2, 7, 32003, 0]))
+    n = draw(st.integers(1, 4))
+    deg = draw(st.sampled_from([1, 2, 3, 7] if p == 7 else [1, 2, 3]))
+    pure = [tuple(deg * (j == i) for j in range(n)) for i in range(n)]
+    monomial = st.sampled_from(pure) | st.sampled_from(list(monomials_of_degree(n, deg)))
+    if p:
+        coeff = st.integers(1, p - 1)
+    else:
+        coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    ctx = RingCtx(tuple("x%d" % i for i in range(n)), FieldSpec(p))
+    terms = st.dictionaries(monomial, coeff, min_size=1, max_size=4)
+    forms = [Poly(ctx, t) for t in draw(st.lists(terms, min_size=1, max_size=n + 1))]
+    coordinate = st.integers(-3, 5) | st.sampled_from([p, 2 * p])
+    point = st.tuples(*[coordinate] * n)
+    return forms, draw(st.none() | st.lists(point, min_size=1, max_size=3).map(tuple))
+
+
+def at_points(drawn, rule, *args):
+    """`rule(*args)` trying the points `drawn`, or the fixed
+    `_jacobian_points` when `drawn` is None; and the points it tried."""
+    n, p = args[0][0].ctx.nvars, args[0][0].ctx.field.characteristic
+    if drawn is None:
+        return rule(*args), blowup._jacobian_points(n, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blowup, "_jacobian_points", lambda n, p: drawn)
+        return rule(*args), drawn
+
+
+class TestJacobianRankOracle:
+    """Both Jacobian rules against ranks taken by plain elimination on
+    values formed apart from `blowup`: partial derivatives on exponent
+    tuples, evaluated with Fractions.  A rule holds exactly when some
+    point it tries has full rank."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=jacobian_cases())
+    def test_independence_is_full_rank_at_some_point(self, case):
+        forms, drawn = case
+        p = forms[0].ctx.field.characteristic
+        grads = [[partial(ref, i) for i in range(ref.ctx.nvars)] for ref in map(RefPoly.of, forms)]
+        got, points = at_points(drawn, jacobian_independent, forms)
+        assert got is any(
+            field_rank([[value_at(d, pt) for d in dg] for dg in grads], p) == len(forms)
+            for pt in points
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=jacobian_cases())
+    def test_dual_rule_is_rank_r_at_some_point(self, case):
+        forms, drawn = case
+        assume(len(forms) == forms[0].ctx.nvars)
+        self.check_dual_rule(forms, drawn)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from(ORACLE_SHAPES),
+        prime=st.sampled_from([2, 7, 32003, 0]),
+        seed=st.integers(0, 10**6),
+        drawn=st.none() | st.just(((0, 1, 2, 3, 7),)),
+    )
+    def test_dual_rule_on_maps_with_linear_syzygies(self, shape, prime, seed, drawn):
+        try:
+            spec = oracle_map(shape, prime, seed)
+        except RingError:
+            assume(False)
+        if drawn is not None:
+            drawn = (drawn[0][: spec.ctx.nvars],)
+        self.check_dual_rule(list(spec.forms), drawn)
+
+    def check_dual_rule(self, forms, drawn):
+        # psi(g(p)): row k of a syzygy a is the sum over i of a_ki*g_i(p),
+        # the forms scaled to integers as `linear_syzygies` scales them
+        p = forms[0].ctx.field.characteristic
+        r1 = len(forms)
+        scales = [gb_mod._integral(g.terms, p)[1] for g in forms]
+        syzygies = blowup.linear_syzygies(forms)
+        got, points = at_points(drawn, blowup.jacobian_dual_birational, forms, syzygies)
+        want = False
+        for pt in points:
+            values = [d * value_at(RefPoly.of(g).terms, pt) for d, g in zip(scales, forms)]
+            psi = [[sum(a.get(k * r1 + i, 0) * v for i, v in enumerate(values)) for k in range(r1)]
+                   for a in syzygies]
+            want = want or field_rank(psi, p) == r1 - 1
+        assert got is want
 
 
 class TestJacobianCertificate:

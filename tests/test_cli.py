@@ -865,10 +865,11 @@ class TestExitCodes:
             code, _ = run(capsys, self.TWISTED_CUBIC + ["--budget", "135"])
             assert code == 0
 
-    def test_budget_env_var(self, capsys, monkeypatch):
+    def test_no_environment_variable_sets_the_budget(self, capsys, monkeypatch):
+        # --budget is the one way to set it: a budget of 3 would exit 3
         monkeypatch.setenv("REESDEG_BUDGET", "3")
         code, _ = run(capsys, ["rees", "--map", "x0^3, x0^2*x1, x0*x1^2, x1^3"])
-        assert code == 3
+        assert code == 0
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_is_two(self, capsys, trials):
@@ -883,17 +884,6 @@ class TestExitCodes:
         code, out = run(capsys, ["degree", "--map", "x0^2, x1^2", "--budget", budget])
         assert code == 2
         assert out == ""
-
-    def test_negative_budget_env_var_is_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("REESDEG_BUDGET", "-5")
-        code, _ = run(capsys, ["rees", "--map", "x0^2, x1^2"])
-        assert code == 2
-
-    def test_malformed_budget_env_var_is_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("REESDEG_BUDGET", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["rees", "--map", "x0^2, x1^2"])
-        assert exc.value.code == 2
 
     def test_exponent_past_packed_bound_is_two(self, capsys):
         # fails at the first basis computation instead of exhausting memory
@@ -1035,11 +1025,9 @@ class TestFlagTable:
         assert code == 2
         assert out == ""
 
-    def test_parser_built_once_per_budget_default(self):
+    def test_parser_built_once(self):
         assert build_parser() is build_parser()
-        assert build_parser("7") is not build_parser()
         argv = ["rees", "--map", "x0^2, x1^2"]
-        assert build_parser("7").parse_args(argv).budget == 7
         assert build_parser().parse_args(argv).budget == DEFAULT_BUDGET
 
     def test_m_defaults(self):
@@ -1302,8 +1290,7 @@ class TestDispatchParity:
     )
     def test_same_outcome_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REESDEG_BUDGET", raising=False)
         (tmp_path / "m.txt").write_text(MATRIX_A0)
         direct = self.outcome(capsys, argv)
-        monkeypatch.setattr(cli, "_parse_args", lambda args: build_parser(None).parse_args(args))
+        monkeypatch.setattr(cli, "_parse_args", lambda args: build_parser().parse_args(args))
         assert direct == self.outcome(capsys, argv)

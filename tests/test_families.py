@@ -91,6 +91,21 @@ class TestHilbertBurch:
         rep = degree_report(rational_map(fam.forms))
         assert rep.deg_map * rep.deg_image == 2
 
+    @pytest.mark.parametrize("mu", [(1, 1), (1, 2), (1, 1, 1), (1, 1, 2)])
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_small_fields_give_maps(self, mu, prime):
+        # over F_2, coefficients drawn from the nonzero values alone make
+        # every row of the matrix the same, so no draw was a map
+        maps = 0
+        for seed in range(20):
+            spec = FamilySpec("hilbert_burch", r=len(mu), mu=mu, seed=seed, prime=prime)
+            try:
+                rational_map(make_family(spec).forms)
+                maps += 1
+            except RingError:
+                pass
+        assert maps >= 15
+
     def test_minors_of_handmade_matrix(self):
         ctx = RingCtx(("x", "y", "z"), FieldSpec(0))
         rows = [["x", "0"], ["-y", "x"], ["0", "y"]]

@@ -120,9 +120,10 @@ def test_private_imports_are_found():
 # restricts forms to the line of the coprimality test of conditions, and
 # raises the entries of its m-primary span through the generator of the
 # span tests of conditions, on the packed monomials of ring, under the
-# one bound of conditions on linear-algebra certificates.  families sums
-# the products of its syzygy check, as Poly and the minor chain do, with
-# the one kernel of ring that multiplies term dicts.
+# one bound of conditions on linear-algebra certificates, and reads the
+# exponents of packed forms where its Jacobian rules evaluate them.
+# families sums the products of its syzygy check, as Poly and the minor
+# chain do, with the one kernel of ring that multiplies term dicts.
 PRIVATE_IMPORTS = {
     "blowup": {
         "conditions": {"_KERNEL_COLUMNS", "_coprime_pair", "_on_line", "_raised", "_shifted"},
@@ -130,7 +131,7 @@ PRIVATE_IMPORTS = {
             "_basis", "_basis_ideal", "_budget", "_charge", "_gauss_jordan", "_integral",
             "_normalize", "_with_aux_var",
         },
-        "ring": {"_is_prime", "_minimal_packed", "_monomials"},
+        "ring": {"_MASK", "_is_prime", "_minimal_packed", "_monomials"},
     },
     "cli": {"blowup": {"_form_degree"}},
     "families": {"blowup": {"_gr_ideal"}, "ring": {"_product_sum"}},
@@ -286,3 +287,40 @@ def test_process_wide_caches_are_bounded():
         if names:
             found[path.stem] = names
     assert found == {"ring": ["_packing"]}
+
+
+# What reads the environment: every setting of a command is a flag.
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(tree):
+    """`os.<name>` for each read of os.environ or os.getenv (or their
+    bytes forms) through the module `os`, and the bare name for each one
+    imported from `os`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append("os." + node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [a.name for a in node.names if a.name in ENVIRONMENT_NAMES]
+    return found
+
+
+def test_environment_reads_are_found():
+    tree = ast.parse(
+        "import os\nfrom os import getenv, path\n"
+        "a = os.environ.get('A')\nb = os.getenv('B')\nc = os.path.exists('c')\n"
+        "def f():\n    return os.environ['D']\n"
+    )
+    assert sorted(environment_reads(tree)) == ["getenv", "os.environ", "os.environ", "os.getenv"]
+
+
+def test_no_environment_variable_is_read():
+    # --budget and the other flags are the only settings of a command
+    found = {}
+    for path in sorted((ROOT / "src" / "reesdeg").rglob("*.py")):
+        names = environment_reads(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            found[path.stem] = names
+    assert found == {}
